@@ -162,29 +162,27 @@ func TestSmokeBadFlags(t *testing.T) {
 	}
 }
 
-// TestUnknownEngineListsRegistered checks a bad -engine prints the full
-// registered engine list (comp included), and that registered engines
-// without a cycle model are rejected with a pointer to the cycle engines
-// rather than the unknown-engine error.
+// TestUnknownEngineListsRegistered checks a bad -engine (the removed flow
+// and byte kinds included) prints exactly the registered engine list, and
+// that comp, registered but without a cycle model, is rejected with a
+// pointer to the cycle engines rather than the unknown-engine error.
 func TestUnknownEngineListsRegistered(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := realMain([]string{"-engine", "bogus"}, &stdout, &stderr); code == 0 {
-		t.Fatal("exit 0, want failure")
-	}
-	msg := stderr.String()
-	for _, eng := range []string{"event", "naive", "flow", "comp"} {
-		if !strings.Contains(msg, `"`+eng+`"`) {
-			t.Errorf("diagnostic %q does not list engine %q", msg, eng)
-		}
-	}
-	for _, eng := range []string{"flow", "comp"} {
+	for _, eng := range []string{"bogus", "flow", "byte"} {
 		stderr.Reset()
 		if code := realMain([]string{"-engine", eng}, &stdout, &stderr); code == 0 {
 			t.Fatalf("engine %q: exit 0, want failure", eng)
 		}
-		if !strings.Contains(stderr.String(), "no cycle model") {
-			t.Errorf("engine %q: diagnostic %q does not explain the cycle-model requirement", eng, stderr.String())
+		if msg := stderr.String(); !strings.Contains(msg, `registered engines: "event", "naive", "comp")`) {
+			t.Errorf("engine %q: diagnostic %q does not list exactly the registered engines", eng, msg)
 		}
+	}
+	stderr.Reset()
+	if code := realMain([]string{"-engine", "comp"}, &stdout, &stderr); code == 0 {
+		t.Fatal("engine comp: exit 0, want failure")
+	}
+	if !strings.Contains(stderr.String(), "no cycle model") {
+		t.Errorf("engine comp: diagnostic %q does not explain the cycle-model requirement", stderr.String())
 	}
 }
 

@@ -152,7 +152,7 @@ func TestSmokeArtifacts(t *testing.T) {
 	    "B": {"dims": [2,2], "coords": [[0,0],[0,1],[1,1]], "values": [1,2,3]},
 	    "c": {"dims": [2], "coords": [[0],[1]], "values": [5,7]}
 	  },
-	  "options": {"engine": "byte"}
+	  "options": {"engine": "comp"}
 	}`
 	resp, err := http.Post(base+"/v1/evaluate", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -169,8 +169,8 @@ func TestSmokeArtifacts(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("evaluate status %d", resp.StatusCode)
 	}
-	if er.Engine != "byte" || er.Cache != "miss" {
-		t.Errorf("response engine=%q cache=%q, want byte/miss", er.Engine, er.Cache)
+	if er.Engine != "comp" || er.Cache != "miss" {
+		t.Errorf("response engine=%q cache=%q, want comp/miss", er.Engine, er.Cache)
 	}
 
 	resp, err = http.Get(base + "/v1/stats")

@@ -32,17 +32,16 @@
 // compiled program into the portable artifact format (internal/prog), writes
 // it to the given file, and exits without simulating — the artifact-side
 // analogue of -dot. -load is the other half: it decodes an artifact and runs
-// it directly on the artifact interpreter without -expr, recompiling
-// nothing; inputs are synthesized (or -mtx-bound) against the statement
-// embedded in the artifact, so -dims/-density/-seed/-check all work as
-// usual. Only the functional engines can run a loaded artifact ("byte", the
-// default under -load, and "comp").
+// it directly on the compiled engine without -expr, recompiling nothing;
+// inputs are synthesized (or -mtx-bound) against the statement embedded in
+// the artifact, so -dims/-density/-seed/-check all work as usual. Only the
+// compiled engine can run a loaded artifact ("comp", the default under
+// -load); the cycle engines need the source graph.
 //
 // Flag combinations are validated before simulation: an unknown -engine
-// prints the registered engine list, the flow engine rejects graphs it
-// cannot run (gallop/bitvector blocks), engines without a cycle model
-// (flow, comp, byte) reject -queue with a clear error up front instead of
-// silently ignoring it, -O rejects levels the optimizer does not know, and
+// prints the registered engine list, the comp engine (no cycle model)
+// rejects -queue with a clear error up front instead of silently ignoring
+// it, -O rejects levels the optimizer does not know, and
 // -load rejects the compilation-shaping flags (-O, -par, -skip, -locate,
 // -order, -dot) that a pre-compiled artifact would otherwise ignore.
 package main
@@ -88,7 +87,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	dot := fs.Bool("dot", false, "print the compiled (and, with -O 1, optimized) graph in Graphviz DOT and exit")
 	emit := fs.String("emit", "", "write the compiled program as a portable artifact to this file and exit")
 	load := fs.String("load", "", "run a program artifact file instead of compiling -expr")
-	engine := fs.String("engine", "", "simulation engine: event (default), naive, flow, comp, or byte")
+	engine := fs.String("engine", "", "simulation engine: event (default), naive, or comp")
 	iterate := fs.Int("iterate", 0, "iterate the program to a fixpoint, at most this many times (0 = single run)")
 	fixvar := fs.String("fixvar", "x", "fixpoint state input the update rule rewrites (with -iterate)")
 	fixmode := fs.String("fixmode", "power", "fixpoint update rule: power, pagerank, or reach (with -iterate)")
@@ -196,7 +195,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		kind := sim.EngineKind(*engine)
 		if kind == "" {
-			kind = sim.EngineByte
+			kind = sim.EngineComp
 		}
 		if err := p.CheckEngine(kind); err != nil {
 			return fail(err)
@@ -302,15 +301,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Validate the flag combination before simulating: a clear error now
-	// beats a mid-run block failure (flow cannot execute gallop/bitvector
-	// graphs) or a silently ignored flag (flow, comp and byte have no cycle
-	// model, so -queue would do nothing). An unknown -engine prints the
-	// registered engine list via sim.EngineFor.
+	// beats a silently ignored flag (comp has no cycle model, so -queue
+	// would do nothing). An unknown -engine prints the registered engine
+	// list via sim.EngineFor.
 	kind := sim.EngineKind(*engine)
-	if err := sim.CheckEngine(kind, g); err != nil {
+	if _, err := sim.EngineFor(kind); err != nil {
 		return fail(err)
 	}
-	if (kind == sim.EngineFlow || kind == sim.EngineComp || kind == sim.EngineByte) && *queueCap != 0 {
+	if kind == sim.EngineComp && *queueCap != 0 {
 		return fail(fmt.Errorf("-queue models finite buffering in the cycle engines; the %s engine has no cycle model (drop -queue or use -engine event/naive)", kind))
 	}
 	if fx != nil {

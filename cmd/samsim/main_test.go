@@ -29,7 +29,7 @@ func TestSmokeSequential(t *testing.T) {
 
 // TestSmokeParallel runs the same statement across 4 lanes on each engine.
 func TestSmokeParallel(t *testing.T) {
-	for _, eng := range []string{"", "naive", "flow", "comp", "byte"} {
+	for _, eng := range []string{"", "naive", "comp"} {
 		var stdout, stderr bytes.Buffer
 		code := realMain([]string{
 			"-expr", "x(i) = B(i,j) * c(j)",
@@ -86,7 +86,7 @@ func TestSmokeSkip(t *testing.T) {
 // TestSmokeOptimized runs the same statement at -O 1 on every engine: the
 // gold check must still pass and the optimizer line must report its delta.
 func TestSmokeOptimized(t *testing.T) {
-	for _, eng := range []string{"", "naive", "flow"} {
+	for _, eng := range []string{"", "naive", "comp"} {
 		var stdout, stderr bytes.Buffer
 		code := realMain([]string{
 			"-expr", "X(i,j) = B(i,j) * B(i,j)",
@@ -127,26 +127,25 @@ func TestDotPrintsGraph(t *testing.T) {
 	}
 }
 
-// TestUnknownEngineListsRegistered checks a bad -engine fails with the full
-// registered engine list, comp included, instead of a bare error.
+// TestUnknownEngineListsRegistered checks a bad -engine — the removed flow
+// and byte kinds included — fails with exactly the registered engine list
+// instead of a bare error.
 func TestUnknownEngineListsRegistered(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := realMain([]string{
-		"-expr", "x(i) = b(i) * c(i)", "-engine", "bogus",
-	}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatal("exit 0, want failure")
-	}
-	msg := stderr.String()
-	for _, eng := range []string{"event", "naive", "flow", "comp", "byte"} {
-		if !strings.Contains(msg, `"`+eng+`"`) {
-			t.Errorf("diagnostic %q does not list engine %q", msg, eng)
+	for _, eng := range []string{"bogus", "flow", "byte"} {
+		var stdout, stderr bytes.Buffer
+		code := realMain([]string{
+			"-expr", "x(i) = b(i) * c(i)", "-engine", eng,
+		}, &stdout, &stderr)
+		if code == 0 {
+			t.Fatalf("-engine %s: exit 0, want failure", eng)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, `registered engines: "event", "naive", "comp")`) {
+			t.Errorf("-engine %s: diagnostic %q does not list exactly the registered engines", eng, msg)
 		}
 	}
 }
 
-// TestSmokeCompSkip checks the compiled engine runs gallop (UseSkip) graphs,
-// which the flow engine rejects.
+// TestSmokeCompSkip checks the compiled engine runs gallop (UseSkip) graphs.
 func TestSmokeCompSkip(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := realMain([]string{
@@ -164,7 +163,7 @@ func TestSmokeCompSkip(t *testing.T) {
 
 // TestEmitLoadRoundTrip drives the artifact workflow end to end in-process:
 // -emit writes a portable artifact without simulating, -load runs it on the
-// artifact interpreter (and on comp) with the gold check passing, and a
+// comp engine (the default there) with the gold check passing, and a
 // cycle-engine request against the artifact fails up front — artifacts carry
 // no source graph to simulate.
 func TestEmitLoadRoundTrip(t *testing.T) {
@@ -185,7 +184,7 @@ func TestEmitLoadRoundTrip(t *testing.T) {
 		t.Fatalf("emitted artifact missing: %v", err)
 	}
 
-	for _, eng := range []string{"", "byte", "comp"} {
+	for _, eng := range []string{"", "comp"} {
 		stdout.Reset()
 		stderr.Reset()
 		code = realMain([]string{
@@ -196,7 +195,7 @@ func TestEmitLoadRoundTrip(t *testing.T) {
 			t.Fatalf("load (engine %q): exit %d, stderr: %s", eng, code, stderr.String())
 		}
 		out := stdout.String()
-		for _, want := range []string{"artifact:", "expression:", "fingerprint:", "gold check:  PASSED"} {
+		for _, want := range []string{"artifact:", "expression:", "fingerprint:", "engine:      comp", "gold check:  PASSED"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("load (engine %q): output missing %q:\n%s", eng, want, out)
 			}
@@ -212,6 +211,14 @@ func TestEmitLoadRoundTrip(t *testing.T) {
 	if stderr.Len() == 0 {
 		t.Error("no diagnostic for the event-engine artifact load")
 	}
+	// The old artifact-engine name is gone, not an alias for comp.
+	stderr.Reset()
+	if code = realMain([]string{"-load", path, "-engine", "byte"}, &stdout, &stderr); code == 0 {
+		t.Fatal(`loading an artifact with -engine byte should fail`)
+	}
+	if !strings.Contains(stderr.String(), "unknown engine") {
+		t.Errorf("-load -engine byte: diagnostic %q, want unknown engine", stderr.String())
+	}
 }
 
 // TestFlagCombinationValidation checks illegal engine/flag combinations
@@ -221,10 +228,7 @@ func TestFlagCombinationValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-expr", "x(i) = b(i) * c(i)", "-skip", "-engine", "flow"}, "gallop"},
-		{[]string{"-expr", "x(i) = b(i) * c(i)", "-engine", "flow", "-queue", "4"}, "-queue"},
 		{[]string{"-expr", "x(i) = b(i) * c(i)", "-engine", "comp", "-queue", "4"}, "-queue"},
-		{[]string{"-expr", "x(i) = b(i) * c(i)", "-engine", "byte", "-queue", "4"}, "-queue"},
 		{[]string{"-expr", "x(i) = b(i) * c(i)", "-O", "2"}, "unknown -O level 2"},
 		{[]string{"-expr", "x(i) = b(i) * c(i)", "-O", "-1"}, "unknown -O level -1"},
 		{[]string{"-expr", "x(i) = b(i)", "-load", "a.sambc"}, "-load"},

@@ -1,6 +1,6 @@
 // Package bind resolves a compiled SAM graph's operand bindings against
 // concrete input tensors. Every executor (the cycle engines in internal/sim
-// and the goroutine executor in internal/flow) needs the same two steps
+// and the compiled engine in internal/comp) needs the same two steps
 // before running a graph: build each operand's fibertree storage in the
 // scheduled mode order, and resolve the output dimension sizes. Centralizing
 // them here keeps the engines free of duplicated binding plumbing.

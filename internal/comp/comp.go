@@ -10,8 +10,8 @@
 // loop closure through an opcode dispatch and rebuilds the derived state
 // (lane plan, output permutation). Compile is Lower followed by
 // Materialize; internal/prog serializes the IR between the two halves, so
-// the closure engine and the portable-artifact interpreter share one
-// lowering and execute the exact same closure bodies.
+// a program loaded from an artifact executes the exact same closure bodies
+// as a direct compilation.
 //
 // Each closure is a merged loop over its operands' full streams: level
 // scanners become cursor walks over fiber.Tensor storage, intersections and
@@ -27,9 +27,8 @@
 // Supported blocks are everything except the bitvector pipeline (bitvector
 // scanners, intersecters, vector ALUs and writers stay on the cycle
 // engines); Check reports support up front so sim's comp engine can fall
-// back to the event engine instead of failing. Like internal/flow, the
-// compiled engine computes functional results only: no cycle counts, no
-// stream statistics.
+// back to the event engine instead of failing. The compiled engine computes
+// functional results only: no cycle counts, no stream statistics.
 package comp
 
 import (

@@ -13,10 +13,10 @@ import (
 // program artifact needs: Lower turns a graph into a flat, serializable
 // intermediate form (IR), and Materialize turns an IR — freshly lowered or
 // decoded from bytes by internal/prog — back into an executable Program.
-// Compile is Lower followed by Materialize, so the closure engine and the
-// artifact interpreter share one lowering: a decoded artifact executes the
-// exact same closure bodies a direct compilation would, which is what makes
-// the two engines bit-identical by construction.
+// Compile is Lower followed by Materialize, so there is one lowering: a
+// decoded artifact executes the exact same closure bodies a direct
+// compilation would, which is what makes the two bit-identical by
+// construction.
 
 // StepIR is one lowered step in serializable form: the block kind, the
 // stream slots it reads and writes, and the block parameters its closure
@@ -193,7 +193,7 @@ func Lower(g *graph.Graph) (*IR, error) {
 }
 
 // Validate checks an IR's structural soundness so that Materialize and the
-// interpreter can trust it: every step kind is lowerable, every slot index
+// run loop can trust it: every step kind is lowerable, every slot index
 // is inside the stream table, every Ins/Outs layout matches the kind's
 // canonical port list, and the arity parameters sit within sane bounds.
 // Lower always produces a valid IR; this guards IRs decoded from bytes.
@@ -369,8 +369,8 @@ func Materialize(ir *IR) (*Program, error) {
 	return p, nil
 }
 
-// stepFor is the opcode dispatch of the artifact interpreter: it binds one
-// StepIR to its closure. Binding happens once at materialize time (direct
+// stepFor is the opcode dispatch of Materialize: it binds one StepIR to its
+// closure. Binding happens once at materialize time (direct
 // threading — the run loop is a flat walk over already-bound closures), and
 // the closure bodies are the same ones a direct compilation produces.
 func stepFor(si *StepIR) (step, error) {

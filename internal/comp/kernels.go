@@ -6,9 +6,9 @@ import (
 )
 
 // The step constructors bind one lowered StepIR to its closure. The closures
-// mirror the token-level semantics of internal/core and internal/flow
-// exactly; only the execution strategy differs — whole streams per call
-// instead of tokens per cycle. Slot layouts follow the canonical port order
+// mirror the token-level semantics of internal/core exactly; only the
+// execution strategy differs — whole streams per call instead of tokens per
+// cycle. Slot layouts follow the canonical port order
 // of graph.InPorts/graph.OutPorts, which IR.Validate has already checked, so
 // the headers read positions without re-validating.
 

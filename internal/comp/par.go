@@ -8,7 +8,7 @@ import (
 // This file lowers the lane-parallelism blocks of paper Section 4.4: the
 // parallelizer fork, the round-robin (and driver-rotated) joiners, and the
 // cross-lane reduction combiner. The merged-loop state machines mirror
-// internal/flow's goroutine implementations token for token; the combiner
+// internal/core's tick-level blocks token for token; the combiner
 // reuses the shared pure codec core.MergeLaneStreams directly, since the
 // lane streams are already materialized here.
 

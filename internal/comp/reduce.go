@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"sam/internal/core"
 	"sam/internal/token"
 )
 
@@ -258,17 +259,6 @@ func matFlush(x *exec, acc map[int64]map[int64]float64, outOuter, outInner, outV
 	}
 }
 
-// packKey packs a coordinate tuple into a map key.
-func packKey(crd []int64) string {
-	b := make([]byte, 0, len(crd)*8)
-	for _, c := range crd {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(c>>uint(s)))
-		}
-	}
-	return string(b)
-}
-
 // stepTensorReduce is the general n-dimensional reducer (n >= 3): n
 // coordinate streams, outermost first, plus values. Stream pairing follows
 // core.TensorReducer: outer stream j is shallower by offset = n-1-j levels,
@@ -320,7 +310,7 @@ func stepTensorReduce(si *StepIR) step {
 				for j := change; j < n; j++ {
 					x.push(outCrd[j], token.C(crd[j]))
 				}
-				x.push(outVal, token.V(acc[packKey(crd)]))
+				x.push(outVal, token.V(acc[core.PackKey(crd)]))
 			}
 			// Group-closing stops, lowered by one level on every stream.
 			for j := 0; j < n; j++ {
@@ -350,7 +340,7 @@ func stepTensorReduce(si *StepIR) step {
 				ic[n-1].next()
 				iv.next()
 				cur[n-1] = tc.N
-				k := packKey(cur)
+				k := core.PackKey(cur)
 				if _, seen := acc[k]; !seen {
 					keys[k] = append([]int64(nil), cur...)
 					acc[k] = 0

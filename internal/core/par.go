@@ -898,7 +898,7 @@ type lanePoint struct {
 // streams plus one value stream each, in the shape per-lane reducers emit)
 // into the bundle a single reducer over both lanes' data would have emitted:
 // the coordinate union with values added point-wise. It is shared by the
-// cycle-engine LaneCombine block and the goroutine executor.
+// cycle-engine LaneCombine block and the compiled engine (internal/comp).
 func MergeLaneStreams(m int, crdA []token.Stream, valA token.Stream, crdB []token.Stream, valB token.Stream) ([]token.Stream, error) {
 	pa, err := decodeLanePoints(m, crdA, valA)
 	if err != nil {

@@ -242,7 +242,7 @@ func TestQuickLaneCombine(t *testing.T) {
 				for q := range crd {
 					crd[q] = int64(r.Intn(5))
 				}
-				k := packKey(crd)
+				k := PackKey(crd)
 				if seen[k] {
 					continue
 				}
@@ -257,7 +257,7 @@ func TestQuickLaneCombine(t *testing.T) {
 		keys := map[string][]int64{}
 		for _, side := range [][]lanePoint{a, b} {
 			for _, p := range side {
-				k := packKey(p.crd)
+				k := PackKey(p.crd)
 				want[k] += p.val
 				keys[k] = p.crd
 			}
@@ -278,7 +278,7 @@ func TestQuickLaneCombine(t *testing.T) {
 			return false
 		}
 		for _, p := range got {
-			if want[packKey(p.crd)] != p.val {
+			if want[PackKey(p.crd)] != p.val {
 				return false
 			}
 		}

@@ -46,8 +46,9 @@ func NewTensorReducer(name string, n int, inCrd []*Queue, inVal *Queue, outCrd [
 	}
 }
 
-// key packs a coordinate tuple.
-func packKey(crd []int64) string {
+// PackKey packs a coordinate tuple into a map key; internal/comp's general
+// reducer shares it.
+func PackKey(crd []int64) string {
 	b := make([]byte, 0, len(crd)*8)
 	for _, c := range crd {
 		for s := 0; s < 64; s += 8 {
@@ -104,7 +105,7 @@ func (b *TensorReducer) Tick() bool {
 		inner.Pop()
 		b.inVal.Pop()
 		b.cur[b.n-1] = tc.N
-		k := packKey(b.cur)
+		k := PackKey(b.cur)
 		if _, seen := b.acc[k]; !seen {
 			b.keys[k] = append([]int64(nil), b.cur...)
 			b.acc[k] = 0
@@ -230,7 +231,7 @@ func (b *TensorReducer) startFlush(closeLvl int) {
 				steps = append(steps, sep)
 			}
 		}
-		st := flushStep{crd: make([]*token.Tok, b.n), val: tok(token.V(b.acc[packKey(crd)]))}
+		st := flushStep{crd: make([]*token.Tok, b.n), val: tok(token.V(b.acc[PackKey(crd)]))}
 		for j := change; j < b.n; j++ {
 			st.crd[j] = tok(token.C(crd[j]))
 		}

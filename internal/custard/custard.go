@@ -134,6 +134,9 @@ func (c *compiler) run() error {
 		return err
 	}
 	c.tree = c.annotate()
+	if err := c.checkNesting(); err != nil {
+		return err
+	}
 	if c.par > 1 {
 		return c.runPar()
 	}
@@ -157,6 +160,33 @@ func (c *compiler) run() error {
 	}
 	// Phase 3: construction.
 	return c.construct(val, valVars)
+}
+
+// checkNesting rejects loop orders no engine can run: a variable u reduced
+// over only part of the expression, iterated outside a variable v whose
+// merge scope strictly contains u's. The operands of v's scope that lie
+// outside u's are never repeated over u, so when v merges them with the
+// operands inside, the two sides' streams sit at different nesting depths
+// and the merge block sees one side finish while the other still streams.
+func (c *compiler) checkNesting() error {
+	for i, u := range c.loop {
+		inner := operandsUnder(c.scopeOf(u))
+		for _, v := range c.loop[i+1:] {
+			outer := operandsUnder(c.scopeOf(v))
+			if len(inner) >= len(outer) {
+				continue
+			}
+			// Scopes are subtrees of one tree: nested or disjoint, so one
+			// shared operand decides.
+			for _, op := range outer {
+				if op == inner[0] {
+					return fmt.Errorf("custard: loop order %v: variable %q is reduced over only part of the expression but iterated outside %q, which spans more of it; schedule %q inside %q",
+						c.loop, u, v, u, v)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // broadcast repeats every operand in scope missing v over v's coordinate

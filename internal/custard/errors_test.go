@@ -38,6 +38,45 @@ func TestConcordantModeOrderAccepted(t *testing.T) {
 	}
 }
 
+// TestPartialReductionOutsideWiderVariable checks the loop-order rule no
+// engine can do without: a variable reduced over only part of the
+// expression may not be iterated outside a variable merged over more of it
+// (the wider merge would see streams of different nesting depths — at run
+// time, "Union i: done token while other inputs still streaming"). The
+// rejection is the same at every lane count, and the legal order of each
+// statement still compiles.
+func TestPartialReductionOutsideWiderVariable(t *testing.T) {
+	cases := []struct {
+		expr       string
+		bad, legal []string
+	}{
+		{"x(i) = b(i) - C(i,j) * d(j)", []string{"j", "i"}, []string{"i", "j"}},
+		{"x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)", []string{"j", "i"}, []string{"i", "j"}},
+		{"X(k) = B(i,k) * c(i) + d(k)", []string{"i", "k"}, []string{"k", "i"}},
+		{"X(i,j) = B(i,k) * C(k,j) + D(i,j)", []string{"i", "k", "j"}, []string{"i", "j", "k"}},
+		{"x = B(i,j) * c(j) + d(i)", []string{"j", "i"}, []string{"i", "j"}},
+	}
+	for _, tc := range cases {
+		e := lang.MustParse(tc.expr)
+		for _, par := range []int{1, 2} {
+			_, err := Compile(e, nil, lang.Schedule{LoopOrder: tc.bad, Par: par})
+			if err == nil || !strings.Contains(err.Error(), "reduced over only part of the expression but iterated outside") {
+				t.Errorf("%s order %v par %d: err = %v, want the nesting rejection", tc.expr, tc.bad, par, err)
+			}
+			if _, err := Compile(e, nil, lang.Schedule{LoopOrder: tc.legal, Par: par}); err != nil {
+				t.Errorf("%s order %v par %d: legal order rejected: %v", tc.expr, tc.legal, par, err)
+			}
+		}
+	}
+	// A reduction over the whole expression may sit anywhere.
+	e := lang.MustParse("X(i,j) = B(i,k) * C(k,j)")
+	for _, order := range [][]string{{"k", "i", "j"}, {"i", "k", "j"}, {"i", "j", "k"}} {
+		if _, err := Compile(e, nil, lang.Schedule{LoopOrder: order}); err != nil {
+			t.Errorf("SpM*SpM order %v: %v", order, err)
+		}
+	}
+}
+
 // TestFormatArityChecked checks level-count validation.
 func TestFormatArityChecked(t *testing.T) {
 	e := lang.MustParse("x(i) = B(i,j) * c(j)")

@@ -87,24 +87,30 @@ func TestParOneIsSequential(t *testing.T) {
 }
 
 // TestParErrors checks the rejection paths: negative lane counts and loop
-// orders whose outermost reduction covers only part of the expression.
+// orders whose outermost reduction covers only part of the expression, so
+// its lane partials cannot be combined.
 func TestParErrors(t *testing.T) {
 	e := lang.MustParse("x(i) = B(i,j) * c(j)")
 	if _, err := Compile(e, nil, lang.Schedule{Par: -1}); err == nil || !strings.Contains(err.Error(), "Par") {
 		t.Errorf("negative Par: err = %v", err)
 	}
-	// k is reduced over only the B(i,k)*c(i) product, not over d(k): lane
+	// i is reduced over only the b(i)*c(i) product, not over d(j)*e(j): lane
 	// partials of the product cannot be combined across the outer addition.
-	e2 := lang.MustParse("X(k) = B(i,k) * c(i) + d(k)")
-	if _, err := Compile(e2, nil, lang.Schedule{LoopOrder: []string{"i", "k"}, Par: 2}); err == nil ||
-		!strings.Contains(err.Error(), "reduced over only part") {
+	e2 := lang.MustParse("x = b(i) * c(i) + d(j) * e(j)")
+	if _, err := Compile(e2, nil, lang.Schedule{LoopOrder: []string{"i", "j"}, Par: 2}); err == nil ||
+		!strings.Contains(err.Error(), "lane partials cannot be combined") {
 		t.Errorf("partial outermost reduction: err = %v", err)
 	}
-	// The same statement compiles sequentially and with k outermost.
-	if _, err := Compile(e2, nil, lang.Schedule{LoopOrder: []string{"i", "k"}}); err != nil {
+	// The same statement compiles sequentially: the two reductions' scopes
+	// are disjoint, so either may come first.
+	if _, err := Compile(e2, nil, lang.Schedule{LoopOrder: []string{"i", "j"}}); err != nil {
 		t.Errorf("sequential compile: %v", err)
 	}
-	if _, err := Compile(e2, nil, lang.Schedule{LoopOrder: []string{"k", "i"}, Par: 2}); err != nil {
+	// With an output variable in play the partial reduction must sit inside
+	// it at every lane count (TestPartialReductionOutsideWiderVariable);
+	// output-variable-outermost parallelizes.
+	e3 := lang.MustParse("X(k) = B(i,k) * c(i) + d(k)")
+	if _, err := Compile(e3, nil, lang.Schedule{LoopOrder: []string{"k", "i"}, Par: 2}); err != nil {
 		t.Errorf("output-variable-outermost Par compile: %v", err)
 	}
 }

@@ -18,9 +18,9 @@ import (
 
 // ArtifactRow is one kernel × optimization measurement of the program-
 // artifact pipeline (internal/prog): the encoded size, the encode and decode
-// costs, and the interpreter's wall-clock against the directly-compiled
-// engine on the same inputs — with the artifact-run output proven
-// bit-identical to the event engine.
+// costs, and the compiled engine's wall-clock against the event engine on
+// the same inputs — with the decoded artifact's output proven bit-identical
+// to both.
 type ArtifactRow struct {
 	Kernel    string  `json:"kernel"`
 	Opt       int     `json:"opt"`
@@ -29,7 +29,6 @@ type ArtifactRow struct {
 	DecodeUS  float64 `json:"decode_us"` // decode + materialize, per call
 	WallMSEv  float64 `json:"wall_ms_event"`
 	WallMSCmp float64 `json:"wall_ms_comp"`
-	WallMSByt float64 `json:"wall_ms_byte"`
 	Identical bool    `json:"outputs_identical"`
 }
 
@@ -44,7 +43,7 @@ type ArtifactServePoint struct {
 	ColdSetupNS int64   `json:"cold_setup_ns"` // fresh server, empty disk: compile
 	DiskSetupNS int64   `json:"disk_setup_ns"` // fresh server, warm disk: decode
 	Speedup     float64 `json:"setup_speedup"`
-	Cycles      int     `json:"cycles"` // 0: the byte engine has no cycle model
+	Cycles      int     `json:"cycles"` // 0: the comp engine has no cycle model
 }
 
 // ArtifactResult bundles both halves of the artifact study for
@@ -57,11 +56,11 @@ type ArtifactResult struct {
 
 // ArtifactStudy measures the portable-artifact pipeline end to end. Phase 1
 // covers every Table 1 kernel at Opt ∈ {0, 1}: artifact size, encode/decode
-// cost, and event vs comp vs byte wall-clock with bit-identity enforced
-// across all three. Phase 2 drives two serve instances sharing one artifact
+// cost, and event vs comp wall-clock with bit-identity enforced across
+// event, comp and the decoded artifact. Phase 2 drives two serve instances sharing one artifact
 // directory over real HTTP: the first compiles each kernel cold (writing
 // artifacts behind), the second starts with an empty in-memory cache and a
-// warm disk, so its first byte-engine request per kernel must be served by
+// warm disk, so its first comp request per kernel must be served by
 // decoding — the cold-start path the artifact format exists to shorten.
 func ArtifactStudy(seed int64, scale float64) (*ArtifactResult, error) {
 	dims := map[string]int{
@@ -119,9 +118,10 @@ func ArtifactStudy(seed int64, scale float64) (*ArtifactResult, error) {
 				}
 			}
 			encUS := float64(time.Since(t0).Nanoseconds()) / 1000 / reps
+			var loaded *prog.Program
 			t0 = time.Now()
 			for r := 0; r < reps; r++ {
-				if _, err := prog.Decode(enc); err != nil {
+				if loaded, err = prog.Decode(enc); err != nil {
 					return nil, fmt.Errorf("artifact %s O%d: decode: %w", tc.Name, optLevel, err)
 				}
 			}
@@ -134,7 +134,7 @@ func ArtifactStudy(seed int64, scale float64) (*ArtifactResult, error) {
 			run := func(eng sim.EngineKind) (*sim.Result, float64, error) {
 				opt := SimOptions
 				opt.Engine = eng
-				res, err := p.Run(inputs, opt) // warmup; absorbs lowering/encoding
+				res, err := p.Run(inputs, opt) // warmup; absorbs lowering
 				if err != nil {
 					return nil, 0, err
 				}
@@ -154,26 +154,26 @@ func ArtifactStudy(seed int64, scale float64) (*ArtifactResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("artifact %s O%d: comp run: %w", tc.Name, optLevel, err)
 			}
-			rByt, wByt, err := run(sim.EngineByte)
+			if rCmp.Engine != sim.EngineComp {
+				return nil, fmt.Errorf("artifact %s O%d: fell back to %q", tc.Name, optLevel, rCmp.Engine)
+			}
+			if err := tensor.IdenticalBits(rEv.Output, rCmp.Output); err != nil {
+				return nil, fmt.Errorf("artifact %s O%d: comp output is not bit-identical to event: %w", tc.Name, optLevel, err)
+			}
+			art, err := loaded.Run(inputs)
 			if err != nil {
-				return nil, fmt.Errorf("artifact %s O%d: byte run: %w", tc.Name, optLevel, err)
+				return nil, fmt.Errorf("artifact %s O%d: artifact run: %w", tc.Name, optLevel, err)
 			}
-			if rByt.Engine != sim.EngineByte {
-				return nil, fmt.Errorf("artifact %s O%d: fell back to %q", tc.Name, optLevel, rByt.Engine)
+			if err := tensor.IdenticalBits(rEv.Output, art); err != nil {
+				return nil, fmt.Errorf("artifact %s O%d: decoded artifact output is not bit-identical to event: %w", tc.Name, optLevel, err)
 			}
-			if err := tensor.IdenticalBits(rEv.Output, rByt.Output); err != nil {
-				return nil, fmt.Errorf("artifact %s O%d: byte output is not bit-identical to event: %w", tc.Name, optLevel, err)
-			}
-			if err := tensor.IdenticalBits(rCmp.Output, rByt.Output); err != nil {
-				return nil, fmt.Errorf("artifact %s O%d: byte output is not bit-identical to comp: %w", tc.Name, optLevel, err)
-			}
-			if err := checkGold(tc.Expr, inputs, rByt); err != nil {
+			if err := checkGold(tc.Expr, inputs, rCmp); err != nil {
 				return nil, fmt.Errorf("artifact %s O%d: gold: %w", tc.Name, optLevel, err)
 			}
 			out.Rows = append(out.Rows, ArtifactRow{
 				Kernel: tc.Name, Opt: optLevel, Bytes: len(enc),
 				EncodeUS: encUS, DecodeUS: decUS,
-				WallMSEv: wEv, WallMSCmp: wCmp, WallMSByt: wByt,
+				WallMSEv: wEv, WallMSCmp: wCmp,
 				Identical: true,
 			})
 		}
@@ -199,9 +199,8 @@ func artifactServePhase(seed int64, scale float64) ([]ArtifactServePoint, error)
 
 	workload := serveWorkload(seed, scale)
 	for _, w := range workload {
-		// The disk cache serves functional engines only; pin every request
-		// to the artifact interpreter.
-		w.req.Options = &serve.WireOptions{Engine: "byte"}
+		// The disk cache serves the compiled engine only.
+		w.req.Options = &serve.WireOptions{Engine: "comp"}
 	}
 	client := &http.Client{}
 
@@ -250,17 +249,17 @@ func artifactServePhase(seed int64, scale float64) ([]ArtifactServePoint, error)
 
 // RenderArtifact prints the artifact study.
 func RenderArtifact(r *ArtifactResult) string {
-	header := []string{"Kernel", "Opt", "Bytes", "Encode", "Decode", "Wall event (ms)", "Wall comp (ms)", "Wall byte (ms)", "Bit-identical"}
+	header := []string{"Kernel", "Opt", "Bytes", "Encode", "Decode", "Wall event (ms)", "Wall comp (ms)", "Bit-identical"}
 	var body [][]string
 	for _, row := range r.Rows {
 		body = append(body, []string{
 			row.Kernel, fmt.Sprint(row.Opt), fmt.Sprint(row.Bytes),
 			fmt.Sprintf("%.1fus", row.EncodeUS), fmt.Sprintf("%.1fus", row.DecodeUS),
 			fmt.Sprintf("%.3f", row.WallMSEv), fmt.Sprintf("%.3f", row.WallMSCmp),
-			fmt.Sprintf("%.3f", row.WallMSByt), fmt.Sprint(row.Identical),
+			fmt.Sprint(row.Identical),
 		})
 	}
-	out := "Artifacts: Table 1 kernels, encode/decode cost and interpreter wall-clock (internal/prog)\n" + table(header, body)
+	out := "Artifacts: Table 1 kernels, encode/decode cost and event vs comp wall-clock (internal/prog)\n" + table(header, body)
 	header = []string{"Kernel", "Cold setup (compile)", "Disk setup (decode)", "Setup speedup"}
 	body = nil
 	for _, p := range r.Serve {

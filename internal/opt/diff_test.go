@@ -80,19 +80,13 @@ func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sche
 			t.Errorf("%s par%d: O1 grew the graph %d -> %d nodes", name, par, len(g0.Nodes), len(g1.Nodes))
 		}
 		var ref *tensor.COO
-		for _, eng := range []sim.EngineKind{sim.EngineEvent, sim.EngineNaive, sim.EngineFlow} {
-			if sim.CheckEngine(eng, g0) != nil {
-				continue
-			}
-			if err := sim.CheckEngine(eng, g1); err != nil {
-				t.Errorf("%s par%d: O1 lost %s support: %v", name, par, eng, err)
-				continue
-			}
+		for _, eng := range sim.Engines() {
 			r0, err0 := sim.Run(g0, inputs, sim.Options{Engine: eng})
 			r1, err1 := sim.Run(g1, inputs, sim.Options{Engine: eng})
 			if err0 != nil || err1 != nil {
 				// A handful of exotic loop orders hit pre-existing lowering
-				// limits (e.g. a partial reduction scheduled outermost).
+				// limits (e.g. empty fibers under a reduction scheduled
+				// outside an output variable).
 				// The optimizer must not change whether a graph runs:
 				// failures are only tolerated in parity.
 				if (err0 == nil) != (err1 == nil) {
@@ -103,7 +97,7 @@ func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sche
 			if err := identical(r0.Output, r1.Output); err != nil {
 				t.Errorf("%s par%d %s: O1 output differs from O0: %v", name, par, eng, err)
 			}
-			if eng != sim.EngineFlow && r1.Cycles > r0.Cycles {
+			if r1.Cycles > r0.Cycles {
 				t.Errorf("%s par%d %s: O1 slower: %d cycles vs %d", name, par, eng, r1.Cycles, r0.Cycles)
 			}
 			if ref == nil {
@@ -212,7 +206,15 @@ func randomCase(seed int64) (name, expr string, sched lang.Schedule, inputs map[
 	e := lang.MustParse(expr)
 	vars := e.AllVars()
 	order := append([]string(nil), vars...)
-	rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+	// Redraw the orders custard refuses (a partial reduction iterated
+	// outside a wider variable): no engine runs them, so there is nothing
+	// to compare.
+	for {
+		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+		if _, err := custard.Compile(e, nil, lang.Schedule{LoopOrder: order}); err == nil {
+			break
+		}
+	}
 	sched = lang.Schedule{LoopOrder: order}
 	if rng.Intn(3) == 0 {
 		sched.UseSkip = true

@@ -228,7 +228,7 @@ func wayOf(p string) (int, bool) {
 // chain. A CrdDrop in coordinate mode elides output coordinates whose inner
 // fiber is empty — a storage-compaction courtesy, not a semantic need: the
 // COO assembler produces no points for an empty fiber, so the assembled
-// output is identical with or without the dropper (sim and flow normalize
+// output is identical with or without the dropper (sim and comp normalize
 // all-empty levels with fiber.Tensor.NormalizeEmptyLevels). The bypass is
 // only legal while the dropper's streams stay inside the construction
 // chain, where the extra empty fibers are invisible: every consumer must be

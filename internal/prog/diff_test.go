@@ -14,7 +14,7 @@ import (
 	"sam/internal/tensor"
 )
 
-// The artifact interpreter's correctness bar matches the compiled engine's:
+// A loaded artifact's correctness bar matches the compiled engine's:
 // bitwise COO equality against the event engine (tensor.IdenticalBits), plus
 // one invariant the in-process engines don't have — the same bits must come
 // out of a program that went through encode → decode with no access to the
@@ -49,10 +49,10 @@ func byteInputs(rng *rand.Rand, e *lang.Einsum, dimOf func(v string) int) map[st
 
 // runByteDifferential compiles one (expr, formats, schedule) configuration at
 // every requested (opt, par) point and checks the full artifact contract:
-// EngineByte through sim is bit-identical to the event and compiled engines
-// with run-failure parity, and the cross-process path — Encode(g), Decode,
-// NewProgramFromArtifact, Run with no graph in sight — produces the same bits
-// from a byte-stable artifact.
+// the cross-process path — Encode(g), Decode, NewProgramFromArtifact, Run
+// with no graph in sight — produces, from a byte-stable artifact, the same
+// bits as the event engine and the in-process compiled engine on the source
+// graph, with run-failure parity.
 func runByteDifferential(t *testing.T, name, expr string, formats lang.Formats, sched lang.Schedule, lanes []int, inputs map[string]*tensor.COO) {
 	t.Helper()
 	e, err := lang.Parse(expr)
@@ -71,35 +71,21 @@ func runByteDifferential(t *testing.T, name, expr string, formats lang.Formats, 
 				}
 				t.Fatalf("%s O%d: compile: %v", name, opt, err)
 			}
-			if err := sim.CheckEngine(sim.EngineByte, g); err != nil {
-				t.Errorf("%s par%d O%d: CheckEngine(byte) rejected a supported graph: %v", name, par, opt, err)
-				continue
-			}
 			ref, errRef := sim.Run(g, inputs, sim.Options{Engine: sim.EngineEvent})
-			got, errGot := sim.Run(g, inputs, sim.Options{Engine: sim.EngineByte})
-			cmp, errCmp := sim.Run(g, inputs, sim.Options{Engine: sim.EngineComp})
-			if errRef != nil || errGot != nil || errCmp != nil {
-				// The artifact interpreter must not change whether a graph
-				// runs — in either direction, and never diverging from comp.
+			got, errGot := sim.Run(g, inputs, sim.Options{Engine: sim.EngineComp})
+			if errRef != nil || errGot != nil {
+				// The compiled lowering the artifact serializes must not
+				// change whether a graph runs — in either direction.
 				if (errRef == nil) != (errGot == nil) {
-					t.Errorf("%s par%d O%d: run-failure parity broken: event err=%v, byte err=%v", name, par, opt, errRef, errGot)
-				}
-				if (errCmp == nil) != (errGot == nil) {
-					t.Errorf("%s par%d O%d: byte/comp failure parity broken: comp err=%v, byte err=%v", name, par, opt, errCmp, errGot)
+					t.Errorf("%s par%d O%d: run-failure parity broken: event err=%v, comp err=%v", name, par, opt, errRef, errGot)
 				}
 				continue
 			}
-			if got.Engine != sim.EngineByte {
+			if got.Engine != sim.EngineComp {
 				t.Errorf("%s par%d O%d: supported graph fell back to %q", name, par, opt, got.Engine)
 			}
-			if got.Cycles != 0 {
-				t.Errorf("%s par%d O%d: byte reported %d cycles, want 0 (no cycle model)", name, par, opt, got.Cycles)
-			}
 			if err := tensor.IdenticalBits(ref.Output, got.Output); err != nil {
-				t.Errorf("%s par%d O%d: byte output differs from event: %v", name, par, opt, err)
-			}
-			if err := tensor.IdenticalBits(cmp.Output, got.Output); err != nil {
-				t.Errorf("%s par%d O%d: byte output differs from comp: %v", name, par, opt, err)
+				t.Errorf("%s par%d O%d: comp output differs from event: %v", name, par, opt, err)
 			}
 
 			// Cross-process path: serialize, forget the graph, reload, run.
@@ -121,16 +107,22 @@ func runByteDifferential(t *testing.T, name, expr string, formats lang.Formats, 
 				t.Errorf("%s par%d O%d: NewProgramFromArtifact: %v", name, par, opt, err)
 				continue
 			}
-			loaded, err := sp.Run(inputs, sim.Options{Engine: sim.EngineByte})
+			loaded, err := sp.Run(inputs, sim.Options{Engine: sim.EngineComp})
 			if err != nil {
-				t.Errorf("%s par%d O%d: decoded artifact run failed where in-process byte ran: %v", name, par, opt, err)
+				t.Errorf("%s par%d O%d: decoded artifact run failed where in-process comp ran: %v", name, par, opt, err)
 				continue
 			}
-			if loaded.Engine != sim.EngineByte {
-				t.Errorf("%s par%d O%d: decoded artifact ran on %q, want byte", name, par, opt, loaded.Engine)
+			if loaded.Engine != sim.EngineComp {
+				t.Errorf("%s par%d O%d: decoded artifact ran on %q, want comp", name, par, opt, loaded.Engine)
+			}
+			if loaded.Cycles != 0 {
+				t.Errorf("%s par%d O%d: decoded artifact reported %d cycles, want 0 (no cycle model)", name, par, opt, loaded.Cycles)
+			}
+			if err := tensor.IdenticalBits(ref.Output, loaded.Output); err != nil {
+				t.Errorf("%s par%d O%d: decoded artifact output differs from event: %v", name, par, opt, err)
 			}
 			if err := tensor.IdenticalBits(got.Output, loaded.Output); err != nil {
-				t.Errorf("%s par%d O%d: decoded artifact output differs from in-process byte: %v", name, par, opt, err)
+				t.Errorf("%s par%d O%d: decoded artifact output differs from in-process comp: %v", name, par, opt, err)
 			}
 		}
 	}
@@ -180,8 +172,8 @@ func TestByteDifferentialKernels(t *testing.T) {
 }
 
 // TestByteDifferentialEmptyResults drives all-empty shapes: disjoint operand
-// supports make every intersection empty, the shapes where writer-table
-// replay in the interpreter diverges from the closure writers first.
+// supports make every intersection empty, the shapes where a decoded
+// writer table diverges from a directly lowered one first.
 func TestByteDifferentialEmptyResults(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -235,7 +227,15 @@ func byteRandomCase(seed int64) (name, expr string, sched lang.Schedule, inputs 
 	e := lang.MustParse(expr)
 	vars := e.AllVars()
 	order := append([]string(nil), vars...)
-	rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+	// Redraw the orders custard refuses (a partial reduction iterated
+	// outside a wider variable): no engine runs them, so there is nothing
+	// to compare.
+	for {
+		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+		if _, err := custard.Compile(e, nil, lang.Schedule{LoopOrder: order}); err == nil {
+			break
+		}
+	}
 	sched = lang.Schedule{LoopOrder: order}
 	if rng.Intn(3) == 0 {
 		sched.UseSkip = true

@@ -139,9 +139,7 @@ func Decode(data []byte) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc := make([]byte, len(data))
-	copy(enc, data)
-	return &Program{ir: ir, cp: cp, enc: enc}, nil
+	return &Program{ir: ir, cp: cp}, nil
 }
 
 // DecodeIR parses and checksums an artifact down to its IR without

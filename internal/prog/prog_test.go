@@ -68,8 +68,7 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 // TestRoundTripByteStable is the canonical-form fixpoint: decode(encode(G))
-// re-encodes to the identical bytes, and the loaded Program reports exactly
-// the bytes it was decoded from.
+// re-encodes to the identical bytes.
 func TestRoundTripByteStable(t *testing.T) {
 	for _, k := range goldenKernels {
 		g := compile(t, k.expr, k.sched)
@@ -80,9 +79,6 @@ func TestRoundTripByteStable(t *testing.T) {
 		p, err := prog.Decode(enc)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", k.name, err)
-		}
-		if !bytes.Equal(p.Bytes(), enc) {
-			t.Errorf("%s: Program.Bytes() differs from the decoded input", k.name)
 		}
 		re := prog.EncodeIR(p.IR())
 		if !bytes.Equal(re, enc) {

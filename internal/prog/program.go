@@ -6,33 +6,15 @@ import (
 	"sam/internal/tensor"
 )
 
-// Program is a loaded artifact: the decoded IR, the materialized compiled
-// program, and the canonical byte form. It carries everything execution
+// Program is a loaded artifact: the decoded IR and the compiled program
+// materialized from it. It carries everything execution
 // needs — operand bindings and output metadata travel inside the IR — so a
 // process that never saw the source graph can still bind inputs and run.
 // A Program is immutable and safe for concurrent Run calls.
 type Program struct {
-	ir  *comp.IR
-	cp  *comp.Program
-	enc []byte
+	ir *comp.IR
+	cp *comp.Program
 }
-
-// Load wraps an already-lowered IR as a Program, materializing it and
-// computing its canonical encoding. This is the in-process path (no decode):
-// sim uses it to build the artifact interpreter's program straight from a
-// compilation, guaranteeing the bytes it caches and the program it runs
-// agree.
-func Load(ir *comp.IR) (*Program, error) {
-	cp, err := comp.Materialize(ir)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{ir: ir, cp: cp, enc: EncodeIR(ir)}, nil
-}
-
-// Bytes returns the canonical encoded artifact. The slice is shared, not
-// copied; callers must not mutate it.
-func (p *Program) Bytes() []byte { return p.enc }
 
 // IR returns the decoded intermediate form.
 func (p *Program) IR() *comp.IR { return p.ir }

@@ -13,7 +13,7 @@ import (
 
 // diskCache is the persistent artifact store behind the in-memory program
 // LRU: canonical request key to an encoded program artifact (internal/prog)
-// on disk. A warm disk entry lets a cold process serve functional-engine
+// on disk. A warm disk entry lets a cold process serve comp-engine
 // requests by decoding the artifact — no parse beyond keying, no custard
 // compilation, no optimizer, no lowering — which is the artifact format's
 // whole reason to exist.
@@ -85,7 +85,7 @@ func (d *diskCache) load(key string) (*sim.Program, bool) {
 // artifact form (bitvector graphs, which the compiled lowering rejects) are
 // skipped silently; write failures count but never surface.
 func (d *diskCache) store(key string, p *sim.Program) {
-	art, err := p.Artifact()
+	enc, err := p.Artifact()
 	if err != nil {
 		return
 	}
@@ -95,7 +95,7 @@ func (d *diskCache) store(key string, p *sim.Program) {
 		d.errors.Inc()
 		return
 	}
-	_, werr := tmp.Write(art.Bytes())
+	_, werr := tmp.Write(enc)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		d.errors.Inc()
@@ -113,13 +113,4 @@ func (d *diskCache) store(key string, p *sim.Program) {
 // stats snapshots the counters.
 func (d *diskCache) stats() (hits, misses, writes, errors int64) {
 	return d.hits.Value(), d.misses.Value(), d.writes.Value(), d.errors.Value()
-}
-
-// artifactEngine reports whether an engine request can be served by a
-// decoded artifact alone, without the source graph: the functional engines
-// share the compiled lowering the artifact serializes. The cycle engines
-// and the goroutine executor need the graph itself, so their requests skip
-// the disk cache entirely.
-func artifactEngine(kind sim.EngineKind) bool {
-	return kind == sim.EngineByte || kind == sim.EngineComp
 }

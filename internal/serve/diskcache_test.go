@@ -43,7 +43,7 @@ func evalOn(t *testing.T, url string, req *EvaluateRequest) *EvaluateResponse {
 // in-memory hit — with bit-identical outputs across all three.
 func TestDiskCacheColdWarm(t *testing.T) {
 	dir := t.TempDir()
-	req, _ := spmvRequest(7, 0, "byte")
+	req, _ := spmvRequest(7, 0, "comp")
 
 	sA := NewServer(Config{Workers: 1, ArtifactDir: dir})
 	tsA := httptest.NewServer(sA)
@@ -51,8 +51,8 @@ func TestDiskCacheColdWarm(t *testing.T) {
 	if cold.Cache != "miss" {
 		t.Fatalf("first request was a cache %q, want miss", cold.Cache)
 	}
-	if cold.Engine != "byte" {
-		t.Fatalf("first request ran on %q, want byte", cold.Engine)
+	if cold.Engine != "comp" {
+		t.Fatalf("first request ran on %q, want comp", cold.Engine)
 	}
 	stA := sA.Stats()
 	if stA.DiskWrites != 1 || stA.DiskMisses != 1 || stA.DiskHits != 0 {
@@ -73,8 +73,8 @@ func TestDiskCacheColdWarm(t *testing.T) {
 	if disk.Cache != "disk" {
 		t.Fatalf("fresh server's request was a cache %q, want disk", disk.Cache)
 	}
-	if disk.Engine != "byte" {
-		t.Errorf("disk-served request ran on %q, want byte", disk.Engine)
+	if disk.Engine != "comp" {
+		t.Errorf("disk-served request ran on %q, want comp", disk.Engine)
 	}
 	if disk.Fingerprint != cold.Fingerprint {
 		t.Errorf("disk-served fingerprint %q differs from compiled %q", disk.Fingerprint, cold.Fingerprint)
@@ -101,7 +101,7 @@ func TestDiskCacheColdWarm(t *testing.T) {
 func TestDiskCacheBadArtifacts(t *testing.T) {
 	seedDir := func(t *testing.T) (string, string) {
 		dir := t.TempDir()
-		req, _ := spmvRequest(7, 0, "byte")
+		req, _ := spmvRequest(7, 0, "comp")
 		s := NewServer(Config{Workers: 1, ArtifactDir: dir})
 		ts := httptest.NewServer(s)
 		evalOn(t, ts.URL, req)
@@ -158,7 +158,7 @@ func TestDiskCacheBadArtifacts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, path := seedDir(t)
 			tc.corrupt(t, path)
-			req, _ := spmvRequest(7, 0, "byte")
+			req, _ := spmvRequest(7, 0, "comp")
 			s := NewServer(Config{Workers: 1, ArtifactDir: dir})
 			defer s.Close()
 			ts := httptest.NewServer(s)
@@ -193,18 +193,18 @@ func TestDiskCacheBadArtifacts(t *testing.T) {
 // instead of failing.
 func TestDiskCacheEngineGating(t *testing.T) {
 	dir := t.TempDir()
-	byteReq, _ := spmvRequest(7, 0, "byte")
+	compReq, _ := spmvRequest(7, 0, "comp")
 	eventReq, inputs := spmvRequest(7, 0, "")
 
 	// Seed the disk store.
 	s := NewServer(Config{Workers: 1, ArtifactDir: dir})
 	ts := httptest.NewServer(s)
-	evalOn(t, ts.URL, byteReq)
+	evalOn(t, ts.URL, compReq)
 	ts.Close()
 	s.Close()
 
 	// A default-engine (event) request on a fresh server must compile — the
-	// warm disk is for functional engines only.
+	// warm disk is for the comp engine only.
 	s2 := NewServer(Config{Workers: 1, ArtifactDir: dir})
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2)
@@ -220,15 +220,15 @@ func TestDiskCacheEngineGating(t *testing.T) {
 		t.Errorf("event request consulted the disk: disk_hits = %d, want 0", st.DiskHits)
 	}
 
-	// Self-heal: byte first (artifact-backed program lands in the LRU), then
+	// Self-heal: comp first (artifact-backed program lands in the LRU), then
 	// event on the same key must recompile, not 400, and the outputs agree.
 	s3 := NewServer(Config{Workers: 1, ArtifactDir: dir})
 	defer s3.Close()
 	ts3 := httptest.NewServer(s3)
 	defer ts3.Close()
-	bt := evalOn(t, ts3.URL, byteReq)
+	bt := evalOn(t, ts3.URL, compReq)
 	if bt.Cache != "disk" {
-		t.Fatalf("byte request was a cache %q, want disk", bt.Cache)
+		t.Fatalf("comp request was a cache %q, want disk", bt.Cache)
 	}
 	ev3 := evalOn(t, ts3.URL, eventReq)
 	if ev3.Cache != "miss" {
@@ -238,12 +238,12 @@ func TestDiskCacheEngineGating(t *testing.T) {
 		t.Errorf("self-healed event request reported %d cycles, want > 0", ev3.Cycles)
 	}
 	if err := tensor.IdenticalBits(wireToCOO(t, bt.Output), wireToCOO(t, ev3.Output)); err != nil {
-		t.Errorf("byte and self-healed event outputs differ: %v", err)
+		t.Errorf("comp and self-healed event outputs differ: %v", err)
 	}
-	// And the healed (graph-backed) program serves byte again via the LRU.
-	bt2 := evalOn(t, ts3.URL, byteReq)
+	// And the healed (graph-backed) program serves comp again via the LRU.
+	bt2 := evalOn(t, ts3.URL, compReq)
 	if bt2.Cache != "hit" {
-		t.Errorf("byte request after self-heal was a cache %q, want hit", bt2.Cache)
+		t.Errorf("comp request after self-heal was a cache %q, want hit", bt2.Cache)
 	}
 	_ = inputs
 }
@@ -254,7 +254,7 @@ func TestDiskCacheEngineGating(t *testing.T) {
 // concurrent loads interleave (run under -race in CI).
 func TestDiskCacheConcurrentLoads(t *testing.T) {
 	dir := t.TempDir()
-	req, _ := spmvRequest(7, 0, "byte")
+	req, _ := spmvRequest(7, 0, "comp")
 	s := NewServer(Config{Workers: 1, ArtifactDir: dir})
 	ts := httptest.NewServer(s)
 	want := evalOn(t, ts.URL, req)
@@ -307,8 +307,8 @@ func TestDiskCacheConcurrentLoads(t *testing.T) {
 		if er == nil {
 			continue // already reported
 		}
-		if er.Engine != "byte" {
-			t.Errorf("client %d ran on %q, want byte", i, er.Engine)
+		if er.Engine != "comp" {
+			t.Errorf("client %d ran on %q, want comp", i, er.Engine)
 		}
 		if err := tensor.IdenticalBits(ref, wireToCOO(t, er.Output)); err != nil {
 			t.Errorf("client %d output diverged under concurrent artifact loads: %v", i, err)

@@ -74,6 +74,7 @@ func TestAPIDocCoversErrors(t *testing.T) {
 		"coords but", "arity", "outside [0,", "duplicates coord",
 		"non-positive dimension", "unknown opt level",
 		"no input for tensor", "not referenced",
+		"unknown engine", "but iterated outside",
 		// Lookup, limit, and lifecycle errors.
 		"no job", "no stored tensor", "request body exceeds",
 		"bad request body", "Retry-After",

@@ -27,8 +27,8 @@ func TestEngineCounters(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	engines := []string{"", "event", "comp", "comp", "flow", "naive"}
-	wantRuns := map[string]int64{"event": 2, "comp": 2, "flow": 1, "naive": 1}
+	engines := []string{"", "event", "comp", "comp", "naive"}
+	wantRuns := map[string]int64{"event": 2, "comp": 2, "naive": 1}
 	for i, eng := range engines {
 		req, _ := spmvRequest(int64(i+1), 0, eng)
 		resp, body := postJSON(t, ts.URL+"/v1/evaluate", req)
@@ -82,7 +82,7 @@ func TestUnknownEngineRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
 	}
-	for _, eng := range []string{"event", "naive", "flow", "comp"} {
+	for _, eng := range []string{"event", "naive", "comp"} {
 		if !strings.Contains(string(body), eng) {
 			t.Errorf("error %s does not list engine %q", body, eng)
 		}

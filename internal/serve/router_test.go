@@ -154,6 +154,31 @@ func startRouter(t *testing.T, cfg RouterConfig) (*Router, *httptest.Server) {
 	return rt, ts
 }
 
+// requestOwnedBy returns an evaluation whose routing key the given shard
+// owns. The key is lang.CanonicalKey — expression, formats and schedule,
+// never tensor data — and the ring is built over the shards' ephemeral
+// ports, so the search walks schedules (lanes, opt level, gallop, locators:
+// 256 distinct keys, each a fresh coin flip) until one lands there.
+func requestOwnedBy(t *testing.T, rt *Router, url string) *EvaluateRequest {
+	t.Helper()
+	for par := 1; par <= 32; par++ {
+		for variant := 0; variant < 8; variant++ {
+			req, _ := spmvRequest(1, 1, "")
+			opt := variant & 1
+			req.Schedule = &WireSchedule{Par: par, Opt: &opt, UseSkip: variant&2 != 0, UseLocators: variant&4 != 0}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh := rt.route(rt.routingKey(body)); sh != nil && sh.url == url {
+				return req
+			}
+		}
+	}
+	t.Fatalf("no schedule of 256 routed to shard %s", url)
+	return nil
+}
+
 // scrubTiming zeroes the fields that legitimately differ between two runs
 // of the same request (wall-clock measurements), leaving everything the
 // differential test demands be identical.
@@ -178,7 +203,7 @@ func TestRouterDifferential(t *testing.T) {
 
 	t.Run("evaluate", func(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, engine := range []string{"", "naive", "flow", "comp"} {
+			for _, engine := range []string{"", "naive", "comp"} {
 				req, _ := spmvRequest(seed, 1, engine)
 				resp1, body1 := postJSON(t, single.URL+"/v1/evaluate", req)
 				resp2, body2 := postJSON(t, router.URL+"/v1/evaluate", req)
@@ -319,27 +344,20 @@ func TestRouterEjectionAndRecovery(t *testing.T) {
 	u1, stop1 := startShardOn(t, "127.0.0.1:0", Config{})
 	defer stop1()
 	u2, stop2 := startShardOn(t, "127.0.0.1:0", Config{})
+	// FailAfter is out of the probe loop's reach on purpose: only the proven
+	// transport failure of step (1) may eject, so a probe tick landing
+	// between the kill and the request cannot remap the key first and turn
+	// the 503 into a 200. Probe-driven ejection is TestRouterProbeEjection.
 	rt, router := startRouter(t, RouterConfig{
 		Shards:        []string{u1, u2},
 		ProbeInterval: 20 * time.Millisecond,
-		FailAfter:     1,
+		FailAfter:     1 << 30,
 		RetryAfter:    20 * time.Millisecond,
 	})
 
-	// Find a request whose key the second shard owns, so its death is
-	// observable through the router.
-	var req *EvaluateRequest
-	for seed := int64(1); ; seed++ {
-		r, _ := spmvRequest(seed, 1, "")
-		body, _ := json.Marshal(r)
-		if sh := rt.route(rt.routingKey(body)); sh != nil && sh.url == u2 {
-			req = r
-			break
-		}
-		if seed > 500 {
-			t.Fatal("no seed routed to shard 2")
-		}
-	}
+	// A request whose key the second shard owns, so its death is observable
+	// through the router.
+	req := requestOwnedBy(t, rt, u2)
 	if resp, body := postJSON(t, router.URL+"/v1/evaluate", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("pre-death evaluate: status %d: %s", resp.StatusCode, body)
 	}
@@ -402,6 +420,41 @@ func TestRouterEjectionAndRecovery(t *testing.T) {
 	}
 }
 
+// TestRouterProbeEjection kills a shard and sends nothing: the probe loop
+// alone must eject it after FailAfter failed probes, so the first request
+// for one of its keys already lands on the survivor — no client ever sees
+// the 503 of the proxy-failure path.
+func TestRouterProbeEjection(t *testing.T) {
+	u1, stop1 := startShardOn(t, "127.0.0.1:0", Config{})
+	defer stop1()
+	u2, stop2 := startShardOn(t, "127.0.0.1:0", Config{})
+	rt, router := startRouter(t, RouterConfig{
+		Shards:        []string{u1, u2},
+		ProbeInterval: 10 * time.Millisecond,
+		FailAfter:     2,
+		RetryAfter:    time.Minute, // no re-probe, no rejoin, inside this test
+	})
+	req := requestOwnedBy(t, rt, u2)
+
+	stop2()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if st := rt.Stats(); st.ShardsLive == 1 && st.RouterEjections == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("probes never ejected the dead shard: %+v", rt.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if resp, body := postJSON(t, router.URL+"/v1/evaluate", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after probe ejection: status %d: %s (keyspace did not remap)", resp.StatusCode, body)
+	}
+	if st := rt.Stats(); st.RouterEjections != 1 {
+		t.Errorf("ejections = %d after a remapped request, want still 1", st.RouterEjections)
+	}
+}
+
 // TestRouterStatsAggregation spreads load over two shards and checks the
 // fleet view: aggregate counters are sums, the merged latency histogram
 // counts every request, and the exposition relabels shard families.
@@ -410,13 +463,15 @@ func TestRouterStatsAggregation(t *testing.T) {
 	defer stop1()
 	u2, stop2 := startShardOn(t, "127.0.0.1:0", Config{})
 	defer stop2()
-	_, router := startRouter(t, RouterConfig{Shards: []string{u1, u2}})
+	rt, router := startRouter(t, RouterConfig{Shards: []string{u1, u2}})
 
+	// One program key per shard, alternated: tensor data does not enter the
+	// routing key, so varying only the seed would load a single shard.
 	const n = 12
-	for seed := int64(1); seed <= n; seed++ {
-		req, _ := spmvRequest(seed, 1, "")
-		if resp, body := postJSON(t, router.URL+"/v1/evaluate", req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, body)
+	reqs := []*EvaluateRequest{requestOwnedBy(t, rt, u1), requestOwnedBy(t, rt, u2)}
+	for i := 0; i < n; i++ {
+		if resp, body := postJSON(t, router.URL+"/v1/evaluate", reqs[i%2]); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
 		}
 	}
 	var st RouterStatsResponse
@@ -431,9 +486,11 @@ func TestRouterStatsAggregation(t *testing.T) {
 	}
 	var perShard int64
 	for _, row := range st.Shards {
-		if row.Stats != nil {
-			perShard += row.Stats.Requests
+		if row.Stats == nil || row.Stats.Requests != n/2 {
+			t.Errorf("shard %s stats %+v, want %d requests", row.Shard, row.Stats, n/2)
+			continue
 		}
+		perShard += row.Stats.Requests
 	}
 	if perShard != st.Aggregate.Requests {
 		t.Errorf("per-shard requests sum %d != aggregate %d", perShard, st.Aggregate.Requests)

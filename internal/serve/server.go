@@ -77,7 +77,7 @@ type Config struct {
 	// ArtifactDir, when non-empty, enables the persistent on-disk program
 	// cache: compiled programs are written as portable artifacts
 	// (internal/prog) keyed by canonical request key and format version, and
-	// functional-engine requests that miss the in-memory LRU are served by
+	// comp-engine requests that miss the in-memory LRU are served by
 	// decoding the artifact instead of recompiling — a cold process with a
 	// warm disk skips parsing (beyond keying), custard, the optimizer, and
 	// lowering. Empty disables the disk cache (the default).
@@ -449,10 +449,10 @@ func (s *Server) prepare(req *EvaluateRequest, tr *obs.Trace) (*prepared, error)
 	// spend their cache_lookup span blocked on the leader's build.
 	lookup := adm.Child("cache_lookup")
 	prog, source, err := s.cache.resolve(key, func() (*sim.Program, string, error) {
-		// Functional-engine requests can be served straight off a persisted
+		// Comp-engine requests can be served straight off a persisted
 		// artifact: decoding replaces custard, the optimizer, and lowering.
-		// Other engines need the source graph, so they skip the disk.
-		if s.disk != nil && artifactEngine(opt.Engine) {
+		// The cycle engines need the source graph, so they skip the disk.
+		if s.disk != nil && opt.Engine == sim.EngineComp {
 			dl := adm.Child("disk_load")
 			p, ok := s.disk.load(key)
 			dl.End()
@@ -481,9 +481,9 @@ func (s *Server) prepare(req *EvaluateRequest, tr *obs.Trace) (*prepared, error)
 
 	if err := prog.CheckEngine(opt.Engine); err != nil {
 		// Self-heal: an artifact-backed program (loaded from disk by an
-		// earlier functional-engine request) cannot serve cycle or flow
-		// engines — but the request carries the source, so recompile and
-		// replace the cached entry instead of bouncing the caller.
+		// earlier comp request) cannot serve the cycle engines — but the
+		// request carries the source, so recompile and replace the cached
+		// entry instead of bouncing the caller.
 		if prog.Graph() != nil {
 			return nil, err
 		}

@@ -89,7 +89,7 @@ func TestEvaluateRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for _, engine := range []string{"", "naive", "flow"} {
+	for _, engine := range []string{"", "naive", "comp"} {
 		for _, par := range []int{1, 4} {
 			req, inputs := spmvRequest(42, par, engine)
 			want, err := lang.Gold(lang.MustParse(req.Expr), inputs)
@@ -109,10 +109,10 @@ func TestEvaluateRoundTrip(t *testing.T) {
 				if err := tensor.Equal(wireToCOO(t, er.Output), want, 1e-9); err != nil {
 					t.Fatalf("engine %q par %d trial %d: output differs from gold: %v", engine, par, trial, err)
 				}
-				if engine == "flow" && er.Cycles != 0 {
-					t.Errorf("flow engine reported %d cycles, want 0", er.Cycles)
+				if engine == "comp" && er.Cycles != 0 {
+					t.Errorf("comp engine reported %d cycles, want 0", er.Cycles)
 				}
-				if engine != "flow" && er.Cycles == 0 {
+				if engine != "comp" && er.Cycles == 0 {
 					t.Errorf("engine %q reported 0 cycles", engine)
 				}
 				if trial == 0 {
@@ -217,10 +217,6 @@ func TestValidationErrors(t *testing.T) {
 			// Typo'd tensor name: would otherwise silently compile with
 			// defaults and fragment the cache key.
 			r.Formats = map[string]WireFormat{"b": {Levels: []string{"dense", "compressed"}}}
-		}},
-		{"flow cannot gallop", func(r *EvaluateRequest) {
-			r.Schedule = &WireSchedule{UseSkip: true}
-			r.Options = &WireOptions{Engine: "flow"}
 		}},
 		{"coord out of range", func(r *EvaluateRequest) {
 			w := r.Inputs["c"]

@@ -54,12 +54,11 @@ type WireSchedule struct {
 
 // WireOptions carries the per-request simulation options.
 type WireOptions struct {
-	// Engine selects the executor: "event" (default), "naive", "flow",
-	// "comp" (the compiled co-iteration engine), or "byte" (the portable-
-	// artifact interpreter; with an artifact dir configured, byte and comp
-	// requests can be served from the disk cache without recompiling).
-	// Graphs comp/byte cannot lower run on the event engine, reported in
-	// the response's engine field and the engine_fallbacks counter.
+	// Engine selects the executor: "event" (default), "naive", or "comp"
+	// (the compiled co-iteration engine; with an artifact dir configured,
+	// comp requests can be served from the disk cache without recompiling).
+	// Graphs comp cannot lower run on the event engine, reported in the
+	// response's engine field and the engine_fallbacks counter.
 	Engine string `json:"engine,omitempty"`
 	// MaxCycles aborts runaway simulations; 0 means the engine default.
 	MaxCycles int `json:"max_cycles,omitempty"`
@@ -149,8 +148,8 @@ type FixpointInfo struct {
 
 // EvaluateResponse is the body of a successful evaluation.
 type EvaluateResponse struct {
-	// Cycles is the simulated execution time (0 on the flow engine, which
-	// computes functional results only — see sim.EngineFlow).
+	// Cycles is the simulated execution time (0 on the comp engine, which
+	// computes functional results only — see sim.EngineComp).
 	Cycles int `json:"cycles"`
 	// Output is the result tensor in the declared left-hand-side order.
 	Output WireTensor `json:"output"`

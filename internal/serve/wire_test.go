@@ -124,6 +124,34 @@ func TestWireFormatErrorPaths(t *testing.T) {
 			mutate: func(r *EvaluateRequest) { lvl := -1; r.Schedule = &WireSchedule{Opt: &lvl} },
 			status: http.StatusBadRequest, wantMsg: "unknown opt level -1",
 		},
+		{
+			// Residual with j outermost: a schedule no engine can run is a
+			// 400 from the compiler, not a 500 from the run.
+			name: "partial reduction outside a wider variable",
+			mutate: func(r *EvaluateRequest) {
+				r.Expr = "x(i) = b(i) - C(i,j) * d(j)"
+				r.Schedule = &WireSchedule{LoopOrder: []string{"j", "i"}}
+				r.Inputs = map[string]WireTensor{
+					"b": {Dims: []int{3}, Coords: [][]int64{{0}, {2}}, Values: []float64{1, 2}},
+					"C": {Dims: []int{3, 2}, Coords: [][]int64{{0, 0}, {2, 1}}, Values: []float64{1, 2}},
+					"d": {Dims: []int{2}, Coords: [][]int64{{0}, {1}}, Values: []float64{3, 4}},
+				}
+			},
+			status:  http.StatusBadRequest,
+			wantMsg: `variable "j" is reduced over only part of the expression but iterated outside "i"`,
+		},
+		{
+			name:    "removed engine flow",
+			mutate:  func(r *EvaluateRequest) { r.Options = &WireOptions{Engine: "flow"} },
+			status:  http.StatusBadRequest,
+			wantMsg: `unknown engine "flow" (registered engines: "event", "naive", "comp")`,
+		},
+		{
+			name:    "removed engine byte",
+			mutate:  func(r *EvaluateRequest) { r.Options = &WireOptions{Engine: "byte"} },
+			status:  http.StatusBadRequest,
+			wantMsg: `unknown engine "byte" (registered engines: "event", "naive", "comp")`,
+		},
 	}
 	for _, tc := range cases {
 		for _, path := range []string{"/v1/evaluate", "/v1/jobs"} {

@@ -91,8 +91,7 @@ func RunBatchErrs(jobs []Job, opt Options) ([]*Result, []error, error) {
 				switch {
 				case j.Program != nil:
 					// Artifact-backed programs have no graph but run fine
-					// on the functional engines; engine checks own the
-					// rejection for the ones that need the graph.
+					// on comp; the cycle engines' own checks reject them.
 					res, err = eng.RunProgram(j.Program, j.Inputs, opt)
 				case j.Graph != nil:
 					res, err = eng.Run(j.Graph, j.Inputs, opt)

@@ -48,7 +48,8 @@ func TestCompEngineRuns(t *testing.T) {
 // TestCompEngineFallsBackOnBitvector checks the fallback contract: a graph
 // outside the compiled block set (the bitvector pipeline) still runs under
 // Options{Engine: EngineComp}, on the event engine, with the fallback
-// recorded in Result.Engine — and CheckEngine accepts it up front.
+// recorded in Result.Engine — and the program's CheckEngine accepts it up
+// front.
 func TestCompEngineFallsBackOnBitvector(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	e := lang.MustParse("x(i) = b(i) * c(i)")
@@ -59,7 +60,11 @@ func TestCompEngineFallsBackOnBitvector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckEngine(EngineComp, g); err != nil {
+	p, err := NewProgram(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckEngine(EngineComp); err != nil {
 		t.Fatalf("CheckEngine(comp) rejected a fallback-eligible graph: %v", err)
 	}
 	b := tensor.UniformRandom("b", rng, 40, 200)
@@ -130,7 +135,7 @@ func TestCompProgramReuse(t *testing.T) {
 // engine including comp.
 func TestEngineRegistry(t *testing.T) {
 	kinds := Engines()
-	want := []EngineKind{EngineEvent, EngineNaive, EngineFlow, EngineComp, EngineByte}
+	want := []EngineKind{EngineEvent, EngineNaive, EngineComp}
 	if len(kinds) != len(want) {
 		t.Fatalf("Engines() = %v, want %v", kinds, want)
 	}
@@ -149,6 +154,12 @@ func TestEngineRegistry(t *testing.T) {
 	for _, k := range want {
 		if !strings.Contains(err.Error(), string(k)) {
 			t.Errorf("unknown-engine error %q does not list %q", err, k)
+		}
+	}
+	// The removed kinds are unknown, not aliased.
+	for _, gone := range []EngineKind{"flow", "byte"} {
+		if _, err := EngineFor(gone); err == nil {
+			t.Errorf("EngineFor(%q) = nil error, want unknown engine", gone)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"sam/internal/comp"
 	"sam/internal/core"
-	"sam/internal/flow"
 	"sam/internal/graph"
 	"sam/internal/tensor"
 )
@@ -24,49 +23,25 @@ const (
 	// block on every cycle. It produces bit-identical results to
 	// EngineEvent and exists for differential testing and benchmarking.
 	EngineNaive EngineKind = "naive"
-	// EngineFlow is the functional goroutine-per-block executor from
-	// internal/flow: every block a goroutine, every stream a channel.
-	//
-	// EngineFlow's limitations, authoritatively: it computes outputs only —
-	// Result.Cycles is zero and no stream statistics are gathered, so
-	// experiments and anything reading cycle counts must use a cycle
-	// engine — and it supports the core block set only: graphs using
-	// galloping intersection (Schedule.UseSkip), the bitvector pipeline, or
-	// reducers deeper than matrices are rejected up front by CheckEngine
-	// with a descriptive error.
-	EngineFlow EngineKind = "flow"
 	// EngineComp is the compiled co-iteration engine from internal/comp: the
 	// graph is lowered once into a tree of Go closures that co-iterate the
 	// bound fibertree storage directly — no token queues, no per-cycle
 	// scheduling — producing outputs bit-identical to the cycle engines.
 	//
-	// Like EngineFlow it computes outputs only: Result.Cycles is zero and no
-	// stream statistics are gathered. Unlike EngineFlow it never rejects a
-	// graph: graphs outside its block set (the bitvector pipeline) fall back
-	// to the event engine transparently, recorded in Result.Engine, so
-	// CheckEngine always accepts it.
+	// It computes outputs only: Result.Cycles is zero and no stream
+	// statistics are gathered, so experiments and anything reading cycle
+	// counts must use a cycle engine. It never rejects a graph: graphs
+	// outside its block set (the bitvector pipeline) fall back to the event
+	// engine transparently, recorded in Result.Engine. It is also the engine
+	// that runs loaded artifacts (NewProgramFromArtifact): internal/prog
+	// serializes exactly the lowering this engine executes.
 	EngineComp EngineKind = "comp"
-	// EngineByte is the portable-artifact interpreter from internal/prog:
-	// the graph's compiled lowering is serialized to the versioned byte
-	// format (prog.Encode), decoded back (prog.Decode), and executed as a
-	// flat dispatch loop over the decoded step table. It shares the comp
-	// engine's lowering and closure bodies, so outputs are bit-identical to
-	// EngineComp (and so to the cycle engines) by construction; what it
-	// adds is that the program can cross a process boundary — samsim
-	// -emit/-load round-trips artifacts to files and serve's disk cache
-	// loads them without re-running custard, the optimizer or lowering.
-	//
-	// Like EngineComp it computes outputs only (Result.Cycles is zero, no
-	// stream statistics) and falls back to the event engine for graphs
-	// outside the compiled block set (the bitvector pipeline), so
-	// CheckEngine always accepts it on graph-backed programs.
-	EngineByte EngineKind = "byte"
 )
 
 // Engines lists every registered engine kind, in the order user-facing
 // messages should print them.
 func Engines() []EngineKind {
-	return []EngineKind{EngineEvent, EngineNaive, EngineFlow, EngineComp, EngineByte}
+	return []EngineKind{EngineEvent, EngineNaive, EngineComp}
 }
 
 // engineList renders the registered engines for error messages.
@@ -79,8 +54,8 @@ func engineList() string {
 }
 
 // Engine executes a compiled SAM graph against bound inputs. Both
-// cycle-accurate schedulers and the goroutine executor implement it; pick
-// one with EngineFor or, at the API surface, Options.Engine.
+// cycle-accurate schedulers and the compiled engine implement it; pick one
+// with EngineFor or, at the API surface, Options.Engine.
 type Engine interface {
 	// Name returns the EngineKind string naming the engine.
 	Name() string
@@ -91,40 +66,6 @@ type Engine interface {
 	RunProgram(p *Program, inputs map[string]*tensor.COO, opt Options) (*Result, error)
 }
 
-// CheckEngine reports up front whether the engine can execute the graph.
-// The cycle engines run every block kind, and the compiled engine
-// (EngineComp) accepts every graph because it falls back to the event
-// engine for blocks it cannot lower; the goroutine executor (EngineFlow)
-// supports the core block set only, so graphs using galloping intersection
-// (Schedule.UseSkip), the bitvector pipeline, or reducers deeper than
-// matrices get a descriptive error here instead of failing mid-run. An
-// unknown engine kind also errors.
-func CheckEngine(kind EngineKind, g *graph.Graph) error {
-	if _, err := EngineFor(kind); err != nil {
-		return err
-	}
-	if kind != EngineFlow {
-		return nil
-	}
-	for _, n := range g.Nodes {
-		switch n.Kind {
-		case graph.GallopIntersect:
-			return fmt.Errorf("sim: engine %q cannot run graph %q: gallop intersection %q (Schedule.UseSkip) needs a cycle engine (%q or %q)",
-				EngineFlow, g.Name, n.Label, EngineEvent, EngineNaive)
-		case graph.BVScanner, graph.BVIntersect, graph.VecLoad, graph.VecALU,
-			graph.BVExpand, graph.BVConvert, graph.BVWriter, graph.VecValsWriter:
-			return fmt.Errorf("sim: engine %q cannot run graph %q: bitvector block %q needs a cycle engine (%q or %q)",
-				EngineFlow, g.Name, n.Label, EngineEvent, EngineNaive)
-		case graph.Reduce:
-			if n.RedN > 2 {
-				return fmt.Errorf("sim: engine %q cannot run graph %q: %d-dimensional reducer %q needs a cycle engine (%q or %q)",
-					EngineFlow, g.Name, n.RedN, n.Label, EngineEvent, EngineNaive)
-			}
-		}
-	}
-	return nil
-}
-
 // EngineFor resolves an engine selector; the empty kind selects the default
 // event-driven engine.
 func EngineFor(kind EngineKind) (Engine, error) {
@@ -133,12 +74,8 @@ func EngineFor(kind EngineKind) (Engine, error) {
 		return cycleEngine{kind: EngineEvent}, nil
 	case EngineNaive:
 		return cycleEngine{kind: EngineNaive}, nil
-	case EngineFlow:
-		return flowEngine{}, nil
 	case EngineComp:
 		return compEngine{}, nil
-	case EngineByte:
-		return byteEngine{}, nil
 	}
 	return nil, fmt.Errorf("sim: unknown engine %q (registered engines: %s)", kind, engineList())
 }
@@ -194,40 +131,6 @@ func (e cycleEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt O
 	return res, nil
 }
 
-// flowEngine adapts the goroutine-per-block executor to the Engine
-// interface.
-type flowEngine struct{}
-
-func (flowEngine) Name() string { return string(EngineFlow) }
-
-func (flowEngine) Run(g *graph.Graph, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
-	if err := CheckEngine(EngineFlow, g); err != nil {
-		return nil, err
-	}
-	out, err := flow.Run(g, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Output: out, Streams: map[string]*core.StreamStats{}, Engine: EngineFlow}, nil
-}
-
-func (e flowEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
-	// The support check was precomputed at program build time; beyond it
-	// the goroutine executor has no input-independent setup to amortize.
-	if p.flowErr != nil {
-		return nil, p.flowErr
-	}
-	mark := opt.Trace.Len()
-	run := opt.Trace.Start("run")
-	out, err := flow.Run(p.g, inputs)
-	run.End()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Output: out, Streams: map[string]*core.StreamStats{}, Engine: EngineFlow,
-		Phases: opt.Trace.SpansSince(mark)}, nil
-}
-
 // compEngine adapts the compiled co-iteration engine (internal/comp) to the
 // Engine interface. Graphs its lowering does not support — the bitvector
 // pipeline — fall back to the event engine; the Result records which engine
@@ -248,53 +151,16 @@ func (e compEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt Op
 	cp, err := p.compProgram()
 	if err != nil {
 		// Fall back to the event engine only for graphs outside the
-		// compiled block set, per the CheckEngine contract that comp
-		// accepts every graph; the Result's Engine field records the
-		// fallback. Any other lowering failure on a supported graph is a
-		// comp bug and must surface, not be papered over by a silently
-		// different engine. (Artifact-backed programs have the compiled
-		// program pre-set and never reach here.)
+		// compiled block set, so comp accepts every graph; the Result's
+		// Engine field records the fallback. Any other lowering failure on
+		// a supported graph is a comp bug and must surface, not be papered
+		// over by a silently different engine. (Artifact-backed programs
+		// have the compiled program pre-set and never reach here.)
 		if p.g != nil && comp.Check(p.g) != nil {
 			return cycleEngine{kind: EngineEvent}.RunProgram(p, inputs, opt)
 		}
 		return nil, fmt.Errorf("sim: %s: %w", p.name(), err)
 	}
-	return runCompiled(p, cp, inputs, opt, EngineComp)
-}
-
-// byteEngine adapts the portable-artifact interpreter (internal/prog) to
-// the Engine interface. The program's artifact form is built (or, for
-// artifact-backed programs, was decoded) once and reused; graphs outside
-// the compiled block set fall back to the event engine, mirroring
-// compEngine, with the Result recording which engine actually ran.
-type byteEngine struct{}
-
-func (byteEngine) Name() string { return string(EngineByte) }
-
-func (e byteEngine) Run(g *graph.Graph, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
-	p, err := NewProgram(g)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunProgram(p, inputs, opt)
-}
-
-func (e byteEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
-	bp, err := p.byteProgram()
-	if err != nil {
-		if p.g != nil && comp.Check(p.g) != nil {
-			return cycleEngine{kind: EngineEvent}.RunProgram(p, inputs, opt)
-		}
-		return nil, fmt.Errorf("sim: %s: %w", p.name(), err)
-	}
-	return runCompiled(p, bp.Compiled(), inputs, opt, EngineByte)
-}
-
-// runCompiled is the shared functional-engine run core: bind operands
-// through the program's plan, execute the compiled program, wrap the
-// result. comp and byte differ only in where the compiled program came
-// from — a direct lowering or a decoded artifact.
-func runCompiled(p *Program, cp *comp.Program, inputs map[string]*tensor.COO, opt Options, kind EngineKind) (*Result, error) {
 	mark := opt.Trace.Len()
 	bound, err := p.plan.BindTraced(inputs, opt.BindCache, opt.Trace)
 	if err != nil {
@@ -308,6 +174,6 @@ func runCompiled(p *Program, cp *comp.Program, inputs map[string]*tensor.COO, op
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", p.name(), err)
 	}
-	return &Result{Output: out, Streams: map[string]*core.StreamStats{}, Engine: kind,
+	return &Result{Output: out, Streams: map[string]*core.StreamStats{}, Engine: EngineComp,
 		Phases: opt.Trace.SpansSince(mark)}, nil
 }

@@ -164,14 +164,16 @@ func TestEngineEquivalence(t *testing.T) {
 						t.Errorf("stream %q stats: event %+v, naive %+v", label, *gs, *ws)
 					}
 				}
-				// The functional executor must agree on the output where it
-				// supports the graph (no cycle counts to compare).
-				flowOpt := tc.opt
-				flowOpt.Engine = EngineFlow
-				if fres, err := Run(g, inputs, flowOpt); err == nil {
-					if err := tensor.Equal(fres.Output, want.Output, 1e-9); err != nil {
-						t.Errorf("flow output disagrees: %v", err)
-					}
+				// The compiled engine must agree on the output (no cycle
+				// counts to compare); it runs every graph, by fallback.
+				compOpt := tc.opt
+				compOpt.Engine = EngineComp
+				cres, err := Run(g, inputs, compOpt)
+				if err != nil {
+					t.Fatalf("comp: %v", err)
+				}
+				if err := tensor.Equal(cres.Output, want.Output, 1e-9); err != nil {
+					t.Errorf("comp output disagrees: %v", err)
 				}
 			})
 		}
@@ -225,6 +227,46 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 			}
 			if !reflect.DeepEqual(batch[i].Output, seq[i].Output) {
 				t.Errorf("workers=%d %s: outputs differ", workers, jobs[i].Name)
+			}
+		}
+	}
+}
+
+// TestTTMReductionBeforeKEmptyFibers records a known failing input, not yet
+// fixed: TTM scheduled with the reduction variable l before the output
+// variable k fails at assembly on every engine alike (event, naive, comp:
+// `assembled output invalid: fiber: tensor "X" level 2 has 2 fibers, want
+// 1`) as soon as an operand has empty fibers — here C has no row k=1, so
+// some (i,l) pairs find no k to emit. Orders with k before l, and fully
+// populated operands under any order, run. Remove the Skip to reproduce.
+func TestTTMReductionBeforeKEmptyFibers(t *testing.T) {
+	t.Skip("known failure, identical on all engines: level 2 has N+1 fibers, want N")
+	e := lang.MustParse("X(i,j,k) = B(i,j,l) * C(k,l)")
+	b := tensor.NewCOO("B", 2, 3, 2)
+	b.Append(2, 0, 1, 0)
+	b.Append(4, 0, 2, 1)
+	b.Append(2, 1, 0, 1)
+	c := tensor.NewCOO("C", 3, 2)
+	c.Append(7, 0, 0)
+	c.Append(5, 2, 0)
+	inputs := map[string]*tensor.COO{"B": b, "C": c}
+	want, err := lang.Gold(e, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range [][]string{{"i", "l", "j", "k"}, {"i", "l", "k", "j"}, {"j", "l", "i", "k"}} {
+		g, err := custard.Compile(e, nil, lang.Schedule{LoopOrder: order})
+		if err != nil {
+			t.Fatalf("order %v: %v", order, err)
+		}
+		for _, eng := range Engines() {
+			res, err := Run(g, inputs, Options{Engine: eng})
+			if err != nil {
+				t.Errorf("order %v %s: %v", order, eng, err)
+				continue
+			}
+			if err := tensor.Equal(res.Output, want, 0); err != nil {
+				t.Errorf("order %v %s: %v", order, eng, err)
 			}
 		}
 	}

@@ -65,7 +65,7 @@ type FixpointResult struct {
 	// Deltas holds the L1 step delta of every iteration, in order.
 	Deltas []float64
 	// Cycles is the total simulated cycle count across iterations (zero on
-	// the functional engines).
+	// the comp engine).
 	Cycles int
 	// Engine names the engine that executed the iterations.
 	Engine EngineKind

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sam/internal/custard"
-	"sam/internal/graph"
 	"sam/internal/lang"
 	"sam/internal/tensor"
 )
@@ -23,9 +22,6 @@ func quantizeInputs(r *rand.Rand, inputs map[string]*tensor.COO) {
 		quantize(r, t)
 	}
 }
-
-// parEngines is the engine matrix every parallel graph must agree across.
-var parEngines = []EngineKind{EngineEvent, EngineNaive, EngineFlow}
 
 // parKernel is one fixed-kernel configuration of the lane battery. join
 // classifies the cycle expectation: "strict" joins (a reduction shrinks the
@@ -98,7 +94,7 @@ func TestParKernelMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: compile par%d: %v", k.name, p, err)
 			}
-			for _, eng := range parEngines {
+			for _, eng := range Engines() {
 				res, err := Run(gp, inputs, Options{Engine: eng})
 				if err != nil {
 					t.Fatalf("%s par%d %s: %v", k.name, p, eng, err)
@@ -109,7 +105,7 @@ func TestParKernelMatrix(t *testing.T) {
 				if err := tensor.Equal(res.Output, want, 0); err != nil {
 					t.Fatalf("%s par%d %s vs gold: %v", k.name, p, eng, err)
 				}
-				if eng != EngineFlow {
+				if eng != EngineComp {
 					bound := base.Cycles
 					switch k.join {
 					case "elem":
@@ -203,7 +199,7 @@ func TestFuzzParLaneEquivalence(t *testing.T) {
 			// the reference for those.
 			continue
 		}
-		for _, eng := range parTrialEngines(g1, inputs) {
+		for _, eng := range Engines() {
 			res, err := Run(gp, inputs, Options{Engine: eng})
 			if err != nil {
 				t.Fatalf("trial %d %q par%d %s: %v", trial, expr, p, eng, err)
@@ -218,17 +214,6 @@ func TestFuzzParLaneEquivalence(t *testing.T) {
 		t.Fatalf("only %d/200 random statements executed under Par; generator or compiler too restrictive", executed)
 	}
 	t.Logf("executed %d/200 random statements under Par", executed)
-}
-
-// parTrialEngines returns the engines a fuzz trial compares: the two cycle
-// engines always, plus flow when the sequential graph runs on it (flow does
-// not support every block the adversarial corpus can produce, e.g. reducers
-// beyond n=2).
-func parTrialEngines(g1 *graph.Graph, inputs map[string]*tensor.COO) []EngineKind {
-	if _, err := Run(g1, inputs, Options{Engine: EngineFlow}); err != nil {
-		return []EngineKind{EngineEvent, EngineNaive}
-	}
-	return parEngines
 }
 
 // TestFuzzParRandomLoopOrders sweeps random loop orders (covering the
@@ -281,7 +266,7 @@ func TestFuzzParRandomLoopOrders(t *testing.T) {
 		if err != nil {
 			continue // partial-expression outermost reduction: Par refuses
 		}
-		for _, eng := range parTrialEngines(g1, inputs) {
+		for _, eng := range Engines() {
 			res, err := Run(gp, inputs, Options{Engine: eng})
 			if err != nil {
 				t.Fatalf("trial %d %q order %v par%d %s: %v", trial, expr, order, p, eng, err)

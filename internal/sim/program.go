@@ -25,28 +25,17 @@ type Program struct {
 	g    *graph.Graph
 	fp   string
 	plan *bind.Plan
-	// flowErr caches CheckEngine(EngineFlow, g): the support check is
-	// input-independent, so it is paid once here, not per request.
-	flowErr error
 
-	// The compiled (internal/comp) lowering is built lazily on the first
-	// comp-engine run and reused for the program's lifetime, so cached
-	// programs in the serving layer amortize lowering exactly like the
-	// wiring plan. compErr caches lowering rejection (unsupported blocks),
-	// which triggers the event-engine fallback.
+	// The compiled (internal/comp) lowering is built lazily, once, on the
+	// first comp-engine run or Artifact call and reused for the program's
+	// lifetime, so cached programs in the serving layer amortize lowering
+	// exactly like the wiring plan. compErr caches lowering rejection
+	// (unsupported blocks), which triggers the event-engine fallback.
+	// Artifact-backed programs (see NewProgramFromArtifact) have compProg
+	// pre-set and no graph.
 	compOnce sync.Once
 	compProg *comp.Program
 	compErr  error
-
-	// The byte-artifact form (internal/prog) is built lazily on the first
-	// byte-engine run or Artifact call: the graph is lowered, encoded to
-	// the portable byte format, and decoded back, so the interpreter
-	// genuinely executes the decoded bytes — the same object a cross-
-	// process load would produce. Artifact-backed programs (see
-	// NewProgramFromArtifact) have byteProg pre-set and no graph.
-	byteOnce sync.Once
-	byteProg *prog.Program
-	byteErr  error
 
 	// labels holds each edge's producer-side "node/port" stream label.
 	labels []string
@@ -73,7 +62,6 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 		inEdge:  make(map[portKey]int, len(g.Edges)),
 		groupOf: map[portKey]int{},
 	}
-	p.flowErr = CheckEngine(EngineFlow, g)
 	for i, e := range g.Edges {
 		p.labels[i] = fmt.Sprintf("%s/%s", g.Nodes[e.From].Label, e.FromPort)
 		p.inEdge[portKey{e.To, e.ToPort}] = i
@@ -91,25 +79,15 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 
 // NewProgramFromArtifact wraps a loaded byte artifact as a Program with no
 // source graph. The artifact's embedded metadata supplies the fingerprint
-// and the binding plan, and both functional engines are available: the byte
-// interpreter runs the decoded program directly and the comp engine reuses
-// its materialized closures (they are the same object — the artifact format
-// is the serialized form of comp's lowering). The cycle engines and the
-// goroutine executor need the graph itself and report a descriptive error
-// through CheckEngine/Run.
+// and the binding plan, and the comp engine runs the artifact's materialized
+// closures directly — the artifact format is the serialized form of comp's
+// lowering. The cycle engines need the graph itself and report a
+// descriptive error through CheckEngine/Run.
 func NewProgramFromArtifact(bp *prog.Program) (*Program, error) {
 	if bp == nil {
 		return nil, fmt.Errorf("sim: nil artifact")
 	}
-	p := &Program{
-		fp:   bp.Fingerprint(),
-		plan: bp.Plan(),
-		flowErr: fmt.Errorf("sim: engine %q cannot run artifact-backed program %q: the goroutine executor needs the source graph (artifact engines: %q, %q)",
-			EngineFlow, bp.Name(), EngineByte, EngineComp),
-		byteProg: bp,
-		compProg: bp.Compiled(),
-	}
-	p.byteOnce.Do(func() {})
+	p := &Program{fp: bp.Fingerprint(), plan: bp.Plan(), compProg: bp.Compiled()}
 	p.compOnce.Do(func() {})
 	return p, nil
 }
@@ -124,10 +102,7 @@ func (p *Program) name() string {
 	if p.g != nil {
 		return p.g.Name
 	}
-	if p.byteProg != nil {
-		return p.byteProg.Name()
-	}
-	return "<program>"
+	return p.compProg.IR().Name
 }
 
 // compProgram returns the program's compiled-engine lowering, building it on
@@ -140,51 +115,34 @@ func (p *Program) compProgram() (*comp.Program, error) {
 	return p.compProg, p.compErr
 }
 
-// byteProgram returns the program's byte-artifact form, building it on
-// first use via a full encode→decode round trip. An error means the graph
-// is outside the compiled block set and the byte engine must fall back to
-// the event engine, exactly like compProgram.
-func (p *Program) byteProgram() (*prog.Program, error) {
-	p.byteOnce.Do(func() {
-		enc, err := prog.Encode(p.g)
-		if err != nil {
-			p.byteErr = err
-			return
-		}
-		p.byteProg, p.byteErr = prog.Decode(enc)
-	})
-	return p.byteProg, p.byteErr
-}
-
-// Artifact returns the program's portable byte-artifact form (building it
-// on first use), the unit the serving disk cache and samsim -emit persist.
-// Graphs outside the compiled block set have no artifact form and error.
-func (p *Program) Artifact() (*prog.Program, error) {
-	return p.byteProgram()
+// Artifact returns the program's portable byte-artifact form, the unit the
+// serving disk cache persists: the canonical encoding of the one compiled
+// lowering the comp engine runs (built on first use), identical to
+// prog.Encode on the source graph. Graphs outside the compiled block set
+// have no artifact form and error.
+func (p *Program) Artifact() ([]byte, error) {
+	cp, err := p.compProgram()
+	if err != nil {
+		return nil, err
+	}
+	return prog.EncodeIR(cp.IR()), nil
 }
 
 // Fingerprint returns the graph's canonical fingerprint (see
 // graph.Graph.Fingerprint), the program's cache identity.
 func (p *Program) Fingerprint() string { return p.fp }
 
-// CheckEngine reports whether the engine can execute this program. It is
-// the precomputed form of the package-level CheckEngine: no graph scan per
-// call, so request hot paths can validate per-request engine choices
-// against a cached program for free.
+// CheckEngine reports whether the engine can execute this program: every
+// engine runs a graph-backed program (comp falls back to the event engine
+// for blocks it cannot lower), while an artifact-backed one carries only the
+// compiled lowering. An unknown engine kind also errors.
 func (p *Program) CheckEngine(kind EngineKind) error {
 	if _, err := EngineFor(kind); err != nil {
 		return err
 	}
-	if kind == EngineFlow {
-		return p.flowErr
-	}
-	if p.g == nil {
-		switch kind {
-		case EngineByte, EngineComp:
-		default:
-			return fmt.Errorf("sim: engine %q cannot run an artifact-backed program: cycle engines need the source graph (artifact engines: %q, %q)",
-				kind, EngineByte, EngineComp)
-		}
+	if p.g == nil && kind != EngineComp {
+		return fmt.Errorf("sim: engine %q cannot run an artifact-backed program: cycle engines need the source graph (artifact engine: %q)",
+			kind, EngineComp)
 	}
 	return nil
 }

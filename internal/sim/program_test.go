@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"sam/internal/custard"
 	"sam/internal/graph"
 	"sam/internal/lang"
+	"sam/internal/prog"
 	"sam/internal/tensor"
 )
 
@@ -57,7 +59,7 @@ func TestProgramDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s par=%d: NewProgram: %v", k.name, par, err)
 			}
-			for _, kind := range []EngineKind{EngineEvent, EngineNaive, EngineFlow} {
+			for _, kind := range Engines() {
 				label := fmt.Sprintf("%s par=%d %s", k.name, par, kind)
 				opt := Options{Engine: kind}
 				fresh, err := Run(g, k.inputs, opt)
@@ -155,6 +157,89 @@ func TestProgramBatch(t *testing.T) {
 	}
 }
 
+// TestProgramArtifactIsTheCompiledForm pins the one-lowering contract: a
+// Program's Artifact bytes are exactly prog.Encode of its graph, obtaining
+// them (before or after a comp run) builds no second comp.Program, and the
+// graph-backed program and its decoded artifact produce bit-identical comp
+// output while the artifact rejects the cycle engines.
+func TestProgramArtifactIsTheCompiledForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	b := tensor.UniformRandom("B", rng, 200, 40, 30)
+	c := tensor.UniformRandom("C", rng, 200, 30, 35)
+	tensor.QuantizeInts(rng, 7, b, c)
+	inputs := map[string]*tensor.COO{"B": b, "C": c}
+	e := lang.MustParse("X(i,j) = B(i,k) * C(k,j)")
+	for _, par := range []int{1, 4} {
+		g, err := custard.Compile(e, nil, lang.Schedule{LoopOrder: []string{"i", "k", "j"}, Par: par, Opt: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewProgram(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := p.Artifact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := prog.Encode(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, want) {
+			t.Errorf("par=%d: Artifact() bytes differ from prog.Encode(g)", par)
+		}
+		cp := p.compProg
+		if cp == nil {
+			t.Fatalf("par=%d: Artifact() left no compiled program behind", par)
+		}
+		direct, err := p.Run(inputs, Options{Engine: EngineComp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Artifact(); err != nil {
+			t.Fatal(err)
+		}
+		if p.compProg != cp {
+			t.Errorf("par=%d: a comp run or second Artifact() rebuilt the compiled program", par)
+		}
+
+		bp, err := prog.Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ap, err := NewProgramFromArtifact(bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ap.compProg != bp.Compiled() {
+			t.Errorf("par=%d: artifact-backed program does not run the decoded program's closures", par)
+		}
+		loaded, err := ap.Run(inputs, Options{Engine: EngineComp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Engine != EngineComp {
+			t.Errorf("par=%d: artifact ran on %q, want comp", par, loaded.Engine)
+		}
+		if err := tensor.IdenticalBits(direct.Output, loaded.Output); err != nil {
+			t.Errorf("par=%d: artifact output differs from graph-backed comp: %v", par, err)
+		}
+		again, err := ap.Artifact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Errorf("par=%d: artifact-backed Artifact() is not the canonical bytes", par)
+		}
+		for _, kind := range []EngineKind{"", EngineEvent, EngineNaive} {
+			if _, err := ap.Run(inputs, Options{Engine: kind}); err == nil {
+				t.Errorf("par=%d: cycle engine %q accepted an artifact-backed program", par, kind)
+			}
+		}
+	}
+}
+
 // TestNewProgramRejectsInvalid checks validation happens at program build
 // time, not mid-run.
 func TestNewProgramRejectsInvalid(t *testing.T) {
@@ -166,46 +251,6 @@ func TestNewProgramRejectsInvalid(t *testing.T) {
 	_ = n
 	if _, err := NewProgram(g); err == nil {
 		t.Errorf("NewProgram on a graph with unconnected ports = nil error")
-	}
-}
-
-// TestCheckEngineFlowLimits checks the up-front engine support validation:
-// gallop and bitvector graphs are rejected for the flow engine with a
-// descriptive error, while supported graphs (including Par graphs) pass.
-func TestCheckEngineFlowLimits(t *testing.T) {
-	spmv := lang.MustParse("x(i) = B(i,j) * c(j)")
-	plain, err := custard.Compile(spmv, nil, lang.Schedule{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := custard.Compile(spmv, nil, lang.Schedule{Par: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gallop, err := custard.Compile(spmv, nil, lang.Schedule{UseSkip: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []EngineKind{EngineEvent, EngineNaive, EngineFlow} {
-		if err := CheckEngine(kind, plain); err != nil {
-			t.Errorf("CheckEngine(%s, plain) = %v", kind, err)
-		}
-		if err := CheckEngine(kind, par); err != nil {
-			t.Errorf("CheckEngine(%s, par) = %v", kind, err)
-		}
-	}
-	if err := CheckEngine(EngineFlow, gallop); err == nil {
-		t.Errorf("CheckEngine(flow, gallop graph) = nil, want descriptive error")
-	}
-	if err := CheckEngine(EngineEvent, gallop); err != nil {
-		t.Errorf("CheckEngine(event, gallop graph) = %v", err)
-	}
-	if err := CheckEngine("warp", plain); err == nil {
-		t.Errorf("CheckEngine with unknown engine = nil error")
-	}
-	// The engine itself refuses up front, too.
-	if _, err := Run(gallop, nil, Options{Engine: EngineFlow}); err == nil {
-		t.Errorf("flow Run on gallop graph = nil error")
 	}
 }
 

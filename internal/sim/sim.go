@@ -8,10 +8,9 @@
 // the formats request), runs the net to completion, gathers per-stream token
 // statistics, and assembles the output tensor from the level writers.
 //
-// Four engines implement the Engine interface: the default event-driven
+// Three engines implement the Engine interface: the default event-driven
 // ready-set scheduler, the naive tick-all reference loop (bit-identical
-// results, kept for differential testing), the goroutine-per-block
-// functional executor from internal/flow, and the compiled co-iteration
+// results, kept for differential testing), and the compiled co-iteration
 // engine from internal/comp (bit-identical outputs, no cycle model; graphs
 // it cannot lower fall back to the event engine). Select one with
 // Options.Engine; run many graph+input bindings concurrently with

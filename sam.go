@@ -14,25 +14,18 @@
 //	res, err := sam.Simulate(g, sam.Inputs{"B": b, "c": c}, sam.Options{})
 //	fmt.Println(res.Cycles, res.Output)
 //
-// Simulation runs on one of five engines selected by Options.Engine: the
+// Simulation runs on one of three engines selected by Options.Engine: the
 // default event-driven ready-set scheduler (EngineEvent), which ticks only
 // blocks with newly visible input, freed backpressure space, or pending
 // internal work; the naive tick-all reference loop (EngineNaive), which is
-// bit-identical and exists for differential testing; the functional
-// goroutine-per-block executor (EngineFlow); and the compiled co-iteration
-// engine (EngineComp), which lowers the graph once into a tree of Go
-// closures that walk the bound fibertree storage directly — no token
+// bit-identical and exists for differential testing; and the compiled
+// co-iteration engine (EngineComp), which lowers the graph once into a tree
+// of Go closures that walk the bound fibertree storage directly — no token
 // queues, no per-cycle scheduling — and is the fastest way to compute a
-// kernel's output; and the artifact interpreter (EngineByte), which runs
-// the same lowering from a portable serialized artifact through a flat
-// dispatch loop — the engine behind programs loaded from .sambc files.
-// EngineFlow's limitations are documented on the
-// sim.EngineFlow constant (re-exported here): it computes outputs only —
-// no cycle counts, no stream statistics — and rejects graphs using gallop
-// or bitvector blocks up front via CheckEngine. EngineComp and EngineByte
-// also compute outputs only, but never reject a graph: the bitvector
-// pipeline (the one block family they cannot lower) falls back to the
-// event engine transparently, recorded in Result.Engine.
+// kernel's output. EngineComp computes outputs only — no cycle counts, no
+// stream statistics — but never rejects a graph: the bitvector pipeline
+// (the one block family it cannot lower) falls back to the event engine
+// transparently, recorded in Result.Engine.
 //
 // # Artifacts
 //
@@ -40,9 +33,8 @@
 // versioned, checksummed, canonical byte artifact; DecodeProgram loads one
 // into a runnable Program in a process that never saw the source graph —
 // the cross-process analogue of NewProgram. Artifact-backed programs run
-// on the functional engines (EngineByte by default, EngineComp); engines
-// needing the source graph (cycle counts, the flow executor) reject them
-// up front. samsim -emit/-load round-trips artifacts on the command line,
+// on EngineComp, whose lowering is what the artifact serializes; the cycle
+// engines need the source graph and reject them up front. samsim -emit/-load round-trips artifacts on the command line,
 // and samserve -artifacts persists every compiled program to a disk cache
 // keyed by the canonical request key and format version, so a restarted
 // server decodes instead of recompiling (see the README's Artifacts
@@ -123,7 +115,8 @@
 // dataflow blocks (the paper's primary contribution), internal/custard the
 // compiler, internal/opt the graph-optimizer pass pipeline,
 // internal/sim the cycle engines and the batch runner,
-// internal/flow a concurrent goroutine-per-block executor,
+// internal/comp the compiled co-iteration engine,
+// internal/prog the portable artifact format of its lowering,
 // internal/memmodel the finite-memory tiling model, and
 // internal/experiments the harnesses that regenerate every table and figure
 // of the paper's evaluation.
@@ -188,16 +181,13 @@ type Result = sim.Result
 type EngineKind = sim.EngineKind
 
 // The available engines: the default event-driven ready-set scheduler, the
-// naive tick-all reference loop, the goroutine-per-block functional
-// executor, the compiled co-iteration engine, and the artifact interpreter
-// (outputs bit-identical to the cycle engines; graphs the functional
-// engines cannot lower fall back to the event engine).
+// naive tick-all reference loop, and the compiled co-iteration engine
+// (outputs bit-identical to the cycle engines; graphs it cannot lower fall
+// back to the event engine).
 const (
 	EngineEvent = sim.EngineEvent
 	EngineNaive = sim.EngineNaive
-	EngineFlow  = sim.EngineFlow
 	EngineComp  = sim.EngineComp
-	EngineByte  = sim.EngineByte
 )
 
 // Engines lists every registered engine kind.
@@ -375,7 +365,7 @@ func RunFixpoint(p *Program, inputs Inputs, fx Fixpoint, opt Options) (*Fixpoint
 
 // EncodeProgram serializes a compiled graph's lowered program into the
 // portable artifact format (internal/prog): a versioned, CRC-checksummed
-// byte form carrying the step bytecode, flat dispatch tables, operand
+// byte form carrying the step bytecode, slot and writer tables, operand
 // bindings, and output metadata — everything a process without the source
 // graph needs to run it. Encoding is canonical: one graph always produces
 // the identical bytes, so artifacts can be cached and compared by content.
@@ -384,10 +374,9 @@ func EncodeProgram(g *Graph) ([]byte, error) { return prog.Encode(g) }
 // DecodeProgram loads an encoded artifact into a runnable Program, the
 // cross-process counterpart of NewProgram. Corrupt, truncated, or
 // version-skewed bytes fail with a descriptive error, never a panic. The
-// loaded Program carries no source graph: set Options.Engine to EngineByte
-// (or EngineComp) when running it — engines that need the graph (the cycle
-// engines' default included, and the flow executor) reject it up front
-// with a descriptive error.
+// loaded Program carries no source graph: set Options.Engine to EngineComp
+// when running it — the cycle engines (the default included) need the
+// graph and reject it up front with a descriptive error.
 func DecodeProgram(data []byte) (*Program, error) {
 	bp, err := prog.Decode(data)
 	if err != nil {
@@ -399,12 +388,6 @@ func DecodeProgram(data []byte) (*Program, error) {
 // NewServer builds a SAM program service with the given sizing; zero
 // fields take defaults.
 func NewServer(cfg ServerConfig) *Server { return serve.NewServer(cfg) }
-
-// CheckEngine reports up front whether an engine can execute a graph
-// (EngineFlow supports the core block set only; EngineComp accepts every
-// graph and falls back to the event engine for the bitvector pipeline; see
-// the sim.EngineFlow and sim.EngineComp constants).
-func CheckEngine(kind EngineKind, g *Graph) error { return sim.CheckEngine(kind, g) }
 
 // Evaluate computes the statement directly on dense data — the gold
 // reference the simulator is validated against.

@@ -167,12 +167,12 @@ func TestFacadeEngines(t *testing.T) {
 	if event.Cycles != naive.Cycles {
 		t.Errorf("engines disagree on cycles: event %d, naive %d", event.Cycles, naive.Cycles)
 	}
-	flow, err := Simulate(g, inputs, Options{Engine: EngineFlow})
+	comp, err := Simulate(g, inputs, Options{Engine: EngineComp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Equal(flow.Output, event.Output, 1e-9); err != nil {
-		t.Errorf("flow engine output differs: %v", err)
+	if err := Equal(comp.Output, event.Output, 1e-9); err != nil {
+		t.Errorf("comp engine output differs: %v", err)
 	}
 	if _, err := Simulate(g, inputs, Options{Engine: "warp"}); err == nil {
 		t.Error("unknown engine not surfaced")
@@ -181,7 +181,7 @@ func TestFacadeEngines(t *testing.T) {
 
 // TestFacadeArtifacts exercises the artifact surface: EncodeProgram is
 // deterministic, DecodeProgram yields a graph-less Program that runs on the
-// byte engine with output identical to the event engine on the source graph,
+// comp engine with output identical to the event engine on the source graph,
 // and engines needing the graph reject it.
 func TestFacadeArtifacts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -215,12 +215,12 @@ func TestFacadeArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Run(inputs, Options{Engine: EngineByte})
+	got, err := p.Run(inputs, Options{Engine: EngineComp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Engine != EngineByte {
-		t.Errorf("artifact ran on %q, want byte", got.Engine)
+	if got.Engine != EngineComp {
+		t.Errorf("artifact ran on %q, want comp", got.Engine)
 	}
 	if err := Equal(got.Output, want.Output, 0); err != nil {
 		t.Errorf("artifact output differs from event: %v", err)
@@ -273,15 +273,11 @@ func TestFacadeProgramAndServer(t *testing.T) {
 			t.Errorf("trial %d: %v", trial, err)
 		}
 	}
-	if err := CheckEngine(EngineFlow, g); err != nil {
-		t.Errorf("CheckEngine(flow, spmv) = %v", err)
+	if err := p.CheckEngine(EngineComp); err != nil {
+		t.Errorf("CheckEngine(comp) on a graph-backed program = %v", err)
 	}
-	gallop, err := Compile("x(i) = b(i) * c(i)", nil, Schedule{UseSkip: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckEngine(EngineFlow, gallop); err == nil {
-		t.Error("CheckEngine(flow, gallop) = nil, want error")
+	if err := p.CheckEngine("flow"); err == nil {
+		t.Error(`CheckEngine("flow") = nil, want unknown engine`)
 	}
 
 	srv := NewServer(ServerConfig{Workers: 1})
