@@ -199,3 +199,52 @@ func cloneForTest(src *tensor.COO) *tensor.COO {
 	}
 	return out
 }
+
+// TestPoolBacksOffOnMisses pins the parking rule of the context pool: a
+// program whose Gets keep coming back empty parks a context only after its
+// 1st, 2nd, 4th, 8th … consecutive miss, so the contexts of a program run
+// less often than the collector runs do not pile up in the pool; one hit
+// puts it back to parking every time.
+func TestPoolBacksOffOnMisses(t *testing.T) {
+	cp, bound, dims := compileCase(t, "x(i) = B(i,j) * c(j)", lang.Schedule{}, 11)
+	drain := func() {
+		for cp.TakeParked() {
+		}
+	}
+	for m, want := range map[uint32]bool{0: true, 1: true, 2: true, 3: false, 4: true, 5: false, 7: false, 8: true, 255: false, 256: true, 257: false, 768: true} {
+		// A sync.Pool may drop a Put (it does at random under the race
+		// detector), so "parks" is tried a few times; "does not park" must
+		// hold every time.
+		got := false
+		for try := 0; try < 50 && !got; try++ {
+			drain()
+			cp.SetMisses(m)
+			cp.PutCtx(cp.NewCtx())
+			got = cp.TakeParked()
+			if !want && got {
+				break
+			}
+		}
+		if got != want {
+			t.Errorf("after %d consecutive misses: context parked = %v, want %v", m, got, want)
+		}
+	}
+
+	// Through Run: a miss counts, a hit clears the count.
+	drain()
+	cp.SetMisses(0)
+	if _, err := cp.Run(bound, dims); err != nil {
+		t.Fatal(err)
+	}
+	if m := cp.Misses(); m != 1 {
+		t.Errorf("one cold run left misses = %d, want 1", m)
+	}
+	for try := 0; try < 50 && cp.Misses() != 0; try++ {
+		if _, err := cp.Run(bound, dims); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := cp.Misses(); m != 0 {
+		t.Errorf("misses = %d after 50 back-to-back runs; a pool hit must clear it", m)
+	}
+}

@@ -104,8 +104,10 @@ type Program struct {
 	hints []atomic.Int64
 
 	// pool recycles RunCtxs across Run calls; a warm context makes the run
-	// core allocation-free.
-	pool sync.Pool
+	// core allocation-free. misses counts consecutive empty-handed Gets, so
+	// a program the pool cannot serve stops feeding it (see putCtx).
+	pool   sync.Pool
+	misses atomic.Uint32
 }
 
 // Check reports whether the compiled engine can lower the graph. Only the

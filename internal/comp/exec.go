@@ -200,12 +200,31 @@ func (rc *RunCtx) reset(bound map[string]*fiber.Tensor, dims []int) {
 	}
 }
 
-// getCtx checks a context out of the program's pool.
+// getCtx checks a context out of the program's pool, keeping count of the
+// times in a row the pool had none.
 func (p *Program) getCtx() *RunCtx {
 	if rc, ok := p.pool.Get().(*RunCtx); ok {
+		if p.misses.Load() != 0 {
+			p.misses.Store(0)
+		}
 		return rc
 	}
+	p.misses.Add(1)
 	return p.NewCtx()
+}
+
+// putCtx parks a context in the pool, unless the pool has not been serving
+// this program. A sync.Pool holds what it is given for one or two garbage
+// collections; a program run less often than that never sees its context
+// again, and each one it parks is a megabyte of stream buffers the collector
+// carries for a cycle for nothing — on a shard cycling through a dozen
+// inline-operand programs, two thirds of the live heap. So parking backs off
+// with consecutive misses (after the 1st, 2nd, 4th, 8th … and every 256th)
+// and one hit restores it. A program hot enough to hit never backs off.
+func (p *Program) putCtx(rc *RunCtx) {
+	if m := p.misses.Load(); m&(m-1) == 0 || m%256 == 0 {
+		p.pool.Put(rc)
+	}
 }
 
 // Run executes the program against one operand binding and assembles the
@@ -226,11 +245,11 @@ func (p *Program) RunTraced(bound map[string]*fiber.Tensor, dims []int, tr *obs.
 	rc := p.getCtx()
 	out, err := p.runCtx(rc, bound, dims, false, tr)
 	if err != nil {
-		p.pool.Put(rc)
+		p.putCtx(rc)
 		return nil, err
 	}
 	out = cloneCOO(out)
-	p.pool.Put(rc)
+	p.putCtx(rc)
 	return out, nil
 }
 
@@ -242,11 +261,11 @@ func (p *Program) RunMerged(bound map[string]*fiber.Tensor, dims []int) (*tensor
 	rc := p.getCtx()
 	out, err := p.runCtx(rc, bound, dims, true, nil)
 	if err != nil {
-		p.pool.Put(rc)
+		p.putCtx(rc)
 		return nil, err
 	}
 	out = cloneCOO(out)
-	p.pool.Put(rc)
+	p.putCtx(rc)
 	return out, nil
 }
 

@@ -74,22 +74,13 @@ func serveWorkload(seed int64, scale float64) []struct {
 		kk = 8
 	}
 	rng := rand.New(rand.NewSource(seed))
-	toWire := func(t *tensor.COO) serve.WireTensor {
-		t.Sort()
-		w := serve.WireTensor{Dims: t.Dims}
-		for _, p := range t.Pts {
-			w.Coords = append(w.Coords, p.Crd)
-			w.Values = append(w.Values, p.Val)
-		}
-		return w
-	}
-	b := toWire(sparseUniform("B", rng, ij, kk, 0.05))
-	c := toWire(tensor.UniformRandom("c", rng, kk/2+1, kk))
-	cc := toWire(sparseUniform("C", rng, kk, ij, 0.05))
-	bb := toWire(sparseUniform("B2", rng, ij, ij, 0.03))
-	cc2 := toWire(sparseUniform("C2", rng, ij, ij, 0.03))
-	dk := toWire(sparseUniform("Dk", rng, ij, kk, 0.1))
-	ek := toWire(sparseUniform("Ek", rng, ij, kk, 0.1))
+	b := serve.ToWire(sparseUniform("B", rng, ij, kk, 0.05))
+	c := serve.ToWire(tensor.UniformRandom("c", rng, kk/2+1, kk))
+	cc := serve.ToWire(sparseUniform("C", rng, kk, ij, 0.05))
+	bb := serve.ToWire(sparseUniform("B2", rng, ij, ij, 0.03))
+	cc2 := serve.ToWire(sparseUniform("C2", rng, ij, ij, 0.03))
+	dk := serve.ToWire(sparseUniform("Dk", rng, ij, kk, 0.1))
+	ek := serve.ToWire(sparseUniform("Ek", rng, ij, kk, 0.1))
 
 	spmv := map[string]serve.WireTensor{"B": b, "c": c}
 	spmspm := map[string]serve.WireTensor{"B": b, "C": cc}

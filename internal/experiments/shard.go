@@ -197,21 +197,13 @@ func ShardStudy(seed int64, scale float64, counts []int) (*ShardResult, error) {
 	big.Sort()
 	vec := tensor.UniformRandom("c", rng, rows/2+1, rows)
 	vec.Sort()
-	wireOf := func(t *tensor.COO) serve.WireTensor {
-		w := serve.WireTensor{Dims: t.Dims}
-		for _, p := range t.Pts {
-			w.Coords = append(w.Coords, p.Crd)
-			w.Values = append(w.Values, p.Val)
-		}
-		return w
-	}
 	req := &serve.EvaluateRequest{
 		Expr:   "x(i) = B(i,j) * c(j)",
-		Inputs: map[string]serve.WireTensor{"B": {Ref: "B"}, "c": wireOf(vec)},
+		Inputs: map[string]serve.WireTensor{"B": {Ref: "B"}, "c": serve.ToWire(vec)},
 	}
 
 	evalRef := func(url string) (int, float64, error) {
-		if err := putTensorURL(client, url, "B", wireOf(big)); err != nil {
+		if err := putTensorURL(client, url, "B", serve.ToWire(big)); err != nil {
 			return 0, 0, err
 		}
 		// Warm once so the timed request measures the steady state.

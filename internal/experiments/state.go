@@ -111,8 +111,8 @@ func StateStudy(seed int64, scale float64) (*StateResult, error) {
 		kk = 24
 	}
 	out.Kernel = "x(i) = B(i,j) * c(j)"
-	b := wireCOO(sparseUniform("B", rng, ij, kk, 0.05))
-	c := wireCOO(tensor.UniformRandom("c", rng, kk/2+1, kk))
+	b := serve.ToWire(sparseUniform("B", rng, ij, kk, 0.05))
+	c := serve.ToWire(tensor.UniformRandom("c", rng, kk/2+1, kk))
 	t0 := time.Now()
 	for name, w := range map[string]serve.WireTensor{"B": b, "c": c} {
 		if _, err := putTensor(client, ts.URL, name, w); err != nil {
@@ -161,12 +161,12 @@ func StateStudy(seed int64, scale float64) (*StateResult, error) {
 	}
 	out.FixpointExpr = "y(i) = M(i,j) * x(j)"
 	out.FixpointIters = 12
-	m := wireCOO(sparseUniform("M", rng, n, n, 0.03))
+	m := serve.ToWire(sparseUniform("M", rng, n, n, 0.03))
 	x0 := tensor.NewCOO("x", n)
 	for i := 0; i < n; i++ {
 		x0.Append(1/float64(n), int64(i))
 	}
-	x := wireCOO(x0)
+	x := serve.ToWire(x0)
 	for name, w := range map[string]serve.WireTensor{"M": m, "x": x} {
 		if _, err := putTensor(client, ts.URL, name, w); err != nil {
 			return nil, fmt.Errorf("state upload %s: %w", name, err)
@@ -220,17 +220,6 @@ func StateStudy(seed int64, scale float64) (*StateResult, error) {
 	out.BindHits = st.TensorsBindHits
 	out.BindBuilds = st.TensorsBindBuilds
 	return out, nil
-}
-
-// wireCOO converts a COO tensor into the request wire format.
-func wireCOO(t *tensor.COO) serve.WireTensor {
-	t.Sort()
-	w := serve.WireTensor{Dims: t.Dims}
-	for _, p := range t.Pts {
-		w.Coords = append(w.Coords, p.Crd)
-		w.Values = append(w.Values, p.Val)
-	}
-	return w
 }
 
 // putTensor uploads one named tensor and decodes the stored-tensor info.

@@ -27,7 +27,7 @@ func TestRunBatchPerJobAccounting(t *testing.T) {
 
 	prep := func(seed int64, engine string) *prepared {
 		req, _ := spmvRequest(seed, 0, engine)
-		p, err := s.prepare(req, nil)
+		p, err := s.prepare(decoded(req), nil)
 		if err != nil {
 			t.Fatalf("prepare: %v", err)
 		}

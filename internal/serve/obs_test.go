@@ -149,10 +149,19 @@ func TestTraceColdCache(t *testing.T) {
 			t.Errorf("span %q has negative duration %d", sp.Name, sp.DurNS)
 		}
 	}
-	for _, want := range []string{"admission", "compile", "queue_wait", "bind", "run", "assemble"} {
+	for _, want := range []string{"decode", "admission", "compile", "queue_wait", "bind", "run", "assemble"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("trace missing span %q (got %v)", want, names(er.Trace))
 		}
+	}
+	// The decode phase — body read, JSON, operands to COO — is the first
+	// top-level span and is over before admission starts.
+	dec := byName["decode"]
+	if er.Trace[0].Name != "decode" || dec.Parent != -1 || dec.DurNS <= 0 {
+		t.Errorf("decode span %+v is not the leading top-level span (spans: %v)", dec, names(er.Trace))
+	}
+	if adm := byName["admission"]; dec.StartNS+dec.DurNS > adm.StartNS {
+		t.Errorf("decode (%d+%dns) overlaps admission (starts %dns)", dec.StartNS, dec.DurNS, adm.StartNS)
 	}
 	// The compile child nests under admission; the cold-cache split between
 	// compile and run is visible as two distinct spans.
@@ -259,6 +268,8 @@ func TestTraceAsyncJob(t *testing.T) {
 	}
 	if len(jr.Result.Trace) == 0 {
 		t.Error("finished traced job has no spans")
+	} else if first := jr.Result.Trace[0]; first.Name != "decode" || first.Parent != -1 {
+		t.Errorf("traced job's first span is %+v, want the top-level decode span", first)
 	}
 }
 

@@ -339,10 +339,13 @@ func (rt *Router) writeUnavailable(w http.ResponseWriter, msg string) {
 }
 
 // readBody reads a bounded request body, answering the shard-identical 413
-// when it is oversized.
+// when it is oversized. A declared length sizes the buffer once.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= rt.cfg.MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -352,12 +355,30 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 		}
 		return nil, false
 	}
-	return body, true
+	return buf.Bytes(), true
 }
 
-// proxy forwards one request to a shard and relays the response verbatim
-// (optionally rewritten). A transport failure ejects the shard and answers
-// 503 with Retry-After: the next attempt lands on the remapped owner.
+// shardBody remembers a failed read of a shard's response, so a relay that
+// broke off can tell a dead shard from a client that hung up.
+type shardBody struct {
+	io.Reader
+	err error
+}
+
+func (b *shardBody) Read(p []byte) (int, error) {
+	n, err := b.Reader.Read(p)
+	if err != nil && err != io.EOF {
+		b.err = err
+	}
+	return n, err
+}
+
+// proxy forwards one request to a shard and relays the response: streamed
+// through as it arrives, or — when rewrite is set — read whole, rewritten
+// and sent. A transport failure ejects the shard and answers 503 with
+// Retry-After: the next attempt lands on the remapped owner. If the shard
+// dies with the response already under way, the client's connection is cut
+// instead, so what it holds cannot pass for a whole reply.
 func (rt *Router) proxy(w http.ResponseWriter, sh *shardState, method, pathAndQuery string, body []byte, rewrite func(status int, body []byte) []byte) {
 	rt.mRequests.With(sh.name).Inc()
 	var rd io.Reader
@@ -372,46 +393,56 @@ func (rt *Router) proxy(w http.ResponseWriter, sh *shardState, method, pathAndQu
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
+	// failed records a transport failure: the shard is ejected at once.
+	failed := func(err error) {
 		rt.mProxyErrs.With(sh.name).Inc()
 		rt.fail(sh, false)
 		rt.logf("shard=%s event=proxy_error method=%s path=%s err=%q", sh.name, method, pathAndQuery, err)
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		failed(err)
 		rt.writeUnavailable(w, fmt.Sprintf("shard %s unavailable; its keyspace is remapping", sh.name))
 		return
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		rt.mProxyErrs.With(sh.name).Inc()
-		rt.fail(sh, false)
-		rt.writeUnavailable(w, fmt.Sprintf("shard %s failed mid-response", sh.name))
-		return
-	}
-	if rewrite != nil {
-		out = rewrite(resp.StatusCode, out)
-	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
+	if rewrite == nil {
+		if resp.ContentLength > 0 {
+			w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+		}
+		w.WriteHeader(resp.StatusCode)
+		from := &shardBody{Reader: resp.Body}
+		io.Copy(w, from)
+		if from.err != nil {
+			failed(from.err)
+			panic(http.ErrAbortHandler)
+		}
+		return
+	}
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		failed(err)
+		rt.writeUnavailable(w, fmt.Sprintf("shard %s failed mid-response", sh.name))
+		return
+	}
 	w.WriteHeader(resp.StatusCode)
-	w.Write(out)
+	w.Write(rewrite(resp.StatusCode, out))
 }
 
-// routingKey computes the shard-routing key of an evaluation request: the
-// same lang.CanonicalKey the shard's program cache uses, so every request
-// for one compiled program lands on one shard and its cache stays hot. A
-// request the router cannot key (parse or validation errors) still routes —
-// deterministically, by raw body — so the owning shard produces the
-// canonical error response.
-func (rt *Router) routingKey(body []byte) string {
-	var req EvaluateRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err == nil && req.Expr != "" {
-		if e, err := lang.Parse(req.Expr); err == nil {
-			if formats, err := toFormats(req.Formats); err == nil {
-				if sched, err := req.Schedule.toSchedule(0); err == nil {
+// routingKey computes the shard-routing key of an evaluation request from
+// its envelope: the same lang.CanonicalKey the shard's program cache uses,
+// so every request for one compiled program lands on one shard and its
+// cache stays hot. A request the router cannot key (no envelope, parse or
+// validation errors) still routes — deterministically, by raw body — so the
+// owning shard produces the canonical error response.
+func routingKey(env *EvaluateRequest, body []byte) string {
+	if env != nil && env.Expr != "" {
+		if e, err := lang.Parse(env.Expr); err == nil {
+			if formats, err := toFormats(env.Formats); err == nil {
+				if sched, err := env.Schedule.toSchedule(0); err == nil {
 					return lang.CanonicalKey(e, formats, sched)
 				}
 			}
@@ -421,14 +452,17 @@ func (rt *Router) routingKey(body []byte) string {
 }
 
 // handleEval routes POST /v1/evaluate and POST /v1/jobs by canonical
-// program key. Async job submissions get their job ID prefixed with the
-// owning shard's name so GET /v1/jobs/{id} routes back without fan-out.
+// program key, reading only the body's envelope: the operands go through to
+// the shard as bytes and are parsed there, once. Async job submissions get
+// their job ID prefixed with the owning shard's name so GET /v1/jobs/{id}
+// routes back without fan-out.
 func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request, async bool) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	if tiled, name := rt.tiledRef(body); tiled != nil {
+	env := readEnvelope(body)
+	if tiled, name := rt.tiledRef(env); tiled != nil {
 		if async {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("input ref %q is tiled across shards; tiled operands support synchronous POST /v1/evaluate only", name))
@@ -437,7 +471,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request, async bool)
 		rt.handleTiledEvaluate(w, r, body, tiled, name)
 		return
 	}
-	sh := rt.route(rt.routingKey(body))
+	sh := rt.route(routingKey(env, body))
 	if sh == nil {
 		rt.writeUnavailable(w, "no live shards")
 		return

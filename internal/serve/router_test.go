@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -170,7 +171,7 @@ func requestOwnedBy(t *testing.T, rt *Router, url string) *EvaluateRequest {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sh := rt.route(rt.routingKey(body)); sh != nil && sh.url == url {
+			if sh := rt.route(routingKey(readEnvelope(body), body)); sh != nil && sh.url == url {
 				return req
 			}
 		}
@@ -250,7 +251,7 @@ func TestRouterDifferential(t *testing.T) {
 	t.Run("tensors", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		b := tensor.UniformRandom("B", rng, 60, 20, 20)
-		wt := toWire(b)
+		wt := ToWire(b)
 		for _, base := range []string{single.URL, router.URL} {
 			buf, _ := json.Marshal(wt)
 			req, _ := http.NewRequest(http.MethodPut, base+"/v1/tensors/B", strings.NewReader(string(buf)))
@@ -335,6 +336,67 @@ func TestRouterDifferential(t *testing.T) {
 	})
 }
 
+// TestRouterWireErrorParity replays the wire format's whole error table
+// through a 2-shard router and against a shard directly: same status, same
+// error body, on both evaluation endpoints. The router reads requests with
+// the shard's own strict decoder, so there is one rule for what a body may
+// contain — including when it names a tiled tensor: a typo'd field gets the
+// shard's 400, not a fan-out.
+func TestRouterWireErrorParity(t *testing.T) {
+	u1, stop1 := startShardOn(t, "127.0.0.1:0", Config{})
+	defer stop1()
+	u2, stop2 := startShardOn(t, "127.0.0.1:0", Config{})
+	defer stop2()
+	_, router := startRouter(t, RouterConfig{Shards: []string{u1, u2}, TileThresholdBytes: 1024})
+
+	type row struct {
+		name string
+		body []byte
+	}
+	var rows []row
+	for _, tc := range wireErrorCases {
+		req := validWireRequest()
+		tc.mutate(req)
+		rows = append(rows, row{tc.name, mustJSON(t, req)})
+	}
+
+	// A matrix big enough to tile, and requests naming it.
+	m := ToWire(tensor.UniformRandom("M", rand.New(rand.NewSource(4)), 400, 40, 40))
+	put, _ := http.NewRequest(http.MethodPut, router.URL+"/v1/tensors/M", bytes.NewReader(mustJSON(t, m)))
+	resp, err := http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info TensorInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || len(info.Tiles) != 2 {
+		t.Fatalf("tiled PUT: status %d, tiles %v, err %v", resp.StatusCode, info.Tiles, err)
+	}
+	resp.Body.Close()
+	c := `{"dims":[40],"coords":[[0],[7]],"values":[1,2]}`
+	tiled := `{"expr":"x(i) = M(i,j) * c(j)","inputs":{"M":{"ref":"M"},"c":` + c + `}}`
+	if resp, body := postRaw(t, router.URL+"/v1/evaluate", []byte(tiled)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("tiled evaluate: status %d: %s", resp.StatusCode, body)
+	}
+	rows = append(rows,
+		row{"unknown field with a tiled ref", []byte(`{"expr":"x(i) = M(i,j) * c(j)","bogus":1,"inputs":{"M":{"ref":"M"},"c":` + c + `}}`)},
+		row{"unknown input field with a tiled ref", []byte(`{"expr":"x(i) = M(i,j) * c(j)","inputs":{"M":{"ref":"M","reff":"M"},"c":` + c + `}}`)},
+		row{"unknown schedule field with a tiled ref", []byte(`{"expr":"x(i) = M(i,j) * c(j)","schedule":{"parr":2},"inputs":{"M":{"ref":"M"},"c":` + c + `}}`)},
+	)
+
+	for _, r := range rows {
+		for _, path := range []string{"/v1/evaluate", "/v1/jobs"} {
+			direct, want := postRaw(t, u1+path, r.body)
+			routed, got := postRaw(t, router.URL+path, r.body)
+			if direct.StatusCode < 400 {
+				t.Errorf("%s on %s: the shard accepted it (%d); the row proves nothing", r.name, path, direct.StatusCode)
+			}
+			if routed.StatusCode != direct.StatusCode || !bytes.Equal(got, want) {
+				t.Errorf("%s on %s: routed %d %q, direct %d %q", r.name, path, routed.StatusCode, got, direct.StatusCode, want)
+			}
+		}
+	}
+}
+
 // TestRouterEjectionAndRecovery kills one shard of two and requires the
 // router to (1) answer its keys' first post-death request with 503 and a
 // Retry-After hint while ejecting the shard, (2) remap those keys to the
@@ -417,6 +479,47 @@ func TestRouterEjectionAndRecovery(t *testing.T) {
 	}
 	if resp, body := postJSON(t, router.URL+"/v1/evaluate", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery evaluate: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestRouterRelayCutMidResponse covers the one failure a streamed relay
+// cannot turn into a 503: the shard dies with its response under way. The
+// client must see a broken transfer — never a well-formed short body — and
+// the shard must be ejected like on any other transport failure.
+func TestRouterRelayCutMidResponse(t *testing.T) {
+	for _, chunked := range []bool{false, true} {
+		dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/readyz" {
+				writeJSON(w, http.StatusOK, ProbeResponse{Status: "ready"})
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			if !chunked {
+				w.Header().Set("Content-Length", "4096")
+			}
+			w.Write([]byte(`{"cycles":1,"output":{"values":[`))
+			w.(http.Flusher).Flush()
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close()
+		}))
+		rt, router := startRouter(t, RouterConfig{Shards: []string{dying.URL}, FailAfter: 1 << 30})
+		resp, err := http.Post(router.URL+"/v1/evaluate", "application/json", strings.NewReader(`{"expr":"x(i) = b(i)","inputs":{}}`))
+		if err == nil {
+			var body []byte
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err == nil {
+				t.Errorf("chunked=%v: client read a complete response (%d, %q) from a shard that died mid-body", chunked, resp.StatusCode, body)
+			}
+		}
+		if st := rt.Stats(); st.RouterEjections != 1 || st.RouterProxyErrors != 1 {
+			t.Errorf("chunked=%v: ejections=%d proxy errors=%d, want 1 and 1", chunked, st.RouterEjections, st.RouterProxyErrors)
+		}
+		dying.Close()
 	}
 }
 
@@ -567,11 +670,11 @@ func TestRouterTiledTensors(t *testing.T) {
 		return info
 	}
 
-	info := putTensor(t, router.URL, "B", toWire(b))
+	info := putTensor(t, router.URL, "B", ToWire(b))
 	if len(info.Tiles) != 2 {
 		t.Fatalf("tiled PUT produced %d tiles, want 2 (one per shard): %+v", len(info.Tiles), info)
 	}
-	putTensor(t, single.URL, "B", toWire(b))
+	putTensor(t, single.URL, "B", ToWire(b))
 
 	// Reassembled data round-trips exactly.
 	var got TensorInfo
@@ -590,7 +693,7 @@ func TestRouterTiledTensors(t *testing.T) {
 	// Multiplicative evaluate over the tiled ref matches single-node.
 	req := &EvaluateRequest{
 		Expr:   "x(i) = B(i,j) * c(j)",
-		Inputs: map[string]WireTensor{"B": {Ref: "B"}, "c": toWire(c)},
+		Inputs: map[string]WireTensor{"B": {Ref: "B"}, "c": ToWire(c)},
 	}
 	resp1, body1 := postJSON(t, single.URL+"/v1/evaluate", req)
 	resp2, body2 := postJSON(t, router.URL+"/v1/evaluate", req)
@@ -626,7 +729,7 @@ func TestRouterTiledTensors(t *testing.T) {
 	}
 	fixReq := &EvaluateRequest{
 		Expr:     "y(i) = B(i,j) * x(j)",
-		Inputs:   map[string]WireTensor{"B": {Ref: "B"}, "x": toWire(x0)},
+		Inputs:   map[string]WireTensor{"B": {Ref: "B"}, "x": ToWire(x0)},
 		Fixpoint: &WireFixpoint{Var: "x", MaxIters: 5, Mode: "power"},
 	}
 	resp1, body1 = postJSON(t, single.URL+"/v1/evaluate", fixReq)
@@ -660,13 +763,13 @@ func TestRouterTiledTensors(t *testing.T) {
 	// not silently miscomputed.
 	addReq := &EvaluateRequest{
 		Expr:   "X(i,j) = B(i,j) + C(i,j)",
-		Inputs: map[string]WireTensor{"B": {Ref: "B"}, "C": toWire(b)},
+		Inputs: map[string]WireTensor{"B": {Ref: "B"}, "C": ToWire(b)},
 	}
 	if resp, body := postJSON(t, router.URL+"/v1/evaluate", addReq); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("additive tiled evaluate: status %d (%s), want 400", resp.StatusCode, body)
 	}
 	// So is a reserved name and an async tiled job.
-	buf, _ := json.Marshal(toWire(c))
+	buf, _ := json.Marshal(ToWire(c))
 	putReq, _ := http.NewRequest(http.MethodPut, router.URL+"/v1/tensors/evil@tile0", strings.NewReader(string(buf)))
 	if resp, err := http.DefaultClient.Do(putReq); err != nil {
 		t.Fatal(err)

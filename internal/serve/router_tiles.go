@@ -63,16 +63,15 @@ func (rt *Router) lookupTiled(name string) *tiledTensor {
 	return rt.tiles[name]
 }
 
-// tiledRef scans an evaluation body for an input ref naming a tiled
-// tensor, returning the record and the input name. A body that does not
-// decode cleanly has no tiled refs (the shard will produce the canonical
-// error for it).
-func (rt *Router) tiledRef(body []byte) (*tiledTensor, string) {
-	var req EvaluateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+// tiledRef looks through a request's envelope for an input ref naming a
+// tiled tensor, returning the record and the input name. A body without an
+// envelope has no tiled refs (the shard will produce the canonical error
+// for it).
+func (rt *Router) tiledRef(env *EvaluateRequest) (*tiledTensor, string) {
+	if env == nil {
 		return nil, ""
 	}
-	for name, in := range req.Inputs {
+	for name, in := range env.Inputs {
 		if in.Ref == "" {
 			continue
 		}
@@ -145,7 +144,7 @@ func (rt *Router) handleTensorPut(w http.ResponseWriter, r *http.Request) {
 	for k, b := range blocks {
 		sh := live[k%len(live)]
 		tr := tileRef{name: fmt.Sprintf("%s%s%d", name, tileInfix, k), shard: rt.shardIndex(sh)}
-		wt := fromCOO(b)
+		wt := ToWire(b)
 		buf, _ := json.Marshal(wt)
 		if err := rt.putTile(sh, tr.name, buf); err != nil {
 			// Partial uploads must not linger: a later evaluate would see a
@@ -178,9 +177,7 @@ func (rt *Router) tileCandidate(body []byte, name string) (*tensor.COO, int64) {
 		return nil, 0
 	}
 	var wt WireTensor
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wt); err != nil || !wt.inline() || wt.Ref != "" || len(wt.Dims) != 2 {
+	if err := decodeStrict(bytes.NewReader(body), &wt); err != nil || !wt.inline() || wt.Ref != "" || len(wt.Dims) != 2 {
 		return nil, 0
 	}
 	coo, err := wt.toCOO(name)
@@ -306,7 +303,7 @@ func (rt *Router) handleTensor(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusInternalServerError, err)
 				return
 			}
-			wt := fromCOO(merged)
+			wt := ToWire(merged)
 			info.Data = &wt
 		}
 		writeJSON(w, http.StatusOK, info)
@@ -375,9 +372,7 @@ func (rt *Router) fetchTensor(sh *shardState, name string) (*TensorInfo, error) 
 func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, r *http.Request, body []byte, tt *tiledTensor, inputName string) {
 	begin := time.Now()
 	var req EvaluateRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -449,7 +444,7 @@ func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, r *http.Request, bo
 			return
 		}
 		resp := *agg
-		resp.Output = fromCOO(merged)
+		resp.Output = ToWire(merged)
 		resp.Tensors = stamps
 		resp.ElapsedNS = time.Since(begin).Nanoseconds()
 		writeJSON(w, http.StatusOK, resp)
@@ -471,7 +466,7 @@ func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, r *http.Request, bo
 	var agg *EvaluateResponse
 	totalCycles := 0
 	for i := 0; i < fx.MaxIters; i++ {
-		parts, a, status, errBody := rt.fanout(sub, tt, inputName, inputs, map[string]WireTensor{fx.Var: fromCOO(x)})
+		parts, a, status, errBody := rt.fanout(sub, tt, inputName, inputs, map[string]WireTensor{fx.Var: ToWire(x)})
 		if errBody != nil {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(status)
@@ -500,7 +495,7 @@ func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, r *http.Request, bo
 	}
 	resp := *agg
 	resp.Cycles = totalCycles
-	resp.Output = fromCOO(x)
+	resp.Output = ToWire(x)
 	resp.Tensors = stamps
 	resp.Fixpoint = fi
 	resp.ElapsedNS = time.Since(begin).Nanoseconds()

@@ -16,9 +16,9 @@
 // Observability: every request is counted and timed per endpoint and status
 // in a labeled metrics registry (internal/obs) that both /metrics and
 // /v1/stats render; `?trace=1` on the evaluation endpoints records a
-// phase-span breakdown (admission, queue wait, bind, run, assemble) returned
-// in the response, and Config.EnablePprof mounts net/http/pprof under
-// /debug/pprof/.
+// phase-span breakdown (decode, admission, queue wait, bind, run, assemble)
+// returned in the response, and Config.EnablePprof mounts net/http/pprof
+// under /debug/pprof/.
 //
 // Backpressure is explicit: when the bounded queue is full, both entry
 // points reject immediately with 429 rather than queueing unboundedly.
@@ -191,9 +191,9 @@ type prepared struct {
 	// cache records where the program came from: "hit" (in-memory LRU),
 	// "disk" (decoded from the artifact store), or "miss" (compiled).
 	cache string
-	// begin anchors the request's total latency (ElapsedNS): the moment
-	// prepare started, so traced phase spans — admission included — sum to
-	// within it.
+	// begin anchors the request's total latency (ElapsedNS): the moment the
+	// handler started on the body, so traced phase spans — decode and
+	// admission included — sum to within it.
 	begin time.Time
 	setup time.Duration
 	// refs maps each {"ref": name} input to the stored entry that resolved
@@ -203,6 +203,33 @@ type prepared struct {
 	refs map[string]*storedTensor
 	// fix is the validated fixpoint spec; nil for one-shot evaluation.
 	fix *sim.Fixpoint
+}
+
+// request is one evaluation body after the decode phase: the wire request
+// and every inline operand already converted, so that all per-nonzero work
+// on a request's bytes sits in one place (and under one trace span).
+type request struct {
+	wire EvaluateRequest
+	// operands holds, per inline input, its COO form or the validation
+	// error decodeInputs reports if the statement references that input.
+	operands map[string]operand
+	begin    time.Time
+}
+
+type operand struct {
+	coo *tensor.COO
+	err error
+}
+
+// convertOperands runs toCOO over every inline input.
+func (req *request) convertOperands() {
+	req.operands = make(map[string]operand, len(req.wire.Inputs))
+	for name, wt := range req.wire.Inputs {
+		if wt.Ref == "" {
+			coo, err := wt.toCOO(name)
+			req.operands[name] = operand{coo, err}
+		}
+	}
 }
 
 // NewServer builds a service with the given sizing; zero fields take
@@ -396,7 +423,8 @@ func (s *Server) Close() {
 // amortizes. tr, when non-nil, gets an "admission" span with children for
 // the cache lookup and the compile or artifact decode; the same trace rides
 // Options.Trace into the engine for its phase spans.
-func (s *Server) prepare(req *EvaluateRequest, tr *obs.Trace) (*prepared, error) {
+func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
+	req := &decoded.wire
 	if req.Expr == "" {
 		return nil, fmt.Errorf("expr is required")
 	}
@@ -505,7 +533,7 @@ func (s *Server) prepare(req *EvaluateRequest, tr *obs.Trace) (*prepared, error)
 		return nil, err
 	}
 	setup := time.Since(begin)
-	inputs, refs, err := s.decodeInputs(e, req.Inputs)
+	inputs, refs, err := s.decodeInputs(e, decoded)
 	if err != nil {
 		return nil, err
 	}
@@ -537,7 +565,7 @@ func (s *Server) prepare(req *EvaluateRequest, tr *obs.Trace) (*prepared, error)
 	}
 	return &prepared{
 		prog: prog, inputs: inputs, opt: opt, engine: engine,
-		key: key, cache: source, begin: begin, setup: setup,
+		key: key, cache: source, begin: decoded.begin, setup: setup,
 		refs: refs, fix: fix,
 	}, nil
 }
@@ -549,15 +577,17 @@ func (s *Server) unpinRefs(refs map[string]*storedTensor) {
 	}
 }
 
-// decodeInputs converts and validates the wire tensors against the
-// statement: every access needs an input of matching order, dimensions must
-// agree across shared index variables, and unused inputs are rejected. An
-// input carrying {"ref": name} resolves against the tensor store — its
-// stored COO is shared read-only with the job, the entry is pinned against
-// eviction until the job finishes, and the returned refs map records the
-// resolved entries for unpinning and response stamping. On error every pin
-// already taken is released.
-func (s *Server) decodeInputs(e *lang.Einsum, wire map[string]WireTensor) (map[string]*tensor.COO, map[string]*storedTensor, error) {
+// decodeInputs validates a request's inputs against the statement: every
+// access needs an input of matching order, dimensions must agree across
+// shared index variables, and unused inputs are rejected. Inline inputs were
+// converted in the decode phase; a conversion error surfaces here, in the
+// access order it always has. An input carrying {"ref": name} resolves
+// against the tensor store — its stored COO is shared read-only with the
+// job, the entry is pinned against eviction until the job finishes, and the
+// returned refs map records the resolved entries for unpinning and response
+// stamping. On error every pin already taken is released.
+func (s *Server) decodeInputs(e *lang.Einsum, req *request) (map[string]*tensor.COO, map[string]*storedTensor, error) {
+	wire := req.wire.Inputs
 	inputs := make(map[string]*tensor.COO, len(wire))
 	var refs map[string]*storedTensor
 	fail := func(err error) (map[string]*tensor.COO, map[string]*storedTensor, error) {
@@ -606,11 +636,11 @@ func (s *Server) decodeInputs(e *lang.Einsum, wire map[string]WireTensor) (map[s
 			inputs[a.Tensor] = refs[a.Tensor].coo
 			continue
 		}
-		t, err := wt.toCOO(a.Tensor)
-		if err != nil {
-			return fail(err)
+		op := req.operands[a.Tensor]
+		if op.err != nil {
+			return fail(op.err)
 		}
-		inputs[a.Tensor] = t
+		inputs[a.Tensor] = op.coo
 	}
 	for name := range wire {
 		if !used[name] {
@@ -756,7 +786,7 @@ func (s *Server) finish(j *job, res *sim.Result, errMsg string) {
 		j.status = "done"
 		j.resp = &EvaluateResponse{
 			Cycles:      res.Cycles,
-			Output:      fromCOO(res.Output),
+			Output:      ToWire(res.Output),
 			Fingerprint: j.prep.prog.Fingerprint(),
 			Cache:       j.prep.cache,
 			Engine:      executed,
@@ -882,11 +912,12 @@ func traceRequested(r *http.Request) *obs.Trace {
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeRequest(w, r)
+	tr := traceRequested(r)
+	req, ok := s.decodeRequest(w, r, tr)
 	if !ok {
 		return
 	}
-	prep, err := s.prepare(req, traceRequested(r))
+	prep, err := s.prepare(req, tr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -909,11 +940,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeRequest(w, r)
+	tr := traceRequested(r)
+	req, ok := s.decodeRequest(w, r, tr)
 	if !ok {
 		return
 	}
-	prep, err := s.prepare(req, traceRequested(r))
+	prep, err := s.prepare(req, tr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -985,7 +1017,7 @@ func (s *Server) handleTensorGet(w http.ResponseWriter, r *http.Request) {
 	}
 	info := ent.info()
 	if v := r.URL.Query().Get("data"); v != "" && v != "0" {
-		wt := fromCOO(ent.coo)
+		wt := ToWire(ent.coo)
 		info.Data = &wt
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -1003,24 +1035,35 @@ func (s *Server) handleTensorDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// decodeRequest reads and strictly decodes an evaluation body; unknown
-// fields are rejected so client typos fail loudly, and bodies beyond
-// Config.MaxBodyBytes are rejected with 413 before buffering unboundedly.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*EvaluateRequest, bool) {
-	var req EvaluateRequest
-	if !s.decodeBody(w, r, &req) {
+// decodeRequest is the decode phase of an evaluation: it reads and strictly
+// decodes the body and converts the inline operands, under one "decode"
+// span. Unknown fields are rejected so client typos fail loudly, and bodies
+// beyond Config.MaxBodyBytes are rejected with 413 before buffering
+// unboundedly.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (*request, bool) {
+	req := &request{begin: time.Now()}
+	sp := tr.Start("decode")
+	defer sp.End()
+	if !s.decodeBody(w, r, &req.wire) {
 		return nil, false
 	}
-	return &req, true
+	req.convertOperands()
+	return req, true
+}
+
+// decodeStrict decodes one JSON value and rejects fields the target does not
+// declare. Every request body, on the shard and at the router, goes through
+// it, so the two cannot disagree about what a well-formed request is.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // decodeBody strictly decodes any JSON request body under the configured
 // size bound, writing the error response itself on failure.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,

@@ -15,10 +15,11 @@ import (
 	"sam/internal/tensor"
 )
 
-// toWire converts a COO tensor to the wire format for test requests.
-func toWire(t *tensor.COO) WireTensor {
-	t.Sort()
-	return fromCOO(t)
+// decoded runs the decode phase on a request that never was a body.
+func decoded(wire *EvaluateRequest) *request {
+	req := &request{wire: *wire, begin: time.Now()}
+	req.convertOperands()
+	return req
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -27,6 +28,11 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, url, buf)
+}
+
+func postRaw(t *testing.T, url string, buf []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +65,7 @@ func spmvRequest(seed int64, par int, engine string) (*EvaluateRequest, map[stri
 	c := tensor.UniformRandom("c", rng, 12, 25)
 	req := &EvaluateRequest{
 		Expr:   "x(i) = B(i,j) * c(j)",
-		Inputs: map[string]WireTensor{"B": toWire(b), "c": toWire(c)},
+		Inputs: map[string]WireTensor{"B": ToWire(b), "c": ToWire(c)},
 	}
 	if par > 1 {
 		req.Schedule = &WireSchedule{Par: par}
@@ -265,7 +271,7 @@ func TestBackpressure429(t *testing.T) {
 	c := tensor.UniformRandom("C", rng, 3000, 100, 250)
 	req := &EvaluateRequest{
 		Expr:   "X(i,j) = B(i,k) * C(k,j)",
-		Inputs: map[string]WireTensor{"B": toWire(b), "C": toWire(c)},
+		Inputs: map[string]WireTensor{"B": ToWire(b), "C": ToWire(c)},
 	}
 	const n = 12
 	codes := make([]int, n)

@@ -64,7 +64,7 @@ func TestTensorEndpoints(t *testing.T) {
 	m.Append(2, 0, 1)
 	m.Append(3, 2, 0)
 	m.Append(5, 3, 3)
-	wire := toWire(m)
+	wire := ToWire(m)
 
 	var info TensorInfo
 	if code := doJSON(t, http.MethodPut, url, wire, &info); code != http.StatusOK {
@@ -99,7 +99,7 @@ func TestTensorEndpoints(t *testing.T) {
 	m2 := tensor.NewCOO("m", 4, 4)
 	m2.Append(7, 1, 1)
 	var info2 TensorInfo
-	if code := doJSON(t, http.MethodPut, url, toWire(m2), &info2); code != http.StatusOK {
+	if code := doJSON(t, http.MethodPut, url, ToWire(m2), &info2); code != http.StatusOK {
 		t.Fatalf("re-PUT status %d", code)
 	}
 	if info2.Version != 2 || info2.Fingerprint == info.Fingerprint {
@@ -263,13 +263,14 @@ func pagerankRequest(n, iters int) *EvaluateRequest {
 			m.Append(w, int64(i), int64(j))
 		}
 	}
+	m.Sort()
 	x := tensor.NewCOO("x", n)
 	for i := 0; i < n; i++ {
 		x.Append(1/float64(n), int64(i))
 	}
 	return &EvaluateRequest{
 		Expr:     "y(i) = M(i,j) * x(j)",
-		Inputs:   map[string]WireTensor{"M": toWire(m), "x": toWire(x)},
+		Inputs:   map[string]WireTensor{"M": ToWire(m), "x": ToWire(x)},
 		Fixpoint: &WireFixpoint{Var: "x", MaxIters: iters, Mode: "pagerank", Damping: 0.85},
 	}
 }
@@ -467,7 +468,7 @@ func TestAdmitNoGhostJobs(t *testing.T) {
 	defer close(gate)
 
 	req, _ := spmvRequest(5, 1, "")
-	prep, err := s.prepare(req, nil)
+	prep, err := s.prepare(decoded(req), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"reflect"
+	"slices"
+	"strconv"
 
+	"sam/internal/core"
 	"sam/internal/fiber"
 	"sam/internal/lang"
 	"sam/internal/obs"
@@ -19,9 +26,174 @@ import (
 // and fingerprint into the response.
 type WireTensor struct {
 	Dims   []int     `json:"dims,omitempty"`
-	Coords [][]int64 `json:"coords,omitempty"`
+	Coords Coords    `json:"coords,omitempty"`
 	Values []float64 `json:"values,omitempty"`
 	Ref    string    `json:"ref,omitempty"`
+}
+
+// Coords is the coordinate list of a COO wire tensor, one tuple per stored
+// point: a plain [][]int64 to build, index and range. Only its JSON decoder
+// is special — the per-nonzero part of every inline operand goes through it,
+// so it parses the list in one pass into tuples sliced from one flat backing
+// array (two allocations however many points) where encoding/json would
+// reflect out one slice per point. It accepts and rejects exactly what
+// encoding/json does for a [][]int64, with the same error text.
+type Coords [][]int64
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (c *Coords) UnmarshalJSON(data []byte) error {
+	p := coordsParser{cursor{b: data}}
+	p.ws()
+	if p.literal("null") {
+		*c = nil
+		return p.end()
+	}
+	if !p.eat('[') {
+		return p.unexpected(reflect.TypeFor[[][]int64]())
+	}
+	// Every tuple opens a bracket and every coordinate but a tuple's first
+	// follows a comma, so these two counts bound the allocations exactly for
+	// the well-formed list; a malformed one just appends past them.
+	out := make(Coords, 0, max(bytes.Count(data, []byte{'['})-1, 0))
+	flat := make([]int64, 0, bytes.Count(data, []byte{','})+1)
+	for first := true; ; first = false {
+		if more, err := p.more(first); err != nil {
+			return err
+		} else if !more {
+			break
+		}
+		switch {
+		case p.literal("null"):
+			out = append(out, nil)
+		case p.eat('['):
+			start := len(flat)
+			for first := true; ; first = false {
+				if more, err := p.more(first); err != nil {
+					return err
+				} else if !more {
+					break
+				}
+				v, err := p.int64()
+				if err != nil {
+					return err
+				}
+				flat = append(flat, v)
+			}
+			out = append(out, flat[start:len(flat):len(flat)])
+		default:
+			return p.unexpected(reflect.TypeFor[[]int64]())
+		}
+	}
+	*c = out
+	return p.end()
+}
+
+// coordsParser is the cursor of Coords.UnmarshalJSON.
+type coordsParser struct{ cursor }
+
+// more steps to the next element of the array the cursor is inside: past
+// the comma if there is one, false once past the closing bracket.
+func (p *coordsParser) more(first bool) (bool, error) {
+	p.ws()
+	switch {
+	case p.eat(']'):
+		return false, nil
+	case first:
+		return true, nil
+	case p.eat(','):
+		p.ws()
+		return true, nil
+	}
+	return false, p.syntax()
+}
+
+func (p *coordsParser) literal(s string) bool {
+	if len(p.b)-p.i >= len(s) && string(p.b[p.i:p.i+len(s)]) == s {
+		p.i += len(s)
+		return true
+	}
+	return false
+}
+
+// end requires that only whitespace follows the list.
+func (p *coordsParser) end() error {
+	if p.ws(); p.i < len(p.b) {
+		return p.syntax()
+	}
+	return nil
+}
+
+// syntax reports malformed JSON. encoding/json validates a value before it
+// hands it to an Unmarshaler, so only a direct call gets here.
+func (p *coordsParser) syntax() error {
+	if p.i >= len(p.b) {
+		return io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("coords: invalid character %q at offset %d", p.b[p.i], p.i)
+}
+
+// unexpected reports the value at the cursor, which is not what a [][]int64
+// holds there, the way encoding/json names it.
+func (p *coordsParser) unexpected(want reflect.Type) error {
+	if p.i >= len(p.b) {
+		return io.ErrUnexpectedEOF
+	}
+	var kind string
+	switch c := p.b[p.i]; {
+	case c == '"':
+		kind = "string"
+	case c == '{':
+		kind = "object"
+	case c == '[':
+		kind = "array"
+	case c == 't' || c == 'f':
+		kind = "bool"
+	case c == '-' || c-'0' < 10:
+		kind = "number"
+	default:
+		return p.syntax()
+	}
+	return &json.UnmarshalTypeError{Value: kind, Type: want}
+}
+
+// int64 parses one coordinate: a JSON number that is an integer in range.
+// null leaves the zero value, as it does for encoding/json.
+func (p *coordsParser) int64() (int64, error) {
+	if p.literal("null") {
+		return 0, nil
+	}
+	start := p.i
+	neg := p.eat('-')
+	digits := p.i
+	var n int64
+	for ; p.i < len(p.b) && p.b[p.i]-'0' < 10; p.i++ {
+		n = n*10 + int64(p.b[p.i]-'0')
+	}
+	switch ndigits := p.i - digits; {
+	case ndigits == 0:
+		p.i = start
+		return 0, p.unexpected(reflect.TypeFor[int64]())
+	case ndigits > 1 && p.b[digits] == '0':
+		p.i = digits + 1
+		return 0, p.syntax()
+	case p.i < len(p.b) && (p.b[p.i] == '.' || p.b[p.i] == 'e' || p.b[p.i] == 'E'):
+		// A fraction or an exponent: well-formed or not, not an integer.
+		for p.i < len(p.b) && bytes.IndexByte([]byte("+-.eE0123456789"), p.b[p.i]) >= 0 {
+			p.i++
+		}
+		return 0, &json.UnmarshalTypeError{Value: "number " + string(p.b[start:p.i]), Type: reflect.TypeFor[int64]()}
+	case ndigits > 18:
+		// Past 18 digits n may have wrapped; let strconv find the edge.
+		v, err := strconv.ParseInt(string(p.b[start:p.i]), 10, 64)
+		if err != nil {
+			return 0, &json.UnmarshalTypeError{Value: "number " + string(p.b[start:p.i]), Type: reflect.TypeFor[int64]()}
+		}
+		return v, nil
+	}
+	if neg {
+		n = -n
+	}
+	return n, nil
 }
 
 // inline reports whether any inline tensor data is present; a well-formed
@@ -171,14 +343,15 @@ type EvaluateResponse struct {
 	// miss. The warm/cold setup ratio is the cache's value.
 	SetupNS int64 `json:"setup_ns"`
 	// ElapsedNS is the full server-side request time in nanoseconds, from
-	// the start of request preparation through completion (admission,
+	// the first read of the body through completion (decode, admission,
 	// queue wait, and execution included).
 	ElapsedNS int64 `json:"elapsed_ns"`
 	// TraceID and Trace are set when the request asked for phase tracing
 	// (?trace=1): the per-request trace identifier and the recorded span
-	// breakdown — admission (with cache_lookup and compile or disk_load
-	// children), queue_wait, and the engine's phases (bind, run with
-	// per-lane children, assemble). Span parent indices refer into the
+	// breakdown — decode (body read, JSON, inline operands to COO),
+	// admission (with cache_lookup and compile or disk_load children),
+	// queue_wait, and the engine's phases (bind, run with per-lane
+	// children, assemble). Span parent indices refer into the
 	// same slice; -1 marks a top-level span.
 	TraceID string         `json:"trace_id,omitempty"`
 	Trace   []obs.SpanData `json:"trace,omitempty"`
@@ -229,7 +402,8 @@ type HistogramSnapshot struct {
 	Count   int64     `json:"count"`
 }
 
-// toCOO validates and converts a wire tensor.
+// toCOO validates and converts a wire tensor. The COO is built over the wire
+// tensor's coordinate tuples, not a copy of them.
 func (w WireTensor) toCOO(name string) (*tensor.COO, error) {
 	for _, d := range w.Dims {
 		if d <= 0 {
@@ -248,7 +422,11 @@ func (w WireTensor) toCOO(name string) (*tensor.COO, error) {
 		return nil, fmt.Errorf("input %q: %d coords but %d values", name, len(w.Coords), len(w.Values))
 	}
 	t := tensor.NewCOO(name, w.Dims...)
-	seen := make(map[string]int, len(w.Coords))
+	t.Pts = make([]tensor.Point, len(w.Coords))
+	// Strictly ascending coordinates cannot repeat, so a sorted operand — what
+	// every client of ours sends — is checked for duplicates by comparing
+	// neighbours. seen is built only from the first out-of-order tuple on.
+	var seen map[string]int
 	for i, crd := range w.Coords {
 		if len(crd) != len(w.Dims) {
 			return nil, fmt.Errorf("input %q: coord %d has arity %d, want %d", name, i, len(crd), len(w.Dims))
@@ -258,21 +436,29 @@ func (w WireTensor) toCOO(name string) (*tensor.COO, error) {
 				return nil, fmt.Errorf("input %q: coord %d mode %d = %d outside [0,%d)", name, i, m, c, w.Dims[m])
 			}
 		}
-		key := fmt.Sprint(crd)
-		if j, dup := seen[key]; dup {
-			return nil, fmt.Errorf("input %q: coord %d duplicates coord %d (%v); COO inputs must have unique coordinates", name, i, j, crd)
+		if seen == nil && i > 0 && slices.Compare(w.Coords[i-1], crd) >= 0 {
+			seen = make(map[string]int, len(w.Coords))
+			for j, prev := range w.Coords[:i] {
+				seen[core.PackKey(prev)] = j
+			}
 		}
-		seen[key] = i
-		t.Append(w.Values[i], crd...)
+		if seen != nil {
+			key := core.PackKey(crd)
+			if j, dup := seen[key]; dup {
+				return nil, fmt.Errorf("input %q: coord %d duplicates coord %d (%v); COO inputs must have unique coordinates", name, i, j, crd)
+			}
+			seen[key] = i
+		}
+		t.Pts[i] = tensor.Point{Crd: crd, Val: w.Values[i]}
 	}
 	return t, nil
 }
 
-// fromCOO converts a result tensor onto the wire.
-func fromCOO(t *tensor.COO) WireTensor {
+// ToWire puts a COO tensor on the wire, sharing its coordinate tuples.
+func ToWire(t *tensor.COO) WireTensor {
 	w := WireTensor{Dims: t.Dims, Values: make([]float64, 0, len(t.Pts))}
 	if t.Order() > 0 {
-		w.Coords = make([][]int64, 0, len(t.Pts))
+		w.Coords = make(Coords, 0, len(t.Pts))
 	}
 	for _, p := range t.Pts {
 		if t.Order() > 0 {

@@ -8,6 +8,145 @@ import (
 	"testing"
 )
 
+// validWireRequest is the baseline request every wire error case mutates.
+func validWireRequest() *EvaluateRequest {
+	return &EvaluateRequest{
+		Expr: "x(i) = B(i,j) * c(j)",
+		Inputs: map[string]WireTensor{
+			"B": {Dims: []int{3, 2}, Coords: [][]int64{{0, 0}, {2, 1}}, Values: []float64{1, 2}},
+			"c": {Dims: []int{2}, Coords: [][]int64{{0}, {1}}, Values: []float64{3, 4}},
+		},
+	}
+}
+
+// wireErrorCases is the request-validation error table of the wire format:
+// TestWireFormatErrorPaths holds a shard to it, and
+// TestRouterWireErrorParity replays it through a router.
+var wireErrorCases = []struct {
+	name    string
+	mutate  func(r *EvaluateRequest)
+	status  int
+	wantMsg string
+}{
+	{
+		name: "coords values length mismatch",
+		mutate: func(r *EvaluateRequest) {
+			r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{0, 0}}, Values: []float64{1, 2}}
+		},
+		status: http.StatusBadRequest, wantMsg: "1 coords but 2 values",
+	},
+	{
+		name: "coord arity under rank",
+		mutate: func(r *EvaluateRequest) {
+			r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{0}, {2, 1}}, Values: []float64{1, 2}}
+		},
+		status: http.StatusBadRequest, wantMsg: "arity 1, want 2",
+	},
+	{
+		name: "coordinate outside dimension",
+		mutate: func(r *EvaluateRequest) {
+			r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{0, 0}, {3, 1}}, Values: []float64{1, 2}}
+		},
+		status: http.StatusBadRequest, wantMsg: "outside [0,3)",
+	},
+	{
+		name: "negative coordinate",
+		mutate: func(r *EvaluateRequest) {
+			r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{-1, 0}, {2, 1}}, Values: []float64{1, 2}}
+		},
+		status: http.StatusBadRequest, wantMsg: "outside [0,3)",
+	},
+	{
+		name: "duplicate coordinates",
+		mutate: func(r *EvaluateRequest) {
+			r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{2, 1}, {2, 1}}, Values: []float64{1, 2}}
+		},
+		status: http.StatusBadRequest, wantMsg: "duplicates coord",
+	},
+	{
+		name: "non-positive dimension",
+		mutate: func(r *EvaluateRequest) {
+			r.Inputs["B"] = WireTensor{Dims: []int{3, 0}, Coords: [][]int64{{0, 0}}, Values: []float64{1}}
+		},
+		status: http.StatusBadRequest, wantMsg: "non-positive dimension",
+	},
+	{
+		name: "scalar with coords",
+		mutate: func(r *EvaluateRequest) {
+			r.Expr = "x(i) = alpha * b(i)"
+			r.Inputs = map[string]WireTensor{
+				"alpha": {Coords: [][]int64{{0}}, Values: []float64{2}},
+				"b":     {Dims: []int{3}, Coords: [][]int64{{1}}, Values: []float64{1}},
+			}
+		},
+		status: http.StatusBadRequest, wantMsg: "order-0",
+	},
+	{
+		name: "rank mismatch against access",
+		mutate: func(r *EvaluateRequest) {
+			r.Inputs["c"] = WireTensor{Dims: []int{2, 2}, Coords: [][]int64{{0, 0}}, Values: []float64{3}}
+		},
+		status: http.StatusBadRequest, wantMsg: "order 2",
+	},
+	{
+		name: "shared index dimension mismatch",
+		mutate: func(r *EvaluateRequest) {
+			r.Inputs["c"] = WireTensor{Dims: []int{5}, Coords: [][]int64{{0}}, Values: []float64{3}}
+		},
+		status: http.StatusBadRequest, wantMsg: "index \"j\"",
+	},
+	{
+		name:   "missing input",
+		mutate: func(r *EvaluateRequest) { delete(r.Inputs, "c") },
+		status: http.StatusBadRequest, wantMsg: "no input for tensor \"c\"",
+	},
+	{
+		name: "unreferenced input",
+		mutate: func(r *EvaluateRequest) {
+			r.Inputs["Z"] = WireTensor{Dims: []int{2}, Coords: [][]int64{{0}}, Values: []float64{1}}
+		},
+		status: http.StatusBadRequest, wantMsg: "not referenced",
+	},
+	{
+		name:   "unknown opt level",
+		mutate: func(r *EvaluateRequest) { lvl := 7; r.Schedule = &WireSchedule{Opt: &lvl} },
+		status: http.StatusBadRequest, wantMsg: "unknown opt level 7",
+	},
+	{
+		name:   "negative opt level",
+		mutate: func(r *EvaluateRequest) { lvl := -1; r.Schedule = &WireSchedule{Opt: &lvl} },
+		status: http.StatusBadRequest, wantMsg: "unknown opt level -1",
+	},
+	{
+		// Residual with j outermost: a schedule no engine can run is a
+		// 400 from the compiler, not a 500 from the run.
+		name: "partial reduction outside a wider variable",
+		mutate: func(r *EvaluateRequest) {
+			r.Expr = "x(i) = b(i) - C(i,j) * d(j)"
+			r.Schedule = &WireSchedule{LoopOrder: []string{"j", "i"}}
+			r.Inputs = map[string]WireTensor{
+				"b": {Dims: []int{3}, Coords: [][]int64{{0}, {2}}, Values: []float64{1, 2}},
+				"C": {Dims: []int{3, 2}, Coords: [][]int64{{0, 0}, {2, 1}}, Values: []float64{1, 2}},
+				"d": {Dims: []int{2}, Coords: [][]int64{{0}, {1}}, Values: []float64{3, 4}},
+			}
+		},
+		status:  http.StatusBadRequest,
+		wantMsg: `variable "j" is reduced over only part of the expression but iterated outside "i"`,
+	},
+	{
+		name:    "removed engine flow",
+		mutate:  func(r *EvaluateRequest) { r.Options = &WireOptions{Engine: "flow"} },
+		status:  http.StatusBadRequest,
+		wantMsg: `unknown engine "flow" (registered engines: "event", "naive", "comp")`,
+	},
+	{
+		name:    "removed engine byte",
+		mutate:  func(r *EvaluateRequest) { r.Options = &WireOptions{Engine: "byte"} },
+		status:  http.StatusBadRequest,
+		wantMsg: `unknown engine "byte" (registered engines: "event", "naive", "comp")`,
+	},
+}
+
 // TestWireFormatErrorPaths drives the request-validation error paths of the
 // wire format table-style: every malformed body must come back 4xx with a
 // diagnostic mentioning the offending piece, and must never reach the
@@ -18,144 +157,9 @@ func TestWireFormatErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// valid is the baseline request every case mutates.
-	valid := func() *EvaluateRequest {
-		return &EvaluateRequest{
-			Expr: "x(i) = B(i,j) * c(j)",
-			Inputs: map[string]WireTensor{
-				"B": {Dims: []int{3, 2}, Coords: [][]int64{{0, 0}, {2, 1}}, Values: []float64{1, 2}},
-				"c": {Dims: []int{2}, Coords: [][]int64{{0}, {1}}, Values: []float64{3, 4}},
-			},
-		}
-	}
-
-	cases := []struct {
-		name    string
-		mutate  func(r *EvaluateRequest)
-		status  int
-		wantMsg string
-	}{
-		{
-			name: "coords values length mismatch",
-			mutate: func(r *EvaluateRequest) {
-				r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{0, 0}}, Values: []float64{1, 2}}
-			},
-			status: http.StatusBadRequest, wantMsg: "1 coords but 2 values",
-		},
-		{
-			name: "coord arity under rank",
-			mutate: func(r *EvaluateRequest) {
-				r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{0}, {2, 1}}, Values: []float64{1, 2}}
-			},
-			status: http.StatusBadRequest, wantMsg: "arity 1, want 2",
-		},
-		{
-			name: "coordinate outside dimension",
-			mutate: func(r *EvaluateRequest) {
-				r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{0, 0}, {3, 1}}, Values: []float64{1, 2}}
-			},
-			status: http.StatusBadRequest, wantMsg: "outside [0,3)",
-		},
-		{
-			name: "negative coordinate",
-			mutate: func(r *EvaluateRequest) {
-				r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{-1, 0}, {2, 1}}, Values: []float64{1, 2}}
-			},
-			status: http.StatusBadRequest, wantMsg: "outside [0,3)",
-		},
-		{
-			name: "duplicate coordinates",
-			mutate: func(r *EvaluateRequest) {
-				r.Inputs["B"] = WireTensor{Dims: []int{3, 2}, Coords: [][]int64{{2, 1}, {2, 1}}, Values: []float64{1, 2}}
-			},
-			status: http.StatusBadRequest, wantMsg: "duplicates coord",
-		},
-		{
-			name: "non-positive dimension",
-			mutate: func(r *EvaluateRequest) {
-				r.Inputs["B"] = WireTensor{Dims: []int{3, 0}, Coords: [][]int64{{0, 0}}, Values: []float64{1}}
-			},
-			status: http.StatusBadRequest, wantMsg: "non-positive dimension",
-		},
-		{
-			name: "scalar with coords",
-			mutate: func(r *EvaluateRequest) {
-				r.Expr = "x(i) = alpha * b(i)"
-				r.Inputs = map[string]WireTensor{
-					"alpha": {Coords: [][]int64{{0}}, Values: []float64{2}},
-					"b":     {Dims: []int{3}, Coords: [][]int64{{1}}, Values: []float64{1}},
-				}
-			},
-			status: http.StatusBadRequest, wantMsg: "order-0",
-		},
-		{
-			name: "rank mismatch against access",
-			mutate: func(r *EvaluateRequest) {
-				r.Inputs["c"] = WireTensor{Dims: []int{2, 2}, Coords: [][]int64{{0, 0}}, Values: []float64{3}}
-			},
-			status: http.StatusBadRequest, wantMsg: "order 2",
-		},
-		{
-			name: "shared index dimension mismatch",
-			mutate: func(r *EvaluateRequest) {
-				r.Inputs["c"] = WireTensor{Dims: []int{5}, Coords: [][]int64{{0}}, Values: []float64{3}}
-			},
-			status: http.StatusBadRequest, wantMsg: "index \"j\"",
-		},
-		{
-			name:   "missing input",
-			mutate: func(r *EvaluateRequest) { delete(r.Inputs, "c") },
-			status: http.StatusBadRequest, wantMsg: "no input for tensor \"c\"",
-		},
-		{
-			name: "unreferenced input",
-			mutate: func(r *EvaluateRequest) {
-				r.Inputs["Z"] = WireTensor{Dims: []int{2}, Coords: [][]int64{{0}}, Values: []float64{1}}
-			},
-			status: http.StatusBadRequest, wantMsg: "not referenced",
-		},
-		{
-			name:   "unknown opt level",
-			mutate: func(r *EvaluateRequest) { lvl := 7; r.Schedule = &WireSchedule{Opt: &lvl} },
-			status: http.StatusBadRequest, wantMsg: "unknown opt level 7",
-		},
-		{
-			name:   "negative opt level",
-			mutate: func(r *EvaluateRequest) { lvl := -1; r.Schedule = &WireSchedule{Opt: &lvl} },
-			status: http.StatusBadRequest, wantMsg: "unknown opt level -1",
-		},
-		{
-			// Residual with j outermost: a schedule no engine can run is a
-			// 400 from the compiler, not a 500 from the run.
-			name: "partial reduction outside a wider variable",
-			mutate: func(r *EvaluateRequest) {
-				r.Expr = "x(i) = b(i) - C(i,j) * d(j)"
-				r.Schedule = &WireSchedule{LoopOrder: []string{"j", "i"}}
-				r.Inputs = map[string]WireTensor{
-					"b": {Dims: []int{3}, Coords: [][]int64{{0}, {2}}, Values: []float64{1, 2}},
-					"C": {Dims: []int{3, 2}, Coords: [][]int64{{0, 0}, {2, 1}}, Values: []float64{1, 2}},
-					"d": {Dims: []int{2}, Coords: [][]int64{{0}, {1}}, Values: []float64{3, 4}},
-				}
-			},
-			status:  http.StatusBadRequest,
-			wantMsg: `variable "j" is reduced over only part of the expression but iterated outside "i"`,
-		},
-		{
-			name:    "removed engine flow",
-			mutate:  func(r *EvaluateRequest) { r.Options = &WireOptions{Engine: "flow"} },
-			status:  http.StatusBadRequest,
-			wantMsg: `unknown engine "flow" (registered engines: "event", "naive", "comp")`,
-		},
-		{
-			name:    "removed engine byte",
-			mutate:  func(r *EvaluateRequest) { r.Options = &WireOptions{Engine: "byte"} },
-			status:  http.StatusBadRequest,
-			wantMsg: `unknown engine "byte" (registered engines: "event", "naive", "comp")`,
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range wireErrorCases {
 		for _, path := range []string{"/v1/evaluate", "/v1/jobs"} {
-			req := valid()
+			req := validWireRequest()
 			tc.mutate(req)
 			resp, body := postJSON(t, ts.URL+path, req)
 			if resp.StatusCode != tc.status {
