@@ -7,21 +7,12 @@
 //	sambench                 # run everything
 //	sambench -exp fig12      # one experiment
 //	sambench -exp table1,fig13a -scale 0.5
-//	sambench -exp engines -json > BENCH.json   # machine-readable results
+//	sambench -exp fig12 -json                  # machine-readable results
 //	sambench -engine naive   # re-run the evaluation on the tick-all loop
-//	sambench -exp parallel -par 1,2,4,8,16     # lane-scaling study
-//	sambench -exp serve -json > BENCH_PR3.json # serving cache + scaling study
-//	sambench -exp opt -json > BENCH_PR4.json   # graph-optimizer study
-//	sambench -exp comp -json > BENCH_PR5.json  # compiled-engine speedup study
-//	sambench -exp throughput -json > BENCH_PR6.json # lane/pool/batch throughput study
-//	sambench -exp artifact -json > BENCH_PR7.json # program-artifact encode/decode/serve study
-//	sambench -exp obs -json > BENCH_PR8.json   # observability-cost study
-//	sambench -exp state -json > BENCH_PR9.json # named-operand-store study
-//	sambench -exp shard -json > BENCH_PR10.json # sharded-router fleet study
 //
 // Experiments: table1, table2, fig11, fig12, fig13a, fig13b, fig13c, fig14,
-// fig15, pointlevel, engines, parallel, serve, opt, comp, throughput,
-// artifact, obs, state, shard.
+// fig15, pointlevel. Performance is measured by bench/ (BENCHMARK.json), not
+// here.
 package main
 
 import (
@@ -32,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -40,13 +30,12 @@ import (
 	"sam/internal/sim"
 )
 
-var all = []string{"table1", "table2", "fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig14", "fig15", "pointlevel", "engines", "parallel", "serve", "opt", "comp", "throughput", "artifact", "obs", "state", "shard"}
+var all = []string{"table1", "table2", "fig11", "fig12", "fig13a", "fig13b", "fig13c", "fig14", "fig15", "pointlevel"}
 
 // jsonResult is the machine-readable record emitted per experiment with
-// -json, so perf trajectories can be tracked across PRs in BENCH_*.json.
-// CPUs and GoMaxProcs pin the host parallelism of every row: wall-clock and
-// throughput numbers are not comparable across rows measured under
-// different core budgets.
+// -json. CPUs and GoMaxProcs pin the host parallelism of every row:
+// wall-clock numbers are not comparable across rows measured under different
+// core budgets.
 type jsonResult struct {
 	Experiment string  `json:"experiment"`
 	Seed       int64   `json:"seed"`
@@ -69,9 +58,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "comma-separated experiments to run (see usage)")
 	seed := fs.Int64("seed", 1, "random seed for synthetic data")
-	scale := fs.Float64("scale", 1.0, "problem-size scale for fig11/fig12/engines/parallel (1.0 = paper size)")
+	scale := fs.Float64("scale", 1.0, "problem-size scale for fig11/fig12 (1.0 = paper size)")
 	engine := fs.String("engine", "", "simulation engine: event (default) or naive")
-	par := fs.String("par", "", "comma-separated lane counts for the parallel experiment (default 1,2,4,8,16)")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -92,26 +80,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		experiments.SimOptions.Engine = kind
 	}
-	lanes, err := parseLanes(*par)
+	// Validate every name up front: a typo in the list is better reported
+	// now than after the experiments before it have run for seconds.
+	names, err := parseExperiments(*exp)
 	if err != nil {
 		fmt.Fprintf(stderr, "sambench: %v\n", err)
-		return 1
-	}
-	names := all
-	if *exp != "all" {
-		names = strings.Split(*exp, ",")
-	}
-	// Validate flag combinations up front: -par configures only the
-	// parallel lane sweep, so asking for it without that experiment is a
-	// mistake better reported now than silently ignored for a long run.
-	if len(lanes) > 0 && !slices.Contains(names, "parallel") {
-		fmt.Fprintf(stderr, "sambench: -par only applies to the parallel experiment; add -exp parallel (running: %s)\n", strings.Join(names, ","))
 		return 1
 	}
 	var records []jsonResult
 	for _, name := range names {
 		start := time.Now()
-		text, data, err := run(name, *seed, *scale, lanes)
+		text, data, err := run(name, *seed, *scale)
 		if err != nil {
 			fmt.Fprintf(stderr, "sambench: %s: %v\n", name, err)
 			return 1
@@ -143,25 +122,27 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseLanes reads the -par lane list.
-func parseLanes(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
+// parseExperiments resolves the -exp list, rejecting unknown and repeated
+// names.
+func parseExperiments(spec string) ([]string, error) {
+	if spec == "all" {
+		return all, nil
 	}
-	var lanes []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -par lane count %q", part)
+	names := strings.Split(spec, ",")
+	for i, name := range names {
+		if !slices.Contains(all, name) {
+			return nil, fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(all, ", "))
 		}
-		lanes = append(lanes, n)
+		if slices.Contains(names[:i], name) {
+			return nil, fmt.Errorf("experiment %q listed twice", name)
+		}
 	}
-	return lanes, nil
+	return names, nil
 }
 
-// run executes one experiment, returning both the rendered table and the
-// structured rows for -json.
-func run(name string, seed int64, scale float64, lanes []int) (string, any, error) {
+// run executes one of the experiments in all, returning both the rendered
+// table and the structured rows for -json.
+func run(name string, seed int64, scale float64) (string, any, error) {
 	switch name {
 	case "table1":
 		rows, err := experiments.Table1()
@@ -221,66 +202,6 @@ func run(name string, seed int64, scale float64, lanes []int) (string, any, erro
 			return "", nil, err
 		}
 		return experiments.RenderPointVsLevel(rows), rows, nil
-	case "engines":
-		pts, err := experiments.EngineComparison(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderEngineComparison(pts), pts, nil
-	case "parallel":
-		pts, err := experiments.ParallelSpeedup(seed, scale, lanes)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderParallel(pts), pts, nil
-	case "serve":
-		res, err := experiments.ServeStudy(seed, scale, nil)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderServe(res), res, nil
-	case "opt":
-		rows, err := experiments.OptStudy(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderOpt(rows), rows, nil
-	case "comp":
-		rows, err := experiments.CompStudy(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderComp(rows), rows, nil
-	case "throughput":
-		res, err := experiments.ThroughputStudy(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderThroughput(res), res, nil
-	case "artifact":
-		res, err := experiments.ArtifactStudy(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderArtifact(res), res, nil
-	case "obs":
-		res, err := experiments.ObsStudy(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderObs(res), res, nil
-	case "state":
-		res, err := experiments.StateStudy(seed, scale)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderState(res), res, nil
-	case "shard":
-		res, err := experiments.ShardStudy(seed, scale, nil)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.RenderShard(res), res, nil
 	}
-	return "", nil, fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(all, ", "))
+	panic("sambench: experiment " + name + " is listed in all but has no case in run")
 }

@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// TestSmokeParallelJSON runs the parallel experiment at a tiny scale and
-// golden-checks the -json output shape.
+// TestSmokeParallelJSON runs Figure 12 — the experiment that goes through
+// SimulateBatch's worker pool — at a small scale and golden-checks the -json
+// envelope, host-parallelism fields included, and the row shape.
 func TestSmokeParallelJSON(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := realMain([]string{"-exp", "parallel", "-scale", "0.05", "-par", "1,2,4", "-json"}, &stdout, &stderr)
+	code := realMain([]string{"-exp", "fig12", "-scale", "0.3", "-json"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
@@ -19,25 +20,28 @@ func TestSmokeParallelJSON(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &records); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, stdout.String())
 	}
-	if len(records) != 1 || records[0].Experiment != "parallel" {
+	if len(records) != 1 || records[0].Experiment != "fig12" {
 		t.Fatalf("records = %+v", records)
 	}
-	if records[0].Engine != "event" || records[0].Scale != 0.05 {
+	if records[0].Engine != "event" || records[0].Scale != 0.3 {
 		t.Errorf("record metadata = %+v", records[0])
+	}
+	if records[0].CPUs < 1 || records[0].GoMaxProcs < 1 {
+		t.Errorf("record cpus/gomaxprocs = %d/%d, want >= 1", records[0].CPUs, records[0].GoMaxProcs)
 	}
 	rows, ok := records[0].Data.([]any)
 	if !ok {
 		t.Fatalf("data is %T, want a row list", records[0].Data)
 	}
-	// 3 kernels x 3 lane counts.
-	if len(rows) != 9 {
-		t.Fatalf("got %d rows, want 9", len(rows))
+	// One row per index order of i, j, k.
+	if len(rows) != 6 {
+		t.Fatalf("got %d rows, want 6", len(rows))
 	}
 	row, ok := rows[0].(map[string]any)
 	if !ok {
 		t.Fatalf("row is %T", rows[0])
 	}
-	for _, field := range []string{"kernel", "lanes", "cycles", "speedup_vs_1"} {
+	for _, field := range []string{"Order", "Cycles"} {
 		if _, ok := row[field]; !ok {
 			t.Errorf("row missing field %q: %v", field, row)
 		}
@@ -59,105 +63,58 @@ func TestSmokeTextOutput(t *testing.T) {
 	}
 }
 
-// TestSmokeServeJSON runs the serving study at a tiny scale and checks the
-// -json record carries both the cache and scaling sections.
-func TestSmokeServeJSON(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := realMain([]string{"-exp", "serve", "-scale", "0.05", "-json"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	var records []jsonResult
-	if err := json.Unmarshal(stdout.Bytes(), &records); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, stdout.String())
-	}
-	if len(records) != 1 || records[0].Experiment != "serve" {
-		t.Fatalf("records = %+v", records)
-	}
-	data, ok := records[0].Data.(map[string]any)
-	if !ok {
-		t.Fatalf("data is %T, want an object", records[0].Data)
-	}
-	for _, section := range []string{"cpus", "cache", "scaling"} {
-		if _, ok := data[section]; !ok {
-			t.Errorf("data missing section %q", section)
+// TestExperimentListValidatedFirst checks a bad name anywhere in -exp fails
+// before the experiments ahead of it run: exit 1, nothing on stdout (text or
+// -json), and the ten valid names on stderr.
+func TestExperimentListValidatedFirst(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "fig15,bogus"},
+		{"-exp", "fig15,bogus", "-json"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(args, &stdout, &stderr); code != 1 {
+			t.Errorf("args %v: exit %d, want 1", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("args %v: stdout %q, want empty", args, stdout.String())
+		}
+		want := "table1, table2, fig11, fig12, fig13a, fig13b, fig13c, fig14, fig15, pointlevel)"
+		if !strings.Contains(stderr.String(), `unknown experiment "bogus"`) || !strings.Contains(stderr.String(), want) {
+			t.Errorf("args %v: stderr %q, want unknown experiment \"bogus\" and the list %q", args, stderr.String(), want)
 		}
 	}
-}
-
-// TestSmokeThroughputJSON runs the throughput study at a tiny scale and
-// checks the -json record carries the lane, alloc and serve sections plus
-// the host-parallelism fields every BENCH row must pin.
-func TestSmokeThroughputJSON(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := realMain([]string{"-exp", "throughput", "-scale", "0.05", "-json"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	if code := realMain([]string{"-exp", "fig15,table1,fig15"}, &stdout, &stderr); code != 1 || stdout.Len() != 0 {
+		t.Errorf("duplicate name: exit %d, stdout %q, want 1 and empty", code, stdout.String())
 	}
-	var records []jsonResult
-	if err := json.Unmarshal(stdout.Bytes(), &records); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, stdout.String())
-	}
-	if len(records) != 1 || records[0].Experiment != "throughput" {
-		t.Fatalf("records = %+v", records)
-	}
-	if records[0].CPUs < 1 || records[0].GoMaxProcs < 1 {
-		t.Errorf("record cpus/gomaxprocs = %d/%d, want >= 1", records[0].CPUs, records[0].GoMaxProcs)
-	}
-	data, ok := records[0].Data.(map[string]any)
-	if !ok {
-		t.Fatalf("data is %T, want an object", records[0].Data)
-	}
-	for _, section := range []string{"cpus", "gomaxprocs", "lanes", "allocs", "serve"} {
-		if _, ok := data[section]; !ok {
-			t.Errorf("data missing section %q", section)
-		}
-	}
-	allocs, ok := data["allocs"].([]any)
-	if !ok || len(allocs) == 0 {
-		t.Fatalf("allocs section = %v, want non-empty list", data["allocs"])
-	}
-	for _, a := range allocs {
-		pt := a.(map[string]any)
-		if n := pt["allocs_per_run"].(float64); n != 0 {
-			t.Errorf("kernel %v: allocs_per_run = %v, want 0", pt["kernel"], n)
-		}
-	}
-}
-
-// TestParFlagRequiresParallelExperiment checks the flag-combination
-// validation: -par without the parallel experiment fails up front.
-func TestParFlagRequiresParallelExperiment(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := realMain([]string{"-exp", "engines", "-par", "2"}, &stdout, &stderr); code == 0 {
-		t.Fatal("exit 0, want failure")
-	}
-	if !strings.Contains(stderr.String(), "parallel") {
-		t.Errorf("diagnostic %q does not name the parallel experiment", stderr.String())
-	}
-	// With the parallel experiment in the list the combination is legal.
-	stdout.Reset()
-	stderr.Reset()
-	if code := realMain([]string{"-exp", "parallel", "-scale", "0.05", "-par", "1,2"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	if !strings.Contains(stderr.String(), `"fig15" listed twice`) {
+		t.Errorf("duplicate name: stderr %q does not name the repeated experiment", stderr.String())
 	}
 }
 
 // TestSmokeBadFlags checks the error paths exit nonzero without panicking.
+// The ten per-PR studies and -par were removed (the repository's benchmark is
+// bench/); each is an unknown experiment or an undefined flag like any other.
 func TestSmokeBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-exp", "nope"},
-		{"-engine", "warp"},
-		{"-exp", "parallel", "-par", "0"},
-		{"-exp", "parallel", "-par", "x"},
+	type badCase struct {
+		args []string
+		code int
+		want string // on stderr
 	}
-	for _, args := range cases {
+	cases := []badCase{
+		{[]string{"-engine", "warp"}, 1, `unknown engine "warp"`},
+		{[]string{"-exp", "fig12", "-par", "4"}, 2, "flag provided but not defined: -par"},
+	}
+	for _, name := range []string{"nope", "engines", "parallel", "serve", "opt", "comp", "throughput", "artifact", "obs", "state", "shard"} {
+		cases = append(cases, badCase{[]string{"-exp", name}, 1, `unknown experiment "` + name + `"`})
+	}
+	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := realMain(args, &stdout, &stderr); code == 0 {
-			t.Errorf("args %v: exit 0, want failure", args)
+		if code := realMain(tc.args, &stdout, &stderr); code != tc.code {
+			t.Errorf("args %v: exit %d, want %d", tc.args, code, tc.code)
 		}
-		if stderr.Len() == 0 {
-			t.Errorf("args %v: no diagnostic on stderr", args)
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("args %v: stderr %q, want it to contain %q", tc.args, stderr.String(), tc.want)
 		}
 	}
 }
@@ -183,15 +140,5 @@ func TestUnknownEngineListsRegistered(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "no cycle model") {
 		t.Errorf("engine comp: diagnostic %q does not explain the cycle-model requirement", stderr.String())
-	}
-}
-
-func TestParseLanes(t *testing.T) {
-	lanes, err := parseLanes("1, 2,8")
-	if err != nil || len(lanes) != 3 || lanes[0] != 1 || lanes[1] != 2 || lanes[2] != 8 {
-		t.Errorf("parseLanes = %v, %v", lanes, err)
-	}
-	if lanes, err := parseLanes(""); err != nil || lanes != nil {
-		t.Errorf("empty spec = %v, %v", lanes, err)
 	}
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	samserve                          # listen on :8345 with defaults
-//	samserve -addr 127.0.0.1:9000 -workers 8 -queue 256 -cache 512 -batch 4
+//	samserve -addr 127.0.0.1:9000 -workers 8 -queue 256 -cache 512
 //	samserve -artifacts /var/cache/sam    # persistent on-disk program cache
 //	samserve -pprof -logrequests          # profiling endpoints + access log
 //
@@ -73,7 +73,6 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 	workers := fs.Int("workers", 4, "job queue worker pool size")
 	queueDepth := fs.Int("queue", 64, "admission queue depth (submissions beyond it get 429)")
 	cacheSize := fs.Int("cache", 128, "compiled-program LRU capacity")
-	batchMax := fs.Int("batch", 1, "max jobs one worker batches through SimulateBatch")
 	optLevel := fs.Int("O", 0, "default graph-optimization level for requests that omit schedule.opt")
 	maxBody := fs.Int64("maxbody", 8<<20, "request body size limit in bytes (oversized payloads get 413)")
 	tensorBudget := fs.Int64("tensorbudget", 256<<20, "named tensor store budget in bytes (LRU eviction beyond it)")
@@ -96,8 +95,8 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 			return 2
 		}
 	}
-	if *workers < 1 || *queueDepth < 1 || *cacheSize < 1 || *batchMax < 1 {
-		fmt.Fprintln(stderr, "samserve: -workers, -queue, -cache and -batch must be positive")
+	if *workers < 1 || *queueDepth < 1 || *cacheSize < 1 {
+		fmt.Fprintln(stderr, "samserve: -workers, -queue and -cache must be positive")
 		return 2
 	}
 	if *optLevel < 0 || *optLevel > opt.MaxLevel {
@@ -119,8 +118,7 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 		return 1
 	}
 	cfg := serve.Config{
-		Workers: *workers, QueueDepth: *queueDepth,
-		CacheSize: *cacheSize, BatchMax: *batchMax,
+		Workers: *workers, QueueDepth: *queueDepth, CacheSize: *cacheSize,
 		DefaultOpt: *optLevel, MaxBodyBytes: *maxBody,
 		TensorBudgetBytes: *tensorBudget,
 		ArtifactDir:       *artifacts, EnablePprof: *pprofOn,
@@ -131,8 +129,8 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 	}
 	s := serve.NewServer(cfg)
 	httpSrv := &http.Server{Handler: s}
-	fmt.Fprintf(stdout, "samserve: listening on http://%s (workers=%d queue=%d cache=%d batch=%d opt=%d)\n",
-		ln.Addr(), *workers, *queueDepth, *cacheSize, *batchMax, *optLevel)
+	fmt.Fprintf(stdout, "samserve: listening on http://%s (workers=%d queue=%d cache=%d opt=%d)\n",
+		ln.Addr(), *workers, *queueDepth, *cacheSize, *optLevel)
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
@@ -161,7 +159,7 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 // rejected here — the router holds no programs and no tensors of its own,
 // only the ring, the probe loop, and the tile registry.
 func routerMain(fs *flag.FlagSet, route, addr string, probeEvery time.Duration, tileThreshold, maxBody int64, logReqs bool, stdout, stderr io.Writer, stop <-chan os.Signal) int {
-	for _, f := range []string{"workers", "queue", "cache", "batch", "O", "tensorbudget", "artifacts", "pprof", "warm"} {
+	for _, f := range []string{"workers", "queue", "cache", "O", "tensorbudget", "artifacts", "pprof", "warm"} {
 		if flagSet(fs, f) {
 			fmt.Fprintf(stderr, "samserve: -%s only applies to a shard, not the router (-route)\n", f)
 			return 2

@@ -206,14 +206,24 @@ func TestSmokeArtifacts(t *testing.T) {
 	}
 }
 
-// TestBadFlags checks flag validation exits with usage errors.
+// TestBadFlags checks flag validation exits with usage errors. -batch was
+// removed with micro-batching and is an undefined flag like any other.
 func TestBadFlags(t *testing.T) {
-	var stdout, stderr syncBuffer
-	if code := realMain([]string{"-workers", "0"}, &stdout, &stderr, nil); code != 2 {
-		t.Errorf("-workers 0 exit %d, want 2", code)
-	}
-	if code := realMain([]string{"-bogus"}, &stdout, &stderr, nil); code != 2 {
-		t.Errorf("-bogus exit %d, want 2", code)
+	for _, tc := range []struct {
+		args []string
+		want string // on stderr
+	}{
+		{[]string{"-workers", "0"}, "must be positive"},
+		{[]string{"-bogus"}, "flag provided but not defined: -bogus"},
+		{[]string{"-batch", "2"}, "flag provided but not defined: -batch"},
+	} {
+		var stdout, stderr syncBuffer
+		if code := realMain(tc.args, &stdout, &stderr, nil); code != 2 {
+			t.Errorf("%v exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v stderr %q, want it to contain %q", tc.args, stderr.String(), tc.want)
+		}
 	}
 }
 
@@ -232,7 +242,7 @@ func TestRouterFlags(t *testing.T) {
 		}
 	}
 	serverOnly := [][]string{
-		{"-workers", "8"}, {"-queue", "16"}, {"-cache", "8"}, {"-batch", "2"},
+		{"-workers", "8"}, {"-queue", "16"}, {"-cache", "8"},
 		{"-O", "1"}, {"-tensorbudget", "1024"}, {"-artifacts", "/tmp/x"},
 		{"-pprof"}, {"-warm", "x(i) = B(i,j) * c(j)"},
 	}

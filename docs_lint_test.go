@@ -129,6 +129,40 @@ func TestOperationsFlagTablesComplete(t *testing.T) {
 	}
 }
 
+// TestDocsExperimentsExist checks every `-exp name[,name...]` mention in the
+// docs against the experiment list sambench validates -exp with (the `all`
+// slice in its main.go), so a removed experiment cannot linger in prose.
+func TestDocsExperimentsExist(t *testing.T) {
+	src, err := os.ReadFile("cmd/sambench/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := regexp.MustCompile(`(?m)^var all = \[\]string\{([^}]*)\}`).FindSubmatch(src)
+	if list == nil {
+		t.Fatal("found no experiment list in cmd/sambench/main.go; lint regex out of date?")
+	}
+	known := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`"([^"]+)"`).FindAllSubmatch(list[1], -1) {
+		known[string(m[1])] = true
+	}
+	mention := regexp.MustCompile(`-exp\s+([a-z0-9,]+)`)
+	for _, path := range docFiles {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read %s: %v", path, err)
+		}
+		for i, line := range strings.Split(string(doc), "\n") {
+			for _, m := range mention.FindAllStringSubmatch(line, -1) {
+				for _, name := range strings.Split(m[1], ",") {
+					if !known[name] {
+						t.Errorf("%s:%d documents -exp %s, which sambench does not know", path, i+1, name)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDocsLinked asserts the docs exist and the README links every one of
 // them, so they stay discoverable.
 func TestDocsLinked(t *testing.T) {

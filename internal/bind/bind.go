@@ -140,13 +140,6 @@ func (p *Plan) build(bd graph.Binding, src *tensor.COO) (*fiber.Tensor, error) {
 	return perm.Build(bd.Formats...)
 }
 
-// OperandsTraced is Operands wrapped in a "bind" trace span. A nil trace
-// records nothing and adds only a nil check, so engines call this
-// unconditionally.
-func (p *Plan) OperandsTraced(inputs map[string]*tensor.COO, tr *obs.Trace) (map[string]*fiber.Tensor, error) {
-	return p.BindTraced(inputs, nil, tr)
-}
-
 // BindTraced is OperandsCached wrapped in a "bind" trace span: the full
 // run-time binding entry point the engines use.
 func (p *Plan) BindTraced(inputs map[string]*tensor.COO, cache Cache, tr *obs.Trace) (map[string]*fiber.Tensor, error) {

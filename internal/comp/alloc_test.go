@@ -42,7 +42,7 @@ func compileCase(t testing.TB, expr string, sched lang.Schedule, seed int64) (*c
 	return cp, bound, odims
 }
 
-// TestWarmRunPooledZeroAllocs is the alloc gate of the serve hot path: once
+// TestWarmRunPooledZeroAllocs is the alloc gate of the warm comp run: once
 // a run context is warm (buffers grown to the program's high-water marks),
 // RunPooled must not touch the heap at all. CI fails this test on any
 // regression, so every lowered closure stays on arena scratch.

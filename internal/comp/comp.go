@@ -36,10 +36,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sam/internal/bind"
 	"sam/internal/fiber"
 	"sam/internal/graph"
-	"sam/internal/tensor"
 	"sam/internal/token"
 )
 
@@ -223,23 +221,6 @@ func (c *cursor) next() token.Tok {
 	t := c.peek()
 	c.i++
 	return t
-}
-
-// RunGraph compiles and runs a graph in one shot.
-func RunGraph(g *graph.Graph, inputs map[string]*tensor.COO) (*tensor.COO, error) {
-	p, err := Compile(g)
-	if err != nil {
-		return nil, err
-	}
-	bound, err := bind.Operands(g, inputs)
-	if err != nil {
-		return nil, err
-	}
-	dims, err := bind.OutputDims(g, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(bound, dims)
 }
 
 // topoOrder sorts nodes so producers precede consumers. Kahn's queue pops

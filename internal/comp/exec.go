@@ -231,8 +231,7 @@ func (p *Program) putCtx(rc *RunCtx) {
 // output tensor. The context comes from the program's pool, so warm runs
 // reuse every buffer of an earlier run; the returned tensor is cloned out of
 // the context (the only allocations on the warm path). bound and dims come
-// from the graph's bind.Plan (sim owns that split); RunGraph is the one-shot
-// convenience.
+// from the graph's bind.Plan (sim owns that split).
 func (p *Program) Run(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
 	return p.RunTraced(bound, dims, nil)
 }
@@ -272,7 +271,8 @@ func (p *Program) RunMerged(bound map[string]*fiber.Tensor, dims []int) (*tensor
 // RunPooled executes the program on a caller-held context and returns the
 // assembled output borrowed from the context: the tensor and its points are
 // valid only until the next run on rc. A warm RunPooled call performs zero
-// heap allocations; this is the serve hot path and the alloc-gate target.
+// heap allocations; it is the alloc-gate target (serve runs through
+// RunTraced, which adds the clone out of the context).
 func (p *Program) RunPooled(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
 	if rc.p != p {
 		return nil, fmt.Errorf("comp: run context belongs to a different program")

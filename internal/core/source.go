@@ -17,12 +17,6 @@ func NewRootSource(name string, out *Out) *RootSource {
 	return &RootSource{basic: basic{name: name}, out: out, stream: token.Root()}
 }
 
-// NewStreamSource builds a source that replays a recorded stream; tests and
-// hand-built graphs use it to inject arbitrary streams.
-func NewStreamSource(name string, s token.Stream, out *Out) *RootSource {
-	return &RootSource{basic: basic{name: name}, out: out, stream: s}
-}
-
 // Tick implements Block.
 func (b *RootSource) Tick() bool {
 	if b.done || b.pos >= len(b.stream) {

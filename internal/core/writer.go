@@ -77,9 +77,6 @@ func (b *CrdWriter) Level() fiber.Level {
 	return &fiber.CompressedLevel{N: b.dim, Seg: seg, Crd: b.crd}
 }
 
-// NumCoords reports how many coordinates were written.
-func (b *CrdWriter) NumCoords() int { return len(b.crd) }
-
 // NumFibers reports how many fibers (segments) were closed.
 func (b *CrdWriter) NumFibers() int { return len(b.seg) - 1 }
 

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6). Each experiment returns structured rows plus a
 // text rendering with the same series the paper reports; cmd/sambench and
-// the repository benchmarks call into this package.
+// the root package's `go test -bench` harnesses (bench_test.go) call into
+// this package. It measures no performance: that is bench/.
 package experiments
 
 import (

@@ -6,7 +6,6 @@ package lang
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sam/internal/fiber"
@@ -247,12 +246,4 @@ func (s Schedule) NormalizeLoopOrder(e *Einsum) ([]string, error) {
 		seen[v] = true
 	}
 	return append([]string(nil), s.LoopOrder...), nil
-}
-
-// SortedVars returns the statement variables in lexicographic order; Table 1
-// uses alphabetical dataflow orderings.
-func (e *Einsum) SortedVars() []string {
-	vs := e.AllVars()
-	sort.Strings(vs)
-	return vs
 }

@@ -36,7 +36,7 @@ func (p *Program) Plan() *bind.Plan {
 }
 
 // Run binds the inputs against the artifact's embedded metadata and executes
-// the program, the graph-less equivalent of comp.RunGraph.
+// the program; no source graph is needed.
 func (p *Program) Run(inputs map[string]*tensor.COO) (*tensor.COO, error) {
 	plan := p.Plan()
 	bound, err := plan.Operands(inputs)

@@ -211,7 +211,7 @@ func TestCacheSingleflightError(t *testing.T) {
 func TestQueueDepthCountsRunning(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
-	q := newQueue(1, 4, 1, func(batch []*job) {
+	q := newQueue(1, 4, func(*job) {
 		started <- struct{}{}
 		<-release
 	})
@@ -248,12 +248,10 @@ func TestQueueBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	var ran []string
 	var mu sync.Mutex
-	q := newQueue(1, 2, 1, func(batch []*job) {
+	q := newQueue(1, 2, func(j *job) {
 		<-release
 		mu.Lock()
-		for _, j := range batch {
-			ran = append(ran, j.id)
-		}
+		ran = append(ran, j.id)
 		mu.Unlock()
 	})
 	mk := func(id string) *job { return &job{id: id, done: make(chan struct{})} }
@@ -291,37 +289,5 @@ func TestQueueBackpressure(t *testing.T) {
 	mu.Unlock()
 	if n != accepted {
 		t.Fatalf("%d jobs ran after drain, want every accepted job (%d)", n, accepted)
-	}
-}
-
-// TestQueueMicroBatch checks a worker drains multiple queued jobs into one
-// run call when batchMax allows.
-func TestQueueMicroBatch(t *testing.T) {
-	release := make(chan struct{})
-	batches := make(chan int, 16)
-	q := newQueue(1, 8, 4, func(batch []*job) {
-		<-release
-		batches <- len(batch)
-	})
-	for i := 0; i < 5; i++ {
-		if err := q.submit(&job{id: fmt.Sprintf("m%d", i), done: make(chan struct{})}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	q.drain()
-	close(batches)
-	total, largest := 0, 0
-	for n := range batches {
-		total += n
-		if n > largest {
-			largest = n
-		}
-	}
-	if total != 5 {
-		t.Fatalf("ran %d jobs, want 5", total)
-	}
-	if largest < 2 {
-		t.Fatalf("largest micro-batch %d, want >= 2", largest)
 	}
 }

@@ -14,17 +14,15 @@ var ErrQueueFull = errors.New("serve: job queue full")
 var ErrDraining = errors.New("serve: server draining")
 
 // queue is the admission-controlled job queue: a bounded channel in front
-// of a fixed worker pool. Each worker drains up to batchMax queued jobs at
-// once and hands them to run as a micro-batch (the server routes them
-// through sim.RunBatch). Admission never blocks: a full queue rejects with
+// of a fixed worker pool; each worker takes one job at a time and runs it on
+// its own goroutine. Admission never blocks: a full queue rejects with
 // ErrQueueFull, which is the backpressure signal.
 type queue struct {
 	mu       sync.RWMutex // guards draining against submits racing close
 	ch       chan *job
 	draining bool
 	wg       sync.WaitGroup
-	batchMax int
-	run      func([]*job)
+	run      func(*job)
 	// inflight counts jobs a worker has picked up but not finished running.
 	// len(ch) alone undercounts the queue's admitted-but-unfinished load —
 	// the sam_queue_depth gauge used to go to zero the moment workers
@@ -32,17 +30,14 @@ type queue struct {
 	inflight atomic.Int64
 }
 
-func newQueue(workers, depth, batchMax int, run func([]*job)) *queue {
+func newQueue(workers, depth int, run func(*job)) *queue {
 	if workers <= 0 {
 		workers = 1
 	}
 	if depth <= 0 {
 		depth = 64
 	}
-	if batchMax <= 0 {
-		batchMax = 1
-	}
-	q := &queue{ch: make(chan *job, depth), batchMax: batchMax, run: run}
+	q := &queue{ch: make(chan *job, depth), run: run}
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go q.worker()
@@ -88,27 +83,12 @@ func (q *queue) drain() {
 	q.wg.Wait()
 }
 
-// worker pulls one job, opportunistically drains up to batchMax-1 more
-// without blocking, and runs them as one micro-batch.
+// worker runs queued jobs one at a time until the queue is drained.
 func (q *queue) worker() {
 	defer q.wg.Done()
 	for j := range q.ch {
 		q.inflight.Add(1)
-		batch := []*job{j}
-	collect:
-		for len(batch) < q.batchMax {
-			select {
-			case j2, ok := <-q.ch:
-				if !ok {
-					break collect
-				}
-				q.inflight.Add(1)
-				batch = append(batch, j2)
-			default:
-				break collect
-			}
-		}
-		q.run(batch)
-		q.inflight.Add(int64(-len(batch)))
+		q.run(j)
+		q.inflight.Add(-1)
 	}
 }

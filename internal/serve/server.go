@@ -1,5 +1,5 @@
 // Package serve is the SAM program service: a compiled-program LRU cache, an
-// admission-controlled asynchronous job queue over the batch simulator, and
+// admission-controlled asynchronous job queue over a fixed worker pool, and
 // an HTTP/JSON API. It inverts the one-shot sam.Simulate flow into the
 // paper's intended usage — a SAM graph is a hardware program: compile once,
 // stream many tensors through it — so repeated requests pay input binding
@@ -46,19 +46,14 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// Workers is the job-queue worker pool size; each worker runs one
-	// micro-batch at a time. Default 4.
+	// Workers is the job-queue worker pool size; each worker runs one job at
+	// a time, so it is the number of jobs in flight. Default 4.
 	Workers int
 	// QueueDepth bounds the number of admitted-but-not-running jobs;
 	// submissions beyond it are rejected with 429. Default 64.
 	QueueDepth int
 	// CacheSize bounds the compiled-program LRU. Default 128.
 	CacheSize int
-	// BatchMax is the largest micro-batch one worker drains from the queue
-	// and routes through sim.RunBatch in a single call; jobs in a batch run
-	// concurrently, so peak simulation parallelism is Workers × BatchMax.
-	// Default 1.
-	BatchMax int
 	// DefaultOpt is the graph-optimization level applied to requests whose
 	// schedule omits "opt" (see internal/opt). Out-of-range values are
 	// clamped into [0, opt.MaxLevel] like the other sizing fields, so a
@@ -108,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 128
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 1
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
@@ -246,7 +238,7 @@ func NewServer(cfg Config) *Server {
 		s.disk = newDiskCache(cfg.ArtifactDir, s.metrics)
 	}
 	s.tensors = newTensorStore(cfg.TensorBudgetBytes, s.metrics)
-	s.queue = newQueue(cfg.Workers, cfg.QueueDepth, cfg.BatchMax, s.runBatch)
+	s.queue = newQueue(cfg.Workers, cfg.QueueDepth, s.runJob)
 	// Live gauges read their sources at scrape time, no update plumbing.
 	s.metrics.reg.GaugeFunc("sam_queue_depth", "Admitted jobs waiting or running in the queue.",
 		func() float64 { return float64(s.queue.depth()) })
@@ -685,54 +677,24 @@ func (s *Server) admit(prep *prepared, sync bool) (*job, error) {
 	return j, nil
 }
 
-// runBatch executes one worker's micro-batch: jobs are grouped by identical
-// simulation options and each group routes through sim.RunBatch as one
-// call, running its jobs concurrently on the batch runner's pool.
-func (s *Server) runBatch(batch []*job) {
+// runJob executes one admitted job on the calling worker's goroutine.
+func (s *Server) runJob(j *job) {
 	s.mu.Lock()
-	for _, j := range batch {
-		j.status = "running"
-	}
+	j.status = "running"
 	s.mu.Unlock()
-	for _, j := range batch {
-		j.qw.End()
-		s.metrics.phase("queue_wait", time.Since(j.start))
-	}
+	j.qw.End()
+	s.metrics.phase("queue_wait", time.Since(j.start))
 
-	groups := map[sim.Options][]*job{}
-	for _, j := range batch {
-		if j.prep.fix != nil {
-			// Fixpoint jobs iterate one program to convergence; they run
-			// individually instead of coalescing into a micro-batch.
-			s.runFixpointJob(j)
-			continue
-		}
-		groups[j.prep.opt] = append(groups[j.prep.opt], j)
+	if j.prep.fix != nil {
+		s.runFixpointJob(j)
+		return
 	}
-	for opt, group := range groups {
-		simJobs := make([]sim.Job, len(group))
-		for i, j := range group {
-			simJobs[i] = sim.Job{Name: j.id, Program: j.prep.prog, Inputs: j.prep.inputs}
-		}
-		opt.Workers = len(group)
-		results, errs, err := sim.RunBatchErrs(simJobs, opt)
-		for i, j := range group {
-			if results == nil || results[i] == nil {
-				// Attribute each failed job its own error; one job's failure
-				// must not relabel its batchmates.
-				msg := "simulation failed"
-				switch {
-				case errs != nil && errs[i] != nil:
-					msg = errs[i].Error()
-				case err != nil:
-					msg = err.Error()
-				}
-				s.finish(j, nil, msg)
-				continue
-			}
-			s.finish(j, results[i], "")
-		}
+	res, err := j.prep.prog.Run(j.prep.inputs, j.prep.opt)
+	if err != nil {
+		s.finish(j, nil, j.id+": "+err.Error())
+		return
 	}
+	s.finish(j, res, "")
 }
 
 // runFixpointJob drives one fixpoint request through sim.RunFixpoint. The

@@ -398,18 +398,16 @@ func TestFixpointValidation(t *testing.T) {
 }
 
 // blockServerQueue swaps the server's queue for one whose single worker
-// blocks on gate before running each batch, so tests can observe jobs in the
+// blocks on gate before running each job, so tests can observe jobs in the
 // queued and running states. Call after NewServer and before any traffic.
 func blockServerQueue(s *Server, depth int, gate <-chan struct{}, started chan<- string) {
 	s.queue.drain() // retire the original workers
-	s.queue = newQueue(1, depth, 1, func(batch []*job) {
+	s.queue = newQueue(1, depth, func(j *job) {
 		if started != nil {
-			for _, j := range batch {
-				started <- j.id
-			}
+			started <- j.id
 		}
 		<-gate
-		s.runBatch(batch)
+		s.runJob(j)
 	})
 }
 

@@ -31,7 +31,7 @@ type storedTensor struct {
 
 	// built caches fibertree storage per binding signature (bind.Cache):
 	// the first run binding this entry pays construction, later runs — and
-	// concurrent batchmates, which share the tree read-only — do not.
+	// concurrent jobs, which share the tree read-only — do not.
 	builtMu sync.Mutex
 	built   map[string]*fiber.Tensor
 }

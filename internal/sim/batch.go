@@ -17,9 +17,9 @@ type Job struct {
 	// set.
 	Graph *graph.Graph
 	// Program, when non-nil, is a precompiled program to execute instead of
-	// Graph: the per-job validation and planning are already paid, so
-	// batches of cached programs (the serving hot path) skip straight to
-	// input binding. Programs are safe to share across jobs.
+	// Graph: the per-job validation and planning are already paid, so the
+	// job skips straight to input binding. Programs are safe to share
+	// across jobs.
 	Program *Program
 	// Inputs binds source tensor names to tensors. Inputs are only read, so
 	// jobs may share tensors.
@@ -55,19 +55,9 @@ func (j Job) label(i int) string {
 // pool size (0 means GOMAXPROCS). The first error in job order is returned;
 // results for failed jobs are nil.
 func RunBatch(jobs []Job, opt Options) ([]*Result, error) {
-	results, _, err := RunBatchErrs(jobs, opt)
-	return results, err
-}
-
-// RunBatchErrs is RunBatch with per-job error attribution: errs[i] holds
-// job i's failure (nil on success), so batch callers can report each
-// failure to its own requester instead of sharing the first one in job
-// order. The returned error is that first per-job error, matching RunBatch;
-// a batch-level failure (unknown engine) returns nil slices.
-func RunBatchErrs(jobs []Job, opt Options) ([]*Result, []error, error) {
 	eng, err := EngineFor(opt.Engine)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -119,8 +109,8 @@ func RunBatchErrs(jobs []Job, opt Options) ([]*Result, []error, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return results, errs, err
+			return results, err
 		}
 	}
-	return results, errs, nil
+	return results, nil
 }

@@ -12,12 +12,12 @@ import (
 	"sam/internal/tensor"
 )
 
-// TestRunBatchErrsPerJob checks batch error attribution and per-job engine
-// accounting under the comp engine: every failed job carries its own error,
-// every successful job records the engine that actually executed it — comp
-// for lowerable graphs, event for the bitvector fallback — and RunBatch
-// stays a first-error view of the same execution.
-func TestRunBatchErrsPerJob(t *testing.T) {
+// TestRunBatchPerJob checks a mixed batch under the comp engine: every
+// successful job has a result recording the engine that actually executed
+// it — comp for lowerable graphs, event for the bitvector fallback — every
+// failed job has a nil result, and the returned error is the first failure
+// in job order, naming its own job.
+func TestRunBatchPerJob(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	spmv, err := custard.Compile(lang.MustParse("x(i) = B(i,j) * c(j)"), nil, lang.Schedule{})
 	if err != nil {
@@ -45,45 +45,34 @@ func TestRunBatchErrsPerJob(t *testing.T) {
 		{Name: "bad-nil-graph"},
 		{Name: "ok-comp-2", Graph: spmv, Inputs: spmvIn},
 	}
-	results, errs, first := RunBatchErrs(jobs, Options{Engine: EngineComp, Workers: 2})
-	if len(results) != len(jobs) || len(errs) != len(jobs) {
-		t.Fatalf("got %d results / %d errs, want %d each", len(results), len(errs), len(jobs))
+	results, err := RunBatch(jobs, Options{Engine: EngineComp, Workers: 2})
+	if len(results) != len(jobs) {
+		t.Fatalf("got %d results, want %d", len(results), len(jobs))
 	}
-	if first == nil || errs[1] == nil || first.Error() != errs[1].Error() {
-		t.Errorf("first error = %v, want job 1's error %v", first, errs[1])
+	if err == nil || !strings.Contains(err.Error(), "bad-missing-input") {
+		t.Errorf("error = %v, want job 1's failure, naming bad-missing-input", err)
 	}
 	wantEngine := map[int]EngineKind{0: EngineComp, 2: EngineEvent, 4: EngineComp}
 	for i := range jobs {
 		eng, wantOK := wantEngine[i]
-		if wantOK {
-			if errs[i] != nil || results[i] == nil {
-				t.Errorf("job %d (%s): err = %v, result = %v, want success", i, jobs[i].Name, errs[i], results[i])
-				continue
+		if !wantOK {
+			if results[i] != nil {
+				t.Errorf("job %d (%s): result = %v, want nil for a failed job", i, jobs[i].Name, results[i])
 			}
-			if results[i].Engine != eng {
-				t.Errorf("job %d (%s): Result.Engine = %q, want %q", i, jobs[i].Name, results[i].Engine, eng)
-			}
-		} else if errs[i] == nil || results[i] != nil {
-			t.Errorf("job %d (%s): err = %v, want per-job failure with nil result", i, jobs[i].Name, errs[i])
+			continue
 		}
-	}
-	// Each failure names its own job, not its batchmate's.
-	if errs[1] != nil && !strings.Contains(errs[1].Error(), "bad-missing-input") {
-		t.Errorf("job 1 error %q does not name its job", errs[1])
-	}
-	if errs[3] != nil && !strings.Contains(errs[3].Error(), "bad-nil-graph") {
-		t.Errorf("job 3 error %q does not name its job", errs[3])
+		if results[i] == nil {
+			t.Errorf("job %d (%s): nil result, want success", i, jobs[i].Name)
+			continue
+		}
+		if results[i].Engine != eng {
+			t.Errorf("job %d (%s): Result.Engine = %q, want %q", i, jobs[i].Name, results[i].Engine, eng)
+		}
 	}
 
-	// RunBatch is the first-error view of the same batch.
-	wrapped, err := RunBatch(jobs, Options{Engine: EngineComp, Workers: 2})
-	if err == nil || err.Error() != first.Error() {
-		t.Errorf("RunBatch error = %v, want RunBatchErrs's first %v", err, first)
-	}
-	for i := range jobs {
-		if (wrapped[i] == nil) != (results[i] == nil) {
-			t.Errorf("job %d: RunBatch result presence diverges from RunBatchErrs", i)
-		}
+	// A nil graph fails its own job, by name.
+	if _, err := RunBatch(jobs[3:], Options{Engine: EngineComp}); err == nil || !strings.Contains(err.Error(), "bad-nil-graph") {
+		t.Errorf("error = %v, want the nil-graph job's failure, naming bad-nil-graph", err)
 	}
 }
 
@@ -118,9 +107,9 @@ func TestBatchSharedProgramRace(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{Name: fmt.Sprintf("shared-%d", i), Program: prog, Inputs: inputs}
 	}
-	results, errs, first := RunBatchErrs(jobs, Options{Engine: EngineComp, Workers: 8})
-	if first != nil {
-		t.Fatalf("batch failed: %v (errs %v)", first, errs)
+	results, err := RunBatch(jobs, Options{Engine: EngineComp, Workers: 8})
+	if err != nil {
+		t.Fatalf("batch failed: %v", err)
 	}
 	for i, res := range results {
 		if res.Engine != EngineComp {

@@ -359,17 +359,6 @@ func QuantizeInts(rng *rand.Rand, max int, ts ...*COO) {
 	}
 }
 
-// UniformRandomDensity generates a tensor where each component is nonzero
-// independently with the given density.
-func UniformRandomDensity(name string, rng *rand.Rand, density float64, dims ...int) *COO {
-	total := 1
-	for _, d := range dims {
-		total *= d
-	}
-	nnz := int(density * float64(total))
-	return UniformRandom(name, rng, nnz, dims...)
-}
-
 // RunsPair generates the paper's runs pattern (Figure 17): two vectors of
 // length n with nnz nonzeros each, where one vector has stretches of length
 // run between the nonzeros of the other, creating skippable gaps for

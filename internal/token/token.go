@@ -152,16 +152,6 @@ func (s Stream) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Crds builds a stream of coordinate tokens from integers; no terminator is
-// appended.
-func Crds(ns ...int64) Stream {
-	s := make(Stream, len(ns))
-	for i, n := range ns {
-		s[i] = C(n)
-	}
-	return s
-}
-
 // Vals builds a stream of value tokens from floats; no terminator appended.
 func Vals(vs ...float64) Stream {
 	s := make(Stream, len(vs))

@@ -53,9 +53,9 @@
 //	res2, err := p.Run(sam.Inputs{"B": b2, "c": c2}, sam.Options{})
 //
 // NewServer wraps that in a network service — a compiled-program LRU cache,
-// an admission-controlled job queue over SimulateBatch, and an HTTP/JSON
-// API — run by cmd/samserve (see the README's Serving section for the wire
-// format and a curl walkthrough).
+// an admission-controlled job queue over a fixed worker pool, and an
+// HTTP/JSON API — run by cmd/samserve (see the README's Serving section for
+// the wire format and a curl walkthrough).
 //
 // # Observability
 //
@@ -207,15 +207,15 @@ type Program = sim.Program
 
 // Server is the SAM program service: a compiled-program LRU cache keyed by
 // the canonical (expression, formats, schedule) key (lang.CanonicalKey), an
-// admission-controlled asynchronous job queue routed through the batch
-// simulator, and an HTTP/JSON API (POST /v1/evaluate, POST /v1/jobs,
+// admission-controlled asynchronous job queue over a fixed worker pool
+// (one job per worker at a time), and an HTTP/JSON API (POST /v1/evaluate, POST /v1/jobs,
 // GET /v1/jobs/{id}, GET /v1/stats). Mount it as an http.Handler; Close
 // drains gracefully: admission stops and every queued and running job
 // finishes. cmd/samserve is the standalone binary.
 type Server = serve.Server
 
-// ServerConfig sizes a Server: worker pool, admission queue depth,
-// program-cache capacity, and micro-batch width. It also carries the
+// ServerConfig sizes a Server: worker pool, admission queue depth and
+// program-cache capacity. It also carries the
 // observability switches: EnablePprof mounts net/http/pprof under
 // /debug/pprof/, and AccessLog receives one structured line per request.
 type ServerConfig = serve.Config
