@@ -143,7 +143,9 @@ curl -sf "$RT/v1/stats" | tee rstats.json
 grep -q '"aggregate":{' rstats.json
 grep -q '"shards_live":2' rstats.json
 grep -q '"shards_total":2' rstats.json
-grep -q '"router_requests":1' rstats.json
+# Every request the router sends a shard is counted, its own scrapes
+# included: the routed evaluate, plus this call's two /v1/stats fetches.
+grep -q '"router_requests":3' rstats.json
 grep -q '"router_ejections":0' rstats.json
 
 # Merged metrics: every shard series carries shard="sN", family headers

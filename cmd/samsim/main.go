@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"strconv"
@@ -387,22 +388,21 @@ func runFixpointCLI(stdout, stderr io.Writer, p *sim.Program, e *lang.Einsum,
 	}
 	fmt.Fprintf(stdout, "output:      %v, %d nonzeros\n", res.Output.Dims, res.Output.NNZ())
 	if check {
-		x := inputs[fx.Var]
-		cur := make(map[string]*tensor.COO, len(inputs))
-		for k, v := range inputs {
-			cur[k] = v
-		}
-		for it := 0; it < res.Iterations; it++ {
-			want, err := lang.Gold(e, cur)
-			if err != nil {
-				return fail(err)
-			}
-			if x, _, err = fx.Apply(want, x); err != nil {
-				return fail(err)
-			}
+		cur := maps.Clone(inputs)
+		// The same iterations, as many as the program ran, with the dense
+		// evaluator as the step: a gold delta a hair off Tol must not stop the
+		// replay on a different one.
+		replay := fx
+		replay.MaxIters, replay.Tol = res.Iterations, 0
+		want, err := replay.Iterate(inputs[fx.Var], func(x *tensor.COO) (*tensor.COO, int, error) {
 			cur[fx.Var] = x
+			y, err := lang.Gold(e, cur)
+			return y, 0, err
+		})
+		if err != nil {
+			return fail(err)
 		}
-		if err := tensor.Equal(res.Output, x, 1e-6); err != nil {
+		if err := tensor.Equal(res.Output, want.Output, 1e-6); err != nil {
 			return fail(fmt.Errorf("gold check FAILED: %w", err))
 		}
 		fmt.Fprintln(stdout, "gold check:  PASSED")

@@ -4,14 +4,16 @@ import (
 	"container/list"
 	"sync"
 
+	"sam/internal/obs"
 	"sam/internal/sim"
 )
 
 // programCache is the compiled-program LRU: canonical request key (see
-// lang.CanonicalKey) to *sim.Program. A hit skips parsing nothing — the key
-// itself needs the parsed statement — but skips compilation and program
-// construction, the dominant per-request setup cost. Safe for concurrent
-// use.
+// lang.CanonicalKey) to *sim.Program. A hit still pays the parse — the key is
+// made from the parsed statement — and skips compilation and program
+// construction, the dominant per-request setup cost. Safe for concurrent use.
+// Its counters are series of the server's metrics registry, resolved once
+// here, so /v1/stats and /metrics read the same numbers.
 type programCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -21,7 +23,10 @@ type programCache struct {
 	// miss builds, everyone else waits on its result.
 	flights map[string]*flight
 
-	hits, misses, evictions int64
+	// hits, fromDisk and compiled are sam_cache_resolutions_total's tiers
+	// mem, disk and compile: every resolve counts into exactly one, a failed
+	// build as the compile it attempted. A miss is either of the last two.
+	hits, fromDisk, compiled, evictions *obs.Counter
 }
 
 type cacheEntry struct {
@@ -37,13 +42,14 @@ type flight struct {
 	err    error
 }
 
-func newProgramCache(capacity int) *programCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
+func newProgramCache(capacity int, m *metrics) *programCache {
 	return &programCache{
 		cap: capacity, order: list.New(),
 		items: map[string]*list.Element{}, flights: map[string]*flight{},
+		hits:      m.resolutions.With("mem"),
+		fromDisk:  m.resolutions.With("disk"),
+		compiled:  m.resolutions.With("compile"),
+		evictions: m.cacheEvictions,
 	}
 }
 
@@ -57,7 +63,7 @@ func newProgramCache(capacity int) *programCache {
 func (c *programCache) resolve(key string, build func() (*sim.Program, string, error)) (*sim.Program, string, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		c.hits++
+		c.hits.Inc()
 		c.order.MoveToFront(el)
 		prog := el.Value.(*cacheEntry).prog
 		c.mu.Unlock()
@@ -69,17 +75,19 @@ func (c *programCache) resolve(key string, build func() (*sim.Program, string, e
 		if f.err != nil {
 			return nil, "", f.err
 		}
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
+		c.hits.Inc()
 		return f.prog, "hit", nil
 	}
-	c.misses++
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.mu.Unlock()
 
 	f.prog, f.source, f.err = build()
+	if f.source == "disk" {
+		c.fromDisk.Inc()
+	} else {
+		c.compiled.Inc()
+	}
 
 	c.mu.Lock()
 	delete(c.flights, key)
@@ -89,20 +97,6 @@ func (c *programCache) resolve(key string, build func() (*sim.Program, string, e
 	c.mu.Unlock()
 	close(f.done)
 	return f.prog, f.source, f.err
-}
-
-// get returns the cached program for the key and records a hit or a miss.
-func (c *programCache) get(key string) (*sim.Program, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).prog, true
 }
 
 // put inserts a compiled program, evicting the least recently used entry
@@ -126,7 +120,7 @@ func (c *programCache) putLocked(key string, prog *sim.Program) {
 		last := c.order.Back()
 		c.order.Remove(last)
 		delete(c.items, last.Value.(*cacheEntry).key)
-		c.evictions++
+		c.evictions.Inc()
 	}
 }
 
@@ -134,5 +128,5 @@ func (c *programCache) putLocked(key string, prog *sim.Program) {
 func (c *programCache) stats() (hits, misses, evictions int64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.order.Len()
+	return c.hits.Value(), c.fromDisk.Value() + c.compiled.Value(), c.evictions.Value(), c.order.Len()
 }

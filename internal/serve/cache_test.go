@@ -26,34 +26,46 @@ func testProgram(t *testing.T, expr string) *sim.Program {
 	return p
 }
 
+// building returns a resolve build function that yields p as a fresh compile.
+func building(p *sim.Program) func() (*sim.Program, string, error) {
+	return func() (*sim.Program, string, error) { return p, "miss", nil }
+}
+
 // TestCacheLRU checks hit/miss accounting and least-recently-used eviction.
 func TestCacheLRU(t *testing.T) {
-	c := newProgramCache(2)
+	c := newProgramCache(2, newMetrics())
 	pa := testProgram(t, "x(i) = a(i) * b(i)")
 	pb := testProgram(t, "x(i) = a(i) + b(i)")
 	pc := testProgram(t, "x(i) = a(i) - b(i)")
-
-	if _, ok := c.get("a"); ok {
-		t.Fatal("hit on empty cache")
+	source := func(key string, p *sim.Program) string {
+		t.Helper()
+		got, src, err := c.resolve(key, building(p))
+		if err != nil || got != p {
+			t.Fatalf("resolve %q = %v, %v; want the program it was given or holds", key, got, err)
+		}
+		return src
 	}
-	c.put("a", pa)
-	c.put("b", pb)
-	if got, ok := c.get("a"); !ok || got != pa {
-		t.Fatal("miss for cached key a")
+
+	if src := source("a", pa); src != "miss" {
+		t.Fatalf("empty cache resolved a as %q", src)
+	}
+	source("b", pb)
+	if src := source("a", pa); src != "hit" {
+		t.Fatalf("cached key a resolved as %q", src)
 	}
 	// a is now most recent; inserting c must evict b.
-	c.put("c", pc)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived eviction though it was least recently used")
-	}
-	if _, ok := c.get("a"); !ok {
+	source("c", pc)
+	if src := source("a", pa); src != "hit" {
 		t.Fatal("a was evicted though it was most recently used")
 	}
-	if _, ok := c.get("c"); !ok {
+	if src := source("c", pc); src != "hit" {
 		t.Fatal("c missing after insert")
 	}
+	if src := source("b", pb); src != "miss" {
+		t.Fatal("b survived eviction though it was least recently used")
+	}
 	hits, misses, evictions, size := c.stats()
-	if hits != 3 || misses != 2 || evictions != 1 || size != 2 {
+	if hits != 3 || misses != 4 || evictions != 2 || size != 2 {
 		t.Fatalf("stats = hits %d misses %d evictions %d size %d", hits, misses, evictions, size)
 	}
 }
@@ -61,13 +73,13 @@ func TestCacheLRU(t *testing.T) {
 // TestCachePutExistingKey checks overwriting a key (the benign
 // concurrent-miss race) neither grows the cache nor evicts.
 func TestCachePutExistingKey(t *testing.T) {
-	c := newProgramCache(2)
+	c := newProgramCache(2, newMetrics())
 	pa := testProgram(t, "x(i) = a(i) * b(i)")
 	pb := testProgram(t, "x(i) = a(i) + b(i)")
 	c.put("k", pa)
 	c.put("k", pb)
-	got, ok := c.get("k")
-	if !ok || got != pb {
+	got, src, err := c.resolve("k", building(pa))
+	if err != nil || src != "hit" || got != pb {
 		t.Fatal("second put did not replace the entry")
 	}
 	if _, _, evictions, size := c.stats(); size != 1 || evictions != 0 {
@@ -77,7 +89,7 @@ func TestCachePutExistingKey(t *testing.T) {
 
 // TestCacheConcurrent hammers the cache from many goroutines under -race.
 func TestCacheConcurrent(t *testing.T) {
-	c := newProgramCache(4)
+	c := newProgramCache(4, newMetrics())
 	progs := make([]*sim.Program, 8)
 	ops := []string{"*", "+", "-"}
 	for i := range progs {
@@ -89,9 +101,9 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := fmt.Sprintf("k%d", (w+i)%len(progs))
-				if _, ok := c.get(k); !ok {
-					c.put(k, progs[(w+i)%len(progs)])
+				k := (w + i) % len(progs)
+				if got, _, err := c.resolve(fmt.Sprintf("k%d", k), building(progs[k])); err != nil || got != progs[k] {
+					t.Errorf("resolve k%d = %v, %v", k, got, err)
 				}
 			}
 		}(w)
@@ -106,7 +118,7 @@ func TestCacheConcurrent(t *testing.T) {
 // on one key must run the build exactly once, with every other caller
 // waiting for — and sharing — that result as a hit.
 func TestCacheSingleflight(t *testing.T) {
-	c := newProgramCache(8)
+	c := newProgramCache(8, newMetrics())
 	prog := testProgram(t, "x(i) = a(i) * b(i)")
 	var builds atomic.Int64
 	build := func() (*sim.Program, string, error) {
@@ -165,7 +177,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheSingleflightError checks a failed build propagates to every
 // waiter and caches nothing, so the next resolve rebuilds.
 func TestCacheSingleflightError(t *testing.T) {
-	c := newProgramCache(8)
+	c := newProgramCache(8, newMetrics())
 	boom := errors.New("compile exploded")
 	var builds atomic.Int64
 	failing := func() (*sim.Program, string, error) {
@@ -224,8 +236,8 @@ func TestQueueDepthCountsRunning(t *testing.T) {
 	if got := q.depth(); got != 3 {
 		t.Fatalf("depth = %d with 1 running + 2 queued, want 3", got)
 	}
-	if q.running() != 1 || q.queued() != 2 {
-		t.Fatalf("running %d queued %d, want 1 and 2", q.running(), q.queued())
+	if q.running() != 1 || q.depth()-q.running() != 2 {
+		t.Fatalf("running %d queued %d, want 1 and 2", q.running(), q.depth()-q.running())
 	}
 	release <- struct{}{}
 	<-started // job 1 running, job 2 queued

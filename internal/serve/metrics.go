@@ -43,17 +43,21 @@ type metrics struct {
 	engineRuns *obs.CounterVec
 	fallbacks  *obs.Counter
 
-	// resolutions counts where prepare found each request's program:
-	// tier="mem" (in-memory LRU), "disk" (decoded artifact), or "compile"
-	// (cold). disk counts the artifact store's own events.
-	resolutions *obs.CounterVec
-	disk        *obs.CounterVec
+	// resolutions counts where the program cache found each request's
+	// program: tier="mem" (in-memory LRU), "disk" (decoded artifact), or
+	// "compile" (cold); cacheEvictions counts programs the LRU dropped. The
+	// cache holds the series and counts into them itself. disk counts the
+	// artifact store's own events.
+	resolutions    *obs.CounterVec
+	cacheEvictions *obs.Counter
+	disk           *obs.CounterVec
 
 	// tensorOps counts named tensor store operations: put, delete, ref_hit
 	// and ref_miss ({"ref": name} resolutions), evict (budget evictions),
-	// bind_hit and bind_build (memoized fibertree reuse vs construction).
-	// The resident-count and resident-bytes gauges live in NewServer, which
-	// owns the store they read.
+	// bind_hit and bind_build (memoized fibertree reuse vs construction). The
+	// store holds the series and counts into them itself. The resident-count
+	// and resident-bytes gauges live in NewServer, which owns the store they
+	// read.
 	tensorOps *obs.CounterVec
 
 	// phaseDur holds per-phase latency: setup and queue_wait on every
@@ -98,6 +102,8 @@ func newMetrics() *metrics {
 			"Requests whose executing engine differed from the requested one."),
 		resolutions: reg.CounterVec("sam_cache_resolutions_total",
 			"Program resolutions by cache tier: mem (LRU hit), disk (artifact decode), compile (cold).", "tier"),
+		cacheEvictions: reg.Counter("sam_cache_evictions_total",
+			"Compiled programs evicted from the in-memory LRU."),
 		disk: reg.CounterVec("sam_disk_cache_total",
 			"Disk artifact store operations by event: hit, miss, write, error.", "event"),
 		tensorOps: reg.CounterVec("sam_tensor_store_ops_total",
@@ -124,10 +130,6 @@ func newMetrics() *metrics {
 	}
 	return m
 }
-
-func (m *metrics) admit()  { m.admitted.Inc() }
-func (m *metrics) reject() { m.rejected.Inc() }
-func (m *metrics) fail()   { m.failures.Inc() }
 
 // engine records one completed request's executing engine and whether it
 // was a fallback from the requested engine.
@@ -214,9 +216,4 @@ func (m *metrics) latencyHist() *HistogramSnapshot {
 		Sum:     m.jobLat.Sum(),
 		Count:   m.jobLat.Count(),
 	}
-}
-
-// counters returns the scalar counters.
-func (m *metrics) counters() (requests, rejected, failures, cycles int64) {
-	return m.admitted.Value(), m.rejected.Value(), m.failures.Value(), m.cycles.Value()
 }

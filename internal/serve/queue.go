@@ -65,9 +65,6 @@ func (q *queue) submit(j *job) error {
 // load figure the sam_queue_depth gauge and /v1/stats report.
 func (q *queue) depth() int { return len(q.ch) + int(q.inflight.Load()) }
 
-// queued is the waiting-only component of depth.
-func (q *queue) queued() int { return len(q.ch) }
-
 // running is the in-flight component of depth: jobs a worker is executing.
 func (q *queue) running() int { return int(q.inflight.Load()) }
 

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sam/internal/lang"
 	"sam/internal/obs"
 )
 
@@ -161,7 +160,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.ring = newRing(ids)
 
 	rt.mRequests = rt.reg.CounterVec("sam_router_requests_total",
-		"Requests routed, by target shard.", "shard")
+		"Requests sent to a shard — routed, fanned out, tile and scrape traffic — by target shard.", "shard")
 	rt.mProxyErrs = rt.reg.CounterVec("sam_router_proxy_errors_total",
 		"Transport failures proxying to a shard (each also ejects it).", "shard")
 	rt.mEjections = rt.reg.CounterVec("sam_router_ejections_total",
@@ -220,16 +219,19 @@ func (rt *Router) Close() {
 	rt.probeWG.Wait()
 }
 
-// liveCount is the number of shards currently in the ring.
-func (rt *Router) liveCount() int {
-	n := 0
+// live lists the shards currently in the ring.
+func (rt *Router) live() []*shardState {
+	var live []*shardState
 	for _, sh := range rt.shards {
 		if !sh.down.Load() {
-			n++
+			live = append(live, sh)
 		}
 	}
-	return n
+	return live
 }
+
+// liveCount is the number of shards currently in the ring.
+func (rt *Router) liveCount() int { return len(rt.live()) }
 
 // alive is the ring's liveness filter.
 func (rt *Router) alive(i int) bool { return !rt.shards[i].down.Load() }
@@ -346,13 +348,7 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 		buf.Grow(int(n) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
-		}
+		writeBodyError(w, err)
 		return nil, false
 	}
 	return buf.Bytes(), true
@@ -373,79 +369,162 @@ func (b *shardBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// proxy forwards one request to a shard and relays the response: streamed
-// through as it arrives, or — when rewrite is set — read whole, rewritten
-// and sent. A transport failure ejects the shard and answers 503 with
-// Retry-After: the next attempt lands on the remapped owner. If the shard
-// dies with the response already under way, the client's connection is cut
-// instead, so what it holds cannot pass for a whole reply.
-func (rt *Router) proxy(w http.ResponseWriter, sh *shardState, method, pathAndQuery string, body []byte, rewrite func(status int, body []byte) []byte) {
-	rt.mRequests.With(sh.name).Inc()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// unavailableErr is a failure the client should retry: writeErr answers it
+// 503 with the Retry-After hint.
+type unavailableErr string
+
+func (e unavailableErr) Error() string { return string(e) }
+
+// shardReply is a shard's own non-200 answer, which the router relays status
+// and body verbatim rather than rephrase.
+type shardReply struct {
+	status int
+	body   []byte
+}
+
+func (e *shardReply) Error() string {
+	return fmt.Sprintf("status %d: %s", e.status, bytes.TrimSpace(e.body))
+}
+
+// writeErr answers a failed request: a shard's reply is relayed, an
+// unreachable shard is a 503, and anything else is the router's own error
+// under code. The error may be wrapped (sim.Fixpoint.Iterate names the
+// iteration); what it wraps decides.
+func (rt *Router) writeErr(w http.ResponseWriter, code int, err error) {
+	var reply *shardReply
+	var down unavailableErr
+	switch {
+	case errors.As(err, &reply):
+		writeRaw(w, reply.status, reply.body)
+	case errors.As(err, &down):
+		rt.writeUnavailable(w, string(down))
+	default:
+		writeError(w, code, err)
 	}
-	req, err := http.NewRequest(method, sh.url+pathAndQuery, rd)
+}
+
+// writeRaw relays an already-encoded JSON body.
+func writeRaw(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// send is the one place a request to a shard is built, counted and
+// classified (probes aside: they are the liveness question itself); the
+// response comes back with its body still to read. A transport failure —
+// here, or later while that body is read — goes to failed, which ejects the
+// shard. An HTTP status, whatever it is, is the shard's answer and never does.
+func (rt *Router) send(sh *shardState, method, pathAndQuery string, body []byte) (*http.Response, error) {
+	rt.mRequests.With(sh.name).Inc()
+	// A URL that does not parse (a tensor name can carry anything) says
+	// nothing about the shard: the caller's plain error, no ejection.
+	req, err := http.NewRequest(method, sh.url+pathAndQuery, bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// failed records a transport failure: the shard is ejected at once.
-	failed := func(err error) {
-		rt.mProxyErrs.With(sh.name).Inc()
-		rt.fail(sh, false)
-		rt.logf("shard=%s event=proxy_error method=%s path=%s err=%q", sh.name, method, pathAndQuery, err)
-	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		failed(err)
-		rt.writeUnavailable(w, fmt.Sprintf("shard %s unavailable; its keyspace is remapping", sh.name))
+		return nil, rt.failed(sh, method, pathAndQuery, err)
+	}
+	return resp, nil
+}
+
+// failed records a transport failure against a shard, ejecting it, and
+// returns the error that answers the request it broke.
+func (rt *Router) failed(sh *shardState, method, pathAndQuery string, err error) error {
+	rt.mProxyErrs.With(sh.name).Inc()
+	rt.fail(sh, false)
+	rt.logf("shard=%s event=proxy_error method=%s path=%s err=%q", sh.name, method, pathAndQuery, err)
+	return unavailableErr(fmt.Sprintf("shard %s unavailable (%v); retry once its keyspace has remapped or it has rejoined", sh.name, err))
+}
+
+// call sends one request to a shard and reads the whole answer: every
+// router-composed exchange (tile stores and deletes, operand fetches, fan-out
+// sub-requests, stats and metrics scrapes, job submissions) is one call.
+func (rt *Router) call(sh *shardState, method, pathAndQuery string, body []byte) (int, []byte, error) {
+	resp, err := rt.send(sh, method, pathAndQuery, body)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, rt.failed(sh, method, pathAndQuery, err)
+	}
+	return resp.StatusCode, out, nil
+}
+
+// ask is call for the callers that can only use a 200: any other status
+// comes back as the shardReply to relay.
+func (rt *Router) ask(sh *shardState, method, pathAndQuery string, body []byte) ([]byte, error) {
+	status, out, err := rt.call(sh, method, pathAndQuery, body)
+	if err == nil && status != http.StatusOK {
+		err = &shardReply{status, out}
+	}
+	return out, err
+}
+
+// proxy forwards one request to a shard and streams the response through as
+// it arrives. A transport failure ejects the shard and answers 503 with
+// Retry-After: the next attempt lands on the remapped owner. If the shard
+// dies with the response already under way, the client's connection is cut
+// instead, so what it holds cannot pass for a whole reply.
+func (rt *Router) proxy(w http.ResponseWriter, sh *shardState, method, pathAndQuery string, body []byte) {
+	resp, err := rt.send(sh, method, pathAndQuery, body)
+	if err != nil {
+		rt.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if rewrite == nil {
-		if resp.ContentLength > 0 {
-			w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
-		}
-		w.WriteHeader(resp.StatusCode)
-		from := &shardBody{Reader: resp.Body}
-		io.Copy(w, from)
-		if from.err != nil {
-			failed(from.err)
-			panic(http.ErrAbortHandler)
-		}
-		return
-	}
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		failed(err)
-		rt.writeUnavailable(w, fmt.Sprintf("shard %s failed mid-response", sh.name))
-		return
+	if resp.ContentLength > 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
 	w.WriteHeader(resp.StatusCode)
-	w.Write(rewrite(resp.StatusCode, out))
+	from := &shardBody{Reader: resp.Body}
+	io.Copy(w, from)
+	if from.err != nil {
+		rt.failed(sh, method, pathAndQuery, from.err)
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// proxyJob is proxy for the two job endpoints. A job the shard answers with
+// (202 on submission, 200 on a poll) gets the shard's name in front of its
+// ID, so that GET /v1/jobs/{id} finds its way back without fan-out; the rest
+// of the shard's encoding, and any error, goes through untouched.
+func (rt *Router) proxyJob(w http.ResponseWriter, sh *shardState, method, pathAndQuery string, body []byte) {
+	status, out, err := rt.call(sh, method, pathAndQuery, body)
+	if err != nil {
+		rt.writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	var jr JobResponse
+	if status >= 300 || json.Unmarshal(out, &jr) != nil || jr.ID == "" {
+		writeRaw(w, status, out)
+		return
+	}
+	jr.ID = sh.name + "-" + jr.ID
+	writeJSON(w, status, jr)
 }
 
 // routingKey computes the shard-routing key of an evaluation request from
-// its envelope: the same lang.CanonicalKey the shard's program cache uses,
-// so every request for one compiled program lands on one shard and its
-// cache stays hot. A request the router cannot key (no envelope, parse or
-// validation errors) still routes — deterministically, by raw body — so the
-// owning shard produces the canonical error response.
+// its envelope: the key of its plan, the same lang.CanonicalKey the shard's
+// program cache uses (at opt level 0 where the schedule names none), so every
+// request for one compiled program lands on one shard and its cache stays
+// hot. A request with no plan (no envelope, parse or validation errors) still
+// routes — deterministically, by raw body — so the owning shard produces the
+// canonical error response.
 func routingKey(env *EvaluateRequest, body []byte) string {
-	if env != nil && env.Expr != "" {
-		if e, err := lang.Parse(env.Expr); err == nil {
-			if formats, err := toFormats(env.Formats); err == nil {
-				if sched, err := env.Schedule.toSchedule(0); err == nil {
-					return lang.CanonicalKey(e, formats, sched)
-				}
-			}
+	if env != nil {
+		if p, err := env.plan(0); err == nil {
+			return p.key
 		}
 	}
 	return "body:" + strconv.FormatUint(ringHash(string(body)), 16)
@@ -468,7 +547,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request, async bool)
 				fmt.Errorf("input ref %q is tiled across shards; tiled operands support synchronous POST /v1/evaluate only", name))
 			return
 		}
-		rt.handleTiledEvaluate(w, r, body, tiled, name)
+		rt.handleTiledEvaluate(w, body, tiled, name)
 		return
 	}
 	sh := rt.route(routingKey(env, body))
@@ -476,20 +555,11 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request, async bool)
 		rt.writeUnavailable(w, "no live shards")
 		return
 	}
-	pq := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pq += "?" + r.URL.RawQuery
-	}
-	var rewrite func(int, []byte) []byte
 	if async {
-		rewrite = func(status int, out []byte) []byte {
-			if status != http.StatusAccepted {
-				return out
-			}
-			return rewriteJobID(out, func(id string) string { return sh.name + "-" + id })
-		}
+		rt.proxyJob(w, sh, http.MethodPost, r.URL.RequestURI(), body)
+	} else {
+		rt.proxy(w, sh, http.MethodPost, r.URL.RequestURI(), body)
 	}
-	rt.proxy(w, sh, http.MethodPost, pq, body, rewrite)
 }
 
 // handleJob routes GET /v1/jobs/{id} back to the shard named by the ID
@@ -507,39 +577,17 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		rt.writeUnavailable(w, fmt.Sprintf("shard %s holding job %q is unavailable", sh.name, id))
 		return
 	}
-	rt.proxy(w, sh, http.MethodGet, "/v1/jobs/"+local, nil, func(status int, out []byte) []byte {
-		if status != http.StatusOK {
-			return out
-		}
-		return rewriteJobID(out, func(string) string { return id })
-	})
+	rt.proxyJob(w, sh, http.MethodGet, "/v1/jobs/"+local, nil)
 }
 
 // shardByName resolves s0/s1/... back to shard state; nil when unknown.
 func (rt *Router) shardByName(name string) *shardState {
-	if !strings.HasPrefix(name, "s") {
-		return nil
+	for _, sh := range rt.shards {
+		if sh.name == name {
+			return sh
+		}
 	}
-	i, err := strconv.Atoi(name[1:])
-	if err != nil || i < 0 || i >= len(rt.shards) {
-		return nil
-	}
-	return rt.shards[i]
-}
-
-// rewriteJobID rewrites the "id" field of a JobResponse body, leaving the
-// rest of the shard's encoding untouched.
-func rewriteJobID(body []byte, f func(string) string) []byte {
-	var jr JobResponse
-	if err := json.Unmarshal(body, &jr); err != nil || jr.ID == "" {
-		return body
-	}
-	jr.ID = f(jr.ID)
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(jr); err != nil {
-		return body
-	}
-	return buf.Bytes()
+	return nil
 }
 
 // handleStats fans GET /v1/stats out to every live shard and aggregates:
@@ -588,9 +636,10 @@ func (rt *Router) Stats() RouterStatsResponse {
 		row := RouterShardStats{Shard: sh.name, URL: sh.url, Live: !sh.down.Load()}
 		if row.Live {
 			out.ShardsLive++
-			if st, err := rt.fetchShardStats(sh); err == nil {
-				row.Stats = st
-				addStats(&out.Aggregate, st)
+			var st StatsResponse
+			if body, err := rt.ask(sh, http.MethodGet, "/v1/stats", nil); err == nil && json.Unmarshal(body, &st) == nil {
+				row.Stats = &st
+				addStats(&out.Aggregate, &st)
 				merged = mergeHist(merged, st.LatencyHist)
 			}
 		}
@@ -601,32 +650,15 @@ func (rt *Router) Stats() RouterStatsResponse {
 		out.Aggregate.LatencyP50MS = obs.QuantileFromBuckets(merged.Buckets, merged.Counts, 0.50) * 1000
 		out.Aggregate.LatencyP99MS = obs.QuantileFromBuckets(merged.Buckets, merged.Counts, 0.99) * 1000
 	}
-	out.RouterRequests = rt.sumCounter("sam_router_requests_total")
-	out.RouterProxyErrors = rt.sumCounter("sam_router_proxy_errors_total")
-	out.RouterEjections = rt.sumCounter("sam_router_ejections_total")
-	out.RouterRejoins = rt.sumCounter("sam_router_rejoins_total")
+	out.RouterRequests = rt.sum(rt.mRequests)
+	out.RouterProxyErrors = rt.sum(rt.mProxyErrs)
+	out.RouterEjections = rt.sum(rt.mEjections)
+	out.RouterRejoins = rt.sum(rt.mRejoins)
 	rt.tilesMu.Lock()
 	out.RouterTiledTensors = len(rt.tiles)
 	rt.tilesMu.Unlock()
 	out.RouterTileFanouts = rt.mTileFans.Value()
 	return out
-}
-
-// fetchShardStats pulls one shard's stats snapshot.
-func (rt *Router) fetchShardStats(sh *shardState) (*StatsResponse, error) {
-	resp, err := rt.probe.Get(sh.url + "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("stats: status %d", resp.StatusCode)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // addStats accumulates one shard's counters into the aggregate. Percentiles
@@ -695,18 +727,12 @@ func mergeHist(acc, h *HistogramSnapshot) *HistogramSnapshot {
 	return acc
 }
 
-// sumCounter totals a labeled counter family across its series.
-func (rt *Router) sumCounter(name string) int64 {
-	var total int64
-	for _, f := range rt.reg.Snapshot() {
-		if f.Name != name {
-			continue
-		}
-		for _, s := range f.Series {
-			total += int64(s.Value)
-		}
+// sum totals a per-shard counter family across the fleet.
+func (rt *Router) sum(v *obs.CounterVec) (n int64) {
+	for _, sh := range rt.shards {
+		n += v.With(sh.name).Value()
 	}
-	return total
+	return n
 }
 
 // handleMetrics serves the fleet's Prometheus exposition: the router's own
@@ -718,20 +744,10 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var own bytes.Buffer
 	_ = rt.reg.WritePrometheus(&own)
 	mergeExposition(blocks, own.Bytes(), "")
-	for _, sh := range rt.shards {
-		if sh.down.Load() {
-			continue
+	for _, sh := range rt.live() {
+		if body, err := rt.ask(sh, http.MethodGet, "/metrics", nil); err == nil {
+			mergeExposition(blocks, body, sh.name)
 		}
-		resp, err := rt.probe.Get(sh.url + "/metrics")
-		if err != nil {
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		mergeExposition(blocks, body, sh.name)
 	}
 	names := make([]string, 0, len(blocks))
 	for n := range blocks {

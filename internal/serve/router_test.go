@@ -539,16 +539,18 @@ func TestRouterProbeEjection(t *testing.T) {
 	})
 	req := requestOwnedBy(t, rt, u2)
 
+	// Watch the counters directly: Stats scrapes every live shard, and a
+	// scrape failing in transport would eject the dead one before the probes.
 	stop2()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := rt.Stats(); st.ShardsLive == 1 && st.RouterEjections == 1 {
-			break
-		}
+	for rt.liveCount() != 1 || rt.sum(rt.mEjections) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("probes never ejected the dead shard: %+v", rt.Stats())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if n := rt.sum(rt.mProxyErrs); n != 0 {
+		t.Fatalf("%d proxy errors with no request sent: something other than the probes ejected the shard", n)
 	}
 	if resp, body := postJSON(t, router.URL+"/v1/evaluate", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after probe ejection: status %d: %s (keyspace did not remap)", resp.StatusCode, body)

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"sam/internal/lang"
+	"sam/internal/sim"
 	"sam/internal/tensor"
 	"sam/internal/tiling"
 )
@@ -42,7 +41,19 @@ type tiledTensor struct {
 // go there (unlike stateless request routing, which remaps freely).
 type tileRef struct {
 	name  string
-	shard int
+	shard *shardState
+}
+
+// live is nil when every tile's shard is in the ring; otherwise the 503 that
+// says which tile is out of reach.
+func (t *tiledTensor) live() error {
+	for _, tr := range t.tiles {
+		if tr.shard.down.Load() {
+			return unavailableErr(fmt.Sprintf(
+				"tile %q unavailable: shard %s is ejected (tiles are not replicated)", tr.name, tr.shard.name))
+		}
+	}
+	return nil
 }
 
 func (t *tiledTensor) info() TensorInfo {
@@ -68,15 +79,11 @@ func (rt *Router) lookupTiled(name string) *tiledTensor {
 // envelope has no tiled refs (the shard will produce the canonical error
 // for it).
 func (rt *Router) tiledRef(env *EvaluateRequest) (*tiledTensor, string) {
-	if env == nil {
-		return nil, ""
-	}
-	for name, in := range env.Inputs {
-		if in.Ref == "" {
-			continue
-		}
-		if tt := rt.lookupTiled(in.Ref); tt != nil {
-			return tt, name
+	if env != nil {
+		for name, in := range env.Inputs {
+			if tt := rt.lookupTiled(in.Ref); tt != nil {
+				return tt, name
+			}
 		}
 	}
 	return nil, ""
@@ -100,34 +107,22 @@ func (rt *Router) handleTensorPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	coo, est := rt.tileCandidate(body, name)
-	if coo == nil {
-		// Not tileable (small, disabled, malformed, or wrong order): the
-		// ring owner stores or rejects it. A malformed body gets the shard's
-		// canonical error. Replacing a previously tiled name un-tiles it.
+	var live []*shardState
+	if coo != nil {
+		live = rt.live()
+	}
+	if len(live) < 2 {
+		// Not tileable (small, disabled, malformed, or wrong order), or one
+		// shard is no fleet: the ring owner stores or rejects it. A malformed
+		// body gets the shard's canonical error. Replacing a previously tiled
+		// name un-tiles it.
 		rt.dropTiles(name)
 		sh := rt.route(name)
 		if sh == nil {
 			rt.writeUnavailable(w, "no live shards")
 			return
 		}
-		rt.proxy(w, sh, http.MethodPut, "/v1/tensors/"+name, body, nil)
-		return
-	}
-
-	var live []*shardState
-	for _, sh := range rt.shards {
-		if !sh.down.Load() {
-			live = append(live, sh)
-		}
-	}
-	if len(live) < 2 {
-		// One shard is no fleet; store it plain.
-		rt.dropTiles(name)
-		if len(live) == 0 {
-			rt.writeUnavailable(w, "no live shards")
-			return
-		}
-		rt.proxy(w, rt.route(name), http.MethodPut, "/v1/tensors/"+name, body, nil)
+		rt.proxy(w, sh, http.MethodPut, "/v1/tensors/"+name, body)
 		return
 	}
 
@@ -143,27 +138,27 @@ func (rt *Router) handleTensorPut(w http.ResponseWriter, r *http.Request) {
 	}
 	for k, b := range blocks {
 		sh := live[k%len(live)]
-		tr := tileRef{name: fmt.Sprintf("%s%s%d", name, tileInfix, k), shard: rt.shardIndex(sh)}
-		wt := ToWire(b)
-		buf, _ := json.Marshal(wt)
-		if err := rt.putTile(sh, tr.name, buf); err != nil {
-			// Partial uploads must not linger: a later evaluate would see a
-			// registry entry whose tiles are incomplete. Roll back.
+		tr := tileRef{name: fmt.Sprintf("%s%s%d", name, tileInfix, k), shard: sh}
+		buf, _ := json.Marshal(ToWire(b)) // a decoded upload holds nothing JSON cannot encode
+		if _, err := rt.ask(sh, http.MethodPut, "/v1/tensors/"+tr.name, buf); err != nil {
+			// Partial uploads must not linger: roll back. A shard's refusal
+			// (a tile over its tensor budget is a healthy shard's 413) is
+			// relayed as it is; only an unreachable shard is a 503.
 			rt.deleteTileRefs(tt.tiles)
-			rt.mProxyErrs.With(sh.name).Inc()
-			rt.fail(sh, false)
-			rt.writeUnavailable(w, fmt.Sprintf("storing tile %q on shard %s failed: %v", tr.name, sh.name, err))
+			rt.writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
 		tt.tiles = append(tt.tiles, tr)
 	}
-	// The whole tensor is down on disk... in the fleet; now the name can
-	// switch over. If it previously lived un-tiled on its ring owner, that
-	// copy is stale — drop it.
+	// The whole tensor is down in the fleet; now the name can switch over. If
+	// it previously lived un-tiled on its ring owner, that copy is stale (and
+	// still resolvable by a shard-direct client) — drop it.
 	rt.tilesMu.Lock()
 	rt.tiles[name] = tt
 	rt.tilesMu.Unlock()
-	rt.deletePlain(name)
+	if sh := rt.route(name); sh != nil {
+		rt.call(sh, http.MethodDelete, "/v1/tensors/"+name, nil) // best effort
+	}
 	rt.mTiledPuts.Inc()
 	rt.logf("tensor=%s event=tiled_put tiles=%d nnz=%d bytes=%d", name, len(tt.tiles), tt.nnz, tt.bytes)
 	writeJSON(w, http.StatusOK, tt.info())
@@ -190,36 +185,6 @@ func (rt *Router) tileCandidate(body []byte, name string) (*tensor.COO, int64) {
 	return nil, 0
 }
 
-// shardIndex recovers a shard's position (its tileRef identity).
-func (rt *Router) shardIndex(sh *shardState) int {
-	for i, s := range rt.shards {
-		if s == sh {
-			return i
-		}
-	}
-	return -1
-}
-
-// putTile stores one tile on one shard.
-func (rt *Router) putTile(sh *shardState, tileName string, body []byte) error {
-	rt.mRequests.With(sh.name).Inc()
-	req, err := http.NewRequest(http.MethodPut, sh.url+"/v1/tensors/"+tileName, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(out)))
-	}
-	return nil
-}
-
 // dropTiles forgets a tiled record and best-effort deletes its tiles.
 func (rt *Router) dropTiles(name string) {
 	rt.tilesMu.Lock()
@@ -234,36 +199,9 @@ func (rt *Router) dropTiles(name string) {
 // deleteTileRefs best-effort deletes stored tiles (cleanup paths).
 func (rt *Router) deleteTileRefs(tiles []tileRef) {
 	for _, tr := range tiles {
-		sh := rt.shards[tr.shard]
-		if sh.down.Load() {
-			continue
+		if !tr.shard.down.Load() {
+			rt.call(tr.shard, http.MethodDelete, "/v1/tensors/"+tr.name, nil)
 		}
-		req, err := http.NewRequest(http.MethodDelete, sh.url+"/v1/tensors/"+tr.name, nil)
-		if err != nil {
-			continue
-		}
-		if resp, err := rt.client.Do(req); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}
-}
-
-// deletePlain best-effort deletes the un-tiled copy of a name from its ring
-// owner (a tiled PUT replacing a plain tensor must not leave the stale
-// plain copy resolvable by a shard-direct client).
-func (rt *Router) deletePlain(name string) {
-	sh := rt.route(name)
-	if sh == nil {
-		return
-	}
-	req, err := http.NewRequest(http.MethodDelete, sh.url+"/v1/tensors/"+name, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := rt.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 }
 
@@ -279,11 +217,7 @@ func (rt *Router) handleTensor(w http.ResponseWriter, r *http.Request) {
 			rt.writeUnavailable(w, "no live shards")
 			return
 		}
-		pq := r.URL.Path
-		if r.URL.RawQuery != "" {
-			pq += "?" + r.URL.RawQuery
-		}
-		rt.proxy(w, sh, r.Method, pq, nil, nil)
+		rt.proxy(w, sh, r.Method, r.URL.RequestURI(), nil)
 		return
 	}
 	switch r.Method {
@@ -293,365 +227,223 @@ func (rt *Router) handleTensor(w http.ResponseWriter, r *http.Request) {
 	default:
 		info := tt.info()
 		if v := r.URL.Query().Get("data"); v != "" && v != "0" {
-			parts, err := rt.fetchTiles(tt)
+			whole, err := rt.reassemble(tt)
 			if err != nil {
 				rt.writeUnavailable(w, err.Error())
 				return
 			}
-			merged, err := tiling.MergePartials(name, tt.dims, parts)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-			wt := ToWire(merged)
+			wt := ToWire(whole)
 			info.Data = &wt
 		}
 		writeJSON(w, http.StatusOK, info)
 	}
 }
 
-// fetchTiles pulls every tile of a tiled tensor back from its shard.
-func (rt *Router) fetchTiles(tt *tiledTensor) ([]*tensor.COO, error) {
+// reassemble pulls every tile of a tiled tensor back from its shard and
+// merges them into the tensor that was uploaded.
+func (rt *Router) reassemble(tt *tiledTensor) (*tensor.COO, error) {
+	if err := tt.live(); err != nil {
+		return nil, err
+	}
 	parts := make([]*tensor.COO, len(tt.tiles))
 	for i, tr := range tt.tiles {
-		sh := rt.shards[tr.shard]
-		if sh.down.Load() {
-			return nil, fmt.Errorf("tile %q unavailable: shard %s is ejected (tiles are not replicated)", tr.name, sh.name)
+		info, err := rt.fetchTensor(tr.shard, tr.name)
+		if err == nil {
+			parts[i], err = info.Data.toCOO(tt.name)
 		}
-		info, err := rt.fetchTensor(sh, tr.name)
 		if err != nil {
-			return nil, fmt.Errorf("tile %q on shard %s: %v", tr.name, sh.name, err)
+			return nil, fmt.Errorf("tile %q on shard %s: %v", tr.name, tr.shard.name, err)
 		}
-		coo, err := info.Data.toCOO(tt.name)
-		if err != nil {
-			return nil, fmt.Errorf("tile %q on shard %s: %v", tr.name, sh.name, err)
-		}
-		parts[i] = coo
 	}
-	return parts, nil
+	return tiling.MergePartials(tt.name, parts)
 }
 
 // fetchTensor GETs one stored tensor, data included, from a shard.
 func (rt *Router) fetchTensor(sh *shardState, name string) (*TensorInfo, error) {
-	rt.mRequests.With(sh.name).Inc()
-	resp, err := rt.client.Get(sh.url + "/v1/tensors/" + name + "?data=1")
-	if err != nil {
-		rt.mProxyErrs.With(sh.name).Inc()
-		rt.fail(sh, false)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := rt.ask(sh, http.MethodGet, "/v1/tensors/"+name+"?data=1", nil)
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	var info TensorInfo
 	if err := json.Unmarshal(body, &info); err != nil {
 		return nil, err
 	}
 	if info.Data == nil {
-		return nil, fmt.Errorf("shard returned no tensor data")
+		return nil, fmt.Errorf("shard %s returned no data for tensor %q", sh.name, name)
 	}
 	return &info, nil
 }
 
-// handleTiledEvaluate runs POST /v1/evaluate against a tiled operand: the
-// request fans out once per tile (each sub-request runs on the shard
-// holding its tile, referencing the tile by name so the shard's bind cache
-// does the heavy lifting), and the per-tile partial outputs are summed
-// coordinate-wise (tiling.MergePartials). The algebra requires the tiled
-// tensor to enter the expression multiplicatively and exactly once —
-// row-block partials of T sum to T, and a multilinear product distributes
-// over that sum; an additive operand (X = B + C) would be re-counted once
-// per tile. Fixpoint requests iterate at the router: each iteration fans
-// out one-shot sub-requests with the current state inlined, merges the
-// partials, and applies the shard-identical update rule (sim.Fixpoint.Apply).
-func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, r *http.Request, body []byte, tt *tiledTensor, inputName string) {
+// handleTiledEvaluate runs POST /v1/evaluate against a tiled operand. The
+// router only moves bytes: what the request is and whether it may run once
+// per tile is checkTiled's call, the sum of the partials is
+// tiling.MergePartials, and a fixpoint request is sim.Fixpoint.Iterate — the
+// loop and update rule a shard runs — with one fan-out as its step.
+func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, body []byte, tt *tiledTensor, operand string) {
 	begin := time.Now()
 	var req EvaluateRequest
 	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		writeBodyError(w, err)
 		return
 	}
-	e, err := lang.Parse(req.Expr)
+	fx, err := rt.checkTiled(&req, operand)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := tiledExprOK(e, inputName); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	fx, err := req.Fixpoint.toFixpoint()
+	stamps, err := rt.inlineRefs(req.Inputs, operand, tt)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		rt.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	if fx != nil && fx.Var == inputName {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("fixpoint var %q is the tiled operand; the iterated state must be a plain input", inputName))
-		return
-	}
-
-	// Resolve every other input to inline data at the router: a sub-request
-	// lands on its tile's shard, which need not hold the other refs.
-	inputs := make(map[string]WireTensor, len(req.Inputs))
-	stamps := map[string]TensorRef{inputName: {Version: tt.version, Fingerprint: tt.fp}}
-	for name, in := range req.Inputs {
-		if name == inputName {
-			continue
-		}
-		if in.Ref == "" {
-			inputs[name] = in
-			continue
-		}
-		if rt.lookupTiled(in.Ref) != nil {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("inputs %q and %q both reference tiled tensors; at most one operand may be tiled", inputName, name))
-			return
-		}
-		sh := rt.route(in.Ref)
-		if sh == nil {
-			rt.writeUnavailable(w, "no live shards")
-			return
-		}
-		info, err := rt.fetchTensor(sh, in.Ref)
-		if err != nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no stored tensor %q", in.Ref))
-			return
-		}
-		inputs[name] = *info.Data
-		stamps[in.Ref] = TensorRef{Version: info.Version, Fingerprint: info.Fingerprint}
-	}
-
 	sub := req
 	sub.Fixpoint = nil
 
+	var out *tensor.COO
+	var resp *EvaluateResponse
 	if fx == nil {
-		parts, agg, status, errBody := rt.fanout(sub, tt, inputName, inputs, nil)
-		if errBody != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			w.Write(errBody)
+		out, resp, err = rt.fanout(tt, sub, operand)
+	} else {
+		// The state tensor is inline by now, whatever it was on arrival.
+		x0, cerr := sub.Inputs[fx.Var].toCOO(fx.Var)
+		if cerr != nil {
+			writeError(w, http.StatusBadRequest, cerr)
 			return
 		}
-		merged, err := mergeOutputs(parts)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
+		res, ierr := fx.Iterate(x0, func(x *tensor.COO) (*tensor.COO, int, error) {
+			sub.Inputs[fx.Var] = ToWire(x)
+			y, r, err := rt.fanout(tt, sub, operand)
+			if err != nil {
+				return nil, 0, err
+			}
+			resp = r
+			return y, r.Cycles, nil
+		})
+		if err = ierr; err == nil {
+			out, resp.Cycles = res.Output, res.Cycles
+			resp.Fixpoint = &FixpointInfo{Iterations: res.Iterations, Converged: res.Converged, Deltas: res.Deltas}
 		}
-		resp := *agg
-		resp.Output = ToWire(merged)
-		resp.Tensors = stamps
-		resp.ElapsedNS = time.Since(begin).Nanoseconds()
-		writeJSON(w, http.StatusOK, resp)
-		return
 	}
-
-	// Router-driven fixpoint: the state tensor must be inline by now.
-	stateWire, ok := inputs[fx.Var]
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fixpoint var %q is not an input", fx.Var))
-		return
-	}
-	x, err := stateWire.toCOO(fx.Var)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		rt.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	fi := &FixpointInfo{}
-	var agg *EvaluateResponse
-	totalCycles := 0
-	for i := 0; i < fx.MaxIters; i++ {
-		parts, a, status, errBody := rt.fanout(sub, tt, inputName, inputs, map[string]WireTensor{fx.Var: ToWire(x)})
-		if errBody != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			w.Write(errBody)
-			return
-		}
-		agg = a
-		totalCycles += a.Cycles
-		y, err := mergeOutputs(parts)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		next, delta, err := fx.Apply(y, x)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		x = next
-		fi.Deltas = append(fi.Deltas, delta)
-		fi.Iterations++
-		if fx.Tol > 0 && delta <= fx.Tol {
-			fi.Converged = true
-			break
-		}
-	}
-	resp := *agg
-	resp.Cycles = totalCycles
-	resp.Output = ToWire(x)
+	resp.Output = ToWire(out)
 	resp.Tensors = stamps
-	resp.Fixpoint = fi
 	resp.ElapsedNS = time.Since(begin).Nanoseconds()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// tiledExprOK checks the algebraic precondition for per-tile fan-out: the
-// tiled tensor appears exactly once, and every operator in the expression
-// tree is a product (multilinearity is what makes row-block partials sum to
-// the whole answer).
-func tiledExprOK(e *lang.Einsum, tiled string) error {
-	uses := 0
-	for _, a := range e.Accesses() {
-		if a.Tensor == tiled {
-			uses++
+// checkTiled is everything that can be wrong with a tiled evaluation before
+// a byte moves: the request's plan, the tile algebra, a second tiled operand,
+// the fixpoint spec. It returns the validated spec, nil for a one-shot.
+func (rt *Router) checkTiled(req *EvaluateRequest, operand string) (*sim.Fixpoint, error) {
+	p, err := req.plan(0)
+	if err != nil {
+		return nil, err
+	}
+	fixVar := ""
+	if req.Fixpoint != nil {
+		fixVar = req.Fixpoint.Var
+	}
+	if err := tiling.Distributable(p.e, operand, fixVar); err != nil {
+		return nil, err
+	}
+	for name, in := range req.Inputs {
+		if name != operand && rt.lookupTiled(in.Ref) != nil {
+			return nil, fmt.Errorf("inputs %q and %q both reference tiled tensors; at most one operand may be tiled", operand, name)
 		}
 	}
-	if uses != 1 {
-		return fmt.Errorf("tiled operand %q appears %d times in %q; per-tile partials sum to the result only when it appears exactly once", tiled, uses, e.String())
-	}
-	bad := false
-	var walk func(lang.Expr)
-	walk = func(x lang.Expr) {
-		if b, ok := x.(*lang.Binary); ok {
-			if b.Op != lang.Mul {
-				bad = true
-			}
-			walk(b.L)
-			walk(b.R)
+	fx, err := req.Fixpoint.toFixpoint()
+	if err == nil && fx != nil {
+		if _, ok := req.Inputs[fx.Var]; !ok {
+			err = fmt.Errorf("fixpoint var %q is not an input", fx.Var)
 		}
 	}
-	walk(e.RHS)
-	if bad {
-		return fmt.Errorf("expression %q mixes addition with a tiled operand; per-tile partials sum to the result only for pure products (an added term would be re-counted once per tile)", e.String())
-	}
-	return nil
+	return fx, err
 }
 
-// fanout runs one sub-request per tile concurrently and aggregates the
-// scalar response fields (max cycles and setup — the tiles run in
-// parallel across shards — and the worst cache tier). On a sub-request
-// failure it returns the failing shard's status and body verbatim; on a
-// transport failure, a 503 body.
-func (rt *Router) fanout(sub EvaluateRequest, tt *tiledTensor, inputName string, inputs map[string]WireTensor, extra map[string]WireTensor) ([]*tensor.COO, *EvaluateResponse, int, []byte) {
-	rt.mTileFans.Inc()
-	type result struct {
-		resp   *EvaluateResponse
-		status int
-		body   []byte
-		err    error
-		shard  *shardState
+// inlineRefs replaces every {"ref"} input but the tiled operand's with the
+// tensor it names, fetched from the name's ring owner: a sub-request lands on
+// its tile's shard, which need not hold the other refs. It returns the
+// response's stamps, one per ref input.
+func (rt *Router) inlineRefs(inputs map[string]WireTensor, operand string, tt *tiledTensor) (map[string]TensorRef, error) {
+	stamps := map[string]TensorRef{operand: {Version: tt.version, Fingerprint: tt.fp}}
+	for name, in := range inputs {
+		if name == operand || in.Ref == "" {
+			continue
+		}
+		sh := rt.route(in.Ref)
+		if sh == nil {
+			return nil, unavailableErr("no live shards")
+		}
+		info, err := rt.fetchTensor(sh, in.Ref)
+		if err != nil {
+			return nil, err
+		}
+		inputs[name] = *info.Data
+		stamps[name] = TensorRef{Version: info.Version, Fingerprint: info.Fingerprint}
 	}
-	results := make([]result, len(tt.tiles))
+	return stamps, nil
+}
+
+// cacheRank orders the cache tiers a shard reports: a fan-out's cache story is
+// its slowest tile's.
+var cacheRank = map[string]int{"hit": 0, "disk": 1, "miss": 2}
+
+// fanout is one evaluation over a tiled operand: sub runs once per tile,
+// concurrently, each copy on the shard holding its tile and naming the tile
+// by ref (so the shard's bind cache does the heavy lifting), and the partial
+// outputs are summed. The response it returns carries the scalar fields
+// aggregated (max cycles and setup — the tiles run in parallel — and the
+// worst cache tier), its output still to fill. A fan-out that cannot finish,
+// a tile's shard being down, sends nothing and counts nothing.
+func (rt *Router) fanout(tt *tiledTensor, sub EvaluateRequest, operand string) (*tensor.COO, *EvaluateResponse, error) {
+	if err := tt.live(); err != nil {
+		return nil, nil, err
+	}
+	bodies := make([][]byte, len(tt.tiles))
+	for i, tr := range tt.tiles {
+		sub.Inputs[operand] = WireTensor{Ref: tr.name}
+		var err error
+		if bodies[i], err = json.Marshal(sub); err != nil {
+			// An iterated state that overflowed to ±Inf has no JSON form.
+			return nil, nil, fmt.Errorf("sub-request for tile %q: %v", tr.name, err)
+		}
+	}
+	rt.mTileFans.Inc()
+	errs := make([]error, len(tt.tiles))
 	var wg sync.WaitGroup
 	for i, tr := range tt.tiles {
-		sh := rt.shards[tr.shard]
-		if sh.down.Load() {
-			body, _ := json.Marshal(ErrorResponse{Error: fmt.Sprintf(
-				"tile %q unavailable: shard %s is ejected (tiles are not replicated)", tr.name, sh.name)})
-			return nil, nil, http.StatusServiceUnavailable, body
-		}
-		sub := sub
-		sub.Inputs = make(map[string]WireTensor, len(inputs)+1)
-		for k, v := range inputs {
-			sub.Inputs[k] = v
-		}
-		for k, v := range extra {
-			sub.Inputs[k] = v
-		}
-		sub.Inputs[inputName] = WireTensor{Ref: tr.name}
-		buf, _ := json.Marshal(sub)
 		wg.Add(1)
-		go func(i int, sh *shardState, buf []byte) {
+		go func() {
 			defer wg.Done()
-			rt.mRequests.With(sh.name).Inc()
-			resp, err := rt.client.Post(sh.url+"/v1/evaluate", "application/json", bytes.NewReader(buf))
-			if err != nil {
-				results[i] = result{err: err, shard: sh}
-				return
-			}
-			defer resp.Body.Close()
-			body, _ := io.ReadAll(resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				results[i] = result{status: resp.StatusCode, body: body, shard: sh}
-				return
-			}
-			var er EvaluateResponse
-			if err := json.Unmarshal(body, &er); err != nil {
-				results[i] = result{err: err, shard: sh}
-				return
-			}
-			results[i] = result{resp: &er}
-		}(i, sh, buf)
+			bodies[i], errs[i] = rt.ask(tr.shard, http.MethodPost, "/v1/evaluate", bodies[i])
+		}()
 	}
 	wg.Wait()
 
-	parts := make([]*tensor.COO, 0, len(results))
+	parts := make([]*tensor.COO, len(tt.tiles))
 	agg := &EvaluateResponse{Cache: "hit"}
-	for _, res := range results {
-		if res.err != nil {
-			rt.mProxyErrs.With(res.shard.name).Inc()
-			rt.fail(res.shard, false)
-			body, _ := json.Marshal(ErrorResponse{Error: fmt.Sprintf(
-				"shard %s failed mid-fan-out: %v", res.shard.name, res.err)})
-			return nil, nil, http.StatusServiceUnavailable, body
+	for i, tr := range tt.tiles {
+		if errs[i] != nil {
+			return nil, nil, errs[i]
 		}
-		if res.body != nil {
-			return nil, nil, res.status, res.body
+		var er EvaluateResponse
+		err := json.Unmarshal(bodies[i], &er)
+		if err == nil {
+			parts[i], err = er.Output.toCOO("partial")
 		}
-		coo, err := res.resp.Output.toCOO("partial")
 		if err != nil {
-			body, _ := json.Marshal(ErrorResponse{Error: fmt.Sprintf("bad partial output: %v", err)})
-			return nil, nil, http.StatusInternalServerError, body
+			return nil, nil, fmt.Errorf("bad partial output for tile %q: %v", tr.name, err)
 		}
-		parts = append(parts, coo)
-		if res.resp.Cycles > agg.Cycles {
-			agg.Cycles = res.resp.Cycles
+		agg.Cycles = max(agg.Cycles, er.Cycles)
+		agg.SetupNS = max(agg.SetupNS, er.SetupNS)
+		if cacheRank[er.Cache] > cacheRank[agg.Cache] {
+			agg.Cache = er.Cache
 		}
-		if res.resp.SetupNS > agg.SetupNS {
-			agg.SetupNS = res.resp.SetupNS
-		}
-		agg.Cache = worseCache(agg.Cache, res.resp.Cache)
-		agg.Fingerprint = res.resp.Fingerprint
-		agg.Engine = res.resp.Engine
-		agg.Requested = res.resp.Requested
+		agg.Fingerprint, agg.Engine, agg.Requested = er.Fingerprint, er.Engine, er.Requested
 	}
-	return parts, agg, 0, nil
-}
-
-// worseCache orders cache tiers hit < disk < miss and keeps the worse: the
-// fan-out's cache story is its slowest tile's.
-func worseCache(a, b string) string {
-	rank := func(s string) int {
-		switch s {
-		case "hit":
-			return 0
-		case "disk":
-			return 1
-		default:
-			return 2
-		}
-	}
-	if rank(b) > rank(a) {
-		return b
-	}
-	return a
-}
-
-// mergeOutputs sums per-tile partial outputs coordinate-wise.
-func mergeOutputs(parts []*tensor.COO) (*tensor.COO, error) {
-	var dims []int
-	for _, p := range parts {
-		if p.Order() > 0 || len(p.Pts) > 0 {
-			dims = p.Dims
-			break
-		}
-	}
-	return tiling.MergePartials("out", dims, parts)
+	out, err := tiling.MergePartials("out", parts)
+	return out, agg, err
 }

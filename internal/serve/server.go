@@ -230,10 +230,10 @@ func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		cache:   newProgramCache(cfg.CacheSize),
 		metrics: newMetrics(),
 		jobs:    map[string]*job{},
 	}
+	s.cache = newProgramCache(cfg.CacheSize, s.metrics)
 	if cfg.ArtifactDir != "" {
 		s.disk = newDiskCache(cfg.ArtifactDir, s.metrics)
 	}
@@ -279,34 +279,16 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// warmup pre-compiles each expression into the program cache, then marks
-// the server ready. Compile failures are skipped after logging: readiness
-// gates on the work finishing, not on every expression being valid.
+// warmup resolves each expression's program (default schedule at DefaultOpt)
+// exactly as a request for it would, then marks the server ready. Failures
+// are skipped after logging: readiness gates on the work finishing, not on
+// every expression being valid.
 func (s *Server) warmup(exprs []string) {
 	for _, src := range exprs {
-		err := func() error {
-			e, err := lang.Parse(src)
-			if err != nil {
-				return err
-			}
-			sched := lang.Schedule{Opt: s.cfg.DefaultOpt}
-			key := lang.CanonicalKey(e, nil, sched)
-			_, _, err = s.cache.resolve(key, func() (*sim.Program, string, error) {
-				g, err := custard.Compile(e, nil, sched)
-				if err != nil {
-					return nil, "", err
-				}
-				p, err := sim.NewProgram(g)
-				if err != nil {
-					return nil, "", err
-				}
-				if s.disk != nil {
-					s.disk.store(key, p)
-				}
-				return p, "miss", nil
-			})
-			return err
-		}()
+		p, err := (&EvaluateRequest{Expr: src}).plan(s.cfg.DefaultOpt)
+		if err == nil {
+			_, _, err = s.resolve(p, obs.Span{})
+		}
 		if err != nil && s.cfg.AccessLog != nil {
 			fmt.Fprintf(s.cfg.AccessLog, "warmup expr=%q error=%q\n", src, err)
 		}
@@ -409,79 +391,38 @@ func (s *Server) Close() {
 	s.queue.drain()
 }
 
-// prepare validates a request and resolves its compiled program through the
-// cache. The returned setup duration covers parse, canonicalization, and —
-// on a miss — compilation and program construction: the cost the cache
-// amortizes. tr, when non-nil, gets an "admission" span with children for
-// the cache lookup and the compile or artifact decode; the same trace rides
-// Options.Trace into the engine for its phase spans.
-func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
-	req := &decoded.wire
-	if req.Expr == "" {
-		return nil, fmt.Errorf("expr is required")
-	}
-	formats, err := toFormats(req.Formats)
+// compile builds a plan's program from source.
+func (p *plan) compile() (*sim.Program, error) {
+	g, err := custard.Compile(p.e, p.formats, p.sched)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := req.Schedule.toSchedule(s.cfg.DefaultOpt)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := req.Options.toOptions()
-	if err != nil {
-		return nil, err
-	}
+	return sim.NewProgram(g)
+}
 
-	begin := time.Now()
-	adm := tr.Start("admission")
-	defer adm.End()
-	e, err := lang.Parse(req.Expr)
-	if err != nil {
-		return nil, err
-	}
-	// Reject format entries for tensors the statement never names: the
-	// compiler would silently ignore them (a typo'd name compiles with
-	// default formats) and the stray key would fragment the program cache.
-	if len(formats) > 0 {
-		named := map[string]bool{e.LHS.Tensor: true}
-		for _, a := range e.Accesses() {
-			named[a.Tensor] = true
-		}
-		for name := range formats {
-			if !named[name] {
-				return nil, fmt.Errorf("format for %q names no tensor of %s", name, e)
-			}
-		}
-	}
-	// compile builds the program from source; shared by the miss path and
-	// the artifact self-heal below.
-	compile := func() (*sim.Program, error) {
-		g, err := custard.Compile(e, formats, sched)
-		if err != nil {
-			return nil, err
-		}
-		return sim.NewProgram(g)
-	}
-	key := lang.CanonicalKey(e, formats, sched)
-	// resolve dedups concurrent cold requests per key: the build closure
-	// below runs at most once however many requests miss together; waiters
-	// spend their cache_lookup span blocked on the leader's build.
+// resolve finds a plan's program and reports where: "hit" (the in-memory
+// LRU), "disk" (a decoded artifact), or "miss" (compiled now, and written
+// behind to the artifact store). The cache dedups concurrent cold requests
+// per key: the build below runs at most once however many requests miss
+// together; waiters spend their cache_lookup span blocked on the leader's
+// build. adm, when active, gets the lookup, disk_load and compile children.
+func (s *Server) resolve(p *plan, adm obs.Span) (*sim.Program, string, error) {
 	lookup := adm.Child("cache_lookup")
-	prog, source, err := s.cache.resolve(key, func() (*sim.Program, string, error) {
+	defer lookup.End()
+	return s.cache.resolve(p.key, func() (*sim.Program, string, error) {
 		// Comp-engine requests can be served straight off a persisted
 		// artifact: decoding replaces custard, the optimizer, and lowering.
 		// The cycle engines need the source graph, so they skip the disk.
-		if s.disk != nil && opt.Engine == sim.EngineComp {
+		if s.disk != nil && p.opt.Engine == sim.EngineComp {
 			dl := adm.Child("disk_load")
-			p, ok := s.disk.load(key)
+			prog, ok := s.disk.load(p.key)
 			dl.End()
 			if ok {
-				return p, "disk", nil
+				return prog, "disk", nil
 			}
 		}
 		cs := adm.Child("compile")
-		p, err := compile()
+		prog, err := p.compile()
 		cs.End()
 		if err != nil {
 			return nil, "", err
@@ -490,11 +431,29 @@ func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
 			// Write-behind the artifact so a later cold process (or this
 			// one after eviction) can skip the compile we just paid.
 			// Best-effort: bitvector graphs have no artifact form.
-			s.disk.store(key, p)
+			s.disk.store(p.key, prog)
 		}
-		return p, "miss", nil
+		return prog, "miss", nil
 	})
-	lookup.End()
+}
+
+// prepare validates a request and resolves its compiled program through the
+// cache. The returned setup duration covers the plan (parse and
+// canonicalization) and — on a miss — compilation and program construction:
+// the cost the cache amortizes. tr, when non-nil, gets an "admission" span
+// with children for the cache lookup and the compile or artifact decode; the
+// same trace rides Options.Trace into the engine for its phase spans.
+func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
+	req := &decoded.wire
+	begin := time.Now()
+	adm := tr.Start("admission")
+	defer adm.End()
+	p, err := req.plan(s.cfg.DefaultOpt)
+	if err != nil {
+		return nil, err
+	}
+	opt := p.opt
+	prog, source, err := s.resolve(p, adm)
 	if err != nil {
 		return nil, err
 	}
@@ -509,12 +468,12 @@ func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
 		}
 		cs := adm.Child("compile")
 		var cerr error
-		prog, cerr = compile()
+		prog, cerr = p.compile()
 		cs.End()
 		if cerr != nil {
 			return nil, cerr
 		}
-		s.cache.put(key, prog)
+		s.cache.put(p.key, prog)
 		source = "miss"
 		if err := prog.CheckEngine(opt.Engine); err != nil {
 			return nil, err
@@ -525,7 +484,7 @@ func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
 		return nil, err
 	}
 	setup := time.Since(begin)
-	inputs, refs, err := s.decodeInputs(e, decoded)
+	inputs, refs, err := s.decodeInputs(p.e, decoded)
 	if err != nil {
 		return nil, err
 	}
@@ -535,7 +494,7 @@ func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
 		t, ok := inputs[fix.Var]
 		if !ok {
 			s.unpinRefs(refs)
-			return nil, fmt.Errorf("fixpoint var %q is not an input of %s", fix.Var, e)
+			return nil, fmt.Errorf("fixpoint var %q is not an input of %s", fix.Var, p.e)
 		}
 		if t.Order() != 1 {
 			s.unpinRefs(refs)
@@ -546,9 +505,6 @@ func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
 	if engine == "" {
 		engine = string(sim.EngineEvent)
 	}
-	// The resolved tier, by the name /metrics exposes: mem / disk / compile.
-	tier := map[string]string{"hit": "mem", "disk": "disk", "miss": "compile"}[source]
-	s.metrics.resolutions.With(tier).Inc()
 	opt.Trace = tr
 	if len(refs) > 0 {
 		// Stored operands are immutable, so their built fibertrees are
@@ -557,7 +513,7 @@ func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
 	}
 	return &prepared{
 		prog: prog, inputs: inputs, opt: opt, engine: engine,
-		key: key, cache: source, begin: decoded.begin, setup: setup,
+		key: p.key, cache: source, begin: decoded.begin, setup: setup,
 		refs: refs, fix: fix,
 	}, nil
 }
@@ -668,11 +624,11 @@ func (s *Server) admit(prep *prepared, sync bool) (*job, error) {
 	s.mu.Unlock()
 	if err != nil {
 		j.qw.End()
-		s.metrics.reject()
+		s.metrics.rejected.Inc()
 		s.unpinRefs(prep.refs)
 		return nil, err
 	}
-	s.metrics.admit()
+	s.metrics.admitted.Inc()
 	s.metrics.phase("setup", prep.setup)
 	return j, nil
 }
@@ -777,7 +733,7 @@ func (s *Server) finish(j *job, res *sim.Result, errMsg string) {
 	// entries become evictable again.
 	s.unpinRefs(j.prep.refs)
 	if errMsg != "" {
-		s.metrics.fail()
+		s.metrics.failures.Inc()
 		s.metrics.observe(elapsed, 0)
 	} else {
 		s.metrics.observe(elapsed, res.Cycles)
@@ -839,25 +795,20 @@ type StatsResponse struct {
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() StatsResponse {
-	requests, rejected, failures, cycles := s.metrics.counters()
+	m := s.metrics
 	hits, misses, evictions, size := s.cache.stats()
-	p50, p99 := s.metrics.percentiles()
-	engineRuns, fallbacks := s.metrics.engines()
-	ten := s.tensors.stats()
+	p50, p99 := m.percentiles()
+	engineRuns, fallbacks := m.engines()
 	resp := StatsResponse{
-		Requests: requests, Rejected: rejected, Failures: failures,
+		Requests: m.admitted.Value(), Rejected: m.rejected.Value(), Failures: m.failures.Value(),
 		CacheHits: hits, CacheMisses: misses, CacheEvictions: evictions,
 		CachePrograms: size, QueueDepth: s.queue.depth(), QueueRunning: s.queue.running(),
 		Workers:         s.cfg.Workers,
-		CyclesSimulated: cycles, LatencyP50MS: p50, LatencyP99MS: p99,
+		CyclesSimulated: m.cycles.Value(), LatencyP50MS: p50, LatencyP99MS: p99,
 		EngineRuns: engineRuns, EngineFallbacks: fallbacks,
-		TensorsStored: ten.stored, TensorsBytes: ten.bytes,
-		TensorsPuts: ten.puts, TensorsDeletes: ten.deletes,
-		TensorsRefHits: ten.refHits, TensorsRefMisses: ten.refMisses,
-		TensorsEvictions: ten.evictions,
-		TensorsBindHits:  ten.bindHits, TensorsBindBuilds: ten.bindBuilds,
-		LatencyHist: s.metrics.latencyHist(),
+		LatencyHist: m.latencyHist(),
 	}
+	s.tensors.stats(&resp)
 	if s.disk != nil {
 		resp.DiskHits, resp.DiskMisses, resp.DiskWrites, resp.DiskErrors = s.disk.stats()
 	}
@@ -873,21 +824,31 @@ func traceRequested(r *http.Request) *obs.Trace {
 	return nil
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+// accept is the front half of both evaluation endpoints: decode, prepare,
+// admit. A nil job means it has already answered the request.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, sync bool) *job {
 	tr := traceRequested(r)
 	req, ok := s.decodeRequest(w, r, tr)
 	if !ok {
-		return
+		return nil
 	}
 	prep, err := s.prepare(req, tr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil
 	}
 	note(w, prep)
-	j, err := s.admit(prep, true)
+	j, err := s.admit(prep, sync)
 	if err != nil {
 		writeAdmissionError(w, err)
+		return nil
+	}
+	return j
+}
+
+func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+	j := s.accept(w, r, true)
+	if j == nil {
 		return
 	}
 	<-j.done
@@ -902,23 +863,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	tr := traceRequested(r)
-	req, ok := s.decodeRequest(w, r, tr)
-	if !ok {
-		return
+	if j := s.accept(w, r, false); j != nil {
+		writeJSON(w, http.StatusAccepted, JobResponse{ID: j.id, Status: "queued", TraceID: j.prep.opt.Trace.ID()})
 	}
-	prep, err := s.prepare(req, tr)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	note(w, prep)
-	j, err := s.admit(prep, false)
-	if err != nil {
-		writeAdmissionError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, JobResponse{ID: j.id, Status: "queued", TraceID: prep.opt.Trace.ID()})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -1025,17 +972,23 @@ func decodeStrict(r io.Reader, v any) error {
 // decodeBody strictly decodes any JSON request body under the configured
 // size bound, writing the error response itself on failure.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v)
+	if err != nil {
+		writeBodyError(w, err)
 	}
-	return true
+	return err == nil
+}
+
+// writeBodyError answers a request body that could not be read or decoded,
+// on the shard and at the router alike: 413 when it ran past the size bound,
+// 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 }
 
 // writeAdmissionError maps queue rejection onto HTTP backpressure codes.

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"sam/internal/fiber"
+	"sam/internal/obs"
 	"sam/internal/tensor"
 )
 
@@ -61,23 +62,19 @@ type tensorStore struct {
 	byCOO   map[*tensor.COO]*storedTensor
 	nextVer int64
 
-	puts, deletes, refHits, refMisses, evictions int64
-	bindHits, bindBuilds                         int64
-
-	m *metrics // nil in store-level tests
+	// The counters are the sam_tensor_store_ops_total{op} series of the
+	// server's metrics registry, resolved once here: /v1/stats reads the
+	// numbers /metrics shows.
+	puts, deletes, refHits, refMisses, evictions, bindHits, bindBuilds *obs.Counter
 }
 
 func newTensorStore(budget int64, m *metrics) *tensorStore {
+	op := m.tensorOps.With
 	return &tensorStore{
 		budget: budget, order: list.New(),
 		elem: map[string]*list.Element{}, byCOO: map[*tensor.COO]*storedTensor{},
-		m: m,
-	}
-}
-
-func (ts *tensorStore) op(name string) {
-	if ts.m != nil {
-		ts.m.tensorOps.With(name).Inc()
+		puts: op("put"), deletes: op("delete"), refHits: op("ref_hit"), refMisses: op("ref_miss"),
+		evictions: op("evict"), bindHits: op("bind_hit"), bindBuilds: op("bind_build"),
 	}
 }
 
@@ -105,8 +102,7 @@ func (ts *tensorStore) put(name string, coo *tensor.COO) (*storedTensor, error) 
 	ts.elem[name] = ts.order.PushFront(e)
 	ts.byCOO[coo] = e
 	ts.bytes += bytes
-	ts.puts++
-	ts.op("put")
+	ts.puts.Inc()
 	// Pin the fresh entry through its own sweep: a PUT must never evict the
 	// tensor it just acknowledged, even when everything older is pinned. The
 	// store may sit over budget until a job finishes and unpin retries.
@@ -138,8 +134,7 @@ func (ts *tensorStore) delete(name string) bool {
 		return false
 	}
 	ts.delistLocked(el)
-	ts.deletes++
-	ts.op("delete")
+	ts.deletes.Inc()
 	return true
 }
 
@@ -151,12 +146,10 @@ func (ts *tensorStore) resolve(name string) (*storedTensor, bool) {
 	defer ts.mu.Unlock()
 	el, ok := ts.elem[name]
 	if !ok {
-		ts.refMisses++
-		ts.op("ref_miss")
+		ts.refMisses.Inc()
 		return nil, false
 	}
-	ts.refHits++
-	ts.op("ref_hit")
+	ts.refHits.Inc()
 	ts.order.MoveToFront(el)
 	e := el.Value.(*storedTensor)
 	e.pins++
@@ -195,8 +188,7 @@ func (ts *tensorStore) evictLocked() {
 		prev := el.Prev()
 		if e := el.Value.(*storedTensor); e.pins == 0 {
 			ts.delistLocked(el)
-			ts.evictions++
-			ts.op("evict")
+			ts.evictions.Inc()
 		}
 		el = prev
 	}
@@ -218,10 +210,7 @@ func (ts *tensorStore) Lookup(src *tensor.COO, sig string) (*fiber.Tensor, bool)
 	if ft == nil {
 		return nil, false
 	}
-	ts.mu.Lock()
-	ts.bindHits++
-	ts.mu.Unlock()
-	ts.op("bind_hit")
+	ts.bindHits.Inc()
 	return ft, true
 }
 
@@ -231,14 +220,11 @@ func (ts *tensorStore) Lookup(src *tensor.COO, sig string) (*fiber.Tensor, bool)
 func (ts *tensorStore) Store(src *tensor.COO, sig string, ft *fiber.Tensor) {
 	ts.mu.Lock()
 	e := ts.byCOO[src]
-	if e != nil {
-		ts.bindBuilds++
-	}
 	ts.mu.Unlock()
 	if e == nil {
 		return
 	}
-	ts.op("bind_build")
+	ts.bindBuilds.Inc()
 	e.builtMu.Lock()
 	if e.built == nil {
 		e.built = map[string]*fiber.Tensor{}
@@ -247,23 +233,14 @@ func (ts *tensorStore) Store(src *tensor.COO, sig string, ft *fiber.Tensor) {
 	e.builtMu.Unlock()
 }
 
-// tensorStoreStats is the store's counter snapshot for /v1/stats.
-type tensorStoreStats struct {
-	stored                                       int
-	bytes                                        int64
-	puts, deletes, refHits, refMisses, evictions int64
-	bindHits, bindBuilds                         int64
-}
-
-func (ts *tensorStore) stats() tensorStoreStats {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return tensorStoreStats{
-		stored: ts.order.Len(), bytes: ts.bytes,
-		puts: ts.puts, deletes: ts.deletes,
-		refHits: ts.refHits, refMisses: ts.refMisses, evictions: ts.evictions,
-		bindHits: ts.bindHits, bindBuilds: ts.bindBuilds,
-	}
+// stats writes the store's residency and counters into the Tensors* fields
+// of a /v1/stats response.
+func (ts *tensorStore) stats(st *StatsResponse) {
+	st.TensorsStored, st.TensorsBytes = ts.size()
+	st.TensorsPuts, st.TensorsDeletes = ts.puts.Value(), ts.deletes.Value()
+	st.TensorsRefHits, st.TensorsRefMisses = ts.refHits.Value(), ts.refMisses.Value()
+	st.TensorsEvictions = ts.evictions.Value()
+	st.TensorsBindHits, st.TensorsBindBuilds = ts.bindHits.Value(), ts.bindBuilds.Value()
 }
 
 // size reports resident entry count and bytes for the live gauges.

@@ -17,8 +17,14 @@ func vec(name string, n int, vals ...float64) *tensor.COO {
 	return t
 }
 
+// storeStats snapshots the store's share of a /v1/stats response.
+func storeStats(ts *tensorStore) (st StatsResponse) {
+	ts.stats(&st)
+	return st
+}
+
 func TestTensorStorePutGetDelete(t *testing.T) {
-	ts := newTensorStore(1<<20, nil)
+	ts := newTensorStore(1<<20, newMetrics())
 	a := vec("a", 4, 1, 2, 3)
 	e1, err := ts.put("a", a)
 	if err != nil {
@@ -63,11 +69,11 @@ func TestTensorStorePutGetDelete(t *testing.T) {
 	if ts.delete("a") {
 		t.Fatal("second delete reported success")
 	}
-	st := ts.stats()
-	if st.stored != 0 || st.bytes != 0 {
+	st := storeStats(ts)
+	if st.TensorsStored != 0 || st.TensorsBytes != 0 {
 		t.Fatalf("store not empty after delete: %+v", st)
 	}
-	if st.puts != 3 || st.deletes != 1 {
+	if st.TensorsPuts != 3 || st.TensorsDeletes != 1 {
 		t.Fatalf("counters: %+v", st)
 	}
 }
@@ -78,7 +84,7 @@ func TestTensorStoreBudgetEviction(t *testing.T) {
 		return tensor.UniformRandom(name, rng, nnz, 10*nnz)
 	}
 	one := cooBytes(mk("x", 50))
-	ts := newTensorStore(2*one+one/2, nil) // room for two entries, not three
+	ts := newTensorStore(2*one+one/2, newMetrics()) // room for two entries, not three
 
 	for _, name := range []string{"a", "b", "c"} {
 		if _, err := ts.put(name, mk(name, 50)); err != nil {
@@ -91,7 +97,7 @@ func TestTensorStoreBudgetEviction(t *testing.T) {
 	if _, ok := ts.get("b"); !ok {
 		t.Fatal("entry b evicted within budget")
 	}
-	if st := ts.stats(); st.evictions != 1 || st.stored != 2 {
+	if st := storeStats(ts); st.TensorsEvictions != 1 || st.TensorsStored != 2 {
 		t.Fatalf("eviction counters: %+v", st)
 	}
 
@@ -120,7 +126,7 @@ func TestTensorStorePinBlocksEviction(t *testing.T) {
 		return tensor.UniformRandom(name, rng, nnz, 10*nnz)
 	}
 	one := cooBytes(mk("x", 50))
-	ts := newTensorStore(one+one/2, nil) // room for one entry only
+	ts := newTensorStore(one+one/2, newMetrics()) // room for one entry only
 
 	if _, err := ts.put("a", mk("a", 50)); err != nil {
 		t.Fatal(err)
@@ -136,13 +142,13 @@ func TestTensorStorePinBlocksEviction(t *testing.T) {
 	if _, ok := ts.get("a"); !ok {
 		t.Fatal("pinned entry evicted")
 	}
-	if st := ts.stats(); st.stored != 2 {
-		t.Fatalf("stored %d, want 2 while pinned over budget", st.stored)
+	if st := storeStats(ts); st.TensorsStored != 2 {
+		t.Fatalf("stored %d, want 2 while pinned over budget", st.TensorsStored)
 	}
 	// Unpin retries the sweep: the store must fall back under budget, so
 	// exactly one entry survives.
 	ts.unpin(ent)
-	if st := ts.stats(); st.stored != 1 || st.evictions != 1 {
+	if st := storeStats(ts); st.TensorsStored != 1 || st.TensorsEvictions != 1 {
 		t.Fatalf("after unpin: %+v", st)
 	}
 }
@@ -151,7 +157,7 @@ func TestTensorStorePinBlocksEviction(t *testing.T) {
 // memoized only for store-managed tensors, hits return the identical tree,
 // and delete/replace invalidate by identity.
 func TestTensorStoreBindCache(t *testing.T) {
-	ts := newTensorStore(1<<20, nil)
+	ts := newTensorStore(1<<20, newMetrics())
 	a := vec("a", 8, 1, 2, 3, 4)
 	ent, err := ts.put("a", a)
 	if err != nil {
@@ -191,8 +197,8 @@ func TestTensorStoreBindCache(t *testing.T) {
 		t.Fatal("lookup hit a deleted entry")
 	}
 
-	st := ts.stats()
-	if st.bindHits != 1 || st.bindBuilds != 1 {
-		t.Fatalf("bind counters: hits %d builds %d, want 1 and 1", st.bindHits, st.bindBuilds)
+	st := storeStats(ts)
+	if st.TensorsBindHits != 1 || st.TensorsBindBuilds != 1 {
+		t.Fatalf("bind counters: hits %d builds %d, want 1 and 1", st.TensorsBindHits, st.TensorsBindBuilds)
 	}
 }

@@ -280,6 +280,59 @@ type EvaluateRequest struct {
 	Fixpoint *WireFixpoint `json:"fixpoint,omitempty"`
 }
 
+// plan is what an evaluation request asks for, as far as its envelope says.
+// It is the one request → plan stage: the shard resolves its program from it
+// (Server.prepare), the router hashes its key (routingKey) and hands its
+// statement to the tile algebra, so the two cannot disagree about what a
+// request means or in which order it is found wanting.
+type plan struct {
+	e       *lang.Einsum
+	formats lang.Formats
+	sched   lang.Schedule
+	opt     sim.Options
+	key     string
+}
+
+// plan validates the envelope and builds the plan. defaultOpt is the
+// optimization level of a schedule that names none. The order of the checks
+// is the order clients see errors in, pinned by wireErrorCases.
+func (req *EvaluateRequest) plan(defaultOpt int) (*plan, error) {
+	if req.Expr == "" {
+		return nil, fmt.Errorf("expr is required")
+	}
+	formats, err := toFormats(req.Formats)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := req.Schedule.toSchedule(defaultOpt)
+	if err != nil {
+		return nil, err
+	}
+	opt, err := req.Options.toOptions()
+	if err != nil {
+		return nil, err
+	}
+	e, err := lang.Parse(req.Expr)
+	if err != nil {
+		return nil, err
+	}
+	// Reject format entries for tensors the statement never names: the
+	// compiler would silently ignore them (a typo'd name compiles with
+	// default formats) and the stray key would fragment the program cache.
+	if len(formats) > 0 {
+		named := map[string]bool{e.LHS.Tensor: true}
+		for _, a := range e.Accesses() {
+			named[a.Tensor] = true
+		}
+		for name := range formats {
+			if !named[name] {
+				return nil, fmt.Errorf("format for %q names no tensor of %s", name, e)
+			}
+		}
+	}
+	return &plan{e: e, formats: formats, sched: sched, opt: opt, key: lang.CanonicalKey(e, formats, sched)}, nil
+}
+
 // TensorInfo describes one stored tensor: the body of PUT and GET
 // /v1/tensors/{name}.
 type TensorInfo struct {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"sam/internal/tensor"
@@ -53,7 +54,7 @@ type Fixpoint struct {
 	Damping float64
 }
 
-// FixpointResult is the outcome of RunFixpoint.
+// FixpointResult is the outcome of Iterate and RunFixpoint.
 type FixpointResult struct {
 	// Output is the final state of Var after the last update.
 	Output *tensor.COO
@@ -110,11 +111,9 @@ func (fx Fixpoint) Validate() error {
 
 // Apply computes one fixpoint update from the program output y and the
 // previous state x, returning the next state and the L1 step delta
-// ‖x' − x‖₁. It is exported so drivers verifying against a reference
-// evaluator (samsim -check) can replay the identical update rule outside
-// RunFixpoint; the next state is built in ascending index order, so it is
-// strictly sorted and rides the zero-copy bind fast path on the next
-// iteration.
+// ‖x' − x‖₁: the update rule Iterate runs after every step. The next state
+// is built in ascending index order, so it is strictly sorted and rides the
+// zero-copy bind fast path on the next iteration.
 func (fx Fixpoint) Apply(y, x *tensor.COO) (*tensor.COO, float64, error) {
 	fx, err := fx.withDefaults()
 	if err != nil {
@@ -157,52 +156,67 @@ func (fx Fixpoint) Apply(y, x *tensor.COO) (*tensor.COO, float64, error) {
 	return next, delta, nil
 }
 
-// RunFixpoint drives a compiled program to a fixpoint: each iteration runs
-// the program, folds its output back into the operand fx.Var with the
-// spec's update rule, and stops on convergence (Tol) or after MaxIters
-// runs. The caller's inputs map is not mutated. Per-iteration cost is one
-// Program.Run — no re-parse, no re-compile, and with Options.BindCache set,
-// no re-bind of the static operands.
-func RunFixpoint(p *Program, inputs map[string]*tensor.COO, fx Fixpoint, opt Options) (*FixpointResult, error) {
+// Iterate is the fixpoint loop, the only one: from state x0 it repeats step
+// (one relaxation, returning its output y and the cycles it cost), folds y
+// back into the state with the spec's update rule, and stops on convergence
+// (Tol) or after MaxIters steps. The spec and the state's shape are checked
+// before the first step runs. What a step is belongs to the caller — a
+// Program.Run (RunFixpoint), a fan-out over a fleet merged (the serving
+// router), the dense reference evaluator (samsim -check) — so all of them
+// advance and stop by the same code. Engine is left for the caller to fill.
+func (fx Fixpoint) Iterate(x0 *tensor.COO, step func(x *tensor.COO) (y *tensor.COO, cycles int, err error)) (*FixpointResult, error) {
 	fx, err := fx.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	x, ok := inputs[fx.Var]
-	if !ok {
-		return nil, fmt.Errorf("sim: fixpoint: no input named %q to iterate", fx.Var)
+	if x0.Order() != 1 {
+		return nil, fmt.Errorf("sim: fixpoint: state %q has order %d, want an order-1 vector", fx.Var, x0.Order())
 	}
-	if x.Order() != 1 {
-		return nil, fmt.Errorf("sim: fixpoint: state %q has order %d, want an order-1 vector", fx.Var, x.Order())
-	}
-	cur := make(map[string]*tensor.COO, len(inputs))
-	for k, v := range inputs {
-		cur[k] = v
-	}
-	res := &FixpointResult{Engine: opt.Engine}
-	if res.Engine == "" {
-		res.Engine = EngineEvent
-	}
+	res := &FixpointResult{Output: x0}
 	for it := 0; it < fx.MaxIters; it++ {
-		r, err := p.Run(cur, opt)
+		y, cycles, err := step(res.Output)
 		if err != nil {
 			return nil, fmt.Errorf("sim: fixpoint iteration %d: %w", it+1, err)
 		}
-		next, delta, err := fx.Apply(r.Output, x)
+		next, delta, err := fx.Apply(y, res.Output)
 		if err != nil {
 			return nil, fmt.Errorf("sim: fixpoint iteration %d: %w", it+1, err)
 		}
+		res.Output = next
 		res.Iterations++
-		res.Cycles += r.Cycles
-		res.Engine = r.Engine
+		res.Cycles += cycles
 		res.Deltas = append(res.Deltas, delta)
-		x = next
-		cur[fx.Var] = x
 		if fx.Tol > 0 && delta <= fx.Tol {
 			res.Converged = true
 			break
 		}
 	}
-	res.Output = x
+	return res, nil
+}
+
+// RunFixpoint drives a compiled program to a fixpoint: Iterate with one
+// Program.Run per step. The caller's inputs map is not mutated. Per-iteration
+// cost is one run — no re-parse, no re-compile, and with Options.BindCache
+// set, no re-bind of the static operands.
+func RunFixpoint(p *Program, inputs map[string]*tensor.COO, fx Fixpoint, opt Options) (*FixpointResult, error) {
+	x0, ok := inputs[fx.Var]
+	if !ok {
+		return nil, fmt.Errorf("sim: fixpoint: no input named %q to iterate", fx.Var)
+	}
+	cur := maps.Clone(inputs)
+	var engine EngineKind // of the last run; there is at least one
+	res, err := fx.Iterate(x0, func(x *tensor.COO) (*tensor.COO, int, error) {
+		cur[fx.Var] = x
+		r, err := p.Run(cur, opt)
+		if err != nil {
+			return nil, 0, err
+		}
+		engine = r.Engine
+		return r.Output, r.Cycles, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Engine = engine
 	return res, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sam/internal/custard"
@@ -227,6 +228,27 @@ func TestRunFixpointMatchesManualLoop(t *testing.T) {
 		}
 		if err := tensor.Equal(res.Output, x, 0); err != nil {
 			t.Fatalf("engine %s: driver output differs from manual loop: %v", engine, err)
+		}
+
+		// Iterate with a hand-written step is the same loop: RunFixpoint is
+		// nothing but Iterate over Program.Run.
+		steps := 0
+		it, err := fx.Iterate(x0, func(x *tensor.COO) (*tensor.COO, int, error) {
+			steps++
+			r, err := p.Run(map[string]*tensor.COO{"M": m, "x": x}, opt)
+			if err != nil {
+				return nil, 0, err
+			}
+			return r.Output, r.Cycles, nil
+		})
+		if err != nil {
+			t.Fatalf("engine %s: Iterate: %v", engine, err)
+		}
+		if steps != 9 || it.Iterations != res.Iterations || it.Cycles != res.Cycles || it.Converged != res.Converged || !slices.Equal(it.Deltas, res.Deltas) {
+			t.Fatalf("engine %s: Iterate ran %d steps and reports %+v, RunFixpoint %+v", engine, steps, it, res)
+		}
+		if err := tensor.Equal(it.Output, x, 0); err != nil {
+			t.Fatalf("engine %s: Iterate output differs from manual loop: %v", engine, err)
 		}
 	}
 }

@@ -45,16 +45,12 @@ type Options struct {
 	// into the given recorder; the engine's spans come back in
 	// Result.Phases. Nil (the default) disables tracing at zero cost: every
 	// instrumentation hook on a nil trace is an allocation-free no-op.
-	// Being a pointer keeps Options comparable, which batch grouping relies
-	// on; traced runs simply never coalesce with other requests.
 	Trace *obs.Trace
 	// BindCache, when non-nil, memoizes built operand storage across runs
 	// (see bind.Cache). Serving supplies its named tensor store here so warm
 	// stored-tensor references skip fibertree construction entirely; the
 	// cache decides which sources it manages, so inline operands pass
-	// through unmemoized. Implementations are pointer-shaped, keeping
-	// Options comparable for batch grouping — runs sharing one cache still
-	// coalesce.
+	// through unmemoized.
 	BindCache bind.Cache
 }
 

@@ -2,8 +2,10 @@ package tiling
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"sam/internal/core"
+	"sam/internal/lang"
 	"sam/internal/tensor"
 )
 
@@ -46,53 +48,75 @@ func RowBlocks(t *tensor.COO, n int) ([]*tensor.COO, error) {
 	return out, nil
 }
 
+// Distributable checks the algebraic precondition for evaluating e once
+// per row block of operand and summing the partials: operand appears exactly
+// once, and every operator in the expression is a product — row-block
+// partials of T sum to T, and a multilinear product distributes over that
+// sum, while an added term would be re-counted once per block. fixVar, when
+// non-empty, is the state a fixpoint rewrites between iterations; it must not
+// be the blocked operand, whose blocks are stored and never rewritten.
+func Distributable(e *lang.Einsum, operand, fixVar string) error {
+	uses := 0
+	for _, a := range e.Accesses() {
+		if a.Tensor == operand {
+			uses++
+		}
+	}
+	if uses != 1 {
+		return fmt.Errorf("tiled operand %q appears %d times in %q; per-tile partials sum to the result only when it appears exactly once", operand, uses, e.String())
+	}
+	var pure func(lang.Expr) bool
+	pure = func(x lang.Expr) bool {
+		b, ok := x.(*lang.Binary)
+		return !ok || b.Op == lang.Mul && pure(b.L) && pure(b.R)
+	}
+	if !pure(e.RHS) {
+		return fmt.Errorf("expression %q mixes addition with a tiled operand; per-tile partials sum to the result only for pure products (an added term would be re-counted once per tile)", e.String())
+	}
+	if fixVar == operand {
+		return fmt.Errorf("fixpoint var %q is the tiled operand; the iterated state must be a plain input", operand)
+	}
+	return nil
+}
+
 // MergePartials sums per-block partial outputs coordinate-wise into one
-// tensor — the host-side combine of Figure 9 generalized to the sharded
-// serving layer, and the same add-the-partials rule as a LaneReduce
+// tensor named name — the host-side combine of Figure 9 generalized to the
+// sharded serving layer, and the same add-the-partials rule as a LaneReduce
 // combiner tree. Exact zeros produced by cancellation are dropped, matching
-// the engines' output assembly. Every partial must share dims; name and
-// dims give the merged tensor's identity (partials may be empty).
-func MergePartials(name string, dims []int, parts []*tensor.COO) (*tensor.COO, error) {
-	acc := map[string]float64{}
-	crds := map[string][]int64{}
+// the engines' output assembly. The merged tensor takes its dims from the
+// partials, which must all share them, and its points share their
+// coordinate tuples; nil partials are skipped, and at least one must remain.
+func MergePartials(name string, parts []*tensor.COO) (*tensor.COO, error) {
+	var out *tensor.COO
+	at := map[string]int{} // packed coordinate → index into out.Pts
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		if len(p.Dims) != len(dims) {
-			return nil, fmt.Errorf("tiling: partial %q has order %d, want %d", p.Name, len(p.Dims), len(dims))
-		}
-		for i, d := range p.Dims {
-			if d != dims[i] {
-				return nil, fmt.Errorf("tiling: partial %q dims %v, want %v", p.Name, p.Dims, dims)
-			}
+		if out == nil {
+			out = tensor.NewCOO(name, p.Dims...)
+		} else if !slices.Equal(p.Dims, out.Dims) {
+			return nil, fmt.Errorf("tiling: partial %q dims %v, want %v", p.Name, p.Dims, out.Dims)
 		}
 		for _, pt := range p.Pts {
-			k := fmt.Sprint(pt.Crd)
-			acc[k] += pt.Val
-			crds[k] = pt.Crd
+			k := core.PackKey(pt.Crd)
+			i, seen := at[k]
+			if !seen {
+				i = len(out.Pts)
+				at[k] = i
+				out.Pts = append(out.Pts, tensor.Point{Crd: pt.Crd})
+			}
+			out.Pts[i].Val += pt.Val
 		}
 	}
-	out := tensor.NewCOO(name, dims...)
-	if len(dims) == 0 {
-		// Scalar output: partials carry at most one value each.
-		var v float64
-		for _, x := range acc {
-			v += x
-		}
-		out.Append(v)
-		return out, nil
+	if out == nil {
+		return nil, fmt.Errorf("tiling: no partials to merge into %q", name)
 	}
-	keys := make([]string, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
+	// A scalar keeps its one point even at zero: an order-0 tensor always
+	// carries its value.
+	if out.Order() > 0 {
+		out.Pts = slices.DeleteFunc(out.Pts, func(pt tensor.Point) bool { return pt.Val == 0 })
+		out.Sort()
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if acc[k] != 0 {
-			out.Append(acc[k], crds[k]...)
-		}
-	}
-	out.Sort()
 	return out, nil
 }

@@ -2,8 +2,10 @@ package tiling
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"sam/internal/lang"
 	"sam/internal/tensor"
 )
 
@@ -42,7 +44,7 @@ func TestRowBlocksPartition(t *testing.T) {
 		if total != len(m.Pts) {
 			t.Fatalf("n=%d: blocks hold %d points, source has %d", n, total, len(m.Pts))
 		}
-		back, err := MergePartials("M", m.Dims, blocks)
+		back, err := MergePartials("M", blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +72,7 @@ func TestMergePartialsSums(t *testing.T) {
 	b := tensor.NewCOO("p", 4)
 	b.Append(3, 1)
 	b.Append(-1, 3)
-	out, err := MergePartials("x", []int{4}, []*tensor.COO{a, b, nil})
+	out, err := MergePartials("x", []*tensor.COO{nil, a, b, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestMergePartialsSums(t *testing.T) {
 	s1.Append(1.5)
 	s2 := tensor.NewCOO("s")
 	s2.Append(2.5)
-	sc, err := MergePartials("s", nil, []*tensor.COO{s1, s2})
+	sc, err := MergePartials("s", []*tensor.COO{s1, s2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,43 @@ func TestMergePartialsSums(t *testing.T) {
 	}
 
 	wrong := tensor.NewCOO("w", 5)
-	if _, err := MergePartials("x", []int{4}, []*tensor.COO{a, wrong}); err == nil {
+	if _, err := MergePartials("x", []*tensor.COO{a, wrong}); err == nil {
 		t.Error("MergePartials accepted mismatched dims")
+	}
+	if _, err := MergePartials("x", []*tensor.COO{nil}); err == nil {
+		t.Error("MergePartials made a tensor out of no partials")
+	}
+	if out.Name != "x" || len(out.Dims) != 1 || out.Dims[0] != 4 {
+		t.Errorf("merged tensor is %q %v, want x [4] from the partials", out.Name, out.Dims)
+	}
+}
+
+// TestDistributable pins which expressions may be evaluated once per row
+// block of an operand and summed: the operand exactly once, products only,
+// and never the state a fixpoint rewrites.
+func TestDistributable(t *testing.T) {
+	for _, tc := range []struct {
+		name, expr, operand, fixVar string
+		wantErr                     string // substring; "" means distributable
+	}{
+		{"exactly once", "x(i) = B(i,j) * c(j)", "B", "", ""},
+		{"three-way product", "X(i,j) = B(i,k) * C(k,j) * d(j)", "C", "", ""},
+		{"fixpoint over another input", "y(i) = B(i,j) * x(j)", "B", "x", ""},
+		{"additive term", "X(i,j) = B(i,j) + C(i,j)", "B", "", "mixes addition"},
+		{"additive term beside a product", "x(i) = B(i,j) * c(j) + d(i)", "B", "", "mixes addition"},
+		{"repeated operand", "x(i) = B(i,j) * B(i,j)", "B", "", "appears 2 times"},
+		{"absent operand", "x(i) = B(i,j) * c(j)", "Z", "", "appears 0 times"},
+		{"tiled fixpoint var", "y(i) = B(i,j) * x(j)", "B", "B", "is the tiled operand"},
+		// Two tiled refs in one request are the registry's to refuse (the
+		// router knows which names are tiled); each alone is distributable.
+		{"two tiled refs", "X(i,j) = B(i,k) * C(k,j)", "C", "", ""},
+	} {
+		err := Distributable(lang.MustParse(tc.expr), tc.operand, tc.fixVar)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }

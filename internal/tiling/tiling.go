@@ -8,7 +8,9 @@
 //
 // Unlike internal/memmodel (an analytic recreation of the ExTensor study),
 // this package runs every tile pair through the real cycle engine, so it is
-// exact but slower; the memmodel calibration test ties the two together.
+// exact but slower; no test cross-checks the two. RowBlocks, Distributable
+// and MergePartials are the same idea scaled out: the serving router's tile
+// algebra.
 package tiling
 
 import (
