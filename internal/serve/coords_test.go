@@ -207,11 +207,8 @@ func TestRouteDecisionAllocs(t *testing.T) {
 			}
 		})
 	}
-	// Equal but for pool noise: under -race sync.Pool drops a quarter of its
-	// puts, so encoding/json's pooled decoder state jitters the count by one.
-	// Ten times the operand must not move it by more.
 	small, large := decide(inlineSpMVBody(t, 600)), decide(inlineSpMVBody(t, 6000))
-	if d := small - large; d < -1 || d > 1 {
+	if small != large {
 		t.Errorf("route decision: %.0f allocs for 600 nnz, %.0f for 6000 nnz; want equal", small, large)
 	}
 }

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -174,7 +176,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.mTileFans = rt.reg.Counter("sam_router_tile_fanouts_total",
 		"Evaluate/fixpoint fan-outs over a tiled tensor (one per merge of per-tile partials).")
 	rt.reg.GaugeFunc("sam_router_shards_live", "Shards currently in the ring.",
-		func() float64 { return float64(rt.liveCount()) })
+		func() float64 { return float64(len(rt.live())) })
 	for _, sh := range rt.shards {
 		rt.mRequests.With(sh.name)
 		rt.mProxyErrs.With(sh.name)
@@ -196,7 +198,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		writeJSON(w, http.StatusOK, ProbeResponse{Status: "ok"})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if rt.liveCount() == 0 {
+		if len(rt.live()) == 0 {
 			writeJSON(w, http.StatusServiceUnavailable, ProbeResponse{Status: "no live shards"})
 			return
 		}
@@ -229,9 +231,6 @@ func (rt *Router) live() []*shardState {
 	}
 	return live
 }
-
-// liveCount is the number of shards currently in the ring.
-func (rt *Router) liveCount() int { return len(rt.live()) }
 
 // alive is the ring's liveness filter.
 func (rt *Router) alive(i int) bool { return !rt.shards[i].down.Load() }
@@ -415,11 +414,11 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 // response comes back with its body still to read. A transport failure —
 // here, or later while that body is read — goes to failed, which ejects the
 // shard. An HTTP status, whatever it is, is the shard's answer and never does.
-func (rt *Router) send(sh *shardState, method, pathAndQuery string, body []byte) (*http.Response, error) {
+func (rt *Router) send(ctx context.Context, sh *shardState, method, pathAndQuery string, body []byte) (*http.Response, error) {
 	rt.mRequests.With(sh.name).Inc()
 	// A URL that does not parse (a tensor name can carry anything) says
 	// nothing about the shard: the caller's plain error, no ejection.
-	req, err := http.NewRequest(method, sh.url+pathAndQuery, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, sh.url+pathAndQuery, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -445,8 +444,8 @@ func (rt *Router) failed(sh *shardState, method, pathAndQuery string, err error)
 // call sends one request to a shard and reads the whole answer: every
 // router-composed exchange (tile stores and deletes, operand fetches, fan-out
 // sub-requests, stats and metrics scrapes, job submissions) is one call.
-func (rt *Router) call(sh *shardState, method, pathAndQuery string, body []byte) (int, []byte, error) {
-	resp, err := rt.send(sh, method, pathAndQuery, body)
+func (rt *Router) call(ctx context.Context, sh *shardState, method, pathAndQuery string, body []byte) (int, []byte, error) {
+	resp, err := rt.send(ctx, sh, method, pathAndQuery, body)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -460,12 +459,22 @@ func (rt *Router) call(sh *shardState, method, pathAndQuery string, body []byte)
 
 // ask is call for the callers that can only use a 200: any other status
 // comes back as the shardReply to relay.
-func (rt *Router) ask(sh *shardState, method, pathAndQuery string, body []byte) ([]byte, error) {
-	status, out, err := rt.call(sh, method, pathAndQuery, body)
+func (rt *Router) ask(ctx context.Context, sh *shardState, method, pathAndQuery string, body []byte) ([]byte, error) {
+	status, out, err := rt.call(ctx, sh, method, pathAndQuery, body)
 	if err == nil && status != http.StatusOK {
 		err = &shardReply{status, out}
 	}
 	return out, err
+}
+
+// scrape is ask for the router's own reads of a shard's /v1/stats and
+// /metrics, bounded by ProbeTimeout the way a probe is: a shard that holds
+// the connection open and never answers fails in transport, and is ejected,
+// rather than hang the router's own endpoint behind it.
+func (rt *Router) scrape(sh *shardState, path string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	defer cancel()
+	return rt.ask(ctx, sh, http.MethodGet, path, nil)
 }
 
 // proxy forwards one request to a shard and streams the response through as
@@ -474,7 +483,7 @@ func (rt *Router) ask(sh *shardState, method, pathAndQuery string, body []byte) 
 // dies with the response already under way, the client's connection is cut
 // instead, so what it holds cannot pass for a whole reply.
 func (rt *Router) proxy(w http.ResponseWriter, sh *shardState, method, pathAndQuery string, body []byte) {
-	resp, err := rt.send(sh, method, pathAndQuery, body)
+	resp, err := rt.send(context.Background(), sh, method, pathAndQuery, body)
 	if err != nil {
 		rt.writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -500,7 +509,7 @@ func (rt *Router) proxy(w http.ResponseWriter, sh *shardState, method, pathAndQu
 // ID, so that GET /v1/jobs/{id} finds its way back without fan-out; the rest
 // of the shard's encoding, and any error, goes through untouched.
 func (rt *Router) proxyJob(w http.ResponseWriter, sh *shardState, method, pathAndQuery string, body []byte) {
-	status, out, err := rt.call(sh, method, pathAndQuery, body)
+	status, out, err := rt.call(context.Background(), sh, method, pathAndQuery, body)
 	if err != nil {
 		rt.writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -633,15 +642,18 @@ func (rt *Router) Stats() RouterStatsResponse {
 	out := RouterStatsResponse{ShardsTotal: len(rt.shards)}
 	var merged *HistogramSnapshot
 	for _, sh := range rt.shards {
-		row := RouterShardStats{Shard: sh.name, URL: sh.url, Live: !sh.down.Load()}
-		if row.Live {
-			out.ShardsLive++
+		row := RouterShardStats{Shard: sh.name, URL: sh.url}
+		if !sh.down.Load() {
 			var st StatsResponse
-			if body, err := rt.ask(sh, http.MethodGet, "/v1/stats", nil); err == nil && json.Unmarshal(body, &st) == nil {
+			if body, err := rt.scrape(sh, "/v1/stats"); err == nil && json.Unmarshal(body, &st) == nil {
 				row.Stats = &st
 				addStats(&out.Aggregate, &st)
 				merged = mergeHist(merged, st.LatencyHist)
 			}
+		}
+		// Liveness is read after the scrape: failing in transport, it ejects.
+		if row.Live = !sh.down.Load(); row.Live {
+			out.ShardsLive++
 		}
 		out.Shards = append(out.Shards, row)
 	}
@@ -711,13 +723,8 @@ func mergeHist(acc, h *HistogramSnapshot) *HistogramSnapshot {
 			Sum:     h.Sum, Count: h.Count,
 		}
 	}
-	if len(acc.Buckets) != len(h.Buckets) {
+	if !slices.Equal(acc.Buckets, h.Buckets) {
 		return acc
-	}
-	for i, b := range h.Buckets {
-		if acc.Buckets[i] != b {
-			return acc
-		}
 	}
 	for i, c := range h.Counts {
 		acc.Counts[i] += c
@@ -745,7 +752,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = rt.reg.WritePrometheus(&own)
 	mergeExposition(blocks, own.Bytes(), "")
 	for _, sh := range rt.live() {
-		if body, err := rt.ask(sh, http.MethodGet, "/metrics", nil); err == nil {
+		if body, err := rt.scrape(sh, "/metrics"); err == nil {
 			mergeExposition(blocks, body, sh.name)
 		}
 	}

@@ -123,8 +123,18 @@ func TestRouterTiledRefFetch(t *testing.T) {
 			Inputs: map[string]WireTensor{"B": {Ref: "B"}, "c": {Ref: ref}},
 		})
 	}
-	if resp, body := eval(ref); resp.StatusCode != http.StatusOK {
+	resp, body := eval(ref)
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tiled evaluate with an inlined ref: %d %s", resp.StatusCode, body)
+	}
+	// Stamps are keyed by input name, as a shard keys them, whatever stored
+	// tensor the input names.
+	var er EvaluateResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if _, byRef := er.Tensors[ref]; byRef || len(er.Tensors) != 2 || er.Tensors["B"].Fingerprint == "" || er.Tensors["c"].Fingerprint == "" {
+		t.Errorf("stamps %+v, want one each under the input names B and c (c names stored tensor %q)", er.Tensors, ref)
 	}
 
 	// The shard's 404, byte for byte.
@@ -144,7 +154,7 @@ func TestRouterTiledRefFetch(t *testing.T) {
 
 	// The owner dies: the fetch fails in transport.
 	stop2()
-	resp, body := eval(ref)
+	resp, body = eval(ref)
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("ref owner dead: %d (Retry-After %q) %s, want 503 with the hint", resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
@@ -274,5 +284,75 @@ func TestRouterShardDiesMidTiledEvaluate(t *testing.T) {
 					st.RouterTileFanouts, after.RouterTileFanouts, st.Aggregate.Requests, after.Aggregate.Requests)
 			}
 		})
+	}
+}
+
+// TestRouterScrapeHungShard injects the fault a scrape can meet and a probe
+// cannot see: a shard that answers /readyz but takes the connection for
+// /v1/stats or /metrics and never answers. The router's own endpoint gives
+// that shard ProbeTimeout, ejects it as the transport failure it is, and
+// answers with what the rest of the fleet said.
+func TestRouterScrapeHungShard(t *testing.T) {
+	for path, liveShare := range map[string]string{
+		"/v1/stats": `"live":true,"stats":{`,
+		"/metrics":  `sam_queue_depth{shard="s0"}`,
+	} {
+		t.Run(path, func(t *testing.T) {
+			u1, stop1 := startShardOn(t, "127.0.0.1:0", Config{})
+			defer stop1()
+			release := make(chan struct{})
+			s := NewServer(Config{Workers: 2})
+			hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == path {
+					select {
+					case <-release:
+					case <-r.Context().Done():
+					}
+					return
+				}
+				s.ServeHTTP(w, r)
+			}))
+			defer func() {
+				close(release)
+				hung.Close()
+				s.Close()
+			}()
+			rt, router := startRouter(t, RouterConfig{
+				Shards: []string{u1, hung.URL}, ProbeTimeout: 100 * time.Millisecond, RetryAfter: time.Hour,
+			})
+
+			resp, err := (&http.Client{Timeout: 5 * time.Second}).Get(router.URL + path)
+			if err != nil {
+				t.Fatalf("GET %s behind a hung shard: %v", path, err)
+			}
+			var body bytes.Buffer
+			body.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s behind a hung shard: status %d: %s", path, resp.StatusCode, body.String())
+			}
+			if !strings.Contains(body.String(), liveShare) {
+				t.Errorf("the live shard's share is missing from the answer: %s", body.String())
+			}
+			if path == "/v1/stats" && !strings.Contains(body.String(), `"shards_live":1,`) {
+				t.Errorf("the answer still counts the shard its own scrape ejected as live: %s", body.String())
+			}
+			if live, ejected, errs := len(rt.live()), rt.sum(rt.mEjections), rt.sum(rt.mProxyErrs); live != 1 || ejected != 1 || errs != 1 {
+				t.Errorf("after the timed-out scrape: live=%d ejections=%d proxy errors=%d, want 1, 1, 1", live, ejected, errs)
+			}
+		})
+	}
+}
+
+// TestCacheRankUnknownIsWorst: a tier the router has never heard of must not
+// pass for a hit in a fan-out's aggregate.
+func TestCacheRankUnknownIsWorst(t *testing.T) {
+	for _, known := range []string{"hit", "disk", "miss"} {
+		if cacheRank["warp"] <= cacheRank[known] || cacheRank[""] <= cacheRank[known] {
+			t.Errorf("an unknown tier ranks %d, %q ranks %d: want unknown worst", cacheRank["warp"], known, cacheRank[known])
+		}
+	}
+	if !(cacheRank["hit"] < cacheRank["disk"] && cacheRank["disk"] < cacheRank["miss"]) {
+		t.Errorf("known tiers out of order: %v", cacheRank)
 	}
 }

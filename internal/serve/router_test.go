@@ -543,7 +543,7 @@ func TestRouterProbeEjection(t *testing.T) {
 	// scrape failing in transport would eject the dead one before the probes.
 	stop2()
 	deadline := time.Now().Add(5 * time.Second)
-	for rt.liveCount() != 1 || rt.sum(rt.mEjections) != 1 {
+	for len(rt.live()) != 1 || rt.sum(rt.mEjections) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("probes never ejected the dead shard: %+v", rt.Stats())
 		}

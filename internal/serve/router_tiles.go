@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -140,7 +141,7 @@ func (rt *Router) handleTensorPut(w http.ResponseWriter, r *http.Request) {
 		sh := live[k%len(live)]
 		tr := tileRef{name: fmt.Sprintf("%s%s%d", name, tileInfix, k), shard: sh}
 		buf, _ := json.Marshal(ToWire(b)) // a decoded upload holds nothing JSON cannot encode
-		if _, err := rt.ask(sh, http.MethodPut, "/v1/tensors/"+tr.name, buf); err != nil {
+		if _, err := rt.ask(context.Background(), sh, http.MethodPut, "/v1/tensors/"+tr.name, buf); err != nil {
 			// Partial uploads must not linger: roll back. A shard's refusal
 			// (a tile over its tensor budget is a healthy shard's 413) is
 			// relayed as it is; only an unreachable shard is a 503.
@@ -157,7 +158,7 @@ func (rt *Router) handleTensorPut(w http.ResponseWriter, r *http.Request) {
 	rt.tiles[name] = tt
 	rt.tilesMu.Unlock()
 	if sh := rt.route(name); sh != nil {
-		rt.call(sh, http.MethodDelete, "/v1/tensors/"+name, nil) // best effort
+		rt.call(context.Background(), sh, http.MethodDelete, "/v1/tensors/"+name, nil) // best effort
 	}
 	rt.mTiledPuts.Inc()
 	rt.logf("tensor=%s event=tiled_put tiles=%d nnz=%d bytes=%d", name, len(tt.tiles), tt.nnz, tt.bytes)
@@ -200,7 +201,7 @@ func (rt *Router) dropTiles(name string) {
 func (rt *Router) deleteTileRefs(tiles []tileRef) {
 	for _, tr := range tiles {
 		if !tr.shard.down.Load() {
-			rt.call(tr.shard, http.MethodDelete, "/v1/tensors/"+tr.name, nil)
+			rt.call(context.Background(), tr.shard, http.MethodDelete, "/v1/tensors/"+tr.name, nil)
 		}
 	}
 }
@@ -260,7 +261,7 @@ func (rt *Router) reassemble(tt *tiledTensor) (*tensor.COO, error) {
 
 // fetchTensor GETs one stored tensor, data included, from a shard.
 func (rt *Router) fetchTensor(sh *shardState, name string) (*TensorInfo, error) {
-	body, err := rt.ask(sh, http.MethodGet, "/v1/tensors/"+name+"?data=1", nil)
+	body, err := rt.ask(context.Background(), sh, http.MethodGet, "/v1/tensors/"+name+"?data=1", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -388,8 +389,8 @@ func (rt *Router) inlineRefs(inputs map[string]WireTensor, operand string, tt *t
 }
 
 // cacheRank orders the cache tiers a shard reports: a fan-out's cache story is
-// its slowest tile's.
-var cacheRank = map[string]int{"hit": 0, "disk": 1, "miss": 2}
+// its slowest tile's. A tier this map does not know ranks 0, behind them all.
+var cacheRank = map[string]int{"hit": -3, "disk": -2, "miss": -1}
 
 // fanout is one evaluation over a tiled operand: sub runs once per tile,
 // concurrently, each copy on the shard holding its tile and naming the tile
@@ -418,7 +419,7 @@ func (rt *Router) fanout(tt *tiledTensor, sub EvaluateRequest, operand string) (
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bodies[i], errs[i] = rt.ask(tr.shard, http.MethodPost, "/v1/evaluate", bodies[i])
+			bodies[i], errs[i] = rt.ask(context.Background(), tr.shard, http.MethodPost, "/v1/evaluate", bodies[i])
 		}()
 	}
 	wg.Wait()
