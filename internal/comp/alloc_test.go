@@ -12,9 +12,23 @@ import (
 	"sam/internal/tensor"
 )
 
+// smallInputs draws deterministic integer operands for a statement at the
+// alloc tests' fixed small dimensions.
+func smallInputs(expr string, seed int64) map[string]*tensor.COO {
+	dims := map[string]int{"i": 48, "j": 40, "k": 24, "l": 12}
+	rng := rand.New(rand.NewSource(seed))
+	return randomInputs(rng, lang.MustParse(expr), func(v string) int { return dims[v] })
+}
+
 // compileCase lowers one (expr, schedule) configuration to a compiled
-// program with its operand binding, from deterministic integer inputs.
+// program with its operand binding, from smallInputs.
 func compileCase(t testing.TB, expr string, sched lang.Schedule, seed int64) (*comp.Program, map[string]*fiber.Tensor, []int) {
+	t.Helper()
+	return compileInputs(t, expr, sched, smallInputs(expr, seed))
+}
+
+// compileInputs is compileCase over the caller's operands.
+func compileInputs(t testing.TB, expr string, sched lang.Schedule, inputs map[string]*tensor.COO) (*comp.Program, map[string]*fiber.Tensor, []int) {
 	t.Helper()
 	e, err := lang.Parse(expr)
 	if err != nil {
@@ -28,9 +42,6 @@ func compileCase(t testing.TB, expr string, sched lang.Schedule, seed int64) (*c
 	if err != nil {
 		t.Fatalf("comp %q: %v", expr, err)
 	}
-	dims := map[string]int{"i": 48, "j": 40, "k": 24, "l": 12}
-	rng := rand.New(rand.NewSource(seed))
-	inputs := randomInputs(rng, e, func(v string) int { return dims[v] })
 	bound, err := bind.Operands(g, inputs)
 	if err != nil {
 		t.Fatalf("bind %q: %v", expr, err)
@@ -60,6 +71,11 @@ func TestWarmRunPooledZeroAllocs(t *testing.T) {
 		{"sddmm", "X(i,j) = B(i,j) * C(i,k) * D(j,k)", lang.Schedule{}},
 		{"innerprod", "x = B(i,j) * C(i,j)", lang.Schedule{}},
 		{"mmadd", "X(i,j) = B(i,j) + C(i,j)", lang.Schedule{}},
+		// Order-3 operands, and intersects fed by a union's references.
+		{"ttv", "X(i,j) = B(i,j,k) * c(k)", lang.Schedule{}},
+		{"mttkrp", "X(i,j) = B(i,k,l) * C(j,k) * D(j,l)", lang.Schedule{}},
+		{"residual", "x(i) = b(i) - C(i,j) * d(j)", lang.Schedule{}},
+		{"mattransmul", "x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)", lang.Schedule{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,16 +100,28 @@ func TestWarmRunPooledZeroAllocs(t *testing.T) {
 
 // BenchmarkWarmRun reports the warm-path cost of both entry points: the
 // borrowed-output RunPooled (the zero-alloc hot path) and Run, which adds
-// one output clone per call.
+// one output clone per call. SpMV-16k is the benchmark's warm-kernel SpMV
+// (1000×1000 with 16,000 nonzeros against a 250-nonzero vector), so the CI
+// log carries the per-run cost of the fused scan + intersect step at the
+// size the benchmark gates.
 func BenchmarkWarmRun(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	spmv16k := map[string]*tensor.COO{
+		"B": tensor.UniformRandom("B", rng, 16000, 1000, 1000),
+		"c": tensor.UniformRandom("c", rng, 250, 1000),
+	}
+	tensor.QuantizeInts(rng, 9, spmv16k["B"], spmv16k["c"])
+	const spmv, spmspm = "x(i) = B(i,j) * c(j)", "X(i,j) = B(i,k) * C(k,j)"
 	for _, bc := range []struct {
-		name string
-		expr string
+		name   string
+		expr   string
+		inputs map[string]*tensor.COO
 	}{
-		{"SpMV", "x(i) = B(i,j) * c(j)"},
-		{"SpMSpM", "X(i,j) = B(i,k) * C(k,j)"},
+		{"SpMV", spmv, smallInputs(spmv, 11)},
+		{"SpMSpM", spmspm, smallInputs(spmspm, 11)},
+		{"SpMV-16k", spmv, spmv16k},
 	} {
-		cp, bound, dims := compileCase(b, bc.expr, lang.Schedule{}, 11)
+		cp, bound, dims := compileInputs(b, bc.expr, lang.Schedule{}, bc.inputs)
 		b.Run(bc.name+"/pooled", func(b *testing.B) {
 			rc := cp.NewCtx()
 			b.ReportAllocs()

@@ -15,14 +15,19 @@
 //
 // Each closure is a merged loop over its operands' full streams: level
 // scanners become cursor walks over fiber.Tensor storage, intersections and
-// unions become two-pointer (or, for gallop blocks, coordinate-skipping
-// galloping) merges, and ALUs, reducers, droppers and writers run as tight
-// loops fused over whole fibers at a time. The token-level semantics of
-// every block are preserved exactly — the per-edge token sequences are
-// identical to the cycle engines' — so outputs are bit-identical, which the
-// differential battery in this package and the engine registration in
+// unions become two-pointer merges, and ALUs, reducers, droppers and writers
+// run as tight loops fused over whole fibers at a time. Before binding,
+// Materialize fuses every two-way intersect fed by two scanners nothing else
+// reads into one co-iteration over the two storage levels (fuse.go) — the
+// kernel GallopIntersect blocks already run — so those scanner → intersect
+// streams are never written. The invariant: every stream slot that survives
+// fusion holds, token for token, what the same edge carries on the cycle
+// engines; the fused-away edges were administrative, a buffer one loop
+// filled for the next to drain. Outputs are therefore bit-identical, which
+// the differential battery in this package and the engine registration in
 // internal/sim enforce across kernels, schedules, lane counts and fuzzed
-// inputs.
+// inputs, and the fused-vs-unfused battery (fuse_test.go) checks slot by
+// slot.
 //
 // Supported blocks are everything except the bitvector pipeline (bitvector
 // scanners, intersecters, vector ALUs and writers stay on the cycle
@@ -192,6 +197,17 @@ func (x *exec) level(label, operand string, lvl int) fiber.Level {
 		fail("node %q references level %d of order-%d operand %q", label, lvl, len(t.Levels), operand)
 	}
 	return t.Levels[lvl]
+}
+
+// fiberOf returns the fiber of an n-fiber level that reference token t
+// selects. References are stream data: one outside the level (a corrupt
+// artifact aiming a step at the wrong level) fails the run here, once per
+// fiber, instead of indexing past the level's segment array.
+func fiberOf(label string, t token.Tok, n int) int {
+	if t.N < 0 || t.N >= int64(n) {
+		fail("%s: fiber reference %d outside level of %d fibers", label, t.N, n)
+	}
+	return int(t.N)
 }
 
 // vals fetches a bound operand's value array.

@@ -1,5 +1,7 @@
 package comp
 
+import "sam/internal/token"
+
 // Hooks for the context-pool test: the pool and its miss count are private.
 
 func (p *Program) PutCtx(rc *RunCtx)  { p.putCtx(rc) }
@@ -8,3 +10,19 @@ func (p *Program) Misses() uint32     { return p.misses.Load() }
 
 // TakeParked removes one parked context, reporting whether there was one.
 func (p *Program) TakeParked() bool { return p.pool.Get() != nil }
+
+// Hooks for the fusion tests. The fused program has no runtime switch, so its
+// oracle is built here: MaterializeUnfused is Materialize minus the pass.
+
+func MaterializeUnfused(ir *IR) (*Program, error) {
+	if err := ir.Validate(); err != nil {
+		return nil, err
+	}
+	return materialize(ir, ir.Steps)
+}
+
+// ExecSteps returns the step list Materialize binds for a valid IR.
+func ExecSteps(ir *IR) []StepIR { return fuseScanIntersect(ir) }
+
+// Streams returns the context's stream table as the last run left it.
+func (rc *RunCtx) Streams() []token.Stream { return rc.streams }

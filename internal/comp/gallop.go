@@ -1,24 +1,19 @@
 package comp
 
 import (
-	"sort"
-
 	"sam/internal/fiber"
 	"sam/internal/token"
 )
 
-// gallopTo returns the first position in [pos, n) of the level's fiber f
-// whose coordinate is >= target, by binary search (the batch analogue of the
-// cycle engine's galloping probe — the skip itself costs nothing here, so
-// only the emitted token sequence matters).
-func gallopTo(lvl fiber.Level, f, pos, n int, target int64) int {
-	return pos + sort.Search(n-pos, func(i int) bool { return lvl.Coord(f, pos+i) >= target })
-}
-
-// stepGallop is the coordinate-skipping intersection of paper Section 4.2
-// as one merged loop: each pair of fiber references co-iterates the two
-// storage levels directly, matching coordinates with a gallop-advance loop
-// and emitting the matched coordinate plus both child references.
+// stepGallop is the co-iteration kernel: each pair of fiber references
+// selects one fiber of each storage level, and the two fibers are merged in
+// place, emitting every matched coordinate with both child references. It
+// serves the coordinate-skipping intersection of paper Section 4.2
+// (GallopIntersect blocks) and every scanner + scanner + intersect triple
+// that fuseScanIntersect collapsed; the emitted streams are exactly those of
+// two scanners feeding a two-way intersecter. How far a pointer skips costs
+// nothing here — only the token sequence matters — so the merge is a plain
+// two-pointer walk.
 func stepGallop(si *StepIR) step {
 	inA, inB := si.Ins[0], si.Ins[1]
 	outCrd, outRefA, outRefB := si.Outs[0], si.Outs[1], si.Outs[2]
@@ -28,6 +23,12 @@ func stepGallop(si *StepIR) step {
 	return func(x *exec) {
 		la := x.level(name, opA, lvA)
 		lb := x.level(name, opB, lvB)
+		// Two compressed levels merge their coordinate arrays directly; any
+		// other format goes through the Level interface.
+		ka, _ := la.(*fiber.CompressedLevel)
+		kb, _ := lb.(*fiber.CompressedLevel)
+		typed := ka != nil && kb != nil
+		na, nb := la.NumFibers(), lb.NumFibers()
 		ca, cb := x.cur(inA), x.cur(inB)
 		sep := false
 		for {
@@ -39,33 +40,18 @@ func stepGallop(si *StepIR) step {
 					x.push(outCrd, token.S(0))
 					x.push(outRefA, token.S(0))
 					x.push(outRefB, token.S(0))
-					sep = false
-				}
-				if ta.IsEmpty() || tb.IsEmpty() {
-					// An absent fiber on either side empties the intersection.
-					sep = true
-					continue
-				}
-				fa, fb := int(ta.N), int(tb.N)
-				pa, na := 0, la.FiberLen(fa)
-				pb, nb := 0, lb.FiberLen(fb)
-				for pa < na && pb < nb {
-					cca := la.Coord(fa, pa)
-					ccb := lb.Coord(fb, pb)
-					switch {
-					case cca == ccb:
-						x.push(outCrd, token.C(cca))
-						x.push(outRefA, token.C(la.ChildRef(fa, pa)))
-						x.push(outRefB, token.C(lb.ChildRef(fb, pb)))
-						pa++
-						pb++
-					case cca < ccb:
-						pa = gallopTo(la, fa, pa, na, ccb)
-					default:
-						pb = gallopTo(lb, fb, pb, nb, cca)
-					}
 				}
 				sep = true
+				if ta.IsEmpty() || tb.IsEmpty() {
+					// An absent fiber on either side empties the intersection.
+					continue
+				}
+				fa, fb := fiberOf(name, ta, na), fiberOf(name, tb, nb)
+				if typed {
+					x.mergeCompressed(ka, kb, fa, fb, outCrd, outRefA, outRefB)
+				} else {
+					x.mergeLevels(la, lb, fa, fb, outCrd, outRefA, outRefB)
+				}
 			case ta.IsStop() && tb.IsStop():
 				if ta.StopLevel() != tb.StopLevel() {
 					fail("%s: misaligned stops %v vs %v", name, ta, tb)
@@ -88,6 +74,50 @@ func stepGallop(si *StepIR) step {
 			default:
 				fail("%s: misaligned reference inputs %v vs %v", name, ta, tb)
 			}
+		}
+	}
+}
+
+// mergeCompressed intersects fiber fa of la with fiber fb of lb over the raw
+// coordinate arrays; a compressed coordinate's child reference is its
+// position in Crd.
+func (x *exec) mergeCompressed(la, lb *fiber.CompressedLevel, fa, fb, outCrd, outRefA, outRefB int) {
+	ba, bb := int(la.Seg[fa]), int(lb.Seg[fb])
+	a, b := la.Crd[ba:la.Seg[fa+1]], lb.Crd[bb:lb.Seg[fb+1]]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch ca, cb := a[i], b[j]; {
+		case ca == cb:
+			x.push(outCrd, token.C(int64(ca)))
+			x.push(outRefA, token.C(int64(ba+i)))
+			x.push(outRefB, token.C(int64(bb+j)))
+			i++
+			j++
+		case ca < cb:
+			i++
+		default:
+			j++
+		}
+	}
+}
+
+// mergeLevels is mergeCompressed through the Level interface, for every
+// other storage format.
+func (x *exec) mergeLevels(la, lb fiber.Level, fa, fb, outCrd, outRefA, outRefB int) {
+	i, n := 0, la.FiberLen(fa)
+	j, m := 0, lb.FiberLen(fb)
+	for i < n && j < m {
+		switch ca, cb := la.Coord(fa, i), lb.Coord(fb, j); {
+		case ca == cb:
+			x.push(outCrd, token.C(ca))
+			x.push(outRefA, token.C(la.ChildRef(fa, i)))
+			x.push(outRefB, token.C(lb.ChildRef(fb, j)))
+			i++
+			j++
+		case ca < cb:
+			i++
+		default:
+			j++
 		}
 	}
 }

@@ -318,23 +318,30 @@ func (si *StepIR) validate(nSlot int) error {
 }
 
 // Materialize turns an IR back into an executable Program: it validates the
-// IR, binds one closure per step through the opcode dispatch in stepFor,
-// and recomputes everything derived — the lane-parallel execution plan and
-// the output permutation — from the IR records. Derived state is never
+// IR, fuses scanner pairs into the intersects they feed (fuse.go), binds one
+// closure per remaining step through the opcode dispatch in stepFor, and
+// recomputes everything derived — the lane-parallel execution plan and the
+// output permutation — from the IR records. Derived state is never
 // serialized, so a corrupt artifact cannot smuggle in an unsound plan; it
 // can only fail validation here or a protocol check at run time.
 func Materialize(ir *IR) (*Program, error) {
 	if err := ir.Validate(); err != nil {
 		return nil, err
 	}
+	return materialize(ir, fuseScanIntersect(ir))
+}
+
+// materialize binds a validated IR's metadata and the step list to execute
+// (ir.Steps after fusion) into a Program.
+func materialize(ir *IR, steps []StepIR) (*Program, error) {
 	p := &Program{ir: ir, nSlot: ir.NSlot, crdWr: map[int]writerRec{}}
 	for _, w := range ir.CrdWr {
 		p.crdWr[w.Level] = writerRec{label: w.Label, slot: w.Slot}
 	}
 	p.valsWr = &writerRec{label: ir.ValsWr.Label, slot: ir.ValsWr.Slot}
-	infos := make([]stepInfo, len(ir.Steps))
-	for i := range ir.Steps {
-		si := &ir.Steps[i]
+	infos := make([]stepInfo, len(steps))
+	for i := range steps {
+		si := &steps[i]
 		st, err := stepFor(si)
 		if err != nil {
 			return nil, err

@@ -30,6 +30,7 @@ func stepScanner(si *StepIR) step {
 	operand, level, label := si.Tensor, si.Level, si.Label
 	return func(x *exec) {
 		lvl := x.level(label, operand, level)
+		fibers := lvl.NumFibers()
 		ref := x.cur(in)
 		sep := false
 		for {
@@ -41,7 +42,7 @@ func stepScanner(si *StepIR) step {
 					x.push(outRef, token.S(0))
 				}
 				if t.IsVal() {
-					f := int(t.N)
+					f := fiberOf(label, t, fibers)
 					m := lvl.FiberLen(f)
 					for i := 0; i < m; i++ {
 						x.push(outCrd, token.C(lvl.Coord(f, i)))
@@ -314,8 +315,10 @@ func stepLocate(si *StepIR) step {
 	operand, level, name := si.Tensor, si.Level, si.Label
 	return func(x *exec) {
 		lvl := x.level(name, operand, level)
+		fibers := lvl.NumFibers()
 		crd, ref, fib := x.cur(inCrd), x.cur(inRef), x.cur(inFib)
 		var curTok token.Tok
+		curFiber := 0
 		have := false
 		for {
 			t := crd.next()
@@ -327,12 +330,15 @@ func stepLocate(si *StepIR) step {
 					if !curTok.IsVal() && !curTok.IsEmpty() {
 						fail("%s: expected fiber-select reference, got %v", name, curTok)
 					}
+					if curTok.IsVal() {
+						curFiber = fiberOf(name, curTok, fibers)
+					}
 					have = true
 				}
 				if curTok.IsEmpty() {
 					continue
 				}
-				loc, found := lvl.Locate(int(curTok.N), t.N)
+				loc, found := lvl.Locate(curFiber, t.N)
 				if !found {
 					continue
 				}

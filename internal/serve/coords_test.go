@@ -208,6 +208,12 @@ func TestRouteDecisionAllocs(t *testing.T) {
 		})
 	}
 	small, large := decide(inlineSpMVBody(t, 600)), decide(inlineSpMVBody(t, 6000))
+	if raceEnabled {
+		// The race detector makes sync.Pool drop a share of its Puts, so the
+		// two counts jitter by one; the non-race alloc-gate CI task is the
+		// gate, and this run still drove both decisions under -race.
+		return
+	}
 	if small != large {
 		t.Errorf("route decision: %.0f allocs for 600 nnz, %.0f for 6000 nnz; want equal", small, large)
 	}
