@@ -62,11 +62,7 @@ func (n *Net) RunNaive(limit int) (int, error) {
 	cycles := 0
 	finish := func() {
 		for _, q := range n.Queues {
-			if idle := int64(cycles) - q.Stats.pushed(); idle > 0 {
-				q.Stats.Idle = idle
-			} else {
-				q.Stats.Idle = 0
-			}
+			q.endRun(cycles)
 		}
 	}
 	for {

@@ -9,25 +9,39 @@
 // simulated cycle counts do not depend on the order blocks are ticked in.
 package core
 
-import "sam/internal/token"
+import (
+	"sync"
+
+	"sam/internal/token"
+)
 
 // Queue is a FIFO stream buffer between two blocks. A zero capacity means
 // unbounded (the paper's infinite input queue assumption); a positive
 // capacity models finite hardware buffering with backpressure.
 //
-// Storage is a power-of-two ring buffer indexed by monotonically increasing
-// head/vis/tail counters: buf[head&mask : vis&mask] is visible, up to
-// tail is staged. EndCycle publishes staged tokens by advancing vis — O(1)
-// — and pops never move memory; the ring grows only when occupancy exceeds
-// its size.
+// Storage is a linked list of fixed-size token chunks. head/vis/tail are
+// monotone token counters: token i is slot i&chunkMask of chunk i/chunkLen,
+// first holds head, last holds tail-1; [head, vis) is visible, [vis, tail)
+// staged. Push links a chunk when tail crosses a boundary and Pop returns the
+// head chunk the moment its last token is consumed, so growth never copies or
+// zeroes and a queue holds memory for its tokens in flight, not its high
+// water. EndCycle publishes staged tokens by advancing vis — O(1).
+//
+// Chunks come from one pool shared by every queue, net, program and worker:
+// what a drained stream returns is what the next growing one takes, and an
+// idle process gives it all back (a sync.Pool empties over two GC cycles).
+// One pool and one size need no tuning and no per-block code; pooling nets
+// per program would need a Reset on ~25 block types and pin each idle
+// program's high-water storage, and size-classed rings still copy on growth
+// and hold twice the live tokens at high water.
 type Queue struct {
 	Label string
 	Cap   int
 
-	buf  []token.Tok // power-of-two ring
-	head int         // next pop position
-	vis  int         // visibility watermark (two-phase flip)
-	tail int         // next push position
+	first, last *chunk // head's and tail's chunks; nil while none is held
+	head        int    // next pop position
+	vis         int    // visibility watermark (two-phase flip)
+	tail        int    // next push position
 
 	// Event-engine wiring, installed by the ready-set scheduler before a
 	// run (see sched.go). consumer/producer hold the registered block index
@@ -45,6 +59,22 @@ type Queue struct {
 	// other counters accumulate as tokens are pushed.
 	Stats StreamStats
 }
+
+// chunkLen is the tokens per storage chunk, a power of two: 6 KB, so pool
+// traffic is one Get and Put per 256 tokens and a near-empty queue holds little.
+const (
+	chunkLen  = 256
+	chunkMask = chunkLen - 1
+)
+
+// chunk is one link of a queue's storage; next is first so the collector
+// scans one word. Recycled chunks are not zeroed: no slot past tail is read.
+type chunk struct {
+	next *chunk
+	toks [chunkLen]token.Tok
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
 // StreamStats counts, per stream, the token-type breakdown used in the
 // paper's Figure 14: data tokens, stop tokens, the done token, empty tokens,
@@ -78,28 +108,55 @@ func (q *Queue) Full() bool {
 	return q.Cap > 0 && q.tail-q.head >= q.Cap
 }
 
-// grow doubles the ring, unwrapping the live region into the new buffer.
-func (q *Queue) grow() {
-	size := 2 * len(q.buf)
-	if size == 0 {
-		size = 64
+// put stores a token at tail, linking a chunk first on a chunk boundary.
+func (q *Queue) put(t token.Tok) {
+	if q.tail&chunkMask == 0 {
+		q.link()
 	}
-	nb := make([]token.Tok, size)
-	mask := len(q.buf) - 1
-	for i := q.head; i < q.tail; i++ {
-		nb[i&(size-1)] = q.buf[i&mask]
+	q.last.toks[q.tail&chunkMask] = t
+	q.tail++
+}
+
+// link appends a chunk from the pool to the queue's storage.
+func (q *Queue) link() {
+	c := chunkPool.Get().(*chunk)
+	if q.last == nil {
+		q.first = c
+	} else {
+		q.last.next = c
 	}
-	q.buf = nb
+	q.last = c
+}
+
+// unlink returns the fully consumed head chunk to the pool. When it was also
+// the tail chunk the queue holds nothing, and the next put links a fresh one.
+func (q *Queue) unlink() {
+	c := q.first
+	q.first = c.next
+	if q.first == nil {
+		q.last = nil
+	}
+	c.next = nil
+	chunkPool.Put(c)
+}
+
+// endRun is what both engines do to every queue when a run ends: fill in Idle
+// (cycles the wire carried nothing: at most one push per queue per cycle, so
+// cycles minus pushed tokens) and, if the queue is drained, return its partly
+// used chunk and rewind it to its zero state. A queue still holding tokens (a
+// test's output, a failed run) keeps them.
+func (q *Queue) endRun(cycles int) {
+	q.Stats.Idle = max(int64(cycles)-q.Stats.pushed(), 0)
+	if q.head == q.tail && q.first != nil {
+		q.unlink()
+		q.head, q.vis, q.tail = 0, 0, 0
+	}
 }
 
 // Push stages a token for visibility next cycle. The caller must have
 // checked Full (blocks check all output ports before emitting anything).
 func (q *Queue) Push(t token.Tok) {
-	if q.tail-q.head == len(q.buf) {
-		q.grow()
-	}
-	q.buf[q.tail&(len(q.buf)-1)] = t
-	q.tail++
+	q.put(t)
 	if q.sched != nil && !q.flipPending {
 		q.flipPending = true
 		q.sched.stage(q.wired)
@@ -121,7 +178,7 @@ func (q *Queue) Peek() (token.Tok, bool) {
 	if q.head >= q.vis {
 		return token.Tok{}, false
 	}
-	return q.buf[q.head&(len(q.buf)-1)], true
+	return q.first.toks[q.head&chunkMask], true
 }
 
 // Pop consumes and returns the head token.
@@ -129,8 +186,12 @@ func (q *Queue) Pop() (token.Tok, bool) {
 	if q.head >= q.vis {
 		return token.Tok{}, false
 	}
-	t := q.buf[q.head&(len(q.buf)-1)]
+	i := q.head & chunkMask
+	t := q.first.toks[i]
 	q.head++
+	if i == chunkMask {
+		q.unlink()
+	}
 	if q.Cap > 0 && q.sched != nil && q.producer > 0 {
 		// A pop frees buffer space immediately, so a producer blocked on
 		// backpressure may be able to emit again.
@@ -149,11 +210,7 @@ func (q *Queue) EndCycle() {
 // visible; used by tests and by source-less graph fragments.
 func (q *Queue) Preload(s token.Stream) {
 	for _, t := range s {
-		if q.tail-q.head == len(q.buf) {
-			q.grow()
-		}
-		q.buf[q.tail&(len(q.buf)-1)] = t
-		q.tail++
+		q.put(t)
 	}
 	q.vis = q.tail
 }
@@ -175,6 +232,9 @@ func (q *Queue) Drain() token.Stream {
 // only when no destination is full.
 type Out struct {
 	qs []*Queue
+	// free is set by the event scheduler for the length of a run when no
+	// destination is bounded, so CanPush need not walk them every tick.
+	free bool
 }
 
 // NewOut builds an output port over destination queues.
@@ -185,6 +245,9 @@ func (o *Out) Attach(q *Queue) { o.qs = append(o.qs, q) }
 
 // CanPush reports whether every destination has room.
 func (o *Out) CanPush() bool {
+	if o.free {
+		return true
+	}
 	for _, q := range o.qs {
 		if q.Full() {
 			return false

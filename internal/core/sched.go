@@ -79,8 +79,14 @@ func newScheduler(n *Net) *scheduler {
 			if o == nil {
 				continue
 			}
+			// Resolve backpressure once per run: a port none of whose
+			// destinations is bounded can always push (see Out.CanPush).
+			o.free = true
 			for _, q := range o.Queues() {
 				prod[q] = i + 1
+				if q.Cap > 0 {
+					o.free = false
+				}
 			}
 		}
 	}
@@ -112,17 +118,19 @@ func (s *scheduler) wake(i int) {
 // wakeNext schedules block i for the next cycle.
 func (s *scheduler) wakeNext(i int) { s.next[i>>6] |= 1 << (uint(i) & 63) }
 
-// finish tears down queue hooks and fills in per-stream idle statistics
-// (Idle = cycles in which the wire carried nothing; with at most one push
-// per queue per cycle that is total cycles minus pushed tokens).
+// finish tears down the scheduler's hooks on queues and ports and ends the
+// run on every queue (idle statistics, storage release; see Queue.endRun).
 func (s *scheduler) finish(cycles int) {
 	for _, q := range s.wired {
 		q.sched = nil
 		q.flipPending = false
-		if idle := int64(cycles) - q.Stats.pushed(); idle > 0 {
-			q.Stats.Idle = idle
-		} else {
-			q.Stats.Idle = 0
+		q.endRun(cycles)
+	}
+	for _, b := range s.blocks {
+		for _, o := range b.OutPorts() {
+			if o != nil {
+				o.free = false
+			}
 		}
 	}
 }
@@ -131,8 +139,10 @@ func (s *scheduler) finish(cycles int) {
 func (s *scheduler) run(limit int) (int, error) {
 	n := s.net
 	nb := len(s.blocks)
-	wasDone := make([]bool, nb)
-	doneCount := 0
+	// done counts the leading blocks known to have finished. Done never
+	// reverts, so advancing it at each cycle's end finds the cycle the last
+	// block finished in at one interface call per cycle, not per tick.
+	done := 0
 	// Every block is ready at cycle 0: sources begin producing, preloaded
 	// queues are already visible, and blocks with nothing to do simply
 	// report no progress and leave the ready set.
@@ -165,10 +175,6 @@ func (s *scheduler) run(limit int) (int, error) {
 					s.finish(cycles)
 					return cycles, err
 				}
-				if !wasDone[i] && b.Done() {
-					wasDone[i] = true
-					doneCount++
-				}
 			}
 		}
 		s.curIdx = -1
@@ -183,7 +189,10 @@ func (s *scheduler) run(limit int) (int, error) {
 		}
 		s.flips = s.flips[:0]
 		cycles++
-		if doneCount == nb {
+		for done < nb && s.blocks[done].Done() {
+			done++
+		}
+		if done == nb {
 			s.finish(cycles)
 			return cycles, nil
 		}

@@ -172,11 +172,14 @@ func (b *builder) out(n *graph.Node, port string) *core.Out {
 }
 
 // streams records each monitored stream's statistics into a Result: the
-// first queue of every fan-out group, keyed by its producer label.
+// first queue of every fan-out group, keyed by its producer label. The
+// statistics are copied out, so a kept Result does not hold the net's queues.
 func (b *builder) streams(res *Result) {
-	for _, members := range b.p.groups {
+	stats := make([]core.StreamStats, len(b.p.groups))
+	for gi, members := range b.p.groups {
 		ei := members[0]
-		res.Streams[b.p.labels[ei]] = &b.queues[ei].Stats
+		stats[gi] = b.queues[ei].Stats
+		res.Streams[b.p.labels[ei]] = &stats[gi]
 	}
 }
 
@@ -593,7 +596,6 @@ func (b *builder) assemble() (*tensor.COO, error) {
 	if err := ft.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: assembled output invalid: %w", err)
 	}
-	out := tensor.FromFiber(ft)
 	// Permute from loop order to the declared left-hand-side order.
 	perm := make([]int, order)
 	for i, v := range g.LHSVars {
@@ -608,5 +610,5 @@ func (b *builder) assemble() (*tensor.COO, error) {
 			return nil, fmt.Errorf("sim: output variable %q missing from graph metadata", v)
 		}
 	}
-	return out.Permute(g.OutputTensor, perm)
+	return tensor.FromFiberPermuted(ft, g.OutputTensor, perm)
 }

@@ -156,6 +156,35 @@ func FromFiber(t *fiber.Tensor) *COO {
 	return c
 }
 
+// FromFiberPermuted is FromFiber(t).Permute(name, perm) — same points, order,
+// values, errors and nil-ness — in one walk of a valid fibertree (t.Validate):
+// every coordinate tuple is written already permuted into one shared slab, and
+// the points are sorted only when perm is not the identity, where the walk is
+// lexicographic as it stands.
+func FromFiberPermuted(t *fiber.Tensor, name string, perm []int) (*COO, error) {
+	out, err := NewCOO(name, t.Dims...).Permute(name, perm) // checks perm, permutes Dims
+	if err != nil || len(t.Vals) == 0 {
+		return out, err
+	}
+	identity := true
+	for d, p := range perm {
+		identity = identity && p == d
+	}
+	out.Pts = make([]Point, 0, len(t.Vals))
+	slab := make([]int64, 0, len(perm)*len(t.Vals))
+	t.Iterate(func(crd []int64, v float64) {
+		base := len(slab)
+		for _, p := range perm {
+			slab = append(slab, crd[p])
+		}
+		out.Pts = append(out.Pts, Point{Crd: slab[base:len(slab):len(slab)], Val: v})
+	})
+	if !identity {
+		out.Sort()
+	}
+	return out, nil
+}
+
 // Dense is a dense row-major tensor used as the gold-model representation.
 type Dense struct {
 	Dims []int

@@ -2,7 +2,10 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -239,4 +242,91 @@ func TestQuickBuildFromCOOMatchesEntries(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestFromFiberPermutedMatchesPermute holds the one-walk conversion to
+// FromFiber(ft).Permute(name, perm) — points, order, values, errors, and the
+// nil-ness of Dims, Pts and order-0 Crd that the JSON encoding shows — over
+// random fibertrees of order 0 to 3 in every level format, every permutation
+// of their levels, empty tensors, and a writer-shaped tree with empty fibers.
+func TestFromFiberPermutedMatchesPermute(t *testing.T) {
+	check := func(label string, ft *fiber.Tensor, perm []int) {
+		t.Helper()
+		want, werr := FromFiber(ft).Permute("X", perm)
+		got, gerr := FromFiberPermuted(ft, "X", perm)
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("%s perm %v: error %v, Permute gives %v", label, perm, gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if err := IdenticalBits(got, want); err != nil {
+			t.Fatalf("%s perm %v: %v", label, perm, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s perm %v: differs in nil-ness:\n got  %#v\n want %#v", label, perm, got, want)
+		}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if !bytes.Equal(gj, wj) {
+			t.Fatalf("%s perm %v: JSON differs:\n got  %s\n want %s", label, perm, gj, wj)
+		}
+	}
+	var perms func(n int) [][]int
+	perms = func(n int) [][]int {
+		if n == 0 {
+			return [][]int{{}}
+		}
+		var out [][]int
+		for _, p := range perms(n - 1) {
+			for at := 0; at <= len(p); at++ {
+				q := append(append(append([]int{}, p[:at]...), n-1), p[at:]...)
+				out = append(out, q)
+			}
+		}
+		return out
+	}
+	formats := []fiber.Format{fiber.Dense, fiber.Compressed, fiber.Bitvector, fiber.LinkedList}
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		order := r.Intn(4)
+		dims := make([]int, order)
+		fs := make([]fiber.Format, order)
+		total := 1
+		for d := range dims {
+			dims[d] = r.Intn(5) + 1
+			fs[d] = formats[r.Intn(len(formats))]
+			total *= dims[d]
+		}
+		c := UniformRandom("T", r, r.Intn(total+1), dims...)
+		if order == 0 {
+			c.Append(r.Float64())
+		}
+		ft, err := c.Build(fs...)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		label := fmt.Sprintf("trial %d dims %v formats %v nnz %d", trial, dims, fs, c.NNZ())
+		for _, p := range perms(order) {
+			check(label, ft, p)
+		}
+		check(label, ft, make([]int, order+1))
+		if order > 0 {
+			bad := perms(order)[0]
+			bad[0] = order
+			check(label, ft, bad)
+		}
+	}
+	// What a level writer emits and fiber.Build never does: empty fibers
+	// below stored coordinates (row 0 of 2 is empty).
+	holes := &fiber.Tensor{Name: "T", Dims: []int{3, 4}, Vals: []float64{5, 0, 6},
+		Levels: []fiber.Level{
+			&fiber.CompressedLevel{N: 3, Seg: []int32{0, 2}, Crd: []int32{0, 2}},
+			&fiber.CompressedLevel{N: 4, Seg: []int32{0, 0, 3}, Crd: []int32{0, 1, 3}},
+		}}
+	if err := holes.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	check("empty fibers", holes, []int{0, 1})
+	check("empty fibers", holes, []int{1, 0})
 }
