@@ -23,10 +23,12 @@
 // replays the same iterations against the dense evaluator. -iterate works in
 // -load mode too — the artifact's embedded statement names the operands.
 //
-// -trace records phase spans (compile or artifact decode, bind, run with
-// per-lane children on parallel compiled plans, assemble) through the same
-// internal/obs recorder the server exposes via ?trace=1, and prints them as
-// an indented tree with the trace id after the summary.
+// -trace records phase spans (compile or artifact decode, bind, run,
+// assemble) through the same internal/obs recorder the server exposes via
+// ?trace=1, and prints them as an indented tree with the trace id after the
+// summary. On the compiled engine, run has one child per executed step, named
+// by its block label (under per-lane children on parallel plans): a fused
+// leaf level is one line under its reducer's label.
 //
 // -emit compiles (and, with -O, optimizes) the statement, encodes the
 // compiled program into the portable artifact format (internal/prog), writes
@@ -53,6 +55,7 @@ import (
 	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -225,9 +228,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "artifact:    %s (%d bytes, format v%d)\n", *load, len(data), prog.Version)
 		fmt.Fprintf(stdout, "expression:  %s\n", e)
 		fmt.Fprintf(stdout, "fingerprint: %s\n", bp.Fingerprint())
-		for name, t := range inputs {
-			fmt.Fprintf(stdout, "input %-6s %v, %d nonzeros\n", name+":", t.Dims, t.NNZ())
-		}
+		printInputs(stdout, inputs)
 		fmt.Fprintf(stdout, "engine:      %s\n", res.Engine)
 		fmt.Fprintf(stdout, "output:      %v, %d nonzeros\n", res.Output.Dims, res.Output.NNZ())
 		if *check {
@@ -339,10 +340,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *par > 1 {
 		fmt.Fprintf(stdout, "lanes:       %d\n", *par)
 	}
-	for name, t := range inputs {
-		fmt.Fprintf(stdout, "input %-6s %v, %d nonzeros\n", name+":", t.Dims, t.NNZ())
+	printInputs(stdout, inputs)
+	if res.Cycles > 0 { // comp has no cycle model
+		fmt.Fprintf(stdout, "cycles:      %d\n", res.Cycles)
 	}
-	fmt.Fprintf(stdout, "cycles:      %d\n", res.Cycles)
 	fmt.Fprintf(stdout, "output:      %v, %d nonzeros\n", res.Output.Dims, res.Output.NNZ())
 	if *check {
 		want, err := lang.Gold(e, inputs)
@@ -377,9 +378,7 @@ func runFixpointCLI(stdout, stderr io.Writer, p *sim.Program, e *lang.Einsum,
 	if err != nil {
 		return fail(err)
 	}
-	for name, t := range inputs {
-		fmt.Fprintf(stdout, "input %-6s %v, %d nonzeros\n", name+":", t.Dims, t.NNZ())
-	}
+	printInputs(stdout, inputs)
 	fmt.Fprintf(stdout, "engine:      %s\n", res.Engine)
 	fmt.Fprintf(stdout, "iterations:  %d (%s mode, converged=%v)\n", res.Iterations, fx.Mode, res.Converged)
 	fmt.Fprintf(stdout, "delta:       %g (last L1 step)\n", res.Deltas[len(res.Deltas)-1])
@@ -414,6 +413,16 @@ func runFixpointCLI(stdout, stderr io.Writer, p *sim.Program, e *lang.Einsum,
 	}
 	printTrace()
 	return 0
+}
+
+// printInputs prints one summary line per operand, in name order: ranging
+// over the map would print the same command's lines in a different order run
+// to run.
+func printInputs(stdout io.Writer, inputs map[string]*tensor.COO) {
+	for _, name := range slices.Sorted(maps.Keys(inputs)) {
+		t := inputs[name]
+		fmt.Fprintf(stdout, "input %-6s %v, %d nonzeros\n", name+":", t.Dims, t.NNZ())
+	}
 }
 
 // buildInputs binds -mtx Matrix Market files and synthesizes every remaining

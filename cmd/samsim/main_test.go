@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,48 @@ func TestSmokeSequential(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestOutputDeterministic runs one five-operand command twenty times and
+// requires identical stdout: the "input" lines come out in name order, not
+// in the order a map happens to range. It also pins which engines have a
+// "cycles:" line — the cycle engines do, comp has no cycle model to report.
+func TestOutputDeterministic(t *testing.T) {
+	args := []string{
+		"-expr", "x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)",
+		"-dims", "i=30,j=24", "-density", "0.2", "-engine", "comp",
+	}
+	var first string
+	for run := 0; run < 20; run++ {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+		}
+		if run == 0 {
+			first = stdout.String()
+		} else if got := stdout.String(); got != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", run, got, first)
+		}
+	}
+	var names []string
+	for _, line := range strings.Split(first, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "input" {
+			names = append(names, f[1])
+		}
+	}
+	if want := []string{"B:", "alpha:", "beta:", "c:", "d:"}; !slices.Equal(names, want) {
+		t.Errorf("input lines name %v, want %v in that order:\n%s", names, want, first)
+	}
+	if strings.Contains(first, "cycles:") {
+		t.Errorf("comp output has a cycles line; comp has no cycle model:\n%s", first)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := realMain(append(args[:len(args)-1:len(args)-1], "event"), &stdout, &stderr); code != 0 {
+		t.Fatalf("event: exit %d, stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "cycles:") {
+		t.Errorf("event output lost its cycles line:\n%s", stdout.String())
 	}
 }
 

@@ -58,33 +58,51 @@ func compileInputs(t testing.TB, expr string, sched lang.Schedule, inputs map[st
 // RunPooled must not touch the heap at all. CI fails this test on any
 // regression, so every lowered closure stays on arena scratch.
 func TestWarmRunPooledZeroAllocs(t *testing.T) {
+	// Two entries a row against a vector three quarters full: the leaf step
+	// probes c, so the table and the match buffer are under the gate too.
+	rng := rand.New(rand.NewSource(11))
+	lopsided := map[string]*tensor.COO{
+		"B": tensor.UniformRandom("B", rng, 96, 48, 40),
+		"c": tensor.UniformRandom("c", rng, 30, 40),
+	}
+	tensor.QuantizeInts(rng, 7, lopsided["B"], lopsided["c"])
 	cases := []struct {
-		name  string
-		expr  string
-		sched lang.Schedule
+		name   string
+		expr   string
+		sched  lang.Schedule
+		inputs map[string]*tensor.COO // nil: smallInputs
+		probed bool
 	}{
-		{"spmv", "x(i) = B(i,j) * c(j)", lang.Schedule{}},
-		{"spmv-opt", "x(i) = B(i,j) * c(j)", lang.Schedule{Opt: 1}},
-		{"spmspm-ikj", "X(i,j) = B(i,k) * C(k,j)", lang.Schedule{LoopOrder: []string{"i", "k", "j"}}},
-		{"spmspm-ijk", "X(i,j) = B(i,k) * C(k,j)", lang.Schedule{LoopOrder: []string{"i", "j", "k"}}},
-		{"spmspm-kij", "X(i,j) = B(i,k) * C(k,j)", lang.Schedule{LoopOrder: []string{"k", "i", "j"}}},
-		{"sddmm", "X(i,j) = B(i,j) * C(i,k) * D(j,k)", lang.Schedule{}},
-		{"innerprod", "x = B(i,j) * C(i,j)", lang.Schedule{}},
-		{"mmadd", "X(i,j) = B(i,j) + C(i,j)", lang.Schedule{}},
+		{name: "spmv", expr: "x(i) = B(i,j) * c(j)"},
+		{name: "spmv-probed", expr: "x(i) = B(i,j) * c(j)", inputs: lopsided, probed: true},
+		{name: "spmv-opt", expr: "x(i) = B(i,j) * c(j)", sched: lang.Schedule{Opt: 1}},
+		{name: "spmspm-ikj", expr: "X(i,j) = B(i,k) * C(k,j)", sched: lang.Schedule{LoopOrder: []string{"i", "k", "j"}}},
+		{name: "spmspm-ijk", expr: "X(i,j) = B(i,k) * C(k,j)", sched: lang.Schedule{LoopOrder: []string{"i", "j", "k"}}},
+		{name: "spmspm-kij", expr: "X(i,j) = B(i,k) * C(k,j)", sched: lang.Schedule{LoopOrder: []string{"k", "i", "j"}}},
+		{name: "sddmm", expr: "X(i,j) = B(i,j) * C(i,k) * D(j,k)"},
+		{name: "innerprod", expr: "x = B(i,j) * C(i,j)"},
+		{name: "mmadd", expr: "X(i,j) = B(i,j) + C(i,j)"},
 		// Order-3 operands, and intersects fed by a union's references.
-		{"ttv", "X(i,j) = B(i,j,k) * c(k)", lang.Schedule{}},
-		{"mttkrp", "X(i,j) = B(i,k,l) * C(j,k) * D(j,l)", lang.Schedule{}},
-		{"residual", "x(i) = b(i) - C(i,j) * d(j)", lang.Schedule{}},
-		{"mattransmul", "x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)", lang.Schedule{}},
+		{name: "ttv", expr: "X(i,j) = B(i,j,k) * c(k)"},
+		{name: "mttkrp", expr: "X(i,j) = B(i,k,l) * C(j,k) * D(j,l)"},
+		{name: "residual", expr: "x(i) = b(i) - C(i,j) * d(j)"},
+		{name: "mattransmul", expr: "x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cp, bound, dims := compileCase(t, tc.expr, tc.sched, 11)
+			inputs := tc.inputs
+			if inputs == nil {
+				inputs = smallInputs(tc.expr, 11)
+			}
+			cp, bound, dims := compileInputs(t, tc.expr, tc.sched, inputs)
 			rc := cp.NewCtx()
 			for i := 0; i < 3; i++ { // grow buffers to steady state
 				if _, err := cp.RunPooled(rc, bound, dims); err != nil {
 					t.Fatalf("warmup run: %v", err)
 				}
+			}
+			if tc.probed && !rc.Probed() {
+				t.Error("no co-iteration probed; the case gates nothing it names")
 			}
 			allocs := testing.AllocsPerRun(10, func() {
 				if _, err := cp.RunPooled(rc, bound, dims); err != nil {
@@ -98,29 +116,75 @@ func TestWarmRunPooledZeroAllocs(t *testing.T) {
 	}
 }
 
+// warmKernelInputs draws the operands of the benchmark's warm-kernel
+// workload: bench/workloads.go's warmKernelKernels, sizes copied here (bench/
+// is its own module), generated in its order — per kernel, per operand,
+// positions then values — so rand.NewSource(3) gives the tensors a
+// `--workload warm-kernel --seed 3` run evaluates.
+func warmKernelInputs(seed int64) []map[string]*tensor.COO {
+	type operand struct {
+		name string
+		nnz  int // < 0: every position stored
+		dims []int
+	}
+	sizes := [][]operand{
+		{{"B", 16000, []int{1000, 1000}}, {"c", 250, []int{1000}}},
+		{{"B", 900, []int{300, 300}}, {"C", -1, []int{300, 48}}, {"D", -1, []int{300, 48}}},
+		{{"B", 56000, []int{100, 100, 40}}, {"C", 56000, []int{100, 100, 40}}},
+		{{"B", 20000, []int{30, 30, 1000}}, {"c", 250, []int{1000}}},
+		{{"B", 600, []int{50, 40, 40}}, {"C", -1, []int{10, 40}}, {"D", -1, []int{10, 40}}},
+		{{"b", 500, []int{1000}}, {"C", 20000, []int{1000, 1000}}, {"d", 250, []int{1000}}},
+		{{"alpha", 0, nil}, {"B", 20000, []int{1000, 1000}}, {"c", 250, []int{1000}}, {"beta", 0, nil}, {"d", 500, []int{1000}}},
+	}
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]map[string]*tensor.COO, len(sizes))
+	for k, ops := range sizes {
+		out[k] = map[string]*tensor.COO{}
+		for _, op := range ops {
+			var t *tensor.COO
+			if len(op.dims) == 0 {
+				t = tensor.NewCOO(op.name)
+				t.Append(1)
+			} else {
+				nnz := op.nnz
+				if nnz < 0 {
+					nnz = 1
+					for _, d := range op.dims {
+						nnz *= d
+					}
+				}
+				t = tensor.UniformRandom(op.name, rng, nnz, op.dims...)
+			}
+			tensor.QuantizeInts(rng, 9, t)
+			out[k][op.name] = t
+		}
+	}
+	return out
+}
+
 // BenchmarkWarmRun reports the warm-path cost of both entry points: the
 // borrowed-output RunPooled (the zero-alloc hot path) and Run, which adds
-// one output clone per call. SpMV-16k is the benchmark's warm-kernel SpMV
-// (1000×1000 with 16,000 nonzeros against a 250-nonzero vector), so the CI
-// log carries the per-run cost of the fused scan + intersect step at the
-// size the benchmark gates.
+// one output clone per call. The WarmKernel rows are the seven kernels of
+// the benchmark's warm-kernel workload at its sizes and seed 3, so the CI
+// log carries each kernel's per-run cost at the size the benchmark gates,
+// with the tokens a run materializes (the sum of its stream lengths — a
+// count, exact run to run: what fusion removes).
 func BenchmarkWarmRun(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	spmv16k := map[string]*tensor.COO{
-		"B": tensor.UniformRandom("B", rng, 16000, 1000, 1000),
-		"c": tensor.UniformRandom("c", rng, 250, 1000),
-	}
-	tensor.QuantizeInts(rng, 9, spmv16k["B"], spmv16k["c"])
 	const spmv, spmspm = "x(i) = B(i,j) * c(j)", "X(i,j) = B(i,k) * C(k,j)"
-	for _, bc := range []struct {
+	type benchCase struct {
 		name   string
 		expr   string
 		inputs map[string]*tensor.COO
-	}{
-		{"SpMV", spmv, smallInputs(spmv, 11)},
-		{"SpMSpM", spmspm, smallInputs(spmspm, 11)},
-		{"SpMV-16k", spmv, spmv16k},
-	} {
+		tokens bool
+	}
+	cases := []benchCase{
+		{"SpMV", spmv, smallInputs(spmv, 11), false},
+		{"SpMSpM", spmspm, smallInputs(spmspm, 11), false},
+	}
+	for k, inputs := range warmKernelInputs(3) {
+		cases = append(cases, benchCase{"WarmKernel/" + table1Kernels[k].name, table1Kernels[k].expr, inputs, true})
+	}
+	for _, bc := range cases {
 		cp, bound, dims := compileInputs(b, bc.expr, lang.Schedule{}, bc.inputs)
 		b.Run(bc.name+"/pooled", func(b *testing.B) {
 			rc := cp.NewCtx()
@@ -130,7 +194,17 @@ func BenchmarkWarmRun(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			if bc.tokens {
+				n := 0
+				for _, s := range rc.Streams() {
+					n += len(s)
+				}
+				b.ReportMetric(float64(n), "tokens/op")
+			}
 		})
+		if bc.tokens {
+			continue
+		}
 		b.Run(bc.name+"/cloned", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -17,17 +17,19 @@
 // scanners become cursor walks over fiber.Tensor storage, intersections and
 // unions become two-pointer merges, and ALUs, reducers, droppers and writers
 // run as tight loops fused over whole fibers at a time. Before binding,
-// Materialize fuses every two-way intersect fed by two scanners nothing else
-// reads into one co-iteration over the two storage levels (fuse.go) — the
-// kernel GallopIntersect blocks already run — so those scanner → intersect
-// streams are never written. The invariant: every stream slot that survives
-// fusion holds, token for token, what the same edge carries on the cycle
-// engines; the fused-away edges were administrative, a buffer one loop
-// filled for the next to drain. Outputs are therefore bit-identical, which
-// the differential battery in this package and the engine registration in
-// internal/sim enforce across kernels, schedules, lane counts and fuzzed
-// inputs, and the fused-vs-unfused battery (fuse_test.go) checks slot by
-// slot.
+// Materialize fuses away the edges that only hand one loop's tokens to the
+// next (fuse.go): every two-way intersect fed by two scanners nothing else
+// reads becomes one co-iteration over the two storage levels — the kernel
+// GallopIntersect blocks already run — and every leaf level whose matches
+// feed array loads, an ALU tree and a scalar reducer becomes one loop that
+// emits the reducer's tokens, so those streams are never written. The
+// invariant: every stream slot that survives fusion holds, token for token,
+// what the same edge carries on the cycle engines; the fused-away edges were
+// administrative, a buffer one loop filled for the next to drain. Outputs are
+// therefore bit-identical, which the differential battery in this package and
+// the engine registration in internal/sim enforce across kernels, schedules,
+// lane counts and fuzzed inputs, and the fused-vs-unfused battery
+// (fuse_test.go) checks slot by slot.
 //
 // Supported blocks are everything except the bitvector pipeline (bitvector
 // scanners, intersecters, vector ALUs and writers stay on the cycle
@@ -81,7 +83,7 @@ type Program struct {
 	// was materialized from a decoded artifact; execution reads only ir.
 	g     *graph.Graph
 	ir    *IR
-	steps []step
+	steps []stepInfo
 	nSlot int
 
 	crdWr  map[int]writerRec // output level -> coordinate writer

@@ -39,11 +39,19 @@ type arena struct {
 	nests []map[int64]map[int64]float64
 	nestN int
 	rows  []map[int64]float64
+
+	// Co-iteration scratch: the matches of the fiber pair in hand, the fused
+	// leaf steps' register programs, and the probe table — one, because an
+	// arena's steps run one after another; a step clears it before first use.
+	matches []match
+	leafs   []leafInst
+	leafN   int
+	probe   probeTab
 }
 
 // reset returns every checkout to the arena without releasing capacity.
 func (a *arena) reset() {
-	a.curN, a.ptrN, a.tokN, a.accN, a.nestN = 0, 0, 0, 0, 0
+	a.curN, a.ptrN, a.tokN, a.accN, a.nestN, a.leafN = 0, 0, 0, 0, 0, 0
 }
 
 // cursor checks out one stream cursor. Growing the slab moves earlier
@@ -111,6 +119,18 @@ func (a *arena) nestMap() map[int64]map[int64]float64 {
 		delete(m, k)
 	}
 	return m
+}
+
+// leafProg checks out a copy of a fused leaf step's instruction template.
+func (a *arena) leafProg(tmpl []leafInst) []leafInst {
+	need := a.leafN + len(tmpl)
+	if need > len(a.leafs) {
+		a.leafs = append(a.leafs, make([]leafInst, need-len(a.leafs))...)
+	}
+	out := a.leafs[a.leafN:need:need]
+	a.leafN = need
+	copy(out, tmpl)
+	return out
 }
 
 // row checks out an empty matrix-reduce row from the free list.
@@ -236,10 +256,12 @@ func (p *Program) Run(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, 
 	return p.RunTraced(bound, dims, nil)
 }
 
-// RunTraced is Run with phase tracing: the execution records "run" (with one
-// child span per lane goroutine in parallel plans) and "assemble" spans into
-// tr. A nil tr records nothing and makes RunTraced exactly Run — the hooks
-// cost a nil check and nothing else.
+// RunTraced is Run with phase tracing: the execution records "run" and
+// "assemble" spans into tr. Under "run" every executed step records a child
+// span named by its block label — a fused leaf level under its reducer's —
+// and in parallel plans the lane steps nest under one "laneN" span per lane
+// goroutine. A nil tr records nothing and makes RunTraced exactly Run — the
+// hooks cost a nil check and nothing else.
 func (p *Program) RunTraced(bound map[string]*fiber.Tensor, dims []int, tr *obs.Trace) (*tensor.COO, error) {
 	rc := p.getCtx()
 	out, err := p.runCtx(rc, bound, dims, false, tr)
@@ -282,7 +304,7 @@ func (p *Program) RunPooled(rc *RunCtx, bound map[string]*fiber.Tensor, dims []i
 
 // runCtx is the shared run core: reset, execute (parallel or merged),
 // raise capacity hints, assemble. tr, when non-nil, gets a "run" span (with
-// per-lane children) and an "assemble" span.
+// per-step and per-lane children) and an "assemble" span.
 func (p *Program) runCtx(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int, merged bool, tr *obs.Trace) (out *tensor.COO, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -298,9 +320,7 @@ func (p *Program) runCtx(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int,
 	if p.plan != nil && !merged {
 		p.runLanes(rc, run)
 	} else {
-		for _, st := range p.steps {
-			st(&rc.main)
-		}
+		runSteps(&rc.main, p.steps, run)
 	}
 	for i := range rc.streams {
 		n := int64(len(rc.streams[i]))
@@ -318,6 +338,23 @@ func (p *Program) runCtx(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int,
 	return out, err
 }
 
+// runSteps executes a step list in order. When parent records, each step
+// gets a child span named by its label; when it does not, nothing reads a
+// clock.
+func runSteps(x *exec, steps []stepInfo, parent obs.Span) {
+	if !parent.Active() {
+		for i := range steps {
+			steps[i].step(x)
+		}
+		return
+	}
+	for i := range steps {
+		sp := parent.Child(steps[i].si.Label)
+		steps[i].step(x)
+		sp.End()
+	}
+}
+
 // runLanes executes a compiled lane plan: the pre region on the calling
 // goroutine, one goroutine per lane over the lane's closure chain, a
 // WaitGroup fork barrier, then the post region (serializers, lane reducers,
@@ -325,12 +362,10 @@ func (p *Program) runCtx(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int,
 // the only synchronization needed is the barrier's happens-before edge; a
 // panic inside a lane is captured and re-raised on the calling goroutine
 // after every lane has parked. When the run span records, each lane gets a
-// child span measured on its own goroutine.
+// child span measured on its own goroutine, with its steps' spans under it.
 func (p *Program) runLanes(rc *RunCtx, run obs.Span) {
 	plan := p.plan
-	for _, st := range plan.pre {
-		st(&rc.main)
-	}
+	runSteps(&rc.main, plan.pre, run)
 	for l := range plan.lanes {
 		if len(plan.lanes[l]) == 0 {
 			continue
@@ -347,10 +382,7 @@ func (p *Program) runLanes(rc *RunCtx, run obs.Span) {
 			if run.Active() {
 				sp = run.Child("lane" + strconv.Itoa(l))
 			}
-			x := &rc.lane[l]
-			for _, st := range plan.lanes[l] {
-				st(x)
-			}
+			runSteps(&rc.lane[l], plan.lanes[l], sp)
 			sp.End()
 		}(l)
 	}
@@ -360,9 +392,7 @@ func (p *Program) runLanes(rc *RunCtx, run obs.Span) {
 			panic(r)
 		}
 	}
-	for _, st := range plan.post {
-		st(&rc.main)
-	}
+	runSteps(&rc.main, plan.post, run)
 }
 
 // assemble materializes the output tensor from the writer streams into the

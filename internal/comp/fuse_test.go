@@ -15,15 +15,17 @@ import (
 	"sam/internal/fiber"
 	"sam/internal/graph"
 	"sam/internal/lang"
+	"sam/internal/obs"
 	"sam/internal/prog"
 	"sam/internal/tensor"
 	"sam/internal/token"
 )
 
 // Materialize fuses scanner + scanner + two-way intersect into one
-// co-iteration step (fuse.go). These tests pin where the pass fires, that it
-// leaves the IR alone, and that the streams which survive it are token for
-// token what the unfused steps write.
+// co-iteration step, and then each leaf level — co-iteration, Repeats, Array
+// loads, ALU tree, scalar reducer — into one step (fuse.go). These tests pin
+// where the passes fire, that they leave the IR alone, and that the streams
+// which survive them are token for token what the unfused steps write.
 
 // table1Kernels are the seven small-output Table 1 kernels the benchmark's
 // warm workloads run.
@@ -36,6 +38,11 @@ var table1Kernels = []struct{ name, expr string }{
 	{"Residual", "x(i) = b(i) - C(i,j) * d(j)"},
 	{"MatTransMul", "x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)"},
 }
+
+// hoistedAbsentExpr hoists b and e over the j loop with references from
+// "Union i": where only one of them stores i the other's reference is an N
+// token, which the leaf step must treat as the ALU does.
+const hoistedAbsentExpr = "x(i) = (b(i) + e(i)) * C(i,j) * d(j)"
 
 // sharedScanExpr at Opt 1 shares one B.i scanner between "Intersect i" and
 // "Union i" — a scanner whose outputs have a second reader — and feeds the
@@ -76,14 +83,41 @@ func stepLabeled(t *testing.T, steps []comp.StepIR, label string) *comp.StepIR {
 	return nil
 }
 
-// TestFusionActivates pins the pass's coverage, beside TestLanePlanActivates:
-// every Intersect of the seven Table 1 kernels runs as the fused step, at
-// the default schedule and at Par 4; the shapes outside the pattern stay as
-// lowered; and the IR a program reports is untouched by the pass.
+// leafReducers returns the labels of the lowered scalar reducers that sum an
+// ALU's or an Array's values: the reducers at the bottom of a loop nest.
+func leafReducers(ir *comp.IR) []string {
+	producer := map[int]graph.Kind{}
+	for i := range ir.Steps {
+		for _, s := range ir.Steps[i].Outs {
+			producer[s] = ir.Steps[i].Kind
+		}
+	}
+	var out []string
+	for i := range ir.Steps {
+		st := &ir.Steps[i]
+		if st.Kind != graph.Reduce || st.RedN != 0 {
+			continue
+		}
+		if k := producer[st.Ins[0]]; k == graph.ALU || k == graph.Array {
+			out = append(out, st.Label)
+		}
+	}
+	return out
+}
+
+// TestFusionActivates pins the passes' coverage, beside TestLanePlanActivates:
+// every Intersect of the seven Table 1 kernels runs fused — as a co-iteration
+// step, or inside the leaf step that swallowed it — and every leaf reducer
+// runs as the fused leaf step under its own label, at the default schedule
+// and at Par 4; the shapes outside the patterns stay as lowered; and the IR a
+// program reports is untouched by the passes.
 func TestFusionActivates(t *testing.T) {
+	// Executed steps per kernel at the default schedule: 12/23/17/15/28/17/26
+	// as lowered, 10/17/11/13/22/15/24 after the scanner pass alone.
+	wantSteps := []int{6, 10, 7, 9, 15, 11, 17}
 	for _, par := range []int{1, 4} {
 		total := 0
-		for _, k := range table1Kernels {
+		for ki, k := range table1Kernels {
 			name := fmt.Sprintf("%s par%d", k.name, par)
 			_, ir := lowerCase(t, k.expr, nil, lang.Schedule{Par: par})
 			want := prog.EncodeIR(ir)
@@ -91,7 +125,7 @@ func TestFusionActivates(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: materialize: %v", name, err)
 			}
-			steps := comp.ExecSteps(ir)
+			steps, leaf := comp.ExecSteps(ir)
 			n := countKind(ir.Steps, graph.Intersect)
 			total += n
 			if n == 0 {
@@ -99,9 +133,6 @@ func TestFusionActivates(t *testing.T) {
 			}
 			if left := countKind(steps, graph.Intersect); left != 0 {
 				t.Errorf("%s: %d of %d Intersect steps left unfused", name, left, n)
-			}
-			if got := countKind(steps, graph.GallopIntersect); got != n {
-				t.Errorf("%s: %d fused steps for %d Intersects", name, got, n)
 			}
 			if got, want := countKind(steps, graph.Scanner), countKind(ir.Steps, graph.Scanner)-2*n; got != want {
 				t.Errorf("%s: %d scanners execute, want %d", name, got, want)
@@ -112,9 +143,39 @@ func TestFusionActivates(t *testing.T) {
 			if got, want := p.Parallel(), par > 1; got != want {
 				t.Errorf("%s: Parallel() = %v, want %v", name, got, want)
 			}
+			if par == 1 && len(steps) != wantSteps[ki] {
+				t.Errorf("%s: %d steps execute, want %d", name, len(steps), wantSteps[ki])
+			}
 
-			// The pass copies: the program's IR and its encoding are those of
-			// a build without it.
+			// Every leaf reducer is a fused leaf step: same label, same output,
+			// reading reference streams — two for the co-iteration it swallowed,
+			// one more per hoisted operand — where it read a value stream.
+			leaves := leafReducers(ir)
+			if len(leaves) == 0 {
+				t.Errorf("%s: lowered IR has no leaf reducer; the case pins nothing", name)
+			}
+			fused := 0
+			for i := range leaf {
+				if leaf[i] {
+					fused++
+				}
+			}
+			if fused != len(leaves) {
+				t.Errorf("%s: %d fused leaf steps for %d leaf reducers", name, fused, len(leaves))
+			}
+			for _, label := range leaves {
+				low := stepLabeled(t, ir.Steps, label)
+				i := slices.IndexFunc(steps, func(st comp.StepIR) bool { return st.Label == label })
+				if i < 0 || !leaf[i] || len(steps[i].Ins) < 2 || !slices.Equal(steps[i].Outs, low.Outs) {
+					t.Errorf("%s: %q does not execute as the fused leaf step writing %v (step %d of %+v)", name, label, low.Outs, i, steps)
+				}
+			}
+			if got, want := countKind(steps, graph.GallopIntersect), n-fused; got != want {
+				t.Errorf("%s: %d co-iteration steps execute beside %d leaf steps, want %d", name, got, fused, want)
+			}
+
+			// The passes copy: the program's IR and its encoding are those of
+			// a build without them.
 			_, fresh := lowerCase(t, k.expr, nil, lang.Schedule{Par: par})
 			u, err := comp.MaterializeUnfused(fresh)
 			if err != nil {
@@ -133,9 +194,10 @@ func TestFusionActivates(t *testing.T) {
 	}
 
 	// A scanner with a second reader stays, and so does its intersect; the
-	// next level's intersect, fed by the union, still fuses.
+	// next level's intersect, fed by the union, still fuses. Its matches are
+	// written, not reduced, so there is no leaf step.
 	_, ir := lowerCase(t, sharedScanExpr, nil, lang.Schedule{Opt: 1})
-	steps := comp.ExecSteps(ir)
+	steps, leaf := comp.ExecSteps(ir)
 	if k := stepLabeled(t, steps, "Intersect i").Kind; k != graph.Intersect {
 		t.Errorf("shared scanner: Intersect i executes as %v, want it unfused", k)
 	}
@@ -144,37 +206,66 @@ func TestFusionActivates(t *testing.T) {
 	if k := stepLabeled(t, steps, "Intersect j").Kind; k != graph.GallopIntersect {
 		t.Errorf("shared scanner: Intersect j executes as %v, want it fused", k)
 	}
+	if slices.Contains(leaf, true) {
+		t.Errorf("shared scanner: a leaf step fused where the leaf level is written, not reduced")
+	}
 
-	// A 3-way intersect and a union are outside the pattern altogether.
+	// A 3-way intersect and a union are outside both patterns altogether.
 	for _, expr := range []string{"X(i,j) = B(i,j) * C(i,j) * D(i,j)", "X(i,j) = B(i,j) + C(i,j)"} {
 		_, ir := lowerCase(t, expr, nil, lang.Schedule{})
-		if steps := comp.ExecSteps(ir); !reflect.DeepEqual(steps, ir.Steps) {
-			t.Errorf("%s: the pass rewrote a step list with nothing to fuse", expr)
+		if steps, _ := comp.ExecSteps(ir); !reflect.DeepEqual(steps, ir.Steps) {
+			t.Errorf("%s: the passes rewrote a step list with nothing to fuse", expr)
+		}
+	}
+
+	// Outside the leaf pattern: a vector reducer (SpM*SpM ikj), a scalar
+	// reducer over a union-fed add, and a load Opt 1 shares between two ALUs.
+	// Their Arrays, ALUs and reducers execute as lowered.
+	for _, tc := range []struct {
+		expr  string
+		sched lang.Schedule
+	}{
+		{"X(i,j) = B(i,k) * C(k,j)", lang.Schedule{LoopOrder: []string{"i", "k", "j"}}},
+		{"x(i) = B(i,j) + C(i,j)", lang.Schedule{}},
+		{"x(i) = B(i,j) * c(j) * c(j)", lang.Schedule{Opt: 1}},
+	} {
+		_, ir := lowerCase(t, tc.expr, nil, tc.sched)
+		steps, leaf := comp.ExecSteps(ir)
+		if slices.Contains(leaf, true) {
+			t.Errorf("%s: a leaf step fused outside the pattern", tc.expr)
+		}
+		for _, k := range []graph.Kind{graph.Array, graph.ALU, graph.Reduce} {
+			if got, want := countKind(steps, k), countKind(ir.Steps, k); got != want || want == 0 {
+				t.Errorf("%s: %d %v steps execute, want the %d lowered (and some)", tc.expr, got, k, want)
+			}
 		}
 	}
 }
 
 // runStreams materializes ir with build, runs it once on a fresh context and
-// returns the stream table the run left behind with the assembled output.
-func runStreams(build func(*comp.IR) (*comp.Program, error), ir *comp.IR, bound map[string]*fiber.Tensor, dims []int) ([]token.Stream, *tensor.COO, error) {
+// returns the stream table the run left behind with the assembled output,
+// and whether one of its co-iterations probed.
+func runStreams(build func(*comp.IR) (*comp.Program, error), ir *comp.IR, bound map[string]*fiber.Tensor, dims []int) ([]token.Stream, *tensor.COO, bool, error) {
 	p, err := build(ir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	rc := p.NewCtx()
 	out, err := p.RunPooled(rc, bound, dims)
-	return rc.Streams(), out, err
+	return rc.Streams(), out, rc.Probed(), err
 }
 
 // compareFusion runs one configuration fused and unfused and demands that
 // every stream slot the fused step list still writes is identical, that the
-// fused-away slots stay empty, and that the outputs agree bit for bit.
-func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched lang.Schedule, inputs map[string]*tensor.COO) (fusedSteps int) {
+// fused-away slots stay empty, and that the outputs agree bit for bit. It
+// returns how many steps fusion removed and whether a co-iteration of the
+// fused run probed.
+func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched lang.Schedule, inputs map[string]*tensor.COO) (fusedSteps int, probed bool) {
 	t.Helper()
 	g, err := custard.Compile(lang.MustParse(expr), formats, sched)
 	if err != nil {
 		if sched.Par > 1 {
-			return 0 // kernel not parallelizable under this loop order
+			return 0, false // kernel not parallelizable under this loop order
 		}
 		t.Fatalf("%s: custard: %v", name, err)
 	}
@@ -190,19 +281,19 @@ func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched 
 	if err != nil {
 		t.Fatalf("%s: output dims: %v", name, err)
 	}
-	want, wantOut, errU := runStreams(comp.MaterializeUnfused, ir, bound, dims)
-	got, gotOut, errF := runStreams(comp.Materialize, ir, bound, dims)
+	want, wantOut, _, errU := runStreams(comp.MaterializeUnfused, ir, bound, dims)
+	got, gotOut, probed, errF := runStreams(comp.Materialize, ir, bound, dims)
 	if (errU == nil) != (errF == nil) {
 		t.Errorf("%s: run-failure parity broken: unfused err=%v, fused err=%v", name, errU, errF)
-		return 0
+		return 0, false
 	}
 	if errU != nil {
-		return 0
+		return 0, false
 	}
 	if err := tensor.IdenticalBits(wantOut, gotOut); err != nil {
 		t.Errorf("%s: fused output differs from unfused: %v", name, err)
 	}
-	steps := comp.ExecSteps(ir)
+	steps, _ := comp.ExecSteps(ir)
 	survives := make([]bool, ir.NSlot)
 	for i := range steps {
 		for _, s := range steps[i].Outs {
@@ -219,14 +310,16 @@ func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched 
 			t.Errorf("%s: fused-away slot %d holds %d tokens fused, %d unfused; want 0 and some", name, s, len(got[s]), len(want[s]))
 		}
 	}
-	return countKind(steps, graph.GallopIntersect) - countKind(ir.Steps, graph.GallopIntersect)
+	return len(ir.Steps) - len(steps), probed
 }
 
 // TestFusionSlotIdentical is the fused-vs-unfused battery: the differential
 // kernels across Opt 0/1 and Par 1/2/4, on random operands, on the disjoint
 // supports that empty every intersection, and on operands with no entries at
 // all. The formats cover both merge loops (compressed × compressed, and the
-// Level-interface fallback on a dense level) and empty fibers (CSR rows).
+// Level-interface fallback on a dense level) and empty fibers (CSR rows); the
+// last cases cover the leaf step's corners: hoisted operands whose references
+// a union left absent on either side of an add, and the probe.
 func TestFusionSlotIdentical(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -251,6 +344,8 @@ func TestFusionSlotIdentical(t *testing.T) {
 		{"hadamard-square", "X(i,j) = B(i,j) * B(i,j)", nil, lang.Schedule{}},
 		{"shared-scan", sharedScanExpr, nil, lang.Schedule{}},
 		{"deep-reduce", "X(i,j,k) = B(i,j,k,l) * c(l)", nil, lang.Schedule{LoopOrder: []string{"l", "i", "j", "k"}}},
+		{"hoisted-absent", hoistedAbsentExpr, nil, lang.Schedule{}},
+		{"union-fed-term", "x(i) = b(i) * C(i,j) * d(j) + e(i)", nil, lang.Schedule{}},
 	}
 	dimOf := map[string]int{"i": 24, "j": 20, "k": 14, "l": 10}
 	rng := rand.New(rand.NewSource(43))
@@ -284,7 +379,8 @@ func TestFusionSlotIdentical(t *testing.T) {
 					s := tc.sched
 					s.Par, s.Opt = par, opt
 					name := fmt.Sprintf("%s/%s par%d O%d", tc.name, in.name, par, opt)
-					fused += compareFusion(t, name, tc.expr, tc.formats, s, in.inputs)
+					n, _ := compareFusion(t, name, tc.expr, tc.formats, s, in.inputs)
+					fused += n
 				}
 			}
 		}
@@ -292,18 +388,119 @@ func TestFusionSlotIdentical(t *testing.T) {
 	if fused == 0 {
 		t.Error("no configuration fused a step; the battery compared a program with itself")
 	}
+
+	// Operands sized so the probe engages: one long fiber, repeated, against
+	// many short ones. The repeated fiber is the co-iteration's second input
+	// (c under B's rows), its first (c named first), and a row of C that
+	// changes with every i while B's (i,j) fibers come and go under it — so
+	// the table is cleared and rebuilt mid-stream, and a stale entry would
+	// show as a wrong match.
+	sparse := func(name string, nnz int, dims ...int) *tensor.COO {
+		c := tensor.UniformRandom(name, rng, nnz, dims...)
+		tensor.QuantizeInts(rng, 7, c)
+		return c
+	}
+	for _, tc := range []struct {
+		name, expr string
+		inputs     map[string]*tensor.COO
+	}{
+		{"probe-second", "x(i) = B(i,j) * c(j)", map[string]*tensor.COO{"B": sparse("B", 120, 40, 64), "c": sparse("c", 40, 64)}},
+		{"probe-first", "x(i) = c(j) * B(i,j)", map[string]*tensor.COO{"B": sparse("B", 120, 40, 64), "c": sparse("c", 40, 64)}},
+		{"probe-rebuilt", "X(i,j) = B(i,j,k) * C(i,k)", map[string]*tensor.COO{"B": sparse("B", 400, 12, 16, 48), "C": sparse("C", 400, 12, 48)}},
+	} {
+		for _, par := range []int{1, 2, 4} {
+			for _, opt := range []int{0, 1} {
+				name := fmt.Sprintf("%s par%d O%d", tc.name, par, opt)
+				if n, probed := compareFusion(t, name, tc.expr, nil, lang.Schedule{Par: par, Opt: opt}, tc.inputs); n == 0 || !probed {
+					t.Errorf("%s: %d steps fused away, probed = %v; the case wants both", name, n, probed)
+				}
+			}
+		}
+	}
+}
+
+// TestRunTracedStepSpans pins what a traced run shows of the machine: under
+// "run", one span per executed step in execution order, named by its block
+// label — the fused leaf level one line under its reducer's label — and in a
+// lane plan the lane steps under their "laneN" span. Children sit inside
+// their parents.
+func TestRunTracedStepSpans(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		g, ir := lowerCase(t, "x(i) = B(i,j) * c(j)", nil, lang.Schedule{Par: par})
+		p, err := comp.Materialize(ir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := randomInputs(rand.New(rand.NewSource(9)), lang.MustParse("x(i) = B(i,j) * c(j)"), func(string) int { return 12 })
+		bound, err := bind.Operands(g, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims, err := bind.OutputDims(g, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTrace()
+		if _, err := p.RunTraced(bound, dims, tr); err != nil {
+			t.Fatal(err)
+		}
+		spans := tr.Spans()
+		if len(spans) < 2 || spans[0].Name != "run" || spans[0].Parent != -1 || spans[len(spans)-1].Name != "assemble" || spans[len(spans)-1].Parent != -1 {
+			t.Fatalf("par%d: top-level spans are not run … assemble: %+v", par, spans)
+		}
+		steps, _ := comp.ExecSteps(ir)
+		want := map[string]int{}
+		for i := range steps {
+			want[steps[i].Label]++
+		}
+		for i, sp := range spans[1 : len(spans)-1] {
+			if sp.Parent < 0 {
+				t.Errorf("par%d: step span %q is top-level", par, sp.Name)
+				continue
+			}
+			up := spans[sp.Parent]
+			if sp.StartNS < up.StartNS || sp.StartNS+sp.DurNS > up.StartNS+up.DurNS {
+				t.Errorf("par%d: span %q [%d, +%d] leaves its parent %q [%d, +%d]", par, sp.Name, sp.StartNS, sp.DurNS, up.Name, up.StartNS, up.DurNS)
+			}
+			if strings.HasPrefix(sp.Name, "lane") {
+				if par == 1 || up.Name != "run" {
+					t.Errorf("par%d: lane span %q under %q", par, sp.Name, up.Name)
+				}
+				continue
+			}
+			want[sp.Name]--
+			if onLane := strings.Contains(sp.Name, "[lane "); onLane != strings.HasPrefix(up.Name, "lane") {
+				t.Errorf("par%d: step span %q sits under %q", par, sp.Name, up.Name)
+			}
+			if par == 1 && sp.Name != steps[i].Label {
+				t.Errorf("par1: span %d is %q, want step %d's label %q", i, sp.Name, i, steps[i].Label)
+			}
+		}
+		// One span per executed step and none for a step fused away: the
+		// leaf level is one line, under its reducer's label.
+		for label, n := range want {
+			if n != 0 {
+				t.Errorf("par%d: %q: executed steps minus spans = %d, want 0", par, label, n)
+			}
+		}
+	}
 }
 
 // TestFiberRefOutOfRange crafts IRs that pass Validate but aim a level walk
-// at the wrong level — the shape of a corrupt-but-checksummed artifact — so
-// stream references index past the level's fibers. The run must end in an
-// error on the fused kernel, the scanner and the locator alike, not in an
-// index panic that nothing above comp recovers.
+// or an Array load at the wrong storage — the shape of a corrupt-but-
+// checksummed artifact — and operands whose levels lie about their size, so
+// stream references, match positions and probed coordinates index past what
+// they name. The run must end in an error on the fused kernels, the scanner
+// and the locator alike, not in an index panic that nothing above comp
+// recovers.
 func TestFiberRefOutOfRange(t *testing.T) {
+	const spmv = "x(i) = B(i,j) * c(j)"
 	// aimAtTop points a level-1 walk at its operand's one-fiber top level.
 	aimAtTop := func(label string) func(*testing.T, []comp.StepIR) {
 		return func(t *testing.T, steps []comp.StepIR) { stepLabeled(t, steps, label).Level = 0 }
 	}
+	// loadFromC aims B's Array load at c's shorter Vals.
+	loadFromC := func(t *testing.T, steps []comp.StepIR) { stepLabeled(t, steps, "Array B vals").Tensor = "c" }
 	cases := []struct {
 		name    string
 		expr    string
@@ -311,26 +508,49 @@ func TestFiberRefOutOfRange(t *testing.T) {
 		sched   lang.Schedule
 		corrupt func(*testing.T, []comp.StepIR)
 		build   func(*comp.IR) (*comp.Program, error)
+		// inputs, when set, replaces the random operands; shrink, when set,
+		// names an operand whose top level then claims a dimension of 2.
+		inputs map[string]*tensor.COO
+		shrink string
+		want   string
 	}{
-		{"fused", "x(i) = B(i,j) * c(j)", nil, lang.Schedule{}, aimAtTop("Scanner B.j"), comp.Materialize},
-		{"scanner", "x(i) = B(i,j) * c(j)", nil, lang.Schedule{}, aimAtTop("Scanner B.j"), comp.MaterializeUnfused},
-		{"gallop", "x(i) = B(i,j) * c(j)", nil, lang.Schedule{UseSkip: true}, aimAtTop("GallopIntersect B.j ∩ c.j"), comp.Materialize},
-		{"locate", "X(i,j) = B(i,j) * C(i,k) * D(j,k)",
-			lang.Formats{"C": lang.Uniform(2, fiber.Dense), "D": lang.Uniform(2, fiber.Dense)},
-			lang.Schedule{UseLocators: true},
+		{name: "fused", expr: spmv, corrupt: aimAtTop("Scanner B.j"), build: comp.Materialize, want: "outside level"},
+		{name: "scanner", expr: spmv, corrupt: aimAtTop("Scanner B.j"), build: comp.MaterializeUnfused, want: "outside level"},
+		{name: "gallop", expr: spmv, sched: lang.Schedule{UseSkip: true}, corrupt: aimAtTop("GallopIntersect B.j ∩ c.j"), build: comp.Materialize, want: "outside level"},
+		{name: "locate", expr: "X(i,j) = B(i,j) * C(i,k) * D(j,k)",
+			formats: lang.Formats{"C": lang.Uniform(2, fiber.Dense), "D": lang.Uniform(2, fiber.Dense)},
+			sched:   lang.Schedule{UseLocators: true},
 			// Select fibers of B's top level with B.i's child references,
 			// one per row.
-			func(t *testing.T, steps []comp.StepIR) {
+			corrupt: func(t *testing.T, steps []comp.StepIR) {
 				rows := stepLabeled(t, steps, "Scanner B.i").Outs[1]
 				loc := stepLabeled(t, steps, "Locator D.j")
 				loc.Tensor, loc.Level, loc.Ins = "B", 0, []int{loc.Ins[0], loc.Ins[1], rows}
-			}, comp.Materialize},
+			}, build: comp.Materialize, want: "outside level"},
+		// The leaf step's loads, through a compressed level (checked once per
+		// fiber) and through the Level interface (checked per match); the
+		// unfused Array fails the same way.
+		{name: "leaf-array", expr: spmv, corrupt: loadFromC, build: comp.Materialize, want: "Array B vals: reference"},
+		{name: "leaf-array-dense", expr: spmv, formats: lang.Formats{"c": lang.Uniform(1, fiber.Dense)}, corrupt: loadFromC, build: comp.Materialize, want: "Array B vals: reference"},
+		{name: "array", expr: spmv, corrupt: loadFromC, build: comp.MaterializeUnfused, want: "Array B vals: reference"},
+		// A hoisted load: alpha's one value, indexed by B's row references.
+		{name: "leaf-hoisted", expr: "x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)", corrupt: func(t *testing.T, steps []comp.StepIR) {
+			stepLabeled(t, steps, "Repeater alpha over j").Ins[1] = stepLabeled(t, steps, "Union i").Outs[1]
+		}, build: comp.Materialize, want: "Array alpha vals: reference"},
+		// The probe: c stores coordinates up to 11 in a level that says 2. It
+		// engages from the second one-entry row on (c is 8 long), and the
+		// build stops at the first coordinate the table has no entry for.
+		{name: "probe-build", expr: spmv, corrupt: func(*testing.T, []comp.StepIR) {}, build: comp.Materialize,
+			inputs: map[string]*tensor.COO{"B": diagonal("B", 12), "c": everyOther("c", 12)}, shrink: "c", want: "outside level of size 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, ir := lowerCase(t, tc.expr, tc.formats, tc.sched)
 			bad := *ir
 			bad.Steps = slices.Clone(ir.Steps)
+			for i := range bad.Steps {
+				bad.Steps[i].Ins = slices.Clone(bad.Steps[i].Ins)
+			}
 			tc.corrupt(t, bad.Steps)
 			if err := bad.Validate(); err != nil {
 				t.Fatalf("crafted IR no longer validates (%v); the case tests nothing", err)
@@ -339,8 +559,11 @@ func TestFiberRefOutOfRange(t *testing.T) {
 			if err != nil {
 				t.Fatalf("materialize: %v", err)
 			}
-			rng := rand.New(rand.NewSource(5))
-			inputs := randomInputs(rng, lang.MustParse(tc.expr), func(string) int { return 12 })
+			inputs := tc.inputs
+			if inputs == nil {
+				rng := rand.New(rand.NewSource(5))
+				inputs = randomInputs(rng, lang.MustParse(tc.expr), func(string) int { return 12 })
+			}
 			bound, err := bind.Operands(g, inputs)
 			if err != nil {
 				t.Fatal(err)
@@ -349,9 +572,31 @@ func TestFiberRefOutOfRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := p.Run(bound, dims); err == nil || !strings.Contains(err.Error(), "outside level") {
-				t.Errorf("run on out-of-range fiber references: err = %v, want a fiber-reference error", err)
+			if tc.shrink != "" {
+				bound[tc.shrink].Levels[0].(*fiber.CompressedLevel).N = 2
+			}
+			if _, err := p.Run(bound, dims); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run on out-of-range references: err = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}
+}
+
+// diagonal is the n×n matrix with a 1 at every (i,i); everyOther the
+// n-vector with a 1 at every odd coordinate and at 0.
+func diagonal(name string, n int) *tensor.COO {
+	c := tensor.NewCOO(name, n, n)
+	for i := 0; i < n; i++ {
+		c.Append(1, int64(i), int64(i))
+	}
+	return c
+}
+
+func everyOther(name string, n int) *tensor.COO {
+	c := tensor.NewCOO(name, n)
+	c.Append(1, 0)
+	for i := 1; i < n; i += 2 {
+		c.Append(1, int64(i))
+	}
+	return c
 }

@@ -318,7 +318,8 @@ func (si *StepIR) validate(nSlot int) error {
 }
 
 // Materialize turns an IR back into an executable Program: it validates the
-// IR, fuses scanner pairs into the intersects they feed (fuse.go), binds one
+// IR, fuses the administrative edges away (fuse.go: scanner pairs into the
+// intersects they feed, then each leaf level into one step), binds one
 // closure per remaining step through the opcode dispatch in stepFor, and
 // recomputes everything derived — the lane-parallel execution plan and the
 // output permutation — from the IR records. Derived state is never
@@ -328,29 +329,33 @@ func Materialize(ir *IR) (*Program, error) {
 	if err := ir.Validate(); err != nil {
 		return nil, err
 	}
-	return materialize(ir, fuseScanIntersect(ir))
+	steps, leaf := fuse(ir)
+	return materialize(ir, steps, leaf)
 }
 
 // materialize binds a validated IR's metadata and the step list to execute
-// (ir.Steps after fusion) into a Program.
-func materialize(ir *IR, steps []StepIR) (*Program, error) {
+// (ir.Steps after fusion, leaf as fuse returns it) into a Program.
+func materialize(ir *IR, steps []StepIR, leaf []*leafExpr) (*Program, error) {
 	p := &Program{ir: ir, nSlot: ir.NSlot, crdWr: map[int]writerRec{}}
 	for _, w := range ir.CrdWr {
 		p.crdWr[w.Level] = writerRec{label: w.Label, slot: w.Slot}
 	}
 	p.valsWr = &writerRec{label: ir.ValsWr.Label, slot: ir.ValsWr.Slot}
-	infos := make([]stepInfo, len(steps))
+	p.steps = make([]stepInfo, len(steps))
 	for i := range steps {
 		si := &steps[i]
+		if leaf[i] != nil {
+			p.steps[i] = stepInfo{si: si, step: stepLeaf(si, leaf[i])}
+			continue
+		}
 		st, err := stepFor(si)
 		if err != nil {
 			return nil, err
 		}
-		p.steps = append(p.steps, st)
-		infos[i] = stepInfo{si: si, step: st}
+		p.steps[i] = stepInfo{si: si, step: st}
 	}
 	p.hints = make([]atomic.Int64, p.nSlot)
-	p.plan = buildPlan(p.nSlot, infos, p.crdWr, p.valsWr)
+	p.plan = buildPlan(p.nSlot, p.steps, p.crdWr, p.valsWr)
 
 	// Precompute the output permutation once; a missing variable surfaces
 	// at assembly time, after stream validation, like the other engines.

@@ -18,8 +18,9 @@ const (
 	tagPost = -2 // runs after the barrier (joins, writers' consumers)
 )
 
-// stepInfo pairs one lowered step's IR record (the dataflow: kind, ways,
-// and the stream slots it reads and writes) with its bound closure.
+// stepInfo pairs one executed step's IR record (the dataflow: kind, ways,
+// and the stream slots it reads and writes; its label names its trace span)
+// with its bound closure.
 type stepInfo struct {
 	si   *StepIR
 	step step
@@ -30,9 +31,9 @@ type stepInfo struct {
 // within each partition, so producers still precede consumers.
 type execPlan struct {
 	ways  int
-	pre   []step
-	lanes [][]step
-	post  []step
+	pre   []stepInfo
+	lanes [][]stepInfo
+	post  []stepInfo
 }
 
 // buildPlan derives the lane plan from the lowered steps' dataflow, or
@@ -164,16 +165,16 @@ func buildPlan(nSlot int, infos []stepInfo, crdWr map[int]writerRec, valsWr *wri
 		}
 	}
 
-	plan := &execPlan{ways: ways, lanes: make([][]step, ways)}
+	plan := &execPlan{ways: ways, lanes: make([][]stepInfo, ways)}
 	onLane := 0
 	for j, in := range infos {
 		switch t := stepTag[j]; t {
 		case tagPre:
-			plan.pre = append(plan.pre, in.step)
+			plan.pre = append(plan.pre, in)
 		case tagPost:
-			plan.post = append(plan.post, in.step)
+			plan.post = append(plan.post, in)
 		default:
-			plan.lanes[t] = append(plan.lanes[t], in.step)
+			plan.lanes[t] = append(plan.lanes[t], in)
 			onLane++
 		}
 	}
