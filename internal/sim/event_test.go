@@ -29,6 +29,33 @@ type eventShape struct {
 	opt    Options
 }
 
+// shapeRow is an eventShape before compilation.
+type shapeRow struct {
+	name   string
+	expr   string
+	sched  lang.Schedule
+	inputs map[string]*tensor.COO
+	opt    Options
+}
+
+// buildShapes compiles each row into a Program.
+func buildShapes(tb testing.TB, rows []shapeRow) []eventShape {
+	tb.Helper()
+	var out []eventShape
+	for _, r := range rows {
+		g, err := custard.Compile(lang.MustParse(r.expr), nil, r.sched)
+		if err != nil {
+			tb.Fatalf("%s: compile: %v", r.name, err)
+		}
+		p, err := NewProgram(g)
+		if err != nil {
+			tb.Fatalf("%s: NewProgram: %v", r.name, err)
+		}
+		out = append(out, eventShape{r.name, p, r.inputs, r.opt})
+	}
+	return out
+}
+
 // eventShapes draws the operands the way bench/workloads.go does at seed 3
 // (B, C, then SpMV's B, c; each UniformRandom followed by QuantizeInts), so
 // the five cycle counts in the golden file (30,960 / 665,951 / 30,830 /
@@ -45,13 +72,7 @@ func eventShapes(tb testing.TB) []eventShape {
 	mm := map[string]*tensor.COO{"B": draw("B", 1250, 250, 100), "C": draw("C", 1250, 100, 250)}
 	mv := map[string]*tensor.COO{"B": draw("B", 5000, 500, 500), "c": draw("c", 250, 500)}
 	const spmspm, spmv = "X(i,j) = B(i,k) * C(k,j)", "x(i) = B(i,j) * c(j)"
-	rows := []struct {
-		name   string
-		expr   string
-		sched  lang.Schedule
-		inputs map[string]*tensor.COO
-		opt    Options
-	}{
+	rows := []shapeRow{
 		{"SpM*SpM-ikj", spmspm, lang.Schedule{LoopOrder: []string{"i", "k", "j"}}, mm, Options{}},
 		{"SpM*SpM-ijk", spmspm, lang.Schedule{LoopOrder: []string{"i", "j", "k"}}, mm, Options{}},
 		{"SpM*SpM-kij", spmspm, lang.Schedule{LoopOrder: []string{"k", "i", "j"}}, mm, Options{}},
@@ -59,19 +80,7 @@ func eventShapes(tb testing.TB) []eventShape {
 		{"SpMV-par4", spmv, lang.Schedule{Par: 4}, mv, Options{}},
 		{"SpM*SpM-ikj-cap8", spmspm, lang.Schedule{LoopOrder: []string{"i", "k", "j"}}, mm, Options{QueueCap: 8}},
 	}
-	var out []eventShape
-	for _, r := range rows {
-		g, err := custard.Compile(lang.MustParse(r.expr), nil, r.sched)
-		if err != nil {
-			tb.Fatalf("%s: compile: %v", r.name, err)
-		}
-		p, err := NewProgram(g)
-		if err != nil {
-			tb.Fatalf("%s: NewProgram: %v", r.name, err)
-		}
-		out = append(out, eventShape{r.name, p, r.inputs, r.opt})
-	}
-	return out
+	return buildShapes(tb, rows)
 }
 
 // renderStats prints one run's simulated statistics in a fixed order: the
@@ -89,15 +98,11 @@ func renderStats(w *strings.Builder, name string, res *Result) {
 	}
 }
 
-// TestEventGoldenStats pins the simulated statistics themselves: cycles and
-// every monitored stream's token breakdown, per shape, on both cycle engines.
-// TestEngineEquivalence only compares event with naive, and both sit on
-// core.Queue, so a storage bug that shifted both would pass there. The file
-// was recorded on the ring-buffer queue, before the chunked one replaced it;
-// regenerate with -update only for a change that means to move a cycle count.
-func TestEventGoldenStats(t *testing.T) {
-	const path = "testdata/event_golden.txt"
-	shapes := eventShapes(t)
+// checkGolden runs every shape on both cycle engines and holds the rendered
+// statistics to the golden file at path (-update rewrites it from the event
+// engine's run).
+func checkGolden(t *testing.T, path string, shapes []eventShape) {
+	t.Helper()
 	for _, eng := range []EngineKind{EngineEvent, EngineNaive} {
 		var got strings.Builder
 		for _, s := range shapes {
@@ -128,6 +133,52 @@ func TestEventGoldenStats(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEventGoldenStats pins the simulated statistics themselves: cycles and
+// every monitored stream's token breakdown, per shape, on both cycle engines.
+// TestEngineEquivalence only compares event with naive, and both sit on
+// core.Queue, so a storage bug that shifted both would pass there. The file
+// was recorded on the ring-buffer queue, before the chunked one replaced it;
+// regenerate with -update only for a change that means to move a cycle count.
+func TestEventGoldenStats(t *testing.T) {
+	checkGolden(t, "testdata/event_golden.txt", eventShapes(t))
+}
+
+// parJoinShapes covers the lane joins event_golden.txt does not (its one Par
+// row is the element pair join): an element join beside a driven pair join,
+// driven joins at two depths, more lanes than outer elements (chunkless
+// lanes, orphan zeros) on the driven and the element pair join, and a join
+// under backpressure. Operands are tiny, so the whole table runs in
+// milliseconds.
+func parJoinShapes(tb testing.TB) []eventShape {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(23))
+	draw := func(name string, nnz int, dims ...int) *tensor.COO {
+		t := tensor.UniformRandom(name, rng, nnz, dims...)
+		tensor.QuantizeInts(rng, 9, t)
+		return t
+	}
+	mm := map[string]*tensor.COO{"B": draw("B", 40, 14, 10), "C": draw("C", 40, 10, 12)}
+	add3 := map[string]*tensor.COO{"B": draw("B", 30, 5, 4, 6), "C": draw("C", 30, 5, 4, 6)}
+	few := map[string]*tensor.COO{"B": draw("B", 8, 3, 10), "C": draw("C", 30, 10, 12)}
+	mv := map[string]*tensor.COO{"B": draw("B", 8, 3, 10), "c": draw("c", 5, 10)}
+	const spmspm = "X(i,j) = B(i,k) * C(k,j)"
+	ikj, ijk := []string{"i", "k", "j"}, []string{"i", "j", "k"}
+	rows := []shapeRow{
+		{"SpM*SpM-ikj-par4", spmspm, lang.Schedule{LoopOrder: ikj, Par: 4}, mm, Options{}},
+		{"Plus3d-par2", "X(i,j,k) = B(i,j,k) + C(i,j,k)", lang.Schedule{Par: 2}, add3, Options{}},
+		{"SpM*SpM-ijk-par8-3rows", spmspm, lang.Schedule{LoopOrder: ijk, Par: 8}, few, Options{}},
+		{"SpMV-par8-3rows", "x(i) = B(i,j) * c(j)", lang.Schedule{Par: 8}, mv, Options{}},
+		{"SpM*SpM-ikj-par4-cap4", spmspm, lang.Schedule{LoopOrder: ikj, Par: 4}, mm, Options{QueueCap: 4}},
+	}
+	return buildShapes(tb, rows)
+}
+
+// TestParJoinGoldenStats pins every lane join a Par graph builds, tick for
+// tick, the way TestEventGoldenStats pins the benchmark's shapes.
+func TestParJoinGoldenStats(t *testing.T) {
+	checkGolden(t, "testdata/par_golden.txt", parJoinShapes(t))
 }
 
 // BenchmarkEventRun is the event engine alone on the simulate-event shapes:
