@@ -70,7 +70,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		// the cycle-accurate engines produce; validate against the full
 		// registry so a typo prints every engine that exists.
 		kind := sim.EngineKind(*engine)
-		if _, err := sim.EngineFor(kind); err != nil {
+		if err := sim.CheckEngineKind(kind, sim.Engines()); err != nil {
 			fmt.Fprintf(stderr, "sambench: %v\n", err)
 			return 1
 		}

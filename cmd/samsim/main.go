@@ -305,9 +305,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// Validate the flag combination before simulating: a clear error now
 	// beats a silently ignored flag (comp has no cycle model, so -queue
 	// would do nothing). An unknown -engine prints the registered engine
-	// list via sim.EngineFor.
+	// list.
 	kind := sim.EngineKind(*engine)
-	if _, err := sim.EngineFor(kind); err != nil {
+	if err := sim.CheckEngineKind(kind, sim.Engines()); err != nil {
 		return fail(err)
 	}
 	if kind == sim.EngineComp && *queueCap != 0 {

@@ -582,6 +582,25 @@ func TestFiberRefOutOfRange(t *testing.T) {
 	}
 }
 
+// TestDeepJoinNeedsDrivers checks a lane join below the fork's depth cannot
+// be materialized without its driver slots, on both join kinds: the error
+// names the step, and no run gets to guess the chunk boundaries.
+func TestDeepJoinNeedsDrivers(t *testing.T) {
+	_, ir := lowerCase(t, "X(i,j,k) = B(i,j,k) + C(i,j,k)", nil, lang.Schedule{Par: 2})
+	for _, label := range []string{"Serializer j", "Serializer k vals"} {
+		bad := *ir
+		bad.Steps = slices.Clone(ir.Steps)
+		join := stepLabeled(t, bad.Steps, label)
+		if join.Level < 0 {
+			t.Fatalf("%q joins at level %d, want a deep join", label, join.Level)
+		}
+		join.Ins = join.Ins[:len(join.Ins)-join.Ways]
+		if _, err := comp.Materialize(&bad); err == nil || !strings.Contains(err.Error(), label) {
+			t.Errorf("%q without drivers: Materialize err = %v, want one naming the step", label, err)
+		}
+	}
+}
+
 // diagonal is the n×n matrix with a 1 at every (i,i); everyOther the
 // n-vector with a 1 at every odd coordinate and at 0.
 func diagonal(name string, n int) *tensor.COO {

@@ -411,10 +411,8 @@ func stepFor(si *StepIR) (step, error) {
 		return stepCrdDrop(si), nil
 	case graph.Parallelize:
 		return stepParallelize(si), nil
-	case graph.Serialize:
+	case graph.Serialize, graph.SerializePair:
 		return stepSerialize(si), nil
-	case graph.SerializePair:
-		return stepSerializePair(si), nil
 	case graph.LaneReduce:
 		return stepLaneReduce(si), nil
 	}

@@ -2,12 +2,13 @@ package comp
 
 import (
 	"sam/internal/core"
+	"sam/internal/graph"
 	"sam/internal/token"
 )
 
 // This file lowers the lane-parallelism blocks of paper Section 4.4: the
-// parallelizer fork, the round-robin (and driver-rotated) joiners, and the
-// cross-lane reduction combiner. The merged-loop state machines mirror
+// parallelizer fork, the round-robin (element- or driver-rotated) join, and
+// the cross-lane reduction combiner. The merged-loop state machines mirror
 // internal/core's tick-level blocks token for token; the combiner
 // reuses the shared pure codec core.MergeLaneStreams directly, since the
 // lane streams are already materialized here.
@@ -54,324 +55,178 @@ func stepParallelize(si *StepIR) step {
 	}
 }
 
-// allClosed reports whether every lane cursor's head is a stop above the
-// switch level (level >= 0) or any stop (level < 0).
-func allClosed(cs []*cursor, level int) bool {
-	for _, cc := range cs {
-		t := cc.peek()
-		if !t.IsStop() || (level >= 0 && t.StopLevel() <= level) {
-			return false
-		}
-	}
-	return true
-}
-
-// stepSerialize joins lane streams round-robin; deep joins (Level >= 0) are
-// rotated by per-lane copies of the forked outermost coordinate stream.
+// stepSerialize joins lane streams round-robin, for both join kinds: a
+// SerializePair is the same join with one value stream per lane riding along
+// on the coordinate stream that keys the rotation. Input slots follow
+// graph.InPorts order — the lane streams, the value streams (pair only), the
+// drivers (Level >= 0 only) — and StepIR.validate holds their count to it, so
+// a deep join cannot get here without its drivers.
 func stepSerialize(si *StepIR) step {
 	w := si.Ways
-	ins := si.Ins[:w]
-	out := si.Outs[0]
-	level, name := si.Level, si.Label
-	if level < 0 {
-		return func(x *exec) {
-			h := x.curs(ins)
-			lanes := len(h)
-			lane := 0
-			for {
-				t := h[lane].peek()
-				switch t.Kind {
-				case token.Val, token.Empty:
-					x.push(out, h[lane].next())
-					lane = (lane + 1) % lanes
-				case token.Stop:
-					if !allClosed(h, level) {
-						fail("%s: lanes misaligned at stop %v", name, t)
-					}
-					lvl := t.StopLevel()
-					for l := range h {
-						if xt := h[l].next(); !xt.IsStop() || xt.StopLevel() != lvl {
-							fail("%s: lanes disagree on closing stop: %v vs %v", name, t, xt)
-						}
-					}
-					x.push(out, t)
-					lane = 0
-				case token.Done:
-					for l := range h {
-						if xt := h[l].next(); !xt.IsDone() {
-							fail("%s: lanes misaligned at done: %v", name, xt)
-						}
-					}
-					x.push(out, token.D())
-					return
-				}
-			}
-		}
+	ins, rest := si.Ins[:w], si.Ins[w:]
+	var vals []int
+	out, outVal := si.Outs[0], -1
+	if si.Kind == graph.SerializePair {
+		vals, rest = rest[:w], rest[w:]
+		outVal = si.Outs[1]
 	}
-	drv := si.Ins[w : 2*w]
+	drv := rest
+	level, name := si.Level, si.Label
 	return func(x *exec) {
-		h := x.curs(ins)
-		hd := x.curs(drv)
-		lanes := len(h)
-		noMore := func() bool {
-			for l := range hd {
-				if t := hd[l].peek(); t.IsVal() || t.IsEmpty() {
-					return false
-				}
-			}
-			return true
-		}
-		lane := 0
-		for {
-			d := hd[lane].peek()
-			switch {
-			case d.IsVal() || d.IsEmpty():
-				hd[lane].next()
-			chunk:
-				for {
-					t := h[lane].peek()
-					switch {
-					case t.IsVal() || t.IsEmpty():
-						x.push(out, h[lane].next())
-					case t.IsStop() && t.StopLevel() < level:
-						x.push(out, h[lane].next())
-					case t.IsStop() && t.StopLevel() == level:
-						x.push(out, h[lane].next())
-						break chunk
-					case t.IsStop():
-						if !noMore() {
-							x.push(out, token.S(level))
-						}
-						break chunk
-					default:
-						fail("%s: lane stream ended mid-chunk", name)
-					}
-				}
-				lane = (lane + 1) % lanes
-			case d.IsStop():
-				if !noMore() {
-					lane = (lane + 1) % lanes
-					continue
-				}
-				for l := range hd {
-					if xt := hd[l].next(); !xt.IsStop() || xt.StopLevel() != d.StopLevel() {
-						fail("%s: drivers disagree on closing stop: %v vs %v", name, d, xt)
-					}
-				}
-				lvl := -1
-				for l := range h {
-					xt := h[l].next()
-					if !xt.IsStop() || xt.StopLevel() <= level || (lvl >= 0 && xt.StopLevel() != lvl) {
-						fail("%s: expected closing stop, lane holds %v", name, xt)
-					}
-					lvl = xt.StopLevel()
-				}
-				x.push(out, token.S(lvl))
-				for l := range hd {
-					if xt := hd[l].next(); !xt.IsDone() {
-						fail("%s: driver misaligned at done: %v", name, xt)
-					}
-					if xt := h[l].next(); !xt.IsDone() {
-						fail("%s: lanes misaligned at done: %v", name, xt)
-					}
-				}
-				x.push(out, token.D())
-				return
-			default:
-				fail("%s: driver stream ended before its closing stop", name)
-			}
+		j := laneJoin{x: x, name: name, level: level, h: x.curs(ins), hv: x.curs(vals), out: out, outVal: outVal}
+		if level < 0 {
+			j.elements()
+		} else {
+			j.chunks(x.curs(drv))
 		}
 	}
 }
 
-// stepSerializePair joins (coordinate, value) lane stream pairs keyed on
-// the coordinate streams, forwarding orphan zero values on the value output.
-func stepSerializePair(si *StepIR) step {
-	w := si.Ways
-	inCrd := si.Ins[:w]
-	inVal := si.Ins[w : 2*w]
-	outCrd, outVal := si.Outs[0], si.Outs[1]
-	level, name := si.Level, si.Label
-	if level < 0 {
-		return func(x *exec) {
-			hc := x.curs(inCrd)
-			hv := x.curs(inVal)
-			lanes := len(hc)
-			lane := 0
-			drainOrphans := func() {
-				for l := range hc {
-					ct := hc[l].peek()
-					if !ct.IsStop() && !ct.IsDone() {
-						continue
-					}
-					for {
-						v := hv[l].peek()
-						if !v.IsVal() && !v.IsEmpty() {
-							break
-						}
-						if v.IsVal() && v.V != 0 {
-							fail("%s: nonzero orphan value %v in lane %d", name, v, l)
-						}
-						x.push(outVal, hv[l].next())
-					}
-				}
+// laneJoin is one run of a join: the lane cursors, the value cursors riding
+// along (none for a plain Serialize, whose outVal of -1 discards), and the
+// output slots. It mirrors core.Serializer token for token.
+type laneJoin struct {
+	x           *exec
+	name        string
+	level       int
+	h, hv       []*cursor
+	out, outVal int
+}
+
+func isData(t token.Tok) bool { return t.IsVal() || t.IsEmpty() }
+
+// forward moves lane l's head to the output, and the value head with it: a
+// data token for a data token, the same stop for a stop.
+func (j *laneJoin) forward(l int) {
+	t := j.h[l].next()
+	j.x.push(j.out, t)
+	if len(j.hv) == 0 {
+		return
+	}
+	tv := j.hv[l].next()
+	if !aligned(t, tv) {
+		fail("%s: value stream misaligned: crd %v vs val %v", j.name, t, tv)
+	}
+	j.x.push(j.outVal, tv)
+}
+
+// orphans forwards the zero values the given value cursors hold while their
+// coordinate lanes hold a stop or done: what an empty lane's scalar reducer
+// emitted with no coordinate attached.
+func (j *laneJoin) orphans(hv []*cursor) {
+	for _, c := range hv {
+		for v := c.peek(); isData(v); v = c.peek() {
+			if v.IsVal() && v.V != 0 {
+				fail("%s: nonzero orphan value %v", j.name, v)
 			}
-			for {
-				tc := hc[lane].peek()
-				switch tc.Kind {
-				case token.Val, token.Empty:
-					tv := hv[lane].peek()
-					if !tv.IsVal() && !tv.IsEmpty() {
-						fail("%s: value stream misaligned: crd %v vs val %v", name, tc, tv)
-					}
-					x.push(outCrd, hc[lane].next())
-					x.push(outVal, hv[lane].next())
-					lane = (lane + 1) % lanes
-				case token.Stop:
-					lvl := tc.StopLevel()
-					if !allClosed(hc, level) {
-						fail("%s: lanes misaligned at stop %v", name, tc)
-					}
-					drainOrphans()
-					for l := range hc {
-						if xt := hc[l].next(); xt.StopLevel() != lvl {
-							fail("%s: lanes disagree on closing stop: %v vs %v", name, tc, xt)
-						}
-						if xt := hv[l].next(); !xt.IsStop() || xt.StopLevel() != lvl {
-							fail("%s: value stream misaligned at closing stop: %v", name, xt)
-						}
-					}
-					x.push(outCrd, tc)
-					x.push(outVal, tc)
-					lane = 0
-				case token.Done:
-					for l := range hc {
-						if xt := hc[l].peek(); !xt.IsDone() {
-							fail("%s: lanes misaligned at done: %v", name, xt)
-						}
-					}
-					drainOrphans()
-					for l := range hc {
-						hc[l].next()
-						if xt := hv[l].next(); !xt.IsDone() {
-							fail("%s: value stream misaligned at done: %v", name, xt)
-						}
-					}
-					x.push(outCrd, token.D())
-					x.push(outVal, token.D())
-					return
-				}
+			j.x.push(j.outVal, c.next())
+		}
+	}
+}
+
+// closeAll consumes the control token t from every lane and emits it once.
+func (j *laneJoin) closeAll(t token.Tok) {
+	for _, hs := range [2][]*cursor{j.h, j.hv} {
+		for l, c := range hs {
+			if xt := c.next(); xt != t {
+				fail("%s: lanes misaligned at %v: lane %d holds %v", j.name, t, l, xt)
 			}
 		}
 	}
-	drv := si.Ins[2*w : 3*w]
-	return func(x *exec) {
-		hc := x.curs(inCrd)
-		hv := x.curs(inVal)
-		hd := x.curs(drv)
-		lanes := len(hc)
-		noMore := func() bool {
-			for l := range hd {
-				if t := hd[l].peek(); t.IsVal() || t.IsEmpty() {
-					return false
-				}
-			}
-			return true
+	j.x.push(j.out, t)
+	j.x.push(j.outVal, t)
+}
+
+// elements is the element rotation (Level < 0): one data token per turn, and
+// the lanes, exhausting in strict rotation, close together.
+func (j *laneJoin) elements() {
+	lane := 0
+	for {
+		t := j.h[lane].peek()
+		if isData(t) {
+			j.forward(lane)
+			lane = (lane + 1) % len(j.h)
+			continue
 		}
-		// drainOrphans forwards the zero values a lane holds while its
-		// coordinate head is a stop or done.
-		drainOrphans := func(l int) {
+		j.orphans(j.hv)
+		j.closeAll(t)
+		if t.IsDone() {
+			return
+		}
+		lane = 0
+	}
+}
+
+// chunks is the driver-rotated join (Level >= 0): hd[l], lane l's fork of
+// the outermost coordinate stream, counts the chunks lane l owes.
+func (j *laneJoin) chunks(hd []*cursor) {
+	noMore := func() bool {
+		for _, c := range hd {
+			if isData(c.peek()) {
+				return false
+			}
+		}
+		return true
+	}
+	lanes := len(j.h)
+	lane := 0
+	for {
+		d := hd[lane].peek()
+		switch {
+		case isData(d):
+			hd[lane].next()
+		chunk:
 			for {
-				v := hv[l].peek()
-				if !v.IsVal() && !v.IsEmpty() {
-					return
-				}
-				if v.IsVal() && v.V != 0 {
-					fail("%s: nonzero orphan value %v in lane %d", name, v, l)
-				}
-				x.push(outVal, hv[l].next())
-			}
-		}
-		lane := 0
-		for {
-			d := hd[lane].peek()
-			switch {
-			case d.IsVal() || d.IsEmpty():
-				hd[lane].next()
-			chunk:
-				for {
-					tc := hc[lane].peek()
-					switch {
-					case tc.IsVal() || tc.IsEmpty():
-						tv := hv[lane].peek()
-						if !tv.IsVal() && !tv.IsEmpty() {
-							fail("%s: value stream misaligned: crd %v vs val %v", name, tc, tv)
-						}
-						x.push(outCrd, hc[lane].next())
-						x.push(outVal, hv[lane].next())
-					case tc.IsStop() && tc.StopLevel() <= level:
-						drainOrphans(lane)
-						if tv := hv[lane].next(); !tv.IsStop() || tv.StopLevel() != tc.StopLevel() {
-							fail("%s: misaligned stops %v vs %v", name, tc, tv)
-						}
-						x.push(outCrd, hc[lane].next())
-						x.push(outVal, tc)
-						if tc.StopLevel() == level {
-							break chunk
-						}
-					case tc.IsStop():
-						drainOrphans(lane)
+				t := j.h[lane].peek()
+				switch {
+				case isData(t):
+					j.forward(lane)
+				case t.IsStop():
+					if len(j.hv) > 0 {
+						j.orphans(j.hv[lane : lane+1])
+					}
+					if t.StopLevel() > j.level {
+						// The lane's closing stop subsumed this separator.
 						if !noMore() {
-							x.push(outCrd, token.S(level))
-							x.push(outVal, token.S(level))
+							j.x.push(j.out, token.S(j.level))
+							j.x.push(j.outVal, token.S(j.level))
 						}
 						break chunk
-					default:
-						fail("%s: lane stream ended mid-chunk", name)
 					}
+					j.forward(lane)
+					if t.StopLevel() == j.level {
+						break chunk
+					}
+				default:
+					fail("%s: lane stream ended mid-chunk", j.name)
 				}
-				lane = (lane + 1) % lanes
-			case d.IsStop():
-				if !noMore() {
-					lane = (lane + 1) % lanes
-					continue
-				}
-				for l := range hd {
-					if xt := hd[l].next(); !xt.IsStop() || xt.StopLevel() != d.StopLevel() {
-						fail("%s: drivers disagree on closing stop: %v vs %v", name, d, xt)
-					}
-				}
-				lvl := -1
-				for l := range hc {
-					drainOrphans(l)
-					xt := hc[l].next()
-					if !xt.IsStop() || xt.StopLevel() <= level || (lvl >= 0 && xt.StopLevel() != lvl) {
-						fail("%s: expected closing stop, lane holds %v", name, xt)
-					}
-					lvl = xt.StopLevel()
-					if v := hv[l].next(); !v.IsStop() || v.StopLevel() != xt.StopLevel() {
-						fail("%s: value stream misaligned at closing stop: %v", name, v)
-					}
-				}
-				x.push(outCrd, token.S(lvl))
-				x.push(outVal, token.S(lvl))
-				for l := range hc {
-					if xt := hd[l].next(); !xt.IsDone() {
-						fail("%s: driver misaligned at done: %v", name, xt)
-					}
-					if xt := hc[l].next(); !xt.IsDone() {
-						fail("%s: lanes misaligned at done: %v", name, xt)
-					}
-					if xt := hv[l].next(); !xt.IsDone() {
-						fail("%s: value stream misaligned at done: %v", name, xt)
-					}
-				}
-				x.push(outCrd, token.D())
-				x.push(outVal, token.D())
-				return
-			default:
-				fail("%s: driver stream ended before its closing stop", name)
 			}
+			lane = (lane + 1) % lanes
+		case d.IsStop():
+			if !noMore() {
+				lane = (lane + 1) % lanes
+				continue
+			}
+			for _, c := range hd {
+				if xt := c.next(); xt != d {
+					fail("%s: drivers disagree on closing stop: %v vs %v", j.name, d, xt)
+				}
+			}
+			stop := j.h[0].peek()
+			if !stop.IsStop() || stop.StopLevel() <= j.level {
+				fail("%s: expected closing stop, lane holds %v", j.name, stop)
+			}
+			j.orphans(j.hv)
+			j.closeAll(stop)
+			for _, c := range hd {
+				if xt := c.next(); !xt.IsDone() {
+					fail("%s: driver misaligned at done: %v", j.name, xt)
+				}
+			}
+			j.closeAll(token.D())
+			return
+		default:
+			fail("%s: driver stream ended before its closing stop", j.name)
 		}
 	}
 }

@@ -473,25 +473,17 @@ func TestGallopIntersect(t *testing.T) {
 	checkStream(t, "ref b", ob.Drain(), "1 3 S0 D")
 }
 
-// TestParallelizerSerializerRoundTrip checks fiber-granular fork/join.
+// TestParallelizerSerializerRoundTrip checks fiber-granular fork/join: five
+// fibers over three lanes, the join rotated by the lanes' forks of the outer
+// coordinate stream, which has one data token per fiber.
 func TestParallelizerSerializerRoundTrip(t *testing.T) {
-	n := &Net{}
-	in := n.NewQueue("in")
-	src := "1 2 S0 3 S0 4 5 6 S1 7 S0 8 S2 D"
-	in.Preload(token.MustParse(src))
-	lanes := 3
-	laneQ := make([]*Queue, lanes)
-	laneOuts := make([]*Out, lanes)
-	for i := range laneQ {
-		laneQ[i] = n.NewQueue("lane")
-		laneOuts[i] = NewOut(laneQ[i])
+	outer := "0 1 2 3 4 S0 D"
+	src := "1 2 S0 3 S0 4 5 6 S0 7 S0 8 S1 D"
+	got, err := runParJoin(token.MustParse(outer), token.MustParse(src), 3, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := n.NewQueue("out")
-	n.Add(NewParallelizer("par", 0, in, laneOuts))
-	n.Add(NewSerializer("ser", 0, laneQ, NewOut(out)))
-	mustRun(t, n)
-
-	checkStream(t, "round trip", out.Drain(), src)
+	checkStream(t, "round trip", got, src)
 }
 
 // TestScannerPipelineThroughput checks the fully-pipelined cost model: a

@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the lane-parallelism blocks of paper Section 4.4: the
-// parallelizer that forks one stream across P lanes, the serializers that
-// join lane streams back into one ordered stream, and the cross-lane
+// parallelizer that forks one stream across P lanes, the serializer that
+// joins lane streams back into one ordered stream, and the cross-lane
 // reduction combiner that adds lane partials produced by per-lane reducers.
 
 // Parallelizer forks a sequential stream across P lanes (paper Section 4.4).
@@ -78,49 +78,183 @@ func (b *Parallelizer) Tick() bool {
 	return b.fail("unexpected token %v", t)
 }
 
-// Serializer joins P lane streams produced by a Parallelizer (possibly after
-// per-lane processing) back into one sequential stream, reading lane chunks
-// in the same round-robin order. level mirrors the fork granularity: the
-// serializer emits the current lane's tokens and advances after each data
-// token (level < 0) or after each stop of exactly level.
+// Serializer joins P lane streams forked by a Parallelizer (after per-lane
+// processing) back into one sequential stream, reading the lanes in the same
+// round-robin order. It has two modes, selected by level:
 //
-// Chunk accounting is ambiguous from a lane stream alone: a lane whose last
-// chunk is empty ends exactly like a lane that received no chunk at all
-// (both close with a bare elevated stop). Joins of streams deeper than the
-// fork level therefore attach per-lane driver streams — copies of the forked
-// outermost coordinate stream, whose data tokens count exactly the chunks
-// each lane owes (NewDrivenSerializer). The driverless form remains for
-// element-granularity joins (the fork stream drives itself) and for joining
-// streams at the fork's own depth.
+//   - level < 0, element rotation: the lanes carry the forked stream's own
+//     depth, one data token per turn, and every lane closes together.
+//   - level >= 0, driver-rotated chunks: the lanes carry a deeper stream, one
+//     chunk (a fiber closed by a stop of exactly level) per turn. A lane
+//     stream alone cannot say how many chunks the lane owes — a lane whose
+//     last chunk is empty ends exactly like a lane that received none, both
+//     with a bare elevated stop — so drv[l], a copy of lane l's fork of the
+//     outermost coordinate stream, counts them: one chunk of ins[l] per data
+//     token of drv[l]. A lane's elevated closing stop subsumes its last
+//     separator; the join puts S(level) back unless no lane owes a chunk any
+//     more, and emits the closing stop once, after the drivers close.
 //
-// In the driverless form, a stop above the switch level means the current
-// lane is exhausted: its closing stop subsumed the last chunk separator. If
-// every lane has reached its closing stop the serializer emits it once;
-// otherwise it re-materializes the separator S(level) and moves on.
+// vals, when set, are per-lane value streams riding along on the innermost
+// output level: each moves in lockstep with its coordinate stream, which
+// alone keys the rotation. A lane that received no elements still emits one
+// explicit zero from its scalar reducer (a structurally empty reduction
+// group) with no coordinate attached; such an orphan — a value arriving
+// while the coordinate lane holds a stop or done — passes through on the
+// value output only, one per cycle, and the coordinate dropper downstream
+// discards it exactly as in the sequential pipeline.
 type Serializer struct {
 	basic
-	level int
-	ins   []*Queue
-	drv   []*Queue // per-lane chunk-count drivers; nil when self-driven
-	out   *Out
-	lane  int
+	level  int
+	ins    []*Queue
+	vals   []*Queue // nil unless a value stream rides along
+	drv    []*Queue // per-lane chunk-count drivers; set exactly when level >= 0
+	out    *Out
+	outVal *Out // nil with vals
+	lane   int
 
 	draining  bool
 	closeStep int // 0 rotating, 1 drivers closed, 2 closing stop emitted
 }
 
-// NewSerializer builds a P-way self-driven serializer with the given
-// granularity level (-1 = element granularity).
-func NewSerializer(name string, level int, ins []*Queue, out *Out) *Serializer {
-	return &Serializer{basic: basic{name: name}, level: level, ins: ins, out: out}
+// NewSerializer builds a P-way serializer with the given granularity level
+// (-1 = element granularity). vals and outVal are both nil, or the per-lane
+// value streams and their joined output. drv holds one driver per lane when
+// level >= 0 and is empty otherwise; anything else is an error, because
+// without its drivers a deep join could only guess where an exhausted lane's
+// chunks end.
+func NewSerializer(name string, level int, ins, vals, drv []*Queue, out, outVal *Out) (*Serializer, error) {
+	want := 0
+	if level >= 0 {
+		want = len(ins)
+	}
+	if len(drv) != want {
+		return nil, fmt.Errorf("%s: a %d-lane join at level %d takes %d drivers, got %d", name, len(ins), level, want, len(drv))
+	}
+	return &Serializer{
+		basic: basic{name: name}, level: level,
+		ins: ins, vals: vals, drv: drv, out: out, outVal: outVal,
+	}, nil
 }
 
-// NewDrivenSerializer builds a P-way serializer whose rotation is driven by
-// per-lane copies of the forked outermost coordinate stream: one chunk of
-// ins[l] is consumed per data token of drv[l], so empty chunks and chunkless
-// lanes cannot be confused. level must be >= 0.
-func NewDrivenSerializer(name string, level int, ins, drv []*Queue, out *Out) *Serializer {
-	return &Serializer{basic: basic{name: name}, level: level, ins: ins, drv: drv, out: out}
+func (b *Serializer) rotate() { b.lane = (b.lane + 1) % len(b.ins) }
+
+// push emits a control token on every output.
+func (b *Serializer) push(t token.Tok) {
+	b.out.Push(t)
+	if b.vals != nil {
+		b.outVal.Push(t)
+	}
+}
+
+// forward moves lane l's head token t to the output, together with the
+// value stream's head when one rides along: a data token for a data token,
+// the same stop for a stop. It reports false while the value head is not
+// visible.
+func (b *Serializer) forward(l int, t token.Tok) bool {
+	if b.vals != nil {
+		tv, ok := b.vals[l].Peek()
+		if !ok {
+			return false
+		}
+		if data := t.IsVal() || t.IsEmpty(); data != (tv.IsVal() || tv.IsEmpty()) || !data && tv != t {
+			return b.fail("value stream misaligned: crd %v vs val %v", t, tv)
+		}
+		b.vals[l].Pop()
+		b.outVal.Push(tv)
+	}
+	b.ins[l].Pop()
+	b.out.Push(t)
+	return true
+}
+
+// orphanAt forwards a zero value of lane l whose coordinate stream holds a
+// stop or done: +1 means one orphan was forwarded, 0 means none pending, -1
+// means the value head is not visible yet.
+func (b *Serializer) orphanAt(l int) (int, error) {
+	hv, ok := b.vals[l].Peek()
+	if !ok {
+		return -1, nil
+	}
+	if !hv.IsVal() && !hv.IsEmpty() {
+		return 0, nil
+	}
+	if hv.IsVal() && hv.V != 0 {
+		return 0, fmt.Errorf("nonzero orphan value %v in lane %d", hv, l)
+	}
+	b.vals[l].Pop()
+	b.outVal.Push(hv)
+	return 1, nil
+}
+
+// allHold reports whether every queue's head is the control token t. It is
+// false while some head is not visible, and fails the block on one that
+// differs.
+func (b *Serializer) allHold(qs []*Queue, t token.Tok) bool {
+	for _, q := range qs {
+		h, ok := q.Peek()
+		if !ok {
+			return false
+		}
+		if h != t {
+			return b.fail("streams misaligned at %v: one holds %v", t, h)
+		}
+	}
+	return true
+}
+
+func popAll(qs []*Queue) {
+	for _, q := range qs {
+		q.Pop()
+	}
+}
+
+// Tick implements Block.
+func (b *Serializer) Tick() bool {
+	if b.done {
+		return false
+	}
+	if !b.out.CanPush() || b.vals != nil && !b.outVal.CanPush() {
+		return false
+	}
+	if b.level >= 0 {
+		return b.tickDriven()
+	}
+	t, ok := b.ins[b.lane].Peek()
+	if !ok {
+		return false
+	}
+	switch t.Kind {
+	case token.Val, token.Empty:
+		if !b.forward(b.lane, t) {
+			return false
+		}
+		b.rotate()
+		return true
+	case token.Stop, token.Done:
+		// Lanes exhaust in strict rotation, so every lane closes together.
+		if !b.allHold(b.ins, t) {
+			return false
+		}
+		// At most one orphan per cycle, from the first lane whose value head
+		// is visible: one token per port.
+		for l := range b.vals {
+			if n, err := b.orphanAt(l); err != nil {
+				return b.fail("%v", err)
+			} else if n > 0 {
+				return true
+			}
+		}
+		if !b.allHold(b.vals, t) {
+			return false
+		}
+		popAll(b.ins)
+		popAll(b.vals)
+		b.push(t)
+		b.lane = 0
+		b.done = t.IsDone()
+		return true
+	}
+	return b.fail("unexpected token %v", t)
 }
 
 // noMoreElements reports whether every driver stream has run out of data
@@ -150,21 +284,23 @@ func (b *Serializer) drainStep() bool {
 	}
 	switch t.Kind {
 	case token.Val, token.Empty:
-		b.ins[b.lane].Pop()
-		b.out.Push(t)
-		return true
+		return b.forward(b.lane, t)
 	case token.Stop:
-		lvl := t.StopLevel()
-		if lvl < b.level {
-			b.ins[b.lane].Pop()
-			b.out.Push(t)
-			return true
+		if b.vals != nil {
+			if n, err := b.orphanAt(b.lane); err != nil {
+				return b.fail("%v", err)
+			} else if n != 0 {
+				return n > 0
+			}
 		}
-		if lvl == b.level {
-			b.ins[b.lane].Pop()
-			b.out.Push(t)
-			b.draining = false
-			b.lane = (b.lane + 1) % len(b.ins)
+		if lvl := t.StopLevel(); lvl <= b.level {
+			if !b.forward(b.lane, t) {
+				return false
+			}
+			if lvl == b.level {
+				b.draining = false
+				b.rotate()
+			}
 			return true
 		}
 		last, ok := noMoreElements(b.drv)
@@ -172,9 +308,9 @@ func (b *Serializer) drainStep() bool {
 			return false
 		}
 		b.draining = false
-		b.lane = (b.lane + 1) % len(b.ins)
+		b.rotate()
 		if !last {
-			b.out.Push(token.S(b.level))
+			b.push(token.S(b.level))
 		}
 		return true
 	case token.Done:
@@ -187,10 +323,10 @@ func (b *Serializer) drainStep() bool {
 func (b *Serializer) tickDriven() bool {
 	switch b.closeStep {
 	case 1:
-		// Drivers closed: every lane's stream must now hold the elevated
-		// closing stop; emit it once.
-		lvl := -1
-		for _, q := range b.ins {
+		// Drivers closed: every lane's stream must now hold the same
+		// elevated closing stop, behind its orphans; emit it once.
+		var stop token.Tok
+		for l, q := range b.ins {
 			h, ok := q.Peek()
 			if !ok {
 				return false
@@ -198,35 +334,38 @@ func (b *Serializer) tickDriven() bool {
 			if !h.IsStop() || h.StopLevel() <= b.level {
 				return b.fail("expected closing stop, lane holds %v", h)
 			}
-			if lvl == -1 {
-				lvl = h.StopLevel()
-			} else if lvl != h.StopLevel() {
-				return b.fail("lanes disagree on closing stop: S%d vs %v", lvl, h)
+			if l == 0 {
+				stop = h
+			} else if h != stop {
+				return b.fail("lanes disagree on closing stop: %v vs %v", stop, h)
+			}
+			if b.vals == nil {
+				continue
+			}
+			if n, err := b.orphanAt(l); err != nil {
+				return b.fail("%v", err)
+			} else if n != 0 {
+				return n > 0
+			}
+			if hv, _ := b.vals[l].Peek(); hv != h {
+				return b.fail("value stream misaligned at closing stop: %v", hv)
 			}
 		}
-		for _, q := range b.ins {
-			q.Pop()
-		}
-		b.out.Push(token.S(lvl))
+		popAll(b.ins)
+		popAll(b.vals)
+		b.push(stop)
 		b.closeStep = 2
 		return true
 	case 2:
-		for _, q := range append(append([]*Queue{}, b.drv...), b.ins...) {
-			h, ok := q.Peek()
-			if !ok {
+		for _, qs := range [][]*Queue{b.drv, b.ins, b.vals} {
+			if !b.allHold(qs, token.D()) {
 				return false
 			}
-			if !h.IsDone() {
-				return b.fail("lanes misaligned at done: %v", h)
-			}
 		}
-		for _, q := range b.drv {
-			q.Pop()
-		}
-		for _, q := range b.ins {
-			q.Pop()
-		}
-		b.out.Push(token.D())
+		popAll(b.drv)
+		popAll(b.ins)
+		popAll(b.vals)
+		b.push(token.D())
 		b.done = true
 		return true
 	}
@@ -253,521 +392,21 @@ func (b *Serializer) tickDriven() bool {
 		}
 		if !none {
 			// This lane is out of elements while others still hold some.
-			b.lane = (b.lane + 1) % len(b.ins)
+			b.rotate()
 			return true
 		}
 		for _, q := range b.drv {
-			h, _ := q.Peek()
-			if h.StopLevel() != d.StopLevel() {
+			if h, _ := q.Peek(); h != d {
 				return b.fail("drivers disagree on closing stop: %v vs %v", d, h)
 			}
 		}
-		for _, q := range b.drv {
-			q.Pop()
-		}
+		popAll(b.drv)
 		b.closeStep = 1
 		return true
 	case token.Done:
 		return b.fail("driver stream ended before its closing stop")
 	}
 	return b.fail("unexpected driver token %v", d)
-}
-
-// Tick implements Block.
-func (b *Serializer) Tick() bool {
-	if b.done {
-		return false
-	}
-	if !b.out.CanPush() {
-		return false
-	}
-	if b.drv != nil {
-		return b.tickDriven()
-	}
-	t, ok := b.ins[b.lane].Peek()
-	if !ok {
-		return false
-	}
-	switch t.Kind {
-	case token.Val, token.Empty:
-		b.ins[b.lane].Pop()
-		b.out.Push(t)
-		if b.level < 0 {
-			b.lane = (b.lane + 1) % len(b.ins)
-		}
-		return true
-	case token.Stop:
-		lvl := t.StopLevel()
-		if b.level >= 0 && lvl < b.level {
-			b.ins[b.lane].Pop()
-			b.out.Push(t)
-			return true
-		}
-		if b.level >= 0 && lvl == b.level {
-			b.ins[b.lane].Pop()
-			b.out.Push(t)
-			b.lane = (b.lane + 1) % len(b.ins)
-			return true
-		}
-		if b.level < 0 {
-			// Element granularity: lanes exhaust in strict rotation, so every
-			// lane must close together.
-			for _, q := range b.ins {
-				h, ok := q.Peek()
-				if !ok {
-					return false
-				}
-				if !h.IsStop() || h.StopLevel() != lvl {
-					return b.fail("lanes misaligned at stop %v vs %v", t, h)
-				}
-			}
-			for _, q := range b.ins {
-				q.Pop()
-			}
-			b.out.Push(t)
-			b.lane = 0
-			return true
-		}
-		closed := true
-		for _, q := range b.ins {
-			h, ok := q.Peek()
-			if !ok {
-				return false
-			}
-			if !h.IsStop() || h.StopLevel() <= b.level {
-				closed = false
-				break
-			}
-		}
-		if closed {
-			for _, q := range b.ins {
-				h, _ := q.Peek()
-				if h.StopLevel() != lvl {
-					return b.fail("lanes disagree on closing stop: %v vs %v", t, h)
-				}
-				q.Pop()
-			}
-			b.out.Push(t)
-			b.lane = 0
-			return true
-		}
-		// The current lane ran out of chunks while another lane still holds
-		// one: re-materialize the separator its closing stop subsumed.
-		b.out.Push(token.S(b.level))
-		b.lane = (b.lane + 1) % len(b.ins)
-		return true
-	case token.Done:
-		for _, q := range b.ins {
-			h, ok := q.Peek()
-			if !ok {
-				return false
-			}
-			if !h.IsDone() {
-				return b.fail("lanes misaligned at done: %v", h)
-			}
-		}
-		for _, q := range b.ins {
-			q.Pop()
-		}
-		b.out.Push(t)
-		b.done = true
-		return true
-	}
-	return b.fail("unexpected token %v", t)
-}
-
-// PairSerializer joins P (coordinate, value) lane stream pairs in round-robin
-// order, keyed on the coordinate streams. The innermost output coordinate
-// stream and the value stream must join together because a lane that
-// received no elements still emits one explicit zero from its scalar reducer
-// (a structurally empty reduction group) with no coordinate attached; keying
-// the rotation on coordinates keeps such orphan values from desynchronizing
-// the round robin. Orphan values (a value arriving while the coordinate lane
-// holds a stop) are passed through on the value output — the coordinate
-// dropper downstream discards them, exactly as in the sequential pipeline.
-type PairSerializer struct {
-	basic
-	level  int
-	inCrd  []*Queue
-	inVal  []*Queue
-	drv    []*Queue // per-lane chunk-count drivers; nil when self-driven
-	outCrd *Out
-	outVal *Out
-	lane   int
-
-	draining  bool
-	closeStep int
-}
-
-// NewPairSerializer builds a P-way self-driven paired serializer with the
-// given granularity level (-1 = element granularity).
-func NewPairSerializer(name string, level int, inCrd, inVal []*Queue, outCrd, outVal *Out) *PairSerializer {
-	return &PairSerializer{
-		basic: basic{name: name}, level: level,
-		inCrd: inCrd, inVal: inVal, outCrd: outCrd, outVal: outVal,
-	}
-}
-
-// NewDrivenPairSerializer builds a P-way paired serializer rotated by
-// per-lane copies of the forked outermost coordinate stream (see
-// NewDrivenSerializer). level must be >= 0.
-func NewDrivenPairSerializer(name string, level int, inCrd, inVal, drv []*Queue, outCrd, outVal *Out) *PairSerializer {
-	return &PairSerializer{
-		basic: basic{name: name}, level: level,
-		inCrd: inCrd, inVal: inVal, drv: drv, outCrd: outCrd, outVal: outVal,
-	}
-}
-
-// orphanAt forwards a zero value whose coordinate lane holds t (a stop or
-// done): +1 means one orphan was forwarded, 0 means none pending, -1 means
-// the value head is not visible yet.
-func (b *PairSerializer) orphanAt(l int) (int, error) {
-	hv, ok := b.inVal[l].Peek()
-	if !ok {
-		return -1, nil
-	}
-	if !hv.IsVal() && !hv.IsEmpty() {
-		return 0, nil
-	}
-	if hv.IsVal() && hv.V != 0 {
-		return 0, fmt.Errorf("nonzero orphan value %v in lane %d", hv, l)
-	}
-	b.inVal[l].Pop()
-	b.outVal.Push(hv)
-	return 1, nil
-}
-
-// drainStep forwards one paired token of the current lane's chunk; see
-// Serializer.drainStep.
-func (b *PairSerializer) drainStep() bool {
-	tc, ok := b.inCrd[b.lane].Peek()
-	if !ok {
-		return false
-	}
-	switch tc.Kind {
-	case token.Val, token.Empty:
-		tv, ok := b.inVal[b.lane].Peek()
-		if !ok {
-			return false
-		}
-		if !tv.IsVal() && !tv.IsEmpty() {
-			return b.fail("value stream misaligned: crd %v vs val %v", tc, tv)
-		}
-		b.inCrd[b.lane].Pop()
-		b.inVal[b.lane].Pop()
-		b.outCrd.Push(tc)
-		b.outVal.Push(tv)
-		return true
-	case token.Stop:
-		switch n, err := b.orphanAt(b.lane); {
-		case err != nil:
-			return b.fail("%v", err)
-		case n != 0:
-			return n > 0
-		}
-		lvl := tc.StopLevel()
-		if lvl <= b.level {
-			tv, _ := b.inVal[b.lane].Peek()
-			if !tv.IsStop() || tv.StopLevel() != lvl {
-				return b.fail("misaligned stops %v vs %v", tc, tv)
-			}
-			b.inCrd[b.lane].Pop()
-			b.inVal[b.lane].Pop()
-			b.outCrd.Push(tc)
-			b.outVal.Push(tv)
-			if lvl == b.level {
-				b.draining = false
-				b.lane = (b.lane + 1) % len(b.inCrd)
-			}
-			return true
-		}
-		last, ok := noMoreElements(b.drv)
-		if !ok {
-			return false
-		}
-		b.draining = false
-		b.lane = (b.lane + 1) % len(b.inCrd)
-		if !last {
-			b.outCrd.Push(token.S(b.level))
-			b.outVal.Push(token.S(b.level))
-		}
-		return true
-	case token.Done:
-		return b.fail("lane stream ended mid-chunk")
-	}
-	return b.fail("unexpected token %v", tc)
-}
-
-// tickDriven advances the driver-rotated paired serializer by one cycle.
-func (b *PairSerializer) tickDriven() bool {
-	switch b.closeStep {
-	case 1:
-		lvl := -1
-		for l, q := range b.inCrd {
-			h, ok := q.Peek()
-			if !ok {
-				return false
-			}
-			if !h.IsStop() || h.StopLevel() <= b.level {
-				return b.fail("expected closing stop, lane holds %v", h)
-			}
-			if lvl == -1 {
-				lvl = h.StopLevel()
-			} else if lvl != h.StopLevel() {
-				return b.fail("lanes disagree on closing stop: S%d vs %v", lvl, h)
-			}
-			switch n, err := b.orphanAt(l); {
-			case err != nil:
-				return b.fail("%v", err)
-			case n != 0:
-				return n > 0
-			}
-			hv, _ := b.inVal[l].Peek()
-			if !hv.IsStop() || hv.StopLevel() != h.StopLevel() {
-				return b.fail("value stream misaligned at closing stop: %v", hv)
-			}
-		}
-		for l := range b.inCrd {
-			b.inCrd[l].Pop()
-			b.inVal[l].Pop()
-		}
-		b.outCrd.Push(token.S(lvl))
-		b.outVal.Push(token.S(lvl))
-		b.closeStep = 2
-		return true
-	case 2:
-		for _, qs := range [][]*Queue{b.drv, b.inCrd, b.inVal} {
-			for _, q := range qs {
-				h, ok := q.Peek()
-				if !ok {
-					return false
-				}
-				if !h.IsDone() {
-					return b.fail("lanes misaligned at done: %v", h)
-				}
-			}
-		}
-		for l := range b.inCrd {
-			b.drv[l].Pop()
-			b.inCrd[l].Pop()
-			b.inVal[l].Pop()
-		}
-		b.outCrd.Push(token.D())
-		b.outVal.Push(token.D())
-		b.done = true
-		return true
-	}
-	if b.draining {
-		return b.drainStep()
-	}
-	d, ok := b.drv[b.lane].Peek()
-	if !ok {
-		return false
-	}
-	switch d.Kind {
-	case token.Val, token.Empty:
-		b.drv[b.lane].Pop()
-		b.draining = true
-		b.drainStep()
-		return true
-	case token.Stop:
-		none, ok := noMoreElements(b.drv)
-		if !ok {
-			return false
-		}
-		if !none {
-			b.lane = (b.lane + 1) % len(b.inCrd)
-			return true
-		}
-		for _, q := range b.drv {
-			h, _ := q.Peek()
-			if h.StopLevel() != d.StopLevel() {
-				return b.fail("drivers disagree on closing stop: %v vs %v", d, h)
-			}
-		}
-		for _, q := range b.drv {
-			q.Pop()
-		}
-		b.closeStep = 1
-		return true
-	case token.Done:
-		return b.fail("driver stream ended before its closing stop")
-	}
-	return b.fail("unexpected driver token %v", d)
-}
-
-// drainOrphans forwards at most one orphan zero per cycle (a value whose
-// coordinate lane already holds a stop), respecting the one-token-per-port
-// cost model on the value output. It reports whether an orphan was forwarded
-// (the caller retries the stop next cycle).
-func (b *PairSerializer) drainOrphans() (bool, error) {
-	for l := range b.inCrd {
-		hc, ok := b.inCrd[l].Peek()
-		if !ok || !hc.IsStop() && !hc.IsDone() {
-			continue
-		}
-		hv, ok := b.inVal[l].Peek()
-		if !ok {
-			continue
-		}
-		if hv.IsVal() || hv.IsEmpty() {
-			if hv.IsVal() && hv.V != 0 {
-				return false, fmt.Errorf("nonzero orphan value %v in lane %d", hv, l)
-			}
-			b.inVal[l].Pop()
-			b.outVal.Push(hv)
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// Tick implements Block.
-func (b *PairSerializer) Tick() bool {
-	if b.done {
-		return false
-	}
-	if !b.outCrd.CanPush() || !b.outVal.CanPush() {
-		return false
-	}
-	if b.drv != nil {
-		return b.tickDriven()
-	}
-	tc, ok := b.inCrd[b.lane].Peek()
-	if !ok {
-		return false
-	}
-	switch tc.Kind {
-	case token.Val, token.Empty:
-		tv, ok := b.inVal[b.lane].Peek()
-		if !ok {
-			return false
-		}
-		if !tv.IsVal() && !tv.IsEmpty() {
-			return b.fail("value stream misaligned: crd %v vs val %v", tc, tv)
-		}
-		b.inCrd[b.lane].Pop()
-		b.inVal[b.lane].Pop()
-		b.outCrd.Push(tc)
-		b.outVal.Push(tv)
-		if b.level < 0 {
-			b.lane = (b.lane + 1) % len(b.inCrd)
-		}
-		return true
-	case token.Stop:
-		lvl := tc.StopLevel()
-		if b.level >= 0 && lvl <= b.level {
-			tv, ok := b.inVal[b.lane].Peek()
-			if !ok {
-				return false
-			}
-			if tv.IsVal() || tv.IsEmpty() {
-				// An orphan zero inside the current lane's chunk.
-				if tv.IsVal() && tv.V != 0 {
-					return b.fail("nonzero orphan value %v at stop %v", tv, tc)
-				}
-				b.inVal[b.lane].Pop()
-				b.outVal.Push(tv)
-				return true
-			}
-			if !tv.IsStop() || tv.StopLevel() != lvl {
-				return b.fail("misaligned stops %v vs %v", tc, tv)
-			}
-			b.inCrd[b.lane].Pop()
-			b.inVal[b.lane].Pop()
-			b.outCrd.Push(tc)
-			b.outVal.Push(tv)
-			if lvl == b.level {
-				b.lane = (b.lane + 1) % len(b.inCrd)
-			}
-			return true
-		}
-		// Closing stop (or any stop at element granularity).
-		closed := true
-		for _, q := range b.inCrd {
-			h, ok := q.Peek()
-			if !ok {
-				return false
-			}
-			if !h.IsStop() || (b.level >= 0 && h.StopLevel() <= b.level) {
-				closed = false
-				break
-			}
-		}
-		if !closed {
-			if b.level < 0 {
-				h, _ := b.inCrd[b.lane].Peek()
-				return b.fail("lanes misaligned at stop %v (head %v)", tc, h)
-			}
-			b.outCrd.Push(token.S(b.level))
-			b.outVal.Push(token.S(b.level))
-			b.lane = (b.lane + 1) % len(b.inCrd)
-			return true
-		}
-		drained, err := b.drainOrphans()
-		if err != nil {
-			return b.fail("%v", err)
-		}
-		if drained {
-			return true
-		}
-		for l := range b.inCrd {
-			hc, _ := b.inCrd[l].Peek()
-			if hc.StopLevel() != lvl {
-				return b.fail("lanes disagree on closing stop: %v vs %v", tc, hc)
-			}
-			hv, ok := b.inVal[l].Peek()
-			if !ok {
-				return false
-			}
-			if !hv.IsStop() || hv.StopLevel() != lvl {
-				return b.fail("value stream misaligned at closing stop: %v vs %v", tc, hv)
-			}
-		}
-		for l := range b.inCrd {
-			b.inCrd[l].Pop()
-			b.inVal[l].Pop()
-		}
-		b.outCrd.Push(tc)
-		b.outVal.Push(tc)
-		b.lane = 0
-		return true
-	case token.Done:
-		for _, q := range b.inCrd {
-			h, ok := q.Peek()
-			if !ok {
-				return false
-			}
-			if !h.IsDone() {
-				return b.fail("lanes misaligned at done: %v", h)
-			}
-		}
-		drained, err := b.drainOrphans()
-		if err != nil {
-			return b.fail("%v", err)
-		}
-		if drained {
-			return true
-		}
-		for l := range b.inVal {
-			hv, ok := b.inVal[l].Peek()
-			if !ok {
-				return false
-			}
-			if !hv.IsDone() {
-				return b.fail("value stream misaligned at done: %v", hv)
-			}
-		}
-		for l := range b.inCrd {
-			b.inCrd[l].Pop()
-			b.inVal[l].Pop()
-		}
-		b.outCrd.Push(tc)
-		b.outVal.Push(tc)
-		b.done = true
-		return true
-	}
-	return b.fail("unexpected token %v", tc)
 }
 
 // LaneCombine is the cross-lane reduction join (paper Section 4.4): it merges
@@ -1073,20 +712,16 @@ func (b *Parallelizer) OutPorts() []*Out { return b.outs }
 
 // InQueues implements Ported.
 func (b *Serializer) InQueues() []*Queue {
-	return append(append([]*Queue{}, b.ins...), b.drv...)
+	return append(append(append([]*Queue{}, b.ins...), b.vals...), b.drv...)
 }
 
 // OutPorts implements Ported.
-func (b *Serializer) OutPorts() []*Out { return []*Out{b.out} }
-
-// InQueues implements Ported.
-func (b *PairSerializer) InQueues() []*Queue {
-	qs := append(append([]*Queue{}, b.inCrd...), b.inVal...)
-	return append(qs, b.drv...)
+func (b *Serializer) OutPorts() []*Out {
+	if b.vals == nil {
+		return []*Out{b.out}
+	}
+	return []*Out{b.out, b.outVal}
 }
-
-// OutPorts implements Ported.
-func (b *PairSerializer) OutPorts() []*Out { return []*Out{b.outCrd, b.outVal} }
 
 // InQueues implements Ported.
 func (b *LaneCombine) InQueues() []*Queue {

@@ -323,45 +323,29 @@ func TestQuickGallopMatchesIntersect(t *testing.T) {
 }
 
 // TestQuickParallelizerRoundTrip property-tests fork/join inversion for
-// arbitrary lane counts and random fiber structures.
+// arbitrary lane counts and random fiber structures: a depth-2 stream forked
+// fiber by fiber and joined back under the lanes' forks of its outer level.
 func TestQuickParallelizerRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		lanes := r.Intn(4) + 2
-		// Random depth-2 stream.
-		s := token.Stream{}
-		groups := r.Intn(4) + 1
-		for g := 0; g < groups; g++ {
-			fibersN := r.Intn(5)
-			for fb := 0; fb < fibersN; fb++ {
-				for x := 0; x < r.Intn(4); x++ {
-					s = append(s, token.C(int64(x)))
-				}
-				if fb < fibersN-1 {
-					s = append(s, token.S(0))
-				}
+		// Random fibers (some empty, possibly none at all), one outer
+		// coordinate each.
+		outer, s := token.Stream{}, token.Stream{}
+		fibersN := r.Intn(7)
+		for fb := 0; fb < fibersN; fb++ {
+			outer = append(outer, token.C(int64(fb)))
+			for x := 0; x < r.Intn(4); x++ {
+				s = append(s, token.C(int64(x)))
 			}
-			if g < groups-1 {
-				s = append(s, token.S(1))
+			if fb < fibersN-1 {
+				s = append(s, token.S(0))
 			}
 		}
+		outer = append(outer, token.S(0), token.D())
 		s = append(s, token.S(1), token.D())
-		n := &Net{}
-		in := n.NewQueue("in")
-		in.Preload(s)
-		laneQ := make([]*Queue, lanes)
-		laneOuts := make([]*Out, lanes)
-		for i := range laneQ {
-			laneQ[i] = n.NewQueue("lane")
-			laneOuts[i] = NewOut(laneQ[i])
-		}
-		out := n.NewQueue("out")
-		n.Add(NewParallelizer("par", 0, in, laneOuts))
-		n.Add(NewSerializer("ser", 0, laneQ, NewOut(out)))
-		if _, err := n.Run(100000); err != nil {
-			return false
-		}
-		return token.Equal(out.Drain(), s)
+		got, err := runParJoin(outer, s, lanes, 0)
+		return err == nil && token.Equal(got, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

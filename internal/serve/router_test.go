@@ -204,7 +204,7 @@ func TestRouterDifferential(t *testing.T) {
 
 	t.Run("evaluate", func(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, engine := range []string{"", "naive", "comp"} {
+			for _, engine := range []string{"", "event", "comp"} {
 				req, _ := spmvRequest(seed, 1, engine)
 				resp1, body1 := postJSON(t, single.URL+"/v1/evaluate", req)
 				resp2, body2 := postJSON(t, router.URL+"/v1/evaluate", req)

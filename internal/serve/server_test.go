@@ -95,7 +95,7 @@ func TestEvaluateRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for _, engine := range []string{"", "naive", "comp"} {
+	for _, engine := range []string{"", "event", "comp"} {
 		for _, par := range []int{1, 4} {
 			req, inputs := spmvRequest(42, par, engine)
 			want, err := lang.Gold(lang.MustParse(req.Expr), inputs)

@@ -226,8 +226,8 @@ type WireSchedule struct {
 
 // WireOptions carries the per-request simulation options.
 type WireOptions struct {
-	// Engine selects the executor: "event" (default), "naive", or "comp"
-	// (the compiled co-iteration engine; with an artifact dir configured,
+	// Engine selects the executor: "event" (default) or "comp" (the
+	// compiled co-iteration engine; with an artifact dir configured,
 	// comp requests can be served from the disk cache without recompiling).
 	// Graphs comp cannot lower run on the event engine, reported in the
 	// response's engine field and the engine_fallbacks counter.
@@ -579,6 +579,12 @@ func (w *WireSchedule) toSchedule(defaultOpt int) (lang.Schedule, error) {
 	}, nil
 }
 
+// wireEngines are the engines a request may name. The naive tick-all loop is
+// the schedulers' differential oracle and stays in-process (sim.EngineNaive,
+// samsim/sambench -engine naive): it answers exactly what event answers,
+// slower.
+var wireEngines = []sim.EngineKind{sim.EngineEvent, sim.EngineComp}
+
 // toOptions converts the wire options; nil means defaults.
 func (w *WireOptions) toOptions() (sim.Options, error) {
 	if w == nil {
@@ -588,7 +594,7 @@ func (w *WireOptions) toOptions() (sim.Options, error) {
 		return sim.Options{}, fmt.Errorf("options: negative max_cycles %d", w.MaxCycles)
 	}
 	kind := sim.EngineKind(w.Engine)
-	if _, err := sim.EngineFor(kind); err != nil {
+	if err := sim.CheckEngineKind(kind, wireEngines); err != nil {
 		return sim.Options{}, err
 	}
 	return sim.Options{Engine: kind, MaxCycles: w.MaxCycles}, nil

@@ -137,13 +137,21 @@ var wireErrorCases = []struct {
 		name:    "removed engine flow",
 		mutate:  func(r *EvaluateRequest) { r.Options = &WireOptions{Engine: "flow"} },
 		status:  http.StatusBadRequest,
-		wantMsg: `unknown engine "flow" (registered engines: "event", "naive", "comp")`,
+		wantMsg: `unknown engine "flow" (registered engines: "event", "comp")`,
 	},
 	{
 		name:    "removed engine byte",
 		mutate:  func(r *EvaluateRequest) { r.Options = &WireOptions{Engine: "byte"} },
 		status:  http.StatusBadRequest,
-		wantMsg: `unknown engine "byte" (registered engines: "event", "naive", "comp")`,
+		wantMsg: `unknown engine "byte" (registered engines: "event", "comp")`,
+	},
+	{
+		// The tick-all loop is the schedulers' in-process oracle; it is not
+		// a wire value.
+		name:    "engine naive",
+		mutate:  func(r *EvaluateRequest) { r.Options = &WireOptions{Engine: "naive"} },
+		status:  http.StatusBadRequest,
+		wantMsg: `unknown engine "naive" (registered engines: "event", "comp")`,
 	},
 }
 

@@ -55,8 +55,7 @@ func (j Job) label(i int) string {
 // pool size (0 means GOMAXPROCS). The first error in job order is returned;
 // results for failed jobs are nil.
 func RunBatch(jobs []Job, opt Options) ([]*Result, error) {
-	eng, err := EngineFor(opt.Engine)
-	if err != nil {
+	if err := CheckEngineKind(opt.Engine, Engines()); err != nil {
 		return nil, err
 	}
 	workers := opt.Workers
@@ -82,9 +81,9 @@ func RunBatch(jobs []Job, opt Options) ([]*Result, error) {
 				case j.Program != nil:
 					// Artifact-backed programs have no graph but run fine
 					// on comp; the cycle engines' own checks reject them.
-					res, err = eng.RunProgram(j.Program, j.Inputs, opt)
+					res, err = j.Program.Run(j.Inputs, opt)
 				case j.Graph != nil:
-					res, err = eng.Run(j.Graph, j.Inputs, opt)
+					res, err = Run(j.Graph, j.Inputs, opt)
 				default:
 					errs[i] = fmt.Errorf("sim: %s: nil graph", j.label(i))
 					continue

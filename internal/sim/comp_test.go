@@ -143,13 +143,13 @@ func TestEngineRegistry(t *testing.T) {
 		if kinds[i] != k {
 			t.Errorf("Engines()[%d] = %q, want %q", i, kinds[i], k)
 		}
-		if _, err := EngineFor(k); err != nil {
-			t.Errorf("EngineFor(%q): %v", k, err)
+		if err := CheckEngineKind(k, kinds); err != nil {
+			t.Errorf("CheckEngineKind(%q): %v", k, err)
 		}
 	}
-	_, err := EngineFor("bogus")
+	err := CheckEngineKind("bogus", kinds)
 	if err == nil {
-		t.Fatal("EngineFor(bogus) = nil error")
+		t.Fatal("CheckEngineKind(bogus) = nil error")
 	}
 	for _, k := range want {
 		if !strings.Contains(err.Error(), string(k)) {
@@ -158,8 +158,8 @@ func TestEngineRegistry(t *testing.T) {
 	}
 	// The removed kinds are unknown, not aliased.
 	for _, gone := range []EngineKind{"flow", "byte"} {
-		if _, err := EngineFor(gone); err == nil {
-			t.Errorf("EngineFor(%q) = nil error, want unknown engine", gone)
+		if err := CheckEngineKind(gone, kinds); err == nil {
+			t.Errorf("CheckEngineKind(%q) = nil error, want unknown engine", gone)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sam/internal/comp"
 	"sam/internal/core"
-	"sam/internal/graph"
 	"sam/internal/tensor"
 )
 
@@ -44,61 +44,25 @@ func Engines() []EngineKind {
 	return []EngineKind{EngineEvent, EngineNaive, EngineComp}
 }
 
-// engineList renders the registered engines for error messages.
-func engineList() string {
-	names := make([]string, 0, len(Engines()))
-	for _, k := range Engines() {
-		names = append(names, fmt.Sprintf("%q", string(k)))
+// CheckEngineKind reports whether kind names one of the engines in known; the
+// empty kind selects the default event-driven engine. Callers that accept
+// every engine pass Engines().
+func CheckEngineKind(kind EngineKind, known []EngineKind) error {
+	if kind == "" || slices.Contains(known, kind) {
+		return nil
 	}
-	return strings.Join(names, ", ")
-}
-
-// Engine executes a compiled SAM graph against bound inputs. Both
-// cycle-accurate schedulers and the compiled engine implement it; pick one
-// with EngineFor or, at the API surface, Options.Engine.
-type Engine interface {
-	// Name returns the EngineKind string naming the engine.
-	Name() string
-	// Run executes the graph and assembles the output tensor.
-	Run(g *graph.Graph, inputs map[string]*tensor.COO, opt Options) (*Result, error)
-	// RunProgram executes a precompiled program, skipping the per-call
-	// validation and planning Run pays.
-	RunProgram(p *Program, inputs map[string]*tensor.COO, opt Options) (*Result, error)
-}
-
-// EngineFor resolves an engine selector; the empty kind selects the default
-// event-driven engine.
-func EngineFor(kind EngineKind) (Engine, error) {
-	switch kind {
-	case "", EngineEvent:
-		return cycleEngine{kind: EngineEvent}, nil
-	case EngineNaive:
-		return cycleEngine{kind: EngineNaive}, nil
-	case EngineComp:
-		return compEngine{}, nil
+	names := make([]string, len(known))
+	for i, k := range known {
+		names[i] = fmt.Sprintf("%q", string(k))
 	}
-	return nil, fmt.Errorf("sim: unknown engine %q (registered engines: %s)", kind, engineList())
+	return fmt.Errorf("sim: unknown engine %q (registered engines: %s)", kind, strings.Join(names, ", "))
 }
 
-// cycleEngine runs graphs on the cycle-accurate core.Net simulator, with
-// either the event-driven or the naive scheduler.
-type cycleEngine struct {
-	kind EngineKind
-}
-
-func (e cycleEngine) Name() string { return string(e.kind) }
-
-func (e cycleEngine) Run(g *graph.Graph, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
-	p, err := NewProgram(g)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunProgram(p, inputs, opt)
-}
-
-func (e cycleEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
+// runCycle runs the program on the cycle-accurate core.Net simulator, with
+// the event-driven scheduler or (kind EngineNaive) the tick-all loop.
+func (p *Program) runCycle(kind EngineKind, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
 	if p.g == nil {
-		return nil, p.CheckEngine(e.kind)
+		return nil, p.CheckEngine(kind)
 	}
 	if opt.MaxCycles == 0 {
 		opt.MaxCycles = 2_000_000_000
@@ -110,7 +74,7 @@ func (e cycleEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt O
 	}
 	run := opt.Trace.Start("run")
 	var cycles int
-	if e.kind == EngineNaive {
+	if kind == EngineNaive {
 		cycles, err = b.net.RunNaive(opt.MaxCycles)
 	} else {
 		cycles, err = b.net.Run(opt.MaxCycles)
@@ -125,29 +89,17 @@ func (e cycleEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt O
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Cycles: cycles, Output: out, Streams: map[string]*core.StreamStats{}, Engine: e.kind}
+	res := &Result{Cycles: cycles, Output: out, Streams: map[string]*core.StreamStats{}, Engine: kind}
 	res.Phases = opt.Trace.SpansSince(mark)
 	b.streams(res)
 	return res, nil
 }
 
-// compEngine adapts the compiled co-iteration engine (internal/comp) to the
-// Engine interface. Graphs its lowering does not support — the bitvector
+// runComp runs the program on the compiled co-iteration engine
+// (internal/comp). Graphs its lowering does not support — the bitvector
 // pipeline — fall back to the event engine; the Result records which engine
 // actually ran.
-type compEngine struct{}
-
-func (compEngine) Name() string { return string(EngineComp) }
-
-func (e compEngine) Run(g *graph.Graph, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
-	p, err := NewProgram(g)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunProgram(p, inputs, opt)
-}
-
-func (e compEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
+func (p *Program) runComp(inputs map[string]*tensor.COO, opt Options) (*Result, error) {
 	cp, err := p.compProgram()
 	if err != nil {
 		// Fall back to the event engine only for graphs outside the
@@ -157,7 +109,7 @@ func (e compEngine) RunProgram(p *Program, inputs map[string]*tensor.COO, opt Op
 		// over by a silently different engine. (Artifact-backed programs
 		// have the compiled program pre-set and never reach here.)
 		if p.g != nil && comp.Check(p.g) != nil {
-			return cycleEngine{kind: EngineEvent}.RunProgram(p, inputs, opt)
+			return p.runCycle(EngineEvent, inputs, opt)
 		}
 		return nil, fmt.Errorf("sim: %s: %w", p.name(), err)
 	}

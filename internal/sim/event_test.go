@@ -17,7 +17,7 @@ import (
 	"sam/internal/tensor"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/event_golden.txt from this run")
+var updateGolden = flag.Bool("update", false, "rewrite the golden statistics files under testdata from this run")
 
 // eventShape is one request of the repository benchmark's simulate-event
 // workload, rebuilt in process: Figure 12's three SpM*SpM dataflows over one

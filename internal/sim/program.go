@@ -137,7 +137,7 @@ func (p *Program) Fingerprint() string { return p.fp }
 // for blocks it cannot lower), while an artifact-backed one carries only the
 // compiled lowering. An unknown engine kind also errors.
 func (p *Program) CheckEngine(kind EngineKind) error {
-	if _, err := EngineFor(kind); err != nil {
+	if err := CheckEngineKind(kind, Engines()); err != nil {
 		return err
 	}
 	if p.g == nil && kind != EngineComp {
@@ -151,9 +151,13 @@ func (p *Program) CheckEngine(kind EngineKind) error {
 // opt.Engine selects. It is equivalent to sim.Run on the program's graph but
 // skips validation and plan construction, which Run pays on every call.
 func (p *Program) Run(inputs map[string]*tensor.COO, opt Options) (*Result, error) {
-	eng, err := EngineFor(opt.Engine)
-	if err != nil {
-		return nil, err
+	switch opt.Engine {
+	case "", EngineEvent:
+		return p.runCycle(EngineEvent, inputs, opt)
+	case EngineNaive:
+		return p.runCycle(EngineNaive, inputs, opt)
+	case EngineComp:
+		return p.runComp(inputs, opt)
 	}
-	return eng.RunProgram(p, inputs, opt)
+	return nil, CheckEngineKind(opt.Engine, Engines())
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -251,6 +252,37 @@ func TestNewProgramRejectsInvalid(t *testing.T) {
 	_ = n
 	if _, err := NewProgram(g); err == nil {
 		t.Errorf("NewProgram on a graph with unconnected ports = nil error")
+	}
+}
+
+// TestDeepJoinNeedsDrivers checks a lane join below the fork's depth whose
+// driver edge is missing fails at program build time with an error naming
+// the node, on both join kinds: no engine guesses the chunk boundaries.
+func TestDeepJoinNeedsDrivers(t *testing.T) {
+	g, err := custard.Compile(lang.MustParse("X(i,j,k) = B(i,j,k) + C(i,j,k)"), nil, lang.Schedule{Par: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{"Serializer j", "Serializer k vals"} {
+		bad := *g
+		bad.Edges = nil
+		found := false
+		for _, e := range g.Edges {
+			if g.Nodes[e.To].Label == label && e.ToPort == "drv1" {
+				if k := g.Nodes[e.To]; k.Level < 0 {
+					t.Fatalf("%q joins at level %d, want a deep join", label, k.Level)
+				}
+				found = true
+				continue
+			}
+			bad.Edges = append(bad.Edges, e)
+		}
+		if !found {
+			t.Fatalf("%q has no drv1 edge to drop", label)
+		}
+		if _, err := NewProgram(&bad); err == nil || !strings.Contains(err.Error(), label) {
+			t.Errorf("%q without drv1: NewProgram err = %v, want one naming the node", label, err)
+		}
 	}
 }
 

@@ -8,17 +8,17 @@
 // the formats request), runs the net to completion, gathers per-stream token
 // statistics, and assembles the output tensor from the level writers.
 //
-// Three engines implement the Engine interface: the default event-driven
-// ready-set scheduler, the naive tick-all reference loop (bit-identical
-// results, kept for differential testing), and the compiled co-iteration
-// engine from internal/comp (bit-identical outputs, no cycle model; graphs
-// it cannot lower fall back to the event engine). Select one with
-// Options.Engine; run many graph+input bindings concurrently with
-// RunBatch.
+// There are three engines: the default event-driven ready-set scheduler,
+// the naive tick-all reference loop (bit-identical results, kept for
+// differential testing), and the compiled co-iteration engine from
+// internal/comp (bit-identical outputs, no cycle model; graphs it cannot
+// lower fall back to the event engine). Select one with Options.Engine; run
+// many graph+input bindings concurrently with RunBatch.
 package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"sam/internal/bind"
 	"sam/internal/core"
@@ -80,11 +80,11 @@ type Result struct {
 // given inputs (COO tensors keyed by source tensor name; order-0 tensors are
 // scalars) on the engine Options.Engine selects.
 func Run(g *graph.Graph, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
-	eng, err := EngineFor(opt.Engine)
+	p, err := NewProgram(g)
 	if err != nil {
 		return nil, err
 	}
-	return eng.Run(g, inputs, opt)
+	return p.Run(inputs, opt)
 }
 
 // builder is the run-time half of a simulation: it materializes one net —
@@ -183,16 +183,17 @@ func (b *builder) streams(res *Result) {
 	}
 }
 
-// drvQueues fetches a deep serializer's per-lane rotation-driver queues.
-func (b *builder) drvQueues(n *graph.Node) ([]*core.Queue, error) {
-	drv := make([]*core.Queue, n.Ways)
-	for i := range drv {
+// laneIns fetches one per-lane input family of a lane join: the queues
+// feeding ports family0 … family(Ways-1).
+func (b *builder) laneIns(n *graph.Node, family string) ([]*core.Queue, error) {
+	qs := make([]*core.Queue, n.Ways)
+	for i := range qs {
 		var err error
-		if drv[i], err = b.in(n, fmt.Sprintf("drv%d", i)); err != nil {
+		if qs[i], err = b.in(n, family+strconv.Itoa(i)); err != nil {
 			return nil, err
 		}
 	}
-	return drv, nil
+	return qs, nil
 }
 
 // level fetches a bound operand's storage level.
@@ -488,42 +489,34 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 			outs[i] = b.out(n, fmt.Sprintf("out%d", i))
 		}
 		return core.NewParallelizer(n.Label, n.Level, in, outs), nil
-	case graph.Serialize:
-		ins := make([]*core.Queue, n.Ways)
-		for i := range ins {
-			var err error
-			if ins[i], err = b.in(n, fmt.Sprintf("in%d", i)); err != nil {
+	case graph.Serialize, graph.SerializePair:
+		// The pair join is the same block with the value lanes riding along;
+		// a join below the fork's depth (Level >= 0) takes its drivers.
+		crd, out := "in", "out"
+		var vals, drv []*core.Queue
+		var outVal *core.Out
+		var err error
+		if n.Kind == graph.SerializePair {
+			crd, out = "crd", "crd"
+			if vals, err = b.laneIns(n, "val"); err != nil {
 				return nil, err
 			}
+			outVal = b.out(n, "val")
 		}
-		if n.Level < 0 {
-			return core.NewSerializer(n.Label, n.Level, ins, b.out(n, "out")), nil
-		}
-		drv, err := b.drvQueues(n)
+		ins, err := b.laneIns(n, crd)
 		if err != nil {
 			return nil, err
 		}
-		return core.NewDrivenSerializer(n.Label, n.Level, ins, drv, b.out(n, "out")), nil
-	case graph.SerializePair:
-		crds := make([]*core.Queue, n.Ways)
-		vals := make([]*core.Queue, n.Ways)
-		for i := 0; i < n.Ways; i++ {
-			var err error
-			if crds[i], err = b.in(n, fmt.Sprintf("crd%d", i)); err != nil {
-				return nil, err
-			}
-			if vals[i], err = b.in(n, fmt.Sprintf("val%d", i)); err != nil {
+		if n.Level >= 0 {
+			if drv, err = b.laneIns(n, "drv"); err != nil {
 				return nil, err
 			}
 		}
-		if n.Level < 0 {
-			return core.NewPairSerializer(n.Label, n.Level, crds, vals, b.out(n, "crd"), b.out(n, "val")), nil
-		}
-		drv, err := b.drvQueues(n)
+		ser, err := core.NewSerializer(n.Label, n.Level, ins, vals, drv, b.out(n, out), outVal)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sim: %w", err)
 		}
-		return core.NewDrivenPairSerializer(n.Label, n.Level, crds, vals, drv, b.out(n, "crd"), b.out(n, "val")), nil
+		return ser, nil
 	case graph.LaneReduce:
 		var crds [2][]*core.Queue
 		var vals [2]*core.Queue
