@@ -339,20 +339,6 @@ func (rt *Router) writeUnavailable(w http.ResponseWriter, msg string) {
 	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: msg})
 }
 
-// readBody reads a bounded request body, answering the shard-identical 413
-// when it is oversized. A declared length sizes the buffer once.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= rt.cfg.MaxBodyBytes {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)); err != nil {
-		writeBodyError(w, err)
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
 // shardBody remembers a failed read of a shard's response, so a relay that
 // broke off can tell a dead shard from a client that hung up.
 type shardBody struct {
@@ -545,10 +531,11 @@ func routingKey(env *EvaluateRequest, body []byte) string {
 // their job ID prefixed with the owning shard's name so GET /v1/jobs/{id}
 // routes back without fan-out.
 func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request, async bool) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
+	var buf bytes.Buffer // the request's own: a relayed body may outlive the handler in the transport
+	if !readBody(w, r, rt.cfg.MaxBodyBytes, &buf) {
 		return
 	}
+	body := buf.Bytes()
 	env := readEnvelope(body)
 	if tiled, name := rt.tiledRef(env); tiled != nil {
 		if async {

@@ -103,10 +103,11 @@ func (rt *Router) handleTensorPut(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("tensor name %q uses the reserved tile infix %q", name, tileInfix))
 		return
 	}
-	body, ok := rt.readBody(w, r)
-	if !ok {
+	var buf bytes.Buffer
+	if !readBody(w, r, rt.cfg.MaxBodyBytes, &buf) {
 		return
 	}
+	body := buf.Bytes()
 	coo, est := rt.tileCandidate(body, name)
 	var live []*shardState
 	if coo != nil {
@@ -172,8 +173,8 @@ func (rt *Router) tileCandidate(body []byte, name string) (*tensor.COO, int64) {
 	if rt.cfg.TileThresholdBytes <= 0 {
 		return nil, 0
 	}
-	var wt WireTensor
-	if err := decodeStrict(bytes.NewReader(body), &wt); err != nil || !wt.inline() || wt.Ref != "" || len(wt.Dims) != 2 {
+	wt, err := decodeTensor(body)
+	if err != nil || !wt.inline() || wt.Ref != "" || len(wt.Dims) != 2 {
 		return nil, 0
 	}
 	coo, err := wt.toCOO(name)
@@ -282,12 +283,12 @@ func (rt *Router) fetchTensor(sh *shardState, name string) (*TensorInfo, error) 
 // loop and update rule a shard runs — with one fan-out as its step.
 func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, body []byte, tt *tiledTensor, operand string) {
 	begin := time.Now()
-	var req EvaluateRequest
-	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+	req, err := DecodeEvaluate(body)
+	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	fx, err := rt.checkTiled(&req, operand)
+	fx, err := rt.checkTiled(req, operand)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -297,7 +298,7 @@ func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, body []byte, tt *ti
 		rt.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	sub := req
+	sub := *req
 	sub.Fixpoint = nil
 
 	var out *tensor.COO
@@ -332,7 +333,7 @@ func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, body []byte, tt *ti
 	resp.Output = ToWire(out)
 	resp.Tensors = stamps
 	resp.ElapsedNS = time.Since(begin).Nanoseconds()
-	writeJSON(w, http.StatusOK, resp)
+	writeEvaluateResponse(w, resp)
 }
 
 // checkTiled is everything that can be wrong with a tiled evaluation before

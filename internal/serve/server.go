@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -685,8 +686,13 @@ func (s *Server) finish(j *job, res *sim.Result, errMsg string) {
 	// request's spans (admission included) sum to within it.
 	elapsed := time.Since(j.prep.begin)
 	tr := j.prep.opt.Trace
+	var out WireTensor
 	if res != nil {
 		s.metrics.phases(res.Phases)
+		out = ToWire(res.Output)
+		if err := checkFinite(&out); err != nil {
+			errMsg = err.Error()
+		}
 	}
 	s.mu.Lock()
 	if errMsg != "" {
@@ -704,7 +710,7 @@ func (s *Server) finish(j *job, res *sim.Result, errMsg string) {
 		j.status = "done"
 		j.resp = &EvaluateResponse{
 			Cycles:      res.Cycles,
-			Output:      ToWire(res.Output),
+			Output:      out,
 			Fingerprint: j.prep.prog.Fingerprint(),
 			Cache:       j.prep.cache,
 			Engine:      executed,
@@ -859,7 +865,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: errMsg})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeEvaluateResponse(w, resp)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -892,8 +898,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // wire format — inline data only; a ref makes no sense on upload.
 func (s *Server) handleTensorPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var wt WireTensor
-	if !s.decodeBody(w, r, &wt) {
+	wt, ok := readWire(w, r, s.cfg.MaxBodyBytes, decodeTensor)
+	if !ok {
 		return
 	}
 	if wt.Ref != "" {
@@ -944,35 +950,58 @@ func (s *Server) handleTensorDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// decodeRequest is the decode phase of an evaluation: it reads and strictly
-// decodes the body and converts the inline operands, under one "decode"
-// span. Unknown fields are rejected so client typos fail loudly, and bodies
-// beyond Config.MaxBodyBytes are rejected with 413 before buffering
-// unboundedly.
+// decodeRequest is the decode phase of an evaluation: it reads the body,
+// decodes it — strictly: unknown fields are rejected so client typos fail
+// loudly — and converts the inline operands, under one "decode" span.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (*request, bool) {
 	req := &request{begin: time.Now()}
 	sp := tr.Start("decode")
 	defer sp.End()
-	if !s.decodeBody(w, r, &req.wire) {
+	wire, ok := readWire(w, r, s.cfg.MaxBodyBytes, DecodeEvaluate)
+	if !ok {
 		return nil, false
 	}
+	req.wire = *wire
 	req.convertOperands()
 	return req, true
 }
 
+// readWire reads a request body into a pooled buffer — nothing decode
+// returns points into it — and decodes it, answering a failure itself.
+func readWire[T any](w http.ResponseWriter, r *http.Request, limit int64, decode func([]byte) (*T, error)) (*T, bool) {
+	body := bufPool.Get().(*bytes.Buffer)
+	body.Reset()
+	defer bufPool.Put(body)
+	if !readBody(w, r, limit, body) {
+		return nil, false
+	}
+	v, err := decode(body.Bytes())
+	if err != nil {
+		writeBodyError(w, err)
+	}
+	return v, err == nil
+}
+
 // decodeStrict decodes one JSON value and rejects fields the target does not
-// declare. Every request body, on the shard and at the router, goes through
-// it, so the two cannot disagree about what a well-formed request is.
+// declare. Every request body, on the shard and at the router, is held to it
+// (DecodeEvaluate, decodeTensor), so the two cannot disagree about what one is.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
 
-// decodeBody strictly decodes any JSON request body under the configured
-// size bound, writing the error response itself on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v)
+// bufPool recycles request-body and response buffers, so that an inline
+// request's transient memory is its operands, not copies of its wire form.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads a request body of at most limit bytes into buf, answering
+// an oversized one 413 itself. A declared length sizes the buffer once.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.Buffer) bool {
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		writeBodyError(w, err)
 	}
@@ -1002,6 +1031,22 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorResponse{Error: err.Error()})
+}
+
+// writeEvaluateResponse answers an evaluation in one write. The reply is
+// built whole first, so one that cannot be encoded is a 500 that says why.
+func writeEvaluateResponse(w http.ResponseWriter, resp *EvaluateResponse) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer bufPool.Put(buf)
+	out, err := AppendEvaluateResponse(buf.AvailableBuffer(), resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	buf.Write(out) // in place if it fit; if not, the pooled buffer grows to fit the next
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	writeRaw(w, http.StatusOK, buf.Bytes())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -66,12 +67,14 @@ func (c *Coords) UnmarshalJSON(data []byte) error {
 		case p.literal("null"):
 			out = append(out, nil)
 		case p.eat('['):
+			// The per-coordinate loop: more, spelled out.
 			start := len(flat)
-			for first := true; ; first = false {
-				if more, err := p.more(first); err != nil {
-					return err
-				} else if !more {
-					break
+			for p.ws(); !p.eat(']'); p.ws() {
+				if len(flat) > start {
+					if !p.eat(',') {
+						return p.syntax()
+					}
+					p.ws()
 				}
 				v, err := p.int64()
 				if err != nil {
@@ -159,9 +162,6 @@ func (p *coordsParser) unexpected(want reflect.Type) error {
 // int64 parses one coordinate: a JSON number that is an integer in range.
 // null leaves the zero value, as it does for encoding/json.
 func (p *coordsParser) int64() (int64, error) {
-	if p.literal("null") {
-		return 0, nil
-	}
 	start := p.i
 	neg := p.eat('-')
 	digits := p.i
@@ -171,7 +171,9 @@ func (p *coordsParser) int64() (int64, error) {
 	}
 	switch ndigits := p.i - digits; {
 	case ndigits == 0:
-		p.i = start
+		if p.i = start; p.literal("null") {
+			return 0, nil
+		}
 		return 0, p.unexpected(reflect.TypeFor[int64]())
 	case ndigits > 1 && p.b[digits] == '0':
 		p.i = digits + 1
@@ -194,6 +196,57 @@ func (p *coordsParser) int64() (int64, error) {
 		n = -n
 	}
 	return n, nil
+}
+
+// float64 parses one value: an integer of at most 15 digits is its own
+// float64, any other JSON number goes to strconv, range error included.
+func (p *coordsParser) float64() (float64, bool) {
+	start := p.i
+	neg := p.eat('-')
+	digits := p.i
+	var n int64
+	for ; p.i < len(p.b) && p.b[p.i]-'0' < 10; p.i++ {
+		n = n*10 + int64(p.b[p.i]-'0')
+	}
+	ndigits := p.i - digits
+	if ndigits == 0 || ndigits > 1 && p.b[digits] == '0' {
+		return 0, ndigits == 0 && !neg && p.literal("null")
+	}
+	if ndigits > 15 || p.i < len(p.b) && (p.b[p.i] == '.' || p.b[p.i]|0x20 == 'e') {
+		for p.i < len(p.b) && (p.b[p.i]-'0' < 10 || bytes.IndexByte([]byte("+-.eE"), p.b[p.i]) >= 0) {
+			p.i++
+		}
+		// Of these characters, after these digits, strconv takes what JSON
+		// takes and one thing more: a point with no digit behind it.
+		tok := p.b[start:p.i]
+		dot := bytes.IndexByte(tok, '.') + 1
+		f, err := strconv.ParseFloat(string(tok), 64)
+		return f, err == nil && (dot == 0 || dot < len(tok) && tok[dot]-'0' < 10)
+	}
+	f := float64(n)
+	if neg {
+		f = -f // -0 keeps its sign
+	}
+	return f, true
+}
+
+// numbers parses the whole of p as a JSON array of what elem parses, or as
+// null: the dims and the values of an operand, read where they lie.
+func numbers[T any](p *coordsParser, elem func() (T, bool)) ([]T, bool) {
+	if !p.eat('[') {
+		return nil, p.literal("null") && p.i == len(p.b)
+	}
+	out := make([]T, 0, bytes.Count(p.b, []byte{','})+1)
+	for first := true; ; first = false {
+		if more, err := p.more(first); err != nil || !more {
+			return out, err == nil && p.i == len(p.b)
+		}
+		v, ok := elem()
+		if !ok {
+			return nil, false
+		}
+		out = append(out, v)
+	}
 }
 
 // inline reports whether any inline tensor data is present; a well-formed
@@ -520,6 +573,105 @@ func ToWire(t *tensor.COO) WireTensor {
 		w.Values = append(w.Values, p.Val)
 	}
 	return w
+}
+
+// AppendEvaluateResponse appends what json.NewEncoder(w).Encode(resp) writes,
+// newline included: the head and the output tensor by appending, the fields
+// after it by encoding/json (resp with an empty output marshals to the same
+// head, "{}", and that tail). A value JSON cannot carry is an error.
+func AppendEvaluateResponse(dst []byte, resp *EvaluateResponse) ([]byte, error) {
+	shell := *resp
+	shell.Output = WireTensor{}
+	rest, err := json.Marshal(&shell)
+	if err != nil {
+		return dst, err
+	}
+	start := len(dst)
+	dst = append(strconv.AppendInt(append(dst, `{"cycles":`...), int64(resp.Cycles), 10), `,"output":`...)
+	rest = rest[len(dst)-start+len(`{}`):]
+	if dst, err = appendTensor(dst, &resp.Output); err != nil {
+		return dst, err
+	}
+	return append(append(dst, rest...), '\n'), nil
+}
+
+// appendTensor appends w as encoding/json marshals it.
+func appendTensor(dst []byte, w *WireTensor) ([]byte, error) {
+	dst = append(dst, '{')
+	if len(w.Dims) > 0 {
+		dst = append(appendInts(append(dst, `"dims":`...), w.Dims), ',')
+	}
+	if len(w.Coords) > 0 {
+		dst = append(dst, `"coords":[`...)
+		for _, crd := range w.Coords {
+			dst = append(appendInts(dst, crd), ',')
+		}
+		dst = append(dst[:len(dst)-1], "],"...)
+	}
+	if len(w.Values) > 0 {
+		dst = append(dst, `"values":[`...)
+		for _, v := range w.Values {
+			if i := int64(v); float64(i) == v && math.Abs(v) < 1<<53 && (i != 0 || !math.Signbit(v)) {
+				dst = strconv.AppendInt(dst, i, 10)
+			} else if math.IsInf(v, 0) || math.IsNaN(v) {
+				return dst, checkFinite(w)
+			} else {
+				dst = appendFloat(dst, v)
+			}
+			dst = append(dst, ',')
+		}
+		dst = append(dst[:len(dst)-1], "],"...)
+	}
+	if w.Ref != "" {
+		ref, _ := json.Marshal(w.Ref) // a string always marshals
+		dst = append(append(append(dst, `"ref":`...), ref...), ',')
+	}
+	return append(bytes.TrimSuffix(dst, []byte{','}), '}'), nil
+}
+
+// appendInts appends a tuple, null for nil.
+func appendInts[T int | int64](dst []byte, vs []T) []byte {
+	if vs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	}
+	return append(dst, ']')
+}
+
+// appendFloat is encoding/json's float64 encoder: the shortest digits that
+// round-trip, exponent form below 1e-6 and from 1e21, no e-07 but e-7.
+func appendFloat(dst []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// checkFinite reports the first value of an output that JSON has no form
+// for. An overflowed product or sum is the job's failure, not an empty 200.
+func checkFinite(w *WireTensor) error {
+	for i, v := range w.Values {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			var crd []int64
+			if i < len(w.Coords) {
+				crd = w.Coords[i]
+			}
+			return fmt.Errorf("output value at coord %v is %s: JSON cannot carry a non-finite number", crd, strconv.FormatFloat(v, 'g', -1, 64))
+		}
+	}
+	return nil
 }
 
 // levelFormat parses one wire level-format name.
