@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -36,6 +37,9 @@ type shapeRow struct {
 	sched  lang.Schedule
 	inputs map[string]*tensor.COO
 	opt    Options
+	// formats, when set, are the operands' storage formats (nil: every level
+	// compressed).
+	formats lang.Formats
 }
 
 // buildShapes compiles each row into a Program.
@@ -43,7 +47,7 @@ func buildShapes(tb testing.TB, rows []shapeRow) []eventShape {
 	tb.Helper()
 	var out []eventShape
 	for _, r := range rows {
-		g, err := custard.Compile(lang.MustParse(r.expr), nil, r.sched)
+		g, err := custard.Compile(lang.MustParse(r.expr), r.formats, r.sched)
 		if err != nil {
 			tb.Fatalf("%s: compile: %v", r.name, err)
 		}
@@ -73,12 +77,12 @@ func eventShapes(tb testing.TB) []eventShape {
 	mv := map[string]*tensor.COO{"B": draw("B", 5000, 500, 500), "c": draw("c", 250, 500)}
 	const spmspm, spmv = "X(i,j) = B(i,k) * C(k,j)", "x(i) = B(i,j) * c(j)"
 	rows := []shapeRow{
-		{"SpM*SpM-ikj", spmspm, lang.Schedule{LoopOrder: []string{"i", "k", "j"}}, mm, Options{}},
-		{"SpM*SpM-ijk", spmspm, lang.Schedule{LoopOrder: []string{"i", "j", "k"}}, mm, Options{}},
-		{"SpM*SpM-kij", spmspm, lang.Schedule{LoopOrder: []string{"k", "i", "j"}}, mm, Options{}},
-		{"SpMV-par1", spmv, lang.Schedule{}, mv, Options{}},
-		{"SpMV-par4", spmv, lang.Schedule{Par: 4}, mv, Options{}},
-		{"SpM*SpM-ikj-cap8", spmspm, lang.Schedule{LoopOrder: []string{"i", "k", "j"}}, mm, Options{QueueCap: 8}},
+		{"SpM*SpM-ikj", spmspm, lang.Schedule{LoopOrder: []string{"i", "k", "j"}}, mm, Options{}, nil},
+		{"SpM*SpM-ijk", spmspm, lang.Schedule{LoopOrder: []string{"i", "j", "k"}}, mm, Options{}, nil},
+		{"SpM*SpM-kij", spmspm, lang.Schedule{LoopOrder: []string{"k", "i", "j"}}, mm, Options{}, nil},
+		{"SpMV-par1", spmv, lang.Schedule{}, mv, Options{}, nil},
+		{"SpMV-par4", spmv, lang.Schedule{Par: 4}, mv, Options{}, nil},
+		{"SpM*SpM-ikj-cap8", spmspm, lang.Schedule{LoopOrder: []string{"i", "k", "j"}}, mm, Options{QueueCap: 8}, nil},
 	}
 	return buildShapes(tb, rows)
 }
@@ -166,11 +170,11 @@ func parJoinShapes(tb testing.TB) []eventShape {
 	const spmspm = "X(i,j) = B(i,k) * C(k,j)"
 	ikj, ijk := []string{"i", "k", "j"}, []string{"i", "j", "k"}
 	rows := []shapeRow{
-		{"SpM*SpM-ikj-par4", spmspm, lang.Schedule{LoopOrder: ikj, Par: 4}, mm, Options{}},
-		{"Plus3d-par2", "X(i,j,k) = B(i,j,k) + C(i,j,k)", lang.Schedule{Par: 2}, add3, Options{}},
-		{"SpM*SpM-ijk-par8-3rows", spmspm, lang.Schedule{LoopOrder: ijk, Par: 8}, few, Options{}},
-		{"SpMV-par8-3rows", "x(i) = B(i,j) * c(j)", lang.Schedule{Par: 8}, mv, Options{}},
-		{"SpM*SpM-ikj-par4-cap4", spmspm, lang.Schedule{LoopOrder: ikj, Par: 4}, mm, Options{QueueCap: 4}},
+		{"SpM*SpM-ikj-par4", spmspm, lang.Schedule{LoopOrder: ikj, Par: 4}, mm, Options{}, nil},
+		{"Plus3d-par2", "X(i,j,k) = B(i,j,k) + C(i,j,k)", lang.Schedule{Par: 2}, add3, Options{}, nil},
+		{"SpM*SpM-ijk-par8-3rows", spmspm, lang.Schedule{LoopOrder: ijk, Par: 8}, few, Options{}, nil},
+		{"SpMV-par8-3rows", "x(i) = B(i,j) * c(j)", lang.Schedule{Par: 8}, mv, Options{}, nil},
+		{"SpM*SpM-ikj-par4-cap4", spmspm, lang.Schedule{LoopOrder: ikj, Par: 4}, mm, Options{QueueCap: 4}, nil},
 	}
 	return buildShapes(tb, rows)
 }
@@ -179,6 +183,59 @@ func parJoinShapes(tb testing.TB) []eventShape {
 // tick, the way TestEventGoldenStats pins the benchmark's shapes.
 func TestParJoinGoldenStats(t *testing.T) {
 	checkGolden(t, "testdata/par_golden.txt", parJoinShapes(t))
+}
+
+// withoutSlices drops every point of t whose coordinate in mode holds one of
+// the given values, leaving those slices of t empty.
+func withoutSlices(t *tensor.COO, mode int, drop ...int64) *tensor.COO {
+	out := tensor.NewCOO(t.Name, t.Dims...)
+	for _, p := range t.Pts {
+		if !slices.Contains(drop, p.Crd[mode]) {
+			out.Pts = append(out.Pts, p)
+		}
+	}
+	return out
+}
+
+// reduceShapes drives the n = 1 and n = 2 reducers over empty sub-fibers:
+// SpM*SpM at ikj (n = 1) and kij (n = 2) with both operands stored with a
+// dense outer level, so C's empty rows 2 and 9 reach the reducer as empty
+// inner fibers — mid-group and, row 9 being the last, trailing — and B's
+// empty columns 0 and 5 reach the kij reducer as iterations without an outer
+// coordinate. The three-operand rows get their empty fibers from
+// compressed intersections instead; the last row reruns kij under
+// backpressure.
+func reduceShapes(tb testing.TB) []eventShape {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(29))
+	draw := func(name string, nnz int, dims ...int) *tensor.COO {
+		t := tensor.UniformRandom(name, rng, nnz, dims...)
+		tensor.QuantizeInts(rng, 9, t)
+		return t
+	}
+	mm := map[string]*tensor.COO{
+		"B": withoutSlices(draw("B", 40, 12, 10), 1, 0, 5),
+		"C": withoutSlices(draw("C", 36, 10, 9), 0, 2, 9),
+	}
+	mm3 := map[string]*tensor.COO{"B": draw("B", 40, 12, 10), "C": draw("C", 30, 10, 9), "D": draw("D", 30, 10, 9)}
+	dense := lang.Formats{"B": lang.CSR(2), "C": lang.CSR(2)}
+	const spmspm, spmspm3 = "X(i,j) = B(i,k) * C(k,j)", "X(i,j) = B(i,k) * C(k,j) * D(k,j)"
+	ikj, kij := lang.Schedule{LoopOrder: []string{"i", "k", "j"}}, lang.Schedule{LoopOrder: []string{"k", "i", "j"}}
+	rows := []shapeRow{
+		{"SpM*SpM-ikj-empty", spmspm, ikj, mm, Options{}, dense},
+		{"SpM*SpM-kij-empty", spmspm, kij, mm, Options{}, dense},
+		{"SpM*SpM*D-ikj", spmspm3, ikj, mm3, Options{}, nil},
+		{"SpM*SpM*D-kij", spmspm3, kij, mm3, Options{}, nil},
+		{"SpM*SpM-kij-empty-cap4", spmspm, kij, mm, Options{QueueCap: 4}, dense},
+	}
+	return buildShapes(tb, rows)
+}
+
+// TestReduceGoldenStats pins the n = 1 and n = 2 reducers tick for tick on
+// the empty sub-fiber shapes of reduceShapes, the way TestParJoinGoldenStats
+// pins the lane joins.
+func TestReduceGoldenStats(t *testing.T) {
+	checkGolden(t, "testdata/reduce_golden.txt", reduceShapes(t))
 }
 
 // BenchmarkEventRun is the event engine alone on the simulate-event shapes:
