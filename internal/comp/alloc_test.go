@@ -87,6 +87,8 @@ func TestWarmRunPooledZeroAllocs(t *testing.T) {
 		{name: "mttkrp", expr: "X(i,j) = B(i,k,l) * C(j,k) * D(j,l)"},
 		{name: "residual", expr: "x(i) = b(i) - C(i,j) * d(j)"},
 		{name: "mattransmul", expr: "x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)"},
+		// A reduction outside three kept variables: the n = 3 reducer.
+		{name: "deep-reduce", expr: "X(i,j,k) = B(i,j,k,l) * c(l)", sched: lang.Schedule{LoopOrder: []string{"l", "i", "j", "k"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

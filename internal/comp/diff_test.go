@@ -48,13 +48,20 @@ func randomInputs(rng *rand.Rand, e *lang.Einsum, dimOf func(v string) int) map[
 
 // runDifferential compiles one (expr, formats, schedule) configuration at
 // every requested (opt, par) point and demands the compiled engine's output
-// be bitwise identical to the event engine's, with run-failure parity, and
-// that no supported graph silently fell back to the event engine.
+// be bitwise identical to the event engine's, and the event engine's equal to
+// the gold model's, and that no supported graph silently fell back to the
+// event engine. A graph custard accepted must run: a failure on either
+// engine fails the test, on both as much as on one — engines that agree on a
+// failure (or on a wrong answer) are not correct for agreeing.
 func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sched lang.Schedule, lanes []int, inputs map[string]*tensor.COO) {
 	t.Helper()
 	e, err := lang.Parse(expr)
 	if err != nil {
 		t.Fatalf("%s: parse: %v", name, err)
+	}
+	want, err := lang.Gold(e, inputs)
+	if err != nil {
+		t.Fatalf("%s: gold: %v", name, err)
 	}
 	for _, par := range lanes {
 		for _, opt := range []int{0, 1} {
@@ -71,13 +78,11 @@ func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sche
 			ref, errRef := sim.Run(g, inputs, sim.Options{Engine: sim.EngineEvent})
 			got, errGot := sim.Run(g, inputs, sim.Options{Engine: sim.EngineComp})
 			if errRef != nil || errGot != nil {
-				// A handful of exotic loop orders hit pre-existing lowering
-				// limits; the compiled engine must not change whether a
-				// graph runs.
-				if (errRef == nil) != (errGot == nil) {
-					t.Errorf("%s par%d O%d: run-failure parity broken: event err=%v, comp err=%v", name, par, opt, errRef, errGot)
-				}
+				t.Errorf("%s par%d O%d: a compiled graph failed to run: event err=%v, comp err=%v", name, par, opt, errRef, errGot)
 				continue
+			}
+			if err := tensor.Equal(ref.Output, want, 1e-9); err != nil {
+				t.Errorf("%s par%d O%d: event output differs from gold: %v", name, par, opt, err)
 			}
 			if got.Engine != sim.EngineComp {
 				t.Errorf("%s par%d O%d: supported graph fell back to %q", name, par, opt, got.Engine)
@@ -222,6 +227,7 @@ func randomCase(seed int64) (name, expr string, sched lang.Schedule, inputs map[
 		"X(i,j) = B(i,j) + B(i,j) * C(i,j)",
 		"x(i) = alpha * B(i,j) * c(j) + alpha * d(i)",
 		"X(i,j,k) = B(i,j,k,l) * c(l)",
+		"X(i,j,k) = B(l,i,k) * C(l,j,k)",
 	}
 	expr = pool[rng.Intn(len(pool))]
 	e := lang.MustParse(expr)
@@ -286,7 +292,7 @@ func FuzzCompDifferential(f *testing.F) {
 		}
 		ref, err := sim.Run(g, inputs, sim.Options{Engine: sim.EngineEvent})
 		if err != nil {
-			t.Skipf("%s: event run: %v", name, err)
+			t.Fatalf("%s par%d O%d: event run of a compiled graph failed: %v", name, par, s.Opt, err)
 		}
 		got, err := sim.Run(g, inputs, sim.Options{Engine: sim.EngineComp})
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 
+	"sam/internal/core"
 	"sam/internal/fiber"
 	"sam/internal/obs"
 	"sam/internal/tensor"
@@ -29,16 +30,10 @@ type arena struct {
 	toks []token.Tok
 	tokN int
 
-	// Reducer scratch: key sort buffers, accumulator maps (cleared at
-	// checkout, so a context poisoned by a failed run self-heals), and a
-	// free list of matrix-reduce rows.
-	keyA  []int64
-	keyB  []int64
-	accs  []map[int64]float64
-	accN  int
-	nests []map[int64]map[int64]float64
-	nestN int
-	rows  []map[int64]float64
+	// Reducer scratch: one group accumulator per n >= 1 reducer step, reset
+	// at checkout, so a context poisoned by a failed run self-heals.
+	groups []*core.GroupAcc
+	groupN int
 
 	// Co-iteration scratch: the matches of the fiber pair in hand, the fused
 	// leaf steps' register programs, and the probe table — one, because an
@@ -51,7 +46,7 @@ type arena struct {
 
 // reset returns every checkout to the arena without releasing capacity.
 func (a *arena) reset() {
-	a.curN, a.ptrN, a.tokN, a.accN, a.nestN, a.leafN = 0, 0, 0, 0, 0, 0
+	a.curN, a.ptrN, a.tokN, a.groupN, a.leafN = 0, 0, 0, 0, 0
 }
 
 // cursor checks out one stream cursor. Growing the slab moves earlier
@@ -94,31 +89,15 @@ func (a *arena) tokens(n int) []token.Tok {
 	return out
 }
 
-// accMap checks out an empty accumulator map.
-func (a *arena) accMap() map[int64]float64 {
-	if a.accN == len(a.accs) {
-		a.accs = append(a.accs, map[int64]float64{})
+// group checks out a group accumulator for an n-dimensional reducer.
+func (a *arena) group(n int) *core.GroupAcc {
+	if a.groupN == len(a.groups) {
+		a.groups = append(a.groups, new(core.GroupAcc))
 	}
-	m := a.accs[a.accN]
-	a.accN++
-	clear(m)
-	return m
-}
-
-// nestMap checks out an empty two-level accumulator, recycling any rows a
-// failed run left behind.
-func (a *arena) nestMap() map[int64]map[int64]float64 {
-	if a.nestN == len(a.nests) {
-		a.nests = append(a.nests, map[int64]map[int64]float64{})
-	}
-	m := a.nests[a.nestN]
-	a.nestN++
-	for k, row := range m {
-		clear(row)
-		a.rows = append(a.rows, row)
-		delete(m, k)
-	}
-	return m
+	g := a.groups[a.groupN]
+	a.groupN++
+	g.Reset(n)
+	return g
 }
 
 // leafProg checks out a copy of a fused leaf step's instruction template.
@@ -131,16 +110,6 @@ func (a *arena) leafProg(tmpl []leafInst) []leafInst {
 	a.leafN = need
 	copy(out, tmpl)
 	return out
-}
-
-// row checks out an empty matrix-reduce row from the free list.
-func (a *arena) row() map[int64]float64 {
-	if n := len(a.rows); n > 0 {
-		r := a.rows[n-1]
-		a.rows = a.rows[:n-1]
-		return r
-	}
-	return map[int64]float64{}
 }
 
 // RunCtx is the reusable state of one execution: the per-slot stream

@@ -257,23 +257,23 @@ func TestIntersectThreeWay(t *testing.T) {
 	checkStream(t, "refc", outQs[2].Drain(), "1 2 S0 D")
 }
 
-// TestVectorReducerFigure7 reproduces the row reducer example of Figure 7:
-// accumulating the columns of the Figure 1 matrix.
+// TestVectorReducerFigure7 reproduces the row reducer example of Figure 7 on
+// the reducer at n = 1: accumulating the columns of the Figure 1 matrix.
 func TestVectorReducerFigure7(t *testing.T) {
 	n := &Net{}
 	crd, val := n.NewQueue("crd"), n.NewQueue("val")
 	crd.Preload(token.MustParse("1 S0 0 2 S0 1 3 S1 D"))
 	val.Preload(token.MustParse("1.0 S0 2.0 3.0 S0 4.0 5.0 S1 D"))
 	outCrd, outVal := n.NewQueue("out.crd"), n.NewQueue("out.val")
-	n.Add(NewVectorReducer("red", crd, val, NewOut(outCrd), NewOut(outVal)))
+	n.Add(NewReducer("red", 1, []*Queue{crd}, val, []*Out{NewOut(outCrd)}, NewOut(outVal)))
 	mustRun(t, n)
 
 	checkStream(t, "reduced crd", outCrd.Drain(), "0 1 2 3 S0 D")
 	checkStream(t, "reduced val", outVal.Drain(), "2.0 5.0 3.0 5.0 S0 D")
 }
 
-// TestVectorReducerGroups checks group-by-group reduction with empty groups
-// kept as empty fibers.
+// TestVectorReducerGroups checks group-by-group reduction at n = 1 with empty
+// groups kept as empty fibers.
 func TestVectorReducerGroups(t *testing.T) {
 	n := &Net{}
 	crd, val := n.NewQueue("crd"), n.NewQueue("val")
@@ -281,7 +281,7 @@ func TestVectorReducerGroups(t *testing.T) {
 	crd.Preload(token.MustParse("1 S0 1 2 S1 S1 0 S2 D"))
 	val.Preload(token.MustParse("1.0 S0 2.0 3.0 S1 S1 4.0 S2 D"))
 	outCrd, outVal := n.NewQueue("out.crd"), n.NewQueue("out.val")
-	n.Add(NewVectorReducer("red", crd, val, NewOut(outCrd), NewOut(outVal)))
+	n.Add(NewReducer("red", 1, []*Queue{crd}, val, []*Out{NewOut(outCrd)}, NewOut(outVal)))
 	mustRun(t, n)
 
 	checkStream(t, "crd", outCrd.Drain(), "1 2 S0 S0 0 S1 D")

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"sam/internal/token"
-)
+import "sam/internal/token"
 
 // ArrayLoad is the load mode of the array block (paper Definition 3.5): for
 // every reference token it fetches the value stored at that location and
@@ -238,334 +234,6 @@ func (b *ScalarReducer) Tick() bool {
 	return b.fail("unexpected token %v", t)
 }
 
-// VectorReducer is the n=1 reducer (paper Definition 3.7, Figure 7): it
-// consumes a coordinate and a value stream holding repeated sub-fibers, merges
-// every S0-delimited fiber within each group (stops of level >= 1 close a
-// group), and emits the group as a single fiber with unique, sorted
-// coordinates and summed values. Stops lower by one level; empty groups emit
-// an empty fiber (consecutive stops) for downstream droppers.
-type VectorReducer struct {
-	basic
-	inCrd  *Queue
-	inVal  *Queue
-	outCrd *Out
-	outVal *Out
-
-	acc         map[int64]float64
-	flush       []int64
-	flushVals   map[int64]float64
-	flushPos    int
-	pendingStop int
-}
-
-// NewVectorReducer builds a vector (row) reducer.
-func NewVectorReducer(name string, inCrd, inVal *Queue, outCrd, outVal *Out) *VectorReducer {
-	return &VectorReducer{
-		basic: basic{name: name}, inCrd: inCrd, inVal: inVal,
-		outCrd: outCrd, outVal: outVal,
-		acc: make(map[int64]float64), pendingStop: -1,
-	}
-}
-
-// Tick implements Block.
-func (b *VectorReducer) Tick() bool {
-	if b.done {
-		return false
-	}
-	if !b.outCrd.CanPush() || !b.outVal.CanPush() {
-		return false
-	}
-	if b.flush != nil {
-		if b.flushPos < len(b.flush) {
-			c := b.flush[b.flushPos]
-			b.outCrd.Push(token.C(c))
-			b.outVal.Push(token.V(b.flushVals[c]))
-			b.flushPos++
-			return true
-		}
-		b.outCrd.Push(token.S(b.pendingStop))
-		b.outVal.Push(token.S(b.pendingStop))
-		b.flush = nil
-		b.flushVals = nil
-		b.pendingStop = -1
-		return true
-	}
-	tc, ok := b.inCrd.Peek()
-	if !ok {
-		return false
-	}
-	tv, ok := b.inVal.Peek()
-	if !ok {
-		return false
-	}
-	switch {
-	case tc.IsVal() && (tv.IsVal() || tv.IsEmpty()):
-		b.inCrd.Pop()
-		b.inVal.Pop()
-		if tv.IsVal() {
-			b.acc[tc.N] += tv.V
-		} else if _, seen := b.acc[tc.N]; !seen {
-			b.acc[tc.N] = 0
-		}
-		return true
-	case tc.IsStop() && (tv.IsVal() || tv.IsEmpty()):
-		// An orphan zero: a structurally empty inner reduction emitted an
-		// explicit zero with no coordinate. Discard it (it adds nothing).
-		if tv.IsVal() && tv.V != 0 {
-			return b.fail("nonzero orphan value %v at stop %v", tv, tc)
-		}
-		b.inVal.Pop()
-		return true
-	case tc.IsStop() && tv.IsStop():
-		if tc.StopLevel() != tv.StopLevel() {
-			return b.fail("misaligned stops S%d vs S%d", tc.StopLevel(), tv.StopLevel())
-		}
-		b.inCrd.Pop()
-		b.inVal.Pop()
-		if tc.StopLevel() == 0 {
-			// Fiber separator within the reduction group: keep accumulating.
-			return true
-		}
-		// Group closed: flush sorted merged fiber, then the lowered stop.
-		b.startFlush(tc.StopLevel() - 1)
-		return true
-	case tc.IsDone() && tv.IsDone():
-		b.inCrd.Pop()
-		b.inVal.Pop()
-		b.outCrd.Push(token.D())
-		b.outVal.Push(token.D())
-		b.done = true
-		return true
-	}
-	return b.fail("misaligned inputs %v vs %v", tc, tv)
-}
-
-func (b *VectorReducer) startFlush(stop int) {
-	b.flush = make([]int64, 0, len(b.acc))
-	for c := range b.acc {
-		b.flush = append(b.flush, c)
-	}
-	sort.Slice(b.flush, func(i, j int) bool { return b.flush[i] < b.flush[j] })
-	b.flushVals = b.acc
-	b.acc = make(map[int64]float64)
-	b.flushPos = 0
-	b.pendingStop = stop
-}
-
-// MatrixReducer is the n=2 reducer: it accumulates a two-level sub-tensor
-// (outer/inner coordinate streams plus values), deduplicating coordinate
-// pairs, and on group closure emits the accumulated matrix as streams with
-// unique coordinates. Groups close at inner stops of level >= 2 (outer stops
-// of level >= 1); emitted stops lower by one level. The outer-product
-// SpM*SpM dataflow (k -> i -> j) requires this block.
-type MatrixReducer struct {
-	basic
-	inOuter  *Queue
-	inInner  *Queue
-	inVal    *Queue
-	outOuter *Out
-	outInner *Out
-	outVal   *Out
-
-	acc       map[int64]map[int64]float64
-	curOuter  int64
-	haveOuter bool
-
-	flushI      []int64
-	flushJ      [][]int64
-	flushVals   map[int64]map[int64]float64
-	fi, fj      int
-	pendingStop int // inner stop level to emit at the end of the flush
-}
-
-// NewMatrixReducer builds a matrix reducer.
-func NewMatrixReducer(name string, inOuter, inInner, inVal *Queue, outOuter, outInner, outVal *Out) *MatrixReducer {
-	return &MatrixReducer{
-		basic: basic{name: name}, inOuter: inOuter, inInner: inInner, inVal: inVal,
-		outOuter: outOuter, outInner: outInner, outVal: outVal,
-		acc: make(map[int64]map[int64]float64), pendingStop: -1,
-	}
-}
-
-// Tick implements Block.
-func (b *MatrixReducer) Tick() bool {
-	if b.done {
-		return false
-	}
-	if !b.outOuter.CanPush() || !b.outInner.CanPush() || !b.outVal.CanPush() {
-		return false
-	}
-	if b.flushI != nil {
-		return b.stepFlush()
-	}
-	ti, ok := b.inInner.Peek()
-	if !ok {
-		return false
-	}
-	tv, ok := b.inVal.Peek()
-	if !ok {
-		return false
-	}
-	switch {
-	case ti.IsVal() && (tv.IsVal() || tv.IsEmpty()):
-		if !b.haveOuter {
-			to, ok := b.inOuter.Pop()
-			if !ok {
-				return false
-			}
-			if !to.IsVal() {
-				return b.fail("expected outer coordinate, got %v", to)
-			}
-			b.curOuter = to.N
-			b.haveOuter = true
-		}
-		b.inInner.Pop()
-		b.inVal.Pop()
-		row := b.acc[b.curOuter]
-		if row == nil {
-			row = make(map[int64]float64)
-			b.acc[b.curOuter] = row
-		}
-		if tv.IsVal() {
-			row[ti.N] += tv.V
-		} else if _, seen := row[ti.N]; !seen {
-			row[ti.N] = 0
-		}
-		return true
-	case ti.IsStop() && (tv.IsVal() || tv.IsEmpty()):
-		if tv.IsVal() && tv.V != 0 {
-			return b.fail("nonzero orphan value %v at stop %v", tv, ti)
-		}
-		b.inVal.Pop()
-		return true
-	case ti.IsStop() && tv.IsStop():
-		if ti.StopLevel() != tv.StopLevel() {
-			return b.fail("misaligned stops S%d vs S%d", ti.StopLevel(), tv.StopLevel())
-		}
-		if ti.StopLevel() == 0 {
-			// Inner fiber ends: the current outer coordinate's sub-fiber is
-			// complete.
-			if !b.haveOuter {
-				// Empty inner fiber still pairs with one outer coordinate.
-				to, ok := b.inOuter.Pop()
-				if !ok {
-					return false
-				}
-				if !to.IsVal() {
-					return b.fail("expected outer coordinate for empty fiber, got %v", to)
-				}
-			}
-			b.inInner.Pop()
-			b.inVal.Pop()
-			b.haveOuter = false
-			return true
-		}
-		// Inner stop >= 1 pairs with an outer stop one level lower.
-		if !b.haveOuter {
-			// Trailing empty inner fiber: consume its outer coordinate first.
-			to, ok := b.inOuter.Peek()
-			if !ok {
-				return false
-			}
-			if to.IsVal() {
-				b.inOuter.Pop()
-				b.haveOuter = true
-				return true
-			}
-		}
-		ts, ok := b.inOuter.Peek()
-		if !ok {
-			return false
-		}
-		if !ts.IsStop() || ts.StopLevel() != ti.StopLevel()-1 {
-			return b.fail("outer stream misaligned: inner %v vs outer %v", ti, ts)
-		}
-		b.inOuter.Pop()
-		b.inInner.Pop()
-		b.inVal.Pop()
-		b.haveOuter = false
-		if ti.StopLevel() == 1 {
-			// Reduction-iteration boundary within the group: keep going.
-			return true
-		}
-		b.startFlush(ti.StopLevel() - 1)
-		return true
-	case ti.IsDone() && tv.IsDone():
-		to, ok := b.inOuter.Peek()
-		if !ok {
-			return false
-		}
-		if !to.IsDone() {
-			return b.fail("outer stream misaligned at done: %v", to)
-		}
-		b.inOuter.Pop()
-		b.inInner.Pop()
-		b.inVal.Pop()
-		b.outOuter.Push(token.D())
-		b.outInner.Push(token.D())
-		b.outVal.Push(token.D())
-		b.done = true
-		return true
-	}
-	return b.fail("misaligned inputs %v vs %v", ti, tv)
-}
-
-func (b *MatrixReducer) startFlush(stop int) {
-	b.flushI = make([]int64, 0, len(b.acc))
-	for i := range b.acc {
-		b.flushI = append(b.flushI, i)
-	}
-	sort.Slice(b.flushI, func(x, y int) bool { return b.flushI[x] < b.flushI[y] })
-	b.flushJ = make([][]int64, len(b.flushI))
-	for x, i := range b.flushI {
-		row := make([]int64, 0, len(b.acc[i]))
-		for j := range b.acc[i] {
-			row = append(row, j)
-		}
-		sort.Slice(row, func(a, c int) bool { return row[a] < row[c] })
-		b.flushJ[x] = row
-	}
-	b.flushVals = b.acc
-	b.acc = make(map[int64]map[int64]float64)
-	b.fi, b.fj = 0, 0
-	b.pendingStop = stop
-}
-
-func (b *MatrixReducer) stepFlush() bool {
-	if b.fi < len(b.flushI) {
-		i := b.flushI[b.fi]
-		row := b.flushJ[b.fi]
-		if b.fj < len(row) {
-			j := row[b.fj]
-			if b.fj == 0 {
-				b.outOuter.Push(token.C(i))
-			}
-			b.outInner.Push(token.C(j))
-			b.outVal.Push(token.V(b.flushVals[i][j]))
-			b.fj++
-			return true
-		}
-		// Row finished: emit the inner fiber separator unless this is the
-		// last row (the closing stop subsumes it).
-		b.fi++
-		b.fj = 0
-		if b.fi < len(b.flushI) {
-			b.outInner.Push(token.S(0))
-			b.outVal.Push(token.S(0))
-			return true
-		}
-	}
-	// Flush complete: emit the lowered group stop on all streams.
-	b.outOuter.Push(token.S(b.pendingStop - 1))
-	b.outInner.Push(token.S(b.pendingStop))
-	b.outVal.Push(token.S(b.pendingStop))
-	b.flushI = nil
-	b.flushJ = nil
-	b.flushVals = nil
-	b.pendingStop = -1
-	return true
-}
-
 // InQueues implements Ported.
 func (b *ArrayLoad) InQueues() []*Queue { return []*Queue{b.in} }
 
@@ -583,15 +251,3 @@ func (b *ScalarReducer) InQueues() []*Queue { return []*Queue{b.in} }
 
 // OutPorts implements Ported.
 func (b *ScalarReducer) OutPorts() []*Out { return []*Out{b.out} }
-
-// InQueues implements Ported.
-func (b *VectorReducer) InQueues() []*Queue { return []*Queue{b.inCrd, b.inVal} }
-
-// OutPorts implements Ported.
-func (b *VectorReducer) OutPorts() []*Out { return []*Out{b.outCrd, b.outVal} }
-
-// InQueues implements Ported.
-func (b *MatrixReducer) InQueues() []*Queue { return []*Queue{b.inOuter, b.inInner, b.inVal} }
-
-// OutPorts implements Ported.
-func (b *MatrixReducer) OutPorts() []*Out { return []*Out{b.outOuter, b.outInner, b.outVal} }

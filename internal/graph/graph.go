@@ -127,7 +127,10 @@ type Node struct {
 	// Op is the ALU operation.
 	Op lang.Op
 
-	// RedN is the reducer dimension n (0 scalar, 1 vector, 2 matrix).
+	// RedN is the reducer dimension n of paper Definition 3.7: the number of
+	// coordinate streams a reducer (and a lane combiner) carries beside its
+	// values — 0 for the scalar reducer, one per kept variable below the
+	// reduced one otherwise.
 	RedN int
 
 	// DropVal selects the value mode of a coordinate dropper.

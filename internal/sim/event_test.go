@@ -238,6 +238,45 @@ func TestReduceGoldenStats(t *testing.T) {
 	checkGolden(t, "testdata/reduce_golden.txt", reduceShapes(t))
 }
 
+// TestReduceEmptySubFibers holds a reduction ordered outside three kept
+// variables (n = 3) to the gold model on every engine. At 30 % density most
+// (l, i) and (l, i, j) prefixes have empty sub-fibers, mid-fiber and
+// trailing; an outer coordinate left unpopped there misaligns the next point,
+// which the engines used to agree on — so only the gold model catches it.
+func TestReduceEmptySubFibers(t *testing.T) {
+	const expr = "X(i,j,k) = B(l,i,k) * C(l,j,k)"
+	e := lang.MustParse(expr)
+	g, err := custard.Compile(e, nil, lang.Schedule{LoopOrder: []string{"l", "i", "j", "k"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		inputs := map[string]*tensor.COO{
+			"B": tensor.UniformRandom("B", rng, 14, 3, 4, 4),
+			"C": tensor.UniformRandom("C", rng, 14, 3, 4, 4),
+		}
+		tensor.QuantizeInts(rng, 9, inputs["B"], inputs["C"])
+		want, err := lang.Gold(e, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range Engines() {
+			res, err := Run(g, inputs, Options{Engine: eng})
+			if err != nil {
+				t.Errorf("seed %d %s: %v", seed, eng, err)
+				continue
+			}
+			if res.Engine != eng {
+				t.Errorf("seed %d %s: ran on %s", seed, eng, res.Engine)
+			}
+			if err := tensor.Equal(res.Output, want, 1e-9); err != nil {
+				t.Errorf("seed %d %s: %v", seed, eng, err)
+			}
+		}
+	}
+}
+
 // BenchmarkEventRun is the event engine alone on the simulate-event shapes:
 // bind, wire, run and assemble of a prebuilt Program, no serving around it.
 func BenchmarkEventRun(b *testing.B) {
@@ -262,23 +301,39 @@ func BenchmarkEventRun(b *testing.B) {
 // ijk inner-product dataflow peaks at 682,078 tokens in flight (16.4 MB);
 // with stream chunks recycled through core's pool a warm run allocates the
 // net, the writers' output and little else. The doubling rings this replaced
-// allocated and zeroed 65 MB per run.
+// allocated and zeroed 65 MB per run. ikj and kij run the n = 1 and n = 2
+// reducers, whose group accumulator keeps each group's points in flat arrays
+// reused group to group: a map or key allocated per point or per group costs
+// them 100k allocations a run.
 func TestEventRunAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race, so no run is warm")
 	}
-	s := eventShapes(t)[1]
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := s.prog.Run(s.inputs, s.opt); err != nil {
-				b.Fatal(err)
+	shapes := eventShapes(t)
+	for _, c := range []struct {
+		shape  eventShape
+		bytes  int64
+		allocs int64
+	}{
+		{shapes[0], 6 << 20, 10_000},
+		{shapes[1], 10 << 20, 10_000},
+		{shapes[2], 6 << 20, 10_000},
+	} {
+		s := c.shape
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := s.prog.Run(s.inputs, s.opt); err != nil {
+					b.Fatal(err)
+				}
 			}
+		})
+		t.Logf("%s: %d bytes/op, %d allocs/op over %d runs", s.name, r.AllocedBytesPerOp(), r.AllocsPerOp(), r.N)
+		if got := r.AllocedBytesPerOp(); got > c.bytes {
+			t.Errorf("%s: a warm run allocates %d bytes, limit %d", s.name, got, c.bytes)
 		}
-	})
-	const limit = 10 << 20
-	t.Logf("%s: %d bytes/op, %d allocs/op over %d runs", s.name, r.AllocedBytesPerOp(), r.AllocsPerOp(), r.N)
-	if got := r.AllocedBytesPerOp(); got > limit {
-		t.Errorf("%s: a warm run allocates %d bytes, limit %d", s.name, got, limit)
+		if got := r.AllocsPerOp(); got > c.allocs {
+			t.Errorf("%s: a warm run allocates %d objects, limit %d", s.name, got, c.allocs)
+		}
 	}
 }
 

@@ -332,53 +332,27 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 		}
 		return core.NewALU(n.Label, aluOp(n.Op), a, bb, b.out(n, "val")), nil
 	case graph.Reduce:
-		switch n.RedN {
-		case 0:
+		if n.RedN == 0 {
 			in, err := b.in(n, "val")
 			if err != nil {
 				return nil, err
 			}
 			return core.NewScalarReducer(n.Label, in, b.out(n, "val")), nil
-		case 1:
-			crd, err := b.in(n, "crd")
-			if err != nil {
-				return nil, err
-			}
-			val, err := b.in(n, "val")
-			if err != nil {
-				return nil, err
-			}
-			return core.NewVectorReducer(n.Label, crd, val, b.out(n, "crd"), b.out(n, "val")), nil
-		case 2:
-			c0, err := b.in(n, "crd0")
-			if err != nil {
-				return nil, err
-			}
-			c1, err := b.in(n, "crd1")
-			if err != nil {
-				return nil, err
-			}
-			val, err := b.in(n, "val")
-			if err != nil {
-				return nil, err
-			}
-			return core.NewMatrixReducer(n.Label, c0, c1, val, b.out(n, "crd0"), b.out(n, "crd1"), b.out(n, "val")), nil
 		}
-		// General n-dimensional reducer.
-		crds := make([]*core.Queue, n.RedN)
-		crdOuts := make([]*core.Out, n.RedN)
-		for q := 0; q < n.RedN; q++ {
-			var err error
-			if crds[q], err = b.in(n, fmt.Sprintf("crd%d", q)); err != nil {
+		// Ports: RedN coordinate streams, outermost first, then the values.
+		ins := make([]*core.Queue, 0, n.RedN+1)
+		for _, p := range graph.InPorts(n) {
+			q, err := b.in(n, p)
+			if err != nil {
 				return nil, err
 			}
-			crdOuts[q] = b.out(n, fmt.Sprintf("crd%d", q))
+			ins = append(ins, q)
 		}
-		val, err := b.in(n, "val")
-		if err != nil {
-			return nil, err
+		outs := make([]*core.Out, 0, n.RedN+1)
+		for _, p := range graph.OutPorts(n) {
+			outs = append(outs, b.out(n, p))
 		}
-		return core.NewTensorReducer(n.Label, n.RedN, crds, val, crdOuts, b.out(n, "val")), nil
+		return core.NewReducer(n.Label, n.RedN, ins[:n.RedN], ins[n.RedN], outs[:n.RedN], outs[n.RedN]), nil
 	case graph.CrdDrop:
 		outer, err := b.in(n, "outer")
 		if err != nil {
