@@ -20,6 +20,28 @@ func smallInputs(expr string, seed int64) map[string]*tensor.COO {
 	return randomInputs(rng, lang.MustParse(expr), func(v string) int { return dims[v] })
 }
 
+// lopsidedSpMV draws SpMV operands with two entries a row against a vector
+// three quarters full: the leaf co-iteration probes c instead of merging it.
+func lopsidedSpMV() map[string]*tensor.COO {
+	rng := rand.New(rand.NewSource(11))
+	in := map[string]*tensor.COO{
+		"B": tensor.UniformRandom("B", rng, 96, 48, 40),
+		"c": tensor.UniformRandom("c", rng, 30, 40),
+	}
+	tensor.QuantizeInts(rng, 7, in["B"], in["c"])
+	return in
+}
+
+// boundProg is one compiled program with its operand binding and the output
+// a reference run produced for it.
+type boundProg struct {
+	name  string
+	cp    *comp.Program
+	bound map[string]*fiber.Tensor
+	dims  []int
+	want  *tensor.COO
+}
+
 // compileCase lowers one (expr, schedule) configuration to a compiled
 // program with its operand binding, from smallInputs.
 func compileCase(t testing.TB, expr string, sched lang.Schedule, seed int64) (*comp.Program, map[string]*fiber.Tensor, []int) {
@@ -58,14 +80,9 @@ func compileInputs(t testing.TB, expr string, sched lang.Schedule, inputs map[st
 // RunPooled must not touch the heap at all. CI fails this test on any
 // regression, so every lowered closure stays on arena scratch.
 func TestWarmRunPooledZeroAllocs(t *testing.T) {
-	// Two entries a row against a vector three quarters full: the leaf step
-	// probes c, so the table and the match buffer are under the gate too.
-	rng := rand.New(rand.NewSource(11))
-	lopsided := map[string]*tensor.COO{
-		"B": tensor.UniformRandom("B", rng, 96, 48, 40),
-		"c": tensor.UniformRandom("c", rng, 30, 40),
-	}
-	tensor.QuantizeInts(rng, 7, lopsided["B"], lopsided["c"])
+	// The leaf step probes c, so the table and the match buffer are under
+	// the gate too.
+	lopsided := lopsidedSpMV()
 	cases := []struct {
 		name   string
 		expr   string
@@ -97,7 +114,7 @@ func TestWarmRunPooledZeroAllocs(t *testing.T) {
 				inputs = smallInputs(tc.expr, 11)
 			}
 			cp, bound, dims := compileInputs(t, tc.expr, tc.sched, inputs)
-			rc := cp.NewCtx()
+			rc := new(comp.RunCtx)
 			for i := 0; i < 3; i++ { // grow buffers to steady state
 				if _, err := cp.RunPooled(rc, bound, dims); err != nil {
 					t.Fatalf("warmup run: %v", err)
@@ -116,6 +133,29 @@ func TestWarmRunPooledZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+
+	// Two programs taking turns on one context: retargeting a context both
+	// have warmed allocates nothing either way.
+	t.Run("alternate-spmv-probed-deep-reduce", func(t *testing.T) {
+		a, boundA, dimsA := compileInputs(t, "x(i) = B(i,j) * c(j)", lang.Schedule{}, lopsided)
+		deep := lang.Schedule{LoopOrder: []string{"l", "i", "j", "k"}}
+		b, boundB, dimsB := compileCase(t, "X(i,j,k) = B(i,j,k,l) * c(l)", deep, 11)
+		rc := new(comp.RunCtx)
+		pair := func() {
+			if _, err := a.RunPooled(rc, boundA, dimsA); err != nil {
+				t.Fatalf("run A: %v", err)
+			}
+			if _, err := b.RunPooled(rc, boundB, dimsB); err != nil {
+				t.Fatalf("run B: %v", err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			pair()
+		}
+		if allocs := testing.AllocsPerRun(10, pair); allocs != 0 {
+			t.Errorf("warm A, B on one context allocated %.1f objects/pair, want 0", allocs)
+		}
+	})
 }
 
 // warmKernelInputs draws the operands of the benchmark's warm-kernel
@@ -189,7 +229,7 @@ func BenchmarkWarmRun(b *testing.B) {
 	for _, bc := range cases {
 		cp, bound, dims := compileInputs(b, bc.expr, lang.Schedule{}, bc.inputs)
 		b.Run(bc.name+"/pooled", func(b *testing.B) {
-			rc := cp.NewCtx()
+			rc := new(comp.RunCtx)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := cp.RunPooled(rc, bound, dims); err != nil {
@@ -257,7 +297,7 @@ func TestRunPooledReuseIsolation(t *testing.T) {
 	cpA, boundA, dimsA := compileCase(t, expr, sched, 5)
 	_, boundB, dimsB := compileCase(t, expr, sched, 17)
 
-	rc := cpA.NewCtx()
+	rc := new(comp.RunCtx)
 	outA, err := cpA.RunPooled(rc, boundA, dimsA)
 	if err != nil {
 		t.Fatalf("run A: %v", err)
@@ -294,6 +334,71 @@ func TestRunPooledReuseIsolation(t *testing.T) {
 	}
 }
 
+// TestRetargetIsolation cycles one context through programs that differ in
+// slot count, output order (0 through 3), sequential vs lane-parallel
+// execution and probed vs merged co-iteration. Every run must produce the
+// bits a fresh context produces for the same program: nothing a context
+// kept from the program before leaks into the next one's output.
+func TestRetargetIsolation(t *testing.T) {
+	lopsided := lopsidedSpMV()
+	cases := []struct {
+		name   string
+		expr   string
+		sched  lang.Schedule
+		inputs map[string]*tensor.COO // nil: smallInputs
+	}{
+		{name: "order3-deep-reduce", expr: "X(i,j,k) = B(i,j,k,l) * c(l)", sched: lang.Schedule{LoopOrder: []string{"l", "i", "j", "k"}}},
+		{name: "order0-innerprod", expr: "x = B(i,j) * C(i,j)"},
+		{name: "order2-spmspm-par4", expr: "X(i,j) = B(i,k) * C(k,j)", sched: lang.Schedule{LoopOrder: []string{"i", "k", "j"}, Par: 4}},
+		{name: "order1-spmv-probed", expr: "x(i) = B(i,j) * c(j)", inputs: lopsided},
+		{name: "order1-spmv-par4", expr: "x(i) = B(i,j) * c(j)", sched: lang.Schedule{Par: 4}},
+		{name: "order2-mttkrp", expr: "X(i,j) = B(i,k,l) * C(j,k) * D(j,l)"},
+		{name: "order1-spmv-merged", expr: "x(i) = B(i,j) * c(j)"},
+	}
+	var progs []boundProg
+	slots, probed := map[int]bool{}, map[bool]bool{}
+	for _, tc := range cases {
+		inputs := tc.inputs
+		if inputs == nil {
+			inputs = smallInputs(tc.expr, 13)
+		}
+		cp, bound, dims := compileInputs(t, tc.expr, tc.sched, inputs)
+		if got, want := cp.Parallel(), tc.sched.Par > 1; got != want {
+			t.Fatalf("%s: Parallel() = %v, want %v", tc.name, got, want)
+		}
+		fresh := new(comp.RunCtx)
+		want, err := cp.RunPooled(fresh, bound, dims)
+		if err != nil {
+			t.Fatalf("%s: fresh run: %v", tc.name, err)
+		}
+		slots[len(fresh.Streams())] = true
+		probed[fresh.Probed()] = true
+		progs = append(progs, boundProg{tc.name, cp, bound, dims, cloneForTest(want)})
+	}
+	if len(slots) < 4 {
+		t.Fatalf("the programs span %d slot counts; the cycle gates no slot-table growth", len(slots))
+	}
+	if !probed[true] || !probed[false] {
+		t.Fatalf("probed co-iteration seen: %v; the cycle must mix probed and merged", probed)
+	}
+	rc := new(comp.RunCtx)
+	for round := 0; round < 3; round++ {
+		for k := range progs {
+			if round == 2 { // backwards: every program follows a different one
+				k = len(progs) - 1 - k
+			}
+			pr := progs[k]
+			got, err := pr.cp.RunPooled(rc, pr.bound, pr.dims)
+			if err == nil {
+				err = tensor.IdenticalBits(pr.want, got)
+			}
+			if err != nil {
+				t.Errorf("round %d, %s on a retargeted context: %v", round, pr.name, err)
+			}
+		}
+	}
+}
+
 // cloneForTest deep-copies a context-borrowed output so it can be compared
 // after the context is reused.
 func cloneForTest(src *tensor.COO) *tensor.COO {
@@ -302,53 +407,4 @@ func cloneForTest(src *tensor.COO) *tensor.COO {
 		out.Pts = append(out.Pts, tensor.Point{Crd: append([]int64(nil), p.Crd...), Val: p.Val})
 	}
 	return out
-}
-
-// TestPoolBacksOffOnMisses pins the parking rule of the context pool: a
-// program whose Gets keep coming back empty parks a context only after its
-// 1st, 2nd, 4th, 8th … consecutive miss, so the contexts of a program run
-// less often than the collector runs do not pile up in the pool; one hit
-// puts it back to parking every time.
-func TestPoolBacksOffOnMisses(t *testing.T) {
-	cp, bound, dims := compileCase(t, "x(i) = B(i,j) * c(j)", lang.Schedule{}, 11)
-	drain := func() {
-		for cp.TakeParked() {
-		}
-	}
-	for m, want := range map[uint32]bool{0: true, 1: true, 2: true, 3: false, 4: true, 5: false, 7: false, 8: true, 255: false, 256: true, 257: false, 768: true} {
-		// A sync.Pool may drop a Put (it does at random under the race
-		// detector), so "parks" is tried a few times; "does not park" must
-		// hold every time.
-		got := false
-		for try := 0; try < 50 && !got; try++ {
-			drain()
-			cp.SetMisses(m)
-			cp.PutCtx(cp.NewCtx())
-			got = cp.TakeParked()
-			if !want && got {
-				break
-			}
-		}
-		if got != want {
-			t.Errorf("after %d consecutive misses: context parked = %v, want %v", m, got, want)
-		}
-	}
-
-	// Through Run: a miss counts, a hit clears the count.
-	drain()
-	cp.SetMisses(0)
-	if _, err := cp.Run(bound, dims); err != nil {
-		t.Fatal(err)
-	}
-	if m := cp.Misses(); m != 1 {
-		t.Errorf("one cold run left misses = %d, want 1", m)
-	}
-	for try := 0; try < 50 && cp.Misses() != 0; try++ {
-		if _, err := cp.Run(bound, dims); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m := cp.Misses(); m != 0 {
-		t.Errorf("misses = %d after 50 back-to-back runs; a pool hit must clear it", m)
-	}
 }

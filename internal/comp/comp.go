@@ -40,7 +40,6 @@ package comp
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"sam/internal/fiber"
@@ -76,8 +75,9 @@ type writerRec struct {
 
 // Program is a lowered IR bound to closures: its structure is immutable
 // after Compile/Materialize and it is safe for concurrent Run calls — each
-// run checks a reusable RunCtx out of the program's context pool (or the
-// caller holds one explicitly via NewCtx/RunPooled).
+// run checks a reusable RunCtx out of the process-wide free list (or the
+// caller holds one explicitly and passes it to RunPooled). A program owns no
+// run state beyond its stream-length hints.
 type Program struct {
 	// g is the source graph when the program came from Compile, nil when it
 	// was materialized from a decoded artifact; execution reads only ir.
@@ -103,16 +103,11 @@ type Program struct {
 	permErr error
 
 	// hints holds per-slot stream-length high-water marks from earlier runs,
-	// so repeated runs (the serving pattern) preallocate their buffers and
-	// skip append growth. Raised monotonically via compare-and-swap; a
-	// stale read only costs one regrowth.
+	// so repeated runs (the serving pattern) carve their buffers from the
+	// context's slab at that size and skip append growth. Raised
+	// monotonically via compare-and-swap; a stale read only costs one
+	// regrowth.
 	hints []atomic.Int64
-
-	// pool recycles RunCtxs across Run calls; a warm context makes the run
-	// core allocation-free. misses counts consecutive empty-handed Gets, so
-	// a program the pool cannot serve stops feeding it (see putCtx).
-	pool   sync.Pool
-	misses atomic.Uint32
 }
 
 // Check reports whether the compiled engine can lower the graph. Only the

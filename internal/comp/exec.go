@@ -2,6 +2,7 @@ package comp
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -14,9 +15,10 @@ import (
 )
 
 // This file is the throughput-oriented execution layer of the compiled
-// engine: reusable run contexts with arena-backed scratch memory, a
-// per-Program sync.Pool of contexts so warm runs allocate nothing, and the
-// goroutine fork/join executor for lane-parallel plans (see lanes.go).
+// engine: reusable run contexts with arena-backed scratch memory, one
+// bounded process-wide free list of contexts that any program retargets so
+// warm runs allocate nothing, and the goroutine fork/join executor for
+// lane-parallel plans (see lanes.go).
 
 // arena is per-run scratch memory checked out by lowered closures. All
 // checkout paths reuse slab capacity from earlier runs on the same context;
@@ -113,13 +115,17 @@ func (a *arena) leafProg(tmpl []leafInst) []leafInst {
 }
 
 // RunCtx is the reusable state of one execution: the per-slot stream
-// buffers, per-lane exec views with private arenas, and the output-assembly
-// scratch. A context belongs to the Program that created it and must not be
-// used by two runs concurrently; Program.Run checks contexts out of an
-// internal sync.Pool, or callers hold one explicitly via NewCtx/RunPooled.
+// buffers carved from one token slab, per-lane exec views with private
+// arenas, and the output-assembly scratch. A context belongs to no program:
+// every run retargets it to the program it runs, growing it only where that
+// program needs more, so a context costs the largest run it has served. The
+// zero value is ready to use; a context must not be used by two runs
+// concurrently. Program.Run checks contexts out of the process-wide free
+// list, or callers hold one explicitly and pass it to RunPooled.
 type RunCtx struct {
 	p       *Program
 	streams []token.Stream
+	toks    []token.Tok // the slab every stream slot is carved from
 
 	main      exec
 	mainArena arena
@@ -140,87 +146,82 @@ type RunCtx struct {
 	dims []int
 }
 
-// NewCtx builds a fresh run context for the program, preallocating stream
-// buffers to the program's high-water capacity hints.
-func (p *Program) NewCtx() *RunCtx {
-	rc := &RunCtx{p: p, streams: make([]token.Stream, p.nSlot)}
+// retarget prepares the context for one run of p. The slot table, lane
+// views (one per way of the widest plan served) and assembly levels grow to
+// what p needs, never shrink, so a warm context retargets without
+// allocating. Every stream slot is carved from the token slab at p's
+// high-water hint with a three-index slice: a stream that outgrows its hint
+// appends into private memory, not its neighbour's. Arenas are rewound and
+// the operand binding is installed on every exec view.
+func (rc *RunCtx) retarget(p *Program, bound map[string]*fiber.Tensor, dims []int) {
+	rc.p = p
+	rc.streams = slices.Grow(rc.streams[:0], p.nSlot)[:p.nSlot]
+	total := 0
+	for i := range p.hints {
+		total += int(p.hints[i].Load())
+	}
+	rc.toks = slices.Grow(rc.toks[:0], total)[:total]
+	off := 0
 	for i := range rc.streams {
-		if n := p.hints[i].Load(); n > 0 {
-			rc.streams[i] = make(token.Stream, 0, n)
-		}
-	}
-	rc.main = exec{streams: rc.streams, a: &rc.mainArena}
-	if p.plan != nil {
-		ways := p.plan.ways
-		rc.lane = make([]exec, ways)
-		rc.laneArena = make([]arena, ways)
-		rc.laneErr = make([]any, ways)
-		for l := range rc.lane {
-			rc.lane[l] = exec{streams: rc.streams, a: &rc.laneArena[l]}
-		}
-	}
-	order := len(p.ir.OutputVars)
-	rc.cur = make([]int64, order)
-	rc.lvls = make([]*fiber.CompressedLevel, order)
-	for i := range rc.lvls {
-		rc.lvls[i] = &fiber.CompressedLevel{}
-	}
-	return rc
-}
-
-// reset prepares the context for one run: stream buffers truncated (regrown
-// only if the program's capacity hints outgrew this context), arenas
-// rewound, and the operand binding installed on every exec view.
-func (rc *RunCtx) reset(bound map[string]*fiber.Tensor, dims []int) {
-	p := rc.p
-	for i := range rc.streams {
-		if n := p.hints[i].Load(); int64(cap(rc.streams[i])) < n {
-			rc.streams[i] = make(token.Stream, 0, n)
-		} else {
-			rc.streams[i] = rc.streams[i][:0]
-		}
+		// A concurrent run may raise a hint after the sum; clamp to the slab.
+		n := min(int(p.hints[i].Load()), total-off)
+		rc.streams[i] = rc.toks[off : off : off+n]
+		off += n
 	}
 	rc.mainArena.reset()
-	rc.main.bound, rc.main.dims = bound, dims
+	rc.main = exec{streams: rc.streams, bound: bound, dims: dims, a: &rc.mainArena}
+	if p.plan != nil && len(rc.lane) < p.plan.ways {
+		ways := p.plan.ways
+		rc.lane, rc.laneArena, rc.laneErr = make([]exec, ways), make([]arena, ways), make([]any, ways)
+	}
 	for l := range rc.lane {
 		rc.laneArena[l].reset()
-		rc.lane[l].bound, rc.lane[l].dims = bound, dims
+		rc.lane[l] = exec{streams: rc.streams, bound: bound, dims: dims, a: &rc.laneArena[l]}
 		rc.laneErr[l] = nil
 	}
-}
-
-// getCtx checks a context out of the program's pool, keeping count of the
-// times in a row the pool had none.
-func (p *Program) getCtx() *RunCtx {
-	if rc, ok := p.pool.Get().(*RunCtx); ok {
-		if p.misses.Load() != 0 {
-			p.misses.Store(0)
-		}
-		return rc
+	order := len(p.ir.OutputVars)
+	for len(rc.lvls) < order {
+		rc.lvls = append(rc.lvls, &fiber.CompressedLevel{})
 	}
-	p.misses.Add(1)
-	return p.NewCtx()
+	rc.cur = slices.Grow(rc.cur[:0], order)[:order]
 }
 
-// putCtx parks a context in the pool, unless the pool has not been serving
-// this program. A sync.Pool holds what it is given for one or two garbage
-// collections; a program run less often than that never sees its context
-// again, and each one it parks is a megabyte of stream buffers the collector
-// carries for a cycle for nothing — on a shard cycling through a dozen
-// inline-operand programs, two thirds of the live heap. So parking backs off
-// with consecutive misses (after the 1st, 2nd, 4th, 8th … and every 256th)
-// and one hit restores it. A program hot enough to hit never backs off.
-func (p *Program) putCtx(rc *RunCtx) {
-	if m := p.misses.Load(); m&(m-1) == 0 || m%256 == 0 {
-		p.pool.Put(rc)
+// ctxs is the process-wide free list of run contexts, shared by every
+// program. It holds at most GOMAXPROCS contexts — no more can run at once
+// without waiting on a CPU — each the size of the largest run it served: a
+// footprint the process already reached at its peak, held rather than
+// raised. Unlike a sync.Pool, the collector never empties it, so a program
+// run less often than the collector runs still finds a warm context.
+var ctxs = make(chan *RunCtx, runtime.GOMAXPROCS(0))
+
+// getCtx checks a context out of the free list, or makes a cold one.
+func getCtx() *RunCtx {
+	select {
+	case rc := <-ctxs:
+		return rc
+	default:
+		return new(RunCtx)
+	}
+}
+
+// putCtx drops the context's references to the run it served and parks it,
+// unless the free list is full.
+func putCtx(rc *RunCtx) {
+	rc.p, rc.main.bound = nil, nil
+	for l := range rc.lane {
+		rc.lane[l].bound = nil
+	}
+	select {
+	case ctxs <- rc:
+	default:
 	}
 }
 
 // Run executes the program against one operand binding and assembles the
-// output tensor. The context comes from the program's pool, so warm runs
-// reuse every buffer of an earlier run; the returned tensor is cloned out of
-// the context (the only allocations on the warm path). bound and dims come
-// from the graph's bind.Plan (sim owns that split).
+// output tensor. The context comes from the process-wide free list, so warm
+// runs reuse every buffer of an earlier run; the returned tensor is cloned
+// out of the context (the only allocations on the warm path). bound and dims
+// come from the graph's bind.Plan (sim owns that split).
 func (p *Program) Run(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
 	return p.RunTraced(bound, dims, nil)
 }
@@ -232,15 +233,7 @@ func (p *Program) Run(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, 
 // goroutine. A nil tr records nothing and makes RunTraced exactly Run — the
 // hooks cost a nil check and nothing else.
 func (p *Program) RunTraced(bound map[string]*fiber.Tensor, dims []int, tr *obs.Trace) (*tensor.COO, error) {
-	rc := p.getCtx()
-	out, err := p.runCtx(rc, bound, dims, false, tr)
-	if err != nil {
-		p.putCtx(rc)
-		return nil, err
-	}
-	out = cloneCOO(out)
-	p.putCtx(rc)
-	return out, nil
+	return p.runCloned(bound, dims, false, tr)
 }
 
 // RunMerged executes the program with lane regions forced onto the calling
@@ -248,26 +241,27 @@ func (p *Program) RunTraced(bound map[string]*fiber.Tensor, dims []int, tr *obs.
 // It is the differential oracle for the goroutine executor: outputs must be
 // bit-identical to Run's.
 func (p *Program) RunMerged(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
-	rc := p.getCtx()
-	out, err := p.runCtx(rc, bound, dims, true, nil)
-	if err != nil {
-		p.putCtx(rc)
-		return nil, err
+	return p.runCloned(bound, dims, true, nil)
+}
+
+// runCloned runs on a checked-out context and clones the output out of it.
+func (p *Program) runCloned(bound map[string]*fiber.Tensor, dims []int, merged bool, tr *obs.Trace) (*tensor.COO, error) {
+	rc := getCtx()
+	out, err := p.runCtx(rc, bound, dims, merged, tr)
+	if err == nil {
+		out = cloneCOO(out)
 	}
-	out = cloneCOO(out)
-	p.putCtx(rc)
-	return out, nil
+	putCtx(rc)
+	return out, err
 }
 
 // RunPooled executes the program on a caller-held context and returns the
 // assembled output borrowed from the context: the tensor and its points are
-// valid only until the next run on rc. A warm RunPooled call performs zero
-// heap allocations; it is the alloc-gate target (serve runs through
-// RunTraced, which adds the clone out of the context).
+// valid only until the next run on rc. Any context serves any program. A
+// warm RunPooled call performs zero heap allocations; it is the alloc-gate
+// target (serve runs through RunTraced, which adds the clone out of the
+// context).
 func (p *Program) RunPooled(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
-	if rc.p != p {
-		return nil, fmt.Errorf("comp: run context belongs to a different program")
-	}
 	return p.runCtx(rc, bound, dims, false, nil)
 }
 
@@ -284,7 +278,7 @@ func (p *Program) runCtx(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int,
 			out, err = nil, v.err
 		}
 	}()
-	rc.reset(bound, dims)
+	rc.retarget(p, bound, dims)
 	run := tr.Start("run")
 	if p.plan != nil && !merged {
 		p.runLanes(rc, run)

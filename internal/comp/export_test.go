@@ -2,15 +2,6 @@ package comp
 
 import "sam/internal/token"
 
-// Hooks for the context-pool test: the pool and its miss count are private.
-
-func (p *Program) PutCtx(rc *RunCtx)  { p.putCtx(rc) }
-func (p *Program) SetMisses(n uint32) { p.misses.Store(n) }
-func (p *Program) Misses() uint32     { return p.misses.Load() }
-
-// TakeParked removes one parked context, reporting whether there was one.
-func (p *Program) TakeParked() bool { return p.pool.Get() != nil }
-
 // Hooks for the fusion tests. The fused program has no runtime switch, so its
 // oracle is built here: MaterializeUnfused is Materialize minus the pass.
 

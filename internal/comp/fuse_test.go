@@ -250,7 +250,7 @@ func runStreams(build func(*comp.IR) (*comp.Program, error), ir *comp.IR, bound 
 	if err != nil {
 		return nil, nil, false, err
 	}
-	rc := p.NewCtx()
+	rc := new(comp.RunCtx)
 	out, err := p.RunPooled(rc, bound, dims)
 	return rc.Streams(), out, rc.Probed(), err
 }

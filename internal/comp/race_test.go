@@ -1,6 +1,7 @@
 package comp_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -8,46 +9,57 @@ import (
 	"sam/internal/tensor"
 )
 
-// TestConcurrentRunSharedPool runs one compiled lane-parallel program from
-// many goroutines at once, all drawing run contexts from the program's one
-// sync.Pool while each run forks its own lane goroutines. Under -race this
-// is the comp-level data-race gate for pooled + lane execution; it also
-// checks every concurrent result stays bit-identical to a lone run.
+// TestConcurrentRunSharedPool runs two compiled programs of different shape
+// — a lane-parallel SpM*SpM and a sequential SpMV — interleaved from many
+// goroutines at once, all drawing run contexts from the one process-wide
+// free list, so contexts pass back and forth between the programs while
+// each parallel run forks its own lane goroutines. Under -race this is the
+// comp-level data-race gate for pooled + lane execution; it also checks
+// every concurrent result stays bit-identical to its program's sequential
+// reference.
 func TestConcurrentRunSharedPool(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		sched := lang.Schedule{LoopOrder: []string{"i", "k", "j"}, Par: par}
-		cp, bound, dims := compileCase(t, "X(i,j) = B(i,k) * C(k,j)", sched, 29)
-		if got, want := cp.Parallel(), par > 1; got != want {
-			t.Fatalf("par%d: Parallel() = %v, want %v", par, got, want)
+	var progs []boundProg
+	for _, tc := range []struct {
+		name, expr string
+		sched      lang.Schedule
+	}{
+		{"spmspm-par4", "X(i,j) = B(i,k) * C(k,j)", lang.Schedule{LoopOrder: []string{"i", "k", "j"}, Par: 4}},
+		{"spmv", "x(i) = B(i,j) * c(j)", lang.Schedule{}},
+	} {
+		cp, bound, dims := compileCase(t, tc.expr, tc.sched, 29)
+		if got, want := cp.Parallel(), tc.sched.Par > 1; got != want {
+			t.Fatalf("%s: Parallel() = %v, want %v", tc.name, got, want)
 		}
-		want, err := cp.Run(bound, dims)
+		want, err := cp.RunMerged(bound, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const goroutines, iters = 8, 6
-		errs := make([]error, goroutines)
-		var wg sync.WaitGroup
-		for i := 0; i < goroutines; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for k := 0; k < iters; k++ {
-					got, err := cp.Run(bound, dims)
-					if err == nil {
-						err = tensor.IdenticalBits(want, got)
-					}
-					if err != nil {
-						errs[i] = err
-						return
-					}
+		progs = append(progs, boundProg{tc.name, cp, bound, dims, want})
+	}
+	const goroutines, iters = 8, 6
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < iters; k++ {
+				pr := progs[(i+k)%len(progs)]
+				got, err := pr.cp.Run(pr.bound, pr.dims)
+				if err == nil {
+					err = tensor.IdenticalBits(pr.want, got)
 				}
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Errorf("par%d goroutine %d: %v", par, i, err)
+				if err != nil {
+					errs[i] = fmt.Errorf("%s: %w", pr.name, err)
+					return
+				}
 			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", i, err)
 		}
 	}
 }

@@ -273,7 +273,7 @@ func FuzzOptDifferential(f *testing.F) {
 		}
 		r0, err := sim.Run(g0, inputs, sim.Options{})
 		if err != nil {
-			t.Skipf("%s: O0 run: %v", name, err)
+			t.Fatalf("%s par%d: O0 run: %v", name, par, err)
 		}
 		r1, err := sim.Run(g1, inputs, sim.Options{})
 		if err != nil {

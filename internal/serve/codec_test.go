@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -379,5 +380,30 @@ func TestNonFiniteOutputFails(t *testing.T) {
 		if msg := fmt.Sprintf("output value at coord [] is %v", v); rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), msg) {
 			t.Errorf("%v: status %d, body %q; want 500 naming the value", v, rec.Code, rec.Body)
 		}
+	}
+}
+
+// TestJobReplyNonFiniteDelta pins the job poll's encoding: a finished job
+// whose fixpoint deltas hold a NaN answers GET /v1/jobs/{id} with a 500 in
+// the error shape, not a 200 whose body stops where the encoder did.
+func TestJobReplyNonFiniteDelta(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	s.mu.Lock()
+	s.jobs["jnan"] = &job{id: "jnan", status: "done", resp: &EvaluateResponse{
+		Fixpoint: &FixpointInfo{Iterations: 2, Deltas: []float64{0.5, math.NaN()}},
+	}}
+	s.mu.Unlock()
+	resp, err := http.Get(ts.URL + "/v1/jobs/jnan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	var e ErrorResponse
+	if err := json.Unmarshal(body, &e); resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(e.Error, "NaN") {
+		t.Errorf("status %d, body %q; want 500 with an error naming the NaN", resp.StatusCode, body)
 	}
 }

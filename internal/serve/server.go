@@ -1049,8 +1049,15 @@ func writeEvaluateResponse(w http.ResponseWriter, resp *EvaluateResponse) {
 	writeRaw(w, http.StatusOK, buf.Bytes())
 }
 
+// writeJSON answers with v encoded whole before the status goes out, so a
+// value JSON cannot carry — a non-finite float, such as a fixpoint delta
+// that overflowed — is a 500 in the error shape that says why, never a 200
+// with a truncated body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorResponse{Error: "cannot encode reply: " + err.Error()})
+	}
+	writeRaw(w, code, append(body, '\n'))
 }

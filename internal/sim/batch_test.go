@@ -77,7 +77,8 @@ func TestRunBatchPerJob(t *testing.T) {
 }
 
 // TestBatchSharedProgramRace hammers one cached Program — one lazily built
-// comp lowering, one run-context pool — from every batch worker at once.
+// comp lowering over the shared run-context free list — from every batch
+// worker at once.
 // Run under -race this is the data-race gate for the pooled execution path;
 // under the plain runner it still checks bit-identical results across all
 // concurrent reuses.
