@@ -2,7 +2,7 @@
 # Serve smoke: start samserve, evaluate one gold-checked SpMV on the default
 # engine and one on the compiled engine, upload the same operands as named
 # tensors and re-evaluate by {"ref": name}, assert the /v1/stats counters
-# (per-engine run counts, zero fallbacks, tensor-store activity), then
+# (per-engine run counts, tensor-store activity), then
 # drain on SIGINT. Then the sharded topology: 2 shards behind a router,
 # routed gold output, aggregated stats, shard-labeled metrics, and a
 # kill-a-shard drill (ejection, 503 + Retry-After, remap to the survivor,
@@ -34,13 +34,15 @@ grep -q '"values":\[19,21\]' smoke-comp.json
 grep -q '"cycles":0' smoke-comp.json
 grep -q '"cache":"hit"' smoke-comp.json
 grep -q '"engine":"comp"' smoke-comp.json
+# set -e ignores a negated command's status, hence the explicit exit.
+! grep -q requested_engine smoke-comp.json || exit 1
 
-# Engine counters: one event run, one comp run, no fallbacks.
+# Engine counters: one event run, one comp run, and no fallback counter.
 curl -sf 127.0.0.1:8345/v1/stats | tee stats.json
 grep -q '"engine_runs":{' stats.json
 grep -q '"comp":1' stats.json
 grep -q '"event":1' stats.json
-grep -q '"engine_fallbacks":0' stats.json
+! grep -q engine_fallbacks stats.json || exit 1
 
 # Same request with ?trace=1: the response carries a trace id and a
 # non-empty span breakdown.

@@ -229,7 +229,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "expression:  %s\n", e)
 		fmt.Fprintf(stdout, "fingerprint: %s\n", bp.Fingerprint())
 		printInputs(stdout, inputs)
-		fmt.Fprintf(stdout, "engine:      %s\n", res.Engine)
+		fmt.Fprintf(stdout, "engine:      %s\n", kind)
 		fmt.Fprintf(stdout, "output:      %v, %d nonzeros\n", res.Output.Dims, res.Output.NNZ())
 		if *check {
 			want, err := lang.Gold(e, inputs)
@@ -310,6 +310,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err := sim.CheckEngineKind(kind, sim.Engines()); err != nil {
 		return fail(err)
 	}
+	if kind == "" {
+		kind = sim.EngineEvent
+	}
 	if kind == sim.EngineComp && *queueCap != 0 {
 		return fail(fmt.Errorf("-queue models finite buffering in the cycle engines; the %s engine has no cycle model (drop -queue or use -engine event/naive)", kind))
 	}
@@ -379,7 +382,7 @@ func runFixpointCLI(stdout, stderr io.Writer, p *sim.Program, e *lang.Einsum,
 		return fail(err)
 	}
 	printInputs(stdout, inputs)
-	fmt.Fprintf(stdout, "engine:      %s\n", res.Engine)
+	fmt.Fprintf(stdout, "engine:      %s\n", opt.Engine)
 	fmt.Fprintf(stdout, "iterations:  %d (%s mode, converged=%v)\n", res.Iterations, fx.Mode, res.Converged)
 	fmt.Fprintf(stdout, "delta:       %g (last L1 step)\n", res.Deltas[len(res.Deltas)-1])
 	if res.Cycles > 0 {

@@ -3,9 +3,12 @@ package sam
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"sam/internal/serve"
 )
 
 // docFiles are the prose surfaces the lint keeps honest against the code.
@@ -219,4 +222,73 @@ func TestDocsMetricFamiliesExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocsWireFieldsExist checks docs/API.md's response and stats tables
+// against the JSON tags of serve.EvaluateResponse and serve.StatsResponse,
+// both ways: every tag has a row, and every backticked name in a row's first
+// column is a tag. A removed field left in a table, or a new one left out,
+// fails here.
+func TestDocsWireFieldsExist(t *testing.T) {
+	src, err := os.ReadFile("docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(src)
+	for _, tc := range []struct {
+		heading string // the line introducing the table
+		typ     reflect.Type
+	}{
+		{"Response (`EvaluateResponse`, 200):", reflect.TypeFor[serve.EvaluateResponse]()},
+		{"## GET /v1/stats", reflect.TypeFor[serve.StatsResponse]()},
+	} {
+		tags := map[string]bool{}
+		for i := range tc.typ.NumField() {
+			if name, _, _ := strings.Cut(tc.typ.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
+				tags[name] = true
+			}
+		}
+		documented := map[string]bool{}
+		for _, name := range docTableFields(t, doc, tc.heading) {
+			documented[name] = true
+			if !tags[name] {
+				t.Errorf("docs/API.md %q table documents %q, which %s does not carry", tc.heading, name, tc.typ.Name())
+			}
+		}
+		for name := range tags {
+			if !documented[name] {
+				t.Errorf("%s carries %q, which the docs/API.md %q table does not document", tc.typ.Name(), name, tc.heading)
+			}
+		}
+	}
+}
+
+// docTableFields returns the backticked names in the first column of the
+// first markdown table after the heading line.
+func docTableFields(t *testing.T, doc, heading string) []string {
+	t.Helper()
+	_, rest, ok := strings.Cut(doc, "\n"+heading+"\n")
+	if !ok {
+		t.Fatalf("docs/API.md has no line %q", heading)
+	}
+	code := regexp.MustCompile("`([^`]+)`")
+	var names []string
+	inTable := false
+	for _, line := range strings.Split(rest, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		cells := strings.Split(line, "|")
+		for _, m := range code.FindAllStringSubmatch(cells[1], -1) {
+			names = append(names, m[1])
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("docs/API.md has no field table after %q", heading)
+	}
+	return names
 }

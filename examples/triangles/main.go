@@ -73,7 +73,7 @@ func main() {
 			total = res.Output.Pts[0].Val
 		}
 		count := int(total) / 6
-		line := fmt.Sprintf("engine %-5s  ordered walks %6.0f  triangles %d", res.Engine, total, count)
+		line := fmt.Sprintf("engine %-5s  ordered walks %6.0f  triangles %d", engine, total, count)
 		if res.Cycles > 0 {
 			line += fmt.Sprintf("  (%d cycles)", res.Cycles)
 		}

@@ -112,7 +112,7 @@ type Program struct {
 
 // Check reports whether the compiled engine can lower the graph. Only the
 // bitvector pipeline is outside its block set; graphs using it run on the
-// cycle engines (sim's comp engine falls back to the event engine).
+// cycle engines, and sim's comp engine rejects them with this error.
 func Check(g *graph.Graph) error {
 	for _, n := range g.Nodes {
 		switch n.Kind {

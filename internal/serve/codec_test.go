@@ -192,7 +192,7 @@ func randomResponse(rng *rand.Rand) *EvaluateResponse {
 	strs := []string{"", "hit", "comp", "<b>&amp;</b>", "a\"b\\c", " é\x00", "x(i) = B(i,j) * c(j)"}
 	str := func() string { return strs[rng.Intn(len(strs))] }
 	resp := &EvaluateResponse{
-		Cycles: rng.Intn(3) * rng.Intn(1e6), Fingerprint: str(), Cache: str(), Engine: str(), Requested: str(),
+		Cycles: rng.Intn(3) * rng.Intn(1e6), Fingerprint: str(), Cache: str(), Engine: str(),
 		SetupNS: rng.Int63n(1e9), ElapsedNS: rng.Int63n(1e9) - 5,
 	}
 	order := rng.Intn(4)
@@ -259,7 +259,7 @@ func TestEvaluateResponseBytesIdentical(t *testing.T) {
 func TestEvaluateResponseEncodeAllocs(t *testing.T) {
 	resp := &EvaluateResponse{
 		Output: ToWire(tensor.UniformRandom("X", rand.New(rand.NewSource(2)), 5000, 90, 90)), Fingerprint: "f", Cache: "hit",
-		Engine: "comp", Requested: "comp", SetupNS: 1, ElapsedNS: 2,
+		Engine: "comp", SetupNS: 1, ElapsedNS: 2,
 	}
 	var buf []byte
 	allocs := testing.AllocsPerRun(20, func() {

@@ -18,9 +18,8 @@ func decode(t *testing.T, body []byte, v any) {
 
 // TestEngineCounters drives one request per engine through /v1/evaluate and
 // checks GET /v1/stats reports per-engine run counts: the engine field of
-// each response names the executor that ran, engine_runs tallies by that
-// executor, and no served graph falls back (the HTTP compiler never emits
-// bitvector graphs, the only comp-unsupported blocks).
+// each response names the executor that ran, and engine_runs tallies by that
+// executor.
 func TestEngineCounters(t *testing.T) {
 	s := NewServer(Config{Workers: 1})
 	defer s.Close()
@@ -51,9 +50,6 @@ func TestEngineCounters(t *testing.T) {
 		if er.Engine != wantEng {
 			t.Errorf("engine %q: response engine = %q, want %q", eng, er.Engine, wantEng)
 		}
-		if er.Requested != wantEng {
-			t.Errorf("engine %q: response requested_engine = %q, want %q", eng, er.Requested, wantEng)
-		}
 		if eng == "comp" && er.Cycles != 0 {
 			t.Errorf("comp response reports %d cycles, want 0", er.Cycles)
 		}
@@ -62,9 +58,6 @@ func TestEngineCounters(t *testing.T) {
 	var st StatsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
-	}
-	if st.EngineFallbacks != 0 {
-		t.Errorf("engine_fallbacks = %d, want 0", st.EngineFallbacks)
 	}
 	if len(st.EngineRuns) != len(wantRuns) {
 		t.Errorf("engine_runs = %v, want keys %v", st.EngineRuns, wantRuns)

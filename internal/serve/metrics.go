@@ -36,12 +36,9 @@ type metrics struct {
 	failures *obs.Counter
 	cycles   *obs.Counter
 
-	// engineRuns counts completed requests by the engine that actually
-	// executed them; fallbacks counts requests where that engine differs
-	// from the requested one (the compiled engine falling back to the event
-	// engine for graphs it cannot lower).
+	// engineRuns counts completed requests by the engine that executed
+	// them.
 	engineRuns *obs.CounterVec
-	fallbacks  *obs.Counter
 
 	// resolutions counts where the program cache found each request's
 	// program: tier="mem" (in-memory LRU), "disk" (decoded artifact), or
@@ -98,8 +95,6 @@ func newMetrics() *metrics {
 			"Total simulated cycles served."),
 		engineRuns: reg.CounterVec("sam_engine_runs_total",
 			"Completed requests by the engine that executed them.", "engine"),
-		fallbacks: reg.Counter("sam_engine_fallbacks_total",
-			"Requests whose executing engine differed from the requested one."),
 		resolutions: reg.CounterVec("sam_cache_resolutions_total",
 			"Program resolutions by cache tier: mem (LRU hit), disk (artifact decode), compile (cold).", "tier"),
 		cacheEvictions: reg.Counter("sam_cache_evictions_total",
@@ -131,18 +126,9 @@ func newMetrics() *metrics {
 	return m
 }
 
-// engine records one completed request's executing engine and whether it
-// was a fallback from the requested engine.
-func (m *metrics) engine(executed string, fallback bool) {
-	m.engineRuns.With(executed).Inc()
-	if fallback {
-		m.fallbacks.Inc()
-	}
-}
-
-// engines snapshots the per-engine run counts and the fallback total from
-// the registry — the same series /metrics exposes.
-func (m *metrics) engines() (map[string]int64, int64) {
+// engines snapshots the per-engine run counts from the registry — the same
+// series /metrics exposes.
+func (m *metrics) engines() map[string]int64 {
 	runs := map[string]int64{}
 	for _, f := range m.reg.Snapshot() {
 		if f.Name != "sam_engine_runs_total" {
@@ -152,7 +138,7 @@ func (m *metrics) engines() (map[string]int64, int64) {
 			runs[s.LabelValues[0]] = int64(s.Value)
 		}
 	}
-	return runs, m.fallbacks.Value()
+	return runs
 }
 
 // observe records one completed request's latency and simulated cycles.

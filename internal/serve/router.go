@@ -687,7 +687,6 @@ func addStats(agg, st *StatsResponse) {
 	agg.QueueRunning += st.QueueRunning
 	agg.Workers += st.Workers
 	agg.CyclesSimulated += st.CyclesSimulated
-	agg.EngineFallbacks += st.EngineFallbacks
 	for k, v := range st.EngineRuns {
 		if agg.EngineRuns == nil {
 			agg.EngineRuns = map[string]int64{}

@@ -444,7 +444,7 @@ func (rt *Router) fanout(tt *tiledTensor, sub EvaluateRequest, operand string) (
 		if cacheRank[er.Cache] > cacheRank[agg.Cache] {
 			agg.Cache = er.Cache
 		}
-		agg.Fingerprint, agg.Engine, agg.Requested = er.Fingerprint, er.Engine, er.Requested
+		agg.Fingerprint, agg.Engine = er.Fingerprint, er.Engine
 	}
 	out, err := tiling.MergePartials("out", parts)
 	return out, agg, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sam/internal/comp"
 	"sam/internal/custard"
 	"sam/internal/fiber"
 	"sam/internal/lang"
@@ -13,11 +14,10 @@ import (
 )
 
 // TestRunJobAccounting hands prepared jobs straight to the worker's runJob
-// and checks each outcome on its own: a successful job records the engine
-// that executed it and the one it asked for in its response, engine_runs and
-// engine_fallbacks tally by the executor, and a job that fails at sim time
-// carries "<job id>: " plus the engine's error for its own operand, on comp
-// and on event.
+// and checks each outcome on its own: a successful job records its engine in
+// its response and engine_runs, and a job that fails at sim time carries
+// "<job id>: " plus the engine's own error, counts in sam_jobs_failed_total
+// and adds nothing to engine_runs, on comp and on event.
 func TestRunJobAccounting(t *testing.T) {
 	s := NewServer(Config{Workers: 1})
 	defer s.Close()
@@ -31,7 +31,8 @@ func TestRunJobAccounting(t *testing.T) {
 		return p
 	}
 	// The HTTP compiler never emits bitvector graphs, the one block set comp
-	// cannot lower, so build that program by hand to reach the fallback.
+	// cannot lower, so build that program by hand: comp rejects it at run
+	// time with comp.Check's error.
 	bv, err := custard.CompileBitvector(lang.MustParse("x(i) = b(i) * c(i)"), lang.Formats{
 		"b": lang.Uniform(1, fiber.Bitvector),
 		"c": lang.Uniform(1, fiber.Bitvector),
@@ -44,7 +45,7 @@ func TestRunJobAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(6))
-	fallback := &prepared{
+	bvJob := &prepared{
 		prog: bvProg,
 		inputs: map[string]*tensor.COO{
 			"b": tensor.UniformRandom("b", rng, 40, 200),
@@ -61,14 +62,14 @@ func TestRunJobAccounting(t *testing.T) {
 	badC.inputs = map[string]*tensor.COO{"B": badC.inputs["B"]}
 
 	for _, tc := range []struct {
-		id                string
-		prep              *prepared
-		engine, requested string // of a successful job's response
-		errMsg            string // of a failed job, exact
+		id     string
+		prep   *prepared
+		engine string // of a successful job's response
+		errMsg string // of a failed job, exact
 	}{
-		{id: "job-comp", prep: prep(1, "comp"), engine: "comp", requested: "comp"},
-		{id: "job-event", prep: prep(3, "event"), engine: "event", requested: "event"},
-		{id: "job-fallback", prep: fallback, engine: "event", requested: "comp"},
+		{id: "job-comp", prep: prep(1, "comp"), engine: "comp"},
+		{id: "job-event", prep: prep(3, "event"), engine: "event"},
+		{id: "job-bitvector", prep: bvJob, errMsg: "job-bitvector: sim: " + bv.Name + ": " + comp.Check(bv).Error()},
 		{id: "job-bad-B", prep: badB, errMsg: `job-bad-B: bind: no input bound for tensor "B"`},
 		{id: "job-bad-c", prep: badC, errMsg: `job-bad-c: bind: no input bound for tensor "c"`},
 	} {
@@ -84,22 +85,22 @@ func TestRunJobAccounting(t *testing.T) {
 			t.Errorf("%s: status %q (err %q), want done", tc.id, j.status, j.errMsg)
 			continue
 		}
-		if j.resp.Engine != tc.engine || j.resp.Requested != tc.requested {
-			t.Errorf("%s: response engine/requested = %q/%q, want %q/%q",
-				tc.id, j.resp.Engine, j.resp.Requested, tc.engine, tc.requested)
+		if j.resp.Engine != tc.engine {
+			t.Errorf("%s: response engine = %q, want %q", tc.id, j.resp.Engine, tc.engine)
 		}
 	}
 
 	st := s.Stats()
-	for eng, n := range map[string]int64{"comp": 1, "event": 2} {
+	wantRuns := map[string]int64{"comp": 1, "event": 1}
+	if len(st.EngineRuns) != len(wantRuns) {
+		t.Errorf("engine_runs = %v, want %v", st.EngineRuns, wantRuns)
+	}
+	for eng, n := range wantRuns {
 		if st.EngineRuns[eng] != n {
 			t.Errorf("engine_runs[%q] = %d, want %d", eng, st.EngineRuns[eng], n)
 		}
 	}
-	if st.EngineFallbacks != 1 {
-		t.Errorf("engine_fallbacks = %d, want 1", st.EngineFallbacks)
-	}
-	if st.Failures != 2 {
-		t.Errorf("failures = %d, want 2", st.Failures)
+	if st.Failures != 3 {
+		t.Errorf("failures = %d, want 3", st.Failures)
 	}
 }

@@ -431,7 +431,9 @@ func (s *Server) resolve(p *plan, adm obs.Span) (*sim.Program, string, error) {
 		if s.disk != nil {
 			// Write-behind the artifact so a later cold process (or this
 			// one after eviction) can skip the compile we just paid.
-			// Best-effort: bitvector graphs have no artifact form.
+			// Best-effort: a failed write counts in disk_errors. Every
+			// graph a request can build lowers to comp, so each one has an
+			// artifact form.
 			s.disk.store(p.key, prog)
 		}
 		return prog, "miss", nil
@@ -664,7 +666,7 @@ func (s *Server) runFixpointJob(j *job) {
 		return
 	}
 	j.fx = &FixpointInfo{Iterations: fr.Iterations, Converged: fr.Converged, Deltas: fr.Deltas}
-	s.finish(j, &sim.Result{Cycles: fr.Cycles, Output: fr.Output, Engine: fr.Engine}, "")
+	s.finish(j, &sim.Result{Cycles: fr.Cycles, Output: fr.Output}, "")
 }
 
 // refStamps renders a prepared request's resolved stored tensors for the
@@ -699,22 +701,14 @@ func (s *Server) finish(j *job, res *sim.Result, errMsg string) {
 		j.status = "failed"
 		j.errMsg = errMsg
 	} else {
-		// Report the engine that actually executed the request: it differs
-		// from the requested one only when the compiled engine fell back to
-		// the event engine for a graph outside its block set.
-		executed := string(res.Engine)
-		if executed == "" {
-			executed = j.prep.engine
-		}
-		s.metrics.engine(executed, executed != j.prep.engine)
+		s.metrics.engineRuns.With(j.prep.engine).Inc()
 		j.status = "done"
 		j.resp = &EvaluateResponse{
 			Cycles:      res.Cycles,
 			Output:      out,
 			Fingerprint: j.prep.prog.Fingerprint(),
 			Cache:       j.prep.cache,
-			Engine:      executed,
-			Requested:   j.prep.engine,
+			Engine:      j.prep.engine,
 			SetupNS:     j.prep.setup.Nanoseconds(),
 			ElapsedNS:   elapsed.Nanoseconds(),
 			TraceID:     tr.ID(),
@@ -788,10 +782,8 @@ type StatsResponse struct {
 	LatencyP50MS    float64 `json:"latency_p50_ms"`
 	LatencyP99MS    float64 `json:"latency_p99_ms"`
 	// EngineRuns counts completed requests by the engine that executed
-	// them; EngineFallbacks counts requests whose executing engine differed
-	// from the requested one (comp falling back to event).
-	EngineRuns      map[string]int64 `json:"engine_runs"`
-	EngineFallbacks int64            `json:"engine_fallbacks"`
+	// them.
+	EngineRuns map[string]int64 `json:"engine_runs"`
 	// LatencyHist is the completed-job latency histogram in mergeable form:
 	// a router aggregating shards sums the bucket counts element-wise and
 	// derives fleet-wide percentiles from the merged buckets, the only
@@ -804,15 +796,13 @@ func (s *Server) Stats() StatsResponse {
 	m := s.metrics
 	hits, misses, evictions, size := s.cache.stats()
 	p50, p99 := m.percentiles()
-	engineRuns, fallbacks := m.engines()
 	resp := StatsResponse{
 		Requests: m.admitted.Value(), Rejected: m.rejected.Value(), Failures: m.failures.Value(),
 		CacheHits: hits, CacheMisses: misses, CacheEvictions: evictions,
 		CachePrograms: size, QueueDepth: s.queue.depth(), QueueRunning: s.queue.running(),
 		Workers:         s.cfg.Workers,
 		CyclesSimulated: m.cycles.Value(), LatencyP50MS: p50, LatencyP99MS: p99,
-		EngineRuns: engineRuns, EngineFallbacks: fallbacks,
-		LatencyHist: m.latencyHist(),
+		EngineRuns: m.engines(), LatencyHist: m.latencyHist(),
 	}
 	s.tensors.stats(&resp)
 	if s.disk != nil {

@@ -282,8 +282,6 @@ type WireOptions struct {
 	// Engine selects the executor: "event" (default) or "comp" (the
 	// compiled co-iteration engine; with an artifact dir configured,
 	// comp requests can be served from the disk cache without recompiling).
-	// Graphs comp cannot lower run on the event engine, reported in the
-	// response's engine field and the engine_fallbacks counter.
 	Engine string `json:"engine,omitempty"`
 	// MaxCycles aborts runaway simulations; 0 means the engine default.
 	MaxCycles int `json:"max_cycles,omitempty"`
@@ -437,13 +435,9 @@ type EvaluateResponse struct {
 	// LRU), "disk" (decoded from the persistent artifact store), or "miss"
 	// (compiled for this request).
 	Cache string `json:"cache"`
-	// Engine names the executor that actually ran the request; it differs
-	// from Requested only when the compiled engine fell back to the event
-	// engine for a graph outside its block set.
+	// Engine names the executor that ran the request (the resolved default
+	// when options.engine was omitted).
 	Engine string `json:"engine"`
-	// Requested names the executor the request asked for (the resolved
-	// default when options.engine was omitted).
-	Requested string `json:"requested_engine"`
 	// SetupNS is the program-resolution time in nanoseconds: parse plus
 	// cache lookup on a hit, parse plus compile plus program build on a
 	// miss. The warm/cold setup ratio is the cache's value.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sam/internal/comp"
 	"sam/internal/custard"
 	"sam/internal/fiber"
 	"sam/internal/lang"
@@ -13,10 +14,9 @@ import (
 )
 
 // TestRunBatchPerJob checks a mixed batch under the comp engine: every
-// successful job has a result recording the engine that actually executed
-// it — comp for lowerable graphs, event for the bitvector fallback — every
-// failed job has a nil result, and the returned error is the first failure
-// in job order, naming its own job.
+// successful job has a result, every failed job has a nil result, and the
+// returned error is the first failure in job order, naming its own job. A
+// bitvector graph is one such failure: comp rejects what it cannot lower.
 func TestRunBatchPerJob(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	spmv, err := custard.Compile(lang.MustParse("x(i) = B(i,j) * c(j)"), nil, lang.Schedule{})
@@ -41,7 +41,7 @@ func TestRunBatchPerJob(t *testing.T) {
 	jobs := []Job{
 		{Name: "ok-comp", Graph: spmv, Inputs: spmvIn},
 		{Name: "bad-missing-input", Graph: spmv, Inputs: map[string]*tensor.COO{"B": spmvIn["B"]}},
-		{Name: "ok-fallback", Graph: bv, Inputs: bvIn},
+		{Name: "bad-bitvector", Graph: bv, Inputs: bvIn},
 		{Name: "bad-nil-graph"},
 		{Name: "ok-comp-2", Graph: spmv, Inputs: spmvIn},
 	}
@@ -52,24 +52,21 @@ func TestRunBatchPerJob(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "bad-missing-input") {
 		t.Errorf("error = %v, want job 1's failure, naming bad-missing-input", err)
 	}
-	wantEngine := map[int]EngineKind{0: EngineComp, 2: EngineEvent, 4: EngineComp}
 	for i := range jobs {
-		eng, wantOK := wantEngine[i]
-		if !wantOK {
-			if results[i] != nil {
-				t.Errorf("job %d (%s): result = %v, want nil for a failed job", i, jobs[i].Name, results[i])
-			}
-			continue
-		}
-		if results[i] == nil {
+		wantOK := strings.HasPrefix(jobs[i].Name, "ok-")
+		if wantOK && results[i] == nil {
 			t.Errorf("job %d (%s): nil result, want success", i, jobs[i].Name)
-			continue
 		}
-		if results[i].Engine != eng {
-			t.Errorf("job %d (%s): Result.Engine = %q, want %q", i, jobs[i].Name, results[i].Engine, eng)
+		if !wantOK && results[i] != nil {
+			t.Errorf("job %d (%s): result = %v, want nil for a failed job", i, jobs[i].Name, results[i])
 		}
 	}
 
+	// The bitvector graph fails its own job, by name, with comp.Check's error.
+	if _, err := RunBatch(jobs[2:], Options{Engine: EngineComp}); err == nil ||
+		!strings.Contains(err.Error(), "bad-bitvector") || !strings.Contains(err.Error(), comp.Check(bv).Error()) {
+		t.Errorf("error = %v, want the bitvector job's rejection, naming bad-bitvector", err)
+	}
 	// A nil graph fails its own job, by name.
 	if _, err := RunBatch(jobs[3:], Options{Engine: EngineComp}); err == nil || !strings.Contains(err.Error(), "bad-nil-graph") {
 		t.Errorf("error = %v, want the nil-graph job's failure, naming bad-nil-graph", err)
@@ -113,9 +110,6 @@ func TestBatchSharedProgramRace(t *testing.T) {
 		t.Fatalf("batch failed: %v", err)
 	}
 	for i, res := range results {
-		if res.Engine != EngineComp {
-			t.Errorf("job %d: Result.Engine = %q, want %q", i, res.Engine, EngineComp)
-		}
 		if err := tensor.IdenticalBits(want.Output, res.Output); err != nil {
 			t.Errorf("job %d output diverged under shared-program reuse: %v", i, err)
 		}

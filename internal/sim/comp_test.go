@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sam/internal/comp"
 	"sam/internal/custard"
 	"sam/internal/fiber"
 	"sam/internal/lang"
@@ -12,8 +13,8 @@ import (
 )
 
 // TestCompEngineRuns checks the compiled engine end to end through the
-// public sim entry points: identical output to the event engine, Engine
-// recorded on the result, zero cycles.
+// public sim entry points: identical output to the event engine, zero
+// cycles.
 func TestCompEngineRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e := lang.MustParse("X(i,j) = B(i,k) * C(k,j)")
@@ -34,9 +35,6 @@ func TestCompEngineRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Engine != EngineComp {
-		t.Errorf("Result.Engine = %q, want %q", got.Engine, EngineComp)
-	}
 	if got.Cycles != 0 {
 		t.Errorf("comp engine reported %d cycles, want 0", got.Cycles)
 	}
@@ -45,12 +43,11 @@ func TestCompEngineRuns(t *testing.T) {
 	}
 }
 
-// TestCompEngineFallsBackOnBitvector checks the fallback contract: a graph
-// outside the compiled block set (the bitvector pipeline) still runs under
-// Options{Engine: EngineComp}, on the event engine, with the fallback
-// recorded in Result.Engine — and the program's CheckEngine accepts it up
-// front.
-func TestCompEngineFallsBackOnBitvector(t *testing.T) {
+// TestCompEngineRejectsBitvector checks the rejection contract: a graph
+// outside the compiled block set (the bitvector pipeline) fails under comp
+// with comp.Check's error, both up front in CheckEngine and in Run, while the
+// event engine still runs it.
+func TestCompEngineRejectsBitvector(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	e := lang.MustParse("x(i) = b(i) * c(i)")
 	g, err := custard.CompileBitvector(e, lang.Formats{
@@ -60,33 +57,33 @@ func TestCompEngineFallsBackOnBitvector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := comp.Check(g)
+	if want == nil {
+		t.Fatal("comp.Check accepted a bitvector graph")
+	}
 	p, err := NewProgram(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.CheckEngine(EngineComp); err != nil {
-		t.Fatalf("CheckEngine(comp) rejected a fallback-eligible graph: %v", err)
+	if err := p.CheckEngine(EngineComp); err == nil || err.Error() != want.Error() {
+		t.Errorf("CheckEngine(comp) = %v, want %v", err, want)
+	}
+	if err := p.CheckEngine(EngineEvent); err != nil {
+		t.Errorf("CheckEngine(event) = %v, want nil", err)
 	}
 	b := tensor.UniformRandom("b", rng, 40, 200)
 	c := tensor.UniformRandom("c", rng, 40, 200)
 	inputs := map[string]*tensor.COO{"b": b, "c": c}
 
+	if _, err := Run(g, inputs, Options{Engine: EngineComp}); err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Errorf("Run on comp = %v, want %v", err, want)
+	}
 	ref, err := Run(g, inputs, Options{Engine: EngineEvent})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(g, inputs, Options{Engine: EngineComp})
-	if err != nil {
-		t.Fatalf("comp engine did not fall back: %v", err)
-	}
-	if got.Engine != EngineEvent {
-		t.Errorf("fallback Result.Engine = %q, want %q", got.Engine, EngineEvent)
-	}
-	if got.Cycles != ref.Cycles {
-		t.Errorf("fallback cycles = %d, want the event engine's %d", got.Cycles, ref.Cycles)
-	}
-	if err := tensor.IdenticalBits(ref.Output, got.Output); err != nil {
-		t.Errorf("fallback output differs from event: %v", err)
+	if ref.Cycles == 0 || ref.Output.NNZ() == 0 {
+		t.Errorf("event run: %d cycles, %d nonzeros; want both positive", ref.Cycles, ref.Output.NNZ())
 	}
 }
 

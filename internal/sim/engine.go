@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"sam/internal/comp"
 	"sam/internal/core"
 	"sam/internal/tensor"
 )
@@ -30,11 +29,11 @@ const (
 	//
 	// It computes outputs only: Result.Cycles is zero and no stream
 	// statistics are gathered, so experiments and anything reading cycle
-	// counts must use a cycle engine. It never rejects a graph: graphs
-	// outside its block set (the bitvector pipeline) fall back to the event
-	// engine transparently, recorded in Result.Engine. It is also the engine
-	// that runs loaded artifacts (NewProgramFromArtifact): internal/prog
-	// serializes exactly the lowering this engine executes.
+	// counts must use a cycle engine. Graphs outside its block set (the
+	// bitvector pipeline) are rejected by CheckEngine and Run with
+	// comp.Check's error. It is also the engine that runs loaded artifacts
+	// (NewProgramFromArtifact): internal/prog serializes exactly the
+	// lowering this engine executes.
 	EngineComp EngineKind = "comp"
 )
 
@@ -89,28 +88,18 @@ func (p *Program) runCycle(kind EngineKind, inputs map[string]*tensor.COO, opt O
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Cycles: cycles, Output: out, Streams: map[string]*core.StreamStats{}, Engine: kind}
+	res := &Result{Cycles: cycles, Output: out, Streams: map[string]*core.StreamStats{}}
 	res.Phases = opt.Trace.SpansSince(mark)
 	b.streams(res)
 	return res, nil
 }
 
 // runComp runs the program on the compiled co-iteration engine
-// (internal/comp). Graphs its lowering does not support — the bitvector
-// pipeline — fall back to the event engine; the Result records which engine
-// actually ran.
+// (internal/comp). A graph its lowering does not support — the bitvector
+// pipeline — fails with comp.Check's error.
 func (p *Program) runComp(inputs map[string]*tensor.COO, opt Options) (*Result, error) {
 	cp, err := p.compProgram()
 	if err != nil {
-		// Fall back to the event engine only for graphs outside the
-		// compiled block set, so comp accepts every graph; the Result's
-		// Engine field records the fallback. Any other lowering failure on
-		// a supported graph is a comp bug and must surface, not be papered
-		// over by a silently different engine. (Artifact-backed programs
-		// have the compiled program pre-set and never reach here.)
-		if p.g != nil && comp.Check(p.g) != nil {
-			return p.runCycle(EngineEvent, inputs, opt)
-		}
 		return nil, fmt.Errorf("sim: %s: %w", p.name(), err)
 	}
 	mark := opt.Trace.Len()
@@ -126,6 +115,5 @@ func (p *Program) runComp(inputs map[string]*tensor.COO, opt Options) (*Result, 
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", p.name(), err)
 	}
-	return &Result{Output: out, Streams: map[string]*core.StreamStats{}, Engine: EngineComp,
-		Phases: opt.Trace.SpansSince(mark)}, nil
+	return &Result{Output: out, Streams: map[string]*core.StreamStats{}, Phases: opt.Trace.SpansSince(mark)}, nil
 }

@@ -165,7 +165,7 @@ func TestEngineEquivalence(t *testing.T) {
 					}
 				}
 				// The compiled engine must agree on the output (no cycle
-				// counts to compare); it runs every graph, by fallback.
+				// counts to compare); every graph here lowers to comp.
 				compOpt := tc.opt
 				compOpt.Engine = EngineComp
 				cres, err := Run(g, inputs, compOpt)

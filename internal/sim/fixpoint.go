@@ -68,8 +68,6 @@ type FixpointResult struct {
 	// Cycles is the total simulated cycle count across iterations (zero on
 	// the comp engine).
 	Cycles int
-	// Engine names the engine that executed the iterations.
-	Engine EngineKind
 }
 
 // withDefaults validates the spec and fills defaulted fields.
@@ -163,7 +161,7 @@ func (fx Fixpoint) Apply(y, x *tensor.COO) (*tensor.COO, float64, error) {
 // before the first step runs. What a step is belongs to the caller — a
 // Program.Run (RunFixpoint), a fan-out over a fleet merged (the serving
 // router), the dense reference evaluator (samsim -check) — so all of them
-// advance and stop by the same code. Engine is left for the caller to fill.
+// advance and stop by the same code.
 func (fx Fixpoint) Iterate(x0 *tensor.COO, step func(x *tensor.COO) (y *tensor.COO, cycles int, err error)) (*FixpointResult, error) {
 	fx, err := fx.withDefaults()
 	if err != nil {
@@ -204,19 +202,12 @@ func RunFixpoint(p *Program, inputs map[string]*tensor.COO, fx Fixpoint, opt Opt
 		return nil, fmt.Errorf("sim: fixpoint: no input named %q to iterate", fx.Var)
 	}
 	cur := maps.Clone(inputs)
-	var engine EngineKind // of the last run; there is at least one
-	res, err := fx.Iterate(x0, func(x *tensor.COO) (*tensor.COO, int, error) {
+	return fx.Iterate(x0, func(x *tensor.COO) (*tensor.COO, int, error) {
 		cur[fx.Var] = x
 		r, err := p.Run(cur, opt)
 		if err != nil {
 			return nil, 0, err
 		}
-		engine = r.Engine
 		return r.Output, r.Cycles, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Engine = engine
-	return res, nil
 }

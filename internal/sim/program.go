@@ -30,7 +30,7 @@ type Program struct {
 	// first comp-engine run or Artifact call and reused for the program's
 	// lifetime, so cached programs in the serving layer amortize lowering
 	// exactly like the wiring plan. compErr caches lowering rejection
-	// (unsupported blocks), which triggers the event-engine fallback.
+	// (unsupported blocks), which fails every comp run of the program.
 	// Artifact-backed programs (see NewProgramFromArtifact) have compProg
 	// pre-set and no graph.
 	compOnce sync.Once
@@ -106,8 +106,8 @@ func (p *Program) name() string {
 }
 
 // compProgram returns the program's compiled-engine lowering, building it on
-// first use. An error means the graph is outside the compiled block set and
-// the comp engine must fall back to the event engine.
+// first use. An error, such as a graph outside the compiled block set (see
+// comp.Check), means the comp engine cannot run the program.
 func (p *Program) compProgram() (*comp.Program, error) {
 	p.compOnce.Do(func() {
 		p.compProg, p.compErr = comp.Compile(p.g)
@@ -132,10 +132,10 @@ func (p *Program) Artifact() ([]byte, error) {
 // graph.Graph.Fingerprint), the program's cache identity.
 func (p *Program) Fingerprint() string { return p.fp }
 
-// CheckEngine reports whether the engine can execute this program: every
-// engine runs a graph-backed program (comp falls back to the event engine
-// for blocks it cannot lower), while an artifact-backed one carries only the
-// compiled lowering. An unknown engine kind also errors.
+// CheckEngine reports whether the engine can execute this program: the cycle
+// engines run any graph-backed program and comp any graph comp.Check accepts,
+// while an artifact-backed one carries only the compiled lowering. An unknown
+// engine kind also errors.
 func (p *Program) CheckEngine(kind EngineKind) error {
 	if err := CheckEngineKind(kind, Engines()); err != nil {
 		return err
@@ -143,6 +143,9 @@ func (p *Program) CheckEngine(kind EngineKind) error {
 	if p.g == nil && kind != EngineComp {
 		return fmt.Errorf("sim: engine %q cannot run an artifact-backed program: cycle engines need the source graph (artifact engine: %q)",
 			kind, EngineComp)
+	}
+	if p.g != nil && kind == EngineComp {
+		return comp.Check(p.g)
 	}
 	return nil
 }

@@ -220,9 +220,6 @@ func TestProgramArtifactIsTheCompiledForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if loaded.Engine != EngineComp {
-			t.Errorf("par=%d: artifact ran on %q, want comp", par, loaded.Engine)
-		}
 		if err := tensor.IdenticalBits(direct.Output, loaded.Output); err != nil {
 			t.Errorf("par=%d: artifact output differs from graph-backed comp: %v", par, err)
 		}

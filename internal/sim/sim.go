@@ -11,8 +11,8 @@
 // There are three engines: the default event-driven ready-set scheduler,
 // the naive tick-all reference loop (bit-identical results, kept for
 // differential testing), and the compiled co-iteration engine from
-// internal/comp (bit-identical outputs, no cycle model; graphs it cannot
-// lower fall back to the event engine). Select one with Options.Engine; run
+// internal/comp (bit-identical outputs, no cycle model; it rejects graphs it
+// cannot lower). Select one with Options.Engine; run
 // many graph+input bindings concurrently with RunBatch.
 package sim
 
@@ -63,11 +63,6 @@ type Result struct {
 	// Streams holds per-stream statistics keyed by "node/port" labels, for
 	// the Figure 14 token-breakdown study.
 	Streams map[string]*core.StreamStats
-	// Engine names the engine that actually executed the run. It differs
-	// from Options.Engine only when the compiled engine (EngineComp) fell
-	// back to the event engine for a graph outside its block set; serving
-	// counts those fallbacks per engine.
-	Engine EngineKind
 	// Phases holds the engine's phase spans for this run when
 	// Options.Trace was set: operand binding, net wiring or compiled-step
 	// setup, the run itself (with per-lane children in the compiled

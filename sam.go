@@ -23,9 +23,9 @@
 // of Go closures that walk the bound fibertree storage directly — no token
 // queues, no per-cycle scheduling — and is the fastest way to compute a
 // kernel's output. EngineComp computes outputs only — no cycle counts, no
-// stream statistics — but never rejects a graph: the bitvector pipeline
-// (the one block family it cannot lower) falls back to the event engine
-// transparently, recorded in Result.Engine.
+// stream statistics — and rejects, up front in Program.CheckEngine and in
+// Run, the one block family it cannot lower: the bitvector pipeline built by
+// CompileBitvector, which runs on the cycle engines.
 //
 // # Artifacts
 //

@@ -8,6 +8,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"sam/internal/comp"
+	"sam/internal/lang"
 )
 
 // TestFacadeQuickstart exercises the public API end to end.
@@ -179,6 +182,44 @@ func TestFacadeEngines(t *testing.T) {
 	}
 }
 
+// TestFacadeCompRejectsBitvector checks that comp rejects the bitvector
+// pipeline up front, with comp.Check's message, while the event engine runs
+// it and matches the dense reference.
+func TestFacadeCompRejectsBitvector(t *testing.T) {
+	const expr = "x(i) = b(i) * c(i)"
+	rng := rand.New(rand.NewSource(13))
+	inputs := Inputs{"b": RandomTensor("b", rng, 60, 300), "c": RandomTensor("c", rng, 60, 300)}
+	g, err := CompileBitvector(expr, Formats{"b": Uniform(1, Bitvector), "c": Uniform(1, Bitvector)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProgram(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := comp.Check(g)
+	if want == nil {
+		t.Fatal("comp.Check accepted a bitvector graph")
+	}
+	if err := p.CheckEngine(EngineComp); err == nil || err.Error() != want.Error() {
+		t.Errorf("CheckEngine(comp) = %v, want %v", err, want)
+	}
+	if err := p.CheckEngine(EngineEvent); err != nil {
+		t.Fatalf("CheckEngine(event) = %v", err)
+	}
+	res, err := p.Run(inputs, Options{Engine: EngineEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gold, err := lang.Gold(lang.MustParse(expr), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Equal(res.Output, gold, 1e-9); err != nil {
+		t.Errorf("event output differs from gold: %v", err)
+	}
+}
+
 // TestFacadeArtifacts exercises the artifact surface: EncodeProgram is
 // deterministic, DecodeProgram yields a graph-less Program that runs on the
 // comp engine with output identical to the event engine on the source graph,
@@ -218,9 +259,6 @@ func TestFacadeArtifacts(t *testing.T) {
 	got, err := p.Run(inputs, Options{Engine: EngineComp})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.Engine != EngineComp {
-		t.Errorf("artifact ran on %q, want comp", got.Engine)
 	}
 	if err := Equal(got.Output, want.Output, 0); err != nil {
 		t.Errorf("artifact output differs from event: %v", err)
