@@ -27,8 +27,8 @@
 // assemble) through the same internal/obs recorder the server exposes via
 // ?trace=1, and prints them as an indented tree with the trace id after the
 // summary. On the compiled engine, run has one child per executed step, named
-// by its block label (under per-lane children on parallel plans): a fused
-// leaf level is one line under its reducer's label.
+// by its block label, a lane's steps as "… [lane N]": a fused leaf level is
+// one line under its reducer's label.
 //
 // -emit compiles (and, with -O, optimizes) the statement, encodes the
 // compiled program into the portable artifact format (internal/prog), writes

@@ -296,7 +296,7 @@ func TestFlagCombinationValidation(t *testing.T) {
 
 // TestTraceBreakdown checks -trace prints the span tree after the summary:
 // compile-path runs show compile/bind/run/assemble, a parallel compiled run
-// nests lane children under run, and -load mode shows decode instead of
+// lists its lanes' steps under run, and -load mode shows decode instead of
 // compile. Without -trace no trace line appears.
 func TestTraceBreakdown(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -309,9 +309,24 @@ func TestTraceBreakdown(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"trace:       t", "compile", "bind", "run", "lane0", "lane1", "assemble"} {
+	for _, want := range []string{"trace:       t", "compile", "bind", "run", "[lane 0]", "[lane 1]", "assemble"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("traced output missing %q:\n%s", want, out)
+		}
+	}
+	// Lane steps sit directly under run: one indent deeper, no laneN level.
+	_, tree, _ := strings.Cut(out, "trace:")
+	var runIndent int
+	for _, line := range strings.Split(tree, "\n") {
+		name := strings.TrimLeft(line, " ")
+		indent := len(line) - len(name)
+		switch {
+		case strings.HasPrefix(name, "run "):
+			runIndent = indent
+		case strings.HasPrefix(name, "lane"):
+			t.Errorf("traced output has a lane level: %q", line)
+		case strings.Contains(name, "[lane ") && indent <= runIndent:
+			t.Errorf("lane step %q is not nested under run", line)
 		}
 	}
 

@@ -8,7 +8,7 @@
 // its stream-slot wiring and block parameters, plus the writer table and
 // the output metadata (ir.go). Materialize binds each StepIR to its merged-
 // loop closure through an opcode dispatch and rebuilds the derived state
-// (lane plan, output permutation). Compile is Lower followed by
+// (the output permutation). Compile is Lower followed by
 // Materialize; internal/prog serializes the IR between the two halves, so
 // a program loaded from an artifact executes the exact same closure bodies
 // as a direct compilation.
@@ -33,9 +33,9 @@
 //
 // Supported blocks are everything except the bitvector pipeline (bitvector
 // scanners, intersecters, vector ALUs and writers stay on the cycle
-// engines); Check reports support up front so sim's comp engine can fall
-// back to the event engine instead of failing. The compiled engine computes
-// functional results only: no cycle counts, no stream statistics.
+// engines); Check reports support up front, and sim's comp engine rejects a
+// graph it fails with its error. The compiled engine computes functional
+// results only: no cycle counts, no stream statistics.
 package comp
 
 import (
@@ -49,8 +49,8 @@ import (
 
 // violation aborts execution on a stream protocol violation; Run recovers it
 // into an error. A violation in this engine is a lowering bug (the cycle
-// engines accept the same graphs) or a corrupt artifact, so it surfaces
-// instead of falling back.
+// engines accept the same graphs) or a corrupt artifact, so it surfaces as
+// the run's error.
 type violation struct{ err error }
 
 func fail(format string, args ...any) {
@@ -59,6 +59,13 @@ func fail(format string, args ...any) {
 
 // step executes one lowered block against the run's stream buffers.
 type step func(x *exec)
+
+// stepInfo pairs one executed step's IR record (its label names its trace
+// span) with its bound closure.
+type stepInfo struct {
+	si   *StepIR
+	step step
+}
 
 // portKey names one port of one node.
 type portKey struct {
@@ -88,10 +95,6 @@ type Program struct {
 
 	crdWr  map[int]writerRec // output level -> coordinate writer
 	valsWr *writerRec
-
-	// plan is the lane-parallel execution plan, nil for sequential graphs
-	// (see lanes.go).
-	plan *execPlan
 
 	// perm maps output dimension -> graph iteration-order dimension, the
 	// permute from the scheduled loop order to the declared left-hand-side
@@ -154,16 +157,9 @@ func (p *Program) Graph() *graph.Graph { return p.g }
 // internal/prog serializes.
 func (p *Program) IR() *IR { return p.ir }
 
-// Parallel reports whether the program compiled to a lane-parallel plan:
-// Run will execute its fork region on per-lane goroutines. Sequential
-// programs (Par <= 1, or shapes the lane planner rejects) return false.
-func (p *Program) Parallel() bool { return p.plan != nil }
-
-// exec is the view one region of a run executes against: the run's stream
-// buffers indexed by slot, the bound operand storage and output dimensions,
-// and a private arena for cursor/scratch checkouts. Lane goroutines hold
-// distinct exec views sharing one stream table — they write disjoint slots,
-// so the element writes never race — with per-lane arenas.
+// exec is the view a run executes against: the run's stream buffers indexed
+// by slot, the bound operand storage and output dimensions, and the arena
+// for cursor/scratch checkouts.
 type exec struct {
 	streams []token.Stream
 	bound   map[string]*fiber.Tensor

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strconv"
-	"sync"
 
 	"sam/internal/core"
 	"sam/internal/fiber"
@@ -17,13 +15,13 @@ import (
 // This file is the throughput-oriented execution layer of the compiled
 // engine: reusable run contexts with arena-backed scratch memory, one
 // bounded process-wide free list of contexts that any program retargets so
-// warm runs allocate nothing, and the goroutine fork/join executor for
-// lane-parallel plans (see lanes.go).
+// warm runs allocate nothing. Every program runs its steps in order on the
+// calling goroutine: a Par graph's lanes are steps like any other, and a
+// server fills its CPUs by running requests side by side, one context each.
 
 // arena is per-run scratch memory checked out by lowered closures. All
 // checkout paths reuse slab capacity from earlier runs on the same context;
-// growth happens only while a context is cold. Each lane of a parallel plan
-// owns a private arena, so closures never share scratch across goroutines.
+// growth happens only while a context is cold.
 type arena struct {
 	curs []cursor
 	curN int
@@ -38,8 +36,8 @@ type arena struct {
 	groupN int
 
 	// Co-iteration scratch: the matches of the fiber pair in hand, the fused
-	// leaf steps' register programs, and the probe table — one, because an
-	// arena's steps run one after another; a step clears it before first use.
+	// leaf steps' register programs, and the probe table — one, because a
+	// run's steps run one after another; a step clears it before first use.
 	matches []match
 	leafs   []leafInst
 	leafN   int
@@ -115,11 +113,11 @@ func (a *arena) leafProg(tmpl []leafInst) []leafInst {
 }
 
 // RunCtx is the reusable state of one execution: the per-slot stream
-// buffers carved from one token slab, per-lane exec views with private
-// arenas, and the output-assembly scratch. A context belongs to no program:
-// every run retargets it to the program it runs, growing it only where that
-// program needs more, so a context costs the largest run it has served. The
-// zero value is ready to use; a context must not be used by two runs
+// buffers carved from one token slab, the exec view with its arena, and the
+// output-assembly scratch. A context belongs to no program: every run
+// retargets it to the program it runs, growing it only where that program
+// needs more, so a context costs the largest run it has served. The zero
+// value is ready to use; a context must not be used by two runs
 // concurrently. Program.Run checks contexts out of the process-wide free
 // list, or callers hold one explicitly and pass it to RunPooled.
 type RunCtx struct {
@@ -129,10 +127,6 @@ type RunCtx struct {
 
 	main      exec
 	mainArena arena
-	lane      []exec
-	laneArena []arena
-	laneErr   []any
-	wg        sync.WaitGroup
 
 	// Assembly scratch: the reused output fibertree, its levels, the
 	// coordinate scratch of the emit walk, and the flat point/coordinate
@@ -146,13 +140,12 @@ type RunCtx struct {
 	dims []int
 }
 
-// retarget prepares the context for one run of p. The slot table, lane
-// views (one per way of the widest plan served) and assembly levels grow to
-// what p needs, never shrink, so a warm context retargets without
-// allocating. Every stream slot is carved from the token slab at p's
-// high-water hint with a three-index slice: a stream that outgrows its hint
-// appends into private memory, not its neighbour's. Arenas are rewound and
-// the operand binding is installed on every exec view.
+// retarget prepares the context for one run of p. The slot table and
+// assembly levels grow to what p needs, never shrink, so a warm context
+// retargets without allocating. Every stream slot is carved from the token
+// slab at p's high-water hint with a three-index slice: a stream that
+// outgrows its hint appends into private memory, not its neighbour's. The
+// arena is rewound and the operand binding is installed on the exec view.
 func (rc *RunCtx) retarget(p *Program, bound map[string]*fiber.Tensor, dims []int) {
 	rc.p = p
 	rc.streams = slices.Grow(rc.streams[:0], p.nSlot)[:p.nSlot]
@@ -170,15 +163,6 @@ func (rc *RunCtx) retarget(p *Program, bound map[string]*fiber.Tensor, dims []in
 	}
 	rc.mainArena.reset()
 	rc.main = exec{streams: rc.streams, bound: bound, dims: dims, a: &rc.mainArena}
-	if p.plan != nil && len(rc.lane) < p.plan.ways {
-		ways := p.plan.ways
-		rc.lane, rc.laneArena, rc.laneErr = make([]exec, ways), make([]arena, ways), make([]any, ways)
-	}
-	for l := range rc.lane {
-		rc.laneArena[l].reset()
-		rc.lane[l] = exec{streams: rc.streams, bound: bound, dims: dims, a: &rc.laneArena[l]}
-		rc.laneErr[l] = nil
-	}
 	order := len(p.ir.OutputVars)
 	for len(rc.lvls) < order {
 		rc.lvls = append(rc.lvls, &fiber.CompressedLevel{})
@@ -208,9 +192,6 @@ func getCtx() *RunCtx {
 // unless the free list is full.
 func putCtx(rc *RunCtx) {
 	rc.p, rc.main.bound = nil, nil
-	for l := range rc.lane {
-		rc.lane[l].bound = nil
-	}
 	select {
 	case ctxs <- rc:
 	default:
@@ -228,26 +209,12 @@ func (p *Program) Run(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, 
 
 // RunTraced is Run with phase tracing: the execution records "run" and
 // "assemble" spans into tr. Under "run" every executed step records a child
-// span named by its block label — a fused leaf level under its reducer's —
-// and in parallel plans the lane steps nest under one "laneN" span per lane
-// goroutine. A nil tr records nothing and makes RunTraced exactly Run — the
-// hooks cost a nil check and nothing else.
+// span named by its block label — a fused leaf level under its reducer's, a
+// lane's steps under their "… [lane N]" labels. A nil tr records nothing and
+// makes RunTraced exactly Run — the hooks cost a nil check and nothing else.
 func (p *Program) RunTraced(bound map[string]*fiber.Tensor, dims []int, tr *obs.Trace) (*tensor.COO, error) {
-	return p.runCloned(bound, dims, false, tr)
-}
-
-// RunMerged executes the program with lane regions forced onto the calling
-// goroutine as one merged sequential loop, regardless of the compiled plan.
-// It is the differential oracle for the goroutine executor: outputs must be
-// bit-identical to Run's.
-func (p *Program) RunMerged(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
-	return p.runCloned(bound, dims, true, nil)
-}
-
-// runCloned runs on a checked-out context and clones the output out of it.
-func (p *Program) runCloned(bound map[string]*fiber.Tensor, dims []int, merged bool, tr *obs.Trace) (*tensor.COO, error) {
 	rc := getCtx()
-	out, err := p.runCtx(rc, bound, dims, merged, tr)
+	out, err := p.runCtx(rc, bound, dims, tr)
 	if err == nil {
 		out = cloneCOO(out)
 	}
@@ -262,13 +229,13 @@ func (p *Program) runCloned(bound map[string]*fiber.Tensor, dims []int, merged b
 // target (serve runs through RunTraced, which adds the clone out of the
 // context).
 func (p *Program) RunPooled(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
-	return p.runCtx(rc, bound, dims, false, nil)
+	return p.runCtx(rc, bound, dims, nil)
 }
 
-// runCtx is the shared run core: reset, execute (parallel or merged),
-// raise capacity hints, assemble. tr, when non-nil, gets a "run" span (with
-// per-step and per-lane children) and an "assemble" span.
-func (p *Program) runCtx(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int, merged bool, tr *obs.Trace) (out *tensor.COO, err error) {
+// runCtx is the shared run core: reset, execute the steps in order, raise
+// capacity hints, assemble. tr, when non-nil, gets a "run" span (with
+// per-step children) and an "assemble" span.
+func (p *Program) runCtx(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int, tr *obs.Trace) (out *tensor.COO, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, ok := r.(violation)
@@ -280,11 +247,7 @@ func (p *Program) runCtx(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int,
 	}()
 	rc.retarget(p, bound, dims)
 	run := tr.Start("run")
-	if p.plan != nil && !merged {
-		p.runLanes(rc, run)
-	} else {
-		runSteps(&rc.main, p.steps, run)
-	}
+	runSteps(&rc.main, p.steps, run)
 	for i := range rc.streams {
 		n := int64(len(rc.streams[i]))
 		for {
@@ -316,46 +279,6 @@ func runSteps(x *exec, steps []stepInfo, parent obs.Span) {
 		steps[i].step(x)
 		sp.End()
 	}
-}
-
-// runLanes executes a compiled lane plan: the pre region on the calling
-// goroutine, one goroutine per lane over the lane's closure chain, a
-// WaitGroup fork barrier, then the post region (serializers, lane reducers,
-// writers) on the calling goroutine. Lanes write disjoint stream slots, so
-// the only synchronization needed is the barrier's happens-before edge; a
-// panic inside a lane is captured and re-raised on the calling goroutine
-// after every lane has parked. When the run span records, each lane gets a
-// child span measured on its own goroutine, with its steps' spans under it.
-func (p *Program) runLanes(rc *RunCtx, run obs.Span) {
-	plan := p.plan
-	runSteps(&rc.main, plan.pre, run)
-	for l := range plan.lanes {
-		if len(plan.lanes[l]) == 0 {
-			continue
-		}
-		rc.wg.Add(1)
-		go func(l int) {
-			defer rc.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					rc.laneErr[l] = r
-				}
-			}()
-			var sp obs.Span
-			if run.Active() {
-				sp = run.Child("lane" + strconv.Itoa(l))
-			}
-			runSteps(&rc.lane[l], plan.lanes[l], sp)
-			sp.End()
-		}(l)
-	}
-	rc.wg.Wait()
-	for l := range rc.laneErr {
-		if r := rc.laneErr[l]; r != nil {
-			panic(r)
-		}
-	}
-	runSteps(&rc.main, plan.post, run)
 }
 
 // assemble materializes the output tensor from the writer streams into the

@@ -27,11 +27,5 @@ func ExecSteps(ir *IR) (steps []StepIR, leaf []bool) {
 func (rc *RunCtx) Streams() []token.Stream { return rc.streams }
 
 // Probed reports whether any co-iteration on this context has ever probed a
-// repeated fiber: whether one of its arenas holds a probe table.
-func (rc *RunCtx) Probed() bool {
-	probed := len(rc.mainArena.probe.pos) > 0
-	for l := range rc.laneArena {
-		probed = probed || len(rc.laneArena[l].probe.pos) > 0
-	}
-	return probed
-}
+// repeated fiber: whether its arena holds a probe table.
+func (rc *RunCtx) Probed() bool { return len(rc.mainArena.probe.pos) > 0 }

@@ -105,8 +105,7 @@ func leafReducers(ir *comp.IR) []string {
 	return out
 }
 
-// TestFusionActivates pins the passes' coverage, beside TestLanePlanActivates:
-// every Intersect of the seven Table 1 kernels runs fused — as a co-iteration
+// TestFusionActivates pins the passes' coverage: every Intersect of the seven Table 1 kernels runs fused — as a co-iteration
 // step, or inside the leaf step that swallowed it — and every leaf reducer
 // runs as the fused leaf step under its own label, at the default schedule
 // and at Par 4; the shapes outside the patterns stay as lowered; and the IR a
@@ -139,9 +138,6 @@ func TestFusionActivates(t *testing.T) {
 			}
 			if got, want := countKind(steps, graph.Union), countKind(ir.Steps, graph.Union); got != want {
 				t.Errorf("%s: %d unions execute, want %d", name, got, want)
-			}
-			if got, want := p.Parallel(), par > 1; got != want {
-				t.Errorf("%s: Parallel() = %v, want %v", name, got, want)
 			}
 			if par == 1 && len(steps) != wantSteps[ki] {
 				t.Errorf("%s: %d steps execute, want %d", name, len(steps), wantSteps[ki])
@@ -421,9 +417,9 @@ func TestFusionSlotIdentical(t *testing.T) {
 
 // TestRunTracedStepSpans pins what a traced run shows of the machine: under
 // "run", one span per executed step in execution order, named by its block
-// label — the fused leaf level one line under its reducer's label — and in a
-// lane plan the lane steps under their "laneN" span. Children sit inside
-// their parents.
+// label — the fused leaf level one line under its reducer's label, a lane's
+// steps under their "… [lane N]" labels, directly under "run" like the rest.
+// Children sit inside their parents.
 func TestRunTracedStepSpans(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		g, ir := lowerCase(t, "x(i) = B(i,j) * c(j)", nil, lang.Schedule{Par: par})
@@ -448,40 +444,29 @@ func TestRunTracedStepSpans(t *testing.T) {
 		if len(spans) < 2 || spans[0].Name != "run" || spans[0].Parent != -1 || spans[len(spans)-1].Name != "assemble" || spans[len(spans)-1].Parent != -1 {
 			t.Fatalf("par%d: top-level spans are not run … assemble: %+v", par, spans)
 		}
-		steps, _ := comp.ExecSteps(ir)
-		want := map[string]int{}
-		for i := range steps {
-			want[steps[i].Label]++
-		}
-		for i, sp := range spans[1 : len(spans)-1] {
-			if sp.Parent < 0 {
-				t.Errorf("par%d: step span %q is top-level", par, sp.Name)
-				continue
-			}
-			up := spans[sp.Parent]
-			if sp.StartNS < up.StartNS || sp.StartNS+sp.DurNS > up.StartNS+up.DurNS {
-				t.Errorf("par%d: span %q [%d, +%d] leaves its parent %q [%d, +%d]", par, sp.Name, sp.StartNS, sp.DurNS, up.Name, up.StartNS, up.DurNS)
-			}
-			if strings.HasPrefix(sp.Name, "lane") {
-				if par == 1 || up.Name != "run" {
-					t.Errorf("par%d: lane span %q under %q", par, sp.Name, up.Name)
-				}
-				continue
-			}
-			want[sp.Name]--
-			if onLane := strings.Contains(sp.Name, "[lane "); onLane != strings.HasPrefix(up.Name, "lane") {
-				t.Errorf("par%d: step span %q sits under %q", par, sp.Name, up.Name)
-			}
-			if par == 1 && sp.Name != steps[i].Label {
-				t.Errorf("par1: span %d is %q, want step %d's label %q", i, sp.Name, i, steps[i].Label)
-			}
-		}
 		// One span per executed step and none for a step fused away: the
 		// leaf level is one line, under its reducer's label.
-		for label, n := range want {
-			if n != 0 {
-				t.Errorf("par%d: %q: executed steps minus spans = %d, want 0", par, label, n)
+		steps, _ := comp.ExecSteps(ir)
+		if got := len(spans) - 2; got != len(steps) {
+			t.Errorf("par%d: %d step spans, want one per executed step (%d)", par, got, len(steps))
+		}
+		run, lanes := spans[0], 0
+		for i, sp := range spans[1 : len(spans)-1] {
+			if sp.Parent != 0 {
+				t.Errorf("par%d: step span %q has parent %d, want run", par, sp.Name, sp.Parent)
 			}
+			if sp.StartNS < run.StartNS || sp.StartNS+sp.DurNS > run.StartNS+run.DurNS {
+				t.Errorf("par%d: span %q [%d, +%d] leaves run [%d, +%d]", par, sp.Name, sp.StartNS, sp.DurNS, run.StartNS, run.DurNS)
+			}
+			if i < len(steps) && sp.Name != steps[i].Label {
+				t.Errorf("par%d: span %d is %q, want step %d's label %q", par, i, sp.Name, i, steps[i].Label)
+			}
+			if strings.Contains(sp.Name, "[lane ") {
+				lanes++
+			}
+		}
+		if (lanes > 0) != (par > 1) {
+			t.Errorf("par%d: %d lane step spans", par, lanes)
 		}
 	}
 }

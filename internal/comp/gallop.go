@@ -50,8 +50,8 @@ func (x *exec) coiter(g *StepIR) coiter {
 //   - and stores at least one coordinate in probeMaxSpread of its level. The
 //     table is 4·N bytes whatever the fiber holds: at N ≤ 32·len, two cache
 //     lines of table per stored coordinate at most, so a fiber that sits in
-//     cache has a table that does. Sparser, each lookup is a miss and a lane's
-//     arena carries megabytes to skip a few hundred compares.
+//     cache has a table that does. Sparser, each lookup is a miss and a
+//     context's arena carries megabytes to skip a few hundred compares.
 const (
 	probeMinRatio  = 4
 	probeMaxSpread = 32

@@ -68,8 +68,8 @@ type WriterIR struct {
 // output-dimension references for input binding, output variables for
 // assembly, and the source graph's fingerprint as the artifact's identity.
 // An IR is immutable after Lower (or decode) and fully self-contained:
-// Materialize rebuilds the closures, the lane plan, and the output
-// permutation from it alone.
+// Materialize rebuilds the closures and the output permutation from it
+// alone.
 type IR struct {
 	Name        string
 	Expr        string
@@ -321,10 +321,9 @@ func (si *StepIR) validate(nSlot int) error {
 // IR, fuses the administrative edges away (fuse.go: scanner pairs into the
 // intersects they feed, then each leaf level into one step), binds one
 // closure per remaining step through the opcode dispatch in stepFor, and
-// recomputes everything derived — the lane-parallel execution plan and the
-// output permutation — from the IR records. Derived state is never
-// serialized, so a corrupt artifact cannot smuggle in an unsound plan; it
-// can only fail validation here or a protocol check at run time.
+// recomputes what is derived — the output permutation — from the IR
+// records. Derived state is never serialized, so a corrupt artifact can only
+// fail validation here or a protocol check at run time.
 func Materialize(ir *IR) (*Program, error) {
 	if err := ir.Validate(); err != nil {
 		return nil, err
@@ -355,7 +354,6 @@ func materialize(ir *IR, steps []StepIR, leaf []*leafExpr) (*Program, error) {
 		p.steps[i] = stepInfo{si: si, step: st}
 	}
 	p.hints = make([]atomic.Int64, p.nSlot)
-	p.plan = buildPlan(p.nSlot, p.steps, p.crdWr, p.valsWr)
 
 	// Precompute the output permutation once; a missing variable surfaces
 	// at assembly time, after stream validation, like the other engines.

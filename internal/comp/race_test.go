@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sam/internal/comp"
 	"sam/internal/lang"
 	"sam/internal/tensor"
 )
@@ -12,11 +13,10 @@ import (
 // TestConcurrentRunSharedPool runs two compiled programs of different shape
 // — a lane-parallel SpM*SpM and a sequential SpMV — interleaved from many
 // goroutines at once, all drawing run contexts from the one process-wide
-// free list, so contexts pass back and forth between the programs while
-// each parallel run forks its own lane goroutines. Under -race this is the
-// comp-level data-race gate for pooled + lane execution; it also checks
-// every concurrent result stays bit-identical to its program's sequential
-// reference.
+// free list, so contexts pass back and forth between the programs. Under
+// -race this is the comp-level data-race gate for the shared free list and
+// the programs' hints; it also checks every concurrent result stays
+// bit-identical to its program's run on a fresh context.
 func TestConcurrentRunSharedPool(t *testing.T) {
 	var progs []boundProg
 	for _, tc := range []struct {
@@ -27,10 +27,7 @@ func TestConcurrentRunSharedPool(t *testing.T) {
 		{"spmv", "x(i) = B(i,j) * c(j)", lang.Schedule{}},
 	} {
 		cp, bound, dims := compileCase(t, tc.expr, tc.sched, 29)
-		if got, want := cp.Parallel(), tc.sched.Par > 1; got != want {
-			t.Fatalf("%s: Parallel() = %v, want %v", tc.name, got, want)
-		}
-		want, err := cp.RunMerged(bound, dims)
+		want, err := cp.RunPooled(new(comp.RunCtx), bound, dims)
 		if err != nil {
 			t.Fatal(err)
 		}

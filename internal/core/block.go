@@ -15,21 +15,17 @@ import "fmt"
 // state change must behave identically on the next tick. The event-driven
 // scheduler relies on this to skip starved blocks without perturbing
 // simulated cycle counts.
+//
+// Every block declares its port wiring through InQueues and OutPorts. The
+// event-driven scheduler (Net.Run) uses the declaration to wake a block
+// exactly when one of its input queues flips new tokens visible or a
+// backpressured output queue frees space. Nil entries (optional ports) are
+// permitted.
 type Block interface {
 	Name() string
 	Tick() bool
 	Done() bool
 	Err() error
-}
-
-// Ported is implemented by blocks that declare their port wiring. The
-// event-driven scheduler (Net.Run) uses the declaration to wake a block
-// exactly when one of its input queues flips new tokens visible or a
-// backpressured output queue frees space. Nil entries (optional ports) are
-// permitted. A net containing any block that does not implement Ported
-// falls back to the naive tick-all loop.
-type Ported interface {
-	Block
 	// InQueues lists the queues the block consumes from.
 	InQueues() []*Queue
 	// OutPorts lists the output ports the block pushes into.

@@ -558,52 +558,52 @@ func (b *VecValsWriter) Tick() bool {
 // Vals returns the written values.
 func (b *VecValsWriter) Vals() []float64 { return b.vals }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *BVScanner) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *BVScanner) OutPorts() []*Out { return []*Out{b.outBV, b.outRef} }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *BVIntersect) InQueues() []*Queue {
 	return []*Queue{b.inBVA, b.inRefA, b.inBVB, b.inRefB}
 }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *BVIntersect) OutPorts() []*Out { return b.outs() }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *VecLoad) InQueues() []*Queue { return []*Queue{b.inBV, b.inMask, b.inBase} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *VecLoad) OutPorts() []*Out { return []*Out{b.out} }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *VecALU) InQueues() []*Queue { return []*Queue{b.inA, b.inB} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *VecALU) OutPorts() []*Out { return []*Out{b.out} }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *BVExpand) InQueues() []*Queue { return []*Queue{b.inBV, b.inMask, b.inBase} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *BVExpand) OutPorts() []*Out { return []*Out{b.out} }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *BVConvert) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *BVConvert) OutPorts() []*Out { return []*Out{b.out} }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *BVWriter) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *BVWriter) OutPorts() []*Out { return nil }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *VecValsWriter) InQueues() []*Queue { return []*Queue{b.inBV, b.inVec} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *VecValsWriter) OutPorts() []*Out { return nil }

@@ -234,20 +234,20 @@ func (b *ScalarReducer) Tick() bool {
 	return b.fail("unexpected token %v", t)
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *ArrayLoad) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *ArrayLoad) OutPorts() []*Out { return []*Out{b.out} }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *ALU) InQueues() []*Queue { return []*Queue{b.inA, b.inB} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *ALU) OutPorts() []*Out { return []*Out{b.out} }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *ScalarReducer) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *ScalarReducer) OutPorts() []*Out { return []*Out{b.out} }

@@ -219,14 +219,14 @@ func (b *CrdDropVal) Tick() bool {
 	return b.fail("misaligned inputs %v vs %v", tc, tv)
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *CrdDropCrd) InQueues() []*Queue { return []*Queue{b.inOuter, b.inInner} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *CrdDropCrd) OutPorts() []*Out { return []*Out{b.outOuter, b.outInner} }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *CrdDropVal) InQueues() []*Queue { return []*Queue{b.inOuter, b.inVal} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *CrdDropVal) OutPorts() []*Out { return []*Out{b.outOuter, b.outVal} }

@@ -154,8 +154,8 @@ func (b *GallopIntersect) Tick() bool {
 	return b.fail("misaligned reference inputs %v vs %v", ta, tb)
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *GallopIntersect) InQueues() []*Queue { return []*Queue{b.inA, b.inB} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *GallopIntersect) OutPorts() []*Out { return []*Out{b.outCrd, b.outRefA, b.outRefB} }

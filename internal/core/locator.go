@@ -151,8 +151,8 @@ func (b *Locator) Tick() bool {
 	return b.fail("unexpected token %v on coordinate input", t)
 }
 
-// InQueues implements Ported (inFiber may be nil for root-fiber locators).
+// InQueues implements Block (inFiber may be nil for root-fiber locators).
 func (b *Locator) InQueues() []*Queue { return []*Queue{b.inCrd, b.inRef, b.inFiber} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *Locator) OutPorts() []*Out { return []*Out{b.outCrd, b.outRef, b.outLoc} }

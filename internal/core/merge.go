@@ -250,14 +250,14 @@ func (b *Union) Tick() bool {
 	}
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *Intersect) InQueues() []*Queue { return append(append([]*Queue{}, b.inCrd...), b.inRef...) }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *Intersect) OutPorts() []*Out { return append([]*Out{b.outCrd}, b.outRef...) }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *Union) InQueues() []*Queue { return append(append([]*Queue{}, b.inCrd...), b.inRef...) }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *Union) OutPorts() []*Out { return append([]*Out{b.outCrd}, b.outRef...) }

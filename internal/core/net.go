@@ -39,19 +39,14 @@ func (n *Net) Add(bs ...Block) {
 // Run uses the event-driven ready-set scheduler (see sched.go): per cycle it
 // ticks only blocks made ready by the previous cycle's queue flips, by
 // freed backpressure space, or by their own progress. Cycle counts, outputs
-// and stream statistics are identical to RunNaive; a net containing blocks
-// that do not declare their ports (Ported) falls back to RunNaive.
+// and stream statistics are identical to RunNaive.
 func (n *Net) Run(limit int) (int, error) {
-	if s := newScheduler(n); s != nil {
-		return s.run(limit)
-	}
-	return n.RunNaive(limit)
+	return newScheduler(n).run(limit)
 }
 
 // RunNaive is the reference tick-all loop: every block is ticked on every
-// cycle regardless of whether it can make progress. It is retained for
-// differential testing against the event-driven scheduler and as the
-// fallback for blocks without port declarations.
+// cycle regardless of whether it can make progress. It runs the naive
+// engine, the reference the event-driven scheduler is tested against.
 func (n *Net) RunNaive(limit int) (int, error) {
 	for _, q := range n.Queues {
 		// A previous event-engine run may have left hooks; the naive loop

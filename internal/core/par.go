@@ -704,18 +704,18 @@ func encodeLaneStreams(m int, pts []lanePoint) []token.Stream {
 	return out
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *Parallelizer) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *Parallelizer) OutPorts() []*Out { return b.outs }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *Serializer) InQueues() []*Queue {
 	return append(append(append([]*Queue{}, b.ins...), b.vals...), b.drv...)
 }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *Serializer) OutPorts() []*Out {
 	if b.vals == nil {
 		return []*Out{b.out}
@@ -723,11 +723,11 @@ func (b *Serializer) OutPorts() []*Out {
 	return []*Out{b.out, b.outVal}
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *LaneCombine) InQueues() []*Queue {
 	qs := append(append([]*Queue{}, b.inCrd[0]...), b.inCrd[1]...)
 	return append(qs, b.inVal[0], b.inVal[1])
 }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *LaneCombine) OutPorts() []*Out { return append(append([]*Out{}, b.outCrd...), b.outVal) }

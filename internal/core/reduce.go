@@ -186,10 +186,10 @@ func (b *Reducer) stop(tc token.Tok) bool {
 	return true
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *Reducer) InQueues() []*Queue { return append(append([]*Queue{}, b.inCrd...), b.inVal) }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *Reducer) OutPorts() []*Out { return append(append([]*Out{}, b.outCrd...), b.outVal) }
 
 // GroupAcc is the group accumulator of the n >= 1 reducer, shared by the

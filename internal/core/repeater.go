@@ -107,8 +107,8 @@ func (b *Repeater) Tick() bool {
 	return b.fail("unexpected token %v on coordinate input", t)
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *Repeater) InQueues() []*Queue { return []*Queue{b.inCrd, b.inRef} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *Repeater) OutPorts() []*Out { return []*Out{b.out} }

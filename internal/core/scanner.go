@@ -111,8 +111,8 @@ func (b *Scanner) Tick() bool {
 	return b.fail("unexpected token %v on reference input", t)
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *Scanner) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *Scanner) OutPorts() []*Out { return []*Out{b.outCrd, b.outRef} }

@@ -26,7 +26,7 @@ import "math/bits"
 // when it reports no progress and no event occurred; see Block).
 type scheduler struct {
 	net    *Net
-	blocks []Ported
+	blocks []Block
 
 	// cur and next are ready-set bitsets for the current and the following
 	// cycle. Bits of cur are cleared as blocks are ticked; wakes that land
@@ -44,17 +44,9 @@ type scheduler struct {
 	wired []*Queue
 }
 
-// newScheduler wires a scheduler over the net, or returns nil when a block
-// does not declare its ports (the caller falls back to the naive loop).
+// newScheduler wires a scheduler over the net.
 func newScheduler(n *Net) *scheduler {
-	blocks := make([]Ported, len(n.Blocks))
-	for i, b := range n.Blocks {
-		p, ok := b.(Ported)
-		if !ok {
-			return nil
-		}
-		blocks[i] = p
-	}
+	blocks := n.Blocks
 	words := (len(blocks) + 63) / 64
 	s := &scheduler{
 		net:    n,

@@ -64,14 +64,14 @@ func (b *Sink) Tick() bool {
 	return true
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *RootSource) InQueues() []*Queue { return nil }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *RootSource) OutPorts() []*Out { return []*Out{b.out} }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *Sink) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *Sink) OutPorts() []*Out { return nil }

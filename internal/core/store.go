@@ -75,8 +75,8 @@ func (b *ArrayStore) Tick() bool {
 	return b.fail("misaligned inputs %v vs %v", tr, tv)
 }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *ArrayStore) InQueues() []*Queue { return []*Queue{b.inRef, b.inVal} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *ArrayStore) OutPorts() []*Out { return nil }

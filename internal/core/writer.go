@@ -122,14 +122,14 @@ func (b *ValsWriter) Tick() bool {
 // Vals returns the written value array.
 func (b *ValsWriter) Vals() []float64 { return b.vals }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *CrdWriter) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *CrdWriter) OutPorts() []*Out { return nil }
 
-// InQueues implements Ported.
+// InQueues implements Block.
 func (b *ValsWriter) InQueues() []*Queue { return []*Queue{b.in} }
 
-// OutPorts implements Ported.
+// OutPorts implements Block.
 func (b *ValsWriter) OutPorts() []*Out { return nil }

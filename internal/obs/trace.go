@@ -20,8 +20,8 @@ import (
 // check when tracing is off.
 //
 // A Trace is safe for concurrent use: spans may be started and ended from
-// different goroutines (a queue-wait span ends on a worker, lane spans run
-// on lane goroutines).
+// different goroutines (a queue-wait span starts on the request's goroutine
+// and ends on a worker).
 type Trace struct {
 	id    string
 	start time.Time
@@ -102,7 +102,7 @@ func (s Span) Child(name string) Span {
 }
 
 // Active reports whether the span records anywhere; use it to guard work
-// done only to build span names (formatting a lane index, say).
+// done only for the trace (reading a clock per step, say).
 func (s Span) Active() bool { return s.tr != nil }
 
 func (t *Trace) startSpan(name string, parent int32) Span {

@@ -27,8 +27,8 @@
 // bounds every count by the remaining payload, and hands the result to
 // comp.Materialize, whose IR validation rejects structurally hostile
 // programs — corrupt or adversarial input yields an error, never a panic.
-// Derived execution state (the lane plan, the output permutation) is never
-// serialized; Materialize recomputes it on every load.
+// Derived execution state (the output permutation) is never serialized;
+// Materialize recomputes it on every load.
 package prog
 
 import (

@@ -161,8 +161,8 @@ func (m *metrics) phase(name string, d time.Duration) {
 }
 
 // phases records a traced run's top-level engine phases (bind, run,
-// assemble, …); nested spans like per-lane children are skipped, they would
-// double-count their parents.
+// assemble, …); nested spans like comp's per-step children are skipped,
+// they would double-count their parents.
 func (m *metrics) phases(spans []obs.SpanData) {
 	for _, sp := range spans {
 		if sp.Parent == -1 {

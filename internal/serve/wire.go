@@ -450,8 +450,8 @@ type EvaluateResponse struct {
 	// (?trace=1): the per-request trace identifier and the recorded span
 	// breakdown — decode (body read, JSON, inline operands to COO),
 	// admission (with cache_lookup and compile or disk_load children),
-	// queue_wait, and the engine's phases (bind, run with per-lane
-	// children, assemble). Span parent indices refer into the
+	// queue_wait, and the engine's phases (bind, run with per-step
+	// children on comp, assemble). Span parent indices refer into the
 	// same slice; -1 marks a top-level span.
 	TraceID string         `json:"trace_id,omitempty"`
 	Trace   []obs.SpanData `json:"trace,omitempty"`

@@ -65,9 +65,9 @@ type Result struct {
 	Streams map[string]*core.StreamStats
 	// Phases holds the engine's phase spans for this run when
 	// Options.Trace was set: operand binding, net wiring or compiled-step
-	// setup, the run itself (with per-lane children in the compiled
-	// engine's goroutine mode), and output assembly. Nil when tracing was
-	// off. Parent indices are local to this slice.
+	// setup, the run itself (with one child per executed step on the
+	// compiled engine), and output assembly. Nil when tracing was off.
+	// Parent indices are local to this slice.
 	Phases []obs.SpanData
 }
 

@@ -65,8 +65,8 @@
 // text on GET /metrics (the same registry backs GET /v1/stats), mounts
 // net/http/pprof behind samserve -pprof, and records a span breakdown —
 // admission (cache lookup, compile or artifact decode), queue wait, bind,
-// engine run with per-lane children, assembly — for any request carrying
-// ?trace=1. Library callers opt in per run by setting Options.Trace:
+// engine run with per-step children on comp, assembly — for any request
+// carrying ?trace=1. Library callers opt in per run by setting Options.Trace:
 //
 //	tr := sam.NewTrace()
 //	res, err := p.Run(inputs, sam.Options{Engine: sam.EngineComp, Trace: tr})
@@ -223,7 +223,8 @@ type ServerConfig = serve.Config
 
 // Trace is a per-request phase recorder: named spans with monotonic
 // timestamps and parent links. Set one on Options.Trace to capture where a
-// run spends its time (bind, engine run with per-lane children, assembly);
+// run spends its time (bind, engine run with per-step children on comp,
+// assembly);
 // every method on a nil *Trace is a no-op, so instrumented paths cost a
 // nil check when tracing is off. The serving layer creates one per request
 // carrying ?trace=1 and returns the spans in the response.
