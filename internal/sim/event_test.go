@@ -238,6 +238,44 @@ func TestReduceGoldenStats(t *testing.T) {
 	checkGolden(t, "testdata/reduce_golden.txt", reduceShapes(t))
 }
 
+// mergeShapes drives the intersecter and unioner (Definitions 3.2–3.3)
+// through the cases the other goldens miss: a three-way intersect, whose
+// heads stop at different times and drain the rest; a three-way union over
+// vectors; a three-way union over matrices where C and D have empty rows; an
+// intersect fed by a union, so N references reach its reference inputs,
+// again under backpressure; and the three-way union split over two lanes.
+func mergeShapes(tb testing.TB) []eventShape {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(31))
+	draw := func(name string, nnz int, dims ...int) *tensor.COO {
+		t := tensor.UniformRandom(name, rng, nnz, dims...)
+		tensor.QuantizeInts(rng, 9, t)
+		return t
+	}
+	vec := map[string]*tensor.COO{"a": draw("a", 9, 16), "b": draw("b", 8, 16), "c": draw("c", 10, 16)}
+	mat := map[string]*tensor.COO{
+		"B": draw("B", 16, 6, 8),
+		"C": withoutSlices(draw("C", 18, 6, 8), 0, 1, 4),
+		"D": withoutSlices(draw("D", 16, 6, 8), 0, 2, 5),
+	}
+	const add3, mulAdd = "X(i,j) = B(i,j) + C(i,j) + D(i,j)", "X(i,j) = B(i,j) * (C(i,j) + D(i,j))"
+	rows := []shapeRow{
+		{"Mul3-vec", "x(i) = a(i) * b(i) * c(i)", lang.Schedule{}, vec, Options{}, nil},
+		{"Add3-vec", "x(i) = a(i) + b(i) + c(i)", lang.Schedule{}, vec, Options{}, nil},
+		{"Add3-empty-rows", add3, lang.Schedule{}, mat, Options{}, nil},
+		{"MulAdd", mulAdd, lang.Schedule{}, mat, Options{}, nil},
+		{"MulAdd-cap2", mulAdd, lang.Schedule{}, mat, Options{QueueCap: 2}, nil},
+		{"Add3-par2", add3, lang.Schedule{Par: 2}, mat, Options{}, nil},
+	}
+	return buildShapes(tb, rows)
+}
+
+// TestMergeGoldenStats pins the intersecter and unioner tick for tick on
+// mergeShapes, the way TestReduceGoldenStats pins the reducer.
+func TestMergeGoldenStats(t *testing.T) {
+	checkGolden(t, "testdata/merge_golden.txt", mergeShapes(t))
+}
+
 // TestReduceEmptySubFibers holds a reduction ordered outside three kept
 // variables (n = 3) to the gold model on every engine. At 30 % density most
 // (l, i) and (l, i, j) prefixes have empty sub-fibers, mid-fiber and
