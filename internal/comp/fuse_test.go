@@ -477,7 +477,9 @@ func TestRunTracedStepSpans(t *testing.T) {
 // stream references, match positions and probed coordinates index past what
 // they name. The run must end in an error on the fused kernels, the scanner
 // and the locator alike, not in an index panic that nothing above comp
-// recovers.
+// recovers. One more crafted IR wires a merge's coordinate input to a
+// union's reference output, which carries N: the merge must name the token,
+// as core.Merger does, before anything downstream trips over it.
 func TestFiberRefOutOfRange(t *testing.T) {
 	const spmv = "x(i) = B(i,j) * c(j)"
 	// aimAtTop points a level-1 walk at its operand's one-fiber top level.
@@ -527,6 +529,9 @@ func TestFiberRefOutOfRange(t *testing.T) {
 		// build stops at the first coordinate the table has no entry for.
 		{name: "probe-build", expr: spmv, corrupt: func(*testing.T, []comp.StepIR) {}, build: comp.Materialize,
 			inputs: map[string]*tensor.COO{"B": diagonal("B", 12), "c": everyOther("c", 12)}, shrink: "c", want: "outside level of size 2"},
+		{name: "merge-crd-from-ref", expr: "x(i) = (a(i) + b(i)) * c(i)", corrupt: func(t *testing.T, steps []comp.StepIR) {
+			stepLabeled(t, steps, "Intersect i").Ins[0] = stepLabeled(t, steps, "Union i").Outs[1]
+		}, build: comp.Materialize, want: "Intersect i: unexpected token N on coordinate input"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

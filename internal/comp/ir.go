@@ -391,10 +391,8 @@ func stepFor(si *StepIR) (step, error) {
 		return stepScanner(si), nil
 	case graph.Repeat:
 		return stepRepeat(si), nil
-	case graph.Intersect:
-		return stepIntersect(si), nil
-	case graph.Union:
-		return stepUnion(si), nil
+	case graph.Intersect, graph.Union:
+		return stepMerge(si), nil
 	case graph.GallopIntersect:
 		return stepGallop(si), nil
 	case graph.Locate:

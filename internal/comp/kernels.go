@@ -1,6 +1,7 @@
 package comp
 
 import (
+	"sam/internal/graph"
 	"sam/internal/lang"
 	"sam/internal/token"
 )
@@ -127,9 +128,12 @@ func stepRepeat(si *StepIR) step {
 	}
 }
 
-// stepIntersect is the m-ary intersecter as one two-pointer merge loop over
-// the input coordinate streams (Definition 3.2).
-func stepIntersect(si *StepIR) step {
+// stepMerge is the m-ary intersecter or unioner (Definitions 3.2–3.3) as one
+// merge loop over the input coordinate streams. It applies core.Merger's
+// rules in the same order, a whole stream per call instead of one set of
+// heads per cycle, and fails with the same texts.
+func stepMerge(si *StepIR) step {
+	union := si.Kind == graph.Union
 	inCrd, inRef := splitPairs(si.Ins, si.Ways)
 	outCrd := si.Outs[0]
 	outRef := si.Outs[1 : 1+si.Ways]
@@ -142,11 +146,11 @@ func stepIntersect(si *StepIR) step {
 			heads[i] = cc[i].next()
 		}
 		for {
-			// Two-way fast path: while both heads are coordinates, run the
-			// plain two-pointer merge without the generic head scan. The
-			// emitted tokens are exactly the generic state machine's
-			// nVal == m cases specialized to m == 2.
-			if m == 2 {
+			// Two-way intersect fast path: while both heads are coordinates,
+			// run the plain two-pointer merge without the generic head scan.
+			// The emitted tokens are exactly the generic rules' all-values
+			// cases specialized to m == 2.
+			if !union && m == 2 {
 				a, b := heads[0], heads[1]
 				for a.Kind == token.Val && b.Kind == token.Val {
 					switch {
@@ -166,14 +170,17 @@ func stepIntersect(si *StepIR) step {
 				}
 				heads[0], heads[1] = a, b
 			}
-			nVal, nDone := 0, 0
+			nVal, nMin, nStop, nDone := 0, 0, 0, 0
 			var minC int64
 			stopLvl := -1
 			for _, t := range heads {
 				switch t.Kind {
 				case token.Val:
-					if nVal == 0 || t.N < minC {
-						minC = t.N
+					switch {
+					case nVal == 0 || t.N < minC:
+						minC, nMin = t.N, 1
+					case t.N == minC:
+						nMin++
 					}
 					nVal++
 				case token.Stop:
@@ -181,8 +188,11 @@ func stepIntersect(si *StepIR) step {
 						fail("%s: misaligned stop levels S%d vs S%d", name, stopLvl, t.StopLevel())
 					}
 					stopLvl = t.StopLevel()
+					nStop++
 				case token.Done:
 					nDone++
+				default:
+					fail("%s: unexpected token %v on coordinate input", name, t)
 				}
 			}
 			switch {
@@ -194,105 +204,18 @@ func stepIntersect(si *StepIR) step {
 				}
 				return
 			case nDone > 0:
-				fail("%s: premature done", name)
-			case nVal == m:
-				all := true
-				for _, t := range heads {
-					if t.N != minC {
-						all = false
-					}
-				}
-				if all {
-					x.push(outCrd, token.C(minC))
-					for i := range heads {
-						rt := cr[i].next()
-						heads[i] = cc[i].next()
-						x.push(outRef[i], rt)
-					}
-					continue
-				}
-				for i, t := range heads {
-					if t.IsVal() && t.N == minC {
-						cr[i].next() // refs move in lockstep
-						heads[i] = cc[i].next()
-					}
-				}
-			case nVal == 0:
-				x.push(outCrd, token.S(stopLvl))
-				for i := range heads {
-					rt := cr[i].next()
-					heads[i] = cc[i].next()
-					if !rt.IsStop() {
-						fail("%s: ref misaligned at stop: %v", name, rt)
-					}
-					x.push(outRef[i], rt)
-				}
-			default:
-				for i, t := range heads {
-					if t.IsVal() {
-						cr[i].next() // refs move in lockstep
-						heads[i] = cc[i].next()
-					}
-				}
-			}
-		}
-	}
-}
-
-// stepUnion is the m-ary unioner as one merge loop (Definition 3.3).
-func stepUnion(si *StepIR) step {
-	inCrd, inRef := splitPairs(si.Ins, si.Ways)
-	outCrd := si.Outs[0]
-	outRef := si.Outs[1 : 1+si.Ways]
-	name := si.Label
-	return func(x *exec) {
-		m := len(inCrd)
-		cc, cr := x.curs(inCrd), x.curs(inRef)
-		heads := x.a.tokens(m)
-		for i := range heads {
-			heads[i] = cc[i].next()
-		}
-		for {
-			nVal, nDone := 0, 0
-			var minC int64
-			stopLvl := -1
-			for _, t := range heads {
-				switch t.Kind {
-				case token.Val:
-					if nVal == 0 || t.N < minC {
-						minC = t.N
-					}
-					nVal++
-				case token.Stop:
-					if stopLvl != -1 && stopLvl != t.StopLevel() {
-						fail("%s: misaligned stop levels S%d vs S%d", name, stopLvl, t.StopLevel())
-					}
-					stopLvl = t.StopLevel()
-				case token.Done:
-					nDone++
-				}
-			}
-			switch {
-			case nDone == m:
-				x.push(outCrd, token.D())
-				for i := range cr {
-					cr[i].next()
-					x.push(outRef[i], token.D())
-				}
-				return
-			case nDone > 0:
-				fail("%s: premature done", name)
-			case nVal == 0:
+				fail("%s: done token while other inputs still streaming", name)
+			case nStop == m:
 				x.push(outCrd, token.S(stopLvl))
 				for i := range heads {
 					rt := cr[i].next()
 					if !rt.IsStop() {
-						fail("%s: ref misaligned at stop: %v", name, rt)
+						fail("%s: reference stream misaligned at stop: got %v", name, rt)
 					}
 					x.push(outRef[i], rt)
 					heads[i] = cc[i].next()
 				}
-			default:
+			case union || nMin == m:
 				x.push(outCrd, token.C(minC))
 				for i, t := range heads {
 					if t.IsVal() && t.N == minC {
@@ -300,6 +223,13 @@ func stepUnion(si *StepIR) step {
 						heads[i] = cc[i].next()
 					} else {
 						x.push(outRef[i], token.N())
+					}
+				}
+			default:
+				for i, t := range heads {
+					if t.IsVal() && (nStop > 0 || t.N == minC) {
+						cr[i].next() // refs move in lockstep
+						heads[i] = cc[i].next()
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"sam/internal/fiber"
@@ -161,7 +162,7 @@ func TestUnionFigure5(t *testing.T) {
 	refC.Preload(token.MustParse("0 1 2 3 4 S0 D"))
 	outCrd := n.NewQueue("out.crd")
 	outB, outC := n.NewQueue("out.refb"), n.NewQueue("out.refc")
-	n.Add(NewUnion("union", []*Queue{crdB, crdC}, []*Queue{refB, refC},
+	n.Add(NewMerger("union", true, []*Queue{crdB, crdC}, []*Queue{refB, refC},
 		NewOut(outCrd), []*Out{NewOut(outB), NewOut(outC)}))
 	mustRun(t, n)
 
@@ -209,7 +210,7 @@ func TestIntersectBasic(t *testing.T) {
 	refB.Preload(token.MustParse("0 1 2 S0 3 S1 D"))
 	outCrd := n.NewQueue("out.crd")
 	outA, outB := n.NewQueue("out.refa"), n.NewQueue("out.refb")
-	n.Add(NewIntersect("int", []*Queue{crdA, crdB}, []*Queue{refA, refB},
+	n.Add(NewMerger("int", false, []*Queue{crdA, crdB}, []*Queue{refA, refB},
 		NewOut(outCrd), []*Out{NewOut(outA), NewOut(outB)}))
 	mustRun(t, n)
 
@@ -248,13 +249,34 @@ func TestIntersectThreeWay(t *testing.T) {
 		outQs = append(outQs, q)
 		outs = append(outs, NewOut(q))
 	}
-	n.Add(NewIntersect("int3", crds, refs, NewOut(outCrd), outs))
+	n.Add(NewMerger("int3", false, crds, refs, NewOut(outCrd), outs))
 	mustRun(t, n)
 
 	checkStream(t, "crd", outCrd.Drain(), "1 5 S0 D")
 	checkStream(t, "refa", outQs[0].Drain(), "0 2 S0 D")
 	checkStream(t, "refb", outQs[1].Drain(), "0 1 S0 D")
 	checkStream(t, "refc", outQs[2].Drain(), "1 2 S0 D")
+}
+
+// TestMergerRejectsEmptyOnCoordinateInput feeds N, a reference-stream token,
+// to a coordinate input of the intersecter and the unioner: both fail naming
+// it, with the text comp's stepMerge gives for the same fault.
+func TestMergerRejectsEmptyOnCoordinateInput(t *testing.T) {
+	for _, union := range []bool{false, true} {
+		n := &Net{}
+		crdA, refA := n.NewQueue("a.crd"), n.NewQueue("a.ref")
+		crdB, refB := n.NewQueue("b.crd"), n.NewQueue("b.ref")
+		crdA.Preload(token.MustParse("1 N S0 D"))
+		refA.Preload(token.MustParse("0 1 S0 D"))
+		crdB.Preload(token.MustParse("1 2 S0 D"))
+		refB.Preload(token.MustParse("0 1 S0 D"))
+		n.Add(NewMerger("merge", union, []*Queue{crdA, crdB}, []*Queue{refA, refB},
+			NewOut(n.NewQueue("out.crd")), []*Out{NewOut(n.NewQueue("out.refa")), NewOut(n.NewQueue("out.refb"))}))
+		_, err := n.Run(1_000_000)
+		if err == nil || !strings.Contains(err.Error(), "merge: unexpected token N on coordinate input") {
+			t.Errorf("union=%v: err = %v, want the N named on a coordinate input", union, err)
+		}
+	}
 }
 
 // TestVectorReducerFigure7 reproduces the row reducer example of Figure 7 on
@@ -422,15 +444,17 @@ func TestCrdWriter(t *testing.T) {
 	}
 }
 
-// TestLocatorRootFiber checks leader-follower intersection into a vector.
+// TestLocatorRootFiber checks leader-follower intersection into a vector:
+// the fiber-select stream picks its one root fiber.
 func TestLocatorRootFiber(t *testing.T) {
 	lvl := &fiber.CompressedLevel{N: 10, Seg: []int32{0, 4}, Crd: []int32{1, 3, 5, 7}}
 	n := &Net{}
-	crd, ref := n.NewQueue("crd"), n.NewQueue("ref")
+	crd, ref, fib := n.NewQueue("crd"), n.NewQueue("ref"), n.NewQueue("fib")
 	crd.Preload(token.MustParse("0 3 5 6 S0 D"))
 	ref.Preload(token.MustParse("0 1 2 3 S0 D"))
+	fib.Preload(token.MustParse("0 D"))
 	oc, orf, ol := n.NewQueue("oc"), n.NewQueue("or"), n.NewQueue("ol")
-	n.Add(NewLocator("loc", lvl, crd, ref, nil, NewOut(oc), NewOut(orf), NewOut(ol)))
+	n.Add(NewLocator("loc", lvl, crd, ref, fib, NewOut(oc), NewOut(orf), NewOut(ol)))
 	mustRun(t, n)
 
 	checkStream(t, "crd", oc.Drain(), "3 5 S0 D")

@@ -12,16 +12,15 @@ import (
 // reference, and the located reference; missing coordinates are filtered from
 // all three outputs.
 //
-// The fiber to search is selected by the optional inFiber reference stream
-// (one reference per driver fiber, like a repeater); when inFiber is nil the
-// locator searches the level's root fiber, which covers locating into
-// vectors and the top level of any tensor.
+// The fiber to search is selected by the inFiber reference stream (one
+// reference per driver fiber, like a repeater); locating into a vector or a
+// tensor's top level selects its root fiber, 0.
 type Locator struct {
 	basic
 	lvl     fiber.Level
 	inCrd   *Queue
 	inRef   *Queue
-	inFiber *Queue // may be nil
+	inFiber *Queue
 	outCrd  *Out
 	outRef  *Out
 	outLoc  *Out
@@ -53,7 +52,7 @@ func (b *Locator) Tick() bool {
 	}
 	switch t.Kind {
 	case token.Val:
-		if b.inFiber != nil && !b.haveCur {
+		if !b.haveCur {
 			f, ok := b.inFiber.Pop()
 			if !ok {
 				return false
@@ -69,15 +68,11 @@ func (b *Locator) Tick() bool {
 		if !ok {
 			return b.fail("reference stream shorter than coordinate stream")
 		}
-		if b.inFiber != nil && b.cur.IsEmpty() {
+		if b.cur.IsEmpty() {
 			// The whole follower fiber is absent: filter the coordinate.
 			return true
 		}
-		f := 0
-		if b.inFiber != nil {
-			f = int(b.cur.N)
-		}
-		loc, found := b.lvl.Locate(f, t.N)
+		loc, found := b.lvl.Locate(int(b.cur.N), t.N)
 		if !found {
 			return true
 		}
@@ -86,37 +81,35 @@ func (b *Locator) Tick() bool {
 		b.outLoc.Push(token.C(loc))
 		return true
 	case token.Stop:
-		if b.inFiber != nil {
-			if !b.haveCur {
-				fs, ok := b.inFiber.Peek()
-				if !ok {
-					return false
-				}
-				if fs.IsVal() || fs.IsEmpty() {
-					// Empty driver fiber: its fiber-select token is consumed
-					// with zero lookups.
-					b.inFiber.Pop()
-					b.haveCur = true
-					return true
-				}
-				if !fs.IsStop() || t.StopLevel() == 0 {
-					return b.fail("fiber-select stream misaligned at empty fiber: got %v", fs)
-				}
-				// Structural empty group: the stop-pairing below consumes
-				// the matching fiber-select stop.
+		if !b.haveCur {
+			fs, ok := b.inFiber.Peek()
+			if !ok {
+				return false
 			}
-			if t.StopLevel() >= 1 {
-				fs, ok := b.inFiber.Peek()
-				if !ok {
-					return false
-				}
-				if !fs.IsStop() || fs.StopLevel() != t.StopLevel()-1 {
-					return b.fail("fiber-select stream misaligned: crd %v vs %v", t, fs)
-				}
+			if fs.IsVal() || fs.IsEmpty() {
+				// Empty driver fiber: its fiber-select token is consumed
+				// with zero lookups.
 				b.inFiber.Pop()
+				b.haveCur = true
+				return true
 			}
-			b.haveCur = false
+			if !fs.IsStop() || t.StopLevel() == 0 {
+				return b.fail("fiber-select stream misaligned at empty fiber: got %v", fs)
+			}
+			// Structural empty group: the stop-pairing below consumes the
+			// matching fiber-select stop.
 		}
+		if t.StopLevel() >= 1 {
+			fs, ok := b.inFiber.Peek()
+			if !ok {
+				return false
+			}
+			if !fs.IsStop() || fs.StopLevel() != t.StopLevel()-1 {
+				return b.fail("fiber-select stream misaligned: crd %v vs %v", t, fs)
+			}
+			b.inFiber.Pop()
+		}
+		b.haveCur = false
 		b.inCrd.Pop()
 		rs, ok := b.inRef.Pop()
 		if !ok || !rs.IsStop() || rs.StopLevel() != t.StopLevel() {
@@ -127,16 +120,14 @@ func (b *Locator) Tick() bool {
 		b.outLoc.Push(t)
 		return true
 	case token.Done:
-		if b.inFiber != nil {
-			fd, ok := b.inFiber.Peek()
-			if !ok {
-				return false
-			}
-			if !fd.IsDone() {
-				return b.fail("fiber-select stream misaligned at done: %v", fd)
-			}
-			b.inFiber.Pop()
+		fd, ok := b.inFiber.Peek()
+		if !ok {
+			return false
 		}
+		if !fd.IsDone() {
+			return b.fail("fiber-select stream misaligned at done: %v", fd)
+		}
+		b.inFiber.Pop()
 		b.inCrd.Pop()
 		rd, ok := b.inRef.Pop()
 		if !ok || !rd.IsDone() {
@@ -151,7 +142,7 @@ func (b *Locator) Tick() bool {
 	return b.fail("unexpected token %v on coordinate input", t)
 }
 
-// InQueues implements Block (inFiber may be nil for root-fiber locators).
+// InQueues implements Block.
 func (b *Locator) InQueues() []*Queue { return []*Queue{b.inCrd, b.inRef, b.inFiber} }
 
 // OutPorts implements Block.

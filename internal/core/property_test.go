@@ -51,7 +51,7 @@ func TestQuickIntersectSetSemantics(t *testing.T) {
 		qb.Preload(crdB)
 		qrb.Preload(refB)
 		oc, oa, ob := n.NewQueue("oc"), n.NewQueue("oa"), n.NewQueue("ob")
-		n.Add(NewIntersect("int", []*Queue{qa, qb}, []*Queue{qra, qrb}, NewOut(oc), []*Out{NewOut(oa), NewOut(ob)}))
+		n.Add(NewMerger("int", false, []*Queue{qa, qb}, []*Queue{qra, qrb}, NewOut(oc), []*Out{NewOut(oa), NewOut(ob)}))
 		if _, err := n.Run(100000); err != nil {
 			return false
 		}
@@ -96,7 +96,7 @@ func TestQuickUnionSetSemantics(t *testing.T) {
 		qb.Preload(crdB)
 		qrb.Preload(refB)
 		oc, oa, ob := n.NewQueue("oc"), n.NewQueue("oa"), n.NewQueue("ob")
-		n.Add(NewUnion("un", []*Queue{qa, qb}, []*Queue{qra, qrb}, NewOut(oc), []*Out{NewOut(oa), NewOut(ob)}))
+		n.Add(NewMerger("un", true, []*Queue{qa, qb}, []*Queue{qra, qrb}, NewOut(oc), []*Out{NewOut(oa), NewOut(ob)}))
 		if _, err := n.Run(100000); err != nil {
 			return false
 		}
@@ -301,7 +301,7 @@ func TestQuickGallopMatchesIntersect(t *testing.T) {
 			n.Add(NewScanner("sa", la, ra, NewOut(ca), NewOut(cra)))
 			n.Add(NewScanner("sb", lb, rb, NewOut(cb), NewOut(crb)))
 			oc, oa, ob := n.NewQueue("oc"), n.NewQueue("oa"), n.NewQueue("ob")
-			n.Add(NewIntersect("i", []*Queue{ca, cb}, []*Queue{cra, crb}, NewOut(oc), []*Out{NewOut(oa), NewOut(ob)}))
+			n.Add(NewMerger("i", false, []*Queue{ca, cb}, []*Queue{cra, crb}, NewOut(oc), []*Out{NewOut(oa), NewOut(ob)}))
 			if _, err := n.Run(100000); err != nil {
 				return nil, err
 			}

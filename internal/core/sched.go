@@ -63,9 +63,7 @@ func newScheduler(n *Net) *scheduler {
 	prod := map[*Queue]int{}
 	for i, p := range blocks {
 		for _, q := range p.InQueues() {
-			if q != nil {
-				cons[q] = i + 1
-			}
+			cons[q] = i + 1
 		}
 		for _, o := range p.OutPorts() {
 			if o == nil {

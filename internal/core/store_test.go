@@ -59,7 +59,7 @@ func TestLocateScatterSpMV(t *testing.T) {
 	n.Add(NewScanner("cj", ct.Levels[0], rootC, NewOut(cjCrd), NewOut(cjRef)))
 	jCrd := n.NewQueue("j.crd")
 	jRefB, jRefC := n.NewQueue("j.refB"), n.NewQueue("j.refC")
-	n.Add(NewIntersect("int j", []*Queue{bjCrd, cjCrd}, []*Queue{bjRef, cjRef},
+	n.Add(NewMerger("int j", false, []*Queue{bjCrd, cjCrd}, []*Queue{bjRef, cjRef},
 		NewOut(jCrd), []*Out{NewOut(jRefB), NewOut(jRefC)}))
 
 	// For each surviving row j: scan B's i coordinates, repeat c's value

@@ -253,6 +253,8 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 		}
 		return core.NewRepeater(n.Label, crd, ref, b.out(n, "ref")), nil
 	case graph.Intersect, graph.Union:
+		// One merger block for both kinds: they differ only when the heads
+		// disagree (core.Merger).
 		crds := make([]*core.Queue, n.Ways)
 		refs := make([]*core.Queue, n.Ways)
 		refOuts := make([]*core.Out, n.Ways)
@@ -266,10 +268,7 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 			}
 			refOuts[i] = b.out(n, fmt.Sprintf("ref%d", i))
 		}
-		if n.Kind == graph.Intersect {
-			return core.NewIntersect(n.Label, crds, refs, b.out(n, "crd"), refOuts), nil
-		}
-		return core.NewUnion(n.Label, crds, refs, b.out(n, "crd"), refOuts), nil
+		return core.NewMerger(n.Label, n.Kind == graph.Union, crds, refs, b.out(n, "crd"), refOuts), nil
 	case graph.GallopIntersect:
 		la, err := b.level(n, n.Tensor, n.Level)
 		if err != nil {
