@@ -190,6 +190,8 @@ func randomCase(seed int64) (name, expr string, sched lang.Schedule, inputs map[
 		"x(i) = alpha * B(i,j) * c(j) + alpha * d(i)",
 		"X(i,j,k) = B(i,j,k,l) * c(l)",
 		"X(i,j,k) = B(l,i,k) * C(l,j,k)",
+		"X(i,j,k) = B(i,j,l) * C(k,l)",
+		"X(i,j) = B(i,k,l) * C(k,j) * D(l,j)",
 	}
 	expr = pool[rng.Intn(len(pool))]
 	e := lang.MustParse(expr)
@@ -229,6 +231,58 @@ func TestCompDifferentialRandom(t *testing.T) {
 		name, expr, sched, inputs := randomCase(seed)
 		runDifferential(t, name, expr, nil, sched, []int{1, rand.New(rand.NewSource(seed)).Intn(3) + 2}, inputs)
 	}
+}
+
+// TestLoopOrderSweep runs every loop order custard accepts for expressions
+// whose reductions can empty an output fiber: an intersected reduction
+// variable scheduled between two output variables leaves outer coordinates
+// with nothing below them, which only a dropper on each such level keeps the
+// level writers from storing as phantom fibers. Each order runs at six seeds
+// with dimensions 2–5 (small enough that empty fibers are common), at Par
+// {1, 2} × Opt {0, 1}.
+func TestLoopOrderSweep(t *testing.T) {
+	exprs := []string{
+		"X(i,j,k) = B(i,j,l) * C(k,l)",
+		"X(i,j,k) = B(i,l,j) * C(l,k)",
+		"X(i,j,k) = B(l,j,k) * C(i,l)",
+		"X(i,j) = B(i,k,l) * C(k,j) * D(l,j)",
+		"X(i,j) = B(i,k) * C(k,j) * D(i,j)",
+		"X(i,j) = B(i,k) * C(k,l) * D(l,j)",
+		"X(i,j,k,m) = B(i,j,l) * C(k,m,l)",
+	}
+	for _, expr := range exprs {
+		e := lang.MustParse(expr)
+		for _, order := range permutations(e.AllVars()) {
+			sched := lang.Schedule{LoopOrder: order}
+			if _, err := custard.Compile(e, nil, sched); err != nil {
+				continue // an order custard refuses has nothing to run
+			}
+			for seed := int64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				dims := map[string]int{}
+				for _, v := range e.AllVars() {
+					dims[v] = 2 + rng.Intn(4)
+				}
+				inputs := randomInputs(rng, e, func(v string) int { return dims[v] })
+				runDifferential(t, fmt.Sprintf("seed%d:%s:%v", seed, expr, order), expr, nil, sched, []int{1, 2}, inputs)
+			}
+		}
+	}
+}
+
+// permutations lists every ordering of vars.
+func permutations(vars []string) [][]string {
+	if len(vars) <= 1 {
+		return [][]string{append([]string(nil), vars...)}
+	}
+	var out [][]string
+	for i, v := range vars {
+		rest := append(append([]string(nil), vars[:i]...), vars[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]string{v}, p...))
+		}
+	}
+	return out
 }
 
 // FuzzCompDifferential lets go fuzz explore the configuration space beyond

@@ -335,11 +335,6 @@ func (p *Program) assemble(rc *RunCtx) (*tensor.COO, error) {
 		}
 		ft.Levels = append(ft.Levels, L)
 	}
-	// Optimized graphs bypass coordinate-mode droppers; rebuild the fiber
-	// count of all-empty levels from the parent, as the other engines do.
-	if ir.OptLevel > 0 {
-		ft.NormalizeEmptyLevels()
-	}
 	if err := ft.Validate(); err != nil {
 		return nil, fmt.Errorf("comp: assembled output invalid: %w", err)
 	}

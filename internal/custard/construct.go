@@ -2,6 +2,7 @@ package custard
 
 import (
 	"fmt"
+	"slices"
 
 	"sam/internal/fiber"
 	"sam/internal/graph"
@@ -9,11 +10,21 @@ import (
 )
 
 // construct builds the tensor-construction section (paper Section 3.7):
-// coordinate droppers clean ineffectual coordinates innermost-first — a
-// value-mode dropper on the innermost output variable, then one
-// coordinate-mode dropper per outer output variable that has an intersection
-// inside its level — followed by one level writer per output level and a
-// value writer.
+// coordinate droppers clean ineffectual coordinates innermost-first,
+// followed by one level writer per output level and a value writer.
+//
+// A level writer takes every stop on its coordinate stream as the end of
+// one fiber, so a dropper stands wherever an output fiber can turn out
+// empty, and nothing downstream removes one or patches the fiber counts:
+//   - a value-mode dropper on the innermost output variable, under the
+//     conditions below;
+//   - a coordinate-mode dropper on each outer output variable v, with the
+//     next output variable as its inner stream, when an intersection sits
+//     inside v, or when an intersected reduction variable sits between the
+//     outermost output variable and v. An intersection there that meets
+//     nothing hands the reducer an empty group, and the reducer still closes
+//     a fiber at v and every output level below it — fibers no surviving
+//     coordinate above them owns.
 func (c *compiler) construct(val portRef, valVars []string) error {
 	outLoop := c.outputVarsInLoopOrder()
 	if !equalStrings(valVars, outLoop) {
@@ -39,7 +50,7 @@ func (c *compiler) construct(val portRef, valVars []string) error {
 	}
 	for q := m - 2; q >= 0; q-- {
 		v := outLoop[q]
-		if !c.intersectInside(v) {
+		if !c.intersectInside(v) && !c.reductionAbove(v, outLoop[0]) {
 			continue
 		}
 		inner := outLoop[q+1]
@@ -108,6 +119,19 @@ func (c *compiler) anyIntersect() bool {
 func (c *compiler) intersectInside(v string) bool {
 	for u, isInt := range c.varInt {
 		if isInt && c.pos[u] > c.pos[v] {
+			return true
+		}
+	}
+	return false
+}
+
+// reductionAbove reports whether an intersected reduction variable sits
+// strictly between the outermost output variable and v in the loop order:
+// the condition under which v's level can hold fibers that no coordinate
+// above it owns.
+func (c *compiler) reductionAbove(v, outermost string) bool {
+	for u, isInt := range c.varInt {
+		if isInt && !slices.Contains(c.e.LHS.Idx, u) && c.pos[u] > c.pos[outermost] && c.pos[u] < c.pos[v] {
 			return true
 		}
 	}

@@ -377,40 +377,6 @@ func (t *Tensor) Entries() []Entry {
 	return out
 }
 
-// NormalizeEmptyLevels reconciles levels that store no coordinates with
-// their parent. A level writer infers fiber structure from its stream's stop
-// tokens alone; when a level below the top carries no coordinates at all, it
-// cannot tell an all-empty result (parent has no coordinates either — zero
-// fibers) from an all-empty level under surviving parent coordinates (one
-// empty fiber per parent coordinate, the shape optimized graphs produce once
-// coordinate-mode droppers are bypassed). Both shapes store zero points, so
-// the fiber count is rebuilt from the parent to whichever the tree needs.
-// Only compressed and linked-list levels — the writable output formats —
-// are rewritten.
-func (t *Tensor) NormalizeEmptyLevels() {
-	parentCoords := 1
-	for d, l := range t.Levels {
-		total := 0
-		for r := 0; r < l.NumFibers(); r++ {
-			total += l.FiberLen(r)
-		}
-		if d > 0 && total == 0 && l.NumFibers() != parentCoords {
-			switch lv := l.(type) {
-			case *CompressedLevel:
-				lv.Seg = make([]int32, parentCoords+1)
-				lv.Crd = nil
-			case *LinkedListLevel:
-				lv.Heads = make([]int32, parentCoords)
-				for i := range lv.Heads {
-					lv.Heads[i] = -1
-				}
-				lv.Next, lv.Crd, lv.Child = nil, nil, nil
-			}
-		}
-		parentCoords = total
-	}
-}
-
 // Validate checks structural consistency of the fibertree: level fiber
 // counts chain correctly and the value array matches the last level.
 func (t *Tensor) Validate() error {

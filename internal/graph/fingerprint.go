@@ -22,9 +22,8 @@ import (
 // key: it distinguishes storage formats (including bitvector pipelines),
 // loop orders, lane counts (Schedule.Par changes the replicated sub-graph),
 // and optimization rewrites (gallop, locators). OptLevel is part of the
-// structure: it selects assembly-time behavior (empty-level reconciliation),
-// so an optimized graph never aliases an unoptimized one even when the
-// pipeline rewrote nothing.
+// structure, so an optimized graph never aliases an unoptimized one even
+// when the pipeline rewrote nothing.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
 	w := fpWriter{h: h}

@@ -174,10 +174,9 @@ type Graph struct {
 	Edges []*Edge
 
 	// OptLevel records the optimization level applied to the graph (0 = as
-	// lowered, the paper-faithful form). internal/opt sets it; the output
-	// assemblers use it to decide whether all-empty levels need their fiber
-	// counts reconciled (bypassed coordinate droppers make them ambiguous),
-	// so unoptimized graphs keep the strict validation tripwire.
+	// lowered, the paper-faithful form). internal/opt sets it. It is identity
+	// only: no engine reads it, but it is part of the fingerprint and the
+	// artifact, so an optimized graph never aliases an unoptimized one.
 	OptLevel int
 
 	Bindings []Binding

@@ -206,10 +206,10 @@ type Schedule struct {
 	// (internal/opt). Level 0, the default, compiles the paper-faithful
 	// graph untouched — one block per paper definition, the graphs Table 1
 	// counts. Level 1 runs the full rewrite pipeline (common-stream
-	// deduplication, duplicate-way merge collapse, dropper-chain collapse,
-	// dead-block elimination) to a fixpoint; the optimized graph computes a
-	// bit-identical output tensor with fewer blocks and fewer simulated
-	// cycles. Levels outside [0, opt.MaxLevel] fail compilation.
+	// deduplication, duplicate-way merge collapse, dead-block elimination)
+	// to a fixpoint; the optimized graph computes a bit-identical output
+	// tensor with fewer blocks and no more simulated cycles. Levels outside
+	// [0, opt.MaxLevel] fail compilation.
 	Opt int
 	// Par parallelizes the graph across Par lanes at the outermost loop
 	// level (paper Section 4.4): the outermost variable's merged streams

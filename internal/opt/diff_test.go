@@ -84,14 +84,7 @@ func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sche
 			r0, err0 := sim.Run(g0, inputs, sim.Options{Engine: eng})
 			r1, err1 := sim.Run(g1, inputs, sim.Options{Engine: eng})
 			if err0 != nil || err1 != nil {
-				// A handful of exotic loop orders hit pre-existing lowering
-				// limits (e.g. empty fibers under a reduction scheduled
-				// outside an output variable).
-				// The optimizer must not change whether a graph runs:
-				// failures are only tolerated in parity.
-				if (err0 == nil) != (err1 == nil) {
-					t.Errorf("%s par%d %s: run-failure parity broken: O0 err=%v, O1 err=%v", name, par, eng, err0, err1)
-				}
+				t.Errorf("%s par%d %s: a compiled graph failed to run: O0 err=%v, O1 err=%v", name, par, eng, err0, err1)
 				continue
 			}
 			if err := identical(r0.Output, r1.Output); err != nil {
@@ -201,6 +194,8 @@ func randomCase(seed int64) (name, expr string, sched lang.Schedule, inputs map[
 		"X(i,j) = B(i,j) * C(i,k) * D(j,k)",
 		"X(i,j) = B(i,j) + B(i,j) * C(i,j)",
 		"x(i) = alpha * B(i,j) * c(j) + alpha * d(i)",
+		"X(i,j,k) = B(i,j,l) * C(k,l)",
+		"X(i,j) = B(i,k,l) * C(k,j) * D(l,j)",
 	}
 	expr = pool[rng.Intn(len(pool))]
 	e := lang.MustParse(expr)

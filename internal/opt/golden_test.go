@@ -54,14 +54,6 @@ func TestPassGoldenDOT(t *testing.T) {
 			},
 		},
 		{
-			// The coordinate-mode dropper on i is bypassed; the value-mode
-			// dropper on j stays.
-			name: "dropchain_hadamard", pass: "dropchain",
-			build: func(t *testing.T) *graph.Graph {
-				return compileAt(t, "X(i,j) = B(i,j) * C(i,j)", nil, 0)
-			},
-		},
-		{
 			// A hand-attached repeater chain reaching no writer disappears.
 			name: "dce_orphans", pass: "dce",
 			build: func(t *testing.T) *graph.Graph {

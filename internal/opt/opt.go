@@ -3,11 +3,12 @@
 // Custard lowers tensor index notation structurally, one block per paper
 // definition, so the emitted graphs carry redundancy a hardware program
 // would not: duplicated operand streams when a tensor is accessed twice,
-// merge blocks co-iterating a stream against itself, and coordinate-mode
-// droppers that clean empty fibers the output assembler tolerates anyway.
-// Each pass removes one redundancy class and is proven bit-identical on the
-// observable output (the assembled COO tensor) by the differential and fuzz
-// battery in this package; simulated cycles and block counts only go down.
+// and merge blocks co-iterating a stream against itself. Droppers are not
+// redundant: custard places one wherever an output fiber can turn out empty,
+// and every engine validates the assembled output strictly. Each pass
+// removes one redundancy class and is proven bit-identical on the observable
+// output (the assembled COO tensor) by the differential and fuzz battery in
+// this package; simulated cycles and block counts only go down.
 //
 // The pipeline is selected by lang.Schedule.Opt: level 0 compiles the
 // paper-faithful graph untouched (the default, and what Table 1 counts),
@@ -22,12 +23,6 @@
 //     fed the same (crd, ref) pair on several ways (the X(i,j)=B(i,j)*B(i,j)
 //     shape after dedup) drops the duplicate ways; a merge left with one
 //     distinct way is deleted and its streams pass through.
-//   - dropchain: dropper-chain collapse. Coordinate-mode droppers whose
-//     outputs feed only level writers and other coordinate-mode droppers are
-//     bypassed: they exist to elide empty output fibers, but the COO
-//     assembler produces no points for an empty fiber, so the written result
-//     is identical with or without them. Value-mode droppers filter explicit
-//     zeros out of the value array and always stay.
 //   - dce: dead-block elimination. Blocks with no path to a level writer
 //     cannot affect the output and are removed, together with bindings no
 //     surviving block references.
@@ -79,7 +74,6 @@ func Passes(level int) []Pass {
 	return []Pass{
 		{Name: "dedup", Desc: "merge equivalent bindings and hash-cons identical pure blocks", run: runDedup},
 		{Name: "mergefuse", Desc: "drop duplicate (crd, ref) ways from intersecters and unioners", run: runMergeFuse},
-		{Name: "dropchain", Desc: "bypass coordinate-mode droppers feeding only the construction chain", run: runDropChain},
 		{Name: "dce", Desc: "remove blocks with no path to a level writer", run: runDCE},
 	}
 }
@@ -119,6 +113,8 @@ const maxRounds = 10
 // changed. Level 0 is the identity. The pipeline runs to a fixpoint: a pass
 // can expose work for an earlier one (dedup creates the duplicate merge ways
 // mergefuse collapses), so rounds repeat until a full round applies nothing.
+// A non-empty pipeline stamps g.OptLevel, which identifies the graph and
+// changes no engine's behaviour.
 func Optimize(g *graph.Graph, level int) (*Report, error) {
 	if level < 0 || level > MaxLevel {
 		return nil, fmt.Errorf("opt: unknown optimization level %d (want 0..%d)", level, MaxLevel)
@@ -132,8 +128,6 @@ func Optimize(g *graph.Graph, level int) (*Report, error) {
 	if len(passes) == 0 {
 		return rep, nil
 	}
-	// Mark the graph as optimized so the output assemblers know all-empty
-	// levels may need fiber-count reconciliation (see graph.Graph.OptLevel).
 	if level > g.OptLevel {
 		g.OptLevel = level
 	}

@@ -137,32 +137,6 @@ func TestMergeFuseShrinksDuplicateWays(t *testing.T) {
 	}
 }
 
-// TestDropChainBypassesCoordinateDroppers: linear-combination SpM*SpM keeps
-// no droppers at O1 (its only dropper is coordinate-mode), while SDDMM keeps
-// exactly its value-mode dropper, which filters explicit zeros and may never
-// be removed.
-func TestDropChainBypassesCoordinateDroppers(t *testing.T) {
-	g := compileAt(t, "X(i,j) = B(i,k) * C(k,j)", []string{"i", "k", "j"}, 1)
-	if got := g.Count(graph.CrdDrop); got != 0 {
-		t.Errorf("SpM*SpM (ikj) O1 droppers = %d, want 0", got)
-	}
-	g = compileAt(t, "X(i,j) = B(i,j) * C(i,k) * D(j,k)", nil, 1)
-	vals, crds := 0, 0
-	for _, n := range g.Nodes {
-		if n.Kind != graph.CrdDrop {
-			continue
-		}
-		if n.DropVal {
-			vals++
-		} else {
-			crds++
-		}
-	}
-	if vals != 1 || crds != 0 {
-		t.Errorf("SDDMM O1 droppers = %d val-mode + %d crd-mode, want 1 + 0", vals, crds)
-	}
-}
-
 // TestDCERemovesOrphanedBlocks extends a compiled graph with a dropper chain
 // that reaches no writer and checks the optimizer removes it without
 // touching the live pipeline.

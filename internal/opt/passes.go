@@ -224,51 +224,6 @@ func wayOf(p string) (int, bool) {
 	return way, true
 }
 
-// runDropChain bypasses coordinate-mode droppers in the tensor-construction
-// chain. A CrdDrop in coordinate mode elides output coordinates whose inner
-// fiber is empty — a storage-compaction courtesy, not a semantic need: the
-// COO assembler produces no points for an empty fiber, so the assembled
-// output is identical with or without the dropper (sim and comp normalize
-// all-empty levels with fiber.Tensor.NormalizeEmptyLevels). The bypass is
-// only legal while the dropper's streams stay inside the construction
-// chain, where the extra empty fibers are invisible: every consumer must be
-// a level writer or another coordinate-mode dropper (which tolerates, and
-// itself elides, empty inner fibers). Value-mode droppers filter explicit
-// zeros out of the written value array and are never touched.
-func runDropChain(g *graph.Graph) (int, error) {
-	applied := 0
-	dead := map[int]bool{}
-	for _, n := range g.Nodes {
-		if n.Kind != graph.CrdDrop || n.DropVal {
-			continue
-		}
-		bypassable := true
-		for _, e := range g.Edges {
-			if e.From != n.ID {
-				continue
-			}
-			c := g.Nodes[e.To]
-			switch {
-			case c.Kind == graph.CrdWriter && e.ToPort == "crd":
-			case c.Kind == graph.CrdDrop && !c.DropVal &&
-				(e.ToPort == "outer" || e.ToPort == "inner"):
-			default:
-				bypassable = false
-			}
-		}
-		if !bypassable {
-			continue
-		}
-		src := srcOf(g)
-		redirect(g, port{n.ID, "outer"}, src[port{n.ID, "outer"}])
-		redirect(g, port{n.ID, "inner"}, src[port{n.ID, "inner"}])
-		dead[n.ID] = true
-		applied++
-	}
-	removeNodes(g, dead)
-	return applied, nil
-}
-
 // runDCE removes blocks with no path to a level writer — they can never
 // influence the assembled output — and garbage-collects bindings no
 // surviving block references, so runs stop building storage for them.

@@ -276,6 +276,48 @@ func TestMergeGoldenStats(t *testing.T) {
 	checkGolden(t, "testdata/merge_golden.txt", mergeShapes(t))
 }
 
+// dropShapes drives the coordinate dropper (Definition 3.9) in both modes.
+// C has no point at l = 0, 2, 3 or 5. B's row 4 holds only l = 3, so it is a
+// structurally empty outer fiber, and pairs such as (i, j) = (0, 1) meet
+// nothing either: at order i,l,j,k the reducer closes empty j and k fibers
+// below them, which the chained droppers on j and i remove. The 4-D output
+// chains three droppers the same way, over k, j and i. SpMV at Par 2 reaches
+// its value-mode dropper with the zero sums of four rows that meet nothing
+// in c, split over both lanes. The last row reruns TTM under backpressure.
+func dropShapes(tb testing.TB) []eventShape {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(37))
+	draw := func(name string, nnz int, dims ...int) *tensor.COO {
+		t := tensor.UniformRandom(name, rng, nnz, dims...)
+		tensor.QuantizeInts(rng, 9, t)
+		return t
+	}
+	ttm := map[string]*tensor.COO{
+		"B": draw("B", 14, 6, 4, 6),
+		"C": withoutSlices(draw("C", 14, 5, 6), 1, 0, 2, 3, 5),
+	}
+	out4 := map[string]*tensor.COO{
+		"B": ttm["B"],
+		"C": withoutSlices(draw("C", 30, 3, 4, 6), 2, 0, 2, 3, 5),
+	}
+	mv := map[string]*tensor.COO{"B": draw("B", 12, 6, 10), "c": draw("c", 3, 10)}
+	const ttmExpr = "X(i,j,k) = B(i,j,l) * C(k,l)"
+	iljk := lang.Schedule{LoopOrder: []string{"i", "l", "j", "k"}}
+	rows := []shapeRow{
+		{"TTM-iljk", ttmExpr, iljk, ttm, Options{}, nil},
+		{"Out4-ijlkm", "X(i,j,k,m) = B(i,j,l) * C(k,m,l)", lang.Schedule{LoopOrder: []string{"i", "j", "l", "k", "m"}}, out4, Options{}, nil},
+		{"SpMV-par2", "x(i) = B(i,j) * c(j)", lang.Schedule{Par: 2}, mv, Options{}, nil},
+		{"TTM-iljk-cap2", ttmExpr, iljk, ttm, Options{QueueCap: 2}, nil},
+	}
+	return buildShapes(tb, rows)
+}
+
+// TestDropGoldenStats pins the coordinate dropper in both modes tick for
+// tick on dropShapes, the way TestMergeGoldenStats pins the merger.
+func TestDropGoldenStats(t *testing.T) {
+	checkGolden(t, "testdata/drop_golden.txt", dropShapes(t))
+}
+
 // TestReduceEmptySubFibers holds a reduction ordered outside three kept
 // variables (n = 3) to the gold model on every engine. At 30 % density most
 // (l, i) and (l, i, j) prefixes have empty sub-fibers, mid-fiber and

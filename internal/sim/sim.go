@@ -546,14 +546,6 @@ func (b *builder) assemble() (*tensor.COO, error) {
 		}
 		return nil, fmt.Errorf("sim: no writer produced output level %d", lvl)
 	}
-	// Optimized graphs bypass coordinate-mode droppers, so an all-empty
-	// level can arrive with a fiber count the writer could not infer from
-	// its stream alone; rebuild it from the parent before validating. For
-	// unoptimized graphs that shape is a writer/engine bug, and Validate
-	// stays the tripwire.
-	if g.OptLevel > 0 {
-		ft.NormalizeEmptyLevels()
-	}
 	if err := ft.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: assembled output invalid: %w", err)
 	}

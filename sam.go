@@ -83,12 +83,11 @@
 // compilation and program build. Custard lowers one block per paper
 // definition, so compiled graphs carry redundancy a hardware program would
 // not; the optimizer's rewrite passes — common-stream deduplication,
-// duplicate-way merge collapse, dropper-chain collapse, and dead-block
-// elimination — remove it while keeping the output tensor bit-identical
-// (proven by the differential and fuzz battery in internal/opt). Level 0,
-// the default, compiles the paper-faithful graph Table 1 counts. The level
-// is part of the canonical program-cache key, so servers never alias
-// programs across levels:
+// duplicate-way merge collapse and dead-block elimination — remove it while
+// keeping the output tensor bit-identical (proven by the differential and
+// fuzz battery in internal/opt). Level 0, the default, compiles the
+// paper-faithful graph Table 1 counts. The level is part of the canonical
+// program-cache key, so servers never alias programs across levels:
 //
 //	g, err := sam.Compile("X(i,j) = B(i,j) * B(i,j)", nil, sam.Schedule{Opt: 1})
 //
