@@ -477,9 +477,10 @@ func TestRunTracedStepSpans(t *testing.T) {
 // stream references, match positions and probed coordinates index past what
 // they name. The run must end in an error on the fused kernels, the scanner
 // and the locator alike, not in an index panic that nothing above comp
-// recovers. One more crafted IR wires a merge's coordinate input to a
-// union's reference output, which carries N: the merge must name the token,
-// as core.Merger does, before anything downstream trips over it.
+// recovers. Two more crafted IRs wire a merge's coordinate input and a
+// coordinate dropper's inner input to a union's reference output, which
+// carries N: the block must name the token, as core.Merger and core.Dropper
+// do, before anything downstream trips over it.
 func TestFiberRefOutOfRange(t *testing.T) {
 	const spmv = "x(i) = B(i,j) * c(j)"
 	// aimAtTop points a level-1 walk at its operand's one-fiber top level.
@@ -532,6 +533,12 @@ func TestFiberRefOutOfRange(t *testing.T) {
 		{name: "merge-crd-from-ref", expr: "x(i) = (a(i) + b(i)) * c(i)", corrupt: func(t *testing.T, steps []comp.StepIR) {
 			stepLabeled(t, steps, "Intersect i").Ins[0] = stepLabeled(t, steps, "Union i").Outs[1]
 		}, build: comp.Materialize, want: "Intersect i: unexpected token N on coordinate input"},
+		// The same N on a coordinate-mode dropper's inner input: the dropper
+		// names it, as core.Dropper does, instead of skipping it and leaving
+		// assembly to find an out-of-range coordinate.
+		{name: "drop-crd-from-ref", expr: "X(i,j) = B(i,j) * (C(i,j) + D(i,j))", corrupt: func(t *testing.T, steps []comp.StepIR) {
+			stepLabeled(t, steps, "CrdDrop i").Ins[1] = stepLabeled(t, steps, "Union j").Outs[1]
+		}, build: comp.Materialize, want: "CrdDrop i: unexpected token N on inner input"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -404,7 +404,7 @@ func stepFor(si *StepIR) (step, error) {
 	case graph.Reduce:
 		return stepReduce(si), nil
 	case graph.CrdDrop:
-		return stepCrdDrop(si), nil
+		return stepDrop(si), nil
 	case graph.Parallelize:
 		return stepParallelize(si), nil
 	case graph.Serialize, graph.SerializePair:

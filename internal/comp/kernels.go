@@ -408,127 +408,79 @@ func stepALU(si *StepIR) step {
 	}
 }
 
-// stepCrdDrop lowers the coordinate dropper in either mode
-// (Definition 3.9), with the same asymmetric stop rules as the cycle
-// implementation.
-func stepCrdDrop(si *StepIR) step {
-	inOuter := si.Ins[0]
-	outOuter := si.Outs[0]
-	name := si.Label
-	if si.DropVal {
-		inVal := si.Ins[1]
-		outVal := si.Outs[1]
-		return func(x *exec) {
-			co, cv := x.cur(inOuter), x.cur(inVal)
-			ct := co.next()
-			for {
-				v := cv.next()
-				switch {
-				case ct.IsVal() && (v.IsVal() || v.IsEmpty()):
-					if v.IsVal() && v.V != 0 {
-						x.push(outOuter, ct)
-						x.push(outVal, v)
-					}
-					ct = co.next()
-				case ct.IsStop() && (v.IsVal() || v.IsEmpty()):
-					if v.IsVal() && v.V != 0 {
-						fail("%s: nonzero orphan value %v", name, v)
-					}
-					// discard the orphan zero; keep the stop pending
-				case ct.IsStop() && v.IsStop() && ct.StopLevel() == v.StopLevel():
-					x.push(outOuter, ct)
-					x.push(outVal, v)
-					ct = co.next()
-				case ct.IsDone() && v.IsDone():
-					x.push(outOuter, token.D())
-					x.push(outVal, token.D())
-					return
-				default:
-					fail("%s: misaligned %v vs %v", name, ct, v)
-				}
-			}
-		}
-	}
-	inInner := si.Ins[1]
-	outInner := si.Outs[1]
+// stepDrop lowers the coordinate dropper in either mode (Definition 3.9).
+// It applies core.Dropper's rules in the same order, a whole stream per call
+// instead of one rule per cycle, and fails with the same texts.
+func stepDrop(si *StepIR) step {
+	inOuter, inInner := si.Ins[0], si.Ins[1]
+	outOuter, outInner := si.Outs[0], si.Outs[1]
+	name, val := si.Label, si.DropVal
 	return func(x *exec) {
 		co, ci := x.cur(inOuter), x.cur(inInner)
-		var pending token.Tok
-		havePending := false
-		emitted := false
-		everEmitted := false
-		held := -1
+		held, paired, sent := -1, false, false
 		for {
-			t := ci.next()
-			switch t.Kind {
-			case token.Val:
-				if held >= 0 && everEmitted { // flush the held stop
+			t := ci.peek()
+			data := t.IsVal() || val && t.IsEmpty()
+			if held >= 0 && (data || t.IsDone()) {
+				if sent {
 					x.push(outInner, token.S(held))
 				}
 				held = -1
-				if !emitted {
-					if !havePending {
-						o := co.next()
-						if !o.IsVal() {
-							fail("%s: expected outer coordinate, got %v", name, o)
-						}
-						pending = o
-					}
-					x.push(outOuter, pending)
-					havePending = false
-					emitted = true
-				}
-				x.push(outInner, t)
-				everEmitted = true
-			case token.Stop:
-				m := t.StopLevel()
-				if !emitted && !havePending {
-					o := co.next()
-					switch {
-					case o.IsVal():
-						// dropped coordinate; for m >= 1 the outer stop
-						// still follows
-						if m >= 1 {
-							os := co.next()
-							if !os.IsStop() || os.StopLevel() != m-1 {
-								fail("%s: outer misaligned %v vs inner %v", name, os, t)
-							}
-							x.push(outOuter, token.S(m-1))
-						}
-					case o.IsStop() && m >= 1 && o.StopLevel() == m-1:
-						x.push(outOuter, token.S(m-1))
-					default:
-						fail("%s: outer misaligned %v vs inner stop %v", name, o, t)
-					}
-				} else {
-					if havePending {
-						havePending = false // dropped coordinate
-					}
-					if m >= 1 {
-						os := co.next()
-						if !os.IsStop() || os.StopLevel() != m-1 {
-							fail("%s: outer misaligned %v vs inner %v", name, os, t)
-						}
-						x.push(outOuter, token.S(m-1))
-					}
-				}
-				if m > held {
-					held = m
-				}
-				emitted = false
-				havePending = false
-			case token.Done:
-				if held >= 0 && everEmitted { // flush the held stop
-					x.push(outInner, token.S(held))
-				}
-				held = -1
+			}
+			switch {
+			case t.IsDone():
 				if o := co.next(); !o.IsDone() {
-					fail("%s: outer stream not done: %v", name, o)
+					fail("%s: outer stream misaligned at done: %v", name, o)
 				}
 				x.push(outOuter, token.D())
 				x.push(outInner, token.D())
 				return
+			case data && paired:
+				x.push(outInner, t)
+			case data:
+				switch o := co.peek(); {
+				case o.IsVal():
+					co.next()
+					if !val || t.IsVal() && t.V != 0 {
+						x.push(outOuter, o)
+						x.push(outInner, t)
+						paired = !val
+						sent = true
+					}
+				case val && o.IsStop():
+					if t.IsVal() && t.V != 0 {
+						fail("%s: nonzero value %v with no outer coordinate", name, t)
+					}
+				default:
+					fail("%s: expected outer coordinate, got %v", name, o)
+				}
+			case t.IsStop():
+				m := t.StopLevel()
+				pair := m - 1
+				if val {
+					pair = m
+				}
+				if pair >= 0 || !paired {
+					o := co.next()
+					if !val && !paired && o.IsVal() {
+						paired = true // the empty fiber's coordinate, dropped
+						continue
+					}
+					if !o.IsStop() || o.StopLevel() != pair {
+						fail("%s: outer stream misaligned: inner %v vs outer %v", name, t, o)
+					}
+					x.push(outOuter, o)
+				}
+				if val {
+					x.push(outInner, t)
+				} else {
+					held = max(held, m)
+					paired = false
+				}
+			default:
+				fail("%s: unexpected token %v on inner input", name, t)
 			}
+			ci.next()
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -336,85 +337,49 @@ func TestALU(t *testing.T) {
 	checkStream(t, "sum", out.Drain(), "7.0 7.0 3.0 S0 D")
 }
 
-// TestCrdDropFigure8 reproduces the coordinate dropper example of Figure 8.
-func TestCrdDropFigure8(t *testing.T) {
-	n := &Net{}
-	outer, inner := n.NewQueue("outer"), n.NewQueue("inner")
-	outer.Preload(token.MustParse("0 1 2 3 S0 D"))
-	inner.Preload(token.MustParse("1 S0 0 2 S0 S0 1 3 S1 D"))
-	oOut, oIn := n.NewQueue("out.outer"), n.NewQueue("out.inner")
-	n.Add(NewCrdDropCrd("drop", outer, inner, NewOut(oOut), NewOut(oIn)))
-	mustRun(t, n)
-
-	checkStream(t, "outer", oOut.Drain(), "0 1 3 S0 D")
-	checkStream(t, "inner", oIn.Drain(), "1 S0 0 2 S0 1 3 S1 D")
-}
-
-// TestCrdDropEdgeCases checks leading, trailing and fully-dropped fibers.
+// TestCrdDropEdgeCases runs every row of the dropper's conformance table,
+// testdata/drop_rules.txt, through core.Dropper: Figure 8, leading, trailing
+// and fully dropped fibers, value mode's zeros and orphans, and one row per
+// failure rule. comp's TestCrdDropEdgeCases runs the same rows through
+// stepDrop.
 func TestCrdDropEdgeCases(t *testing.T) {
-	cases := []struct {
-		name                 string
-		outer, inner         string
-		wantOuter, wantInner string
-	}{
-		{
-			name:  "leading empty fiber",
-			outer: "7 8 S0 D", inner: "S0 5 S1 D",
-			wantOuter: "8 S0 D", wantInner: "5 S1 D",
-		},
-		{
-			name:  "trailing empty fiber",
-			outer: "7 8 S0 D", inner: "5 S0 S1 D",
-			wantOuter: "7 S0 D", wantInner: "5 S1 D",
-		},
-		{
-			name:  "all dropped",
-			outer: "7 8 S0 D", inner: "S0 S1 D",
-			wantOuter: "S0 D", wantInner: "D",
-		},
-		{
-			name:  "nothing dropped",
-			outer: "7 8 S0 D", inner: "1 S0 2 S1 D",
-			wantOuter: "7 8 S0 D", wantInner: "1 S0 2 S1 D",
-		},
-		{
-			name:  "two outer fibers",
-			outer: "1 2 S0 3 S1 D", inner: "4 S0 S1 5 S2 D",
-			wantOuter: "1 S0 3 S1 D", wantInner: "4 S1 5 S2 D",
-		},
-		{
-			name:  "outer fiber fully dropped keeps empty outer fiber",
-			outer: "1 2 S0 3 S1 D", inner: "S0 S1 5 S2 D",
-			wantOuter: "S0 3 S1 D", wantInner: "5 S2 D",
-		},
+	raw, err := os.ReadFile("testdata/drop_rules.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Split(line, "|")
+		for i := range f {
+			f[i] = strings.TrimSpace(f[i])
+		}
+		if len(f) != 6 && (len(f) != 5 || !strings.HasPrefix(f[4], "fails: ")) {
+			t.Fatalf("drop_rules.txt: malformed row %q", line)
+		}
+		t.Run(f[0], func(t *testing.T) {
 			n := &Net{}
 			outer, inner := n.NewQueue("outer"), n.NewQueue("inner")
-			outer.Preload(token.MustParse(tc.outer))
-			inner.Preload(token.MustParse(tc.inner))
+			outer.Preload(token.MustParse(f[2]))
+			inner.Preload(token.MustParse(f[3]))
 			oOut, oIn := n.NewQueue("out.outer"), n.NewQueue("out.inner")
-			n.Add(NewCrdDropCrd("drop", outer, inner, NewOut(oOut), NewOut(oIn)))
-			mustRun(t, n)
-			checkStream(t, "outer", oOut.Drain(), tc.wantOuter)
-			checkStream(t, "inner", oIn.Drain(), tc.wantInner)
+			n.Add(NewDropper("drop", f[1] == "val", outer, inner, NewOut(oOut), NewOut(oIn)))
+			_, err := n.Run(1_000)
+			if len(f) == 5 {
+				want := "drop: " + strings.TrimPrefix(f[4], "fails: ")
+				if err == nil || err.Error() != want {
+					t.Fatalf("err = %v, want %s", err, want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("net run failed: %v", err)
+			}
+			checkStream(t, "outer", oOut.Drain(), f[4])
+			checkStream(t, "inner", oIn.Drain(), f[5])
 		})
 	}
-}
-
-// TestCrdDropVal checks value-mode dropping of explicit zeros and empties.
-func TestCrdDropVal(t *testing.T) {
-	n := &Net{}
-	outer, val := n.NewQueue("outer"), n.NewQueue("val")
-	outer.Preload(token.MustParse("0 1 2 S0 3 S1 D"))
-	val.Preload(token.Stream{token.V(5), token.V(0), token.N(), token.S(0), token.V(7), token.S(1), token.D()})
-	oOut, oVal := n.NewQueue("out.outer"), n.NewQueue("out.val")
-	n.Add(NewCrdDropVal("drop", outer, val, NewOut(oOut), NewOut(oVal)))
-	mustRun(t, n)
-
-	checkStream(t, "outer", oOut.Drain(), "0 S0 3 S1 D")
-	checkStream(t, "val", oVal.Drain(), "5.0 S0 7.0 S1 D")
 }
 
 // TestCrdWriter checks compressed level construction from a stream.

@@ -2,45 +2,69 @@ package core
 
 import "sam/internal/token"
 
-// CrdDropCrd is the coordinate dropper in coordinate mode (paper
-// Definition 3.9, Figure 8): it pairs each outer-level coordinate with one
-// inner-level fiber, drops outer coordinates whose inner fiber is empty, and
-// removes the dropped fiber's now-redundant stop tokens.
+// Dropper is the coordinate dropper (paper Definition 3.9, Figure 8): it
+// pairs each coordinate of the outer stream with what the inner stream holds
+// for it and drops the coordinates that hold nothing. In coordinate mode the
+// inner input is a coordinate stream one level deeper, one fiber per outer
+// coordinate, dropped when empty. In value mode it is a value stream at the
+// outer stream's depth, one value per outer coordinate, dropped when zero or
+// N (paper Section 3.7). Inner data is a coordinate in coordinate mode and a
+// value or N in value mode.
 //
-// The two outputs follow asymmetric stop rules that keep chained droppers and
-// level writers consistent:
+// The stop rules are asymmetric, which keeps chained droppers and level
+// writers consistent. Outer stops pass verbatim, so a fiber whose coordinates
+// were all dropped stays visible, as an empty fiber, to the next dropper out.
+// In coordinate mode the stops closing dropped inner fibers merge upward into
+// one held stop (the highest level crossed), emitted before the next kept
+// fiber, so the inner output holds one fiber per surviving outer coordinate;
+// in value mode inner stops pass verbatim too.
 //
-//   - outer: coordinates are filtered but every outer stop passes verbatim,
-//     so fibers whose coordinates were all dropped remain visible (as empty
-//     fibers) to the next dropper out.
-//   - inner: kept fibers pass through; boundaries of dropped fibers merge
-//     upward into a single held stop (the maximum level crossed), emitted
-//     before the next kept fiber — so the number of inner fibers always
-//     equals the number of surviving outer coordinates.
-type CrdDropCrd struct {
+// Each cycle it peeks the inner head, and the outer head when a rule needs it,
+// and applies the first rule that holds:
+//   - a stop is held and the inner head is data or done: emit the held stop,
+//     unless no inner data has gone out yet, and clear it;
+//   - inner done: the outer head must be done; forward the done;
+//   - inner data in a fiber whose coordinate has gone out: forward it;
+//   - inner data, outer coordinate: consume both and forward both, unless
+//     the data is a value-mode zero or N; in coordinate mode this opens the
+//     fiber;
+//   - inner data, outer stop, value mode: an orphan — what a scalar
+//     reducer sums a structurally empty group to — so discard a zero or N
+//     and fail on anything else;
+//   - any other inner data fails: it has no outer coordinate;
+//   - inner stop closing a coordinate-mode fiber that has no coordinate yet,
+//     outer coordinate: consume the coordinate, dropping the empty fiber;
+//   - inner stop S(m): the outer head must be the stop it pairs with, S(m)
+//     in value mode and S(m-1) in coordinate mode (an S0 closing a fiber
+//     that has its coordinate pairs with none); forward that stop, and
+//     forward the inner stop in value mode or raise the held stop to m in
+//     coordinate mode;
+//
+// and any other token on the inner input (an N in coordinate mode) fails.
+// comp's stepDrop follows the same rules.
+type Dropper struct {
 	basic
-	inOuter  *Queue // coordinate stream, depth k
-	inInner  *Queue // coordinate stream, depth k+1
+	val      bool
+	inOuter  *Queue
+	inInner  *Queue
 	outOuter *Out
 	outInner *Out
 
-	pending     token.Tok
-	havePending bool
-	emitted     bool // current inner fiber emitted at least one token
-	everEmitted bool // any inner data emitted since stream start
-	heldInner   int  // merged pending inner stop level, -1 if none
+	held   int  // merged pending inner stop level, -1 if none
+	paired bool // the current inner fiber's outer coordinate is consumed
+	sent   bool // any inner data emitted since stream start
 }
 
-// NewCrdDropCrd builds a coordinate-mode dropper.
-func NewCrdDropCrd(name string, inOuter, inInner *Queue, outOuter, outInner *Out) *CrdDropCrd {
-	return &CrdDropCrd{
-		basic: basic{name: name}, inOuter: inOuter, inInner: inInner,
-		outOuter: outOuter, outInner: outInner, heldInner: -1,
+// NewDropper builds a coordinate dropper, in value mode when val is set.
+func NewDropper(name string, val bool, inOuter, inInner *Queue, outOuter, outInner *Out) *Dropper {
+	return &Dropper{
+		basic: basic{name: name}, val: val, inOuter: inOuter, inInner: inInner,
+		outOuter: outOuter, outInner: outInner, held: -1,
 	}
 }
 
 // Tick implements Block.
-func (b *CrdDropCrd) Tick() bool {
+func (b *Dropper) Tick() bool {
 	if b.done {
 		return false
 	}
@@ -51,89 +75,22 @@ func (b *CrdDropCrd) Tick() bool {
 	if !ok {
 		return false
 	}
-	switch t.Kind {
-	case token.Val:
-		if b.heldInner >= 0 {
-			// Flush the merged boundary before the next fiber's data;
-			// boundaries preceding the first kept fiber are discarded.
-			if b.everEmitted {
-				b.outInner.Push(token.S(b.heldInner))
-			}
-			b.heldInner = -1
-			return true
+	data := t.IsVal() || b.val && t.IsEmpty()
+	if b.held >= 0 && (data || t.IsDone()) {
+		if b.sent {
+			b.outInner.Push(token.S(b.held))
 		}
-		if !b.emitted {
-			if !b.havePending {
-				to, ok := b.inOuter.Pop()
-				if !ok {
-					return false
-				}
-				if !to.IsVal() {
-					return b.fail("expected outer coordinate, got %v", to)
-				}
-				b.pending = to
-				b.havePending = true
-			}
-			b.outOuter.Push(b.pending)
-			b.havePending = false
-			b.emitted = true
-		}
-		b.inInner.Pop()
-		b.outInner.Push(t)
-		b.everEmitted = true
+		b.held = -1
 		return true
-	case token.Stop:
-		lvl := t.StopLevel()
-		if !b.emitted && !b.havePending {
-			to, ok := b.inOuter.Peek()
-			if !ok {
-				return false
-			}
-			if to.IsVal() {
-				// The empty fiber's outer coordinate: stage it so the next
-				// cycle can discard it together with the fiber.
-				b.inOuter.Pop()
-				b.pending = to
-				b.havePending = true
-				return true
-			}
-			if lvl == 0 {
-				return b.fail("outer stream misaligned: inner S0 but outer %v", to)
-			}
-			// Structural empty outer fiber: no coordinate to pair with.
-		}
-		if lvl >= 1 {
-			ts, ok := b.inOuter.Peek()
-			if !ok {
-				return false
-			}
-			if !ts.IsStop() || ts.StopLevel() != lvl-1 {
-				return b.fail("outer stream misaligned: inner %v vs outer %v", t, ts)
-			}
-			b.inOuter.Pop()
-			b.outOuter.Push(token.S(lvl - 1))
-		}
-		b.inInner.Pop()
-		if lvl > b.heldInner {
-			b.heldInner = lvl
-		}
-		b.havePending = false // a dropped fiber discards its coordinate
-		b.emitted = false
-		return true
-	case token.Done:
-		if b.heldInner >= 0 {
-			if b.everEmitted {
-				b.outInner.Push(token.S(b.heldInner))
-			}
-			b.heldInner = -1
-			return true
-		}
-		to, ok := b.inOuter.Peek()
+	}
+	switch {
+	case t.IsDone():
+		o, ok := b.inOuter.Peek()
 		if !ok {
 			return false
 		}
-		if !to.IsDone() {
-			return b.fail("outer stream misaligned at done: %v", to)
+		if !o.IsDone() {
+			return b.fail("outer stream misaligned at done: %v", o)
 		}
 		b.inOuter.Pop()
 		b.inInner.Pop()
@@ -141,92 +98,70 @@ func (b *CrdDropCrd) Tick() bool {
 		b.outInner.Push(token.D())
 		b.done = true
 		return true
+	case data && b.paired:
+		b.inInner.Pop()
+		b.outInner.Push(t)
+		return true
+	case data:
+		o, ok := b.inOuter.Peek()
+		if !ok {
+			return false
+		}
+		switch {
+		case o.IsVal():
+			b.inOuter.Pop()
+			b.inInner.Pop()
+			if !b.val || t.IsVal() && t.V != 0 {
+				b.outOuter.Push(o)
+				b.outInner.Push(t)
+				b.paired = !b.val
+				b.sent = true
+			}
+			return true
+		case b.val && o.IsStop():
+			if t.IsVal() && t.V != 0 {
+				return b.fail("nonzero value %v with no outer coordinate", t)
+			}
+			b.inInner.Pop()
+			return true
+		}
+		return b.fail("expected outer coordinate, got %v", o)
+	case t.IsStop():
+		m := t.StopLevel()
+		pair := m - 1
+		if b.val {
+			pair = m
+		}
+		if pair >= 0 || !b.paired {
+			o, ok := b.inOuter.Peek()
+			if !ok {
+				return false
+			}
+			if !b.val && !b.paired && o.IsVal() {
+				b.inOuter.Pop()
+				b.paired = true
+				return true
+			}
+			if !o.IsStop() || o.StopLevel() != pair {
+				return b.fail("outer stream misaligned: inner %v vs outer %v", t, o)
+			}
+			b.inOuter.Pop()
+			b.outOuter.Push(o)
+		}
+		b.inInner.Pop()
+		if b.val {
+			b.outInner.Push(t)
+		} else {
+			b.held = max(b.held, m)
+			b.paired = false
+		}
+		return true
 	}
 	return b.fail("unexpected token %v on inner input", t)
 }
 
-// CrdDropVal is the coordinate dropper in value mode: the inner stream is a
-// value stream at the same depth as the outer coordinate stream, pairing one
-// value with one coordinate. Coordinates whose value is an explicit zero or
-// an empty token are dropped together with the value (paper Section 3.7).
-// Stop tokens pass through verbatim on both streams; fibers whose
-// coordinates were all dropped become empty fibers for the next dropper out.
-type CrdDropVal struct {
-	basic
-	inOuter  *Queue
-	inVal    *Queue
-	outOuter *Out
-	outVal   *Out
-}
-
-// NewCrdDropVal builds a value-mode dropper.
-func NewCrdDropVal(name string, inOuter, inVal *Queue, outOuter, outVal *Out) *CrdDropVal {
-	return &CrdDropVal{basic: basic{name: name}, inOuter: inOuter, inVal: inVal, outOuter: outOuter, outVal: outVal}
-}
-
-// Tick implements Block.
-func (b *CrdDropVal) Tick() bool {
-	if b.done {
-		return false
-	}
-	if !b.outOuter.CanPush() || !b.outVal.CanPush() {
-		return false
-	}
-	tc, ok := b.inOuter.Peek()
-	if !ok {
-		return false
-	}
-	tv, ok := b.inVal.Peek()
-	if !ok {
-		return false
-	}
-	switch {
-	case tc.IsVal() && (tv.IsVal() || tv.IsEmpty()):
-		b.inOuter.Pop()
-		b.inVal.Pop()
-		if tv.IsEmpty() || tv.V == 0 {
-			return true
-		}
-		b.outOuter.Push(tc)
-		b.outVal.Push(tv)
-		return true
-	case tc.IsStop() && (tv.IsVal() || tv.IsEmpty()):
-		// An orphan zero: a scalar reduction of a structurally empty group
-		// (one with no coordinate at all) emits an explicit zero that pairs
-		// with no outer coordinate. Discard it to restore alignment.
-		if tv.IsVal() && tv.V != 0 {
-			return b.fail("nonzero value %v with no outer coordinate", tv)
-		}
-		b.inVal.Pop()
-		return true
-	case tc.IsStop() && tv.IsStop():
-		if tc.StopLevel() != tv.StopLevel() {
-			return b.fail("misaligned stops S%d vs S%d", tc.StopLevel(), tv.StopLevel())
-		}
-		b.inOuter.Pop()
-		b.inVal.Pop()
-		b.outOuter.Push(tc)
-		b.outVal.Push(tv)
-		return true
-	case tc.IsDone() && tv.IsDone():
-		b.inOuter.Pop()
-		b.inVal.Pop()
-		b.outOuter.Push(token.D())
-		b.outVal.Push(token.D())
-		b.done = true
-		return true
-	}
-	return b.fail("misaligned inputs %v vs %v", tc, tv)
-}
-
 // InQueues implements Block.
-func (b *CrdDropCrd) InQueues() []*Queue { return []*Queue{b.inOuter, b.inInner} }
+func (b *Dropper) InQueues() []*Queue { return []*Queue{b.inOuter, b.inInner} }
 
 // OutPorts implements Block.
-func (b *CrdDropCrd) OutPorts() []*Out { return []*Out{b.outOuter, b.outInner} }
-
-// InQueues implements Block.
-func (b *CrdDropVal) InQueues() []*Queue { return []*Queue{b.inOuter, b.inVal} }
-
-// OutPorts implements Block.
-func (b *CrdDropVal) OutPorts() []*Out { return []*Out{b.outOuter, b.outVal} }
+func (b *Dropper) OutPorts() []*Out { return []*Out{b.outOuter, b.outInner} }

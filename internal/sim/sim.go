@@ -348,22 +348,18 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 		}
 		return core.NewReducer(n.Label, n.RedN, ins[:n.RedN], ins[n.RedN], outs[:n.RedN], outs[n.RedN]), nil
 	case graph.CrdDrop:
-		outer, err := b.in(n, "outer")
+		// Ports: the outer coordinate stream, then the inner stream — one
+		// level deeper, or values in value mode (core.Dropper).
+		ins, outs := graph.InPorts(n), graph.OutPorts(n)
+		outer, err := b.in(n, ins[0])
 		if err != nil {
 			return nil, err
 		}
-		if n.DropVal {
-			val, err := b.in(n, "val")
-			if err != nil {
-				return nil, err
-			}
-			return core.NewCrdDropVal(n.Label, outer, val, b.out(n, "outer"), b.out(n, "val")), nil
-		}
-		inner, err := b.in(n, "inner")
+		inner, err := b.in(n, ins[1])
 		if err != nil {
 			return nil, err
 		}
-		return core.NewCrdDropCrd(n.Label, outer, inner, b.out(n, "outer"), b.out(n, "inner")), nil
+		return core.NewDropper(n.Label, n.DropVal, outer, inner, b.out(n, outs[0]), b.out(n, outs[1])), nil
 	case graph.CrdWriter:
 		in, err := b.in(n, "crd")
 		if err != nil {
