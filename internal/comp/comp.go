@@ -67,12 +67,6 @@ type stepInfo struct {
 	step step
 }
 
-// portKey names one port of one node.
-type portKey struct {
-	node int
-	port string
-}
-
 // writerRec is the materialized form of a WriterIR: assembly reads the
 // writer's input stream directly instead of running a closure.
 type writerRec struct {
@@ -237,23 +231,22 @@ func (c *cursor) next() token.Tok {
 // step list included — is deterministic for a given graph.
 func topoOrder(g *graph.Graph) ([]*graph.Node, error) {
 	indeg := make([]int, len(g.Nodes))
-	succ := make([][]int, len(g.Nodes))
 	for _, e := range g.Edges {
 		indeg[e.To]++
-		succ[e.From] = append(succ[e.From], e.To)
 	}
-	var queue []int
+	first, succ := graph.EdgeLists(g, func(e *graph.Edge) (int, int) { return e.From, e.To })
+	queue := make([]int, 0, len(g.Nodes))
 	for i, d := range indeg {
 		if d == 0 {
 			queue = append(queue, i)
 		}
 	}
-	var out []*graph.Node
+	out := make([]*graph.Node, 0, len(g.Nodes))
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
 		out = append(out, g.Nodes[n])
-		for _, s := range succ[n] {
+		for _, s := range succ[first[n]:first[n+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				queue = append(queue, s)

@@ -123,19 +123,37 @@ func Lower(g *graph.Graph) (*IR, error) {
 
 	// One stream buffer per driven output port; fan-out consumers read the
 	// same buffer. Undriven diagnostic ports write to slot -1 (discarded).
-	outSlot := map[portKey]int{}
-	inSlot := map[portKey]int{}
-	for _, e := range g.Edges {
-		k := portKey{e.From, e.FromPort}
-		s, ok := outSlot[k]
-		if !ok {
-			s = ir.NSlot
-			ir.NSlot++
-			outSlot[k] = s
+	ports := graph.NewPortTable(g)
+	outSlot := make([]int, ports.NumOut())
+	inSlot := make([]int, ports.NumIn())
+	for _, slots := range [][]int{outSlot, inSlot} {
+		for i := range slots {
+			slots[i] = -1
 		}
-		inSlot[portKey{e.To, e.ToPort}] = s
+	}
+	for _, e := range g.Edges {
+		k, in := ports.Out(e.From, e.FromPort), ports.In(e.To, e.ToPort)
+		if k < 0 || in < 0 {
+			return nil, fmt.Errorf("comp: edge %q/%s -> %q/%s names a port its block lacks",
+				g.Nodes[e.From].Label, e.FromPort, g.Nodes[e.To].Label, e.ToPort)
+		}
+		if outSlot[k] < 0 {
+			outSlot[k] = ir.NSlot
+			ir.NSlot++
+		}
+		inSlot[in] = outSlot[k]
+	}
+	inSlotOf := func(n *graph.Node, port string) (int, error) {
+		if k := ports.In(n.ID, port); k >= 0 && inSlot[k] >= 0 {
+			return inSlot[k], nil
+		}
+		return 0, fmt.Errorf("comp: node %q input port %q unconnected", n.Label, port)
 	}
 
+	// Every step's Ins and Outs are carved from one slice: a node's lists
+	// take at most its port counts.
+	slots := make([]int, 0, ports.NumIn()+ports.NumOut())
+	ir.Steps = make([]StepIR, 0, len(order))
 	crdWr := map[int]WriterIR{}
 	valsSeen := false
 	for _, n := range order {
@@ -144,9 +162,9 @@ func Lower(g *graph.Graph) (*IR, error) {
 			if n.Kind == graph.ValsWriter {
 				port = "val"
 			}
-			slot, ok := inSlot[portKey{n.ID, port}]
-			if !ok {
-				return nil, fmt.Errorf("comp: node %q input port %q unconnected", n.Label, port)
+			slot, err := inSlotOf(n, port)
+			if err != nil {
+				return nil, err
 			}
 			if n.Kind == graph.ValsWriter {
 				ir.ValsWr = WriterIR{Slot: slot, Label: n.Label}
@@ -163,19 +181,17 @@ func Lower(g *graph.Graph) (*IR, error) {
 			Ways: n.Ways, Op: n.Op, RedN: n.RedN, DropVal: n.DropVal,
 		}
 		for _, port := range graph.InPorts(n) {
-			s, ok := inSlot[portKey{n.ID, port}]
-			if !ok {
-				return nil, fmt.Errorf("comp: node %q input port %q unconnected", n.Label, port)
+			s, err := inSlotOf(n, port)
+			if err != nil {
+				return nil, err
 			}
-			si.Ins = append(si.Ins, s)
+			slots = append(slots, s)
 		}
+		si.Ins, slots = carve(slots)
 		for _, port := range graph.OutPorts(n) {
-			s := -1
-			if t, ok := outSlot[portKey{n.ID, port}]; ok {
-				s = t
-			}
-			si.Outs = append(si.Outs, s)
+			slots = append(slots, outSlot[ports.Out(n.ID, port)])
 		}
+		si.Outs, slots = carve(slots)
 		ir.Steps = append(ir.Steps, si)
 	}
 	if !valsSeen {
@@ -190,6 +206,16 @@ func Lower(g *graph.Graph) (*IR, error) {
 		ir.CrdWr = append(ir.CrdWr, crdWr[lvl])
 	}
 	return ir, nil
+}
+
+// carve splits the filled part off a slot slice: the part, capped so an
+// append cannot reach past it (nil when empty, as an append-built list
+// would be), and the rest to fill next.
+func carve(s []int) (part, rest []int) {
+	if len(s) > 0 {
+		part = s[:len(s):len(s)]
+	}
+	return part, s[len(s):]
 }
 
 // Validate checks an IR's structural soundness so that Materialize and the

@@ -84,7 +84,7 @@ func (c *compiler) construct(val portRef, valVars []string) error {
 			return fmt.Errorf("custard: output level format %v not supported by the level writer; use compressed or linked-list", f)
 		}
 		w := c.addNode(&graph.Node{
-			Kind: graph.CrdWriter, Label: fmt.Sprintf("LevelWriter %s.%s", outName, v),
+			Kind: graph.CrdWriter, Label: "LevelWriter " + outName + "." + v,
 			Tensor: outName, OutLevel: q, Format: f,
 		})
 		c.connect(c.varCrd[v], w, "crd")

@@ -118,7 +118,7 @@ func (c *compiler) scan(op *operand, v string) (mergeBranch, error) {
 		return mergeBranch{}, fmt.Errorf("custard: bitvector level on %s requires an elementwise bitvector pipeline (see CompileBitvector)", op.uname)
 	}
 	sc := c.addNode(&graph.Node{
-		Kind: graph.Scanner, Label: fmt.Sprintf("Scanner %s.%s", op.uname, v),
+		Kind: graph.Scanner, Label: "Scanner " + op.uname + "." + v,
 		Tensor: op.uname, Level: lvl, Format: f,
 	})
 	c.connect(op.ref, sc, "ref")
@@ -176,7 +176,7 @@ func (c *compiler) materialize(mb *mergeBuild, v string) (mergeBranch, error) {
 				}
 				for _, op := range dense {
 					loc := c.addNode(&graph.Node{
-						Kind: graph.Locate, Label: fmt.Sprintf("Locator %s.%s", op.uname, v),
+						Kind: graph.Locate, Label: "Locator " + op.uname + "." + v,
 						Tensor: op.uname, Level: op.nextScan, Format: op.fmts[op.nextScan],
 					})
 					c.connect(driver.crd, loc, "crd")
@@ -225,9 +225,9 @@ func (c *compiler) materialize(mb *mergeBuild, v string) (mergeBranch, error) {
 	m := c.addNode(&graph.Node{Kind: kind, Label: label, Ways: len(pairs)})
 	out := mergeBranch{crd: portRef{m, "crd"}}
 	for i, p := range pairs {
-		c.connect(p.crd, m, fmt.Sprintf("crd%d", i))
-		c.connect(p.or.ref, m, fmt.Sprintf("ref%d", i))
-		out.refs = append(out.refs, opRef{p.or.op, portRef{m, fmt.Sprintf("ref%d", i)}})
+		c.connect(p.crd, m, graph.PortName("crd", i))
+		c.connect(p.or.ref, m, graph.PortName("ref", i))
+		out.refs = append(out.refs, opRef{p.or.op, portRef{m, graph.PortName("ref", i)}})
 	}
 	return out, nil
 }

@@ -125,9 +125,9 @@ func (c *compiler) runPar() error {
 				Ways: p, Level: q - 1,
 			})
 			for l, sub := range lanes {
-				c.connect(sub.varCrd[v], ser, fmt.Sprintf("in%d", l))
+				c.connect(sub.varCrd[v], ser, graph.PortName("in", l))
 				if q-1 >= 0 {
-					c.connect(laneCrd[l], ser, fmt.Sprintf("drv%d", l))
+					c.connect(laneCrd[l], ser, graph.PortName("drv", l))
 				}
 			}
 			c.varCrd[v] = portRef{ser, "out"}
@@ -138,10 +138,10 @@ func (c *compiler) runPar() error {
 			Ways: p, Level: m - 2,
 		})
 		for l, sub := range lanes {
-			c.connect(sub.varCrd[inner], ps, fmt.Sprintf("crd%d", l))
-			c.connect(vals[l], ps, fmt.Sprintf("val%d", l))
+			c.connect(sub.varCrd[inner], ps, graph.PortName("crd", l))
+			c.connect(vals[l], ps, graph.PortName("val", l))
 			if m-2 >= 0 {
-				c.connect(laneCrd[l], ps, fmt.Sprintf("drv%d", l))
+				c.connect(laneCrd[l], ps, graph.PortName("drv", l))
 			}
 		}
 		c.varCrd[inner] = portRef{ps, "crd"}
@@ -179,7 +179,7 @@ func (c *compiler) runPar() error {
 			c.connect(cur[i+1].val, n, "val1")
 			lo := laneOut{val: portRef{n, "val"}}
 			for q := 0; q < m; q++ {
-				lo.crd = append(lo.crd, portRef{n, fmt.Sprintf("crd%d", q)})
+				lo.crd = append(lo.crd, portRef{n, graph.PortName("crd", q)})
 			}
 			next = append(next, lo)
 		}
@@ -203,7 +203,7 @@ func (c *compiler) fork(what string, src portRef, p int) []portRef {
 	c.connect(src, n, "in")
 	outs := make([]portRef, p)
 	for l := range outs {
-		outs[l] = portRef{n, fmt.Sprintf("out%d", l)}
+		outs[l] = portRef{n, graph.PortName("out", l)}
 	}
 	return outs
 }

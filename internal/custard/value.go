@@ -2,6 +2,7 @@ package custard
 
 import (
 	"fmt"
+	"strconv"
 
 	"sam/internal/graph"
 )
@@ -62,7 +63,7 @@ func (c *compiler) lowerVal(n node) (portRef, []string, error) {
 		}
 
 		red := c.addNode(&graph.Node{
-			Kind: graph.Reduce, Label: fmt.Sprintf("Reducer %s (n=%d)", x.v, nBelow),
+			Kind: graph.Reduce, Label: "Reducer " + x.v + " (n=" + strconv.Itoa(nBelow) + ")",
 			RedN: nBelow,
 		})
 		switch nBelow {
@@ -86,7 +87,7 @@ func (c *compiler) lowerVal(n node) (portRef, []string, error) {
 			// outermost first (paper Definition 3.7 for arbitrary n).
 			for q := 0; q < nBelow; q++ {
 				vq := cvars[p+1+q]
-				port := fmt.Sprintf("crd%d", q)
+				port := graph.PortName("crd", q)
 				c.connect(c.varCrd[vq], red, port)
 				c.varCrd[vq] = portRef{red, port}
 			}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 )
 
 // Fingerprint returns a canonical 128-bit hex hash of the graph's complete
@@ -25,8 +24,7 @@ import (
 // structure, so an optimized graph never aliases an unoptimized one even
 // when the pipeline rewrote nothing.
 func (g *Graph) Fingerprint() string {
-	h := sha256.New()
-	w := fpWriter{h: h}
+	w := fpWriter{buf: make([]byte, 0, fpBufSize)}
 	w.str(g.Expr)
 	w.num(g.OptLevel)
 	w.num(len(g.Nodes))
@@ -76,19 +74,24 @@ func (g *Graph) Fingerprint() string {
 	}
 	w.strs(g.OutputVars)
 	w.strs(g.LHSVars)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	sum := sha256.Sum256(w.buf)
+	return hex.EncodeToString(sum[:16])
 }
 
-// fpWriter streams values into the hash with explicit length prefixes, so
-// adjacent fields can never alias (e.g. "ab"+"c" vs "a"+"bc").
+// fpBufSize is the stream buffer's initial capacity. The graphs of the
+// Table 1 kernels, at Par 2 and every loop order, stream under 3 KiB, so
+// they hash without regrowing it.
+const fpBufSize = 4 << 10
+
+// fpWriter appends values to one buffer with explicit length prefixes, so
+// adjacent fields can never alias (e.g. "ab"+"c" vs "a"+"bc"); the buffer
+// is hashed once.
 type fpWriter struct {
-	h   hash.Hash
-	buf [binary.MaxVarintLen64]byte
+	buf []byte
 }
 
 func (w *fpWriter) num(v int) {
-	n := binary.PutVarint(w.buf[:], int64(v))
-	w.h.Write(w.buf[:n])
+	w.buf = binary.AppendVarint(w.buf, int64(v))
 }
 
 func (w *fpWriter) bool(v bool) {
@@ -101,7 +104,7 @@ func (w *fpWriter) bool(v bool) {
 
 func (w *fpWriter) str(s string) {
 	w.num(len(s))
-	w.h.Write([]byte(s))
+	w.buf = append(w.buf, s...)
 }
 
 func (w *fpWriter) strs(ss []string) {

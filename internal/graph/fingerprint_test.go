@@ -129,3 +129,23 @@ func TestFingerprintNoFieldAliasing(t *testing.T) {
 		t.Fatalf("adjacent string fields alias in the fingerprint")
 	}
 }
+
+// TestFingerprintPinned holds the fingerprints of three custard graphs to
+// recorded literals: the digest is the compiled-program cache key and the
+// identity embedded in every artifact, so its byte stream must not drift.
+func TestFingerprintPinned(t *testing.T) {
+	cases := []struct {
+		name, expr string
+		sched      lang.Schedule
+		want       string
+	}{
+		{"SpMV/opt0", "x(i) = B(i,j) * c(j)", lang.Schedule{}, "93cc1107d277940909319caa3ce9e6e6"},
+		{"SpMSpM-ikj/opt1", "X(i,j) = B(i,k) * C(k,j)", lang.Schedule{LoopOrder: []string{"i", "k", "j"}, Opt: 1}, "a912cdcd03b088d587ce32af0acbaa9f"},
+		{"SDDMM/par2", "X(i,j) = B(i,j) * C(i,k) * D(j,k)", lang.Schedule{Par: 2}, "c5a3b547c20e9ad6491b7d89ee7813b4"},
+	}
+	for _, tc := range cases {
+		if got := compile(t, tc.expr, nil, tc.sched).Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"strconv"
 
 	"sam/internal/fiber"
 	"sam/internal/lang"
@@ -247,164 +248,135 @@ func (g *Graph) Count(k Kind) int {
 	return n
 }
 
-// InPorts lists the input port names required by a node.
+// InPorts lists the input port names required by a node. The list may be
+// shared between calls and must not be modified.
 func InPorts(n *Node) []string {
 	switch n.Kind {
 	case Root:
 		return nil
-	case Scanner, BVScanner:
-		return []string{"ref"}
+	case Scanner, BVScanner, Array:
+		return portsRef
 	case Repeat:
-		return []string{"crd", "ref"}
+		return portsCrdRef
 	case Intersect, Union:
 		ps := make([]string, 0, 2*n.Ways)
 		for i := 0; i < n.Ways; i++ {
-			ps = append(ps, fmt.Sprintf("crd%d", i), fmt.Sprintf("ref%d", i))
+			ps = append(ps, PortName("crd", i), PortName("ref", i))
 		}
 		return ps
 	case GallopIntersect:
-		return []string{"ref0", "ref1"}
+		return portsRef01
 	case Locate:
-		return []string{"crd", "ref", "fiber"}
-	case Array:
-		return []string{"ref"}
+		return portsLocateIn
 	case ALU, VecALU:
-		return []string{"a", "b"}
+		return portsAB
 	case Reduce:
 		return reducePorts(n)
 	case CrdDrop:
 		if n.DropVal {
-			return []string{"outer", "val"}
+			return portsOuterVal
 		}
-		return []string{"outer", "inner"}
-	case CrdWriter:
-		return []string{"crd"}
+		return portsOuterInner
+	case CrdWriter, BVConvert:
+		return portsCrd
 	case ValsWriter:
-		return []string{"val"}
+		return portsVal
 	case BVIntersect:
-		return []string{"bv0", "ref0", "bv1", "ref1"}
+		return portsBVIntersectIn
 	case VecLoad, BVExpand:
-		return []string{"bv", "mask", "base"}
-	case BVConvert:
-		return []string{"crd"}
+		return portsBVMaskBase
 	case BVWriter:
-		return []string{"bv"}
+		return portsBV
 	case VecValsWriter:
-		return []string{"bv", "val"}
+		return portsBVVal
 	case Parallelize:
-		return []string{"in"}
+		return portsIn
 	case Serialize:
-		ps := make([]string, n.Ways)
-		for i := range ps {
-			ps[i] = fmt.Sprintf("in%d", i)
-		}
-		return append(ps, drvPorts(n)...)
+		return lanePorts(n, "in")
 	case SerializePair:
-		ps := make([]string, 0, 2*n.Ways)
-		for i := 0; i < n.Ways; i++ {
-			ps = append(ps, fmt.Sprintf("crd%d", i))
-		}
-		for i := 0; i < n.Ways; i++ {
-			ps = append(ps, fmt.Sprintf("val%d", i))
-		}
-		return append(ps, drvPorts(n)...)
+		return lanePorts(n, "crd", "val")
 	case LaneReduce:
 		ps := make([]string, 0, n.Ways*(n.RedN+1))
 		for s := 0; s < n.Ways; s++ {
 			for q := 0; q < n.RedN; q++ {
-				ps = append(ps, fmt.Sprintf("crd%d_%d", q, s))
+				ps = append(ps, PortName("crd", q)+"_"+strconv.Itoa(s))
 			}
-			ps = append(ps, fmt.Sprintf("val%d", s))
+			ps = append(ps, PortName("val", s))
 		}
 		return ps
 	}
 	return nil
 }
 
-// OutPorts lists the output port names produced by a node.
+// OutPorts lists the output port names produced by a node. The list may be
+// shared between calls and must not be modified.
 func OutPorts(n *Node) []string {
 	switch n.Kind {
-	case Root:
-		return []string{"ref"}
+	case Root, Repeat, BVExpand:
+		return portsRef
 	case Scanner:
-		return []string{"crd", "ref"}
+		return portsCrdRef
 	case BVScanner:
-		return []string{"bv", "ref"}
-	case Repeat:
-		return []string{"ref"}
+		return portsBVRef
 	case Intersect, Union:
-		ps := []string{"crd"}
-		for i := 0; i < n.Ways; i++ {
-			ps = append(ps, fmt.Sprintf("ref%d", i))
-		}
-		return ps
+		return appendIndexed(append(make([]string, 0, 1+n.Ways), "crd"), "ref", n.Ways)
 	case GallopIntersect:
-		return []string{"crd", "ref0", "ref1"}
+		return portsGallopOut
 	case Locate:
-		return []string{"crd", "ref", "loc"}
+		return portsLocateOut
 	case Array, ALU, VecALU, VecLoad:
-		return []string{"val"}
+		return portsVal
 	case Reduce:
 		return reducePorts(n)
 	case CrdDrop:
 		if n.DropVal {
-			return []string{"outer", "val"}
+			return portsOuterVal
 		}
-		return []string{"outer", "inner"}
+		return portsOuterInner
 	case BVIntersect:
-		return []string{"bv", "mask0", "base0", "mask1", "base1"}
-	case BVExpand:
-		return []string{"ref"}
+		return portsBVIntersectOut
 	case BVConvert:
-		return []string{"bv"}
+		return portsBV
 	case Parallelize:
-		ps := make([]string, n.Ways)
-		for i := range ps {
-			ps[i] = fmt.Sprintf("out%d", i)
-		}
-		return ps
+		return appendIndexed(nil, "out", n.Ways)
 	case Serialize:
-		return []string{"out"}
+		return portsOut
 	case SerializePair:
-		return []string{"crd", "val"}
+		return portsCrdVal
 	case LaneReduce:
-		ps := make([]string, 0, n.RedN+1)
-		for q := 0; q < n.RedN; q++ {
-			ps = append(ps, fmt.Sprintf("crd%d", q))
-		}
-		return append(ps, "val")
+		return append(appendIndexed(make([]string, 0, n.RedN+1), "crd", n.RedN), "val")
 	}
 	return nil
 }
 
-// Validate checks structural well-formedness: every required input port has
-// exactly one incoming edge, every edge references existing nodes and legal
-// ports, and every output port of a non-sink node drives at least one input.
+// Validate checks structural well-formedness, in this order: every edge
+// references existing nodes, leaves from one of its source's output ports
+// and enters one of its target's input ports, and then every input port of
+// every node has exactly one incoming edge. Output ports may drive nothing:
+// a block's diagnostic outputs (a merger's unused references, say) are
+// legitimately left undriven. Edges name nodes by slice index, which equals
+// the node ID (AddNode assigns it so).
 func (g *Graph) Validate() error {
-	type portKey struct {
-		node int
-		port string
-	}
-	inCount := map[portKey]int{}
-	outUsed := map[portKey]bool{}
+	t := NewPortTable(g)
+	drivers := make([]int, t.NumIn())
 	for _, e := range g.Edges {
 		if e.From < 0 || e.From >= len(g.Nodes) || e.To < 0 || e.To >= len(g.Nodes) {
 			return fmt.Errorf("graph: edge references missing node: %+v", e)
 		}
-		from, to := g.Nodes[e.From], g.Nodes[e.To]
-		if !contains(OutPorts(from), e.FromPort) {
+		if t.Out(e.From, e.FromPort) < 0 {
+			from := g.Nodes[e.From]
 			return fmt.Errorf("graph: node %d (%s) has no output port %q", from.ID, from.Label, e.FromPort)
 		}
-		if !contains(InPorts(to), e.ToPort) {
+		in := t.In(e.To, e.ToPort)
+		if in < 0 {
+			to := g.Nodes[e.To]
 			return fmt.Errorf("graph: node %d (%s) has no input port %q", to.ID, to.Label, e.ToPort)
 		}
-		inCount[portKey{e.To, e.ToPort}]++
-		outUsed[portKey{e.From, e.FromPort}] = true
+		drivers[in]++
 	}
-	for _, n := range g.Nodes {
-		for _, p := range InPorts(n) {
-			c := inCount[portKey{n.ID, p}]
-			if c != 1 {
+	for i, n := range g.Nodes {
+		for j, p := range t.ports[2*i] {
+			if c := drivers[t.first[2*i]+j]; c != 1 {
 				return fmt.Errorf("graph: node %d (%s) input port %q has %d drivers, want 1", n.ID, n.Label, p, c)
 			}
 		}
@@ -412,43 +384,177 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// drvPorts lists a serializer's per-lane rotation-driver ports. Serializers
-// joining streams deeper than the fork level (Level >= 0) are driven by
-// copies of the forked outermost coordinate stream, whose data tokens count
-// the chunks each lane owes; element-granularity joins (Level < 0) drive
-// themselves.
-func drvPorts(n *Node) []string {
-	if n.Level < 0 {
-		return nil
-	}
-	ps := make([]string, n.Ways)
-	for i := range ps {
-		ps[i] = fmt.Sprintf("drv%d", i)
-	}
-	return ps
+// PortTable numbers a graph's ports densely, so per-port state lives in
+// slices instead of maps keyed by node and port name: node i's input ports
+// are numbered first[2i] … in InPorts order, 0 … NumIn()-1 over the whole
+// graph, and its output ports first[2i+1] … in OutPorts order, 0 …
+// NumOut()-1. Each node's port lists are resolved once.
+type PortTable struct {
+	ports [][]string // node i's inputs at 2i, its outputs at 2i+1
+	first []int      // numbering starts, laid out like ports; two totals last
 }
+
+// NewPortTable numbers g's ports.
+func NewPortTable(g *Graph) *PortTable {
+	t := &PortTable{ports: make([][]string, 2*len(g.Nodes)), first: make([]int, 2*len(g.Nodes)+2)}
+	nIn, nOut := 0, 0
+	for i, n := range g.Nodes {
+		t.ports[2*i], t.ports[2*i+1] = InPorts(n), OutPorts(n)
+		t.first[2*i], t.first[2*i+1] = nIn, nOut
+		nIn += len(t.ports[2*i])
+		nOut += len(t.ports[2*i+1])
+	}
+	t.first[2*len(g.Nodes)], t.first[2*len(g.Nodes)+1] = nIn, nOut
+	return t
+}
+
+// NumIn is the number of input ports in the graph.
+func (t *PortTable) NumIn() int { return t.first[len(t.first)-2] }
+
+// NumOut is the number of output ports in the graph.
+func (t *PortTable) NumOut() int { return t.first[len(t.first)-1] }
+
+// In returns the number of node's input port, or -1 if it has none by that
+// name.
+func (t *PortTable) In(node int, port string) int { return t.lookup(2*node, port) }
+
+// Out returns the number of node's output port, or -1 if it has none by
+// that name.
+func (t *PortTable) Out(node int, port string) int { return t.lookup(2*node+1, port) }
+
+func (t *PortTable) lookup(k int, port string) int {
+	for j, p := range t.ports[k] {
+		if p == port {
+			return t.first[k] + j
+		}
+	}
+	return -1
+}
+
+// EdgeLists buckets g's edges by node, keeping edge order within a bucket:
+// split maps an edge to its bucket's node and its item, and node i's items
+// are items[first[i]:first[i+1]].
+func EdgeLists[T any](g *Graph, split func(*Edge) (int, T)) (first []int, items []T) {
+	first = make([]int, len(g.Nodes)+1)
+	for _, e := range g.Edges {
+		k, _ := split(e)
+		first[k]++
+	}
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	// first[k] is now the end of bucket k; filling backwards leaves it at
+	// the start.
+	items = make([]T, len(g.Edges))
+	for i := len(g.Edges) - 1; i >= 0; i-- {
+		k, item := split(g.Edges[i])
+		first[k]--
+		items[first[k]] = item
+	}
+	return first, items
+}
+
+// Fixed-arity port lists, shared by every node of their kinds.
+var (
+	portsRef            = []string{"ref"}
+	portsCrd            = []string{"crd"}
+	portsVal            = []string{"val"}
+	portsBV             = []string{"bv"}
+	portsIn             = []string{"in"}
+	portsOut            = []string{"out"}
+	portsAB             = []string{"a", "b"}
+	portsCrdRef         = []string{"crd", "ref"}
+	portsCrdVal         = []string{"crd", "val"}
+	portsBVRef          = []string{"bv", "ref"}
+	portsBVVal          = []string{"bv", "val"}
+	portsRef01          = []string{"ref0", "ref1"}
+	portsOuterVal       = []string{"outer", "val"}
+	portsOuterInner     = []string{"outer", "inner"}
+	portsLocateIn       = []string{"crd", "ref", "fiber"}
+	portsLocateOut      = []string{"crd", "ref", "loc"}
+	portsGallopOut      = []string{"crd", "ref0", "ref1"}
+	portsBVMaskBase     = []string{"bv", "mask", "base"}
+	portsBVIntersectIn  = []string{"bv0", "ref0", "bv1", "ref1"}
+	portsBVIntersectOut = []string{"bv", "mask0", "base0", "mask1", "base1"}
+)
 
 // reducePorts lists a reducer's ports: n coordinate streams plus values.
 func reducePorts(n *Node) []string {
 	switch n.RedN {
 	case 0:
-		return []string{"val"}
+		return portsVal
 	case 1:
-		return []string{"crd", "val"}
-	default:
-		ps := make([]string, 0, n.RedN+1)
-		for i := 0; i < n.RedN; i++ {
-			ps = append(ps, fmt.Sprintf("crd%d", i))
-		}
-		return append(ps, "val")
+		return portsCrdVal
 	}
+	return append(appendIndexed(make([]string, 0, n.RedN+1), "crd", n.RedN), "val")
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
+// lanePorts lists a lane join's inputs: one family per prefix, each
+// prefix0 … prefix(Ways-1), then the per-lane rotation drivers drv0 … .
+// Joins deeper than the fork level (Level >= 0) are driven by copies of the
+// forked outermost coordinate stream, whose data tokens count the chunks
+// each lane owes; element-granularity joins (Level < 0) drive themselves.
+func lanePorts(n *Node, prefixes ...string) []string {
+	ps := make([]string, 0, (len(prefixes)+1)*max(n.Ways, 0))
+	for _, prefix := range prefixes {
+		ps = appendIndexed(ps, prefix, n.Ways)
 	}
-	return false
+	if n.Level >= 0 {
+		ps = appendIndexed(ps, "drv", n.Ways)
+	}
+	return ps
+}
+
+// appendIndexed appends the port names prefix0 … prefix(n-1).
+func appendIndexed(ps []string, prefix string, n int) []string {
+	for i := 0; i < n; i++ {
+		ps = append(ps, PortName(prefix, i))
+	}
+	return ps
+}
+
+// maxInterned bounds the indexes whose port names are interned.
+const maxInterned = 16
+
+// Interned indexed port names below maxInterned.
+var (
+	crdNames = indexedNames("crd")
+	refNames = indexedNames("ref")
+	inNames  = indexedNames("in")
+	outNames = indexedNames("out")
+	drvNames = indexedNames("drv")
+	valNames = indexedNames("val")
+)
+
+func indexedNames(prefix string) []string {
+	names := make([]string, maxInterned)
+	for i := range names {
+		names[i] = prefix + strconv.Itoa(i)
+	}
+	return names
+}
+
+// PortName returns the indexed port name prefix+i ("crd0", "ref3", "out1",
+// …), interned for the prefixes crd, ref, in, out, drv and val and small i,
+// so the common names cost no allocation.
+func PortName(prefix string, i int) string {
+	var names []string
+	switch prefix {
+	case "crd":
+		names = crdNames
+	case "ref":
+		names = refNames
+	case "in":
+		names = inNames
+	case "out":
+		names = outNames
+	case "drv":
+		names = drvNames
+	case "val":
+		names = valNames
+	}
+	if i >= 0 && i < len(names) {
+		return names[i]
+	}
+	return prefix + strconv.Itoa(i)
 }

@@ -118,3 +118,42 @@ func TestCount(t *testing.T) {
 		t.Error("Count miscounts")
 	}
 }
+
+// TestValidateErrorTexts pins Validate's four failure texts word for word:
+// callers and the serving layer surface them unchanged.
+func TestValidateErrorTexts(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(g *Graph, root, sc, wr *Node)
+		want  string
+	}{
+		{"missing node", func(g *Graph, root, sc, wr *Node) {
+			g.Edges = append(g.Edges, &Edge{From: root.ID, FromPort: "ref", To: 7, ToPort: "ref"})
+		}, `graph: edge references missing node: &{From:0 FromPort:ref To:7 ToPort:ref}`},
+		{"no output port", func(g *Graph, root, sc, wr *Node) {
+			g.Connect(root, "crd", sc, "ref")
+		}, `graph: node 0 (Root B) has no output port "crd"`},
+		{"no input port", func(g *Graph, root, sc, wr *Node) {
+			g.Connect(root, "ref", sc, "ref")
+			g.Connect(sc, "crd", wr, "val")
+		}, `graph: node 2 (Writer X.i) has no input port "val"`},
+		{"unconnected input", func(g *Graph, root, sc, wr *Node) {
+			g.Connect(root, "ref", sc, "ref")
+		}, `graph: node 2 (Writer X.i) input port "crd" has 0 drivers, want 1`},
+		{"double driver", func(g *Graph, root, sc, wr *Node) {
+			g.Connect(root, "ref", sc, "ref")
+			g.Connect(sc, "crd", wr, "crd")
+			g.Connect(sc, "ref", wr, "crd")
+		}, `graph: node 2 (Writer X.i) input port "crd" has 2 drivers, want 1`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, root, sc, wr := tinyGraph()
+			tc.build(g, root, sc, wr)
+			err := g.Validate()
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("Validate() = %v\nwant %s", err, tc.want)
+			}
+		})
+	}
+}

@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"fmt"
+	"encoding/binary"
 	"strconv"
 	"strings"
 
@@ -56,32 +56,34 @@ func runDedup(g *graph.Graph) (int, error) {
 	if err != nil {
 		return applied, err
 	}
-	inEdges := make([][]*graph.Edge, len(g.Nodes))
-	for _, e := range g.Edges {
-		inEdges[e.To] = append(inEdges[e.To], e)
-	}
+	inFirst, inEdges := graph.EdgeLists(g, func(e *graph.Edge) (int, *graph.Edge) { return e.To, e })
 	canon := make([]int, len(g.Nodes))
 	seen := map[string]int{}
-	dead := map[int]bool{}
+	dead := make([]bool, len(g.Nodes))
+	var key []byte
+	var srcs []port
 	for _, id := range order {
 		n := g.Nodes[id]
-		ins := map[string]port{}
-		for _, e := range inEdges[id] {
+		ins := graph.InPorts(n)
+		srcs = append(srcs[:0], make([]port, len(ins))...)
+		for _, e := range inEdges[inFirst[id]:inFirst[id+1]] {
 			e.From = canon[e.From]
-			ins[e.ToPort] = port{e.From, e.FromPort}
+			if j := portIndex(ins, e.ToPort); j >= 0 {
+				srcs[j] = port{e.From, e.FromPort}
+			}
 		}
 		canon[id] = id
 		if sinkKind(n.Kind) {
 			continue
 		}
-		key := nodeKey(n, ins)
-		if rep, ok := seen[key]; ok {
+		key = appendNodeKey(key[:0], n, srcs)
+		if rep, ok := seen[string(key)]; ok {
 			canon[id] = rep
 			dead[id] = true
 			applied++
 			continue
 		}
-		seen[key] = id
+		seen[string(key)] = id
 	}
 	removeNodes(g, dead)
 	return applied, nil
@@ -104,19 +106,34 @@ func bindingKey(b graph.Binding) string {
 	return s.String()
 }
 
-// nodeKey identifies blocks that compute identical output streams: the kind,
-// every semantic configuration field (labels are cosmetic and excluded), and
-// the canonical source of every input port.
-func nodeKey(n *graph.Node, ins map[string]port) string {
-	var s strings.Builder
-	fmt.Fprintf(&s, "%d|%s|%d|%s|%d|%d|%d|%d|%d|%t|%d",
-		n.Kind, n.Tensor, n.Level, n.TensorB, n.LevelB, n.Format,
-		n.Ways, n.Op, n.RedN, n.DropVal, n.OutLevel)
-	for _, p := range graph.InPorts(n) {
-		src := ins[p]
-		fmt.Fprintf(&s, "|%s<%d.%s", p, src.node, src.name)
+// appendNodeKey appends the key identifying blocks that compute identical
+// output streams: the kind, every semantic configuration field (labels are
+// cosmetic and excluded), and the canonical source of every input port,
+// srcs[j] feeding graph.InPorts(n)[j]. Numbers are varints and strings are
+// length-prefixed, so no two field sequences share a key.
+func appendNodeKey(dst []byte, n *graph.Node, srcs []port) []byte {
+	dst = binary.AppendVarint(dst, int64(n.Kind))
+	dst = appendKeyString(dst, n.Tensor)
+	dst = binary.AppendVarint(dst, int64(n.Level))
+	dst = appendKeyString(dst, n.TensorB)
+	for _, v := range [...]int{n.LevelB, int(n.Format), n.Ways, int(n.Op), n.RedN, n.OutLevel} {
+		dst = binary.AppendVarint(dst, int64(v))
 	}
-	return s.String()
+	if n.DropVal {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	for _, src := range srcs {
+		dst = binary.AppendVarint(dst, int64(src.node))
+		dst = appendKeyString(dst, src.name)
+	}
+	return dst
+}
+
+func appendKeyString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
 // runMergeFuse collapses duplicate ways of intersecters and unioners. After
@@ -129,18 +146,21 @@ func nodeKey(n *graph.Node, ins map[string]port) string {
 // output passes the matching reference input through unchanged.
 func runMergeFuse(g *graph.Graph) (int, error) {
 	applied := 0
-	dead := map[int]bool{}
+	dead := make([]bool, len(g.Nodes))
+	var src map[port]port
 	for _, n := range append([]*graph.Node(nil), g.Nodes...) {
 		if n.Kind != graph.Intersect && n.Kind != graph.Union {
 			continue
 		}
-		src := srcOf(g)
+		if src == nil {
+			src = srcOf(g)
+		}
 		type wire struct{ crd, ref port }
 		pairs := make([]wire, n.Ways)
 		for i := range pairs {
 			pairs[i] = wire{
-				crd: src[port{n.ID, "crd" + strconv.Itoa(i)}],
-				ref: src[port{n.ID, "ref" + strconv.Itoa(i)}],
+				crd: src[port{n.ID, graph.PortName("crd", i)}],
+				ref: src[port{n.ID, graph.PortName("ref", i)}],
 			}
 		}
 		// Distinct ways in first-occurrence order; repWay maps every way to
@@ -161,12 +181,13 @@ func runMergeFuse(g *graph.Graph) (int, error) {
 			continue
 		}
 		applied += n.Ways - len(kept)
+		src = nil // the rewrite below moves edges
 
 		if len(kept) == 1 {
 			// Pass-through: the merge of a stream with itself is the stream.
 			redirect(g, port{n.ID, "crd"}, pairs[0].crd)
 			for i := 0; i < n.Ways; i++ {
-				redirect(g, port{n.ID, "ref" + strconv.Itoa(i)}, pairs[0].ref)
+				redirect(g, port{n.ID, graph.PortName("ref", i)}, pairs[0].ref)
 			}
 			dead[n.ID] = true
 			continue
@@ -177,8 +198,8 @@ func runMergeFuse(g *graph.Graph) (int, error) {
 		// dropped, and the kept ways renumber densely.
 		for i := 0; i < n.Ways; i++ {
 			if repWay[i] != i {
-				redirect(g, port{n.ID, "ref" + strconv.Itoa(i)},
-					port{n.ID, "ref" + strconv.Itoa(repWay[i])})
+				redirect(g, port{n.ID, graph.PortName("ref", i)},
+					port{n.ID, graph.PortName("ref", repWay[i])})
 			}
 		}
 		var edges []*graph.Edge
@@ -198,11 +219,11 @@ func runMergeFuse(g *graph.Graph) (int, error) {
 			for _, e := range g.Edges {
 				if e.To == n.ID {
 					if way, ok := wayOf(e.ToPort); ok && way == oldIdx {
-						e.ToPort = e.ToPort[:3] + strconv.Itoa(newIdx)
+						e.ToPort = graph.PortName(e.ToPort[:3], newIdx)
 					}
 				}
-				if e.From == n.ID && e.FromPort == "ref"+strconv.Itoa(oldIdx) {
-					e.FromPort = "ref" + strconv.Itoa(newIdx)
+				if e.From == n.ID && e.FromPort == graph.PortName("ref", oldIdx) {
+					e.FromPort = graph.PortName("ref", newIdx)
 				}
 			}
 		}
@@ -236,27 +257,25 @@ func runDCE(g *graph.Graph) (int, error) {
 			stack = append(stack, n.ID)
 		}
 	}
-	pred := make([][]int, len(g.Nodes))
-	for _, e := range g.Edges {
-		pred[e.To] = append(pred[e.To], e.From)
-	}
+	predFirst, pred := graph.EdgeLists(g, func(e *graph.Edge) (int, int) { return e.To, e.From })
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range pred[id] {
+		for _, p := range pred[predFirst[id]:predFirst[id+1]] {
 			if !live[p] {
 				live[p] = true
 				stack = append(stack, p)
 			}
 		}
 	}
-	dead := map[int]bool{}
+	dead := make([]bool, len(live))
+	applied := 0
 	for id, l := range live {
 		if !l {
 			dead[id] = true
+			applied++
 		}
 	}
-	applied := len(dead)
 	removeNodes(g, dead)
 
 	refd := map[string]bool{}

@@ -35,28 +35,33 @@ func redirect(g *graph.Graph, from, to port) int {
 	return n
 }
 
-// removeNodes deletes the marked nodes, every edge touching them, and
-// compacts IDs so node ID equals slice index again. Edge order among
-// survivors is preserved, keeping rewrites deterministic.
-func removeNodes(g *graph.Graph, dead map[int]bool) {
-	if len(dead) == 0 {
+// removeNodes deletes the nodes marked in dead (indexed by node ID), every
+// edge touching them, and compacts IDs so node ID equals slice index again.
+// Edge order among survivors is preserved, keeping rewrites deterministic.
+func removeNodes(g *graph.Graph, dead []bool) {
+	newID := make([]int, len(g.Nodes))
+	live := 0
+	for id := range g.Nodes {
+		newID[id] = -1
+		if !dead[id] {
+			newID[id] = live
+			live++
+		}
+	}
+	if live == len(g.Nodes) {
 		return
 	}
-	idMap := make(map[int]int, len(g.Nodes))
-	var nodes []*graph.Node
+	nodes := make([]*graph.Node, 0, live)
 	for _, n := range g.Nodes {
-		if dead[n.ID] {
-			continue
+		if newID[n.ID] >= 0 {
+			n.ID = newID[n.ID]
+			nodes = append(nodes, n)
 		}
-		idMap[n.ID] = len(nodes)
-		n.ID = len(nodes)
-		nodes = append(nodes, n)
 	}
 	var edges []*graph.Edge
 	for _, e := range g.Edges {
-		nf, okF := idMap[e.From]
-		nt, okT := idMap[e.To]
-		if !okF || !okT {
+		nf, nt := newID[e.From], newID[e.To]
+		if nf < 0 || nt < 0 {
 			continue
 		}
 		e.From, e.To = nf, nt
@@ -65,16 +70,25 @@ func removeNodes(g *graph.Graph, dead map[int]bool) {
 	g.Nodes, g.Edges = nodes, edges
 }
 
+// portIndex returns the position of name in ports, or -1.
+func portIndex(ports []string, name string) int {
+	for i, p := range ports {
+		if p == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // topoOrder returns the node IDs in a deterministic topological order
 // (producers before consumers, ties broken by ID). Graphs are DAGs by
 // construction; a cycle is reported as an error.
 func topoOrder(g *graph.Graph) ([]int, error) {
 	indeg := make([]int, len(g.Nodes))
-	succ := make([][]int, len(g.Nodes))
 	for _, e := range g.Edges {
 		indeg[e.To]++
-		succ[e.From] = append(succ[e.From], e.To)
 	}
+	succFirst, succ := graph.EdgeLists(g, func(e *graph.Edge) (int, int) { return e.From, e.To })
 	var ready []int
 	for id := range g.Nodes {
 		if indeg[id] == 0 {
@@ -82,13 +96,14 @@ func topoOrder(g *graph.Graph) ([]int, error) {
 		}
 	}
 	sort.Ints(ready)
-	var order []int
+	order := make([]int, 0, len(g.Nodes))
+	var freed []int
 	for len(ready) > 0 {
 		id := ready[0]
 		ready = ready[1:]
 		order = append(order, id)
-		var freed []int
-		for _, s := range succ[id] {
+		freed = freed[:0]
+		for _, s := range succ[succFirst[id]:succFirst[id+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				freed = append(freed, s)

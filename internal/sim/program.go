@@ -39,12 +39,14 @@ type Program struct {
 
 	// labels holds each edge's producer-side "node/port" stream label.
 	labels []string
-	// inEdge maps each input port to the index of the edge feeding it.
-	inEdge map[portKey]int
-	// groupOf maps each driven output port to its fan-out group; groups
-	// lists each group's member edge indices (the first is the monitored
-	// stream for statistics).
-	groupOf map[portKey]int
+	// ports numbers the graph's ports. inEdge maps each input port to the
+	// index of the edge feeding it (Validate guarantees there is one);
+	// groupOf maps each output port to its fan-out group, -1 if it drives
+	// nothing; groups lists each group's member edge indices (the first is
+	// the monitored stream for statistics).
+	ports   *graph.PortTable
+	inEdge  []int
+	groupOf []int
 	groups  [][]int
 }
 
@@ -56,22 +58,47 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	ports := graph.NewPortTable(g)
 	p := &Program{
 		g: g, fp: g.Fingerprint(), plan: bind.NewPlan(g),
 		labels:  make([]string, len(g.Edges)),
-		inEdge:  make(map[portKey]int, len(g.Edges)),
-		groupOf: map[portKey]int{},
+		ports:   ports,
+		inEdge:  make([]int, ports.NumIn()),
+		groupOf: make([]int, ports.NumOut()),
 	}
+	for i := range p.groupOf {
+		p.groupOf[i] = -1
+	}
+	// Group the edges by driving output port, in order of first appearance,
+	// then lay the groups out in one slice. A fan-out group's edges share
+	// one label.
+	edgeGroup := make([]int, len(g.Edges))
+	var groupLabel []string
+	nGroups := 0
 	for i, e := range g.Edges {
-		p.labels[i] = fmt.Sprintf("%s/%s", g.Nodes[e.From].Label, e.FromPort)
-		p.inEdge[portKey{e.To, e.ToPort}] = i
-		k := portKey{e.From, e.FromPort}
-		gi, ok := p.groupOf[k]
-		if !ok {
-			gi = len(p.groups)
-			p.groups = append(p.groups, nil)
-			p.groupOf[k] = gi
+		p.inEdge[ports.In(e.To, e.ToPort)] = i
+		k := ports.Out(e.From, e.FromPort)
+		if p.groupOf[k] < 0 {
+			p.groupOf[k] = nGroups
+			nGroups++
+			groupLabel = append(groupLabel, g.Nodes[e.From].Label+"/"+e.FromPort)
 		}
+		edgeGroup[i] = p.groupOf[k]
+		p.labels[i] = groupLabel[edgeGroup[i]]
+	}
+	first := make([]int, nGroups+1)
+	for _, gi := range edgeGroup {
+		first[gi+1]++
+	}
+	for gi := 1; gi <= nGroups; gi++ {
+		first[gi] += first[gi-1]
+	}
+	members := make([]int, len(g.Edges))
+	p.groups = make([][]int, nGroups)
+	for gi := range p.groups {
+		p.groups[gi] = members[first[gi]:first[gi]:first[gi+1]]
+	}
+	for i, gi := range edgeGroup {
 		p.groups[gi] = append(p.groups[gi], i)
 	}
 	return p, nil

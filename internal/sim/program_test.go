@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -283,22 +284,130 @@ func TestDeepJoinNeedsDrivers(t *testing.T) {
 	}
 }
 
-// BenchmarkRequestColdSetup measures the full per-request setup of the
-// uncached path: parse, compile, and program build (input binding and
-// execution excluded). Compare with BenchmarkRequestWarmSetup.
+// coldShape is one uncached program key: a statement and its schedule.
+type coldShape struct {
+	e     *lang.Einsum
+	sched lang.Schedule
+}
+
+// coldShapes lists the repository benchmark's cold-compile program keys
+// without its tensor renaming: twelve statements, every loop order custard
+// accepts for them (a statement that reduces j over only part of itself
+// keeps j inner), Opt 0 and 1, Par 1 and 2.
+func coldShapes(tb testing.TB) []coldShape {
+	tb.Helper()
+	stmts := []struct {
+		expr  string
+		order []string // nil is every permutation
+	}{
+		{"x(i) = B(i,j) * c(j)", nil},
+		{"X(i,j) = B(i,k) * C(k,j)", nil},
+		{"X(i,j) = B(i,j) * C(i,k) * D(j,k)", nil},
+		{"x = B(i,j,k) * C(i,j,k)", nil},
+		{"X(i,j) = B(i,j,k) * c(k)", nil},
+		{"X(i,j,k) = B(i,j,l) * C(k,l)", nil},
+		{"X(i,j) = B(i,k,l) * C(j,k) * D(j,l)", nil},
+		{"x(i) = b(i) - C(i,j) * d(j)", []string{"i", "j"}},
+		{"x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)", []string{"i", "j"}},
+		{"X(i,j) = B(i,j) + C(i,j)", nil},
+		{"X(i,j) = B(i,j) + C(i,j) + D(i,j)", nil},
+		{"X(i,j,k) = B(i,j,k) + C(i,j,k)", nil},
+	}
+	var shapes []coldShape
+	for _, st := range stmts {
+		e, err := lang.Parse(st.expr)
+		if err != nil {
+			tb.Fatalf("parse %q: %v", st.expr, err)
+		}
+		orders := [][]string{st.order}
+		if st.order == nil {
+			vars := e.AllVars()
+			sort.Strings(vars)
+			orders = permutations(vars)
+		}
+		for _, order := range orders {
+			for level := 0; level <= 1; level++ {
+				for par := 1; par <= 2; par++ {
+					shapes = append(shapes, coldShape{e, lang.Schedule{LoopOrder: order, Opt: level, Par: par}})
+				}
+			}
+		}
+	}
+	return shapes
+}
+
+// permutations lists every ordering of vars.
+func permutations(vars []string) [][]string {
+	if len(vars) <= 1 {
+		return [][]string{append([]string(nil), vars...)}
+	}
+	var out [][]string
+	for i, v := range vars {
+		rest := append(append([]string(nil), vars[:i]...), vars[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]string{v}, p...))
+		}
+	}
+	return out
+}
+
+// coldCompile is the uncached request's compile path for one shape: custard
+// (the optimizer included), program build, then the comp lowering the
+// serving layer's comp requests build on first run.
+func coldCompile(s coldShape) error {
+	g, err := custard.Compile(s.e, nil, s.sched)
+	if err != nil {
+		return err
+	}
+	p, err := NewProgram(g)
+	if err != nil {
+		return err
+	}
+	_, err = p.compProgram()
+	return err
+}
+
+// BenchmarkRequestColdSetup measures the compile path of the uncached
+// request, cycling the cold-compile program keys (see coldShapes) with
+// their statements parsed up front: one op is one shape through custard,
+// the optimizer, NewProgram and comp.Compile. Compare with
+// BenchmarkRequestWarmSetup.
 func BenchmarkRequestColdSetup(b *testing.B) {
+	shapes := coldShapes(b)
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := lang.Parse("x(i) = B(i,j) * c(j)")
+		if err := coldCompile(shapes[i%len(shapes)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// coldCompileAllocCeiling bounds the mean allocations of one cold compile
+// over the cold-compile shapes: 685 when it was set (2,546 while the compile
+// path still formatted port names and keys through fmt), plus headroom.
+const coldCompileAllocCeiling = 750
+
+// TestColdCompileAllocs gates the compile path's allocations: validation,
+// fingerprinting, hash-consing and wiring must not fall back to building
+// names and keys through fmt. Skipped under -race, which perturbs counts.
+func TestColdCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	shapes := coldShapes(t)
+	total := 0.0
+	for _, s := range shapes {
+		var err error
+		total += testing.AllocsPerRun(1, func() { err = coldCompile(s) })
 		if err != nil {
-			b.Fatal(err)
+			t.Fatalf("%s %+v: %v", s.e, s.sched, err)
 		}
-		g, err := custard.Compile(e, nil, lang.Schedule{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := NewProgram(g); err != nil {
-			b.Fatal(err)
-		}
+	}
+	mean := total / float64(len(shapes))
+	t.Logf("%d shapes, %.0f allocs/op", len(shapes), mean)
+	if mean > coldCompileAllocCeiling {
+		t.Errorf("cold compile: %.0f allocs/op, ceiling %d", mean, coldCompileAllocCeiling)
 	}
 }
 

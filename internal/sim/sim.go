@@ -18,7 +18,6 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
 
 	"sam/internal/bind"
 	"sam/internal/core"
@@ -101,11 +100,6 @@ type builder struct {
 	vecWr  *core.VecValsWriter
 }
 
-type portKey struct {
-	node int
-	port string
-}
-
 func newBuilder(p *Program, inputs map[string]*tensor.COO, opt Options) (*builder, error) {
 	b := &builder{
 		p: p, opt: opt, net: &core.Net{}, arena: &core.VecArena{},
@@ -151,17 +145,17 @@ func newBuilder(p *Program, inputs map[string]*tensor.COO, opt Options) (*builde
 
 // in returns the queue feeding an input port.
 func (b *builder) in(n *graph.Node, port string) (*core.Queue, error) {
-	i, ok := b.p.inEdge[portKey{n.ID, port}]
-	if !ok {
+	k := b.p.ports.In(n.ID, port)
+	if k < 0 {
 		return nil, fmt.Errorf("sim: node %q input port %q unconnected", n.Label, port)
 	}
-	return b.queues[i], nil
+	return b.queues[b.p.inEdge[k]], nil
 }
 
 // out returns the output port (empty, token-discarding, if unconnected).
 func (b *builder) out(n *graph.Node, port string) *core.Out {
-	if gi, ok := b.p.groupOf[portKey{n.ID, port}]; ok {
-		return b.outs[gi]
+	if k := b.p.ports.Out(n.ID, port); k >= 0 && b.p.groupOf[k] >= 0 {
+		return b.outs[b.p.groupOf[k]]
 	}
 	return core.NewOut()
 }
@@ -184,7 +178,7 @@ func (b *builder) laneIns(n *graph.Node, family string) ([]*core.Queue, error) {
 	qs := make([]*core.Queue, n.Ways)
 	for i := range qs {
 		var err error
-		if qs[i], err = b.in(n, family+strconv.Itoa(i)); err != nil {
+		if qs[i], err = b.in(n, graph.PortName(family, i)); err != nil {
 			return nil, err
 		}
 	}
@@ -260,13 +254,13 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 		refOuts := make([]*core.Out, n.Ways)
 		for i := 0; i < n.Ways; i++ {
 			var err error
-			if crds[i], err = b.in(n, fmt.Sprintf("crd%d", i)); err != nil {
+			if crds[i], err = b.in(n, graph.PortName("crd", i)); err != nil {
 				return nil, err
 			}
-			if refs[i], err = b.in(n, fmt.Sprintf("ref%d", i)); err != nil {
+			if refs[i], err = b.in(n, graph.PortName("ref", i)); err != nil {
 				return nil, err
 			}
-			refOuts[i] = b.out(n, fmt.Sprintf("ref%d", i))
+			refOuts[i] = b.out(n, graph.PortName("ref", i))
 		}
 		return core.NewMerger(n.Label, n.Kind == graph.Union, crds, refs, b.out(n, "crd"), refOuts), nil
 	case graph.GallopIntersect:
@@ -450,7 +444,7 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 		}
 		outs := make([]*core.Out, n.Ways)
 		for i := range outs {
-			outs[i] = b.out(n, fmt.Sprintf("out%d", i))
+			outs[i] = b.out(n, graph.PortName("out", i))
 		}
 		return core.NewParallelizer(n.Label, n.Level, in, outs), nil
 	case graph.Serialize, graph.SerializePair:
@@ -493,13 +487,13 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 				}
 			}
 			var err error
-			if vals[s], err = b.in(n, fmt.Sprintf("val%d", s)); err != nil {
+			if vals[s], err = b.in(n, graph.PortName("val", s)); err != nil {
 				return nil, err
 			}
 		}
 		crdOuts := make([]*core.Out, n.RedN)
 		for q := range crdOuts {
-			crdOuts[q] = b.out(n, fmt.Sprintf("crd%d", q))
+			crdOuts[q] = b.out(n, graph.PortName("crd", q))
 		}
 		return core.NewLaneCombine(n.Label, n.RedN, crds, vals, crdOuts, b.out(n, "val")), nil
 	case graph.VecValsWriter:
