@@ -12,15 +12,17 @@ import "fmt"
 // state whenever it reports no progress: a tick that returns false may
 // record an error (fail) or consume alignment tokens, but a block that
 // neither progressed nor saw any new input, freed output space, or internal
-// state change must behave identically on the next tick. The event-driven
-// scheduler relies on this to skip starved blocks without perturbing
+// state change must behave identically on the next tick. A tick that pushes
+// a token reports progress, and a block finishes (Done turns true) only on a
+// tick that makes progress or fails. Blocks read an input's head token only
+// (Peek, Pop). Net.Run relies on all of this to skip a starved block's ticks
+// up to the cycle a new head token turns visible, without perturbing
 // simulated cycle counts.
 //
-// Every block declares its port wiring through InQueues and OutPorts. The
-// event-driven scheduler (Net.Run) uses the declaration to wake a block
-// exactly when one of its input queues flips new tokens visible or a
-// backpressured output queue frees space. Nil entries (optional ports) are
-// permitted.
+// Every block declares its port wiring through InQueues and OutPorts. Net.Run
+// uses the declaration to order blocks producer before consumer and to find
+// the inputs whose head stamps bound a block's skip. Nil entries (optional
+// ports) are permitted.
 type Block interface {
 	Name() string
 	Tick() bool

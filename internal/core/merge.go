@@ -42,6 +42,37 @@ func (b *Merger) Tick() bool {
 	if b.done {
 		return false
 	}
+	if !b.union && len(b.inCrd) == 2 {
+		// The two-way intersecter's common case, both heads coordinates, is
+		// the rule list's last two rules over two inputs.
+		a, okA := b.inCrd[0].Peek()
+		c, okC := b.inCrd[1].Peek()
+		if !okA || !okC {
+			return false
+		}
+		if a.Kind == token.Val && c.Kind == token.Val {
+			if !b.outCrd.CanPush() || !b.outRef[0].CanPush() || !b.outRef[1].CanPush() {
+				return false
+			}
+			switch {
+			case a.N == c.N:
+				b.inCrd[0].Pop()
+				b.inCrd[1].Pop()
+				ra, _ := b.inRef[0].Pop()
+				rc, _ := b.inRef[1].Pop()
+				b.outCrd.Push(token.C(a.N))
+				b.outRef[0].Push(ra)
+				b.outRef[1].Push(rc)
+			case a.N < c.N:
+				b.inCrd[0].Pop()
+				b.inRef[0].Pop()
+			default:
+				b.inCrd[1].Pop()
+				b.inRef[1].Pop()
+			}
+			return true
+		}
+	}
 	m := len(b.inCrd)
 	if b.heads == nil {
 		b.heads = make([]token.Tok, m)

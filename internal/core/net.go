@@ -3,26 +3,39 @@ package core
 import "fmt"
 
 // Net is a wired set of blocks and queues — one executable SAM dataflow
-// graph fragment. It owns queue lifecycle (the two-phase visibility flip)
-// and the cycle loop; the higher-level sim package builds Nets from compiled
+// graph fragment. It owns the clock its queues stamp and read tokens by and
+// the cycle loop; the higher-level sim package builds Nets from compiled
 // graph IR, and tests build them by hand.
 type Net struct {
 	Blocks []Block
 	Queues []*Queue
+
+	clk  *clock // the cycle of the block being ticked, from base
+	base int    // the cycle stamps count from
+	span int    // cycles past base before a rebase; 0 means stampSpan
+}
+
+// clock returns the net's clock. It is an object of its own, not a field,
+// so a queue pointing at it does not point into the net: a queue a finalizer
+// watches must not sit on a cycle back to itself.
+func (n *Net) clock() *clock {
+	if n.clk == nil {
+		n.clk = new(clock)
+	}
+	return n.clk
 }
 
 // NewQueue creates and registers a queue.
 func (n *Net) NewQueue(label string) *Queue {
-	q := NewQueue(label)
+	q := &Queue{Label: label, clk: n.clock()}
 	n.Queues = append(n.Queues, q)
 	return q
 }
 
 // NewBoundedQueue creates and registers a queue with finite capacity.
 func (n *Net) NewBoundedQueue(label string, capacity int) *Queue {
-	q := NewQueue(label)
+	q := n.NewQueue(label)
 	q.Cap = capacity
-	n.Queues = append(n.Queues, q)
 	return q
 }
 
@@ -31,32 +44,28 @@ func (n *Net) Add(bs ...Block) {
 	n.Blocks = append(n.Blocks, bs...)
 }
 
-// Run executes the net until all blocks are done, flipping queue visibility
-// between cycles, and returns the number of simulated cycles. A cycle with
-// no progress and no staged tokens is a deadlock; exceeding limit aborts
-// (both return errors naming the stuck blocks).
+// Run executes the net until all blocks are done and returns the number of
+// simulated cycles: the cycle the last block finished in, plus one. A cycle
+// in which no block makes progress is a deadlock; reaching limit aborts (both
+// return errors naming the unfinished blocks); a block's failure aborts with
+// its error. Any non-negative limit is honored.
 //
-// Run uses the event-driven ready-set scheduler (see sched.go): per cycle it
-// ticks only blocks made ready by the previous cycle's queue flips, by
-// freed backpressure space, or by their own progress. Cycle counts, outputs
-// and stream statistics are identical to RunNaive.
+// Run ticks each block a window of cycles at a time on its own clock (see
+// sched.go). Cycle counts, outputs, stream statistics and errors are
+// identical to RunNaive's.
 func (n *Net) Run(limit int) (int, error) {
-	return newScheduler(n).run(limit)
+	return newRunner(n).run(limit)
 }
 
 // RunNaive is the reference tick-all loop: every block is ticked on every
-// cycle regardless of whether it can make progress. It runs the naive
-// engine, the reference the event-driven scheduler is tested against.
+// cycle, in block-index order, regardless of whether it can make progress. It
+// runs the naive engine, the reference Run is tested against.
 func (n *Net) RunNaive(limit int) (int, error) {
-	for _, q := range n.Queues {
-		// A previous event-engine run may have left hooks; the naive loop
-		// must run without them.
-		q.sched = nil
-		q.flipPending = false
-	}
+	qs := newRunner(n).queues
 	cycles := 0
 	finish := func() {
-		for _, q := range n.Queues {
+		n.clk.now = uint32(cycles - n.base)
+		for _, q := range qs {
 			q.endRun(cycles)
 		}
 	}
@@ -65,6 +74,10 @@ func (n *Net) RunNaive(limit int) (int, error) {
 			finish()
 			return cycles, errLimit(limit, n)
 		}
+		if cycles-n.base >= n.stampSpan() {
+			n.rebase(cycles, qs)
+		}
+		n.clk.now = uint32(cycles - n.base)
 		progress := false
 		allDone := true
 		for _, b := range n.Blocks {
@@ -81,13 +94,10 @@ func (n *Net) RunNaive(limit int) (int, error) {
 			}
 		}
 		staged := false
-		for _, q := range n.Queues {
-			if q.StagedLen() > 0 {
+		for _, q := range qs {
+			if q.tail > q.head && q.last.toks[(q.tail-1)&chunkMask].at > n.clk.now {
 				staged = true
 			}
-		}
-		for _, q := range n.Queues {
-			q.EndCycle()
 		}
 		cycles++
 		if allDone {
@@ -99,6 +109,26 @@ func (n *Net) RunNaive(limit int) (int, error) {
 			return cycles, errDeadlock(cycles, n)
 		}
 	}
+}
+
+// stampSpan returns the cycles the net runs past its stamp base before it
+// rebases.
+func (n *Net) stampSpan() int {
+	if n.span > 0 {
+		return n.span
+	}
+	return stampSpan
+}
+
+// rebase moves the net's stamp base up to cycle to: every queued stamp drops
+// by the difference (see Queue.rebase), so the clock and the stamps it is
+// compared against keep to 32 bits however many cycles a run counts.
+func (n *Net) rebase(to int, qs []*Queue) {
+	delta := uint32(to - n.base)
+	for _, q := range qs {
+		q.rebase(delta)
+	}
+	n.base = to
 }
 
 func errLimit(limit int, n *Net) error {

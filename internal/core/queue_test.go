@@ -5,19 +5,22 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"sam/internal/token"
 )
 
 // modelQueue is the reference the chunked Queue is held to: one growing
-// slice, a head index and a visibility watermark.
+// slice of tokens, each with the cycle it becomes visible, a head index, and
+// the queue's clock. The visible tokens are the run from the head whose stamps
+// the clock has reached.
 type modelQueue struct {
-	q     *Queue
-	toks  []token.Tok
-	head  int
-	vis   int
-	stats StreamStats
-	seq   *int64 // shared across queues so every token in a test is distinct
+	q      *Queue
+	toks   []token.Tok
+	stamps []uint32
+	head   int
+	stats  StreamStats
+	seq    *int64 // shared across queues so every token in a test is distinct
 }
 
 func (m *modelQueue) next() token.Tok {
@@ -27,10 +30,20 @@ func (m *modelQueue) next() token.Tok {
 
 func (m *modelQueue) full() bool { return m.q.Cap > 0 && len(m.toks)-m.head >= m.q.Cap }
 
+// vis is the model's visibility watermark: the end of the visible run.
+func (m *modelQueue) vis() int {
+	v := m.head
+	for v < len(m.toks) && m.stamps[v] <= m.q.clk.now {
+		v++
+	}
+	return v
+}
+
 func (m *modelQueue) push() {
 	t := m.next()
 	m.q.Push(t)
 	m.toks = append(m.toks, t)
+	m.stamps = append(m.stamps, m.q.clk.now+1)
 	switch t.Kind {
 	case token.Val:
 		m.stats.Data++
@@ -47,25 +60,25 @@ func (m *modelQueue) preload(n int) {
 	s := make(token.Stream, n)
 	for i := range s {
 		s[i] = m.next()
+		m.stamps = append(m.stamps, 0)
 	}
 	m.q.Preload(s)
 	m.toks = append(m.toks, s...)
-	m.vis = len(m.toks)
 }
 
-func (m *modelQueue) endCycle() {
-	m.q.EndCycle()
-	m.vis = len(m.toks)
-}
+// advance moves the queue's clock to the next cycle, publishing every token
+// pushed before it.
+func (m *modelQueue) advance() { m.q.clk.now++ }
 
 // pop pops both sides and compares; it reports whether a token came out.
 func (m *modelQueue) pop() (bool, error) {
-	if pt, pok := m.q.Peek(); pok != (m.head < m.vis) || (pok && pt != m.toks[m.head]) {
-		return false, fmt.Errorf("Peek = %v, %v; model head %d vis %d", pt, pok, m.head, m.vis)
+	vis := m.vis()
+	if pt, pok := m.q.Peek(); pok != (m.head < vis) || (pok && pt != m.toks[m.head]) {
+		return false, fmt.Errorf("Peek = %v, %v; model head %d vis %d", pt, pok, m.head, vis)
 	}
 	t, ok := m.q.Pop()
-	if ok != (m.head < m.vis) {
-		return false, fmt.Errorf("Pop ok = %v with model head %d vis %d", ok, m.head, m.vis)
+	if ok != (m.head < vis) {
+		return false, fmt.Errorf("Pop ok = %v with model head %d vis %d", ok, m.head, vis)
 	}
 	if !ok {
 		return false, nil
@@ -79,7 +92,8 @@ func (m *modelQueue) pop() (bool, error) {
 
 func (m *modelQueue) drain() error {
 	got := m.q.Drain()
-	want := m.toks[m.head:m.vis]
+	vis := m.vis()
+	want := m.toks[m.head:vis]
 	if len(got) != len(want) {
 		return fmt.Errorf("Drain returned %d tokens, model has %d visible", len(got), len(want))
 	}
@@ -88,17 +102,18 @@ func (m *modelQueue) drain() error {
 			return fmt.Errorf("Drain[%d] = %v, model has %v", i, got[i], want[i])
 		}
 	}
-	m.head = m.vis
+	m.head = vis
 	return nil
 }
 
 // check compares every observer with the model.
 func (m *modelQueue) check() error {
-	if got, want := m.q.Len(), m.vis-m.head; got != want {
+	vis := m.vis()
+	if got, want := m.q.Len(), vis-m.head; got != want {
 		return fmt.Errorf("Len = %d, model %d", got, want)
 	}
-	if got, want := m.q.StagedLen(), len(m.toks)-m.vis; got != want {
-		return fmt.Errorf("StagedLen = %d, model %d", got, want)
+	if got, want := m.q.tail-m.q.head-m.q.Len(), len(m.toks)-vis; got != want {
+		return fmt.Errorf("%d tokens not yet visible, model %d", got, want)
 	}
 	if got, want := m.q.Full(), m.full(); got != want {
 		return fmt.Errorf("Full = %v, model %v", got, want)
@@ -119,9 +134,11 @@ func driveQueues(seed int64, capacity int) error {
 	rng := rand.New(rand.NewSource(seed))
 	var seq int64
 	ms := [2]*modelQueue{}
+	clk := new(clock) // one clock, as the queues of one net share it
 	for i := range ms {
 		ms[i] = &modelQueue{q: NewQueue(fmt.Sprintf("q%d", i)), seq: &seq}
 		ms[i].q.Cap = capacity
+		ms[i].q.clk = clk
 	}
 	targets := []int{chunkLen - 1, chunkLen, chunkLen + 1, 2 * chunkLen, 1, 3}
 	fail := func(m *modelQueue, step int, op string, err error) error {
@@ -154,8 +171,8 @@ func driveQueues(seed int64, capacity int) error {
 				var err error
 				switch {
 				case r < 8:
-					op = "EndCycle"
-					m.endCycle()
+					op = "Advance"
+					m.advance()
 				case r < 10 && filling && capacity == 0:
 					op = "Preload"
 					m.preload(1 + rng.Intn(chunkLen/2))
@@ -171,7 +188,7 @@ func driveQueues(seed int64, capacity int) error {
 					op = "Pop"
 					var ok bool
 					if ok, err = m.pop(); err == nil && !ok && !filling {
-						m.endCycle() // nothing visible: publish so emptying ends
+						m.advance() // nothing visible: publish so emptying ends
 					}
 				}
 				if err == nil {
@@ -184,6 +201,15 @@ func driveQueues(seed int64, capacity int) error {
 		}
 	}
 	return nil
+}
+
+// TestSlotIsATokenWide pins the slot layout: the visibility stamp rides in
+// the padding after the token kind, so a chunk holds as many bytes as it did
+// before tokens were stamped.
+func TestSlotIsATokenWide(t *testing.T) {
+	if s, tok := unsafe.Sizeof(slot{}), unsafe.Sizeof(token.Tok{}); s != tok || s != 24 {
+		t.Fatalf("slot is %d bytes, token.Tok %d; want both 24", s, tok)
+	}
 }
 
 // TestQueueMatchesSliceModel holds the chunked queue to the slice model,
@@ -229,7 +255,7 @@ func TestQueueDrainedOnBoundaryIsPushedAgain(t *testing.T) {
 		for i := 0; i < boundary; i++ {
 			a.push()
 		}
-		a.endCycle()
+		a.advance()
 		if err := a.drain(); err != nil {
 			t.Fatal(err)
 		}
@@ -246,8 +272,8 @@ func TestQueueDrainedOnBoundaryIsPushedAgain(t *testing.T) {
 		if a.q.first == b.q.first || a.q.last == b.q.last {
 			t.Fatalf("boundary %d: two queues share a chunk", boundary)
 		}
-		a.endCycle()
-		b.endCycle()
+		a.advance()
+		b.advance()
 		for _, m := range []*modelQueue{a, b} {
 			if err := m.check(); err != nil {
 				t.Fatalf("boundary %d %s: %v", boundary, m.q.Label, err)
@@ -285,7 +311,7 @@ func TestQueueReleaseAfterRun(t *testing.T) {
 			t.Errorf("naive=%v: output stream %s across release, want %s", naive, got, want)
 		}
 		in.Push(token.C(7))
-		in.EndCycle()
+		n.clk.now++
 		if tk, ok := in.Pop(); !ok || tk != token.C(7) {
 			t.Errorf("naive=%v: released queue not reusable: %v %v", naive, tk, ok)
 		}

@@ -18,19 +18,38 @@ import (
 type Scanner struct {
 	basic
 	lvl    fiber.Level
+	cmp    *fiber.CompressedLevel // lvl when compressed, read directly
 	in     *Queue
 	outCrd *Out
 	outRef *Out
 
 	scanning   bool
 	fib        int
-	pos, n     int
+	pos, end   int // the fiber's next and end positions: into Crd when compressed
 	sepPending bool
 }
 
 // NewScanner builds a level scanner over one fibertree level.
 func NewScanner(name string, lvl fiber.Level, in *Queue, outCrd, outRef *Out) *Scanner {
-	return &Scanner{basic: basic{name: name}, lvl: lvl, in: in, outCrd: outCrd, outRef: outRef}
+	cmp, _ := lvl.(*fiber.CompressedLevel)
+	return &Scanner{basic: basic{name: name}, lvl: lvl, cmp: cmp, in: in, outCrd: outCrd, outRef: outRef}
+}
+
+// emit pushes the coordinate at pos with its child reference and advances;
+// a compressed level's reference is the position in Crd itself.
+func (b *Scanner) emit() {
+	if b.cmp != nil {
+		b.outCrd.Push(token.C(int64(b.cmp.Crd[b.pos])))
+		b.outRef.Push(token.C(int64(b.pos)))
+	} else {
+		b.outCrd.Push(token.C(b.lvl.Coord(b.fib, b.pos)))
+		b.outRef.Push(token.C(b.lvl.ChildRef(b.fib, b.pos)))
+	}
+	b.pos++
+	if b.pos == b.end {
+		b.scanning = false
+		b.sepPending = true
+	}
 }
 
 // Tick implements Block.
@@ -42,13 +61,7 @@ func (b *Scanner) Tick() bool {
 		return false
 	}
 	if b.scanning {
-		b.outCrd.Push(token.C(b.lvl.Coord(b.fib, b.pos)))
-		b.outRef.Push(token.C(b.lvl.ChildRef(b.fib, b.pos)))
-		b.pos++
-		if b.pos == b.n {
-			b.scanning = false
-			b.sepPending = true
-		}
+		b.emit()
 		return true
 	}
 	t, ok := b.in.Peek()
@@ -72,20 +85,17 @@ func (b *Scanner) Tick() bool {
 			return true
 		}
 		b.fib = int(t.N)
-		b.n = b.lvl.FiberLen(b.fib)
-		b.pos = 0
-		if b.n == 0 {
+		if b.cmp != nil {
+			b.pos, b.end = int(b.cmp.Seg[b.fib]), int(b.cmp.Seg[b.fib+1])
+		} else {
+			b.pos, b.end = 0, b.lvl.FiberLen(b.fib)
+		}
+		if b.pos == b.end {
 			b.sepPending = true
 			return true
 		}
 		b.scanning = true
-		b.outCrd.Push(token.C(b.lvl.Coord(b.fib, b.pos)))
-		b.outRef.Push(token.C(b.lvl.ChildRef(b.fib, b.pos)))
-		b.pos++
-		if b.pos == b.n {
-			b.scanning = false
-			b.sepPending = true
-		}
+		b.emit()
 		return true
 	case token.Stop:
 		// An input stop increments by one level and subsumes any pending

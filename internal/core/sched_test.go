@@ -1,0 +1,208 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"sam/internal/token"
+)
+
+// recorded is a source block that emits a recorded stream, one token a cycle.
+func recorded(name, stream string, out *Out) *RootSource {
+	return &RootSource{basic: basic{name: name}, out: out, stream: token.MustParse(stream)}
+}
+
+// failingPair wires two intersecters that fail on their own at chosen
+// cycles. Block 0, "A", sits downstream of a source, so it comes after block
+// 1 in topological order: its coordinate input arrives one token a cycle from
+// block 2 and meets a preloaded input whose token aFail (0-based) is N, which
+// fails A at cycle aFail+1. Block 1, "B", merges two preloaded inputs that
+// agree on bFail coordinates and then disagree on a stop level, which fails B
+// at cycle bFail.
+func failingPair(aFail, bFail int) func(*Net) {
+	return func(n *Net) {
+		crdA, refA := n.NewQueue("A crd0"), n.NewQueue("A ref0")
+		crdA1, refA1 := n.NewQueue("A crd1"), n.NewQueue("A ref1")
+		in1 := ""
+		for i := 0; i < aFail; i++ {
+			in1 += fmt.Sprintf("%d ", i)
+		}
+		crdA1.Preload(token.MustParse(in1 + "N S0 D"))
+		refA1.Preload(token.MustParse(in1 + "0 S0 D"))
+		refA.Preload(token.MustParse("0 1 2 3 4 5 6 S0 D"))
+		a := NewMerger("A", false, []*Queue{crdA, crdA1}, []*Queue{refA, refA1}, NewOut(), []*Out{NewOut(), NewOut()})
+
+		var crdB [2]string
+		for i := 0; i < bFail; i++ {
+			crdB[0] += fmt.Sprintf("%d ", i)
+		}
+		crdB[1] = crdB[0] + "S1 D"
+		crdB[0] += "S0 D"
+		var qs [4]*Queue
+		for i := range qs {
+			qs[i] = n.NewQueue(fmt.Sprintf("B in%d", i))
+			qs[i].Preload(token.MustParse(crdB[i%2]))
+		}
+		b := NewMerger("B", false, qs[:2], qs[2:], NewOut(), []*Out{NewOut(), NewOut()})
+
+		n.Add(a, b, recorded("src", "0 1 2 3 4 5 6 S0 D", NewOut(crdA)))
+	}
+}
+
+// TestRunMatchesNaiveErrors holds Run to RunNaive on unbounded nets that end
+// in an error: the same cycle count and the same error text, pinned.
+func TestRunMatchesNaiveErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		build  func(*Net)
+		limit  int
+		cycles int
+		err    string
+	}{
+		{
+			// The second input's stream never ends: the intersecter waits on
+			// it forever once the first has delivered its done token.
+			name: "merger missing a done",
+			build: func(n *Net) {
+				c0, r0 := n.NewQueue("c0"), n.NewQueue("r0")
+				c1, r1 := n.NewQueue("c1"), n.NewQueue("r1")
+				c1.Preload(token.MustParse("1 S0"))
+				r1.Preload(token.MustParse("0 S0"))
+				out := n.NewQueue("out")
+				n.Add(
+					NewSink("sink", out),
+					NewMerger("merge", false, []*Queue{c0, c1}, []*Queue{r0, r1}, NewOut(out), []*Out{NewOut(), NewOut()}),
+					recorded("crd", "0 1 S0 D", NewOut(c0)),
+					recorded("ref", "0 1 S0 D", NewOut(r0)),
+				)
+			},
+			limit: 1000, cycles: 6,
+			err: "core: deadlock after 6 cycles; unfinished: sink, merge",
+		},
+		{name: "downstream lower index fails first", build: failingPair(1, 4), limit: 1000, cycles: 2,
+			err: "A: unexpected token N on coordinate input"},
+		{name: "upstream fails first", build: failingPair(3, 1), limit: 1000, cycles: 1,
+			err: "B: misaligned stop levels S0 vs S1"},
+		{name: "same cycle, lower index wins", build: failingPair(2, 3), limit: 1000, cycles: 3,
+			err: "A: unexpected token N on coordinate input"},
+		{
+			name: "cycle limit mid-run",
+			build: func(n *Net) {
+				q := n.NewQueue("q")
+				n.Add(recorded("src", "0 1 2 3 4 5 6 7 S0 D", NewOut(q)), NewSink("sink", q))
+			},
+			limit: 5, cycles: 5,
+			err: "core: cycle limit 5 exceeded; unfinished: src, sink",
+		},
+		{
+			// The run would end at cycle 11: one cycle short of it is still
+			// a limit error, though the source is done.
+			name: "cycle limit one short",
+			build: func(n *Net) {
+				q := n.NewQueue("q")
+				n.Add(recorded("src", "0 1 2 3 4 5 6 7 S0 D", NewOut(q)), NewSink("sink", q))
+			},
+			limit: 10, cycles: 10,
+			err: "core: cycle limit 10 exceeded; unfinished: sink",
+		},
+		{
+			name: "cycle limit exactly met",
+			build: func(n *Net) {
+				q := n.NewQueue("q")
+				n.Add(recorded("src", "0 1 2 3 4 5 6 7 S0 D", NewOut(q)), NewSink("sink", q))
+			},
+			limit: 11, cycles: 11,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, naive := range []bool{true, false} {
+				n := &Net{}
+				tc.build(n)
+				run := n.Run
+				if naive {
+					run = n.RunNaive
+				}
+				cycles, err := run(tc.limit)
+				got := ""
+				if err != nil {
+					got = err.Error()
+				}
+				if cycles != tc.cycles || got != tc.err {
+					t.Errorf("naive=%v: %d cycles, error %q; want %d, %q", naive, cycles, got, tc.cycles, tc.err)
+				}
+			}
+		})
+	}
+}
+
+// mergeNet wires an intersecter over two recorded coordinate streams — the
+// multiples of 2 and of 3 below 3000 — into a sink, so the run stalls the
+// intersecter often and lasts several windows. capacity bounds every queue
+// (0: unbounded).
+func mergeNet(capacity int) (*Net, *Sink) {
+	n := &Net{}
+	var qs [5]*Queue
+	for i := range qs {
+		qs[i] = n.NewBoundedQueue(fmt.Sprintf("q%d", i), capacity)
+	}
+	stream := func(step int) string {
+		s := ""
+		for c := 0; c < 3000; c += step {
+			s += fmt.Sprintf("%d ", c)
+		}
+		return s + "S0 D"
+	}
+	sink := NewSink("sink", qs[4])
+	n.Add(
+		recorded("a crd", stream(2), NewOut(qs[0])),
+		recorded("a ref", stream(2), NewOut(qs[1])),
+		recorded("b crd", stream(3), NewOut(qs[2])),
+		recorded("b ref", stream(3), NewOut(qs[3])),
+		NewMerger("merge", false, []*Queue{qs[0], qs[2]}, []*Queue{qs[1], qs[3]}, NewOut(qs[4]), []*Out{NewOut(), NewOut()}),
+		sink,
+	)
+	return n, sink
+}
+
+// TestStampRebase runs nets whose stamp base moves every few cycles — as
+// every net's does past 2^31 cycles, so that a 32-bit stamp never wraps —
+// and holds them to the run that never rebases: the same cycle count, output
+// and statistics on both loops, unbounded and bounded.
+func TestStampRebase(t *testing.T) {
+	type outcome struct {
+		cycles int
+		out    string
+		stats  []StreamStats
+	}
+	run := func(capacity, span int, naive bool) outcome {
+		n, sink := mergeNet(capacity)
+		n.span = span
+		r := n.Run
+		if naive {
+			r = n.RunNaive
+		}
+		cycles, err := r(1_000_000)
+		if err != nil {
+			t.Fatalf("cap %d span %d naive=%v: %v", capacity, span, naive, err)
+		}
+		if span > 0 && n.base == 0 {
+			t.Fatalf("cap %d span %d naive=%v: the stamp base never moved", capacity, span, naive)
+		}
+		o := outcome{cycles: cycles, out: sink.Rec.String()}
+		for _, q := range n.Queues {
+			o.stats = append(o.stats, q.Stats)
+		}
+		return o
+	}
+	for _, capacity := range []int{0, 2} {
+		want := run(capacity, 0, true)
+		for _, span := range []int{0, 1, 7, 100, 600} {
+			for _, naive := range []bool{true, false} {
+				got := run(capacity, span, naive)
+				if got.cycles != want.cycles || got.out != want.out || fmt.Sprint(got.stats) != fmt.Sprint(want.stats) {
+					t.Errorf("cap %d span %d naive=%v: %d cycles, stats %v; want %d, %v", capacity, span, naive, got.cycles, got.stats, want.cycles, want.stats)
+				}
+			}
+		}
+	}
+}

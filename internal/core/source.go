@@ -29,14 +29,17 @@ func (b *RootSource) Tick() bool {
 	t := b.stream[b.pos]
 	b.out.Push(t)
 	b.pos++
-	if t.IsDone() {
+	if t.IsDone() || b.pos == len(b.stream) {
+		// A recorded stream without a done token ends with its last token:
+		// a block finishes on a tick that makes progress (see Block).
 		b.done = true
 	}
 	return true
 }
 
-// Sink consumes and records a stream; tests use it to capture block outputs
-// and the engine uses it for unconnected diagnostic ports.
+// Sink consumes and records a stream; tests use it to capture block outputs.
+// The engine wires an unconnected output port to an empty Out, which drops
+// what it is pushed, not to a Sink.
 type Sink struct {
 	basic
 	in  *Queue

@@ -14,9 +14,11 @@ type EngineKind string
 
 // The available engines.
 const (
-	// EngineEvent is the default cycle-accurate engine: the event-driven
-	// ready-set scheduler that ticks only blocks with newly visible input,
-	// freed backpressure space, or pending internal work.
+	// EngineEvent is the default cycle-accurate engine (core's Net.Run):
+	// each block keeps its own clock and ticks up to 512 cycles ahead per
+	// visit, in producer-before-consumer order, skipping straight to the
+	// cycle its next input token turns visible; a net with bounded queues
+	// runs one cycle at a time in block order.
 	EngineEvent EngineKind = "event"
 	// EngineNaive is the reference cycle-accurate engine that ticks every
 	// block on every cycle. It produces bit-identical results to
@@ -58,7 +60,7 @@ func CheckEngineKind(kind EngineKind, known []EngineKind) error {
 }
 
 // runCycle runs the program on the cycle-accurate core.Net simulator, with
-// the event-driven scheduler or (kind EngineNaive) the tick-all loop.
+// the event scheduler or (kind EngineNaive) the tick-all loop.
 func (p *Program) runCycle(kind EngineKind, inputs map[string]*tensor.COO, opt Options) (*Result, error) {
 	if p.g == nil {
 		return nil, p.CheckEngine(kind)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -120,10 +121,9 @@ func corpusInputs(expr string, seed int64) (map[string]*tensor.COO, *lang.Einsum
 	return inputs, e
 }
 
-// TestEngineEquivalence asserts the event-driven ready-set scheduler
-// produces byte-identical outputs, identical cycle counts, and identical
-// per-stream statistics to the naive tick-all reference loop over the whole
-// corpus.
+// TestEngineEquivalence asserts the event scheduler produces byte-identical
+// outputs, identical cycle counts, and identical per-stream statistics to the
+// naive tick-all reference loop over the whole corpus.
 func TestEngineEquivalence(t *testing.T) {
 	for _, tc := range engineCorpus() {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -195,6 +195,37 @@ func TestEngineEquivalenceErrors(t *testing.T) {
 	}
 	if errNaive.Error() != errEvent.Error() {
 		t.Errorf("limit errors differ:\n naive: %v\n event: %v", errNaive, errEvent)
+	}
+}
+
+// TestMaxCyclesAboveStampWidth checks that a cycle limit past 2^31 - 1 is
+// honored on both cycle engines, bounded queues and unbounded: a token's
+// visibility stamp is 32 bits, counted from a base each net moves up every
+// 2^31 cycles, so no limit can make one wrap (internal/core's TestStampRebase
+// moves the base every few cycles instead). The run ends exactly as under the
+// default limit.
+func TestMaxCyclesAboveStampWidth(t *testing.T) {
+	inputs, e := corpusInputs("X(i,j) = B(i,k) * C(k,j)", 7)
+	g, err := custard.Compile(e, nil, lang.Schedule{LoopOrder: []string{"i", "k", "j"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, queueCap := range []int{0, 2} {
+		for _, eng := range []EngineKind{EngineEvent, EngineNaive} {
+			want, err := Run(g, inputs, Options{Engine: eng, QueueCap: queueCap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, limit := range []int{1<<31 - 1, 1 << 31, 1<<32 + 5, math.MaxInt} {
+				got, err := Run(g, inputs, Options{Engine: eng, QueueCap: queueCap, MaxCycles: limit})
+				if err != nil {
+					t.Fatalf("%s cap %d limit %d: %v", eng, queueCap, limit, err)
+				}
+				if got.Cycles != want.Cycles || !reflect.DeepEqual(got.Output, want.Output) || !reflect.DeepEqual(got.Streams, want.Streams) {
+					t.Errorf("%s cap %d limit %d: %d cycles, want %d", eng, queueCap, limit, got.Cycles, want.Cycles)
+				}
+			}
+		}
 	}
 }
 

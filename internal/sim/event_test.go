@@ -356,8 +356,10 @@ func TestReduceEmptySubFibers(t *testing.T) {
 
 // BenchmarkEventRun is the event engine alone on the simulate-event shapes:
 // bind, wire, run and assemble of a prebuilt Program, no serving around it.
+// The sixth row, SpM*SpM-ikj-cap8, is the bounded-queue net, which runs one
+// cycle at a time; it is not part of the workload.
 func BenchmarkEventRun(b *testing.B) {
-	for _, s := range eventShapes(b)[:5] {
+	for _, s := range eventShapes(b) {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			cycles := 0
@@ -375,13 +377,14 @@ func BenchmarkEventRun(b *testing.B) {
 }
 
 // TestEventRunAllocBytes gates what a warm event-engine run allocates. The
-// ijk inner-product dataflow peaks at 682,078 tokens in flight (16.4 MB);
+// ijk inner-product dataflow peaks at 683,108 tokens in flight (16.4 MB);
 // with stream chunks recycled through core's pool a warm run allocates the
 // net, the writers' output and little else. The doubling rings this replaced
 // allocated and zeroed 65 MB per run. ikj and kij run the n = 1 and n = 2
 // reducers, whose group accumulator keeps each group's points in flat arrays
 // reused group to group: a map or key allocated per point or per group costs
-// them 100k allocations a run.
+// them 100k allocations a run. The two SpMV shapes hold under 16k tokens in
+// flight and allocate about 0.4 MB in a few hundred objects.
 func TestEventRunAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race, so no run is warm")
@@ -395,6 +398,8 @@ func TestEventRunAllocBytes(t *testing.T) {
 		{shapes[0], 6 << 20, 10_000},
 		{shapes[1], 10 << 20, 10_000},
 		{shapes[2], 6 << 20, 10_000},
+		{shapes[3], 2 << 20, 2_000},
+		{shapes[4], 2 << 20, 2_000},
 	} {
 		s := c.shape
 		r := testing.Benchmark(func(b *testing.B) {

@@ -142,10 +142,13 @@ func TestFuzzRandomExpressions(t *testing.T) {
 	t.Logf("executed %d/400 random statements", executed)
 }
 
-// TestFuzzEngineEquivalence cross-checks the event-driven scheduler against
-// the naive tick-all loop on randomly generated statements: identical cycle
-// counts and byte-identical outputs, under both unbounded and bounded
-// queues (bounded queues exercise the backpressure wakeup path).
+// TestFuzzEngineEquivalence cross-checks the event engine against the naive
+// tick-all loop on randomly generated statements: identical cycle counts,
+// byte-identical outputs and identical statistics for every stream (data,
+// stop, empty, done and idle tokens). Unbounded queues run the windowed
+// scheduler, which ticks each block up to 512 cycles ahead on its own clock;
+// bounded ones (caps 2 and 7) run it one cycle at a time in block order, where
+// pops re-arm producers blocked on backpressure.
 func TestFuzzEngineEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	executed := 0
@@ -180,6 +183,14 @@ func TestFuzzEngineEquivalence(t *testing.T) {
 		}
 		if err := tensor.Equal(event.Output, naive.Output, 0); err != nil {
 			t.Fatalf("trial %d %q cap=%d: outputs differ: %v", trial, expr, cap, err)
+		}
+		if len(event.Streams) != len(naive.Streams) {
+			t.Fatalf("trial %d %q cap=%d: %d streams on event, %d on naive", trial, expr, cap, len(event.Streams), len(naive.Streams))
+		}
+		for label, ns := range naive.Streams {
+			if es, ok := event.Streams[label]; !ok || *es != *ns {
+				t.Fatalf("trial %d %q cap=%d: stream %s: event %+v, naive %+v", trial, expr, cap, label, es, *ns)
+			}
 		}
 		executed++
 	}

@@ -8,8 +8,9 @@
 // the formats request), runs the net to completion, gathers per-stream token
 // statistics, and assembles the output tensor from the level writers.
 //
-// There are three engines: the default event-driven ready-set scheduler,
-// the naive tick-all reference loop (bit-identical results, kept for
+// There are three engines: the default event engine, which ticks each block
+// a window of cycles at a time on its own clock, the naive tick-all
+// reference loop (bit-identical results, kept for
 // differential testing), and the compiled co-iteration engine from
 // internal/comp (bit-identical outputs, no cycle model; it rejects graphs it
 // cannot lower). Select one with Options.Engine; run
@@ -30,7 +31,11 @@ import (
 
 // Options configures a simulation.
 type Options struct {
-	// MaxCycles aborts runaway simulations; 0 means a generous default.
+	// MaxCycles aborts runaway simulations; 0 means a generous default
+	// (2,000,000,000). Any non-negative limit is honored, past 2^31 - 1 too:
+	// the cycle engines stamp each token with the cycle it becomes visible in
+	// 32 bits, counted from a base the net moves up every 2^31 cycles, so no
+	// stamp wraps.
 	MaxCycles int
 	// QueueCap bounds every inter-block queue, modeling finite buffering
 	// with backpressure; 0 means unbounded (the paper's default).

@@ -15,9 +15,9 @@
 //	fmt.Println(res.Cycles, res.Output)
 //
 // Simulation runs on one of three engines selected by Options.Engine: the
-// default event-driven ready-set scheduler (EngineEvent), which ticks only
-// blocks with newly visible input, freed backpressure space, or pending
-// internal work; the naive tick-all reference loop (EngineNaive), which is
+// default event engine (EngineEvent), which ticks each block a window of
+// cycles at a time on its own clock and skips a starved block straight to the
+// cycle its next input token turns visible; the naive tick-all reference loop (EngineNaive), which is
 // bit-identical and exists for differential testing; and the compiled
 // co-iteration engine (EngineComp), which lowers the graph once into a tree
 // of Go closures that walk the bound fibertree storage directly — no token
@@ -180,8 +180,8 @@ type Result = sim.Result
 // EngineKind selects a graph executor in Options.Engine.
 type EngineKind = sim.EngineKind
 
-// The available engines: the default event-driven ready-set scheduler, the
-// naive tick-all reference loop, and the compiled co-iteration engine
+// The available engines: the default event engine, the naive tick-all
+// reference loop, and the compiled co-iteration engine
 // (outputs bit-identical to the cycle engines; graphs it cannot lower fall
 // back to the event engine).
 const (
