@@ -152,9 +152,10 @@ func TestEventGoldenStats(t *testing.T) {
 // parJoinShapes covers the lane joins event_golden.txt does not (its one Par
 // row is the element pair join): an element join beside a driven pair join,
 // driven joins at two depths, more lanes than outer elements (chunkless
-// lanes, orphan zeros) on the driven and the element pair join, and a join
-// under backpressure. Operands are tiny, so the whole table runs in
-// milliseconds.
+// lanes, orphan zeros) on the driven and the element pair join, a join
+// under backpressure, and the joins of a reduced outermost variable —
+// SpM*SpM at kij over 2 and 4 lanes and an inner product over 2. Operands
+// are tiny, so the whole table runs in milliseconds.
 func parJoinShapes(tb testing.TB) []eventShape {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(23))
@@ -167,14 +168,18 @@ func parJoinShapes(tb testing.TB) []eventShape {
 	add3 := map[string]*tensor.COO{"B": draw("B", 30, 5, 4, 6), "C": draw("C", 30, 5, 4, 6)}
 	few := map[string]*tensor.COO{"B": draw("B", 8, 3, 10), "C": draw("C", 30, 10, 12)}
 	mv := map[string]*tensor.COO{"B": draw("B", 8, 3, 10), "c": draw("c", 5, 10)}
+	dot := map[string]*tensor.COO{"B": draw("B", 30, 9, 8), "C": draw("C", 30, 9, 8)}
 	const spmspm = "X(i,j) = B(i,k) * C(k,j)"
-	ikj, ijk := []string{"i", "k", "j"}, []string{"i", "j", "k"}
+	ikj, ijk, kij := []string{"i", "k", "j"}, []string{"i", "j", "k"}, []string{"k", "i", "j"}
 	rows := []shapeRow{
 		{"SpM*SpM-ikj-par4", spmspm, lang.Schedule{LoopOrder: ikj, Par: 4}, mm, Options{}, nil},
 		{"Plus3d-par2", "X(i,j,k) = B(i,j,k) + C(i,j,k)", lang.Schedule{Par: 2}, add3, Options{}, nil},
 		{"SpM*SpM-ijk-par8-3rows", spmspm, lang.Schedule{LoopOrder: ijk, Par: 8}, few, Options{}, nil},
 		{"SpMV-par8-3rows", "x(i) = B(i,j) * c(j)", lang.Schedule{Par: 8}, mv, Options{}, nil},
 		{"SpM*SpM-ikj-par4-cap4", spmspm, lang.Schedule{LoopOrder: ikj, Par: 4}, mm, Options{QueueCap: 4}, nil},
+		{"SpM*SpM-kij-par2", spmspm, lang.Schedule{LoopOrder: kij, Par: 2}, mm, Options{}, nil},
+		{"SpM*SpM-kij-par4", spmspm, lang.Schedule{LoopOrder: kij, Par: 4}, mm, Options{}, nil},
+		{"InnerProd-par2", "x = B(i,j) * C(i,j)", lang.Schedule{Par: 2}, dot, Options{}, nil},
 	}
 	return buildShapes(tb, rows)
 }
