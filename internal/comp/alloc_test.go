@@ -107,9 +107,14 @@ func TestWarmRunPooledZeroAllocs(t *testing.T) {
 		// A reduction outside three kept variables: the n = 3 reducer.
 		{name: "deep-reduce", expr: "X(i,j,k) = B(i,j,k,l) * c(l)", sched: lang.Schedule{LoopOrder: []string{"l", "i", "j", "k"}}},
 		// Lane-parallel graphs: the fork, the lanes and the joins (element and
-		// driven pair serializers) run on the one context like any step.
+		// driven pair serializers) run on the one context like any step, also
+		// when the outermost variable is reduced and its reducer follows the
+		// join.
 		{name: "spmspm-ikj-par4", expr: "X(i,j) = B(i,k) * C(k,j)", sched: lang.Schedule{LoopOrder: []string{"i", "k", "j"}, Par: 4}},
 		{name: "spmv-par2", expr: "x(i) = B(i,j) * c(j)", sched: lang.Schedule{Par: 2}},
+		{name: "spmspm-kij-par2", expr: "X(i,j) = B(i,k) * C(k,j)", sched: lang.Schedule{LoopOrder: []string{"k", "i", "j"}, Par: 2}},
+		{name: "spmspm-kij-par4", expr: "X(i,j) = B(i,k) * C(k,j)", sched: lang.Schedule{LoopOrder: []string{"k", "i", "j"}, Par: 4}},
+		{name: "innerprod-par2", expr: "x = B(i,j) * C(i,j)", sched: lang.Schedule{Par: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -119,7 +119,7 @@ func Check(g *graph.Graph) error {
 		case graph.Root, graph.Scanner, graph.Repeat, graph.Intersect, graph.Union,
 			graph.GallopIntersect, graph.Locate, graph.Array, graph.ALU, graph.Reduce,
 			graph.CrdDrop, graph.CrdWriter, graph.ValsWriter,
-			graph.Parallelize, graph.Serialize, graph.SerializePair, graph.LaneReduce:
+			graph.Parallelize, graph.Serialize, graph.SerializePair:
 		default:
 			return fmt.Errorf("comp: block kind %v not lowerable", n.Kind)
 		}

@@ -294,8 +294,7 @@ func (si *StepIR) validate(nSlot int) error {
 	switch si.Kind {
 	case graph.Root, graph.Scanner, graph.Repeat, graph.Intersect, graph.Union,
 		graph.GallopIntersect, graph.Locate, graph.Array, graph.ALU, graph.Reduce,
-		graph.CrdDrop, graph.Parallelize, graph.Serialize, graph.SerializePair,
-		graph.LaneReduce:
+		graph.CrdDrop, graph.Parallelize, graph.Serialize, graph.SerializePair:
 	default:
 		return fmt.Errorf("block kind %v not lowerable", si.Kind)
 	}
@@ -309,10 +308,6 @@ func (si *StepIR) validate(nSlot int) error {
 	case graph.Intersect, graph.Union, graph.Parallelize, graph.Serialize, graph.SerializePair:
 		if si.Ways < 1 {
 			return fmt.Errorf("%v needs at least one way", si.Kind)
-		}
-	case graph.LaneReduce:
-		if si.Ways != 2 {
-			return fmt.Errorf("lane reducer wants 2 ways, got %d", si.Ways)
 		}
 	case graph.Scanner, graph.Locate:
 		if si.Level < 0 {
@@ -435,8 +430,6 @@ func stepFor(si *StepIR) (step, error) {
 		return stepParallelize(si), nil
 	case graph.Serialize, graph.SerializePair:
 		return stepSerialize(si), nil
-	case graph.LaneReduce:
-		return stepLaneReduce(si), nil
 	}
 	return nil, fmt.Errorf("comp: block kind %v not lowerable", si.Kind)
 }

@@ -1,17 +1,14 @@
 package comp
 
 import (
-	"sam/internal/core"
 	"sam/internal/graph"
 	"sam/internal/token"
 )
 
 // This file lowers the lane-parallelism blocks of paper Section 4.4: the
-// parallelizer fork, the round-robin (element- or driver-rotated) join, and
-// the cross-lane reduction combiner. The merged-loop state machines mirror
-// internal/core's tick-level blocks token for token; the combiner
-// reuses the shared pure codec core.MergeLaneStreams directly, since the
-// lane streams are already materialized here.
+// parallelizer fork and the round-robin (element- or driver-rotated) join.
+// The merged-loop state machines mirror internal/core's tick-level blocks
+// token for token.
 
 // stepParallelize forks a stream across lanes: level < 0 advances the lane
 // after every data token, level >= 0 after each stop of exactly that level;
@@ -227,40 +224,6 @@ func (j *laneJoin) chunks(hd []*cursor) {
 			return
 		default:
 			fail("%s: driver stream ended before its closing stop", j.name)
-		}
-	}
-}
-
-// stepLaneReduce merges two lanes' output stream bundles (m coordinate
-// streams plus values per lane) by adding values at matching coordinate
-// points, via the shared pure codec. Input slots follow LaneReduce port
-// order: side 0's m coordinate streams then its values, then side 1's.
-func stepLaneReduce(si *StepIR) step {
-	m := si.RedN
-	crdA, valA := si.Ins[:m], si.Ins[m]
-	crdB, valB := si.Ins[m+1:2*m+1], si.Ins[2*m+1]
-	outCrd := si.Outs[:m]
-	outVal := si.Outs[m]
-	name := si.Label
-	return func(x *exec) {
-		collect := func(slots []int) []token.Stream {
-			out := make([]token.Stream, len(slots))
-			for i, s := range slots {
-				out[i] = x.streams[s]
-			}
-			return out
-		}
-		merged, err := core.MergeLaneStreams(m, collect(crdA), x.streams[valA], collect(crdB), x.streams[valB])
-		if err != nil {
-			fail("%s: %v", name, err)
-		}
-		for q := 0; q < m; q++ {
-			for _, t := range merged[q] {
-				x.push(outCrd[q], t)
-			}
-		}
-		for _, t := range merged[m] {
-			x.push(outVal, t)
 		}
 	}
 }

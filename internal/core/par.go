@@ -7,9 +7,10 @@ import (
 )
 
 // This file implements the lane-parallelism blocks of paper Section 4.4: the
-// parallelizer that forks one stream across P lanes, the serializer that
-// joins lane streams back into one ordered stream, and the cross-lane
-// reduction combiner that adds lane partials produced by per-lane reducers.
+// parallelizer that forks one stream across P lanes and the serializer that
+// joins lane streams back into one ordered stream. The join only reorders
+// tokens; a reduced outermost variable's lanes join before its one reducer,
+// so no block adds across lanes.
 
 // Parallelizer forks a sequential stream across P lanes (paper Section 4.4).
 // level selects the fork granularity: each data token goes to the current
@@ -409,301 +410,6 @@ func (b *Serializer) tickDriven() bool {
 	return b.fail("unexpected driver token %v", d)
 }
 
-// LaneCombine is the cross-lane reduction join (paper Section 4.4): it merges
-// two lanes' output-tensor stream bundles (m coordinate streams plus a value
-// stream per lane, as emitted by per-lane reducers) by adding values at
-// matching coordinate points — a streaming union-with-addition. Combiners
-// compose into a binary reduction tree over P lanes.
-//
-// The block ingests both sides at one token per stream per cycle, decodes
-// the two sparse partials, merges them, and replays the merged partial as
-// sorted streams at one token per stream per cycle.
-type LaneCombine struct {
-	basic
-	m      int
-	inCrd  [2][]*Queue
-	inVal  [2]*Queue
-	outCrd []*Out
-	outVal *Out
-
-	crdRec  [2][]token.Stream
-	valRec  [2]token.Stream
-	crdOpen [2][]bool
-	valOpen [2]bool
-
-	emit    []token.Stream // m coordinate streams, then the value stream
-	emitPos []int
-}
-
-// NewLaneCombine builds a 2-way cross-lane combiner over order-m output
-// streams.
-func NewLaneCombine(name string, m int, inCrd [2][]*Queue, inVal [2]*Queue, outCrd []*Out, outVal *Out) *LaneCombine {
-	b := &LaneCombine{
-		basic: basic{name: name}, m: m,
-		inCrd: inCrd, inVal: inVal, outCrd: outCrd, outVal: outVal,
-	}
-	for s := 0; s < 2; s++ {
-		b.crdRec[s] = make([]token.Stream, m)
-		b.crdOpen[s] = make([]bool, m)
-		for q := 0; q < m; q++ {
-			b.crdOpen[s][q] = true
-		}
-		b.valOpen[s] = true
-	}
-	return b
-}
-
-// Tick implements Block.
-func (b *LaneCombine) Tick() bool {
-	if b.done {
-		return false
-	}
-	if b.emit == nil {
-		progress := false
-		open := false
-		for s := 0; s < 2; s++ {
-			for q := 0; q < b.m; q++ {
-				if !b.crdOpen[s][q] {
-					continue
-				}
-				if t, ok := b.inCrd[s][q].Pop(); ok {
-					b.crdRec[s][q] = append(b.crdRec[s][q], t)
-					if t.IsDone() {
-						b.crdOpen[s][q] = false
-					}
-					progress = true
-				}
-				open = open || b.crdOpen[s][q]
-			}
-			if b.valOpen[s] {
-				if t, ok := b.inVal[s].Pop(); ok {
-					b.valRec[s] = append(b.valRec[s], t)
-					if t.IsDone() {
-						b.valOpen[s] = false
-					}
-					progress = true
-				}
-				open = open || b.valOpen[s]
-			}
-		}
-		if open {
-			return progress
-		}
-		merged, err := MergeLaneStreams(b.m,
-			b.crdRec[0], b.valRec[0], b.crdRec[1], b.valRec[1])
-		if err != nil {
-			return b.fail("%v", err)
-		}
-		b.emit = merged
-		b.emitPos = make([]int, len(merged))
-		return true
-	}
-	progress := false
-	remaining := false
-	for i, s := range b.emit {
-		if b.emitPos[i] >= len(s) {
-			continue
-		}
-		var o *Out
-		if i < b.m {
-			o = b.outCrd[i]
-		} else {
-			o = b.outVal
-		}
-		if !o.CanPush() {
-			remaining = true
-			continue
-		}
-		o.Push(s[b.emitPos[i]])
-		b.emitPos[i]++
-		progress = true
-		if b.emitPos[i] < len(s) {
-			remaining = true
-		}
-	}
-	if !remaining {
-		b.done = true
-	}
-	return progress
-}
-
-// lanePoint is one decoded sparse point of a lane partial.
-type lanePoint struct {
-	crd []int64
-	val float64
-}
-
-// MergeLaneStreams merges two recorded lane output bundles (m coordinate
-// streams plus one value stream each, in the shape per-lane reducers emit)
-// into the bundle a single reducer over both lanes' data would have emitted:
-// the coordinate union with values added point-wise. It is shared by the
-// cycle-engine LaneCombine block and the compiled engine (internal/comp).
-func MergeLaneStreams(m int, crdA []token.Stream, valA token.Stream, crdB []token.Stream, valB token.Stream) ([]token.Stream, error) {
-	pa, err := decodeLanePoints(m, crdA, valA)
-	if err != nil {
-		return nil, fmt.Errorf("lane 0: %w", err)
-	}
-	pb, err := decodeLanePoints(m, crdB, valB)
-	if err != nil {
-		return nil, fmt.Errorf("lane 1: %w", err)
-	}
-	merged, err := mergeLanePoints(pa, pb)
-	if err != nil {
-		return nil, err
-	}
-	return encodeLaneStreams(m, merged), nil
-}
-
-// decodeLanePoints reconstructs the sparse points of one lane partial from
-// its recorded streams, in stream (lexicographic) order.
-func decodeLanePoints(m int, crds []token.Stream, vals token.Stream) ([]lanePoint, error) {
-	var vs []float64
-	for _, t := range vals {
-		switch t.Kind {
-		case token.Val:
-			vs = append(vs, t.V)
-		case token.Empty:
-			vs = append(vs, 0)
-		case token.Stop:
-		case token.Done:
-		}
-	}
-	if m == 0 {
-		switch len(vs) {
-		case 0:
-			return nil, nil
-		case 1:
-			return []lanePoint{{val: vs[0]}}, nil
-		}
-		return nil, fmt.Errorf("lanecombine: scalar lane carries %d values", len(vs))
-	}
-	seg := make([][]int32, m)
-	crd := make([][]int64, m)
-	for q := 0; q < m; q++ {
-		seg[q] = []int32{0}
-		for _, t := range crds[q] {
-			switch t.Kind {
-			case token.Val:
-				crd[q] = append(crd[q], t.N)
-			case token.Stop:
-				seg[q] = append(seg[q], int32(len(crd[q])))
-			case token.Empty:
-				return nil, fmt.Errorf("lanecombine: empty token on coordinate stream %d", q)
-			case token.Done:
-			}
-		}
-	}
-	if len(vs) != len(crd[m-1]) {
-		return nil, fmt.Errorf("lanecombine: %d values for %d innermost coordinates", len(vs), len(crd[m-1]))
-	}
-	var pts []lanePoint
-	prefix := make([]int64, 0, m)
-	var walk func(q, f int) error
-	walk = func(q, f int) error {
-		if f+1 >= len(seg[q]) {
-			return fmt.Errorf("lanecombine: missing fiber %d at level %d", f, q)
-		}
-		for p := int(seg[q][f]); p < int(seg[q][f+1]); p++ {
-			if p >= len(crd[q]) {
-				return fmt.Errorf("lanecombine: fiber %d at level %d overruns coordinates", f, q)
-			}
-			prefix = append(prefix, crd[q][p])
-			if q == m-1 {
-				pts = append(pts, lanePoint{crd: append([]int64(nil), prefix...), val: vs[p]})
-			} else if err := walk(q+1, p); err != nil {
-				return err
-			}
-			prefix = prefix[:len(prefix)-1]
-		}
-		return nil
-	}
-	if err := walk(0, 0); err != nil {
-		return nil, err
-	}
-	return pts, nil
-}
-
-// mergeLanePoints unions two sorted point lists, adding values at matching
-// coordinates.
-func mergeLanePoints(a, b []lanePoint) ([]lanePoint, error) {
-	for _, side := range [][]lanePoint{a, b} {
-		for i := 1; i < len(side); i++ {
-			if cmpCrd(side[i-1].crd, side[i].crd) >= 0 {
-				return nil, fmt.Errorf("lanecombine: lane points out of order at %v", side[i].crd)
-			}
-		}
-	}
-	out := make([]lanePoint, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := cmpCrd(a[i].crd, b[j].crd); {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, lanePoint{crd: a[i].crd, val: a[i].val + b[j].val})
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out, nil
-}
-
-func cmpCrd(a, b []int64) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-// encodeLaneStreams replays merged points as m coordinate streams plus a
-// value stream, with the stop structure a reducer flush emits: between two
-// points first differing at level d, stream q > d carries S(q-d-1); the final
-// closure puts S(q) on stream q and S(m-1) on the value stream.
-func encodeLaneStreams(m int, pts []lanePoint) []token.Stream {
-	out := make([]token.Stream, m+1)
-	if m == 0 {
-		if len(pts) > 0 {
-			out[0] = append(out[0], token.V(pts[0].val))
-		}
-		out[0] = append(out[0], token.D())
-		return out
-	}
-	for i, p := range pts {
-		d := 0
-		if i > 0 {
-			for d < m-1 && pts[i-1].crd[d] == p.crd[d] {
-				d++
-			}
-			for q := d + 1; q < m; q++ {
-				out[q] = append(out[q], token.S(q-d-1))
-			}
-			if d <= m-2 {
-				out[m] = append(out[m], token.S(m-d-2))
-			}
-		}
-		for q := d; q < m; q++ {
-			out[q] = append(out[q], token.C(p.crd[q]))
-		}
-		out[m] = append(out[m], token.V(p.val))
-	}
-	for q := 0; q < m; q++ {
-		out[q] = append(out[q], token.S(q), token.D())
-	}
-	out[m] = append(out[m], token.S(m-1), token.D())
-	return out
-}
-
 // InQueues implements Block.
 func (b *Parallelizer) InQueues() []*Queue { return []*Queue{b.in} }
 
@@ -722,12 +428,3 @@ func (b *Serializer) OutPorts() []*Out {
 	}
 	return []*Out{b.out, b.outVal}
 }
-
-// InQueues implements Block.
-func (b *LaneCombine) InQueues() []*Queue {
-	qs := append(append([]*Queue{}, b.inCrd[0]...), b.inCrd[1]...)
-	return append(qs, b.inVal[0], b.inVal[1])
-}
-
-// OutPorts implements Block.
-func (b *LaneCombine) OutPorts() []*Out { return append(append([]*Out{}, b.outCrd...), b.outVal) }

@@ -1,19 +1,11 @@
 package core
 
 import (
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"sam/internal/token"
 )
-
-// sortLanePoints sorts points lexicographically.
-func sortLanePoints(pts []lanePoint) {
-	sort.Slice(pts, func(i, j int) bool { return cmpCrd(pts[i].crd, pts[j].crd) < 0 })
-}
 
 // runParJoin forks src across lanes at the given granularity and joins it
 // back, returning the joined stream. A deep join (level >= 0) is rotated by
@@ -176,140 +168,4 @@ func TestPairSerializerFiberMode(t *testing.T) {
 		[]string{"0 2 S0 D", "1 S0 D"})
 	checkStream(t, "crd", crd, "1 2 S0 3 S0 4 S1 D")
 	checkStream(t, "val", val, "1.0 2.0 S0 3.0 S0 4.0 S1 D")
-}
-
-// TestLaneCombineScalar checks the m=0 cross-lane sum.
-func TestLaneCombineScalar(t *testing.T) {
-	n := &Net{}
-	v0, v1 := n.NewQueue("v0"), n.NewQueue("v1")
-	v0.Preload(token.MustParse("2.5 D"))
-	v1.Preload(token.MustParse("4.0 D"))
-	out := n.NewQueue("out")
-	n.Add(NewLaneCombine("comb", 0, [2][]*Queue{nil, nil}, [2]*Queue{v0, v1}, nil, NewOut(out)))
-	mustRun(t, n)
-	if got, want := out.Drain(), token.MustParse("6.5 D"); !token.Equal(got, want) {
-		t.Errorf("combined %v, want %v", got, want)
-	}
-}
-
-// TestLaneCombineMatrix checks the m=2 union-with-addition: overlapping rows
-// merge, disjoint rows interleave sorted, matching values add.
-func TestLaneCombineMatrix(t *testing.T) {
-	n := &Net{}
-	// Lane 0: rows 0 {1:1, 3:2} and 2 {0:5}. Lane 1: rows 0 {3:10} and 1 {2:7}.
-	c00, c01 := n.NewQueue(""), n.NewQueue("")
-	c00.Preload(token.MustParse("0 2 S0 D"))
-	c01.Preload(token.MustParse("1 3 S0 0 S1 D"))
-	v0 := n.NewQueue("")
-	v0.Preload(token.MustParse("1.0 2.0 S0 5.0 S1 D"))
-	c10, c11 := n.NewQueue(""), n.NewQueue("")
-	c10.Preload(token.MustParse("0 1 S0 D"))
-	c11.Preload(token.MustParse("3 S0 2 S1 D"))
-	v1 := n.NewQueue("")
-	v1.Preload(token.MustParse("10.0 S0 7.0 S1 D"))
-	o0, o1, ov := n.NewQueue("o0"), n.NewQueue("o1"), n.NewQueue("ov")
-	n.Add(NewLaneCombine("comb", 2,
-		[2][]*Queue{{c00, c01}, {c10, c11}}, [2]*Queue{v0, v1},
-		[]*Out{NewOut(o0), NewOut(o1)}, NewOut(ov)))
-	mustRun(t, n)
-	if got, want := o0.Drain(), token.MustParse("0 1 2 S0 D"); !token.Equal(got, want) {
-		t.Errorf("outer %v, want %v", got, want)
-	}
-	if got, want := o1.Drain(), token.MustParse("1 3 S0 2 S0 0 S1 D"); !token.Equal(got, want) {
-		t.Errorf("inner %v, want %v", got, want)
-	}
-	if got, want := ov.Drain(), token.MustParse("1.0 12.0 S0 7.0 S0 5.0 S1 D"); !token.Equal(got, want) {
-		t.Errorf("vals %v, want %v", got, want)
-	}
-}
-
-// TestLaneCombineEmptySides checks empty partials merge to the empty-result
-// artifact streams.
-func TestLaneCombineEmptySides(t *testing.T) {
-	n := &Net{}
-	c00, c01 := n.NewQueue(""), n.NewQueue("")
-	c00.Preload(token.MustParse("S0 D"))
-	c01.Preload(token.MustParse("S1 D"))
-	v0 := n.NewQueue("")
-	v0.Preload(token.MustParse("S1 D"))
-	c10, c11 := n.NewQueue(""), n.NewQueue("")
-	c10.Preload(token.MustParse("S0 D"))
-	c11.Preload(token.MustParse("S1 D"))
-	v1 := n.NewQueue("")
-	v1.Preload(token.MustParse("S1 D"))
-	o0, o1, ov := n.NewQueue("o0"), n.NewQueue("o1"), n.NewQueue("ov")
-	n.Add(NewLaneCombine("comb", 2,
-		[2][]*Queue{{c00, c01}, {c10, c11}}, [2]*Queue{v0, v1},
-		[]*Out{NewOut(o0), NewOut(o1)}, NewOut(ov)))
-	mustRun(t, n)
-	if got, want := o0.Drain(), token.MustParse("S0 D"); !token.Equal(got, want) {
-		t.Errorf("outer %v, want %v", got, want)
-	}
-	if got, want := o1.Drain(), token.MustParse("S1 D"); !token.Equal(got, want) {
-		t.Errorf("inner %v, want %v", got, want)
-	}
-	if got, want := ov.Drain(), token.MustParse("S1 D"); !token.Equal(got, want) {
-		t.Errorf("vals %v, want %v", got, want)
-	}
-}
-
-// TestQuickLaneCombine property-tests decode/merge/encode: combining two
-// random sorted partials equals the pointwise map union.
-func TestQuickLaneCombine(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := r.Intn(3) + 1
-		gen := func() []lanePoint {
-			seen := map[string]bool{}
-			var pts []lanePoint
-			for i := 0; i < r.Intn(12); i++ {
-				crd := make([]int64, m)
-				for q := range crd {
-					crd[q] = int64(r.Intn(5))
-				}
-				k := PackKey(crd)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				pts = append(pts, lanePoint{crd: crd, val: float64(r.Intn(9) - 4)})
-			}
-			sortLanePoints(pts)
-			return pts
-		}
-		a, b := gen(), gen()
-		want := map[string]float64{}
-		keys := map[string][]int64{}
-		for _, side := range [][]lanePoint{a, b} {
-			for _, p := range side {
-				k := PackKey(p.crd)
-				want[k] += p.val
-				keys[k] = p.crd
-			}
-		}
-		ea := encodeLaneStreams(m, a)
-		eb := encodeLaneStreams(m, b)
-		merged, err := MergeLaneStreams(m, ea[:m], ea[m], eb[:m], eb[m])
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		got, err := decodeLanePoints(m, merged[:m], merged[m])
-		if err != nil {
-			t.Logf("seed %d: decode: %v", seed, err)
-			return false
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for _, p := range got {
-			if want[PackKey(p.crd)] != p.val {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }

@@ -2,6 +2,7 @@ package custard
 
 import (
 	"fmt"
+	"slices"
 
 	"sam/internal/graph"
 )
@@ -12,33 +13,33 @@ import (
 // stream then fork element-wise across the lanes through parallelizer
 // blocks, so each lane owns every P-th v0 fiber. The downstream compute
 // sub-graph — the remaining iteration variables, broadcasts, ALUs and
-// reducers — is replicated once per lane. The lanes join back in one of two
-// ways before construction:
+// reducers — is replicated once per lane, and the lanes' value stream and
+// the coordinate streams it iterates join back through round-robin
+// serializers into the sequential order: the stream of the variable at
+// depth d switches lanes at stop level d-1 (element granularity for v0
+// itself), driven by the lanes' forks of v0's coordinates, and the innermost
+// coordinate stream joins paired with the value stream so orphan zeros from
+// empty lanes cannot desynchronize the rotation.
 //
-//   - v0 kept in the output: round-robin serializers interleave the lanes'
-//     output streams back into the sequential element order; the innermost
-//     coordinate stream joins paired with the value stream.
-//   - v0 reduced: each lane's reducer emits a sparse partial of the whole
-//     output, and a binary tree of cross-lane combiners adds the partials
-//     point-wise. (The per-lane reduction must then cover the entire
-//     expression — combining lane partials of a sub-expression with
-//     operators applied outside the reduction would mis-associate them.)
+// When v0 is reduced, the lanes stop just below v0's reducer: they join the
+// streams the reducer consumes, and the one reducer for v0 runs after the
+// join on the stream Par = 1 hands it (an empty lane's orphan zeros aside),
+// so it sums in the same order.
+// (v0's reduction must then cover the entire expression: a reducer over a
+// sub-expression would sit below operators the lanes have already applied.)
 //
 // Tensor construction (droppers and level writers) runs once on the joined
 // streams, identical to the sequential pipeline.
 func (c *compiler) runPar() error {
 	p := c.par
 	v0 := c.loop[0]
-	isOut := false
-	for _, v := range c.e.OutputVars() {
-		if v == v0 {
-			isOut = true
-		}
-	}
-	if !isOut {
-		if r, ok := c.tree.(*redNode); !ok || r.v != v0 {
+	var red *redNode // v0's reducer, when v0 is reduced
+	if !slices.Contains(c.e.OutputVars(), v0) {
+		r, ok := c.tree.(*redNode)
+		if !ok || r.v != v0 {
 			return fmt.Errorf("custard: Schedule.Par: outermost loop variable %q is reduced over only part of the expression, so lane partials cannot be combined; use a loop order with an output variable outermost, or Par = 1", v0)
 		}
+		red = r
 	}
 
 	// Shared prefix: merge v0 once, then fork its streams across the lanes.
@@ -99,7 +100,11 @@ func (c *compiler) runPar() error {
 			sub.varCrd[v] = vcrd
 			sub.broadcast(vscope, v)
 		}
-		val, vv, err := sub.lowerVal(sub.tree)
+		lowered := sub.tree
+		if red != nil {
+			lowered = lowered.(*redNode).child
+		}
+		val, vv, err := sub.lowerVal(lowered)
 		if err != nil {
 			return err
 		}
@@ -107,91 +112,55 @@ func (c *compiler) runPar() error {
 		valVars = vv
 		lanes[l] = sub
 	}
-
-	outLoop := c.outputVarsInLoopOrder()
-	m := len(outLoop)
 	c.varInt = lanes[0].varInt
 	c.hasScalarRed = lanes[0].hasScalarRed
 
-	if isOut {
-		// Ordered join: one round-robin serializer per output stream. The
-		// stream of the output variable at depth q switches lanes at stop
-		// level q-1 (element granularity for v0 itself); the innermost
-		// coordinate stream joins paired with the value stream so orphan
-		// zeros from empty lanes cannot desynchronize the rotation.
-		for q, v := range outLoop[:m-1] {
-			ser := c.addNode(&graph.Node{
-				Kind: graph.Serialize, Label: "Serializer " + v,
-				Ways: p, Level: q - 1,
-			})
-			for l, sub := range lanes {
-				c.connect(sub.varCrd[v], ser, graph.PortName("in", l))
-				if q-1 >= 0 {
-					c.connect(laneCrd[l], ser, graph.PortName("drv", l))
-				}
-			}
-			c.varCrd[v] = portRef{ser, "out"}
+	// The join: one serializer per stream valVars iterates, v0 first. A
+	// reduced v0's own coordinates feed no block below, so they do not join.
+	m := len(valVars)
+	for q, v := range valVars[:m-1] {
+		if q == 0 && red != nil {
+			continue
 		}
-		inner := outLoop[m-1]
-		ps := c.addNode(&graph.Node{
-			Kind: graph.SerializePair, Label: "Serializer " + inner + " vals",
-			Ways: p, Level: m - 2,
+		ser := c.addNode(&graph.Node{
+			Kind: graph.Serialize, Label: "Serializer " + v,
+			Ways: p, Level: q - 1,
 		})
 		for l, sub := range lanes {
-			c.connect(sub.varCrd[inner], ps, graph.PortName("crd", l))
-			c.connect(vals[l], ps, graph.PortName("val", l))
-			if m-2 >= 0 {
-				c.connect(laneCrd[l], ps, graph.PortName("drv", l))
+			c.connect(sub.varCrd[v], ser, graph.PortName("in", l))
+			if q-1 >= 0 {
+				c.connect(laneCrd[l], ser, graph.PortName("drv", l))
 			}
 		}
-		c.varCrd[inner] = portRef{ps, "crd"}
-		c.forceValDrop = c.hasScalarRed
-		return c.construct(portRef{ps, "val"}, valVars)
+		c.varCrd[v] = portRef{ser, "out"}
 	}
-
-	// Reduced join: a binary tree of cross-lane combiners adds the lane
-	// partials point-wise.
-	type laneOut struct {
-		crd []portRef
-		val portRef
-	}
-	cur := make([]laneOut, p)
+	inner := valVars[m-1]
+	ps := c.addNode(&graph.Node{
+		Kind: graph.SerializePair, Label: "Serializer " + inner + " vals",
+		Ways: p, Level: m - 2,
+	})
 	for l, sub := range lanes {
-		lo := laneOut{val: vals[l]}
-		for _, v := range outLoop {
-			lo.crd = append(lo.crd, sub.varCrd[v])
+		c.connect(sub.varCrd[inner], ps, graph.PortName("crd", l))
+		c.connect(vals[l], ps, graph.PortName("val", l))
+		if m-2 >= 0 {
+			c.connect(laneCrd[l], ps, graph.PortName("drv", l))
 		}
-		cur[l] = lo
 	}
-	for depth := 0; len(cur) > 1; depth++ {
-		var next []laneOut
-		for i := 0; i+1 < len(cur); i += 2 {
-			n := c.addNode(&graph.Node{
-				Kind:  graph.LaneReduce,
-				Label: fmt.Sprintf("LaneReduce %s d%d.%d", v0, depth, i/2),
-				Ways:  2, RedN: m,
-			})
-			for q := 0; q < m; q++ {
-				c.connect(cur[i].crd[q], n, fmt.Sprintf("crd%d_0", q))
-				c.connect(cur[i+1].crd[q], n, fmt.Sprintf("crd%d_1", q))
-			}
-			c.connect(cur[i].val, n, "val0")
-			c.connect(cur[i+1].val, n, "val1")
-			lo := laneOut{val: portRef{n, "val"}}
-			for q := 0; q < m; q++ {
-				lo.crd = append(lo.crd, portRef{n, graph.PortName("crd", q)})
-			}
-			next = append(next, lo)
-		}
-		if len(cur)%2 == 1 {
-			next = append(next, cur[len(cur)-1])
-		}
-		cur = next
+	c.varCrd[inner] = portRef{ps, "crd"}
+	val := portRef{ps, "val"}
+	if red == nil {
+		// Orphan zeros from empty lanes ride the joined value stream to
+		// construction, where a value-mode dropper absorbs them.
+		c.forceValDrop = c.hasScalarRed
+		return c.construct(val, valVars)
 	}
-	for q, v := range outLoop {
-		c.varCrd[v] = cur[0].crd[q]
+	// v0's reducer absorbs the orphans: the n >= 1 reducer discards them, and
+	// the scalar reducer's sum, which starts at +0, does not change by +0.
+	val, valVars, err = c.lowerRed(red, val, valVars)
+	if err != nil {
+		return err
 	}
-	return c.construct(cur[0].val, valVars)
+	return c.construct(val, valVars)
 }
 
 // fork splits a stream element-wise across p lanes through a parallelizer.

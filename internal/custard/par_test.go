@@ -35,9 +35,6 @@ func TestParGraphShape(t *testing.T) {
 		if got := g.Count(graph.SerializePair); got != 1 {
 			t.Errorf("par %d: %d paired serializers, want 1", p, got)
 		}
-		if got := g.Count(graph.LaneReduce); got != 0 {
-			t.Errorf("par %d: %d lane combiners, want 0 (ordered join)", p, got)
-		}
 		// One compute replica per lane.
 		if got, want := g.Count(graph.ALU), p*seq.Count(graph.ALU); got != want {
 			t.Errorf("par %d: %d ALUs, want %d", p, got, want)
@@ -48,20 +45,50 @@ func TestParGraphShape(t *testing.T) {
 	}
 }
 
-// TestParReductionTreeShape checks the reduced-join graph grows a binary
-// combiner tree of P-1 nodes.
+// TestParReductionTreeShape checks the reduced join: when the outermost
+// variable is reduced, the lanes stop below its reducer, their streams join
+// through serializers like a kept variable's (all but the reduced variable's
+// own coordinates, which feed no block), and the one reducer runs once,
+// after the join, outside every lane.
 func TestParReductionTreeShape(t *testing.T) {
-	e := lang.MustParse("X(i,j) = B(i,k) * C(k,j)")
-	for _, p := range []int{2, 3, 4, 8} {
-		g, err := Compile(e, nil, lang.Schedule{LoopOrder: []string{"k", "i", "j"}, Par: p})
+	for _, tc := range []struct {
+		expr      string
+		order     []string
+		red       string // label of the outermost variable's reducer
+		ser, pair int    // plain and paired serializers
+	}{
+		// i joins at level 0 and j with the values at level 1; k does not.
+		{"X(i,j) = B(i,k) * C(k,j)", []string{"k", "i", "j"}, "Reducer k (n=2)", 1, 1},
+		// A scalar output pairs the lanes' values with their forks of i.
+		{"x = B(i,j) * c(j)", nil, "Reducer i (n=0)", 0, 1},
+	} {
+		e := lang.MustParse(tc.expr)
+		seq, err := Compile(e, nil, lang.Schedule{LoopOrder: tc.order})
 		if err != nil {
-			t.Fatalf("par %d: %v", p, err)
+			t.Fatal(err)
 		}
-		if got := g.Count(graph.LaneReduce); got != p-1 {
-			t.Errorf("par %d: %d lane combiners, want %d", p, got, p-1)
-		}
-		if got := g.Count(graph.Serialize) + g.Count(graph.SerializePair); got != 0 {
-			t.Errorf("par %d: %d serializers, want 0 (reduced join)", p, got)
+		for _, p := range []int{2, 3, 4, 8} {
+			g, err := Compile(e, nil, lang.Schedule{LoopOrder: tc.order, Par: p})
+			if err != nil {
+				t.Fatalf("%s par %d: %v", tc.expr, p, err)
+			}
+			if got := g.Count(graph.Serialize); got != tc.ser {
+				t.Errorf("%s par %d: %d serializers, want %d", tc.expr, p, got, tc.ser)
+			}
+			if got := g.Count(graph.SerializePair); got != tc.pair {
+				t.Errorf("%s par %d: %d paired serializers, want %d", tc.expr, p, got, tc.pair)
+			}
+			// Every reducer but the outermost one is replicated per lane.
+			if got, want := g.Count(graph.Reduce), p*(seq.Count(graph.Reduce)-1)+1; got != want {
+				t.Errorf("%s par %d: %d reducers, want %d", tc.expr, p, got, want)
+			}
+			found := false
+			for _, n := range g.Nodes {
+				found = found || n.Kind == graph.Reduce && n.Label == tc.red
+			}
+			if !found {
+				t.Errorf("%s par %d: no lane-free %q", tc.expr, p, tc.red)
+			}
 		}
 	}
 }

@@ -35,8 +35,6 @@ func dotStyle(k Kind) string {
 		return `shape=box style=filled fillcolor="#f5c78f"`
 	case Parallelize, Serialize, SerializePair:
 		return `shape=house style=filled fillcolor="#bfe6e0"`
-	case LaneReduce:
-		return `shape=invhouse style=filled fillcolor="#bfe6e0"`
 	default:
 		return `shape=box`
 	}

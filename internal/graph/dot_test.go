@@ -13,11 +13,11 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden DOT files")
 
 // TestDOTGolden pins the Graphviz rendering of parallel graphs against
-// golden files, covering the Parallelize, Serialize, SerializePair, and
-// LaneReduce blocks introduced with Schedule.Par: spmspm_par2 joins kept
-// output levels through serializers, scalar_par2 reduces the outermost
-// variable through a lane combiner. Regenerate with go test -run DOTGolden
-// -update after an intentional rendering change.
+// golden files, covering the Parallelize, Serialize and SerializePair blocks
+// introduced with Schedule.Par: spmspm_par2 joins kept output levels through
+// serializers, scalar_par2 joins the lanes' values before the one reducer of
+// the outermost variable. Regenerate with go test -run DOTGolden -update
+// after an intentional rendering change.
 func TestDOTGolden(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -28,7 +28,7 @@ func TestDOTGolden(t *testing.T) {
 		{"spmspm_par2", "X(i,j) = B(i,k) * C(k,j)", 2,
 			[]graph.Kind{graph.Parallelize, graph.Serialize, graph.SerializePair}},
 		{"scalar_par2", "x = B(i,j) * c(j)", 2,
-			[]graph.Kind{graph.Parallelize, graph.LaneReduce}},
+			[]graph.Kind{graph.Parallelize, graph.SerializePair, graph.Reduce}},
 	}
 	for _, c := range cases {
 		g := compile(t, c.expr, nil, lang.Schedule{Par: c.par})

@@ -42,7 +42,10 @@ const (
 	Parallelize
 	Serialize
 	SerializePair
-	LaneReduce
+	// Kind 24 was the cross-lane combiner. It stays reserved, so an
+	// artifact that carries it fails to decode instead of meaning another
+	// block.
+	_
 )
 
 func (k Kind) String() string {
@@ -95,8 +98,6 @@ func (k Kind) String() string {
 		return "serialize"
 	case SerializePair:
 		return "serializepair"
-	case LaneReduce:
-		return "lanereduce"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -122,16 +123,15 @@ type Node struct {
 	Format fiber.Format
 
 	// Ways is the arity of intersecters/unioners and the lane count of
-	// parallelizers, serializers and lane combiners.
+	// parallelizers and serializers.
 	Ways int
 
 	// Op is the ALU operation.
 	Op lang.Op
 
 	// RedN is the reducer dimension n of paper Definition 3.7: the number of
-	// coordinate streams a reducer (and a lane combiner) carries beside its
-	// values — 0 for the scalar reducer, one per kept variable below the
-	// reduced one otherwise.
+	// coordinate streams a reducer carries beside its values — 0 for the
+	// scalar reducer, one per kept variable below the reduced one otherwise.
 	RedN int
 
 	// DropVal selects the value mode of a coordinate dropper.
@@ -295,15 +295,6 @@ func InPorts(n *Node) []string {
 		return lanePorts(n, "in")
 	case SerializePair:
 		return lanePorts(n, "crd", "val")
-	case LaneReduce:
-		ps := make([]string, 0, n.Ways*(n.RedN+1))
-		for s := 0; s < n.Ways; s++ {
-			for q := 0; q < n.RedN; q++ {
-				ps = append(ps, PortName("crd", q)+"_"+strconv.Itoa(s))
-			}
-			ps = append(ps, PortName("val", s))
-		}
-		return ps
 	}
 	return nil
 }
@@ -343,8 +334,6 @@ func OutPorts(n *Node) []string {
 		return portsOut
 	case SerializePair:
 		return portsCrdVal
-	case LaneReduce:
-		return append(appendIndexed(make([]string, 0, n.RedN+1), "crd", n.RedN), "val")
 	}
 	return nil
 }

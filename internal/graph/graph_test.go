@@ -87,7 +87,6 @@ func TestPortTables(t *testing.T) {
 		{&Node{Kind: Serialize, Ways: 4, Level: 0}, 8, 1},
 		{&Node{Kind: SerializePair, Ways: 4, Level: -1}, 8, 2},
 		{&Node{Kind: SerializePair, Ways: 4, Level: 1}, 12, 2},
-		{&Node{Kind: LaneReduce, Ways: 2, RedN: 2}, 6, 3},
 	}
 	for _, tc := range cases {
 		if got := len(InPorts(tc.node)); got != tc.in {

@@ -215,9 +215,9 @@ type Schedule struct {
 	// level (paper Section 4.4): the outermost variable's merged streams
 	// fork element-wise through parallelizer blocks, the downstream compute
 	// sub-graph is replicated once per lane, and the lanes join back through
-	// round-robin serializers (outermost variable kept in the output) or a
-	// cross-lane reduction tree (outermost variable reduced). Values of 0
-	// and 1 compile the ordinary sequential graph.
+	// round-robin serializers — before tensor construction when the
+	// outermost variable is kept in the output, before its one reducer when
+	// it is reduced. Values of 0 and 1 compile the ordinary sequential graph.
 	Par int
 }
 

@@ -135,6 +135,16 @@ func TestDecodeErrors(t *testing.T) {
 			d = binary.AppendVarint(d, 1<<30)
 			return reseal(d)
 		}(), ""},
+		{"retired-kind", func() []byte {
+			// Kind 24 was the cross-lane combiner: an artifact written when it
+			// existed must fail to load, not run as some later block.
+			ir, err := comp.Lower(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ir.Steps[len(ir.Steps)-1].Kind = graph.Kind(24)
+			return prog.EncodeIR(ir)
+		}(), "kind(24)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

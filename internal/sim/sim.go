@@ -480,27 +480,6 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		return ser, nil
-	case graph.LaneReduce:
-		var crds [2][]*core.Queue
-		var vals [2]*core.Queue
-		for s := 0; s < 2; s++ {
-			crds[s] = make([]*core.Queue, n.RedN)
-			for q := 0; q < n.RedN; q++ {
-				var err error
-				if crds[s][q], err = b.in(n, fmt.Sprintf("crd%d_%d", q, s)); err != nil {
-					return nil, err
-				}
-			}
-			var err error
-			if vals[s], err = b.in(n, graph.PortName("val", s)); err != nil {
-				return nil, err
-			}
-		}
-		crdOuts := make([]*core.Out, n.RedN)
-		for q := range crdOuts {
-			crdOuts[q] = b.out(n, graph.PortName("crd", q))
-		}
-		return core.NewLaneCombine(n.Label, n.RedN, crds, vals, crdOuts, b.out(n, "val")), nil
 	case graph.VecValsWriter:
 		bv, err := b.in(n, "bv")
 		if err != nil {

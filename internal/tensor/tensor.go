@@ -7,6 +7,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -345,8 +346,8 @@ func UniformRandom(name string, rng *rand.Rand, nnz int, dims ...int) *COO {
 }
 
 // IdenticalBits reports whether two COO tensors are bitwise identical:
-// same dimensions, same points in the same order, coordinates and values
-// compared exactly (explicit zeros included). This is the optimizer's and
+// same dimensions, same points in the same order, coordinates compared
+// exactly and values bit for bit (explicit zeros and their signs included). This is the optimizer's and
 // the lane batteries' correctness bar — stricter than Equal, which sorts,
 // tolerates eps, and ignores explicit zeros. A nil error means identical.
 func IdenticalBits(a, b *COO) error {
@@ -363,12 +364,12 @@ func IdenticalBits(a, b *COO) error {
 	}
 	for i := range a.Pts {
 		p, q := a.Pts[i], b.Pts[i]
-		if p.Val != q.Val {
-			return fmt.Errorf("point %d: %v=%g vs %v=%g", i, p.Crd, p.Val, q.Crd, q.Val)
+		if math.Float64bits(p.Val) != math.Float64bits(q.Val) {
+			return fmt.Errorf("point %d: %v=%v vs %v=%v", i, p.Crd, p.Val, q.Crd, q.Val)
 		}
 		for m := range p.Crd {
 			if p.Crd[m] != q.Crd[m] {
-				return fmt.Errorf("point %d: %v=%g vs %v=%g", i, p.Crd, p.Val, q.Crd, q.Val)
+				return fmt.Errorf("point %d: %v=%v vs %v=%v", i, p.Crd, p.Val, q.Crd, q.Val)
 			}
 		}
 	}
@@ -377,8 +378,8 @@ func IdenticalBits(a, b *COO) error {
 
 // QuantizeInts replaces every stored value with a small nonzero integer
 // drawn from [1, max]. Integer values keep floating-point sums exact
-// regardless of association, so differential batteries that reassociate
-// reductions — parallel lane partials, optimizer rewrites — can demand
+// regardless of association, so differential batteries whose reference sums
+// in another order — the gold model, optimizer rewrites — can demand
 // bit-identical outputs instead of tolerance comparisons.
 func QuantizeInts(rng *rand.Rand, max int, ts ...*COO) {
 	for _, t := range ts {

@@ -15,8 +15,7 @@ import (
 // [k·ceil(R/n), (k+1)·ceil(R/n)). This is the scale-out tiling unit the
 // sharded serving layer stores one-per-shard: because the blocks partition
 // the row index's domain, any multiplicative einsum evaluated per block
-// yields partials that sum to the whole-matrix result (the same algebra
-// LaneReduce uses to add lane partials in a Par graph — rows a block does
+// yields partials that sum to the whole-matrix result (rows a block does
 // not own contribute zero). Empty blocks are returned too; callers decide
 // whether an empty tile is worth storing.
 func RowBlocks(t *tensor.COO, n int) ([]*tensor.COO, error) {
@@ -81,10 +80,9 @@ func Distributable(e *lang.Einsum, operand, fixVar string) error {
 
 // MergePartials sums per-block partial outputs coordinate-wise into one
 // tensor named name — the host-side combine of Figure 9 generalized to the
-// sharded serving layer, and the same add-the-partials rule as a LaneReduce
-// combiner tree. Exact zeros produced by cancellation are dropped, matching
-// the engines' output assembly. The merged tensor takes its dims from the
-// partials, which must all share them, and its points share their
+// sharded serving layer. Exact zeros produced by cancellation are dropped,
+// matching the engines' output assembly. The merged tensor takes its dims
+// from the partials, which must all share them, and its points share their
 // coordinate tuples; nil partials are skipped, and at least one must remain.
 func MergePartials(name string, parts []*tensor.COO) (*tensor.COO, error) {
 	var out *tensor.COO

@@ -96,11 +96,11 @@
 // Schedule{Par: N} compiles an N-lane parallel graph (paper Section 4.4):
 // the outermost loop variable's merged streams fork element-wise across the
 // lanes, the downstream compute sub-graph is replicated once per lane, and
-// the lanes join back before tensor construction — through one round-robin
-// serializer block per output level (the innermost carrying the value stream
-// along) when the outermost variable is kept in the output, or through a
-// binary tree of cross-lane combiners that add lane partials when it is
-// reduced. Outputs match the sequential graph on every engine, and the
+// the lanes join back through round-robin serializer blocks, one per stream
+// level (the innermost carrying the value stream along) — before tensor
+// construction when the outermost variable is kept in the output, before its
+// one reducer when it is reduced. Outputs are bit-identical to the
+// sequential graph on every engine, and the
 // event-driven scheduler exposes the lane concurrency directly in simulated
 // cycles (near-linear on SpMV and SpM*SpM):
 //
