@@ -19,7 +19,6 @@ package ablation
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"sam/internal/custard"
 	"sam/internal/fiber"
@@ -286,11 +285,4 @@ func Run() ([]Row, int, int, error) {
 		rows = append(rows, row)
 	}
 	return rows, len(corpus), totalAll, nil
-}
-
-// SortedByUniquePct returns rows ordered by impact, for shape comparisons.
-func SortedByUniquePct(rows []Row) []Row {
-	out := append([]Row(nil), rows...)
-	sort.Slice(out, func(i, j int) bool { return out[i].UniquePct > out[j].UniquePct })
-	return out
 }

@@ -131,8 +131,4 @@ func TestRunPercentagesConsistent(t *testing.T) {
 	if pct["Intersecter w/ Locator Removed"] < pct["Intersecter keep Locator"] {
 		t.Error("intersecter-removal monotonicity violated")
 	}
-	sorted := SortedByUniquePct(rows)
-	if sorted[0].UniquePct < sorted[len(sorted)-1].UniquePct {
-		t.Error("SortedByUniquePct not descending")
-	}
 }

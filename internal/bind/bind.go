@@ -175,14 +175,3 @@ func (p *Plan) OutputDims(inputs map[string]*tensor.COO) ([]int, error) {
 	}
 	return dims, nil
 }
-
-// Operands is the one-shot form of Plan.Operands for executors that do not
-// reuse graphs across runs.
-func Operands(g *graph.Graph, inputs map[string]*tensor.COO) (map[string]*fiber.Tensor, error) {
-	return NewPlan(g).Operands(inputs)
-}
-
-// OutputDims is the one-shot form of Plan.OutputDims.
-func OutputDims(g *graph.Graph, inputs map[string]*tensor.COO) ([]int, error) {
-	return NewPlan(g).OutputDims(inputs)
-}

@@ -34,7 +34,7 @@ func TestOperandsBindsEveryAccess(t *testing.T) {
 		"B": tensor.UniformRandom("B", r, 40, 10, 8),
 		"C": tensor.UniformRandom("C", r, 40, 8, 12),
 	}
-	bound, err := Operands(g, inputs)
+	bound, err := NewPlan(g).Operands(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestOperandsRepeatedTensor(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	g := compile(t, "x(i) = B(i,j) * B(i,j)", nil)
 	inputs := map[string]*tensor.COO{"B": tensor.UniformRandom("B", r, 20, 8, 8)}
-	bound, err := Operands(g, inputs)
+	bound, err := NewPlan(g).Operands(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestOperandsRepeatedTensor(t *testing.T) {
 func TestOperandsMissingTensor(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := compile(t, "x(i) = B(i,j) * c(j)", nil)
-	_, err := Operands(g, map[string]*tensor.COO{
+	_, err := NewPlan(g).Operands(map[string]*tensor.COO{
 		"B": tensor.UniformRandom("B", r, 20, 8, 8),
 	})
 	if err == nil || !strings.Contains(err.Error(), `"c"`) {
@@ -93,7 +93,7 @@ func TestOperandsOrderZeroScalar(t *testing.T) {
 	g := compile(t, "x(i) = alpha * B(i,j)", nil)
 	alpha := tensor.NewCOO("alpha")
 	alpha.Append(2.5)
-	bound, err := Operands(g, map[string]*tensor.COO{
+	bound, err := NewPlan(g).Operands(map[string]*tensor.COO{
 		"alpha": alpha,
 		"B":     tensor.UniformRandom("B", r, 20, 8, 8),
 	})
@@ -118,7 +118,7 @@ func TestOutputDims(t *testing.T) {
 		"B": tensor.UniformRandom("B", r, 40, 10, 8),
 		"C": tensor.UniformRandom("C", r, 40, 8, 12),
 	}
-	dims, err := OutputDims(g, inputs)
+	dims, err := NewPlan(g).OutputDims(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +126,15 @@ func TestOutputDims(t *testing.T) {
 		t.Errorf("dims = %v, want [10 12]", dims)
 	}
 
-	if _, err := OutputDims(g, map[string]*tensor.COO{"B": inputs["B"]}); err == nil {
+	if _, err := NewPlan(g).OutputDims(map[string]*tensor.COO{"B": inputs["B"]}); err == nil {
 		t.Error("missing dimension reference accepted")
 	}
 	bad := &graph.Graph{OutputDims: []graph.DimRef{{Tensor: "B", Mode: 9}}}
-	if _, err := OutputDims(bad, inputs); err == nil {
+	if _, err := NewPlan(bad).OutputDims(inputs); err == nil {
 		t.Error("out-of-range mode accepted")
 	}
 	neg := &graph.Graph{OutputDims: []graph.DimRef{{Tensor: "B", Mode: -5}}}
-	if _, err := OutputDims(neg, inputs); err == nil {
+	if _, err := NewPlan(neg).OutputDims(inputs); err == nil {
 		t.Error("negative mode accepted")
 	}
 }

@@ -64,11 +64,11 @@ func compileInputs(t testing.TB, expr string, sched lang.Schedule, inputs map[st
 	if err != nil {
 		t.Fatalf("comp %q: %v", expr, err)
 	}
-	bound, err := bind.Operands(g, inputs)
+	bound, err := bind.NewPlan(g).Operands(inputs)
 	if err != nil {
 		t.Fatalf("bind %q: %v", expr, err)
 	}
-	odims, err := bind.OutputDims(g, inputs)
+	odims, err := bind.NewPlan(g).OutputDims(inputs)
 	if err != nil {
 		t.Fatalf("output dims %q: %v", expr, err)
 	}

@@ -76,13 +76,9 @@ type writerRec struct {
 
 // Program is a lowered IR bound to closures: its structure is immutable
 // after Compile/Materialize and it is safe for concurrent Run calls — each
-// run checks a reusable RunCtx out of the process-wide free list (or the
-// caller holds one explicitly and passes it to RunPooled). A program owns no
-// run state beyond its stream-length hints.
+// run checks a reusable RunCtx out of the process-wide free list. A program
+// owns no run state beyond its stream-length hints.
 type Program struct {
-	// g is the source graph when the program came from Compile, nil when it
-	// was materialized from a decoded artifact; execution reads only ir.
-	g     *graph.Graph
 	ir    *IR
 	steps []stepInfo
 	nSlot int
@@ -114,7 +110,7 @@ func Check(g *graph.Graph) error {
 	for _, n := range g.Nodes {
 		switch n.Kind {
 		case graph.BVScanner, graph.BVIntersect, graph.VecLoad, graph.VecALU,
-			graph.BVExpand, graph.BVConvert, graph.BVWriter, graph.VecValsWriter:
+			graph.BVExpand, graph.BVWriter, graph.VecValsWriter:
 			return fmt.Errorf("comp: bitvector block %q needs a cycle engine", n.Label)
 		case graph.Root, graph.Scanner, graph.Repeat, graph.Intersect, graph.Union,
 			graph.GallopIntersect, graph.Locate, graph.Array, graph.ALU, graph.Reduce,
@@ -135,17 +131,8 @@ func Compile(g *graph.Graph) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := Materialize(ir)
-	if err != nil {
-		return nil, err
-	}
-	p.g = g
-	return p, nil
+	return Materialize(ir)
 }
-
-// Graph returns the source graph, or nil when the program was materialized
-// from a decoded artifact (execution never needs it; see IR).
-func (p *Program) Graph() *graph.Graph { return p.g }
 
 // IR returns the program's lowered intermediate form, the unit
 // internal/prog serializes.

@@ -2,6 +2,7 @@ package comp_test
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestCrdDropEdgeCases(t *testing.T) {
 				t.Fatalf("run failed: %v", err)
 			}
 			for i, label := range []string{"outer", "inner"} {
-				if want := token.MustParse(f[4+i]); !token.Equal(outs[i], want) {
+				if want := token.MustParse(f[4+i]); !slices.Equal(outs[i], want) {
 					t.Errorf("%s stream mismatch:\n got:  %s\n want: %s", label, outs[i], want)
 				}
 			}

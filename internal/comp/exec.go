@@ -119,7 +119,7 @@ func (a *arena) leafProg(tmpl []leafInst) []leafInst {
 // needs more, so a context costs the largest run it has served. The zero
 // value is ready to use; a context must not be used by two runs
 // concurrently. Program.Run checks contexts out of the process-wide free
-// list, or callers hold one explicitly and pass it to RunPooled.
+// list.
 type RunCtx struct {
 	p       *Program
 	streams []token.Stream
@@ -220,16 +220,6 @@ func (p *Program) RunTraced(bound map[string]*fiber.Tensor, dims []int, tr *obs.
 	}
 	putCtx(rc)
 	return out, err
-}
-
-// RunPooled executes the program on a caller-held context and returns the
-// assembled output borrowed from the context: the tensor and its points are
-// valid only until the next run on rc. Any context serves any program. A
-// warm RunPooled call performs zero heap allocations; it is the alloc-gate
-// target (serve runs through RunTraced, which adds the clone out of the
-// context).
-func (p *Program) RunPooled(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
-	return p.runCtx(rc, bound, dims, nil)
 }
 
 // runCtx is the shared run core: reset, execute the steps in order, raise

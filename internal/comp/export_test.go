@@ -1,7 +1,9 @@
 package comp
 
 import (
+	"sam/internal/fiber"
 	"sam/internal/graph"
+	"sam/internal/tensor"
 	"sam/internal/token"
 )
 
@@ -63,4 +65,14 @@ func RunStep(si StepIR, ins ...token.Stream) (outs []token.Stream, err error) {
 	}()
 	st(&exec{streams: streams, a: new(arena)})
 	return streams[len(ins):], nil
+}
+
+// RunPooled executes the program on a caller-held context and returns the
+// assembled output borrowed from the context: the tensor and its points are
+// valid only until the next run on rc. Any context serves any program. It is
+// the alloc gate's hook: Run and RunTraced share its core, runCtx, and add
+// only the context checkout and the clone of the output, so a warm RunPooled
+// call performs zero heap allocations.
+func (p *Program) RunPooled(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
+	return p.runCtx(rc, bound, dims, nil)
 }

@@ -269,11 +269,11 @@ func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched 
 	if err != nil {
 		t.Fatalf("%s: lower: %v", name, err)
 	}
-	bound, err := bind.Operands(g, inputs)
+	bound, err := bind.NewPlan(g).Operands(inputs)
 	if err != nil {
 		t.Fatalf("%s: bind: %v", name, err)
 	}
-	dims, err := bind.OutputDims(g, inputs)
+	dims, err := bind.NewPlan(g).OutputDims(inputs)
 	if err != nil {
 		t.Fatalf("%s: output dims: %v", name, err)
 	}
@@ -300,7 +300,7 @@ func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched 
 	}
 	for s := range survives {
 		switch {
-		case survives[s] && !token.Equal(got[s], want[s]):
+		case survives[s] && !slices.Equal(got[s], want[s]):
 			t.Errorf("%s: slot %d differs\n  fused   %v\n  unfused %v", name, s, got[s], want[s])
 		case !survives[s] && (len(got[s]) != 0 || len(want[s]) == 0):
 			t.Errorf("%s: fused-away slot %d holds %d tokens fused, %d unfused; want 0 and some", name, s, len(got[s]), len(want[s]))
@@ -428,11 +428,11 @@ func TestRunTracedStepSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs := randomInputs(rand.New(rand.NewSource(9)), lang.MustParse("x(i) = B(i,j) * c(j)"), func(string) int { return 12 })
-		bound, err := bind.Operands(g, inputs)
+		bound, err := bind.NewPlan(g).Operands(inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dims, err := bind.OutputDims(g, inputs)
+		dims, err := bind.NewPlan(g).OutputDims(inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -561,11 +561,11 @@ func TestFiberRefOutOfRange(t *testing.T) {
 				rng := rand.New(rand.NewSource(5))
 				inputs = randomInputs(rng, lang.MustParse(tc.expr), func(string) int { return 12 })
 			}
-			bound, err := bind.Operands(g, inputs)
+			bound, err := bind.NewPlan(g).Operands(inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dims, err := bind.OutputDims(g, inputs)
+			dims, err := bind.NewPlan(g).OutputDims(inputs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,7 +43,7 @@ func mustRun(t testing.TB, n *Net) int {
 func checkStream(t testing.TB, label string, got token.Stream, want string) {
 	t.Helper()
 	w := token.MustParse(want)
-	if !token.Equal(got, w) {
+	if !slices.Equal(got, w) {
 		t.Errorf("%s stream mismatch:\n got:  %s\n want: %s", label, got, w)
 	}
 }
@@ -504,5 +506,89 @@ func TestScannerPipelineThroughput(t *testing.T) {
 	tokens := fibers*(length+1) + 1 // coords + separators + done
 	if cycles < tokens || cycles > tokens+4 {
 		t.Errorf("cycles = %d, want about %d (fully pipelined)", cycles, tokens)
+	}
+}
+
+// TestALUMaxMin covers the remaining ALU operations.
+func TestALUMaxMin(t *testing.T) {
+	for _, tc := range []struct {
+		op   ALUOp
+		want float64
+	}{
+		{OpMax, 7}, {OpMin, 2},
+	} {
+		n := &Net{}
+		a, b := n.NewQueue("a"), n.NewQueue("b")
+		a.Preload(token.Stream{token.V(2), token.S(0), token.D()})
+		b.Preload(token.Stream{token.V(7), token.S(0), token.D()})
+		out := n.NewQueue("out")
+		n.Add(NewALU("alu", tc.op, a, b, NewOut(out)))
+		mustRun(t, n)
+		got := out.Drain()
+		if got[0].V != tc.want {
+			t.Errorf("%v: got %v, want %g", tc.op, got[0], tc.want)
+		}
+	}
+}
+
+// TestTensorReducerN3 checks a three-dimensional accumulation: one group of
+// repeated (i,j,k) points reduced over an outermost variable. The second
+// iteration holds empty sub-fibers at both outer levels: j = 4 under i = 0
+// has no k (trailing in i's fiber), and i = 1 has no j at all (mid-fiber).
+// Each one's coordinate must be popped where its subtree closes, or the next
+// point loads it as its own.
+func TestTensorReducerN3(t *testing.T) {
+	n := &Net{}
+	q0, q1, q2, qv := n.NewQueue("c0"), n.NewQueue("c1"), n.NewQueue("c2"), n.NewQueue("v")
+	// Two reduction iterations (closed by S2, the group by S3): points
+	// (0,1,2)=1, (0,1,3)=2 in the first; (0,1,2)=10, (2,0,0)=5 in the second.
+	q0.Preload(token.MustParse("0 S0 0 1 2 S1 D"))
+	q1.Preload(token.MustParse("1 S1 1 4 S0 S0 0 S2 D"))
+	q2.Preload(token.MustParse("2 3 S2 2 S0 S1 S1 0 S3 D"))
+	qv.Preload(token.MustParse("1.0 2.0 S2 10.0 S0 S1 S1 5.0 S3 D"))
+	o0, o1, o2, ov := n.NewQueue("o0"), n.NewQueue("o1"), n.NewQueue("o2"), n.NewQueue("ov")
+	n.Add(NewReducer("tr", 3, []*Queue{q0, q1, q2}, qv,
+		[]*Out{NewOut(o0), NewOut(o1), NewOut(o2)}, NewOut(ov)))
+	mustRun(t, n)
+
+	checkStream(t, "crd0", o0.Drain(), "0 2 S0 D")
+	checkStream(t, "crd1", o1.Drain(), "1 S0 0 S1 D")
+	checkStream(t, "crd2", o2.Drain(), "2 3 S1 0 S2 D")
+	checkStream(t, "vals", ov.Drain(), "11.0 2.0 S1 5.0 S2 D")
+}
+
+// TestGroupAccWideCoordinates emits one group the same way whether its
+// points sort as packed keys (small coordinates) or point by point
+// (coordinates too wide to pack): unique, sorted, summed in arrival order,
+// with an empty token registering its point at zero.
+func TestGroupAccWideCoordinates(t *testing.T) {
+	for _, base := range []int64{10, 1 << 40} {
+		var g GroupAcc
+		g.Reset(2)
+		for _, p := range []struct {
+			i, j int64
+			v    token.Tok
+		}{
+			{base + 1, 5, token.V(1)}, {base, 7, token.V(2)}, {base + 1, 5, token.V(3)},
+			{base, 9, token.N()}, {base, 2, token.V(4)},
+		} {
+			g.Load(0, p.i)
+			g.Add(p.j, p.v)
+			g.Stop(0)
+		}
+		g.Stop(2)
+		var crd [2]token.Stream
+		var val token.Stream
+		toks := make([]token.Tok, 3)
+		for g.Emitting() {
+			from := g.Next(toks)
+			for j := from; j < 2; j++ {
+				crd[j] = append(crd[j], toks[j])
+			}
+			val = append(val, toks[2])
+		}
+		checkStream(t, "crd0", crd[0], fmt.Sprintf("%d %d S0", base, base+1))
+		checkStream(t, "crd1", crd[1], "2 7 9 S0 5 S1")
+		checkStream(t, "vals", val, "4.0 2.0 0.0 S0 4.0 S1")
 	}
 }

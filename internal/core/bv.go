@@ -389,82 +389,6 @@ func (b *BVExpand) Tick() bool {
 	return b.fail("unexpected token %v", t)
 }
 
-// BVConvert is the bitvector converter of paper Definition 4.2: it packs a
-// coordinate stream into bitvector words of WordBits coordinates each,
-// emitting one word per cycle once a word's coordinate range is complete.
-type BVConvert struct {
-	basic
-	in  *Queue
-	out *Out
-	dim int
-
-	word    uint64
-	wordIdx int64
-	touched bool
-	pending []token.Tok
-}
-
-// NewBVConvert builds a coordinate-to-bitvector converter for a level of the
-// given dimension size.
-func NewBVConvert(name string, dim int, in *Queue, out *Out) *BVConvert {
-	return &BVConvert{basic: basic{name: name}, in: in, out: out, dim: dim}
-}
-
-// flushTo emits words up to the fiber end (dim/WordBits words per fiber).
-func (b *BVConvert) flushFiber(tail token.Tok) {
-	words := int64((b.dim + fiber.WordBits - 1) / fiber.WordBits)
-	for b.wordIdx < words {
-		b.pending = append(b.pending, token.BV(b.word))
-		b.word = 0
-		b.wordIdx++
-	}
-	b.pending = append(b.pending, tail)
-	b.wordIdx = 0
-	b.touched = false
-}
-
-// Tick implements Block.
-func (b *BVConvert) Tick() bool {
-	if b.done {
-		return false
-	}
-	if !b.out.CanPush() {
-		return false
-	}
-	if len(b.pending) > 0 {
-		t := b.pending[0]
-		b.pending = b.pending[1:]
-		b.out.Push(t)
-		if t.IsDone() {
-			b.done = true
-		}
-		return true
-	}
-	t, ok := b.in.Pop()
-	if !ok {
-		return false
-	}
-	switch t.Kind {
-	case token.Val:
-		w := t.N / fiber.WordBits
-		for b.wordIdx < w {
-			b.pending = append(b.pending, token.BV(b.word))
-			b.word = 0
-			b.wordIdx++
-		}
-		b.word |= 1 << (uint(t.N) % fiber.WordBits)
-		b.touched = true
-		return true
-	case token.Stop:
-		b.flushFiber(t)
-		return true
-	case token.Done:
-		b.pending = append(b.pending, t)
-		return true
-	}
-	return b.fail("unexpected token %v", t)
-}
-
 // BVWriter writes a bitvector stream back to a bitvector level, plus a
 // vectorized value writer companion for packed value streams.
 type BVWriter struct {
@@ -589,12 +513,6 @@ func (b *BVExpand) InQueues() []*Queue { return []*Queue{b.inBV, b.inMask, b.inB
 
 // OutPorts implements Block.
 func (b *BVExpand) OutPorts() []*Out { return []*Out{b.out} }
-
-// InQueues implements Block.
-func (b *BVConvert) InQueues() []*Queue { return []*Queue{b.in} }
-
-// OutPorts implements Block.
-func (b *BVConvert) OutPorts() []*Out { return []*Out{b.out} }
 
 // InQueues implements Block.
 func (b *BVWriter) InQueues() []*Queue { return []*Queue{b.in} }

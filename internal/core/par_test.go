@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestParallelizerElementRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("lanes=%d src=%q: %v", lanes, src, err)
 			}
-			if !token.Equal(got, token.MustParse(src)) {
+			if !slices.Equal(got, token.MustParse(src)) {
 				t.Errorf("lanes=%d src=%q: joined %v", lanes, src, got)
 			}
 		}

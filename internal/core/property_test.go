@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -315,7 +316,7 @@ func TestQuickGallopMatchesIntersect(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return token.Equal(g, p)
+		return slices.Equal(g, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -345,7 +346,7 @@ func TestQuickParallelizerRoundTrip(t *testing.T) {
 		outer = append(outer, token.S(0), token.D())
 		s = append(s, token.S(1), token.D())
 		got, err := runParJoin(outer, s, lanes, 0)
-		return err == nil && token.Equal(got, s)
+		return err == nil && slices.Equal(got, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -104,43 +104,13 @@ type StreamStats struct {
 	Idle  int64
 }
 
-// Total returns the number of cycles accounted for by the stream.
-func (s StreamStats) Total() int64 { return s.Data + s.Stop + s.Empty + s.Done + s.Idle }
-
 // pushed is the number of cycles in which the wire carried a token (at most
 // one token is pushed per queue per cycle under the paper's cost model).
 func (s StreamStats) pushed() int64 { return s.Data + s.Stop + s.Empty + s.Done }
 
-// NewQueue returns an unbounded queue on a clock of its own, at cycle 0 until
-// a net runs it.
-func NewQueue(label string) *Queue { return &Queue{Label: label, clk: new(clock)} }
-
-// Len is the number of visible (ready) tokens: the run of tokens from the
-// head whose stamps the clock has reached. It walks them; tests use it.
-func (q *Queue) Len() int {
-	n, c := 0, q.first
-	for i := q.head; i < q.tail && c.toks[i&chunkMask].at <= q.clk.now; i++ {
-		n++
-		if i&chunkMask == chunkMask {
-			c = c.next
-		}
-	}
-	return n
-}
-
 // Full reports whether a push would exceed the queue capacity.
 func (q *Queue) Full() bool {
 	return q.Cap > 0 && q.tail-q.head >= q.Cap
-}
-
-// put stores a token visible from cycle at, linking a chunk first on a chunk
-// boundary.
-func (q *Queue) put(t token.Tok, at uint32) {
-	if q.tail&chunkMask == 0 {
-		q.link()
-	}
-	q.last.toks[q.tail&chunkMask] = slot{kind: t.Kind, at: at, n: t.N, v: t.V}
-	q.tail++
 }
 
 // link appends a chunk from the pool to the queue's storage.
@@ -251,26 +221,6 @@ func (q *Queue) Pop() (token.Tok, bool) {
 	return t, true
 }
 
-// Preload fills the queue with an entire recorded stream, visible from the
-// first cycle on; used by tests and by source-less graph fragments.
-func (q *Queue) Preload(s token.Stream) {
-	for _, t := range s {
-		q.put(t, 0)
-	}
-}
-
-// Drain consumes and returns every visible token; used by tests.
-func (q *Queue) Drain() token.Stream {
-	out := make(token.Stream, 0, q.tail-q.head)
-	for {
-		t, ok := q.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, t)
-	}
-}
-
 // Out is an output port. A port may fan out to several queues (a forked
 // wire); a push delivers the token to every queue, and the port can push
 // only when no destination is full.
@@ -306,6 +256,3 @@ func (o *Out) Push(t token.Tok) {
 		q.Push(t)
 	}
 }
-
-// Queues exposes the destinations (used by the engine for bookkeeping).
-func (o *Out) Queues() []*Queue { return o.qs }

@@ -37,44 +37,8 @@ func (b *RootSource) Tick() bool {
 	return true
 }
 
-// Sink consumes and records a stream; tests use it to capture block outputs.
-// The engine wires an unconnected output port to an empty Out, which drops
-// what it is pushed, not to a Sink.
-type Sink struct {
-	basic
-	in  *Queue
-	Rec token.Stream
-}
-
-// NewSink builds a recording sink on the queue.
-func NewSink(name string, in *Queue) *Sink {
-	return &Sink{basic: basic{name: name}, in: in}
-}
-
-// Tick implements Block.
-func (b *Sink) Tick() bool {
-	if b.done {
-		return false
-	}
-	t, ok := b.in.Pop()
-	if !ok {
-		return false
-	}
-	b.Rec = append(b.Rec, t)
-	if t.IsDone() {
-		b.done = true
-	}
-	return true
-}
-
 // InQueues implements Block.
 func (b *RootSource) InQueues() []*Queue { return nil }
 
 // OutPorts implements Block.
 func (b *RootSource) OutPorts() []*Out { return []*Out{b.out} }
-
-// InQueues implements Block.
-func (b *Sink) InQueues() []*Queue { return []*Queue{b.in} }
-
-// OutPorts implements Block.
-func (b *Sink) OutPorts() []*Out { return nil }

@@ -324,18 +324,9 @@ type Tensor struct {
 // Order is the number of tensor dimensions.
 func (t *Tensor) Order() int { return len(t.Levels) }
 
-// NNZ is the number of stored values.
-func (t *Tensor) NNZ() int { return len(t.Vals) }
-
 // Scalar wraps a single value as an order-0 tensor.
 func Scalar(name string, v float64) *Tensor {
 	return &Tensor{Name: name, Vals: []float64{v}}
-}
-
-// Entry is one stored (coordinate, value) point produced by Iterate.
-type Entry struct {
-	Crd []int64
-	Val float64
 }
 
 // Iterate walks the fibertree depth-first and calls fn for every stored
@@ -364,17 +355,6 @@ func (t *Tensor) walk(level int, ref int, crd []int64, fn func([]int64, float64)
 			t.walk(level+1, int(child), crd, fn)
 		}
 	}
-}
-
-// Entries collects all stored points of the tensor.
-func (t *Tensor) Entries() []Entry {
-	var out []Entry
-	t.Iterate(func(crd []int64, v float64) {
-		c := make([]int64, len(crd))
-		copy(c, crd)
-		out = append(out, Entry{Crd: c, Val: v})
-	})
-	return out
 }
 
 // Validate checks structural consistency of the fibertree: level fiber

@@ -234,3 +234,20 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// Entry is one stored (coordinate, value) point produced by Iterate.
+type Entry struct {
+	Crd []int64
+	Val float64
+}
+
+// Entries collects all stored points of the tensor.
+func (t *Tensor) Entries() []Entry {
+	var out []Entry
+	t.Iterate(func(crd []int64, v float64) {
+		c := make([]int64, len(crd))
+		copy(c, crd)
+		out = append(out, Entry{Crd: c, Val: v})
+	})
+	return out
+}

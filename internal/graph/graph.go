@@ -36,7 +36,11 @@ const (
 	VecLoad
 	VecALU
 	BVExpand
-	BVConvert
+	// Kind 18 was the bitvector converter (paper Definition 4.2), which no
+	// compiler rule emitted. It stays reserved, as kind 24 does, so every
+	// other kind keeps its number and an artifact that carries it fails to
+	// decode.
+	_
 	BVWriter
 	VecValsWriter
 	Parallelize
@@ -86,8 +90,6 @@ func (k Kind) String() string {
 		return "vecalu"
 	case BVExpand:
 		return "bvexpand"
-	case BVConvert:
-		return "bvconvert"
 	case BVWriter:
 		return "bvwriter"
 	case VecValsWriter:
@@ -277,7 +279,7 @@ func InPorts(n *Node) []string {
 			return portsOuterVal
 		}
 		return portsOuterInner
-	case CrdWriter, BVConvert:
+	case CrdWriter:
 		return portsCrd
 	case ValsWriter:
 		return portsVal
@@ -326,8 +328,6 @@ func OutPorts(n *Node) []string {
 		return portsOuterInner
 	case BVIntersect:
 		return portsBVIntersectOut
-	case BVConvert:
-		return portsBV
 	case Parallelize:
 		return appendIndexed(nil, "out", n.Ways)
 	case Serialize:

@@ -1,5 +1,5 @@
 // Package obs is the observability core of the tree: a dependency-free
-// labeled metrics registry (counters, gauges, fixed-bucket histograms) with
+// labeled metrics registry (counters, callback gauges, fixed-bucket histograms) with
 // Prometheus text exposition, and a lightweight phase-span trace recorder.
 //
 // Both halves are built for hot paths. Metric updates are single atomic
@@ -68,7 +68,7 @@ type family struct {
 type series struct {
 	labelValues []string
 
-	val    atomic.Int64 // counters: integer count; gauges: float64 bits
+	val    atomic.Int64 // counters: integer count
 	counts []atomic.Int64
 	sum    atomic.Uint64
 	count  atomic.Int64
@@ -157,31 +157,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.register(name, help, typeCounter, labels, nil)}
 }
 
-// Gauge is a value that can go up and down.
-type Gauge struct{ s *series }
-
-// Set stores the value.
-func (g *Gauge) Set(v float64) { g.s.val.Store(int64(math.Float64bits(v))) }
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.s.val.Load()
-		v := math.Float64frombits(uint64(old)) + d
-		if g.s.val.CompareAndSwap(old, int64(math.Float64bits(v))) {
-			return
-		}
-	}
-}
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(uint64(g.s.val.Load())) }
-
-// Gauge registers (or resolves) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return &Gauge{r.register(name, help, typeGauge, nil, nil).get(nil)}
-}
-
 // GaugeFunc registers a callback gauge: fn is read at exposition and
 // snapshot time, so live values (queue depth, cache size) need no update
 // plumbing.
@@ -229,11 +204,7 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.s.sum.Load()) 
 // is the histogram trade: bounded memory for bounded error, instead of the
 // unbounded sort window it replaces.
 func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]int64, len(h.s.counts))
-	for i := range h.s.counts {
-		counts[i] = h.s.counts[i].Load()
-	}
-	return QuantileFromBuckets(h.buckets, counts, q)
+	return QuantileFromBuckets(h.buckets, h.BucketCounts(), q)
 }
 
 // BucketCounts snapshots the non-cumulative per-bucket observation counts,
@@ -379,8 +350,6 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 			switch f.typ {
 			case typeCounter:
 				ss.Value = float64(s.val.Load())
-			case typeGauge:
-				ss.Value = math.Float64frombits(uint64(s.val.Load()))
 			case typeHistogram:
 				ss.BucketCounts = make([]int64, len(s.counts))
 				for i := range s.counts {

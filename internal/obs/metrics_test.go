@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -48,14 +49,9 @@ func TestCounterVecLabels(t *testing.T) {
 	v.With("only-one")
 }
 
+// TestGauge checks that a gauge is read from its callback at snapshot time.
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("depth", "queue depth")
-	g.Set(4)
-	g.Add(-1.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %g, want 2.5", got)
-	}
 	r.GaugeFunc("live", "live value", func() float64 { return 42 })
 	for _, f := range r.Snapshot() {
 		if f.Name == "live" {
@@ -98,7 +94,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("sam_requests_total", "requests by endpoint/status", "endpoint", "status").
 		With("/v1/evaluate", "200").Add(2)
-	r.Gauge("sam_queue_depth", "queued jobs").Set(3)
+	r.GaugeFunc("sam_queue_depth", "queued jobs", func() float64 { return 3 })
 	h := r.Histogram("sam_request_seconds", "request latency", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -147,17 +143,19 @@ func TestRegisterTypeMismatchPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("m", "")
+	r.GaugeFunc("m", "", func() float64 { return 0 })
 }
 
-// TestConcurrentHammer drives counters, gauges and histograms from many
-// goroutines while snapshots and expositions run concurrently; under -race
+// TestConcurrentHammer drives counters and histograms from many goroutines,
+// and a gauge's callback reads what they count, while snapshots and
+// expositions run concurrently; under -race
 // this is the registry's thread-safety gate, and the final counts prove no
 // update was lost.
 func TestConcurrentHammer(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("hammer_total", "", "worker")
-	g := r.Gauge("hammer_gauge", "")
+	var live atomic.Int64
+	r.GaugeFunc("hammer_gauge", "", func() float64 { return float64(live.Load()) })
 	hv := r.HistogramVec("hammer_seconds", "", []float64{0.001, 0.01, 0.1, 1}, "worker")
 	const (
 		workers = 8
@@ -192,7 +190,7 @@ func TestConcurrentHammer(t *testing.T) {
 			h := hv.With(name)
 			for i := 0; i < perW; i++ {
 				c.Inc()
-				g.Add(1)
+				live.Add(1)
 				h.Observe(float64(i%100) / 1000)
 			}
 		}(w)
@@ -209,7 +207,9 @@ func TestConcurrentHammer(t *testing.T) {
 			t.Errorf("worker %s histogram count = %d, want %d", name, got, perW)
 		}
 	}
-	if got := g.Value(); got != workers*perW {
-		t.Errorf("gauge = %g, want %d", got, workers*perW)
+	for _, f := range r.Snapshot() {
+		if f.Name == "hammer_gauge" && f.Series[0].Value != workers*perW {
+			t.Errorf("gauge = %g, want %d", f.Series[0].Value, workers*perW)
+		}
 	}
 }

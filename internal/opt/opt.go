@@ -78,16 +78,6 @@ func Passes(level int) []Pass {
 	}
 }
 
-// PassByName resolves one pass for targeted testing.
-func PassByName(name string) (Pass, error) {
-	for _, p := range Passes(MaxLevel) {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Pass{}, fmt.Errorf("opt: unknown pass %q", name)
-}
-
 // PassStat records one pass's total rewrites across all pipeline rounds.
 type PassStat struct {
 	Pass    string `json:"pass"`

@@ -145,6 +145,16 @@ func TestDecodeErrors(t *testing.T) {
 			ir.Steps[len(ir.Steps)-1].Kind = graph.Kind(24)
 			return prog.EncodeIR(ir)
 		}(), "kind(24)"},
+		{"retired-bvconvert", func() []byte {
+			// Kind 18 was the bitvector converter, which no compiler rule
+			// emitted: it stays reserved, so it fails to load like kind 24.
+			ir, err := comp.Lower(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ir.Steps[len(ir.Steps)-1].Kind = graph.Kind(18)
+			return prog.EncodeIR(ir)
+		}(), "kind(18)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,25 +1,16 @@
 package serve
 
 import (
-	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"sam/internal/obs"
 )
 
-// latWindow is how many recent request latencies the compatibility
-// percentile window holds.
-const latWindow = 2048
-
 // metrics is the server's observability surface: one obs.Registry holding
 // every counter, gauge, and histogram the service exposes, plus resolved
-// series handles for the hot-path updates (one atomic op each) and a small
-// sliding latency window kept only so /v1/stats can keep reporting the exact
-// sort-based p50/p99 fields it always has. The registry is the single source
-// of truth shared by GET /metrics (Prometheus text) and GET /v1/stats
-// (JSON); both render the same series.
+// series handles for the hot-path updates (one atomic op each). The registry
+// is the single source of truth shared by GET /metrics (Prometheus text) and
+// GET /v1/stats (JSON); both render the same series.
 type metrics struct {
 	reg *obs.Registry
 
@@ -62,15 +53,12 @@ type metrics struct {
 	// ones.
 	phaseDur *obs.HistogramVec
 
-	// jobLat is the completed-job latency histogram. Unlike the sliding
-	// window below it is mergeable: a router aggregating many shards sums
-	// bucket counts element-wise and derives true fleet-wide percentiles
-	// (obs.QuantileFromBuckets) instead of averaging per-shard percentiles.
+	// jobLat is the completed-job latency histogram, the one source of the
+	// p50/p99 that /v1/stats reports. It is mergeable: a router aggregating
+	// many shards sums bucket counts element-wise and derives fleet-wide
+	// percentiles with the same estimator (obs.QuantileFromBuckets) instead
+	// of averaging per-shard percentiles.
 	jobLat *obs.Histogram
-
-	mu        sync.Mutex
-	latencies []time.Duration
-	latNext   int
 }
 
 // newMetrics builds the registry and registers every family the service
@@ -145,14 +133,6 @@ func (m *metrics) engines() map[string]int64 {
 func (m *metrics) observe(d time.Duration, cycles int) {
 	m.cycles.Add(int64(cycles))
 	m.jobLat.Observe(d.Seconds())
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.latencies) < latWindow {
-		m.latencies = append(m.latencies, d)
-		return
-	}
-	m.latencies[m.latNext] = d
-	m.latNext = (m.latNext + 1) % latWindow
 }
 
 // phase records one phase duration into the labeled histogram.
@@ -169,28 +149,6 @@ func (m *metrics) phases(spans []obs.SpanData) {
 			m.phaseDur.With(sp.Name).Observe(float64(sp.DurNS) / 1e9)
 		}
 	}
-}
-
-// percentiles returns the nearest-rank p50 and p99 of the window in
-// milliseconds. The rank is ceil(q·N) — the classic nearest-rank definition
-// — so p99 over a small window picks the top sample instead of flooring an
-// index and under-reporting (the old int(q·(N-1)) bias).
-func (m *metrics) percentiles() (p50, p99 float64) {
-	m.mu.Lock()
-	lat := append([]time.Duration(nil), m.latencies...)
-	m.mu.Unlock()
-	if len(lat) == 0 {
-		return 0, 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	at := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(lat)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return float64(lat[i]) / float64(time.Millisecond)
-	}
-	return at(0.50), at(0.99)
 }
 
 // latencyHist snapshots the mergeable job-latency histogram for /v1/stats:

@@ -560,6 +560,39 @@ func TestRouterProbeEjection(t *testing.T) {
 	}
 }
 
+// TestRouterOneShardLatencyMatchesShard holds a shard's own p50 and p99 to
+// the router's fleet-wide ones over a fleet of that one shard: both come
+// from the job-latency histogram through one estimator, so they agree
+// exactly.
+func TestRouterOneShardLatencyMatchesShard(t *testing.T) {
+	u, stop := startShardOn(t, "127.0.0.1:0", Config{})
+	defer stop()
+	_, router := startRouter(t, RouterConfig{Shards: []string{u}})
+	for seed := int64(1); seed <= 10; seed++ {
+		req, _ := spmvRequest(seed, int(seed%3)+1, "")
+		if resp, body := postJSON(t, router.URL+"/v1/evaluate", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", seed, resp.StatusCode, body)
+		}
+	}
+	var st RouterStatsResponse
+	if code := getJSON(t, router.URL+"/v1/stats", &st); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	if len(st.Shards) != 1 || st.Shards[0].Stats == nil {
+		t.Fatalf("want one scraped shard, got %+v", st.Shards)
+	}
+	own, agg := st.Shards[0].Stats, st.Aggregate
+	if own.LatencyHist == nil || own.LatencyHist.Count != 10 {
+		t.Fatalf("shard latency histogram %+v, want 10 observations", own.LatencyHist)
+	}
+	if agg.LatencyP50MS != own.LatencyP50MS || agg.LatencyP99MS != own.LatencyP99MS {
+		t.Errorf("router p50/p99 %v/%v ms, shard's own %v/%v ms", agg.LatencyP50MS, agg.LatencyP99MS, own.LatencyP50MS, own.LatencyP99MS)
+	}
+	if own.LatencyP50MS <= 0 || own.LatencyP99MS < own.LatencyP50MS {
+		t.Errorf("shard p50/p99 %v/%v ms", own.LatencyP50MS, own.LatencyP99MS)
+	}
+}
+
 // TestRouterStatsAggregation spreads load over two shards and checks the
 // fleet view: aggregate counters are sums, the merged latency histogram
 // counts every request, and the exposition relabels shard families.

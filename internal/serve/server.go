@@ -297,10 +297,6 @@ func (s *Server) warmup(exprs []string) {
 	s.ready.Store(true)
 }
 
-// Ready reports whether the server would answer GET /readyz with 200:
-// warm-up finished and draining has not begun.
-func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
-
 // handleHealthz is the liveness probe: the process is up and serving HTTP.
 // Distinct from readiness — a draining shard is still alive (it must finish
 // its queue) but must not receive new traffic.
@@ -795,13 +791,15 @@ type StatsResponse struct {
 func (s *Server) Stats() StatsResponse {
 	m := s.metrics
 	hits, misses, evictions, size := s.cache.stats()
-	p50, p99 := m.percentiles()
 	resp := StatsResponse{
 		Requests: m.admitted.Value(), Rejected: m.rejected.Value(), Failures: m.failures.Value(),
 		CacheHits: hits, CacheMisses: misses, CacheEvictions: evictions,
 		CachePrograms: size, QueueDepth: s.queue.depth(), QueueRunning: s.queue.running(),
 		Workers:         s.cfg.Workers,
-		CyclesSimulated: m.cycles.Value(), LatencyP50MS: p50, LatencyP99MS: p99,
+		CyclesSimulated: m.cycles.Value(),
+		// Cumulative since start and accurate to bucket resolution: the
+		// estimator the router applies to the merged buckets of its fleet.
+		LatencyP50MS: m.jobLat.Quantile(0.50) * 1000, LatencyP99MS: m.jobLat.Quantile(0.99) * 1000,
 		EngineRuns: m.engines(), LatencyHist: m.latencyHist(),
 	}
 	s.tensors.stats(&resp)

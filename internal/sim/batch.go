@@ -13,25 +13,15 @@ import (
 type Job struct {
 	// Name labels the job in errors; when empty the graph name is used.
 	Name string
-	// Graph is the compiled SAM graph to execute. Ignored when Program is
-	// set.
+	// Graph is the compiled SAM graph to execute.
 	Graph *graph.Graph
-	// Program, when non-nil, is a precompiled program to execute instead of
-	// Graph: the per-job validation and planning are already paid, so the
-	// job skips straight to input binding. Programs are safe to share
-	// across jobs.
-	Program *Program
 	// Inputs binds source tensor names to tensors. Inputs are only read, so
 	// jobs may share tensors.
 	Inputs map[string]*tensor.COO
 }
 
-// nameOf returns the job's graph or program name, or "" when neither is set.
-// Artifact-backed programs have no graph but still carry their encoded name.
+// nameOf returns the job's graph name, or "" when it has no graph.
 func (j Job) nameOf() string {
-	if j.Program != nil {
-		return j.Program.name()
-	}
 	if j.Graph != nil {
 		return j.Graph.Name
 	}
@@ -75,19 +65,11 @@ func RunBatch(jobs []Job, opt Options) ([]*Result, error) {
 			defer wg.Done()
 			for i := range next {
 				j := jobs[i]
-				var res *Result
-				var err error
-				switch {
-				case j.Program != nil:
-					// Artifact-backed programs have no graph but run fine
-					// on comp; the cycle engines' own checks reject them.
-					res, err = j.Program.Run(j.Inputs, opt)
-				case j.Graph != nil:
-					res, err = Run(j.Graph, j.Inputs, opt)
-				default:
+				if j.Graph == nil {
 					errs[i] = fmt.Errorf("sim: %s: nil graph", j.label(i))
 					continue
 				}
+				res, err := Run(j.Graph, j.Inputs, opt)
 				if err != nil {
 					// Engine errors already carry a "sim: <graph>" prefix;
 					// add only the job label, and only when it adds signal.

@@ -1,9 +1,9 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"sam/internal/comp"
@@ -74,8 +74,8 @@ func TestRunBatchPerJob(t *testing.T) {
 }
 
 // TestBatchSharedProgramRace hammers one cached Program — one lazily built
-// comp lowering over the shared run-context free list — from every batch
-// worker at once.
+// comp lowering over the shared run-context free list — from many goroutines
+// at once, as concurrent requests for one cached program do.
 // Run under -race this is the data-race gate for the pooled execution path;
 // under the plain runner it still checks bit-identical results across all
 // concurrent reuses.
@@ -101,17 +101,23 @@ func TestBatchSharedProgramRace(t *testing.T) {
 	}
 
 	const n = 24
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprintf("shared-%d", i), Program: prog, Inputs: inputs}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := prog.Run(inputs, Options{Engine: EngineComp})
+			if err == nil {
+				err = tensor.IdenticalBits(want.Output, res.Output)
+			}
+			errs[i] = err
+		}()
 	}
-	results, err := RunBatch(jobs, Options{Engine: EngineComp, Workers: 8})
-	if err != nil {
-		t.Fatalf("batch failed: %v", err)
-	}
-	for i, res := range results {
-		if err := tensor.IdenticalBits(want.Output, res.Output); err != nil {
-			t.Errorf("job %d output diverged under shared-program reuse: %v", i, err)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("run %d diverged under shared-program reuse: %v", i, err)
 		}
 	}
 }

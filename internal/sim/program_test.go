@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -126,8 +127,9 @@ func TestProgramConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestProgramBatch routes precompiled programs through RunBatch and checks
-// parity with per-job Run.
+// TestProgramBatch runs one precompiled program from several goroutines, as a
+// batch of requests sharing it does, and checks each result against Run on
+// its graph.
 func TestProgramBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	inputs := map[string]*tensor.COO{
@@ -142,12 +144,18 @@ func TestProgramBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]Job, 6)
-	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprintf("job%d", i), Program: prog, Inputs: inputs}
+	results := make([]*Result, 6)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = prog.Run(inputs, Options{})
+		}()
 	}
-	results, err := RunBatch(jobs, Options{Workers: 3})
-	if err != nil {
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	want, err := Run(g, inputs, Options{})
@@ -155,7 +163,7 @@ func TestProgramBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range results {
-		identical(t, fmt.Sprintf("batch job %d", i), res, want)
+		identical(t, fmt.Sprintf("run %d", i), res, want)
 	}
 }
 

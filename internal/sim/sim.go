@@ -428,12 +428,6 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 			return nil, err
 		}
 		return core.NewBVExpand(n.Label, bv, mask, base, b.out(n, "ref")), nil
-	case graph.BVConvert:
-		in, err := b.in(n, "crd")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewBVConvert(n.Label, n.Level, in, b.out(n, "bv")), nil
 	case graph.BVWriter:
 		in, err := b.in(n, "bv")
 		if err != nil {

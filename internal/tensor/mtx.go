@@ -91,17 +91,3 @@ func ReadMatrixMarket(name string, r io.Reader) (*COO, error) {
 	c.Sort()
 	return c, nil
 }
-
-// WriteMatrixMarket writes a matrix in Matrix Market coordinate format.
-func WriteMatrixMarket(w io.Writer, c *COO) error {
-	if c.Order() != 2 {
-		return fmt.Errorf("tensor: matrix market output requires a matrix, got order %d", c.Order())
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "%%MatrixMarket matrix coordinate real general")
-	fmt.Fprintf(bw, "%d %d %d\n", c.Dims[0], c.Dims[1], len(c.Pts))
-	for _, p := range c.Pts {
-		fmt.Fprintf(bw, "%d %d %.17g\n", p.Crd[0]+1, p.Crd[1]+1, p.Val)
-	}
-	return bw.Flush()
-}

@@ -148,20 +148,12 @@ func (c *COO) BuildNamed(name string, formats ...fiber.Format) (*fiber.Tensor, e
 	return fiber.Build(name, c.Dims, formats, coords, vals)
 }
 
-// FromFiber converts fibertree storage back to COO (sorted).
-func FromFiber(t *fiber.Tensor) *COO {
-	c := NewCOO(t.Name, t.Dims...)
-	t.Iterate(func(crd []int64, v float64) {
-		c.Append(v, crd...)
-	})
-	return c
-}
-
-// FromFiberPermuted is FromFiber(t).Permute(name, perm) — same points, order,
-// values, errors and nil-ness — in one walk of a valid fibertree (t.Validate):
-// every coordinate tuple is written already permuted into one shared slab, and
-// the points are sorted only when perm is not the identity, where the walk is
-// lexicographic as it stands.
+// FromFiberPermuted converts fibertree storage back to COO with its modes
+// permuted, as converting and then calling Permute(name, perm) would: same
+// points, order, values, errors and nil-ness, in one walk of a valid
+// fibertree (t.Validate). Every coordinate tuple is written already permuted
+// into one shared slab, and the points are sorted only when perm is not the
+// identity, where the walk is lexicographic as it stands.
 func FromFiberPermuted(t *fiber.Tensor, name string, perm []int) (*COO, error) {
 	out, err := NewCOO(name, t.Dims...).Permute(name, perm) // checks perm, permutes Dims
 	if err != nil || len(t.Vals) == 0 {

@@ -78,18 +78,30 @@ func TestQuickSplitPreservesPoints(t *testing.T) {
 	}
 }
 
-func TestMatrixMarketRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	c := UniformRandom("M", rng, 50, 20, 30)
-	var buf bytes.Buffer
-	if err := WriteMatrixMarket(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadMatrixMarket("M", &buf)
+// TestMatrixMarketReadGeneral reads a literal real general file: a comment
+// line after the header, 1-based indices (the last row and column included),
+// entries out of order and values in every float spelling. The points come
+// back 0-based and sorted, with the declared dims.
+func TestMatrixMarketReadGeneral(t *testing.T) {
+	src := `%%MatrixMarket matrix coordinate real general
+% a comment line, skipped
+3 4 4
+3 4 -2.5
+1 1 1
+2 3 1e-3
+
+1 4 0.75
+`
+	m, err := ReadMatrixMarket("G", strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Equal(c, back, 0); err != nil {
+	want := NewCOO("G", 3, 4)
+	want.Append(1, 0, 0)
+	want.Append(0.75, 0, 3)
+	want.Append(1e-3, 1, 2)
+	want.Append(-2.5, 2, 3)
+	if err := IdenticalBits(m, want); err != nil {
 		t.Error(err)
 	}
 }
@@ -329,4 +341,14 @@ func TestFromFiberPermutedMatchesPermute(t *testing.T) {
 	}
 	check("empty fibers", holes, []int{0, 1})
 	check("empty fibers", holes, []int{1, 0})
+}
+
+// FromFiber converts fibertree storage back to COO (sorted): the two-step
+// oracle FromFiberPermuted is held to.
+func FromFiber(t *fiber.Tensor) *COO {
+	c := NewCOO(t.Name, t.Dims...)
+	t.Iterate(func(crd []int64, v float64) {
+		c.Append(v, crd...)
+	})
+	return c
 }

@@ -1,3 +1,11 @@
+// Package tiling is the serving router's tile algebra: RowBlocks splits a
+// matrix into contiguous row blocks that keep their global coordinates,
+// Distributable decides whether an einsum may run once per block, and
+// MergePartials sums the per-block partial outputs back into one tensor. It
+// is the tile sequencing of paper Section 4.1 scaled out across shards: the
+// blocks partition one index's domain, so each shard computes a partial and
+// the router plays the host that accumulates them. The finite-memory tiling
+// study itself (Figure 9 and the ExTensor comparison) is internal/memmodel.
 package tiling
 
 import (

@@ -152,15 +152,6 @@ func (s Stream) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Vals builds a stream of value tokens from floats; no terminator appended.
-func Vals(vs ...float64) Stream {
-	s := make(Stream, len(vs))
-	for i, v := range vs {
-		s[i] = V(v)
-	}
-	return s
-}
-
 // Root is the depth-0 root reference stream "0, D" that begins every tensor
 // path (paper Figure 2).
 func Root() Stream { return Stream{C(0), D()} }
@@ -208,32 +199,6 @@ func MustParse(s string) Stream {
 		panic(err)
 	}
 	return st
-}
-
-// Equal reports whether two streams are identical token for token. Value
-// tokens compare both payloads.
-func Equal(a, b Stream) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Depth returns the stream depth implied by its stop tokens: one plus the
-// maximum stop level, or zero if the stream has no stop tokens.
-func (s Stream) Depth() int {
-	d := 0
-	for _, t := range s {
-		if t.IsStop() && t.StopLevel()+1 > d {
-			d = t.StopLevel() + 1
-		}
-	}
-	return d
 }
 
 // Validate checks stream well-formedness: exactly one done token, located

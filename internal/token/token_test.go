@@ -3,6 +3,7 @@ package token
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -130,22 +131,23 @@ func TestParseFormatRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Equal(s, back)
+		return slices.Equal(s, back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestEqualDetectsDifferences checks Equal is a proper equivalence on
-// mutated streams.
+// TestEqualDetectsDifferences checks that streams compare token by token
+// with ==: a token's kind, level and value are all part of its identity, so
+// slices.Equal tells a mutated stream from the original.
 func TestEqualDetectsDifferences(t *testing.T) {
 	s := MustParse("1 2 S0 3 S1 D")
-	if !Equal(s, MustParse("1 2 S0 3 S1 D")) {
+	if !slices.Equal(s, MustParse("1 2 S0 3 S1 D")) {
 		t.Error("identical streams compare unequal")
 	}
 	for _, mut := range []string{"1 2 S0 3 S0 D", "1 2 S0 4 S1 D", "1 2 S0 3 S1", "1 2 S0 3 S1 D D"} {
-		if Equal(s, MustParse(mut)) {
+		if slices.Equal(s, MustParse(mut)) {
 			t.Errorf("stream %q compares equal to original", mut)
 		}
 	}
@@ -188,4 +190,16 @@ func init() {
 	// quick.Check uses reflection over function signatures; keep reflect
 	// imported for custom generators if extended.
 	_ = reflect.TypeOf(Stream{})
+}
+
+// Depth returns the stream depth implied by its stop tokens: one plus the
+// maximum stop level, or zero if the stream has no stop tokens.
+func (s Stream) Depth() int {
+	d := 0
+	for _, t := range s {
+		if t.IsStop() && t.StopLevel()+1 > d {
+			d = t.StopLevel() + 1
+		}
+	}
+	return d
 }

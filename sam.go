@@ -193,9 +193,7 @@ const (
 // Engines lists every registered engine kind.
 func Engines() []EngineKind { return sim.Engines() }
 
-// Job is one graph + input binding for SimulateBatch. Setting Job.Program
-// instead of Job.Graph runs a precompiled Program, skipping per-job
-// validation and planning.
+// Job is one graph + input binding for SimulateBatch.
 type Job = sim.Job
 
 // Program is a compiled, reusable SAM program: a graph plus the
