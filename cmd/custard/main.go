@@ -27,7 +27,6 @@ func main() {
 	formats := flag.String("format", "", "comma-separated tensor formats, e.g. B=csr,c=dense (default: compressed)")
 	locate := flag.Bool("locate", false, "rewrite intersections against dense levels into locators")
 	skip := flag.Bool("skip", false, "fuse compressed intersections into coordinate-skipping units")
-	optLevel := flag.Int("O", 0, "graph optimization level (0 = paper-faithful, 1 = full rewrite pipeline)")
 	stats := flag.Bool("stats", false, "print primitive counts instead of DOT")
 	flag.Parse()
 
@@ -44,7 +43,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sched := lang.Schedule{UseLocators: *locate, UseSkip: *skip, Opt: *optLevel}
+	sched := lang.Schedule{UseLocators: *locate, UseSkip: *skip}
 	if *order != "" {
 		sched.LoopOrder = strings.Split(*order, ",")
 	}

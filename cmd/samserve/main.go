@@ -52,7 +52,6 @@ import (
 	"syscall"
 	"time"
 
-	"sam/internal/opt"
 	"sam/internal/serve"
 )
 
@@ -73,7 +72,6 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 	workers := fs.Int("workers", 4, "job queue worker pool size")
 	queueDepth := fs.Int("queue", 64, "admission queue depth (submissions beyond it get 429)")
 	cacheSize := fs.Int("cache", 128, "compiled-program LRU capacity")
-	optLevel := fs.Int("O", 0, "default graph-optimization level for requests that omit schedule.opt")
 	maxBody := fs.Int64("maxbody", 8<<20, "request body size limit in bytes (oversized payloads get 413)")
 	tensorBudget := fs.Int64("tensorbudget", 256<<20, "named tensor store budget in bytes (LRU eviction beyond it)")
 	artifacts := fs.String("artifacts", "", "persistent program-artifact cache directory (empty disables the disk cache)")
@@ -99,10 +97,6 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 		fmt.Fprintln(stderr, "samserve: -workers, -queue and -cache must be positive")
 		return 2
 	}
-	if *optLevel < 0 || *optLevel > opt.MaxLevel {
-		fmt.Fprintf(stderr, "samserve: unknown -O level %d (the optimizer knows levels 0..%d)\n", *optLevel, opt.MaxLevel)
-		return 2
-	}
 	if *maxBody < 1 {
 		fmt.Fprintln(stderr, "samserve: -maxbody must be positive")
 		return 2
@@ -119,7 +113,7 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 	}
 	cfg := serve.Config{
 		Workers: *workers, QueueDepth: *queueDepth, CacheSize: *cacheSize,
-		DefaultOpt: *optLevel, MaxBodyBytes: *maxBody,
+		MaxBodyBytes:      *maxBody,
 		TensorBudgetBytes: *tensorBudget,
 		ArtifactDir:       *artifacts, EnablePprof: *pprofOn,
 		WarmupExprs: splitList(*warm, ";"),
@@ -129,8 +123,8 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 	}
 	s := serve.NewServer(cfg)
 	httpSrv := &http.Server{Handler: s}
-	fmt.Fprintf(stdout, "samserve: listening on http://%s (workers=%d queue=%d cache=%d opt=%d)\n",
-		ln.Addr(), *workers, *queueDepth, *cacheSize, *optLevel)
+	fmt.Fprintf(stdout, "samserve: listening on http://%s (workers=%d queue=%d cache=%d)\n",
+		ln.Addr(), *workers, *queueDepth, *cacheSize)
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
@@ -159,7 +153,7 @@ func realMain(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 // rejected here — the router holds no programs and no tensors of its own,
 // only the ring, the probe loop, and the tile registry.
 func routerMain(fs *flag.FlagSet, route, addr string, probeEvery time.Duration, tileThreshold, maxBody int64, logReqs bool, stdout, stderr io.Writer, stop <-chan os.Signal) int {
-	for _, f := range []string{"workers", "queue", "cache", "O", "tensorbudget", "artifacts", "pprof", "warm"} {
+	for _, f := range []string{"workers", "queue", "cache", "tensorbudget", "artifacts", "pprof", "warm"} {
 		if flagSet(fs, f) {
 			fmt.Fprintf(stderr, "samserve: -%s only applies to a shard, not the router (-route)\n", f)
 			return 2

@@ -243,7 +243,7 @@ func TestRouterFlags(t *testing.T) {
 	}
 	serverOnly := [][]string{
 		{"-workers", "8"}, {"-queue", "16"}, {"-cache", "8"},
-		{"-O", "1"}, {"-tensorbudget", "1024"}, {"-artifacts", "/tmp/x"},
+		{"-tensorbudget", "1024"}, {"-artifacts", "/tmp/x"},
 		{"-pprof"}, {"-warm", "x(i) = B(i,j) * c(j)"},
 	}
 	for _, args := range serverOnly {

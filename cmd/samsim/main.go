@@ -8,8 +8,7 @@
 //	samsim -expr 'x(i) = B(i,j) * c(j)' -mtx B=matrix.mtx -density 0.1
 //	samsim -expr 'x(i) = B(i,j) * c(j)' -par 4     # 4-lane parallel graph
 //	samsim -expr 'x(i) = B(i,j) * c(j)' -skip      # galloping intersections
-//	samsim -expr 'x(i) = B(i,j) * c(j)' -O 1       # run the graph optimizer
-//	samsim -expr 'x(i) = B(i,j) * c(j)' -O 1 -dot  # print the optimized graph
+//	samsim -expr 'x(i) = B(i,j) * c(j)' -dot       # print the compiled graph
 //	samsim -expr 'x(i) = B(i,j) * c(j)' -engine comp  # compiled co-iteration engine
 //	samsim -expr 'x(i) = B(i,j) * c(j)' -emit spmv.sambc  # write a program artifact
 //	samsim -load spmv.sambc                        # run a program artifact
@@ -30,21 +29,20 @@
 // by its block label, a lane's steps as "… [lane N]": a fused leaf level is
 // one line under its reducer's label.
 //
-// -emit compiles (and, with -O, optimizes) the statement, encodes the
-// compiled program into the portable artifact format (internal/prog), writes
-// it to the given file, and exits without simulating — the artifact-side
-// analogue of -dot. -load is the other half: it decodes an artifact and runs
-// it directly on the compiled engine without -expr, recompiling nothing;
-// inputs are synthesized (or -mtx-bound) against the statement embedded in
-// the artifact, so -dims/-density/-seed/-check all work as usual. Only the
-// compiled engine can run a loaded artifact ("comp", the default under
-// -load); the cycle engines need the source graph.
+// -emit compiles the statement, encodes the compiled program into the
+// portable artifact format (internal/prog), writes it to the given file, and
+// exits without simulating — the artifact-side analogue of -dot. -load is
+// the other half: it decodes an artifact and runs it directly on the
+// compiled engine without -expr, recompiling nothing; inputs are synthesized
+// (or -mtx-bound) against the statement embedded in the artifact, so
+// -dims/-density/-seed/-check all work as usual. Only the compiled engine can
+// run a loaded artifact ("comp", the default under -load); the cycle engines
+// need the source graph.
 //
 // Flag combinations are validated before simulation: an unknown -engine
 // prints the registered engine list, the comp engine (no cycle model)
 // rejects -queue with a clear error up front instead of silently ignoring
-// it, -O rejects levels the optimizer does not know, and
-// -load rejects the compilation-shaping flags (-O, -par, -skip, -locate,
+// it, and -load rejects the compilation-shaping flags (-par, -skip, -locate,
 // -order, -dot) that a pre-compiled artifact would otherwise ignore.
 package main
 
@@ -62,7 +60,6 @@ import (
 	"sam/internal/custard"
 	"sam/internal/lang"
 	"sam/internal/obs"
-	"sam/internal/opt"
 	"sam/internal/prog"
 	"sam/internal/sim"
 	"sam/internal/tensor"
@@ -87,8 +84,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	par := fs.Int("par", 0, "parallelize the graph across this many lanes (0/1 = sequential)")
 	skip := fs.Bool("skip", false, "fuse two-way intersections into galloping (coordinate-skipping) blocks")
 	locate := fs.Bool("locate", false, "rewrite intersections against locatable (dense) levels into locator blocks")
-	optLevel := fs.Int("O", 0, "graph optimization level (0 = paper-faithful graph, 1 = full rewrite pipeline)")
-	dot := fs.Bool("dot", false, "print the compiled (and, with -O 1, optimized) graph in Graphviz DOT and exit")
+	dot := fs.Bool("dot", false, "print the compiled graph in Graphviz DOT and exit")
 	emit := fs.String("emit", "", "write the compiled program as a portable artifact to this file and exit")
 	load := fs.String("load", "", "run a program artifact file instead of compiling -expr")
 	engine := fs.String("engine", "", "simulation engine: event (default), naive, or comp")
@@ -115,12 +111,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-emit writes a fresh compilation; it cannot be combined with -load"))
 	}
 	if *load != "" {
-		// An artifact is already compiled, scheduled and optimized; flags
-		// that shape compilation would be silently ignored, so reject them
-		// the same way the -expr/-emit/-queue combinations are.
+		// An artifact is already compiled and scheduled; flags that shape
+		// compilation would be silently ignored, so reject them the same
+		// way the -expr/-emit/-queue combinations are.
 		set := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		for _, name := range []string{"O", "par", "skip", "locate", "order", "dot"} {
+		for _, name := range []string{"par", "skip", "locate", "order", "dot"} {
 			if set[name] {
 				return fail(fmt.Errorf("-%s shapes compilation and has no effect on a pre-compiled artifact (drop -%s in -load mode)", name, name))
 			}
@@ -130,9 +126,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "samsim: -expr is required")
 		fs.Usage()
 		return 2
-	}
-	if *optLevel < 0 || *optLevel > opt.MaxLevel {
-		return fail(fmt.Errorf("unknown -O level %d (the optimizer knows levels 0..%d)", *optLevel, opt.MaxLevel))
 	}
 	var fx *sim.Fixpoint
 	if *iterate != 0 {
@@ -264,27 +257,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	// Optimize the lowered graph here rather than through Schedule.Opt: the
-	// returned report carries the removed-block delta for the summary line
-	// without a second compilation.
-	var optReport *opt.Report
-	if *optLevel > 0 {
-		if optReport, err = opt.Optimize(g, *optLevel); err != nil {
-			return fail(err)
-		}
-	}
 	cs.End()
 	if *dot {
-		// Print the graph that would simulate — optimized when -O says so —
-		// and stop before binding any data; -dot is a compile-time
-		// inspection mode.
+		// Print the graph that would simulate and stop before binding any
+		// data; -dot is a compile-time inspection mode.
 		fmt.Fprint(stdout, g.DOT())
 		return 0
 	}
 	if *emit != "" {
-		// Encode the compiled (and possibly optimized) program into the
-		// portable artifact format and stop, the artifact analogue of -dot:
-		// no data is bound and nothing simulates.
+		// Encode the compiled program into the portable artifact format and
+		// stop, the artifact analogue of -dot: no data is bound and nothing
+		// simulates.
 		enc, err := prog.Encode(g)
 		if err != nil {
 			return fail(err)
@@ -323,10 +306,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "expression:  %s\n", e)
 		fmt.Fprintf(stdout, "graph:       %d nodes, %d edges\n", len(g.Nodes), len(g.Edges))
-		if optReport != nil {
-			fmt.Fprintf(stdout, "optimizer:   -O%d removed %d of %d blocks\n",
-				optReport.Level, optReport.NodesBefore-optReport.NodesAfter, optReport.NodesBefore)
-		}
 		return runFixpointCLI(stdout, stderr, p, e, inputs, *fx,
 			sim.Options{QueueCap: *queueCap, Engine: kind, Trace: tr}, *check, *verbose, printTrace)
 	}
@@ -336,10 +315,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "expression:  %s\n", e)
 	fmt.Fprintf(stdout, "graph:       %d nodes, %d edges\n", len(g.Nodes), len(g.Edges))
-	if optReport != nil {
-		fmt.Fprintf(stdout, "optimizer:   -O%d removed %d of %d blocks\n",
-			optReport.Level, optReport.NodesBefore-optReport.NodesAfter, optReport.NodesBefore)
-	}
 	if *par > 1 {
 		fmt.Fprintf(stdout, "lanes:       %d\n", *par)
 	}

@@ -3,11 +3,14 @@
 // and the compiled engine in internal/comp) needs the same two steps
 // before running a graph: build each operand's fibertree storage in the
 // scheduled mode order, and resolve the output dimension sizes. Centralizing
-// them here keeps the engines free of duplicated binding plumbing.
+// them here keeps the engines free of duplicated binding plumbing. Equivalent
+// bindings — a tensor accessed twice with the same mode order and formats —
+// share one read-only fibertree, so a repeated operand is built once.
 package bind
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,13 +48,17 @@ type Plan struct {
 	// sigs holds each binding's cache signature (operand, mode order,
 	// formats), precomputed so cached binds pay no string building per run.
 	sigs []string
+	// same[i] is the index of the first earlier binding with binding i's
+	// source, mode order and formats, or -1: binding i then shares that
+	// binding's storage instead of building its own.
+	same []int
 }
 
 // NewPlan captures a graph's binding metadata. The graph's Bindings and
 // OutputDims slices are referenced, not copied; callers must not mutate the
 // graph afterwards (compiled graphs are treated as immutable everywhere).
 func NewPlan(g *graph.Graph) *Plan {
-	return &Plan{bindings: g.Bindings, dims: g.OutputDims, sigs: bindingSigs(g.Bindings)}
+	return NewPlanFromParts(g.Bindings, g.OutputDims)
 }
 
 // NewPlanFromParts builds a Plan from bare binding metadata, for callers that
@@ -59,7 +66,13 @@ func NewPlan(g *graph.Graph) *Plan {
 // artifact carries exactly these two slices. The slices are referenced, not
 // copied, under the same immutability contract as NewPlan.
 func NewPlanFromParts(bindings []graph.Binding, dims []graph.DimRef) *Plan {
-	return &Plan{bindings: bindings, dims: dims, sigs: bindingSigs(bindings)}
+	same := make([]int, len(bindings))
+	for i, bd := range bindings {
+		same[i] = slices.IndexFunc(bindings[:i], func(e graph.Binding) bool {
+			return e.Source == bd.Source && slices.Equal(e.ModeOrder, bd.ModeOrder) && slices.Equal(e.Formats, bd.Formats)
+		})
+	}
+	return &Plan{bindings: bindings, dims: dims, sigs: bindingSigs(bindings), same: same}
 }
 
 // bindingSigs precomputes each binding's cache signature.
@@ -95,12 +108,18 @@ func (p *Plan) Operands(inputs map[string]*tensor.COO) (map[string]*fiber.Tensor
 // OperandsCached is Operands with a memoization layer: each binding first
 // consults the cache for storage built by an earlier run over the same
 // source tensor, and offers what it builds back. A nil cache degrades to
-// plain Operands. Cached trees are shared read-only across runs, so this is
-// only sound for sources the cache can prove immutable — the cache itself
-// enforces that by declining Store for tensors it does not manage.
+// plain Operands. A binding equivalent to an earlier one gets that
+// binding's tree and consults nothing. Cached trees are shared read-only
+// across runs, so this is only sound for sources the cache can prove
+// immutable — the cache itself enforces that by declining Store for tensors
+// it does not manage.
 func (p *Plan) OperandsCached(inputs map[string]*tensor.COO, cache Cache) (map[string]*fiber.Tensor, error) {
 	bound := make(map[string]*fiber.Tensor, len(p.bindings))
 	for i, bd := range p.bindings {
+		if j := p.same[i]; j >= 0 {
+			bound[bd.Operand] = bound[p.bindings[j].Operand]
+			continue
+		}
 		src, ok := inputs[bd.Source]
 		if !ok {
 			return nil, fmt.Errorf("bind: no input bound for tensor %q", bd.Source)

@@ -74,6 +74,33 @@ func TestOperandsRepeatedTensor(t *testing.T) {
 	}
 }
 
+// TestEquivalentBindingsShareStorage checks a tensor accessed twice with the
+// same mode order and formats is built once and bound to both operands,
+// while accesses in different mode orders each get their own tree.
+func TestEquivalentBindingsShareStorage(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	inputs := map[string]*tensor.COO{"B": tensor.UniformRandom("B", r, 20, 8, 8)}
+	for _, tc := range []struct {
+		expr  string
+		share bool
+	}{
+		{"X(i,j) = B(i,j) * B(i,j)", true},
+		{"x(i) = B(i,j) * B(j,i)", false},
+	} {
+		bound, err := NewPlan(compile(t, tc.expr, nil)).Operands(inputs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.expr, err)
+		}
+		first, second := bound["B"], bound["B#2"]
+		if first == nil || second == nil {
+			t.Fatalf("%s: bound %v, want B and B#2", tc.expr, keys(bound))
+		}
+		if (first == second) != tc.share {
+			t.Errorf("%s: B and B#2 share storage = %v, want %v", tc.expr, first == second, tc.share)
+		}
+	}
+}
+
 // TestOperandsMissingTensor checks the unbound-input diagnostic names the
 // missing tensor.
 func TestOperandsMissingTensor(t *testing.T) {

@@ -13,10 +13,11 @@ import (
 )
 
 // The compiled engine's correctness bar is bitwise COO equality against the
-// event engine (tensor.IdenticalBits): lowering to merged loops may not
-// change the output stream in any observable way, down to point order and
-// explicit values. Inputs are quantized to small integers so reassociated
-// float sums stay exact.
+// event engine (tensor.IdenticalBits), and the naive engine's against the
+// event engine too: lowering to merged loops may not change the output
+// stream in any observable way, down to point order and explicit values.
+// Inputs are quantized to small integers so reassociated float sums stay
+// exact.
 
 // randomInputs draws integer-exact inputs for a statement.
 func randomInputs(rng *rand.Rand, e *lang.Einsum, dimOf func(v string) int) map[string]*tensor.COO {
@@ -45,11 +46,11 @@ func randomInputs(rng *rand.Rand, e *lang.Einsum, dimOf func(v string) int) map[
 }
 
 // runDifferential compiles one (expr, formats, schedule) configuration at
-// every requested (opt, par) point and demands the compiled engine's output
-// be bitwise identical to the event engine's, and the event engine's equal to
-// the gold model's. A graph custard accepted must run: a failure on either
-// engine fails the test, on both as much as on one — engines that agree on a
-// failure (or on a wrong answer) are not correct for agreeing.
+// every requested lane count and demands the compiled and naive engines'
+// outputs be bitwise identical to the event engine's, and the event engine's
+// equal to the gold model's. A graph custard accepted must run: a failure on
+// any engine fails the test, on all as much as on one — engines that agree
+// on a failure (or on a wrong answer) are not correct for agreeing.
 func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sched lang.Schedule, lanes []int, inputs map[string]*tensor.COO) {
 	t.Helper()
 	e, err := lang.Parse(expr)
@@ -61,39 +62,42 @@ func runDifferential(t *testing.T, name, expr string, formats lang.Formats, sche
 		t.Fatalf("%s: gold: %v", name, err)
 	}
 	for _, par := range lanes {
-		for _, opt := range []int{0, 1} {
-			s := sched
-			s.Par = par
-			s.Opt = opt
-			g, err := custard.Compile(e, formats, s)
-			if err != nil {
-				if par > 1 {
-					continue // kernel not parallelizable under this loop order
-				}
-				t.Fatalf("%s O%d: compile: %v", name, opt, err)
+		s := sched
+		s.Par = par
+		g, err := custard.Compile(e, formats, s)
+		if err != nil {
+			if par > 1 {
+				continue // kernel not parallelizable under this loop order
 			}
-			ref, errRef := sim.Run(g, inputs, sim.Options{Engine: sim.EngineEvent})
-			got, errGot := sim.Run(g, inputs, sim.Options{Engine: sim.EngineComp})
-			if errRef != nil || errGot != nil {
-				t.Errorf("%s par%d O%d: a compiled graph failed to run: event err=%v, comp err=%v", name, par, opt, errRef, errGot)
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		ref, err := sim.Run(g, inputs, sim.Options{Engine: sim.EngineEvent})
+		if err != nil {
+			t.Errorf("%s par%d: event run of a compiled graph failed: %v", name, par, err)
+			continue
+		}
+		if err := tensor.Equal(ref.Output, want, 1e-9); err != nil {
+			t.Errorf("%s par%d: event output differs from gold: %v", name, par, err)
+		}
+		for _, eng := range []sim.EngineKind{sim.EngineNaive, sim.EngineComp} {
+			got, err := sim.Run(g, inputs, sim.Options{Engine: eng})
+			if err != nil {
+				t.Errorf("%s par%d: %s run of a compiled graph failed: %v", name, par, eng, err)
 				continue
 			}
-			if err := tensor.Equal(ref.Output, want, 1e-9); err != nil {
-				t.Errorf("%s par%d O%d: event output differs from gold: %v", name, par, opt, err)
-			}
-			if got.Cycles != 0 {
-				t.Errorf("%s par%d O%d: comp reported %d cycles, want 0 (no cycle model)", name, par, opt, got.Cycles)
+			if eng == sim.EngineComp && got.Cycles != 0 {
+				t.Errorf("%s par%d: comp reported %d cycles, want 0 (no cycle model)", name, par, got.Cycles)
 			}
 			if err := tensor.IdenticalBits(ref.Output, got.Output); err != nil {
-				t.Errorf("%s par%d O%d: comp output differs from event: %v", name, par, opt, err)
+				t.Errorf("%s par%d: %s output differs from event: %v", name, par, eng, err)
 			}
 		}
 	}
 }
 
 // TestCompDifferentialKernels is the fixed half of the battery: every paper
-// kernel plus gallop, locator, format and deep-reduction shapes, across
-// Opt ∈ {0, 1} and Par ∈ {1, 2, 4, 8}.
+// kernel plus gallop, locator, format, deep-reduction and repeated-operand
+// shapes, across Par ∈ {1, 2, 4, 8}.
 func TestCompDifferentialKernels(t *testing.T) {
 	csr2 := lang.Formats{"B": lang.CSR(2)}
 	dense1 := lang.Formats{"c": lang.Uniform(1, fiber.Dense)}
@@ -122,7 +126,12 @@ func TestCompDifferentialKernels(t *testing.T) {
 		{"mattransmul", "x(i) = alpha * Bt(i,j) * c(j) + beta * d(i)", nil, lang.Schedule{}},
 		{"mmadd", "X(i,j) = B(i,j) + C(i,j)", nil, lang.Schedule{}},
 		{"plus3", "X(i,j) = B(i,j) + C(i,j) + D(i,j)", nil, lang.Schedule{}},
+		// Repeated operands: equivalent bindings share one bound fibertree.
 		{"hadamard-square", "X(i,j) = B(i,j) * B(i,j)", nil, lang.Schedule{}},
+		{"square-row-sums", "x(i) = B(i,j) * B(i,j)", nil, lang.Schedule{}},
+		{"double-broadcast", "x(i) = B(i,j) * c(j) * c(j)", nil, lang.Schedule{}},
+		{"add-self-product", "X(i,j) = B(i,j) + B(i,j) * B(i,j)", nil, lang.Schedule{}},
+		{"self-product-sum", "X(i,j) = B(i,j) + B(i,j) * C(i,j)", nil, lang.Schedule{}},
 		// A reduction scheduled outside three kept variables exercises the
 		// general n-dimensional reducer (n = 3), which only the cycle and
 		// compiled engines implement.
@@ -135,6 +144,10 @@ func TestCompDifferentialKernels(t *testing.T) {
 		inputs := randomInputs(rng, e, func(v string) int { return dims[v] })
 		runDifferential(t, tc.name, tc.expr, tc.formats, tc.sched, []int{1, 2, 4, 8}, inputs)
 	}
+	// A tensor read in two mode orders gets two bound trees; B is square.
+	transposed := "x(i) = B(i,j) * B(j,i)"
+	inputs := randomInputs(rng, lang.MustParse(transposed), func(string) int { return 20 })
+	runDifferential(t, "transposed-pair", transposed, nil, lang.Schedule{}, []int{1, 2, 4, 8}, inputs)
 }
 
 // TestCompDifferentialEmptyResults drives all-empty shapes: disjoint operand
@@ -172,7 +185,7 @@ func TestCompDifferentialEmptyResults(t *testing.T) {
 
 // randomCase derives one fuzz configuration from a seed: an expression from
 // the template pool, random dimensions, a random loop-order permutation, and
-// random skip/opt toggles.
+// a random skip toggle.
 func randomCase(seed int64) (name, expr string, sched lang.Schedule, inputs map[string]*tensor.COO) {
 	rng := rand.New(rand.NewSource(seed))
 	pool := []string{
@@ -220,8 +233,8 @@ func randomCase(seed int64) (name, expr string, sched lang.Schedule, inputs map[
 }
 
 // TestCompDifferentialRandom is the randomized half of the battery: 60
-// seeded random (expression, schedule, data) draws, each checked across
-// Opt ∈ {0,1} and two lane counts like the fixed kernels.
+// seeded random (expression, schedule, data) draws, each checked at two lane
+// counts like the fixed kernels.
 func TestCompDifferentialRandom(t *testing.T) {
 	n := 60
 	if testing.Short() {
@@ -239,7 +252,7 @@ func TestCompDifferentialRandom(t *testing.T) {
 // with nothing below them, which only a dropper on each such level keeps the
 // level writers from storing as phantom fibers. Each order runs at six seeds
 // with dimensions 2–5 (small enough that empty fibers are common), at Par
-// {1, 2} × Opt {0, 1}.
+// {1, 2}.
 func TestLoopOrderSweep(t *testing.T) {
 	exprs := []string{
 		"X(i,j,k) = B(i,j,l) * C(k,l)",
@@ -286,36 +299,35 @@ func permutations(vars []string) [][]string {
 }
 
 // FuzzCompDifferential lets go fuzz explore the configuration space beyond
-// the seeded draws: the fuzzer picks the case seed, a lane count and the
-// optimization level, and every crash or output mismatch is a genuine
-// compiled-engine bug. Run with go test -fuzz=FuzzCompDifferential
-// ./internal/comp; the seed corpus runs as a regular test.
+// the seeded draws: the fuzzer picks the case seed and a lane count, and
+// every crash or output mismatch is a genuine compiled-engine bug. Run with
+// go test -fuzz=FuzzCompDifferential ./internal/comp; the seed corpus runs
+// as a regular test.
 func FuzzCompDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(0))
-	f.Add(int64(7), uint8(2), uint8(1))
-	f.Add(int64(23), uint8(4), uint8(0))
-	f.Add(int64(77), uint8(3), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, lanes, optLevel uint8) {
+	f.Add(int64(1), uint8(1))
+	f.Add(int64(7), uint8(2))
+	f.Add(int64(23), uint8(4))
+	f.Add(int64(77), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, lanes uint8) {
 		par := 1 << (lanes % 4) // 1, 2, 4 or 8 lanes
 		name, expr, sched, inputs := randomCase(seed)
 		e := lang.MustParse(expr)
 		s := sched
 		s.Par = par
-		s.Opt = int(optLevel % 2)
 		g, err := custard.Compile(e, nil, s)
 		if err != nil {
 			return // not parallelizable under this order; nothing to compare
 		}
 		ref, err := sim.Run(g, inputs, sim.Options{Engine: sim.EngineEvent})
 		if err != nil {
-			t.Fatalf("%s par%d O%d: event run of a compiled graph failed: %v", name, par, s.Opt, err)
+			t.Fatalf("%s par%d: event run of a compiled graph failed: %v", name, par, err)
 		}
 		got, err := sim.Run(g, inputs, sim.Options{Engine: sim.EngineComp})
 		if err != nil {
-			t.Fatalf("%s par%d O%d: comp run failed where event ran: %v", name, par, s.Opt, err)
+			t.Fatalf("%s par%d: comp run failed where event ran: %v", name, par, err)
 		}
 		if err := tensor.IdenticalBits(ref.Output, got.Output); err != nil {
-			t.Fatalf("%s par%d O%d: outputs differ: %v", name, par, s.Opt, err)
+			t.Fatalf("%s par%d: outputs differ: %v", name, par, err)
 		}
 	})
 }

@@ -274,7 +274,7 @@ func runSteps(x *exec, steps []stepInfo, parent obs.Span) {
 // assemble materializes the output tensor from the writer streams into the
 // context's reusable buffers, exactly as the other engines do: compressed
 // levels from the coordinate streams' stop structure, values in stream
-// order, empty-level reconciliation for optimized graphs, validation, and
+// order, validation, and
 // the permute to the declared left-hand-side order (skipping the sort when
 // the permutation is the identity, where the fibertree walk is already
 // lexicographic).

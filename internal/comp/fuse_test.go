@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -17,6 +19,7 @@ import (
 	"sam/internal/lang"
 	"sam/internal/obs"
 	"sam/internal/prog"
+	"sam/internal/sim"
 	"sam/internal/tensor"
 	"sam/internal/token"
 )
@@ -44,10 +47,37 @@ var table1Kernels = []struct{ name, expr string }{
 // token, which the leaf step must treat as the ALU does.
 const hoistedAbsentExpr = "x(i) = (b(i) + e(i)) * C(i,j) * d(j)"
 
-// sharedScanExpr at Opt 1 shares one B.i scanner between "Intersect i" and
-// "Union i" — a scanner whose outputs have a second reader — and feeds the
-// j-level intersect the union's references, N tokens included.
-const sharedScanExpr = "X(i,j) = B(i,j) + B(i,j) * C(i,j)"
+// sharedScanExpr reads B twice. testdata/shared_scan_O1.sambc is its
+// artifact as written at Opt 1 when that level still rewrote graphs: one B.i
+// scanner shared between "Intersect i" and "Union i" — a scanner whose
+// outputs have a second reader — and a j-level intersect fed the union's
+// references, N tokens included. testdata/shared_load_O1.sambc is
+// sharedLoadExpr's, with one c load shared between two ALUs. No compile
+// emits either shape now; disk caches and user artifacts still carry them.
+const (
+	sharedScanExpr = "X(i,j) = B(i,j) + B(i,j) * C(i,j)"
+	sharedLoadExpr = "x(i) = B(i,j) * c(j) * c(j)"
+)
+
+// sharedFixtures maps each recorded artifact to its statement.
+var sharedFixtures = []struct{ file, expr string }{
+	{"shared_scan_O1.sambc", sharedScanExpr},
+	{"shared_load_O1.sambc", sharedLoadExpr},
+}
+
+// decodeFixture decodes one recorded artifact under testdata/.
+func decodeFixture(t *testing.T, file string) *prog.Program {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := prog.Decode(data)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", file, err)
+	}
+	return p
+}
 
 func lowerCase(t testing.TB, expr string, formats lang.Formats, sched lang.Schedule) (*graph.Graph, *comp.IR) {
 	t.Helper()
@@ -192,8 +222,7 @@ func TestFusionActivates(t *testing.T) {
 	// A scanner with a second reader stays, and so does its intersect; the
 	// next level's intersect, fed by the union, still fuses. Its matches are
 	// written, not reduced, so there is no leaf step.
-	_, ir := lowerCase(t, sharedScanExpr, nil, lang.Schedule{Opt: 1})
-	steps, leaf := comp.ExecSteps(ir)
+	steps, leaf := comp.ExecSteps(decodeFixture(t, "shared_scan_O1.sambc").IR())
 	if k := stepLabeled(t, steps, "Intersect i").Kind; k != graph.Intersect {
 		t.Errorf("shared scanner: Intersect i executes as %v, want it unfused", k)
 	}
@@ -215,24 +244,57 @@ func TestFusionActivates(t *testing.T) {
 	}
 
 	// Outside the leaf pattern: a vector reducer (SpM*SpM ikj), a scalar
-	// reducer over a union-fed add, and a load Opt 1 shares between two ALUs.
-	// Their Arrays, ALUs and reducers execute as lowered.
-	for _, tc := range []struct {
-		expr  string
-		sched lang.Schedule
-	}{
-		{"X(i,j) = B(i,k) * C(k,j)", lang.Schedule{LoopOrder: []string{"i", "k", "j"}}},
-		{"x(i) = B(i,j) + C(i,j)", lang.Schedule{}},
-		{"x(i) = B(i,j) * c(j) * c(j)", lang.Schedule{Opt: 1}},
-	} {
-		_, ir := lowerCase(t, tc.expr, nil, tc.sched)
+	// reducer over a union-fed add, and a load shared between two ALUs (the
+	// recorded artifact). Their Arrays, ALUs and reducers execute as lowered.
+	_, spmspm := lowerCase(t, "X(i,j) = B(i,k) * C(k,j)", nil, lang.Schedule{LoopOrder: []string{"i", "k", "j"}})
+	_, unionAdd := lowerCase(t, "x(i) = B(i,j) + C(i,j)", nil, lang.Schedule{})
+	for _, ir := range []*comp.IR{spmspm, unionAdd, decodeFixture(t, "shared_load_O1.sambc").IR()} {
 		steps, leaf := comp.ExecSteps(ir)
 		if slices.Contains(leaf, true) {
-			t.Errorf("%s: a leaf step fused outside the pattern", tc.expr)
+			t.Errorf("%s: a leaf step fused outside the pattern", ir.Expr)
 		}
 		for _, k := range []graph.Kind{graph.Array, graph.ALU, graph.Reduce} {
 			if got, want := countKind(steps, k), countKind(ir.Steps, k); got != want || want == 0 {
-				t.Errorf("%s: %d %v steps execute, want the %d lowered (and some)", tc.expr, got, k, want)
+				t.Errorf("%s: %d %v steps execute, want the %d lowered (and some)", ir.Expr, got, k, want)
+			}
+		}
+	}
+}
+
+// TestSharedFixturesRun runs each recorded shared-stream artifact on random
+// operands and demands its output be bit-identical to a fresh compile of the
+// same statement on the comp and event engines, at Par 1 and 2, and its
+// fused streams identical to its unfused ones.
+func TestSharedFixturesRun(t *testing.T) {
+	dims := map[string]int{"i": 24, "j": 20}
+	rng := rand.New(rand.NewSource(47))
+	for _, fx := range sharedFixtures {
+		p := decodeFixture(t, fx.file)
+		e := lang.MustParse(fx.expr)
+		if p.IR().Expr != e.String() {
+			t.Fatalf("%s: artifact holds %q, want %q", fx.file, p.IR().Expr, e.String())
+		}
+		for seed := 0; seed < 4; seed++ {
+			inputs := randomInputs(rng, e, func(v string) int { return dims[v] })
+			got, err := p.Run(inputs)
+			if err != nil {
+				t.Fatalf("%s: run: %v", fx.file, err)
+			}
+			compareLowered(t, fmt.Sprintf("%s seed %d", fx.file, seed), p.IR(), p.Plan(), inputs)
+			for _, par := range []int{1, 2} {
+				g, err := custard.Compile(e, nil, lang.Schedule{Par: par})
+				if err != nil {
+					t.Fatalf("%s par%d: compile: %v", fx.expr, par, err)
+				}
+				for _, eng := range []sim.EngineKind{sim.EngineComp, sim.EngineEvent} {
+					ref, err := sim.Run(g, inputs, sim.Options{Engine: eng})
+					if err != nil {
+						t.Fatalf("%s par%d %s: run: %v", fx.expr, par, eng, err)
+					}
+					if err := tensor.IdenticalBits(ref.Output, got); err != nil {
+						t.Errorf("%s seed %d: artifact output differs from a fresh par%d %s run: %v", fx.file, seed, par, eng, err)
+					}
+				}
 			}
 		}
 	}
@@ -251,11 +313,8 @@ func runStreams(build func(*comp.IR) (*comp.Program, error), ir *comp.IR, bound 
 	return rc.Streams(), out, rc.Probed(), err
 }
 
-// compareFusion runs one configuration fused and unfused and demands that
-// every stream slot the fused step list still writes is identical, that the
-// fused-away slots stay empty, and that the outputs agree bit for bit. It
-// returns how many steps fusion removed and whether a co-iteration of the
-// fused run probed.
+// compareFusion compiles and lowers one configuration and compares it
+// fused and unfused with compareLowered.
 func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched lang.Schedule, inputs map[string]*tensor.COO) (fusedSteps int, probed bool) {
 	t.Helper()
 	g, err := custard.Compile(lang.MustParse(expr), formats, sched)
@@ -269,11 +328,21 @@ func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched 
 	if err != nil {
 		t.Fatalf("%s: lower: %v", name, err)
 	}
-	bound, err := bind.NewPlan(g).Operands(inputs)
+	return compareLowered(t, name, ir, bind.NewPlan(g), inputs)
+}
+
+// compareLowered runs a lowered program fused and unfused and demands that
+// every stream slot the fused step list still writes is identical, that the
+// fused-away slots stay empty, and that the outputs agree bit for bit. It
+// returns how many steps fusion removed and whether a co-iteration of the
+// fused run probed.
+func compareLowered(t *testing.T, name string, ir *comp.IR, plan *bind.Plan, inputs map[string]*tensor.COO) (fusedSteps int, probed bool) {
+	t.Helper()
+	bound, err := plan.Operands(inputs)
 	if err != nil {
 		t.Fatalf("%s: bind: %v", name, err)
 	}
-	dims, err := bind.NewPlan(g).OutputDims(inputs)
+	dims, err := plan.OutputDims(inputs)
 	if err != nil {
 		t.Fatalf("%s: output dims: %v", name, err)
 	}
@@ -310,7 +379,7 @@ func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched 
 }
 
 // TestFusionSlotIdentical is the fused-vs-unfused battery: the differential
-// kernels across Opt 0/1 and Par 1/2/4, on random operands, on the disjoint
+// kernels across Par 1/2/4, on random operands, on the disjoint
 // supports that empty every intersection, and on operands with no entries at
 // all. The formats cover both merge loops (compressed × compressed, and the
 // Level-interface fallback on a dense level) and empty fibers (CSR rows); the
@@ -371,13 +440,11 @@ func TestFusionSlotIdentical(t *testing.T) {
 			inputs map[string]*tensor.COO
 		}{{"random", random}, {"disjoint", disjoint}, {"all-empty", none}} {
 			for _, par := range []int{1, 2, 4} {
-				for _, opt := range []int{0, 1} {
-					s := tc.sched
-					s.Par, s.Opt = par, opt
-					name := fmt.Sprintf("%s/%s par%d O%d", tc.name, in.name, par, opt)
-					n, _ := compareFusion(t, name, tc.expr, tc.formats, s, in.inputs)
-					fused += n
-				}
+				s := tc.sched
+				s.Par = par
+				name := fmt.Sprintf("%s/%s par%d", tc.name, in.name, par)
+				n, _ := compareFusion(t, name, tc.expr, tc.formats, s, in.inputs)
+				fused += n
 			}
 		}
 	}
@@ -405,11 +472,9 @@ func TestFusionSlotIdentical(t *testing.T) {
 		{"probe-rebuilt", "X(i,j) = B(i,j,k) * C(i,k)", map[string]*tensor.COO{"B": sparse("B", 400, 12, 16, 48), "C": sparse("C", 400, 12, 48)}},
 	} {
 		for _, par := range []int{1, 2, 4} {
-			for _, opt := range []int{0, 1} {
-				name := fmt.Sprintf("%s par%d O%d", tc.name, par, opt)
-				if n, probed := compareFusion(t, name, tc.expr, nil, lang.Schedule{Par: par, Opt: opt}, tc.inputs); n == 0 || !probed {
-					t.Errorf("%s: %d steps fused away, probed = %v; the case wants both", name, n, probed)
-				}
+			name := fmt.Sprintf("%s par%d", tc.name, par)
+			if n, probed := compareFusion(t, name, tc.expr, nil, lang.Schedule{Par: par}, tc.inputs); n == 0 || !probed {
+				t.Errorf("%s: %d steps fused away, probed = %v; the case wants both", name, n, probed)
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestDropperPlacement pins where construct places coordinate droppers, by
-// label and mode, at both Opt levels: the optimizer never removes one. A
+// label and mode, at both Opt levels. A
 // coordinate-mode dropper sits on every output variable with an
 // intersection inside it or an intersected reduction between it and the
 // outermost output variable; a value-mode dropper on the innermost output

@@ -61,9 +61,9 @@ func Compile(e *lang.Einsum, formats lang.Formats, sched lang.Schedule) (*graph.
 	if err := c.g.Validate(); err != nil {
 		return nil, fmt.Errorf("custard: produced invalid graph: %w", err)
 	}
-	if _, err := opt.Optimize(c.g, sched.Opt); err != nil {
-		return nil, err
-	}
+	// The level only identifies the graph (fingerprint, artifact): every
+	// level compiles the same blocks.
+	c.g.OptLevel = sched.Opt
 	return c.g, nil
 }
 

@@ -1,6 +1,7 @@
 package custard
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -71,6 +72,47 @@ func TestKindsEmitted(t *testing.T) {
 			t.Errorf("block kind %v (graph.Kind %d) is emitted by no statement of the corpus", k, int(k))
 		case emitted[k] && listed:
 			t.Errorf("block kind %v is emitted, yet kindsUnemitted lists it: %s", k, reason)
+		}
+	}
+}
+
+// TestOptLevelOnlyStamps holds Schedule.Opt to identity: over the kind
+// corpus, Table 1 and a repeated operand, the level-1 graph is the level-0
+// graph block for block, edge for edge and binding for binding, and differs
+// only in its OptLevel stamp (and so in its fingerprint).
+func TestOptLevelOnlyStamps(t *testing.T) {
+	type entry struct {
+		expr  string
+		sched lang.Schedule
+	}
+	var cases []entry
+	for _, c := range kindCorpus {
+		if !c.bitvector {
+			cases = append(cases, entry{c.expr, c.sched})
+		}
+	}
+	for _, c := range table1 {
+		cases = append(cases, entry{c.expr, lang.Schedule{LoopOrder: c.order}})
+	}
+	cases = append(cases, entry{"X(i,j) = B(i,j) * B(i,j)", lang.Schedule{}}, entry{"x(i) = B(i,j) * B(i,j)", lang.Schedule{Par: 2}})
+	for _, c := range cases {
+		e := lang.MustParse(c.expr)
+		g0, err := Compile(e, nil, c.sched)
+		if err != nil {
+			t.Fatalf("%s %+v: %v", c.expr, c.sched, err)
+		}
+		s1 := c.sched
+		s1.Opt = 1
+		g1, err := Compile(e, nil, s1)
+		if err != nil {
+			t.Fatalf("%s %+v at Opt 1: %v", c.expr, c.sched, err)
+		}
+		if g1.OptLevel != 1 || g1.Fingerprint() == g0.Fingerprint() {
+			t.Errorf("%s %+v: Opt 1 graph has OptLevel %d and fingerprint %s (Opt 0: %s)", c.expr, c.sched, g1.OptLevel, g1.Fingerprint(), g0.Fingerprint())
+		}
+		g1.OptLevel = 0
+		if !reflect.DeepEqual(g0, g1) {
+			t.Errorf("%s %+v: the Opt 1 graph differs from the Opt 0 graph beyond its stamp", c.expr, c.sched)
 		}
 	}
 }

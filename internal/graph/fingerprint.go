@@ -21,8 +21,8 @@ import (
 // key: it distinguishes storage formats (including bitvector pipelines),
 // loop orders, lane counts (Schedule.Par changes the replicated sub-graph),
 // and optimization rewrites (gallop, locators). OptLevel is part of the
-// structure, so an optimized graph never aliases an unoptimized one even
-// when the pipeline rewrote nothing.
+// structure, so graphs compiled at different levels never alias even though
+// their blocks are the same.
 func (g *Graph) Fingerprint() string {
 	w := fpWriter{buf: make([]byte, 0, fpBufSize)}
 	w.str(g.Expr)

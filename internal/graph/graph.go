@@ -176,10 +176,10 @@ type Graph struct {
 	Nodes []*Node
 	Edges []*Edge
 
-	// OptLevel records the optimization level applied to the graph (0 = as
-	// lowered, the paper-faithful form). internal/opt sets it. It is identity
-	// only: no engine reads it, but it is part of the fingerprint and the
-	// artifact, so an optimized graph never aliases an unoptimized one.
+	// OptLevel records the Schedule.Opt level the graph was compiled at.
+	// Custard sets it. It is identity only: no engine reads it, but it is
+	// part of the fingerprint and the artifact, so graphs compiled at
+	// different levels never alias.
 	OptLevel int
 
 	Bindings []Binding
@@ -196,8 +196,8 @@ type Graph struct {
 }
 
 // Clone returns a deep copy of the graph: nodes, edges, bindings, and output
-// metadata are all fresh allocations, so rewriting passes can transform the
-// copy while callers keep the original for differential comparison.
+// metadata are all fresh allocations, so a caller can change the copy while
+// the original stays as compiled.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		Name: g.Name, Expr: g.Expr, OptLevel: g.OptLevel,

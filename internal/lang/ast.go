@@ -202,14 +202,12 @@ type Schedule struct {
 	// UseSkip fuses scanners and intersecters into coordinate-skipping
 	// (galloping) intersections (paper Section 4.2).
 	UseSkip bool
-	// Opt selects the graph-optimization level applied after lowering
-	// (internal/opt). Level 0, the default, compiles the paper-faithful
-	// graph untouched — one block per paper definition, the graphs Table 1
-	// counts. Level 1 runs the full rewrite pipeline (common-stream
-	// deduplication, duplicate-way merge collapse, dead-block elimination)
-	// to a fixpoint; the optimized graph computes a bit-identical output
-	// tensor with fewer blocks and no more simulated cycles. Levels outside
-	// [0, opt.MaxLevel] fail compilation.
+	// Opt is the optimization level stamped on the compiled graph
+	// (Graph.OptLevel). Every level compiles the same paper-faithful graph
+	// — one block per paper definition, the graphs Table 1 counts — so the
+	// level changes no block and no cycle; it only enters the canonical key
+	// and the fingerprint. Levels outside [0, opt.MaxLevel] fail
+	// compilation.
 	Opt int
 	// Par parallelizes the graph across Par lanes at the outermost loop
 	// level (paper Section 4.4): the outermost variable's merged streams

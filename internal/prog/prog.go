@@ -2,7 +2,7 @@
 // versioned binary encoding of internal/comp's lowered IR — a bytecode
 // stream of steps plus flat slot/writer/binding tables — that one process
 // compiles once (Encode) and any process loads (Decode) and executes
-// without re-running parsing, scheduling, optimization or lowering.
+// without re-running parsing, scheduling or lowering.
 //
 // Layout (all integers varint-encoded unless noted):
 //

@@ -15,7 +15,7 @@ import (
 // LRU: canonical request key to an encoded program artifact (internal/prog)
 // on disk. A warm disk entry lets a cold process serve comp-engine
 // requests by decoding the artifact — no parse beyond keying, no custard
-// compilation, no optimizer, no lowering — which is the artifact format's
+// compilation, no lowering — which is the artifact format's
 // whole reason to exist.
 //
 // The store is best-effort by design: every failure mode (unreadable dir,

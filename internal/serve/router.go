@@ -518,7 +518,7 @@ func (rt *Router) proxyJob(w http.ResponseWriter, sh *shardState, method, pathAn
 // canonical error response.
 func routingKey(env *EvaluateRequest, body []byte) string {
 	if env != nil {
-		if p, err := env.plan(0); err == nil {
+		if p, err := env.plan(); err == nil {
 			return p.key
 		}
 	}

@@ -340,7 +340,7 @@ func (rt *Router) handleTiledEvaluate(w http.ResponseWriter, body []byte, tt *ti
 // a byte moves: the request's plan, the tile algebra, a second tiled operand,
 // the fixpoint spec. It returns the validated spec, nil for a one-shot.
 func (rt *Router) checkTiled(req *EvaluateRequest, operand string) (*sim.Fixpoint, error) {
-	p, err := req.plan(0)
+	p, err := req.plan()
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,6 @@ import (
 	"sam/internal/custard"
 	"sam/internal/lang"
 	"sam/internal/obs"
-	"sam/internal/opt"
 	"sam/internal/sim"
 	"sam/internal/tensor"
 )
@@ -55,12 +54,6 @@ type Config struct {
 	QueueDepth int
 	// CacheSize bounds the compiled-program LRU. Default 128.
 	CacheSize int
-	// DefaultOpt is the graph-optimization level applied to requests whose
-	// schedule omits "opt" (see internal/opt). Out-of-range values are
-	// clamped into [0, opt.MaxLevel] like the other sizing fields, so a
-	// misconfigured server never turns opt-omitting requests into 400s.
-	// The resolved level is part of the program-cache key. Default 0.
-	DefaultOpt int
 	// MaxBodyBytes bounds the request body; oversized payloads are rejected
 	// with 413 before decoding. Default 8 MiB.
 	MaxBodyBytes int64
@@ -75,8 +68,7 @@ type Config struct {
 	// (internal/prog) keyed by canonical request key and format version, and
 	// comp-engine requests that miss the in-memory LRU are served by
 	// decoding the artifact instead of recompiling — a cold process with a
-	// warm disk skips parsing (beyond keying), custard, the optimizer, and
-	// lowering. Empty disables the disk cache (the default).
+	// warm disk skips parsing (beyond keying), custard and lowering. Empty disables the disk cache (the default).
 	ArtifactDir string
 	// EnablePprof mounts net/http/pprof's handlers under /debug/pprof/.
 	// Off by default: profiling endpoints expose internals and belong
@@ -88,7 +80,7 @@ type Config struct {
 	AccessLog io.Writer
 	// WarmupExprs are statements pre-compiled into the program cache before
 	// the server reports ready: GET /readyz answers 503 until every listed
-	// expression is compiled (default schedule at DefaultOpt), so a router
+	// expression is compiled (default schedule), so a router
 	// or load balancer only sends traffic once the cache is hot. Expressions
 	// that fail to compile are skipped (reported via AccessLog) — a typo'd
 	// warm list must not wedge the shard unready forever.
@@ -110,12 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TensorBudgetBytes <= 0 {
 		c.TensorBudgetBytes = 256 << 20
-	}
-	if c.DefaultOpt < 0 {
-		c.DefaultOpt = 0
-	}
-	if c.DefaultOpt > opt.MaxLevel {
-		c.DefaultOpt = opt.MaxLevel
 	}
 	return c
 }
@@ -280,13 +266,13 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// warmup resolves each expression's program (default schedule at DefaultOpt)
+// warmup resolves each expression's program (default schedule)
 // exactly as a request for it would, then marks the server ready. Failures
 // are skipped after logging: readiness gates on the work finishing, not on
 // every expression being valid.
 func (s *Server) warmup(exprs []string) {
 	for _, src := range exprs {
-		p, err := (&EvaluateRequest{Expr: src}).plan(s.cfg.DefaultOpt)
+		p, err := (&EvaluateRequest{Expr: src}).plan()
 		if err == nil {
 			_, _, err = s.resolve(p, obs.Span{})
 		}
@@ -408,7 +394,7 @@ func (s *Server) resolve(p *plan, adm obs.Span) (*sim.Program, string, error) {
 	defer lookup.End()
 	return s.cache.resolve(p.key, func() (*sim.Program, string, error) {
 		// Comp-engine requests can be served straight off a persisted
-		// artifact: decoding replaces custard, the optimizer, and lowering.
+		// artifact: decoding replaces custard and lowering.
 		// The cycle engines need the source graph, so they skip the disk.
 		if s.disk != nil && p.opt.Engine == sim.EngineComp {
 			dl := adm.Child("disk_load")
@@ -447,7 +433,7 @@ func (s *Server) prepare(decoded *request, tr *obs.Trace) (*prepared, error) {
 	begin := time.Now()
 	adm := tr.Start("admission")
 	defer adm.End()
-	p, err := req.plan(s.cfg.DefaultOpt)
+	p, err := req.plan()
 	if err != nil {
 		return nil, err
 	}

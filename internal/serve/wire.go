@@ -269,10 +269,9 @@ type WireSchedule struct {
 	UseLocators bool     `json:"use_locators,omitempty"`
 	UseSkip     bool     `json:"use_skip,omitempty"`
 	Par         int      `json:"par,omitempty"`
-	// Opt selects the graph-optimization level (internal/opt): 0 compiles
-	// the paper-faithful graph, 1 runs the rewrite pipeline. Omitted means
-	// the server's configured default (Config.DefaultOpt). The resolved
-	// level is part of the program-cache key, so requests at different
+	// Opt is the optimization level, 0 (the default when omitted) or 1. It
+	// changes no block of the compiled graph, but it is part of the
+	// program-cache key and the fingerprint, so requests at different
 	// levels never alias.
 	Opt *int `json:"opt,omitempty"`
 }
@@ -344,10 +343,9 @@ type plan struct {
 	key     string
 }
 
-// plan validates the envelope and builds the plan. defaultOpt is the
-// optimization level of a schedule that names none. The order of the checks
+// plan validates the envelope and builds the plan. The order of the checks
 // is the order clients see errors in, pinned by wireErrorCases.
-func (req *EvaluateRequest) plan(defaultOpt int) (*plan, error) {
+func (req *EvaluateRequest) plan() (*plan, error) {
 	if req.Expr == "" {
 		return nil, fmt.Errorf("expr is required")
 	}
@@ -355,7 +353,7 @@ func (req *EvaluateRequest) plan(defaultOpt int) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := req.Schedule.toSchedule(defaultOpt)
+	sched, err := req.Schedule.toSchedule()
 	if err != nil {
 		return nil, err
 	}
@@ -703,16 +701,16 @@ func toFormats(ws map[string]WireFormat) (lang.Formats, error) {
 	return fs, nil
 }
 
-// toSchedule converts the wire schedule; nil means the default schedule.
-// defaultOpt fills the optimization level when the request omits it.
-func (w *WireSchedule) toSchedule(defaultOpt int) (lang.Schedule, error) {
+// toSchedule converts the wire schedule; nil means the default schedule, and
+// an omitted optimization level means 0.
+func (w *WireSchedule) toSchedule() (lang.Schedule, error) {
 	if w == nil {
-		return lang.Schedule{Opt: defaultOpt}, nil
+		return lang.Schedule{}, nil
 	}
 	if w.Par < 0 {
 		return lang.Schedule{}, fmt.Errorf("schedule: negative par %d", w.Par)
 	}
-	level := defaultOpt
+	level := 0
 	if w.Opt != nil {
 		level = *w.Opt
 		if level < 0 || level > opt.MaxLevel {

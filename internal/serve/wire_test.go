@@ -231,9 +231,9 @@ func valid413Probe() *EvaluateRequest {
 }
 
 // TestOptLevelServing checks the serving path end to end at O1: the result
-// matches O0 bit-for-bit, the two levels occupy distinct cache entries (no
-// aliasing across opt levels), and a server-level DefaultOpt applies when
-// the request omits the level.
+// and the simulated cycles match O0, the two levels occupy distinct cache
+// entries (no aliasing across opt levels), and a request that omits the
+// level gets level 0.
 func TestOptLevelServing(t *testing.T) {
 	s := NewServer(Config{Workers: 1})
 	defer s.Close()
@@ -260,50 +260,18 @@ func TestOptLevelServing(t *testing.T) {
 		t.Errorf("O1 output differs from O0: %s vs %s", mustJSON(t, r1.Output), mustJSON(t, r0.Output))
 	}
 	if r0.Fingerprint == r1.Fingerprint {
-		t.Errorf("O0 and O1 share fingerprint %s; opt level must change the compiled graph", r0.Fingerprint)
+		t.Errorf("O0 and O1 share fingerprint %s; the opt level must identify the compiled graph", r0.Fingerprint)
 	}
-	if r1.Cycles > r0.Cycles {
-		t.Errorf("O1 simulated %d cycles, O0 %d; optimization must not slow the graph", r1.Cycles, r0.Cycles)
+	if r1.Cycles != r0.Cycles {
+		t.Errorf("O1 simulated %d cycles, O0 %d; the level must change no block", r1.Cycles, r0.Cycles)
 	}
-	st := s.Stats()
-	if st.CachePrograms != 2 {
+	for _, omitted := range []*WireSchedule{nil, {}} {
+		if r := run(omitted); r.Fingerprint != r0.Fingerprint {
+			t.Errorf("schedule %+v: fingerprint %s, want the O0 fingerprint %s", omitted, r.Fingerprint, r0.Fingerprint)
+		}
+	}
+	if st := s.Stats(); st.CachePrograms != 2 {
 		t.Errorf("cache holds %d programs, want 2 (one per opt level)", st.CachePrograms)
-	}
-
-	// DefaultOpt fills omitted levels: same cache entry as explicit opt=1.
-	sd := NewServer(Config{Workers: 1, DefaultOpt: 1})
-	defer sd.Close()
-	tsd := httptest.NewServer(sd)
-	defer tsd.Close()
-	req := valid413Probe()
-	resp, body := postJSON(t, tsd.URL+"/v1/evaluate", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DefaultOpt evaluate: status %d (body %s)", resp.StatusCode, body)
-	}
-	var out EvaluateResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Fingerprint != r1.Fingerprint {
-		t.Errorf("DefaultOpt=1 fingerprint %s, want the explicit O1 fingerprint %s", out.Fingerprint, r1.Fingerprint)
-	}
-
-	// An out-of-range DefaultOpt clamps to the nearest known level instead
-	// of 400ing every opt-omitting request.
-	sc := NewServer(Config{Workers: 1, DefaultOpt: 99})
-	defer sc.Close()
-	tsc := httptest.NewServer(sc)
-	defer tsc.Close()
-	resp, body = postJSON(t, tsc.URL+"/v1/evaluate", valid413Probe())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DefaultOpt=99 evaluate: status %d (body %s)", resp.StatusCode, body)
-	}
-	var clamped EvaluateResponse
-	if err := json.Unmarshal(body, &clamped); err != nil {
-		t.Fatal(err)
-	}
-	if clamped.Fingerprint != r1.Fingerprint {
-		t.Errorf("DefaultOpt=99 fingerprint %s, want the clamped O1 fingerprint %s", clamped.Fingerprint, r1.Fingerprint)
 	}
 }
 

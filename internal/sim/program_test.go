@@ -359,8 +359,8 @@ func permutations(vars []string) [][]string {
 	return out
 }
 
-// coldCompile is the uncached request's compile path for one shape: custard
-// (the optimizer included), program build, then the comp lowering the
+// coldCompile is the uncached request's compile path for one shape: custard,
+// program build, then the comp lowering the
 // serving layer's comp requests build on first run.
 func coldCompile(s coldShape) error {
 	g, err := custard.Compile(s.e, nil, s.sched)
@@ -378,7 +378,7 @@ func coldCompile(s coldShape) error {
 // BenchmarkRequestColdSetup measures the compile path of the uncached
 // request, cycling the cold-compile program keys (see coldShapes) with
 // their statements parsed up front: one op is one shape through custard,
-// the optimizer, NewProgram and comp.Compile. Compare with
+// NewProgram and comp.Compile. Compare with
 // BenchmarkRequestWarmSetup.
 func BenchmarkRequestColdSetup(b *testing.B) {
 	shapes := coldShapes(b)
@@ -397,7 +397,7 @@ func BenchmarkRequestColdSetup(b *testing.B) {
 const coldCompileAllocCeiling = 750
 
 // TestColdCompileAllocs gates the compile path's allocations: validation,
-// fingerprinting, hash-consing and wiring must not fall back to building
+// fingerprinting and wiring must not fall back to building
 // names and keys through fmt. Skipped under -race, which perturbs counts.
 func TestColdCompileAllocs(t *testing.T) {
 	if raceEnabled {

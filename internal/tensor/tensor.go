@@ -339,8 +339,8 @@ func UniformRandom(name string, rng *rand.Rand, nnz int, dims ...int) *COO {
 
 // IdenticalBits reports whether two COO tensors are bitwise identical:
 // same dimensions, same points in the same order, coordinates compared
-// exactly and values bit for bit (explicit zeros and their signs included). This is the optimizer's and
-// the lane batteries' correctness bar — stricter than Equal, which sorts,
+// exactly and values bit for bit (explicit zeros and their signs included). This is the engine and
+// lane batteries' correctness bar — stricter than Equal, which sorts,
 // tolerates eps, and ignores explicit zeros. A nil error means identical.
 func IdenticalBits(a, b *COO) error {
 	if len(a.Dims) != len(b.Dims) {
@@ -371,7 +371,7 @@ func IdenticalBits(a, b *COO) error {
 // QuantizeInts replaces every stored value with a small nonzero integer
 // drawn from [1, max]. Integer values keep floating-point sums exact
 // regardless of association, so differential batteries whose reference sums
-// in another order — the gold model, optimizer rewrites — can demand
+// in another order — the gold model, another engine — can demand
 // bit-identical outputs instead of tolerance comparisons.
 func QuantizeInts(rng *rand.Rand, max int, ts ...*COO) {
 	for _, t := range ts {

@@ -77,19 +77,16 @@
 // prints the same breakdown on the command line, and the README's
 // Observability section lists every metric family and span name.
 //
-// # Optimization
+// # Optimization level
 //
-// Schedule{Opt: 1} runs the graph optimizer (internal/opt) between
-// compilation and program build. Custard lowers one block per paper
-// definition, so compiled graphs carry redundancy a hardware program would
-// not; the optimizer's rewrite passes — common-stream deduplication,
-// duplicate-way merge collapse and dead-block elimination — remove it while
-// keeping the output tensor bit-identical (proven by the differential and
-// fuzz battery in internal/opt). Level 0, the default, compiles the
-// paper-faithful graph Table 1 counts. The level is part of the canonical
-// program-cache key, so servers never alias programs across levels:
+// Schedule.Opt (0 or 1) is accepted and is part of the canonical
+// program-cache key and the graph fingerprint, so servers never alias
+// programs across levels, but it selects nothing: every level compiles the
+// same paper-faithful graph Table 1 counts and runs in the same cycles. A
+// tensor accessed twice with the same mode order and formats is bound to one
+// fibertree at every level, so its storage is built once:
 //
-//	g, err := sam.Compile("X(i,j) = B(i,j) * B(i,j)", nil, sam.Schedule{Opt: 1})
+//	g, err := sam.Compile("X(i,j) = B(i,j) * B(i,j)", nil, sam.Schedule{})
 //
 // # Parallelization
 //
@@ -113,7 +110,7 @@
 //
 // The subsystems live in internal packages: internal/core implements the
 // dataflow blocks (the paper's primary contribution), internal/custard the
-// compiler, internal/opt the graph-optimizer pass pipeline,
+// compiler, internal/bind operand binding,
 // internal/sim the cycle engines and the batch runner,
 // internal/comp the compiled co-iteration engine,
 // internal/prog the portable artifact format of its lowering,
@@ -147,19 +144,13 @@ type Inputs = map[string]*tensor.COO
 type Graph = graph.Graph
 
 // Schedule selects the dataflow (loop) order and optimization rewrites.
-// Schedule.Opt picks the graph-optimization level: 0 (default) compiles the
-// paper-faithful graph, 1 runs the full rewrite pipeline of internal/opt
-// (bit-identical outputs, fewer blocks, fewer simulated cycles); levels
-// outside [0, MaxOptLevel] fail compilation.
+// Schedule.Opt is an accepted level in [0, MaxOptLevel] that identifies the
+// compiled graph and changes none of its blocks; levels outside that range
+// fail compilation.
 type Schedule = lang.Schedule
 
-// MaxOptLevel is the highest Schedule.Opt level the optimizer knows.
+// MaxOptLevel is the highest Schedule.Opt level compilation accepts.
 const MaxOptLevel = opt.MaxLevel
-
-// OptimizeGraph runs the optimizer pipeline in place on an already-compiled
-// graph and reports what changed. Compile with Schedule.Opt set is the usual
-// entry point; this is for callers holding a graph built elsewhere.
-func OptimizeGraph(g *Graph, level int) (*opt.Report, error) { return opt.Optimize(g, level) }
 
 // Formats maps tensor names to per-level storage formats.
 type Formats = lang.Formats
