@@ -119,6 +119,62 @@ func TestParKernelMatrix(t *testing.T) {
 	}
 }
 
+// TestParKeepsExplicitZeros pins that lanes keep what Par=1 stores: a row
+// whose values cancel sums to an explicit zero, which Par=1 writes (no
+// intersection, so no dropper filters it) and every lane count must write
+// too, on every engine.
+func TestParKeepsExplicitZeros(t *testing.T) {
+	matrix := func(name string, pts ...[3]float64) *tensor.COO {
+		m := tensor.NewCOO(name, 2, 2)
+		for _, p := range pts {
+			m.Append(p[2], int64(p[0]), int64(p[1]))
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		expr   string
+		inputs map[string]*tensor.COO
+	}{
+		{"x(i) = B(i,j)", map[string]*tensor.COO{"B": matrix("B", [3]float64{0, 0, 1}, [3]float64{0, 1, -1}, [3]float64{1, 0, 2})}},
+		{"x(i) = B(i,j) + C(i,j)", map[string]*tensor.COO{
+			"B": matrix("B", [3]float64{0, 0, 1}, [3]float64{1, 1, 2}),
+			"C": matrix("C", [3]float64{0, 1, -1}),
+		}},
+	} {
+		e := lang.MustParse(tc.expr)
+		g1, err := custard.Compile(e, nil, lang.Schedule{})
+		if err != nil {
+			t.Fatalf("%s: compile par1: %v", tc.expr, err)
+		}
+		base, err := Run(g1, tc.inputs, Options{})
+		if err != nil {
+			t.Fatalf("%s: par1: %v", tc.expr, err)
+		}
+		want := tensor.NewCOO("x", 2)
+		want.Append(0, 0)
+		want.Append(2, 1)
+		if err := tensor.IdenticalBits(want, base.Output); err != nil {
+			t.Fatalf("%s: par1 does not store the cancelled row as an explicit zero: %v", tc.expr, err)
+		}
+		for _, p := range []int{2, 4} {
+			gp, err := custard.Compile(e, nil, lang.Schedule{Par: p})
+			if err != nil {
+				t.Fatalf("%s: compile par%d: %v", tc.expr, p, err)
+			}
+			for _, eng := range Engines() {
+				res, err := Run(gp, tc.inputs, Options{Engine: eng})
+				if err != nil {
+					t.Errorf("%s par%d %s: %v", tc.expr, p, eng, err)
+					continue
+				}
+				if err := tensor.IdenticalBits(base.Output, res.Output); err != nil {
+					t.Errorf("%s par%d %s vs par1: %v", tc.expr, p, eng, err)
+				}
+			}
+		}
+	}
+}
+
 // TestParStrictSpeedup pins the acceptance bar: on SpMV and SpM*SpM every
 // lane count must simulate strictly fewer cycles than Par=1, and more lanes
 // must keep helping through 8.
