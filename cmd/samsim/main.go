@@ -26,8 +26,9 @@
 // assemble) through the same internal/obs recorder the server exposes via
 // ?trace=1, and prints them as an indented tree with the trace id after the
 // summary. On the compiled engine, run has one child per executed step, named
-// by its block label, a lane's steps as "… [lane N]": a fused leaf level is
-// one line under its reducer's label.
+// by its block label: a fused leaf level is one line under its reducer's
+// label, and a Par graph runs lane 0 over the whole stream, its steps as
+// "… [lane 0]".
 //
 // -emit compiles the statement, encodes the compiled program into the
 // portable artifact format (internal/prog), writes it to the given file, and

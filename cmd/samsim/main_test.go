@@ -286,8 +286,9 @@ func TestFlagCombinationValidation(t *testing.T) {
 
 // TestTraceBreakdown checks -trace prints the span tree after the summary:
 // compile-path runs show compile/bind/run/assemble, a parallel compiled run
-// lists its lanes' steps under run, and -load mode shows decode instead of
-// compile. Without -trace no trace line appears.
+// lists lane 0's steps under run (comp collapses the other lanes), and -load
+// mode shows decode instead of compile. Without -trace no trace line
+// appears.
 func TestTraceBreakdown(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := realMain([]string{
@@ -299,10 +300,13 @@ func TestTraceBreakdown(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"trace:       t", "compile", "bind", "run", "[lane 0]", "[lane 1]", "assemble"} {
+	for _, want := range []string{"trace:       t", "compile", "bind", "run", "[lane 0]", "assemble"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("traced output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "[lane 1]") {
+		t.Errorf("traced output runs lane 1; comp runs lane 0 over the whole stream:\n%s", out)
 	}
 	// Lane steps sit directly under run: one indent deeper, no laneN level.
 	_, tree, _ := strings.Cut(out, "trace:")

@@ -7,21 +7,33 @@ import (
 	"sam/internal/token"
 )
 
-// Hooks for the fusion and conformance tests. The fused program has no
-// runtime switch, so its oracle is built here: MaterializeUnfused is
-// Materialize minus the pass.
+// Hooks for the fusion, collapse and conformance tests. The fused program
+// has no runtime switch, so its oracle is built here: MaterializeUnfused is
+// Materialize minus the fusion passes (lanes still collapse).
 
 func MaterializeUnfused(ir *IR) (*Program, error) {
 	if err := ir.Validate(); err != nil {
 		return nil, err
 	}
-	return materialize(ir, ir.Steps, make([]*leafExpr, len(ir.Steps)))
+	run, err := collapse(ir)
+	if err != nil {
+		return nil, err
+	}
+	return materialize(ir, run, run.Steps, make([]*leafExpr, len(run.Steps)))
 }
 
+// Collapse returns the IR Materialize runs: ir with a Par graph's lanes
+// collapsed into its Par 1 program.
+func Collapse(ir *IR) (*IR, error) { return collapse(ir) }
+
 // ExecSteps returns the step list Materialize binds for a valid IR, and which
-// of its steps are fused leaf levels.
+// of its steps are fused leaf levels. It panics on an IR Materialize rejects.
 func ExecSteps(ir *IR) (steps []StepIR, leaf []bool) {
-	steps, exprs := fuse(ir)
+	run, err := collapse(ir)
+	if err != nil {
+		panic(err)
+	}
+	steps, exprs := fuse(run)
 	leaf = make([]bool, len(steps))
 	for i, lf := range exprs {
 		leaf[i] = lf != nil

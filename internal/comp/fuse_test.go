@@ -138,8 +138,9 @@ func leafReducers(ir *comp.IR) []string {
 // TestFusionActivates pins the passes' coverage: every Intersect of the seven Table 1 kernels runs fused — as a co-iteration
 // step, or inside the leaf step that swallowed it — and every leaf reducer
 // runs as the fused leaf step under its own label, at the default schedule
-// and at Par 4; the shapes outside the patterns stay as lowered; and the IR a
-// program reports is untouched by the passes.
+// and at Par 4, where the lanes collapse first and the executed steps are
+// Par 1's, lane 0's keeping their labels; the shapes outside the patterns
+// stay as lowered; and the IR a program reports is untouched by the passes.
 func TestFusionActivates(t *testing.T) {
 	// Executed steps per kernel at the default schedule: 12/23/17/15/28/17/26
 	// as lowered, 10/17/11/13/22/15/24 after the scanner pass alone.
@@ -154,8 +155,15 @@ func TestFusionActivates(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: materialize: %v", name, err)
 			}
+			run, err := comp.Collapse(ir)
+			if err != nil {
+				t.Fatalf("%s: collapse: %v", name, err)
+			}
+			if par > 1 && len(run.Steps) >= len(ir.Steps) {
+				t.Errorf("%s: the lanes did not collapse: %d steps of %d lowered", name, len(run.Steps), len(ir.Steps))
+			}
 			steps, leaf := comp.ExecSteps(ir)
-			n := countKind(ir.Steps, graph.Intersect)
+			n := countKind(run.Steps, graph.Intersect)
 			total += n
 			if n == 0 {
 				t.Errorf("%s: lowered IR has no Intersect; the case pins nothing", name)
@@ -163,20 +171,20 @@ func TestFusionActivates(t *testing.T) {
 			if left := countKind(steps, graph.Intersect); left != 0 {
 				t.Errorf("%s: %d of %d Intersect steps left unfused", name, left, n)
 			}
-			if got, want := countKind(steps, graph.Scanner), countKind(ir.Steps, graph.Scanner)-2*n; got != want {
+			if got, want := countKind(steps, graph.Scanner), countKind(run.Steps, graph.Scanner)-2*n; got != want {
 				t.Errorf("%s: %d scanners execute, want %d", name, got, want)
 			}
-			if got, want := countKind(steps, graph.Union), countKind(ir.Steps, graph.Union); got != want {
+			if got, want := countKind(steps, graph.Union), countKind(run.Steps, graph.Union); got != want {
 				t.Errorf("%s: %d unions execute, want %d", name, got, want)
 			}
-			if par == 1 && len(steps) != wantSteps[ki] {
+			if len(steps) != wantSteps[ki] {
 				t.Errorf("%s: %d steps execute, want %d", name, len(steps), wantSteps[ki])
 			}
 
 			// Every leaf reducer is a fused leaf step: same label, same output,
 			// reading reference streams — two for the co-iteration it swallowed,
 			// one more per hoisted operand — where it read a value stream.
-			leaves := leafReducers(ir)
+			leaves := leafReducers(run)
 			if len(leaves) == 0 {
 				t.Errorf("%s: lowered IR has no leaf reducer; the case pins nothing", name)
 			}
@@ -190,7 +198,10 @@ func TestFusionActivates(t *testing.T) {
 				t.Errorf("%s: %d fused leaf steps for %d leaf reducers", name, fused, len(leaves))
 			}
 			for _, label := range leaves {
-				low := stepLabeled(t, ir.Steps, label)
+				if lane := strings.Contains(label, "[lane "); lane != (par > 1) || lane && !strings.HasSuffix(label, " [lane 0]") {
+					t.Errorf("%s: leaf reducer %q executes; want lane 0's label at Par > 1 and no lane at Par 1", name, label)
+				}
+				low := stepLabeled(t, run.Steps, label)
 				i := slices.IndexFunc(steps, func(st comp.StepIR) bool { return st.Label == label })
 				if i < 0 || !leaf[i] || len(steps[i].Ins) < 2 || !slices.Equal(steps[i].Outs, low.Outs) {
 					t.Errorf("%s: %q does not execute as the fused leaf step writing %v (step %d of %+v)", name, label, low.Outs, i, steps)
@@ -207,15 +218,15 @@ func TestFusionActivates(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: materialize unfused: %v", name, err)
 			}
-			if !reflect.DeepEqual(p.IR(), u.IR()) {
+			if !reflect.DeepEqual(p.IR(), u.IR()) || !reflect.DeepEqual(p.IR(), fresh) {
 				t.Errorf("%s: Materialize changed the IR", name)
 			}
 			if got := prog.EncodeIR(p.IR()); !bytes.Equal(got, want) || !bytes.Equal(got, prog.EncodeIR(u.IR())) {
 				t.Errorf("%s: Materialize changed the IR's encoding", name)
 			}
 		}
-		if par == 1 && total != 13 {
-			t.Errorf("Table 1 kernels lower to %d Intersect steps at the default schedule, want 13", total)
+		if total != 13 {
+			t.Errorf("Table 1 kernels at Par %d execute %d Intersect steps before fusion, want 13", par, total)
 		}
 	}
 
@@ -331,11 +342,12 @@ func compareFusion(t *testing.T, name, expr string, formats lang.Formats, sched 
 	return compareLowered(t, name, ir, bind.NewPlan(g), inputs)
 }
 
-// compareLowered runs a lowered program fused and unfused and demands that
-// every stream slot the fused step list still writes is identical, that the
-// fused-away slots stay empty, and that the outputs agree bit for bit. It
-// returns how many steps fusion removed and whether a co-iteration of the
-// fused run probed.
+// compareLowered runs a lowered program fused and unfused — both with its
+// lanes collapsed — and demands that every stream slot the fused step list
+// still writes is identical, that the fused-away slots stay empty, that the
+// slots the collapse dropped stay empty on both, and that the outputs agree
+// bit for bit. It returns how many steps fusion removed and whether a
+// co-iteration of the fused run probed.
 func compareLowered(t *testing.T, name string, ir *comp.IR, plan *bind.Plan, inputs map[string]*tensor.COO) (fusedSteps int, probed bool) {
 	t.Helper()
 	bound, err := plan.Operands(inputs)
@@ -358,24 +370,34 @@ func compareLowered(t *testing.T, name string, ir *comp.IR, plan *bind.Plan, inp
 	if err := tensor.IdenticalBits(wantOut, gotOut); err != nil {
 		t.Errorf("%s: fused output differs from unfused: %v", name, err)
 	}
+	run, err := comp.Collapse(ir)
+	if err != nil {
+		t.Fatalf("%s: collapse: %v", name, err)
+	}
 	steps, _ := comp.ExecSteps(ir)
-	survives := make([]bool, ir.NSlot)
-	for i := range steps {
-		for _, s := range steps[i].Outs {
-			if s >= 0 {
-				survives[s] = true
+	written := func(steps []comp.StepIR) []bool {
+		w := make([]bool, ir.NSlot)
+		for i := range steps {
+			for _, s := range steps[i].Outs {
+				if s >= 0 {
+					w[s] = true
+				}
 			}
 		}
+		return w
 	}
+	survives, unfused := written(steps), written(run.Steps)
 	for s := range survives {
 		switch {
 		case survives[s] && !slices.Equal(got[s], want[s]):
 			t.Errorf("%s: slot %d differs\n  fused   %v\n  unfused %v", name, s, got[s], want[s])
-		case !survives[s] && (len(got[s]) != 0 || len(want[s]) == 0):
+		case !survives[s] && unfused[s] && (len(got[s]) != 0 || len(want[s]) == 0):
 			t.Errorf("%s: fused-away slot %d holds %d tokens fused, %d unfused; want 0 and some", name, s, len(got[s]), len(want[s]))
+		case !unfused[s] && (len(got[s]) != 0 || len(want[s]) != 0):
+			t.Errorf("%s: collapsed-away slot %d holds %d tokens fused, %d unfused; want 0 on both", name, s, len(got[s]), len(want[s]))
 		}
 	}
-	return len(ir.Steps) - len(steps), probed
+	return len(run.Steps) - len(steps), probed
 }
 
 // TestFusionSlotIdentical is the fused-vs-unfused battery: the differential
@@ -482,9 +504,9 @@ func TestFusionSlotIdentical(t *testing.T) {
 
 // TestRunTracedStepSpans pins what a traced run shows of the machine: under
 // "run", one span per executed step in execution order, named by its block
-// label — the fused leaf level one line under its reducer's label, a lane's
-// steps under their "… [lane N]" labels, directly under "run" like the rest.
-// Children sit inside their parents.
+// label — the fused leaf level one line under its reducer's label, and at
+// Par > 1 lane 0's steps under their "… [lane 0]" labels, the other lanes
+// collapsed away. Children sit inside their parents.
 func TestRunTracedStepSpans(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		g, ir := lowerCase(t, "x(i) = B(i,j) * c(j)", nil, lang.Schedule{Par: par})
@@ -528,10 +550,13 @@ func TestRunTracedStepSpans(t *testing.T) {
 			}
 			if strings.Contains(sp.Name, "[lane ") {
 				lanes++
+				if !strings.HasSuffix(sp.Name, " [lane 0]") {
+					t.Errorf("par%d: span %q runs a lane past lane 0", par, sp.Name)
+				}
 			}
 		}
 		if (lanes > 0) != (par > 1) {
-			t.Errorf("par%d: %d lane step spans", par, lanes)
+			t.Errorf("par%d: %d lane 0 step spans", par, lanes)
 		}
 	}
 }

@@ -339,7 +339,8 @@ func (si *StepIR) validate(nSlot int) error {
 }
 
 // Materialize turns an IR back into an executable Program: it validates the
-// IR, fuses the administrative edges away (fuse.go: scanner pairs into the
+// IR, collapses a Par graph's lanes into its Par 1 program (collapse.go),
+// fuses the administrative edges away (fuse.go: scanner pairs into the
 // intersects they feed, then each leaf level into one step), binds one
 // closure per remaining step through the opcode dispatch in stepFor, and
 // recomputes what is derived — the output permutation — from the IR
@@ -349,18 +350,23 @@ func Materialize(ir *IR) (*Program, error) {
 	if err := ir.Validate(); err != nil {
 		return nil, err
 	}
-	steps, leaf := fuse(ir)
-	return materialize(ir, steps, leaf)
+	run, err := collapse(ir)
+	if err != nil {
+		return nil, err
+	}
+	steps, leaf := fuse(run)
+	return materialize(ir, run, steps, leaf)
 }
 
-// materialize binds a validated IR's metadata and the step list to execute
-// (ir.Steps after fusion, leaf as fuse returns it) into a Program.
-func materialize(ir *IR, steps []StepIR, leaf []*leafExpr) (*Program, error) {
+// materialize binds a validated IR's metadata, the writer table of run (ir
+// collapsed) and the step list to execute (run.Steps after fusion, leaf as
+// fuse returns it) into a Program that reports ir as its IR.
+func materialize(ir, run *IR, steps []StepIR, leaf []*leafExpr) (*Program, error) {
 	p := &Program{ir: ir, nSlot: ir.NSlot, crdWr: map[int]writerRec{}}
-	for _, w := range ir.CrdWr {
+	for _, w := range run.CrdWr {
 		p.crdWr[w.Level] = writerRec{label: w.Label, slot: w.Slot}
 	}
-	p.valsWr = &writerRec{label: ir.ValsWr.Label, slot: ir.ValsWr.Slot}
+	p.valsWr = &writerRec{label: run.ValsWr.Label, slot: run.ValsWr.Slot}
 	p.steps = make([]stepInfo, len(steps))
 	for i := range steps {
 		si := &steps[i]
@@ -426,10 +432,6 @@ func stepFor(si *StepIR) (step, error) {
 		return stepReduce(si), nil
 	case graph.CrdDrop:
 		return stepDrop(si), nil
-	case graph.Parallelize:
-		return stepParallelize(si), nil
-	case graph.Serialize, graph.SerializePair:
-		return stepSerialize(si), nil
 	}
 	return nil, fmt.Errorf("comp: block kind %v not lowerable", si.Kind)
 }

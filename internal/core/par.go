@@ -99,10 +99,10 @@ func (b *Parallelizer) Tick() bool {
 // output level: each moves in lockstep with its coordinate stream, which
 // alone keys the rotation. A lane that received no elements still emits one
 // explicit zero from its scalar reducer (a structurally empty reduction
-// group) with no coordinate attached; such an orphan — a value arriving
-// while the coordinate lane holds a stop or done — passes through on the
-// value output only, one per cycle, and the coordinate dropper downstream
-// discards it exactly as in the sequential pipeline.
+// group) with no coordinate attached; the join discards such an orphan — a
+// value arriving while the coordinate lane holds a stop or done — one per
+// cycle, so the joined streams are the sequential pipeline's and nothing
+// downstream has to filter them.
 type Serializer struct {
 	basic
 	level  int
@@ -168,9 +168,10 @@ func (b *Serializer) forward(l int, t token.Tok) bool {
 	return true
 }
 
-// orphanAt forwards a zero value of lane l whose coordinate stream holds a
-// stop or done: +1 means one orphan was forwarded, 0 means none pending, -1
-// means the value head is not visible yet.
+// orphanAt discards a zero value of lane l whose coordinate stream holds a
+// stop or done: +1 means one orphan was discarded, 0 means none pending, -1
+// means the value head is not visible yet. A nonzero orphan is an error: it
+// is a partial sum no coordinate owns.
 func (b *Serializer) orphanAt(l int) (int, error) {
 	hv, ok := b.vals[l].Peek()
 	if !ok {
@@ -183,7 +184,6 @@ func (b *Serializer) orphanAt(l int) (int, error) {
 		return 0, fmt.Errorf("nonzero orphan value %v in lane %d", hv, l)
 	}
 	b.vals[l].Pop()
-	b.outVal.Push(hv)
 	return 1, nil
 }
 

@@ -144,7 +144,7 @@ func TestSerializerRejectsWrongDrivers(t *testing.T) {
 }
 
 // TestPairSerializerDiscardsLaneArtifacts checks a join with a value stream
-// riding along forwards the orphan zero an empty lane's scalar reducer
+// riding along discards the orphan zero an empty lane's scalar reducer
 // emits, keeping the coordinate rotation intact.
 func TestPairSerializerDiscardsLaneArtifacts(t *testing.T) {
 	// Lanes 0 and 1 carry one real (coordinate, value) element each; lane 2
@@ -154,9 +154,9 @@ func TestPairSerializerDiscardsLaneArtifacts(t *testing.T) {
 		[]string{"3 S0 D", "8 S0 D", "S0 D"},
 		[]string{"1.5 S0 D", "2.5 S0 D", "0.0 S0 D"}, nil)
 	checkStream(t, "crd", crd, "3 8 S0 D")
-	// The orphan zero passes through on the value stream (a downstream
-	// dropper removes it, as in the sequential pipeline).
-	checkStream(t, "val", val, "1.5 2.5 0.0 S0 D")
+	// The orphan zero stops at the join: the joined streams are the ones
+	// the sequential pipeline writes.
+	checkStream(t, "val", val, "1.5 2.5 S0 D")
 }
 
 // TestPairSerializerFiberMode joins two-lane (crd, val) pairs at fiber

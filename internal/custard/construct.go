@@ -36,11 +36,8 @@ func (c *compiler) construct(val portRef, valVars []string) error {
 	// intersection inside it can leave ineffectual coordinates, and also
 	// when a scalar reducer sits downstream of any intersection: empty
 	// intersections at outer levels reach the reducer as structurally empty
-	// groups whose explicit zeros must be filtered before writing. A
-	// parallel join forces the dropper whenever a scalar reducer exists,
-	// because lanes that received no elements emit orphan zeros the joined
-	// value stream carries through to this point.
-	if m > 0 && (c.forceValDrop || c.intersectInside(outLoop[m-1]) || (c.hasScalarRed && c.anyIntersect())) {
+	// groups whose explicit zeros must be filtered before writing.
+	if m > 0 && (c.intersectInside(outLoop[m-1]) || (c.hasScalarRed && c.anyIntersect())) {
 		v := outLoop[m-1]
 		d := c.addNode(&graph.Node{Kind: graph.CrdDrop, Label: "CrdDrop " + v + " vals", DropVal: true})
 		c.connect(c.varCrd[v], d, "outer")

@@ -121,12 +121,9 @@ type compiler struct {
 
 	// Parallelization state (Schedule.Par, paper Section 4.4). par is the
 	// lane count (0 or 1 compiles sequentially); laneTag suffixes node
-	// labels of per-lane sub-compilers; forceValDrop makes construct always
-	// pair the innermost coordinate stream with the value stream through a
-	// value-mode dropper, which absorbs the orphan zeros empty lanes emit.
-	par          int
-	laneTag      string
-	forceValDrop bool
+	// labels of per-lane sub-compilers.
+	par     int
+	laneTag string
 }
 
 func (c *compiler) run() error {

@@ -18,13 +18,13 @@ import (
 // serializers into the sequential order: the stream of the variable at
 // depth d switches lanes at stop level d-1 (element granularity for v0
 // itself), driven by the lanes' forks of v0's coordinates, and the innermost
-// coordinate stream joins paired with the value stream so orphan zeros from
-// empty lanes cannot desynchronize the rotation.
+// coordinate stream joins paired with the value stream, so the join can
+// discard the orphan zeros an empty lane's scalar reducer emits: the joined
+// streams are the ones Par = 1 writes.
 //
 // When v0 is reduced, the lanes stop just below v0's reducer: they join the
 // streams the reducer consumes, and the one reducer for v0 runs after the
-// join on the stream Par = 1 hands it (an empty lane's orphan zeros aside),
-// so it sums in the same order.
+// join on the stream Par = 1 hands it, so it sums in the same order.
 // (v0's reduction must then cover the entire expression: a reducer over a
 // sub-expression would sit below operators the lanes have already applied.)
 //
@@ -149,13 +149,8 @@ func (c *compiler) runPar() error {
 	c.varCrd[inner] = portRef{ps, "crd"}
 	val := portRef{ps, "val"}
 	if red == nil {
-		// Orphan zeros from empty lanes ride the joined value stream to
-		// construction, where a value-mode dropper absorbs them.
-		c.forceValDrop = c.hasScalarRed
 		return c.construct(val, valVars)
 	}
-	// v0's reducer absorbs the orphans: the n >= 1 reducer discards them, and
-	// the scalar reducer's sum, which starts at +0, does not change by +0.
 	val, valVars, err = c.lowerRed(red, val, valVars)
 	if err != nil {
 		return err

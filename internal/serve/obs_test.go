@@ -177,8 +177,8 @@ func TestTraceColdCache(t *testing.T) {
 	if topSum > er.ElapsedNS {
 		t.Errorf("top-level span sum %dns exceeds total elapsed %dns", topSum, er.ElapsedNS)
 	}
-	// A lane-parallel comp run (par=2) lists its lanes' steps directly
-	// under run.
+	// A lane-parallel comp run (par=2) lists lane 0's steps directly under
+	// run: comp collapses the other lanes.
 	laneSeen := false
 	for _, sp := range er.Trace {
 		if !strings.Contains(sp.Name, "[lane ") {
@@ -187,6 +187,9 @@ func TestTraceColdCache(t *testing.T) {
 		laneSeen = true
 		if sp.Parent < 0 || er.Trace[sp.Parent].Name != "run" {
 			t.Errorf("lane step %q is not a child of run (spans: %v)", sp.Name, names(er.Trace))
+		}
+		if !strings.HasSuffix(sp.Name, " [lane 0]") {
+			t.Errorf("lane step %q runs a lane past lane 0 (spans: %v)", sp.Name, names(er.Trace))
 		}
 	}
 	if !laneSeen {

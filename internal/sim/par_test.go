@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sam/internal/custard"
@@ -273,6 +274,8 @@ func TestFuzzParLaneEquivalence(t *testing.T) {
 // outermost variable among them) under every lane count, on unquantized
 // floating-point operands: the lanes join before any reducer that spans
 // them, so every engine must sum in Par=1's order and match it bit for bit.
+// Every third trial draws its values from ±1 and ±2 instead, so sums cancel
+// to exact zeros, which Par=1 stores and every lane count must store too.
 func TestFuzzParRandomLoopOrders(t *testing.T) {
 	r := rand.New(rand.NewSource(31337))
 	dims := map[string]int{"i": 9, "j": 8, "k": 7, "l": 6}
@@ -285,7 +288,7 @@ func TestFuzzParRandomLoopOrders(t *testing.T) {
 		"x = B(i,j) * C(i,j)",
 		"X(i,j) = B(i,k,l) * C(j,k) * D(j,l)",
 	}
-	executed := 0
+	executed, zeros := 0, 0
 	for trial := 0; trial < 90; trial++ {
 		expr := exprs[r.Intn(len(exprs))]
 		e := lang.MustParse(expr)
@@ -308,6 +311,14 @@ func TestFuzzParRandomLoopOrders(t *testing.T) {
 			}
 			inputs[a.Tensor] = tensor.UniformRandom(a.Tensor, r, r.Intn(total/2)+1, ds...)
 		}
+		if trial%3 == 0 {
+			cancel := rand.New(rand.NewSource(int64(trial)))
+			for _, in := range inputs {
+				for i := range in.Pts {
+					in.Pts[i].Val = []float64{-2, -1, 1, 2}[cancel.Intn(4)]
+				}
+			}
+		}
 		g1, err := custard.Compile(e, nil, lang.Schedule{LoopOrder: order})
 		if err != nil {
 			t.Fatalf("trial %d %q order %v: %v", trial, expr, order, err)
@@ -320,6 +331,9 @@ func TestFuzzParRandomLoopOrders(t *testing.T) {
 		gp, err := custard.Compile(e, nil, lang.Schedule{LoopOrder: order, Par: p})
 		if err != nil {
 			continue // partial-expression outermost reduction: Par refuses
+		}
+		if slices.ContainsFunc(base.Output.Pts, func(pt tensor.Point) bool { return pt.Val == 0 }) {
+			zeros++
 		}
 		for _, eng := range Engines() {
 			res, err := Run(gp, inputs, Options{Engine: eng})
@@ -335,5 +349,8 @@ func TestFuzzParRandomLoopOrders(t *testing.T) {
 	if executed < 45 {
 		t.Fatalf("only %d/90 loop-order trials executed under Par", executed)
 	}
-	t.Logf("executed %d/90 loop-order trials under Par", executed)
+	if zeros == 0 {
+		t.Fatal("no trial run under Par stored an explicit zero; the cancelling draws pin nothing")
+	}
+	t.Logf("executed %d/90 loop-order trials under Par, %d storing an explicit zero", executed, zeros)
 }
