@@ -155,6 +155,20 @@ func TestDecodeErrors(t *testing.T) {
 			ir.Steps[len(ir.Steps)-1].Kind = graph.Kind(18)
 			return prog.EncodeIR(ir)
 		}(), "kind(18)"},
+		// comp runs a Par graph as its Par 1 program, lane 0 over the whole
+		// stream: a fork at a level custard never emits, and a writer fed by
+		// a lane past lane 0, have no such program and fail by name.
+		{"deep-fork", func() []byte {
+			ir := lowerPar(t, "x(i) = B(i,j) * c(j)")
+			fork := stepLabeled(t, ir, "Parallelizer crd i")
+			fork.Level = 0
+			return prog.EncodeIR(ir)
+		}(), "Parallelizer crd i"},
+		{"lane-1-writer", func() []byte {
+			ir := lowerPar(t, "x(i) = B(i,j) * c(j)")
+			ir.CrdWr[0].Slot = stepLabeled(t, ir, "Parallelizer crd i").Outs[1]
+			return prog.EncodeIR(ir)
+		}(), `writer "LevelWriter x.i"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,6 +181,28 @@ func TestDecodeErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lowerPar lowers a statement at Par 2.
+func lowerPar(t *testing.T, expr string) *comp.IR {
+	t.Helper()
+	ir, err := comp.Lower(compile(t, expr, lang.Schedule{Par: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ir
+}
+
+// stepLabeled returns the IR step with the given label.
+func stepLabeled(t *testing.T, ir *comp.IR, label string) *comp.StepIR {
+	t.Helper()
+	for i := range ir.Steps {
+		if ir.Steps[i].Label == label {
+			return &ir.Steps[i]
+		}
+	}
+	t.Fatalf("no step labeled %q", label)
+	return nil
 }
 
 // TestDecodeHostileMetadata re-encodes a valid IR with corrupted graph

@@ -287,6 +287,7 @@ func TestFuzzParRandomLoopOrders(t *testing.T) {
 		"X(i,j) = B(i,j) + C(i,j)",
 		"x = B(i,j) * C(i,j)",
 		"X(i,j) = B(i,k,l) * C(j,k) * D(j,l)",
+		"x(i) = B(i,j) + C(i,j)",
 	}
 	executed, zeros := 0, 0
 	for trial := 0; trial < 90; trial++ {
