@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -11,7 +12,12 @@ import (
 // ReadMatrixMarket parses a sparse matrix in Matrix Market coordinate format
 // (the SuiteSparse distribution format used throughout the paper's
 // evaluation). Supported qualifiers: real/integer/pattern and
-// general/symmetric.
+// general/symmetric. The file must keep its own promises: sizes and the
+// entry count are non-negative, sizes fit the 32-bit coordinates a fiber
+// level stores, a symmetric matrix is square, every 1-based index lies
+// inside the declared shape, and the
+// number of entry lines equals the declared count (for a symmetric file,
+// the stored triangle's). Every error quotes the line it is about.
 func ReadMatrixMarket(name string, r io.Reader) (*COO, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -34,7 +40,8 @@ func ReadMatrixMarket(name string, r io.Reader) (*COO, error) {
 		return nil, fmt.Errorf("tensor: unsupported matrix market symmetry %q", sym)
 	}
 	var c *COO
-	declared := 0
+	var sizeLine string
+	var rows, cols, declared, read int64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
@@ -45,14 +52,22 @@ func ReadMatrixMarket(name string, r io.Reader) (*COO, error) {
 			if len(f) != 3 {
 				return nil, fmt.Errorf("tensor: bad size line %q", line)
 			}
-			rows, err1 := strconv.Atoi(f[0])
-			cols, err2 := strconv.Atoi(f[1])
-			nnz, err3 := strconv.Atoi(f[2])
-			if err1 != nil || err2 != nil || err3 != nil {
+			var err [3]error
+			rows, err[0] = strconv.ParseInt(f[0], 10, 64)
+			cols, err[1] = strconv.ParseInt(f[1], 10, 64)
+			declared, err[2] = strconv.ParseInt(f[2], 10, 64)
+			switch {
+			case err[0] != nil || err[1] != nil || err[2] != nil:
 				return nil, fmt.Errorf("tensor: bad size line %q", line)
+			case rows < 0 || cols < 0 || declared < 0:
+				return nil, fmt.Errorf("tensor: negative size in size line %q", line)
+			case rows > math.MaxInt32 || cols > math.MaxInt32:
+				return nil, fmt.Errorf("tensor: size line %q exceeds the 32-bit coordinates a fiber level stores", line)
+			case sym == "symmetric" && rows != cols:
+				return nil, fmt.Errorf("tensor: symmetric matrix with non-square size line %q", line)
 			}
-			declared = nnz
-			c = NewCOO(name, rows, cols)
+			sizeLine = line
+			c = NewCOO(name, int(rows), int(cols))
 			continue
 		}
 		if len(f) < 2 {
@@ -62,6 +77,12 @@ func ReadMatrixMarket(name string, r io.Reader) (*COO, error) {
 		j, err2 := strconv.ParseInt(f[1], 10, 64)
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("tensor: bad entry line %q", line)
+		}
+		if i < 1 || i > rows || j < 1 || j > cols {
+			return nil, fmt.Errorf("tensor: entry line %q lies outside the declared %dx%d shape", line, rows, cols)
+		}
+		if read++; read > declared {
+			return nil, fmt.Errorf("tensor: entry line %q is past the %d entries size line %q declares", line, declared, sizeLine)
 		}
 		v := 1.0
 		if field != "pattern" {
@@ -85,8 +106,8 @@ func ReadMatrixMarket(name string, r io.Reader) (*COO, error) {
 	if c == nil {
 		return nil, fmt.Errorf("tensor: matrix market input has no size line")
 	}
-	if sym == "general" && len(c.Pts) != declared {
-		return nil, fmt.Errorf("tensor: declared %d entries, read %d", declared, len(c.Pts))
+	if read != declared {
+		return nil, fmt.Errorf("tensor: size line %q declares %d entries, read %d", sizeLine, declared, read)
 	}
 	c.Sort()
 	return c, nil

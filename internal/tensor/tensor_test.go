@@ -126,16 +126,55 @@ func TestMatrixMarketSymmetricAndPattern(t *testing.T) {
 	}
 }
 
+// TestMatrixMarketErrors holds the reader to the file's own promises: a
+// file that breaks one fails at the reader, quoting the line, not later
+// inside a fibertree build or an engine.
 func TestMatrixMarketErrors(t *testing.T) {
-	for _, bad := range []string{
-		"not a header\n1 1 1\n",
-		"%%MatrixMarket matrix array real general\n1 1\n1.0\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
+	const general, symmetric = "%%MatrixMarket matrix coordinate real general\n", "%%MatrixMarket matrix coordinate real symmetric\n"
+	for _, tc := range []struct{ src, want string }{
+		{"not a header\n1 1 1\n", "header"},
+		{"%%MatrixMarket matrix array real general\n1 1\n1.0\n", "header"},
+		{general + "2 2 2\n1 1 1.0\n", `size line "2 2 2" declares 2 entries, read 1`},
+		{general + "-3 2 0\n", `"-3 2 0"`},
+		{general + "3 -2 0\n", `"3 -2 0"`},
+		{general + "3 2 -1\n", `"3 2 -1"`},
+		{general + "3000000000 2 0\n", `"3000000000 2 0"`},
+		{general + "2 2 1\n0 5 1.0\n", `"0 5 1.0"`},
+		{general + "2 2 1\n3 1 1.0\n", `"3 1 1.0"`},
+		{general + "2 2 1\n1 3 1.0\n", `"1 3 1.0"`},
+		{general + "2 2 1\n1 1 1.0\n2 2 1.0\n", `"2 2 1.0"`},
+		{symmetric + "3 3 2\n2 1 1.0\n", `size line "3 3 2" declares 2 entries, read 1`},
+		{symmetric + "3 3 1\n2 1 1.0\n3 3 1.0\n", `"3 3 1.0"`},
+		{symmetric + "2 1 1\n2 1 1.0\n", `non-square size line "2 1 1"`},
 	} {
-		if _, err := ReadMatrixMarket("X", strings.NewReader(bad)); err == nil {
-			t.Errorf("accepted malformed input %q", bad)
+		_, err := ReadMatrixMarket("X", strings.NewReader(tc.src))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("input %q: err = %v, want one quoting %s", tc.src, err, tc.want)
 		}
 	}
+}
+
+// FuzzReadMatrixMarket feeds the reader arbitrary bytes: it never panics,
+// and any matrix it accepts has non-negative dimensions and builds as a
+// fibertree.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Add("%%MatrixMarket matrix coordinate real general\n3 4 2\n3 4 -2.5\n1 1 1e3\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 3\n")
+	f.Add("%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 4\n1 1 -4\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n-3 2 0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 5 1.0\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := ReadMatrixMarket("F", strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if len(m.Dims) != 2 || m.Dims[0] < 0 || m.Dims[1] < 0 {
+			t.Fatalf("accepted dims %v", m.Dims)
+		}
+		if _, err := m.Build(fiber.Compressed, fiber.Compressed); err != nil {
+			t.Fatalf("accepted a matrix that does not build: %v", err)
+		}
+	})
 }
 
 func TestUniformRandomExactNNZ(t *testing.T) {
