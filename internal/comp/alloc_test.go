@@ -267,6 +267,42 @@ func BenchmarkWarmRun(b *testing.B) {
 	}
 }
 
+// TestParRunsPar1Tokens holds a warm Par 2 and Par 4 run of each Table 1
+// kernel to Par 1's cost in tokens: comp runs lane 0 over the whole stream,
+// so the streams it materializes, counted token by token, are Par 1's, and
+// so is the output, bit for bit.
+func TestParRunsPar1Tokens(t *testing.T) {
+	run := func(expr string, par int) (int, *tensor.COO) {
+		cp, bound, dims := compileCase(t, expr, lang.Schedule{Par: par}, 11)
+		rc := new(comp.RunCtx)
+		var out *tensor.COO
+		for i := 0; i < 2; i++ {
+			o, err := cp.RunPooled(rc, bound, dims)
+			if err != nil {
+				t.Fatalf("%s par%d: %v", expr, par, err)
+			}
+			out = cloneForTest(o)
+		}
+		n := 0
+		for _, s := range rc.Streams() {
+			n += len(s)
+		}
+		return n, out
+	}
+	for _, k := range table1Kernels {
+		want, wantOut := run(k.expr, 1)
+		for _, par := range []int{2, 4} {
+			got, out := run(k.expr, par)
+			if got != want {
+				t.Errorf("%s par%d: %d tokens materialized, Par 1 %d", k.name, par, got, want)
+			}
+			if err := tensor.IdenticalBits(wantOut, out); err != nil {
+				t.Errorf("%s par%d: output differs from Par 1: %v", k.name, par, err)
+			}
+		}
+	}
+}
+
 // TestRunPooledReuseIsolation is the pool-reuse correctness test: outputs
 // cloned from earlier runs stay intact after the context is reused, and a
 // context that just ran one operand set produces the same bits for another
