@@ -16,9 +16,13 @@
 // Each closure is a merged loop over its operands' full streams: level
 // scanners become cursor walks over fiber.Tensor storage, intersections and
 // unions become two-pointer merges, and ALUs, reducers, droppers and writers
-// run as tight loops fused over whole fibers at a time. Before binding,
-// Materialize fuses away the edges that only hand one loop's tokens to the
-// next (fuse.go): every two-way intersect fed by two scanners nothing else
+// run as tight loops fused over whole fibers at a time. A Par graph's lanes
+// (paper Section 4.4) model parallel hardware, and a join's output is what
+// lane 0 computes over the whole stream, so Materialize first collapses the
+// fork, the lanes past lane 0 and the joins (collapse.go): comp runs a Par
+// graph as its Par 1 program, lane 0's steps under their own labels. Before
+// binding, Materialize then fuses away the edges that only hand one loop's
+// tokens to the next (fuse.go): every two-way intersect fed by two scanners nothing else
 // reads becomes one co-iteration over the two storage levels — the kernel
 // GallopIntersect blocks already run — and every leaf level whose matches
 // feed array loads, an ALU tree and a scalar reducer becomes one loop that

@@ -16,8 +16,9 @@ import (
 // engine: reusable run contexts with arena-backed scratch memory, one
 // bounded process-wide free list of contexts that any program retargets so
 // warm runs allocate nothing. Every program runs its steps in order on the
-// calling goroutine: a Par graph's lanes are steps like any other, and a
-// server fills its CPUs by running requests side by side, one context each.
+// calling goroutine — a Par graph as its Par 1 program, its lanes collapsed
+// by Materialize — and a server fills its CPUs by running requests side by
+// side, one context each.
 
 // arena is per-run scratch memory checked out by lowered closures. All
 // checkout paths reuse slab capacity from earlier runs on the same context;
@@ -210,8 +211,9 @@ func (p *Program) Run(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, 
 // RunTraced is Run with phase tracing: the execution records "run" and
 // "assemble" spans into tr. Under "run" every executed step records a child
 // span named by its block label — a fused leaf level under its reducer's, a
-// lane's steps under their "… [lane N]" labels. A nil tr records nothing and
-// makes RunTraced exactly Run — the hooks cost a nil check and nothing else.
+// Par graph's steps, lane 0's, under their "… [lane 0]" labels. A nil tr
+// records nothing and makes RunTraced exactly Run — the hooks cost a nil
+// check and nothing else.
 func (p *Program) RunTraced(bound map[string]*fiber.Tensor, dims []int, tr *obs.Trace) (*tensor.COO, error) {
 	rc := getCtx()
 	out, err := p.runCtx(rc, bound, dims, tr)
