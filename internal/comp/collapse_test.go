@@ -123,7 +123,8 @@ func flowDiff(intern map[string]int, a, b dataflow) string {
 // before fusion and after it — are Par 1's as a dataflow: the same kinds,
 // parameters and wiring, discarded outputs included, with labels dropped and
 // slots renamed. They are compared as graphs, not as sequences: the
-// collapsed steps may run in another topological order than Par 1's.
+// collapsed steps may run in another topological order than Par 1's. A
+// Par 1 IR passes through as it is, with nothing allocated.
 func TestCollapseIsPar1(t *testing.T) {
 	exprs := []string{
 		"X(i,j,k) = B(i,j,l) * C(k,l)",
@@ -157,6 +158,12 @@ func TestCollapseIsPar1(t *testing.T) {
 				continue // an order custard refuses has nothing to run
 			}
 			_, ir1 := lowerCase(t, expr, nil, sched)
+			if run, err := comp.Collapse(ir1); run != ir1 || err != nil {
+				t.Fatalf("%s order %v: Collapse rewrote an IR without a fork (err %v)", expr, order, err)
+			}
+			if n := testing.AllocsPerRun(5, func() { comp.Collapse(ir1) }); n != 0 {
+				t.Fatalf("%s order %v: Collapse allocated %.0f objects on an IR without a fork", expr, order, n)
+			}
 			low1, exec1 := flows(ir1)
 			for _, par := range []int{2, 3, 4, 8} {
 				s := sched

@@ -101,8 +101,7 @@ func (b *Parallelizer) Tick() bool {
 // explicit zero from its scalar reducer (a structurally empty reduction
 // group) with no coordinate attached; the join discards such an orphan — a
 // value arriving while the coordinate lane holds a stop or done — one per
-// cycle, so the joined streams are the sequential pipeline's and nothing
-// downstream has to filter them.
+// cycle, so nothing downstream has to filter them.
 type Serializer struct {
 	basic
 	level  int

@@ -19,8 +19,8 @@ import (
 // depth d switches lanes at stop level d-1 (element granularity for v0
 // itself), driven by the lanes' forks of v0's coordinates, and the innermost
 // coordinate stream joins paired with the value stream, so the join can
-// discard the orphan zeros an empty lane's scalar reducer emits: the joined
-// streams are the ones Par = 1 writes.
+// discard the orphan zeros an empty lane's scalar reducer emits and no
+// dropper is placed for the lanes' sake.
 //
 // When v0 is reduced, the lanes stop just below v0's reducer: they join the
 // streams the reducer consumes, and the one reducer for v0 runs after the
