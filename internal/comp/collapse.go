@@ -24,9 +24,10 @@ import (
 //     a port nothing is wired to.
 //
 // Custard forks only at element granularity, so a Parallelize at Level >= 0
-// fails, and so does a dead slot that reaches a writer: both name what they
-// found. The IR is not written to — a program's IR and its encoding do not
-// know the collapse exists — and an IR without a Parallelize step is
+// fails; so does a join with a live input past lane 0, whose output would
+// not be lane 0's alone, and a dead slot that reaches a writer: each names
+// what it found. The IR is not written to — a program's IR and its encoding
+// do not know the collapse exists — and an IR without a Parallelize step is
 // returned as it is, with nothing allocated.
 func collapse(ir *IR) (*IR, error) {
 	if !slices.ContainsFunc(ir.Steps, func(si StepIR) bool { return si.Kind == graph.Parallelize }) {
@@ -67,12 +68,16 @@ func collapse(ir *IR) (*IR, error) {
 			setAlias(si.Outs[0], si.Ins[0])
 			kill(si.Outs[1:])
 			continue
-		case graph.Serialize:
-			setAlias(si.Outs[0], si.Ins[0])
-			continue
-		case graph.SerializePair:
-			setAlias(si.Outs[0], si.Ins[0])
-			setAlias(si.Outs[1], si.Ins[si.Ways])
+		case graph.Serialize, graph.SerializePair:
+			// Each output joins Ways inputs, one per lane; drivers follow.
+			for k, s := range si.Ins[:len(si.Outs)*si.Ways] {
+				if k%si.Ways != 0 && alias[s] != dead {
+					return nil, fmt.Errorf("comp: step %d (%s): input %d is live, but only lane 0 of a fork reaches a join live", i, si.Label, k)
+				}
+			}
+			for k, out := range si.Outs {
+				setAlias(out, si.Ins[k*si.Ways])
+			}
 			continue
 		}
 		if slices.ContainsFunc(si.Ins, func(s int) bool { return alias[s] == dead }) {

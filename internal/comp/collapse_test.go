@@ -60,7 +60,7 @@ func flowOf(intern map[string]int, run *comp.IR, steps []comp.StepIR, fused []bo
 		}
 		si := &steps[i]
 		var b strings.Builder
-		fmt.Fprintf(&b, "%v %s/%d %s/%d ways=%d op=%v n=%d drop=%v leaf=%v outs=", si.Kind, si.Tensor, si.Level, si.TensorB, si.LevelB, si.Ways, si.Op, si.RedN, si.DropVal, fused[i])
+		fmt.Fprintf(&b, "%v %s/%d %s/%d ways=%d op=%v n=%d drop=%v leaf=%v outs=", si.Kind, si.Tensor, si.Level, si.TensorB, si.LevelB, si.Ways, si.Op, si.RedN, si.Drop, fused[i])
 		for _, s := range si.Outs {
 			if s < 0 {
 				b.WriteString("-1,")

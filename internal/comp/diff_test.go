@@ -153,7 +153,7 @@ func TestCompDifferentialKernels(t *testing.T) {
 // TestCompDifferentialEmptyResults drives all-empty shapes: disjoint operand
 // supports make every intersection empty, so whole output fibers vanish at
 // every level — the shapes where writer/normalization behavior diverges
-// first.
+// first — and unintersected reductions over empty fibers.
 func TestCompDifferentialEmptyResults(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -180,6 +180,27 @@ func TestCompDifferentialEmptyResults(t *testing.T) {
 			inputs[a.Tensor] = tt
 		}
 		runDifferential(t, tc.name+"-empty", tc.expr, nil, lang.Schedule{LoopOrder: tc.order}, []int{1, 4, 8}, inputs)
+	}
+	// Scalar reductions with nothing intersected: an operand with no
+	// entries, or an empty row under a dense level, leaves an innermost
+	// output fiber empty, which the reducer sums to a zero no coordinate
+	// owns.
+	empty := func(name string, dims ...int) *tensor.COO { return tensor.NewCOO(name, dims...) }
+	emptyRow := empty("B", 3, 3, 3)
+	emptyRow.Append(1, 1, 0, 0)
+	emptyRow.Append(2, 2, 2, 1)
+	dcc := lang.Formats{"B": {Levels: []fiber.Format{fiber.Dense, fiber.Compressed, fiber.Compressed}}}
+	for _, tc := range []struct {
+		name, expr string
+		formats    lang.Formats
+		inputs     map[string]*tensor.COO
+	}{
+		{"row-sums", "x(i) = B(i,j)", nil, map[string]*tensor.COO{"B": empty("B", 3, 3)}},
+		{"sum-of-sums", "x(i) = B(i,j) + C(i,j)", nil, map[string]*tensor.COO{"B": empty("B", 3, 3), "C": empty("C", 3, 3)}},
+		{"fiber-sums", "X(i,j) = B(i,j,k)", nil, map[string]*tensor.COO{"B": empty("B", 3, 3, 3)}},
+		{"fiber-sums-dense-empty-row", "X(i,j) = B(i,j,k)", dcc, map[string]*tensor.COO{"B": emptyRow}},
+	} {
+		runDifferential(t, tc.name+"-empty", tc.expr, tc.formats, lang.Schedule{}, []int{1, 2, 4}, tc.inputs)
 	}
 }
 

@@ -11,6 +11,9 @@ import (
 	"sam/internal/token"
 )
 
+// dropModes names drop_rules.txt's mode column.
+var dropModes = map[string]graph.DropMode{"crd": graph.DropCrd, "val": graph.DropVal, "orphan": graph.DropOrphan}
+
 // TestCrdDropEdgeCases runs every row of the dropper's conformance table,
 // internal/core/testdata/drop_rules.txt, through stepDrop: the outputs and
 // failure texts must be core.Dropper's (core's TestCrdDropEdgeCases runs the
@@ -28,11 +31,11 @@ func TestCrdDropEdgeCases(t *testing.T) {
 		for i := range f {
 			f[i] = strings.TrimSpace(f[i])
 		}
-		if len(f) != 6 && (len(f) != 5 || !strings.HasPrefix(f[4], "fails: ")) {
+		if _, ok := dropModes[f[1]]; !ok || len(f) != 6 && (len(f) != 5 || !strings.HasPrefix(f[4], "fails: ")) {
 			t.Fatalf("drop_rules.txt: malformed row %q", line)
 		}
 		t.Run(f[0], func(t *testing.T) {
-			si := comp.StepIR{Kind: graph.CrdDrop, Label: "drop", DropVal: f[1] == "val"}
+			si := comp.StepIR{Kind: graph.CrdDrop, Label: "drop", Drop: dropModes[f[1]]}
 			outs, err := comp.RunStep(si, token.MustParse(f[2]), token.MustParse(f[3]))
 			if len(f) == 5 {
 				want := "comp: drop: " + strings.TrimPrefix(f[4], "fails: ")

@@ -12,14 +12,9 @@ import (
 // Materialize minus the fusion passes (lanes still collapse).
 
 func MaterializeUnfused(ir *IR) (*Program, error) {
-	if err := ir.Validate(); err != nil {
-		return nil, err
-	}
-	run, err := collapse(ir)
-	if err != nil {
-		return nil, err
-	}
-	return materialize(ir, run, run.Steps, make([]*leafExpr, len(run.Steps)))
+	return materialize(ir, func(run *IR) ([]StepIR, []*leafExpr) {
+		return run.Steps, make([]*leafExpr, len(run.Steps))
+	})
 }
 
 // Collapse returns the IR Materialize runs: ir with a Par graph's lanes

@@ -38,7 +38,7 @@ type StepIR struct {
 	Ways    int
 	Op      lang.Op
 	RedN    int
-	DropVal bool
+	Drop    graph.DropMode
 }
 
 // node reconstructs a parameter-equivalent graph.Node, used to derive the
@@ -49,7 +49,7 @@ func (si *StepIR) node() *graph.Node {
 		Kind: si.Kind, Label: si.Label,
 		Tensor: si.Tensor, TensorB: si.TensorB,
 		Level: si.Level, LevelB: si.LevelB,
-		Ways: si.Ways, Op: si.Op, RedN: si.RedN, DropVal: si.DropVal,
+		Ways: si.Ways, Op: si.Op, RedN: si.RedN, Drop: si.Drop,
 	}
 }
 
@@ -178,7 +178,7 @@ func Lower(g *graph.Graph) (*IR, error) {
 			Kind: n.Kind, Label: n.Label,
 			Tensor: n.Tensor, TensorB: n.TensorB,
 			Level: n.Level, LevelB: n.LevelB,
-			Ways: n.Ways, Op: n.Op, RedN: n.RedN, DropVal: n.DropVal,
+			Ways: n.Ways, Op: n.Op, RedN: n.RedN, Drop: n.Drop,
 		}
 		for _, port := range graph.InPorts(n) {
 			s, err := inSlotOf(n, port)
@@ -317,6 +317,10 @@ func (si *StepIR) validate(nSlot int) error {
 		if si.Level < 0 || si.LevelB < 0 {
 			return fmt.Errorf("gallop levels %d/%d negative", si.Level, si.LevelB)
 		}
+	case graph.CrdDrop:
+		if si.Drop < graph.DropCrd || si.Drop > graph.DropOrphan {
+			return fmt.Errorf("dropper mode %d unknown", si.Drop)
+		}
 	}
 	n := si.node()
 	if want := len(graph.InPorts(n)); len(si.Ins) != want {
@@ -346,7 +350,12 @@ func (si *StepIR) validate(nSlot int) error {
 // recomputes what is derived — the output permutation — from the IR
 // records. Derived state is never serialized, so a corrupt artifact can only
 // fail validation here or a protocol check at run time.
-func Materialize(ir *IR) (*Program, error) {
+func Materialize(ir *IR) (*Program, error) { return materialize(ir, fuse) }
+
+// materialize validates ir, collapses it, takes the step list to execute
+// from plan (fuse, or no fusion for the tests' oracle) and binds it, with the
+// collapsed IR's writer table, into a Program that reports ir as its IR.
+func materialize(ir *IR, plan func(*IR) ([]StepIR, []*leafExpr)) (*Program, error) {
 	if err := ir.Validate(); err != nil {
 		return nil, err
 	}
@@ -354,15 +363,8 @@ func Materialize(ir *IR) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	steps, leaf := fuse(run)
-	return materialize(ir, run, steps, leaf)
-}
-
-// materialize binds a validated IR's metadata, the writer table of run (ir
-// collapsed) and the step list to execute (run.Steps after fusion, leaf as
-// fuse returns it) into a Program that reports ir as its IR.
-func materialize(ir, run *IR, steps []StepIR, leaf []*leafExpr) (*Program, error) {
-	p := &Program{ir: ir, nSlot: ir.NSlot, crdWr: map[int]writerRec{}}
+	steps, leaf := plan(run)
+	p := &Program{ir: ir, nSlot: run.NSlot, crdWr: map[int]writerRec{}}
 	for _, w := range run.CrdWr {
 		p.crdWr[w.Level] = writerRec{label: w.Label, slot: w.Slot}
 	}
@@ -384,12 +386,12 @@ func materialize(ir, run *IR, steps []StepIR, leaf []*leafExpr) (*Program, error
 
 	// Precompute the output permutation once; a missing variable surfaces
 	// at assembly time, after stream validation, like the other engines.
-	nOut := len(ir.OutputVars)
+	nOut := len(run.OutputVars)
 	p.perm = make([]int, nOut)
 	p.idPerm = true
-	for i, v := range ir.LHSVars {
+	for i, v := range run.LHSVars {
 		found := false
-		for j, u := range ir.OutputVars {
+		for j, u := range run.OutputVars {
 			if u == v {
 				p.perm[i] = j
 				found = true

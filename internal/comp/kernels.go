@@ -408,13 +408,13 @@ func stepALU(si *StepIR) step {
 	}
 }
 
-// stepDrop lowers the coordinate dropper in either mode (Definition 3.9).
+// stepDrop lowers the coordinate dropper in each mode (Definition 3.9).
 // It applies core.Dropper's rules in the same order, a whole stream per call
 // instead of one rule per cycle, and fails with the same texts.
 func stepDrop(si *StepIR) step {
 	inOuter, inInner := si.Ins[0], si.Ins[1]
 	outOuter, outInner := si.Outs[0], si.Outs[1]
-	name, val := si.Label, si.DropVal
+	name, mode, val := si.Label, si.Drop, si.Drop != graph.DropCrd
 	return func(x *exec) {
 		co, ci := x.cur(inOuter), x.cur(inInner)
 		held, paired, sent := -1, false, false
@@ -441,7 +441,7 @@ func stepDrop(si *StepIR) step {
 				switch o := co.peek(); {
 				case o.IsVal():
 					co.next()
-					if !val || t.IsVal() && t.V != 0 {
+					if mode != graph.DropVal || t.IsVal() && t.V != 0 {
 						x.push(outOuter, o)
 						x.push(outInner, t)
 						paired = !val

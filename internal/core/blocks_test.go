@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sam/internal/fiber"
+	"sam/internal/graph"
 	"sam/internal/token"
 )
 
@@ -357,7 +358,7 @@ func TestCrdDropEdgeCases(t *testing.T) {
 		for i := range f {
 			f[i] = strings.TrimSpace(f[i])
 		}
-		if len(f) != 6 && (len(f) != 5 || !strings.HasPrefix(f[4], "fails: ")) {
+		if _, ok := dropModes[f[1]]; !ok || len(f) != 6 && (len(f) != 5 || !strings.HasPrefix(f[4], "fails: ")) {
 			t.Fatalf("drop_rules.txt: malformed row %q", line)
 		}
 		t.Run(f[0], func(t *testing.T) {
@@ -366,7 +367,7 @@ func TestCrdDropEdgeCases(t *testing.T) {
 			outer.Preload(token.MustParse(f[2]))
 			inner.Preload(token.MustParse(f[3]))
 			oOut, oIn := n.NewQueue("out.outer"), n.NewQueue("out.inner")
-			n.Add(NewDropper("drop", f[1] == "val", outer, inner, NewOut(oOut), NewOut(oIn)))
+			n.Add(NewDropper("drop", dropModes[f[1]], outer, inner, NewOut(oOut), NewOut(oIn)))
 			_, err := n.Run(1_000)
 			if len(f) == 5 {
 				want := "drop: " + strings.TrimPrefix(f[4], "fails: ")
@@ -383,6 +384,9 @@ func TestCrdDropEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// dropModes names drop_rules.txt's mode column.
+var dropModes = map[string]graph.DropMode{"crd": graph.DropCrd, "val": graph.DropVal, "orphan": graph.DropOrphan}
 
 // TestCrdWriter checks compressed level construction from a stream.
 func TestCrdWriter(t *testing.T) {

@@ -1,15 +1,20 @@
 package core
 
-import "sam/internal/token"
+import (
+	"sam/internal/graph"
+	"sam/internal/token"
+)
 
 // Dropper is the coordinate dropper (paper Definition 3.9, Figure 8): it
 // pairs each coordinate of the outer stream with what the inner stream holds
-// for it and drops the coordinates that hold nothing. In coordinate mode the
-// inner input is a coordinate stream one level deeper, one fiber per outer
-// coordinate, dropped when empty. In value mode it is a value stream at the
-// outer stream's depth, one value per outer coordinate, dropped when zero or
-// N (paper Section 3.7). Inner data is a coordinate in coordinate mode and a
-// value or N in value mode.
+// for it and drops the coordinates that hold nothing. In coordinate mode
+// (graph.DropCrd) the inner input is a coordinate stream one level deeper,
+// one fiber per outer coordinate, dropped when empty. In the value modes it
+// is a value stream at the outer stream's depth, one value per outer
+// coordinate: graph.DropVal drops a coordinate whose value is zero or N
+// (paper Section 3.7), graph.DropOrphan keeps every coordinate and its value.
+// Inner data is a coordinate in coordinate mode and a value or N in the value
+// modes.
 //
 // The stop rules are asymmetric, which keeps chained droppers and level
 // writers consistent. Outer stops pass verbatim, so a fiber whose coordinates
@@ -17,7 +22,7 @@ import "sam/internal/token"
 // In coordinate mode the stops closing dropped inner fibers merge upward into
 // one held stop (the highest level crossed), emitted before the next kept
 // fiber, so the inner output holds one fiber per surviving outer coordinate;
-// in value mode inner stops pass verbatim too.
+// in the value modes inner stops pass verbatim too.
 //
 // Each cycle it peeks the inner head, and the outer head when a rule needs it,
 // and applies the first rule that holds:
@@ -26,25 +31,26 @@ import "sam/internal/token"
 //   - inner done: the outer head must be done; forward the done;
 //   - inner data in a fiber whose coordinate has gone out: forward it;
 //   - inner data, outer coordinate: consume both and forward both, unless
-//     the data is a value-mode zero or N; in coordinate mode this opens the
+//     the data is a DropVal zero or N; in coordinate mode this opens the
 //     fiber;
-//   - inner data, outer stop, value mode: an orphan — what a scalar
-//     reducer sums a structurally empty group to — so discard a zero or N
-//     and fail on anything else;
+//   - inner data, outer stop, a value mode: an orphan — what a scalar
+//     reducer sums an empty fiber or a structurally empty group to — so
+//     discard a zero or N and fail on anything else;
 //   - any other inner data fails: it has no outer coordinate;
 //   - inner stop closing a coordinate-mode fiber that has no coordinate yet,
 //     outer coordinate: consume the coordinate, dropping the empty fiber;
 //   - inner stop S(m): the outer head must be the stop it pairs with, S(m)
-//     in value mode and S(m-1) in coordinate mode (an S0 closing a fiber
+//     in a value mode and S(m-1) in coordinate mode (an S0 closing a fiber
 //     that has its coordinate pairs with none); forward that stop, and
-//     forward the inner stop in value mode or raise the held stop to m in
+//     forward the inner stop in a value mode or raise the held stop to m in
 //     coordinate mode;
 //
 // and any other token on the inner input (an N in coordinate mode) fails.
 // comp's stepDrop follows the same rules.
 type Dropper struct {
 	basic
-	val      bool
+	mode     graph.DropMode
+	val      bool // a value mode
 	inOuter  *Queue
 	inInner  *Queue
 	outOuter *Out
@@ -55,10 +61,10 @@ type Dropper struct {
 	sent   bool // any inner data emitted since stream start
 }
 
-// NewDropper builds a coordinate dropper, in value mode when val is set.
-func NewDropper(name string, val bool, inOuter, inInner *Queue, outOuter, outInner *Out) *Dropper {
+// NewDropper builds a coordinate dropper in the given mode.
+func NewDropper(name string, mode graph.DropMode, inOuter, inInner *Queue, outOuter, outInner *Out) *Dropper {
 	return &Dropper{
-		basic: basic{name: name}, val: val, inOuter: inOuter, inInner: inInner,
+		basic: basic{name: name}, mode: mode, val: mode != graph.DropCrd, inOuter: inOuter, inInner: inInner,
 		outOuter: outOuter, outInner: outInner, held: -1,
 	}
 }
@@ -111,7 +117,7 @@ func (b *Dropper) Tick() bool {
 		case o.IsVal():
 			b.inOuter.Pop()
 			b.inInner.Pop()
-			if !b.val || t.IsVal() && t.V != 0 {
+			if b.mode != graph.DropVal || t.IsVal() && t.V != 0 {
 				b.outOuter.Push(o)
 				b.outInner.Push(t)
 				b.paired = !b.val

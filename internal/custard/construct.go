@@ -17,7 +17,7 @@ import (
 // one fiber, so a dropper stands wherever an output fiber can turn out
 // empty, and nothing downstream removes one or patches the fiber counts:
 //   - a value-mode dropper on the innermost output variable, under the
-//     conditions below;
+//     conditions below; it keeps explicit zeros when nothing is intersected;
 //   - a coordinate-mode dropper on each outer output variable v, with the
 //     next output variable as its inner stream, when an intersection sits
 //     inside v, or when an intersected reduction variable sits between the
@@ -36,10 +36,19 @@ func (c *compiler) construct(val portRef, valVars []string) error {
 	// intersection inside it can leave ineffectual coordinates, and also
 	// when a scalar reducer sits downstream of any intersection: empty
 	// intersections at outer levels reach the reducer as structurally empty
-	// groups whose explicit zeros must be filtered before writing.
-	if m > 0 && (c.intersectInside(outLoop[m-1]) || (c.hasScalarRed && c.anyIntersect())) {
+	// groups whose explicit zeros must be filtered before writing. A scalar
+	// reducer with no intersection still sums every empty fiber of the
+	// innermost output level (an empty operand, or an empty row under a
+	// dense level) to a zero no coordinate owns, and only its coordinate
+	// stream can tell that zero from a coordinate's explicit zero: there a
+	// dropper discards the orphan and keeps every coordinate's value.
+	if m > 0 && (c.hasScalarRed || c.intersectInside(outLoop[m-1])) {
 		v := outLoop[m-1]
-		d := c.addNode(&graph.Node{Kind: graph.CrdDrop, Label: "CrdDrop " + v + " vals", DropVal: true})
+		label, mode := "CrdDrop "+v+" vals", graph.DropVal
+		if !c.anyIntersect() {
+			label, mode = "CrdDrop "+v+" orphans", graph.DropOrphan
+		}
+		d := c.addNode(&graph.Node{Kind: graph.CrdDrop, Label: label, Drop: mode})
 		c.connect(c.varCrd[v], d, "outer")
 		c.connect(val, d, "val")
 		c.varCrd[v] = portRef{d, "outer"}

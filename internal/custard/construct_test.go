@@ -2,6 +2,7 @@ package custard
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"sam/internal/graph"
@@ -13,7 +14,9 @@ import (
 // coordinate-mode dropper sits on every output variable with an
 // intersection inside it or an intersected reduction between it and the
 // outermost output variable; a value-mode dropper on the innermost output
-// variable filters explicit zeros and is always kept.
+// variable filters explicit zeros and is always kept. With a scalar
+// reduction and no intersection, the innermost output variable's dropper
+// only discards orphan zeros (graph.DropOrphan, labelled "orphans").
 func TestDropperPlacement(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -38,6 +41,11 @@ func TestDropperPlacement(t *testing.T) {
 		// by the reduction above them; i has it inside.
 		{"4d-ijlkm", "X(i,j,k,m) = B(i,j,l) * C(k,m,l)", []string{"i", "j", "l", "k", "m"},
 			[]string{"CrdDrop k", "CrdDrop j", "CrdDrop i"}, nil},
+		// Scalar reductions with nothing intersected keep explicit zeros.
+		{"row-sums", "x(i) = B(i,j)", nil, nil, []string{"CrdDrop i orphans"}},
+		{"sum-of-sums", "x(i) = B(i,j) + C(i,j)", nil, nil, []string{"CrdDrop i orphans"}},
+		{"fiber-sums", "X(i,j) = B(i,j,k)", nil, nil, []string{"CrdDrop j orphans"}},
+		{"no-reduction", "X(i,j) = B(i,j) + C(i,j)", nil, nil, nil},
 	}
 	for _, tc := range cases {
 		for opt := 0; opt <= 1; opt++ {
@@ -49,8 +57,11 @@ func TestDropperPlacement(t *testing.T) {
 			for _, n := range g.Nodes {
 				switch {
 				case n.Kind != graph.CrdDrop:
-				case n.DropVal:
+				case n.Drop != graph.DropCrd:
 					val = append(val, n.Label)
+					if orphans := strings.HasSuffix(n.Label, " orphans"); orphans != (n.Drop == graph.DropOrphan) {
+						t.Errorf("%s O%d: dropper %q has mode %d", tc.name, opt, n.Label, n.Drop)
+					}
 				default:
 					crd = append(crd, n.Label)
 				}

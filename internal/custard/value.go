@@ -64,7 +64,7 @@ func (c *compiler) lowerRed(x *redNode, cv portRef, cvars []string) (portRef, []
 	// dropper filters the explicit zeros the inner reduction emitted for
 	// empty groups before they enter the outer accumulation.
 	if _, chained := x.child.(*redNode); chained && nBelow == 0 && len(c.e.OutputVars()) > 0 {
-		d := c.addNode(&graph.Node{Kind: graph.CrdDrop, Label: "CrdDrop " + x.v + " zeros", DropVal: true})
+		d := c.addNode(&graph.Node{Kind: graph.CrdDrop, Label: "CrdDrop " + x.v + " zeros", Drop: graph.DropVal})
 		c.connect(c.varCrd[x.v], d, "outer")
 		c.connect(cv, d, "val")
 		cv = portRef{d, "val"}

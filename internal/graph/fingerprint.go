@@ -39,7 +39,7 @@ func (g *Graph) Fingerprint() string {
 		w.num(n.Ways)
 		w.num(int(n.Op))
 		w.num(n.RedN)
-		w.bool(n.DropVal)
+		w.num(int(n.Drop))
 		w.num(n.OutLevel)
 	}
 	w.num(len(g.Edges))
@@ -92,14 +92,6 @@ type fpWriter struct {
 
 func (w *fpWriter) num(v int) {
 	w.buf = binary.AppendVarint(w.buf, int64(v))
-}
-
-func (w *fpWriter) bool(v bool) {
-	if v {
-		w.num(1)
-	} else {
-		w.num(0)
-	}
 }
 
 func (w *fpWriter) str(s string) {

@@ -136,12 +136,28 @@ type Node struct {
 	// scalar reducer, one per kept variable below the reduced one otherwise.
 	RedN int
 
-	// DropVal selects the value mode of a coordinate dropper.
-	DropVal bool
+	// Drop selects a coordinate dropper's mode.
+	Drop DropMode
 
 	// OutLevel is the output level index a writer materializes.
 	OutLevel int
 }
+
+// DropMode is a coordinate dropper's mode (paper Definition 3.9). Its
+// numbering is part of the fingerprint and the artifact encoding, where
+// DropCrd and DropVal took the place of a value-mode flag's false and true.
+type DropMode int
+
+const (
+	// DropCrd drops the outer coordinates whose inner fiber is empty.
+	DropCrd DropMode = iota
+	// DropVal drops the outer coordinates whose value is zero or N, and
+	// discards the zeros no coordinate owns.
+	DropVal
+	// DropOrphan keeps every coordinate and its value, explicit zeros
+	// included, and only discards the zeros no coordinate owns.
+	DropOrphan
+)
 
 // Edge is one stream wire between two block ports.
 type Edge struct {
@@ -275,7 +291,7 @@ func InPorts(n *Node) []string {
 	case Reduce:
 		return reducePorts(n)
 	case CrdDrop:
-		if n.DropVal {
+		if n.Drop != DropCrd {
 			return portsOuterVal
 		}
 		return portsOuterInner
@@ -322,7 +338,7 @@ func OutPorts(n *Node) []string {
 	case Reduce:
 		return reducePorts(n)
 	case CrdDrop:
-		if n.DropVal {
+		if n.Drop != DropCrd {
 			return portsOuterVal
 		}
 		return portsOuterInner

@@ -76,7 +76,8 @@ func TestPortTables(t *testing.T) {
 		{&Node{Kind: Reduce, RedN: 1}, 2, 2},
 		{&Node{Kind: Reduce, RedN: 2}, 3, 3},
 		{&Node{Kind: CrdDrop}, 2, 2},
-		{&Node{Kind: CrdDrop, DropVal: true}, 2, 2},
+		{&Node{Kind: CrdDrop, Drop: DropVal}, 2, 2},
+		{&Node{Kind: CrdDrop, Drop: DropOrphan}, 2, 2},
 		{&Node{Kind: CrdWriter}, 1, 0},
 		{&Node{Kind: ValsWriter}, 1, 0},
 		{&Node{Kind: BVIntersect}, 4, 5},

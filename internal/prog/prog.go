@@ -91,7 +91,7 @@ func EncodeIR(ir *comp.IR) []byte {
 		e.num(int64(si.Ways))
 		e.num(int64(si.Op))
 		e.num(int64(si.RedN))
-		e.bool(si.DropVal)
+		e.num(int64(si.Drop))
 	}
 
 	e.num(int64(len(ir.CrdWr)))
@@ -193,7 +193,7 @@ func DecodeIR(data []byte) (*comp.IR, error) {
 		si.Ways = d.num()
 		si.Op = lang.Op(d.num())
 		si.RedN = d.num()
-		si.DropVal = d.bool()
+		si.Drop = graph.DropMode(d.num())
 		ir.Steps = append(ir.Steps, si)
 	}
 
@@ -261,14 +261,6 @@ func (e *encoder) nums(vs []int) {
 	e.num(int64(len(vs)))
 	for _, v := range vs {
 		e.num(int64(v))
-	}
-}
-
-func (e *encoder) bool(b bool) {
-	if b {
-		e.num(1)
-	} else {
-		e.num(0)
 	}
 }
 
@@ -366,8 +358,6 @@ func (d *decoder) nums() []int {
 	}
 	return out
 }
-
-func (d *decoder) bool() bool { return d.num() != 0 }
 
 // rawString reads one length-prefixed string table entry.
 func (d *decoder) rawString() string {

@@ -156,8 +156,9 @@ func TestDecodeErrors(t *testing.T) {
 			return prog.EncodeIR(ir)
 		}(), "kind(18)"},
 		// comp runs a Par graph as its Par 1 program, lane 0 over the whole
-		// stream: a fork at a level custard never emits, and a writer fed by
-		// a lane past lane 0, have no such program and fail by name.
+		// stream: a fork at a level custard never emits, a join fed a live
+		// stream past lane 0, and a writer fed by a lane past lane 0, have no
+		// such program and fail by name.
 		{"deep-fork", func() []byte {
 			ir := lowerPar(t, "x(i) = B(i,j) * c(j)")
 			fork := stepLabeled(t, ir, "Parallelizer crd i")
@@ -169,6 +170,20 @@ func TestDecodeErrors(t *testing.T) {
 			ir.CrdWr[0].Slot = stepLabeled(t, ir, "Parallelizer crd i").Outs[1]
 			return prog.EncodeIR(ir)
 		}(), `writer "LevelWriter x.i"`},
+		{"live-join-lane", func() []byte {
+			ir := lowerPar(t, "x(i) = B(i,j) * c(j)")
+			join := stepLabeled(t, ir, "Serializer i vals")
+			join.Ins[1] = join.Ins[0]
+			return prog.EncodeIR(ir)
+		}(), "Serializer i vals"},
+		{"unknown-drop-mode", func() []byte {
+			ir, err := comp.Lower(compile(t, "x(i) = B(i,j)", lang.Schedule{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepLabeled(t, ir, "CrdDrop i orphans").Drop = graph.DropOrphan + 1
+			return prog.EncodeIR(ir)
+		}(), "dropper mode 3 unknown"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 
 	"sam/internal/core"
 	"sam/internal/custard"
+	"sam/internal/fiber"
 	"sam/internal/lang"
 	"sam/internal/tensor"
 )
@@ -281,14 +282,17 @@ func TestMergeGoldenStats(t *testing.T) {
 	checkGolden(t, "testdata/merge_golden.txt", mergeShapes(t))
 }
 
-// dropShapes drives the coordinate dropper (Definition 3.9) in both modes.
+// dropShapes drives the coordinate dropper (Definition 3.9) in every mode.
 // C has no point at l = 0, 2, 3 or 5. B's row 4 holds only l = 3, so it is a
 // structurally empty outer fiber, and pairs such as (i, j) = (0, 1) meet
 // nothing either: at order i,l,j,k the reducer closes empty j and k fibers
 // below them, which the chained droppers on j and i remove. The 4-D output
 // chains three droppers the same way, over k, j and i. SpMV at Par 2 reaches
 // its value-mode dropper with the zero sums of four rows that meet nothing
-// in c, split over both lanes. The last row reruns TTM under backpressure.
+// in c, split over both lanes. TTM-iljk-cap2 reruns TTM under backpressure.
+// FiberSums-dense reaches its orphan-mode dropper with the zeros its reducer
+// sums B's two empty rows under the dense level to, beside the sums of the
+// other rows' fibers.
 func dropShapes(tb testing.TB) []eventShape {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(37))
@@ -306,6 +310,8 @@ func dropShapes(tb testing.TB) []eventShape {
 		"C": withoutSlices(draw("C", 30, 3, 4, 6), 2, 0, 2, 3, 5),
 	}
 	mv := map[string]*tensor.COO{"B": draw("B", 12, 6, 10), "c": draw("c", 3, 10)}
+	sums := map[string]*tensor.COO{"B": withoutSlices(draw("B", 16, 5, 4, 4), 0, 1, 3)}
+	dcc := lang.Formats{"B": {Levels: []fiber.Format{fiber.Dense, fiber.Compressed, fiber.Compressed}}}
 	const ttmExpr = "X(i,j,k) = B(i,j,l) * C(k,l)"
 	iljk := lang.Schedule{LoopOrder: []string{"i", "l", "j", "k"}}
 	rows := []shapeRow{
@@ -313,11 +319,12 @@ func dropShapes(tb testing.TB) []eventShape {
 		{"Out4-ijlkm", "X(i,j,k,m) = B(i,j,l) * C(k,m,l)", lang.Schedule{LoopOrder: []string{"i", "j", "l", "k", "m"}}, out4, Options{}, nil},
 		{"SpMV-par2", "x(i) = B(i,j) * c(j)", lang.Schedule{Par: 2}, mv, Options{}, nil},
 		{"TTM-iljk-cap2", ttmExpr, iljk, ttm, Options{QueueCap: 2}, nil},
+		{"FiberSums-dense", "X(i,j) = B(i,j,k)", lang.Schedule{}, sums, Options{}, dcc},
 	}
 	return buildShapes(tb, rows)
 }
 
-// TestDropGoldenStats pins the coordinate dropper in both modes tick for
+// TestDropGoldenStats pins the coordinate dropper in every mode tick for
 // tick on dropShapes, the way TestMergeGoldenStats pins the merger.
 func TestDropGoldenStats(t *testing.T) {
 	checkGolden(t, "testdata/drop_golden.txt", dropShapes(t))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sam/internal/custard"
+	"sam/internal/fiber"
 	"sam/internal/lang"
 	"sam/internal/tensor"
 )
@@ -120,56 +121,61 @@ func TestParKernelMatrix(t *testing.T) {
 	}
 }
 
-// TestParKeepsExplicitZeros pins that lanes keep what Par=1 stores: a row
-// whose values cancel sums to an explicit zero, which Par=1 writes (no
-// intersection, so no dropper filters it) and every lane count must write
-// too, on every engine.
+// TestParKeepsExplicitZeros pins that every lane count stores what Par=1
+// stores, on every engine. A row whose values cancel sums to an explicit
+// zero, which Par=1 writes (no intersection, so no dropper filters it). An
+// empty operand, or an empty row under a dense level, leaves an innermost
+// output fiber empty, and the reducer sums it to a zero no coordinate owns,
+// which no lane count may write.
 func TestParKeepsExplicitZeros(t *testing.T) {
-	matrix := func(name string, pts ...[3]float64) *tensor.COO {
-		m := tensor.NewCOO(name, 2, 2)
+	coo := func(name string, dims []int, pts ...[]float64) *tensor.COO {
+		m := tensor.NewCOO(name, dims...)
 		for _, p := range pts {
-			m.Append(p[2], int64(p[0]), int64(p[1]))
+			crd := make([]int64, len(p)-1)
+			for i, c := range p[:len(p)-1] {
+				crd[i] = int64(c)
+			}
+			m.Append(p[len(p)-1], crd...)
 		}
 		return m
 	}
+	sq, cube := []int{2, 2}, []int{2, 2, 2}
+	rowSums := coo("x", []int{2}, []float64{0, 0}, []float64{1, 2})
+	dcc := lang.Formats{"B": {Levels: []fiber.Format{fiber.Dense, fiber.Compressed, fiber.Compressed}}}
 	for _, tc := range []struct {
-		expr   string
-		inputs map[string]*tensor.COO
+		name, expr string
+		formats    lang.Formats
+		inputs     map[string]*tensor.COO
+		want       *tensor.COO
 	}{
-		{"x(i) = B(i,j)", map[string]*tensor.COO{"B": matrix("B", [3]float64{0, 0, 1}, [3]float64{0, 1, -1}, [3]float64{1, 0, 2})}},
-		{"x(i) = B(i,j) + C(i,j)", map[string]*tensor.COO{
-			"B": matrix("B", [3]float64{0, 0, 1}, [3]float64{1, 1, 2}),
-			"C": matrix("C", [3]float64{0, 1, -1}),
-		}},
+		{"cancelling row", "x(i) = B(i,j)", nil,
+			map[string]*tensor.COO{"B": coo("B", sq, []float64{0, 0, 1}, []float64{0, 1, -1}, []float64{1, 0, 2})}, rowSums},
+		{"cancelling rows", "x(i) = B(i,j) + C(i,j)", nil, map[string]*tensor.COO{
+			"B": coo("B", sq, []float64{0, 0, 1}, []float64{1, 1, 2}),
+			"C": coo("C", sq, []float64{0, 1, -1}),
+		}, rowSums},
+		{"empty operand", "x(i) = B(i,j)", nil,
+			map[string]*tensor.COO{"B": coo("B", sq)}, coo("x", []int{2})},
+		{"empty operands", "x(i) = B(i,j) + C(i,j)", nil,
+			map[string]*tensor.COO{"B": coo("B", sq), "C": coo("C", sq)}, coo("x", []int{2})},
+		{"empty row under a dense level", "X(i,j) = B(i,j,k)", dcc,
+			map[string]*tensor.COO{"B": coo("B", cube, []float64{1, 0, 0, 1}, []float64{1, 0, 1, -1}, []float64{1, 1, 1, 2})},
+			coo("X", sq, []float64{1, 0, 0}, []float64{1, 1, 2})},
 	} {
 		e := lang.MustParse(tc.expr)
-		g1, err := custard.Compile(e, nil, lang.Schedule{})
-		if err != nil {
-			t.Fatalf("%s: compile par1: %v", tc.expr, err)
-		}
-		base, err := Run(g1, tc.inputs, Options{})
-		if err != nil {
-			t.Fatalf("%s: par1: %v", tc.expr, err)
-		}
-		want := tensor.NewCOO("x", 2)
-		want.Append(0, 0)
-		want.Append(2, 1)
-		if err := tensor.IdenticalBits(want, base.Output); err != nil {
-			t.Fatalf("%s: par1 does not store the cancelled row as an explicit zero: %v", tc.expr, err)
-		}
-		for _, p := range []int{2, 4} {
-			gp, err := custard.Compile(e, nil, lang.Schedule{Par: p})
+		for _, p := range []int{1, 2, 4} {
+			g, err := custard.Compile(e, tc.formats, lang.Schedule{Par: p})
 			if err != nil {
-				t.Fatalf("%s: compile par%d: %v", tc.expr, p, err)
+				t.Fatalf("%s: compile par%d: %v", tc.name, p, err)
 			}
 			for _, eng := range Engines() {
-				res, err := Run(gp, tc.inputs, Options{Engine: eng})
+				res, err := Run(g, tc.inputs, Options{Engine: eng})
 				if err != nil {
-					t.Errorf("%s par%d %s: %v", tc.expr, p, eng, err)
+					t.Errorf("%s par%d %s: %v", tc.name, p, eng, err)
 					continue
 				}
-				if err := tensor.IdenticalBits(base.Output, res.Output); err != nil {
-					t.Errorf("%s par%d %s vs par1: %v", tc.expr, p, eng, err)
+				if err := tensor.IdenticalBits(tc.want, res.Output); err != nil {
+					t.Errorf("%s par%d %s: %v", tc.name, p, eng, err)
 				}
 			}
 		}

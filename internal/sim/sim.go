@@ -358,7 +358,7 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewDropper(n.Label, n.DropVal, outer, inner, b.out(n, outs[0]), b.out(n, outs[1])), nil
+		return core.NewDropper(n.Label, n.Drop, outer, inner, b.out(n, outs[0]), b.out(n, outs[1])), nil
 	case graph.CrdWriter:
 		in, err := b.in(n, "crd")
 		if err != nil {
