@@ -50,7 +50,6 @@ import (
 type Dropper struct {
 	basic
 	mode     graph.DropMode
-	val      bool // a value mode
 	inOuter  *Queue
 	inInner  *Queue
 	outOuter *Out
@@ -64,7 +63,7 @@ type Dropper struct {
 // NewDropper builds a coordinate dropper in the given mode.
 func NewDropper(name string, mode graph.DropMode, inOuter, inInner *Queue, outOuter, outInner *Out) *Dropper {
 	return &Dropper{
-		basic: basic{name: name}, mode: mode, val: mode != graph.DropCrd, inOuter: inOuter, inInner: inInner,
+		basic: basic{name: name}, mode: mode, inOuter: inOuter, inInner: inInner,
 		outOuter: outOuter, outInner: outInner, held: -1,
 	}
 }
@@ -81,7 +80,8 @@ func (b *Dropper) Tick() bool {
 	if !ok {
 		return false
 	}
-	data := t.IsVal() || b.val && t.IsEmpty()
+	val := b.mode != graph.DropCrd
+	data := t.IsVal() || val && t.IsEmpty()
 	if b.held >= 0 && (data || t.IsDone()) {
 		if b.sent {
 			b.outInner.Push(token.S(b.held))
@@ -120,11 +120,11 @@ func (b *Dropper) Tick() bool {
 			if b.mode != graph.DropVal || t.IsVal() && t.V != 0 {
 				b.outOuter.Push(o)
 				b.outInner.Push(t)
-				b.paired = !b.val
+				b.paired = !val
 				b.sent = true
 			}
 			return true
-		case b.val && o.IsStop():
+		case val && o.IsStop():
 			if t.IsVal() && t.V != 0 {
 				return b.fail("nonzero value %v with no outer coordinate", t)
 			}
@@ -135,7 +135,7 @@ func (b *Dropper) Tick() bool {
 	case t.IsStop():
 		m := t.StopLevel()
 		pair := m - 1
-		if b.val {
+		if val {
 			pair = m
 		}
 		if pair >= 0 || !b.paired {
@@ -143,7 +143,7 @@ func (b *Dropper) Tick() bool {
 			if !ok {
 				return false
 			}
-			if !b.val && !b.paired && o.IsVal() {
+			if !val && !b.paired && o.IsVal() {
 				b.inOuter.Pop()
 				b.paired = true
 				return true
@@ -155,7 +155,7 @@ func (b *Dropper) Tick() bool {
 			b.outOuter.Push(o)
 		}
 		b.inInner.Pop()
-		if b.val {
+		if val {
 			b.outInner.Push(t)
 		} else {
 			b.held = max(b.held, m)
