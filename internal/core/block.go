@@ -15,9 +15,9 @@ import "fmt"
 // state change must behave identically on the next tick. A tick that pushes
 // a token reports progress, and a block finishes (Done turns true) only on a
 // tick that makes progress or fails. Blocks read an input's head token only
-// (Peek, Pop). Net.Run relies on all of this to skip a starved block's ticks
-// up to the cycle a new head token turns visible, without perturbing
-// simulated cycle counts.
+// (Peek, Pop, PopPeeked). Net.Run relies on all of this to skip a starved
+// block's ticks up to the cycle a new head token turns visible, without
+// perturbing simulated cycle counts.
 //
 // Every block declares its port wiring through InQueues and OutPorts. Net.Run
 // uses the declaration to order blocks producer before consumer and to find

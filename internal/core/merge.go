@@ -37,41 +37,80 @@ func NewMerger(name string, union bool, inCrd, inRef []*Queue, outCrd *Out, outR
 	return &Merger{basic: basic{name: name}, union: union, inCrd: inCrd, inRef: inRef, outCrd: outCrd, outRef: outRef}
 }
 
-// Tick implements Block.
-func (b *Merger) Tick() bool {
+// Tick implements Block: a span of one cycle.
+func (b *Merger) Tick() bool { return b.span(b.inCrd[0].clk.now+1) > 0 }
+
+// span implements spanner.
+func (b *Merger) span(end uint32) int {
+	if b.done || !b.outCrd.CanPush() {
+		return 0
+	}
+	for _, o := range b.outRef {
+		if !o.CanPush() {
+			return 0
+		}
+	}
+	clk := b.inCrd[0].clk
+	start, now := clk.now, clk.now
+	for now < end {
+		if !b.union && len(b.inCrd) == 2 {
+			if now = b.intersect2(now, end); now == end {
+				break
+			}
+		}
+		clk.now = now
+		if !b.step() {
+			break
+		}
+		now++
+	}
+	return int(now - start)
+}
+
+// intersect2 runs the two-way intersecter from cycle now up to end while its
+// heads are coordinates, or a coordinate and a stop: the rule list's last two
+// rules over two inputs. It returns the first cycle it did not run.
+func (b *Merger) intersect2(now, end uint32) uint32 {
+	c0, c1, r0, r1 := b.inCrd[0], b.inCrd[1], b.inRef[0], b.inRef[1]
+	clk := c0.clk
+	for ; now < end; now++ {
+		clk.now = now
+		a, c := c0.front(), c1.front()
+		if a == nil || c == nil {
+			break
+		}
+		valA, valC := a.kind == uint8(token.Val), c.kind == uint8(token.Val)
+		switch x, y := int64(a.x), int64(c.x); {
+		case valA && valC && x == y:
+			c0.PopPeeked()
+			c1.PopPeeked()
+			ra, _ := r0.Pop()
+			rc, _ := r1.Pop()
+			b.outCrd.Push(token.C(x))
+			b.outRef[0].Push(ra)
+			b.outRef[1].Push(rc)
+		case valA && (valC && x < y || c.kind == uint8(token.Stop)):
+			c0.PopPeeked()
+			if r0.front() != nil { // Pop, in line and undecoded
+				r0.PopPeeked()
+			}
+		case valC && (valA || a.kind == uint8(token.Stop)):
+			c1.PopPeeked()
+			if r1.front() != nil {
+				r1.PopPeeked()
+			}
+		default:
+			return now
+		}
+	}
+	return now
+}
+
+// step applies the rule list for one cycle and reports whether the block
+// made progress.
+func (b *Merger) step() bool {
 	if b.done {
 		return false
-	}
-	if !b.union && len(b.inCrd) == 2 {
-		// The two-way intersecter's common case, both heads coordinates, is
-		// the rule list's last two rules over two inputs.
-		a, okA := b.inCrd[0].Peek()
-		c, okC := b.inCrd[1].Peek()
-		if !okA || !okC {
-			return false
-		}
-		if a.Kind == token.Val && c.Kind == token.Val {
-			if !b.outCrd.CanPush() || !b.outRef[0].CanPush() || !b.outRef[1].CanPush() {
-				return false
-			}
-			switch {
-			case a.N == c.N:
-				b.inCrd[0].Pop()
-				b.inCrd[1].Pop()
-				ra, _ := b.inRef[0].Pop()
-				rc, _ := b.inRef[1].Pop()
-				b.outCrd.Push(token.C(a.N))
-				b.outRef[0].Push(ra)
-				b.outRef[1].Push(rc)
-			case a.N < c.N:
-				b.inCrd[0].Pop()
-				b.inRef[0].Pop()
-			default:
-				b.inCrd[1].Pop()
-				b.inRef[1].Pop()
-			}
-			return true
-		}
 	}
 	m := len(b.inCrd)
 	if b.heads == nil {
@@ -84,14 +123,6 @@ func (b *Merger) Tick() bool {
 			return false
 		}
 		heads[i] = t
-	}
-	if !b.outCrd.CanPush() {
-		return false
-	}
-	for _, o := range b.outRef {
-		if !o.CanPush() {
-			return false
-		}
 	}
 
 	nVal, nMin, nStop, nDone := 0, 0, 0, 0

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"sam/internal/token"
@@ -57,9 +58,11 @@ type Queue struct {
 	run        *runner
 	cons, prod int32
 
-	// Statistics for the Figure 14 stream-breakdown study. Idle is filled
-	// in by the engine when the run ends (cycles minus pushed tokens); the
-	// other counters accumulate as tokens are pushed.
+	count [4]int64 // tokens pushed, by token.Kind
+
+	// Statistics for the Figure 14 stream-breakdown study, filled in by the
+	// engine when the run ends: the tokens pushed by kind, and Idle, the
+	// cycles minus the pushed tokens.
 	Stats StreamStats
 }
 
@@ -68,16 +71,38 @@ type Queue struct {
 // run.
 type clock struct{ now uint32 }
 
-// slot is one queued token and its visibility stamp. The stamp sits in the
-// padding after the kind, so a slot is as large as a token.Tok (24 bytes).
+// slot is one queued token and its visibility stamp in 16 bytes: the kind,
+// the stamp, and one 64-bit payload. Every token comes from token's
+// constructors, so it holds either an N or, when Marked (a value token), a V:
+// the payload is N, or V's bits with the marked bit set in kind.
 type slot struct {
-	kind token.Kind
+	kind uint8  // token.Kind, or'd with marked
 	at   uint32 // cycle (from the net's stamp base) the token becomes visible
-	n    int64
-	v    float64
+	x    uint64
 }
 
-// chunkLen is the tokens per storage chunk, a power of two: 6 KB, so pool
+// marked is the slot.kind bit of a value token: x holds V's bits, and N is
+// the value marker.
+const marked = 4
+
+// put fills s with t, visible at cycle at.
+func (s *slot) put(t token.Tok, at uint32) {
+	k, x := uint8(t.Kind), uint64(t.N)
+	if t.Marked() {
+		k, x = k|marked, math.Float64bits(t.V)
+	}
+	*s = slot{kind: k, at: at, x: x}
+}
+
+// tok is the token s holds.
+func (s *slot) tok() token.Tok {
+	if s.kind&marked != 0 {
+		return token.V(math.Float64frombits(s.x))
+	}
+	return token.Tok{Kind: token.Kind(s.kind), N: int64(s.x)}
+}
+
+// chunkLen is the tokens per storage chunk, a power of two: 4 KB, so pool
 // traffic is one Get and Put per 256 tokens and a near-empty queue holds little.
 const (
 	chunkLen  = 256
@@ -104,9 +129,13 @@ type StreamStats struct {
 	Idle  int64
 }
 
-// pushed is the number of cycles in which the wire carried a token (at most
-// one token is pushed per queue per cycle under the paper's cost model).
-func (s StreamStats) pushed() int64 { return s.Data + s.Stop + s.Empty + s.Done }
+// stats is the queue's statistics so far, Idle aside.
+func (q *Queue) stats() StreamStats {
+	return StreamStats{
+		Data: q.count[token.Val], Stop: q.count[token.Stop],
+		Empty: q.count[token.Empty], Done: q.count[token.Done],
+	}
+}
 
 // Full reports whether a push would exceed the queue capacity.
 func (q *Queue) Full() bool {
@@ -156,7 +185,9 @@ func (q *Queue) rebase(delta uint32) {
 // used chunk and rewind it to its zero state. A queue still holding tokens (a
 // test's output, a failed run) keeps them.
 func (q *Queue) endRun(cycles int) {
-	q.Stats.Idle = max(int64(cycles)-q.Stats.pushed(), 0)
+	s := q.stats()
+	s.Idle = max(int64(cycles)-(s.Data+s.Stop+s.Empty+s.Done), 0)
+	q.Stats = s
 	if q.head == q.tail && q.first != nil {
 		q.unlink()
 		q.head, q.tail = 0, 0
@@ -169,24 +200,51 @@ func (q *Queue) Push(t token.Tok) {
 	if q.tail&chunkMask == 0 {
 		q.link()
 	}
-	q.last.toks[q.tail&chunkMask] = slot{kind: t.Kind, at: q.clk.now + 1, n: t.N, v: t.V}
+	q.last.toks[q.tail&chunkMask].put(t, q.clk.now+1)
 	q.tail++
-	switch t.Kind {
-	case token.Val:
-		q.Stats.Data++
-	case token.Stop:
-		q.Stats.Stop++
-	case token.Empty:
-		q.Stats.Empty++
-	case token.Done:
-		q.Stats.Done++
-	}
+	q.count[t.Kind&3]++ // the kinds are 0 to 3: &3 drops the bounds check
 	if q.run != nil {
+		// On a net run one cycle at a time the token re-arms its consumer.
+		// The hook stays in line: Push does not inline either way, and an
+		// out-of-line call per push slows the bounded path measurably.
 		q.run.pushed(q.cons)
 	}
 }
 
-// Peek returns the head token without consuming it, once it is visible.
+// pushData appends the data tokens C(from[j]), or C(base+j) when from is
+// nil, for j in [0, m): the tokens a block emits one per cycle over cycles
+// now … now+m-1, so the j-th turns visible at now+1+j. It writes straight
+// into the tail chunks, as m Pushes would.
+func (q *Queue) pushData(now uint32, m int, from []int32, base int64) {
+	if q.run != nil {
+		q.run.pushed(q.cons)
+	}
+	q.count[token.Val] += int64(m)
+	for m > 0 {
+		i := q.tail & chunkMask
+		if i == 0 {
+			q.link()
+		}
+		s := q.last.toks[i:min(i+m, chunkLen)]
+		if from != nil {
+			for j, c := range from[:len(s)] {
+				s[j] = slot{kind: uint8(token.Val), at: now + 1 + uint32(j), x: uint64(int64(c))}
+			}
+			from = from[len(s):]
+		} else {
+			for j := range s {
+				s[j] = slot{kind: uint8(token.Val), at: now + 1 + uint32(j), x: uint64(base + int64(j))}
+			}
+			base += int64(len(s))
+		}
+		now += uint32(len(s))
+		q.tail += len(s)
+		m -= len(s)
+	}
+}
+
+// Peek returns the head token without consuming it, once it is visible. It
+// spells out front's body: through a call to front it would not inline.
 func (q *Queue) Peek() (token.Tok, bool) {
 	if q.head == q.tail {
 		return token.Tok{}, false
@@ -195,30 +253,61 @@ func (q *Queue) Peek() (token.Tok, bool) {
 	if s.at > q.clk.now {
 		return token.Tok{}, false
 	}
-	return token.Tok{Kind: s.kind, N: s.n, V: s.v}, true
+	return s.tok(), true
 }
 
-// Pop consumes and returns the head token, once it is visible.
-func (q *Queue) Pop() (token.Tok, bool) {
+// front returns the head slot once it is visible, else nil: Peek without
+// decoding the token.
+func (q *Queue) front() *slot {
 	if q.head == q.tail {
-		return token.Tok{}, false
+		return nil
 	}
-	i := q.head & chunkMask
-	s := &q.first.toks[i]
+	s := &q.first.toks[q.head&chunkMask]
 	if s.at > q.clk.now {
+		return nil
+	}
+	return s
+}
+
+// Pop consumes and returns the head token, once it is visible. Pop does not
+// inline, so unlike PopPeeked it runs the hook of a net run one cycle at a
+// time in line: a second call per pop costs the bounded path about a tenth
+// of its time.
+func (q *Queue) Pop() (token.Tok, bool) {
+	s := q.front()
+	if s == nil {
 		return token.Tok{}, false
 	}
-	t := token.Tok{Kind: s.kind, N: s.n, V: s.v}
+	t := s.tok()
 	q.head++
-	if i == chunkMask {
+	if q.head&chunkMask == 0 {
 		q.unlink()
 	}
 	if q.run != nil && q.Cap > 0 {
-		// A pop frees buffer space immediately, so a producer blocked on
-		// backpressure may be able to emit again.
 		q.run.popped(q.prod)
 	}
 	return t, true
+}
+
+// PopPeeked consumes the head token, which a Peek on this cycle has returned.
+func (q *Queue) PopPeeked() {
+	q.head++
+	if q.head&chunkMask == 0 || q.run != nil {
+		q.popSlow()
+	}
+}
+
+// popSlow is the part of a pop that runs only at a chunk boundary, where it
+// returns the consumed chunk, or on a net run one cycle at a time, where a
+// pop from a bounded queue re-arms the queue's producer: the freed room is
+// there at once, so a producer blocked on it may emit again.
+func (q *Queue) popSlow() {
+	if q.head&chunkMask == 0 {
+		q.unlink()
+	}
+	if q.run != nil && q.Cap > 0 {
+		q.run.popped(q.prod)
+	}
 }
 
 // Out is an output port. A port may fan out to several queues (a forked
@@ -254,5 +343,13 @@ func (o *Out) CanPush() bool {
 func (o *Out) Push(t token.Tok) {
 	for _, q := range o.qs {
 		q.Push(t)
+	}
+}
+
+// pushData delivers a run of data tokens to every destination queue (see
+// Queue.pushData).
+func (o *Out) pushData(now uint32, m int, from []int32, base int64) {
+	for _, q := range o.qs {
+		q.pushData(now, m, from, base)
 	}
 }

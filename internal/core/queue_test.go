@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -23,9 +24,22 @@ type modelQueue struct {
 	seq    *int64 // shared across queues so every token in a test is distinct
 }
 
+// next builds the test's next token. Queues hold only tokens token's
+// constructors build (see slot), so it cycles through those.
 func (m *modelQueue) next() token.Tok {
 	*m.seq++
-	return token.Tok{Kind: token.Kind(*m.seq % 4), N: *m.seq, V: float64(*m.seq) / 2}
+	switch n := *m.seq; n % 5 {
+	case 0:
+		return token.C(n)
+	case 1:
+		return token.V(float64(n) / 2)
+	case 2:
+		return token.S(int(n))
+	case 3:
+		return token.N()
+	default:
+		return token.D()
+	}
 }
 
 func (m *modelQueue) full() bool { return m.q.Cap > 0 && len(m.toks)-m.head >= m.q.Cap }
@@ -54,6 +68,29 @@ func (m *modelQueue) push() {
 	case token.Done:
 		m.stats.Done++
 	}
+}
+
+// pushData pushes a run of n data tokens the way a scanner's span does, one
+// per cycle from the clock's cycle on, as listed coordinates or, with seq,
+// as consecutive references; the clock then stands at the run's last cycle.
+func (m *modelQueue) pushData(n int, seq bool) {
+	crd := make([]int32, n)
+	for j := range crd {
+		*m.seq++
+		crd[j] = int32(*m.seq)
+	}
+	now := m.q.clk.now
+	if seq {
+		m.q.pushData(now, n, nil, int64(crd[0]))
+	} else {
+		m.q.pushData(now, n, crd, 0)
+	}
+	for j, c := range crd {
+		m.toks = append(m.toks, token.C(int64(c)))
+		m.stamps = append(m.stamps, now+1+uint32(j))
+	}
+	m.stats.Data += int64(n)
+	m.q.clk.now += uint32(n - 1)
 }
 
 func (m *modelQueue) preload(n int) {
@@ -118,8 +155,8 @@ func (m *modelQueue) check() error {
 	if got, want := m.q.Full(), m.full(); got != want {
 		return fmt.Errorf("Full = %v, model %v", got, want)
 	}
-	if m.q.Stats != m.stats {
-		return fmt.Errorf("Stats = %+v, model %+v", m.q.Stats, m.stats)
+	if got := m.q.stats(); got != m.stats {
+		return fmt.Errorf("stats = %+v, model %+v", got, m.stats)
 	}
 	return nil
 }
@@ -176,6 +213,9 @@ func driveQueues(seed int64, capacity int) error {
 				case r < 10 && filling && capacity == 0:
 					op = "Preload"
 					m.preload(1 + rng.Intn(chunkLen/2))
+				case r < 12 && filling && capacity == 0:
+					op = "PushData"
+					m.pushData(1+rng.Intn(chunkLen+chunkLen/2), r < 11)
 				case r < 11 && !filling:
 					op = "Drain"
 					err = m.drain()
@@ -203,12 +243,41 @@ func driveQueues(seed int64, capacity int) error {
 	return nil
 }
 
-// TestSlotIsATokenWide pins the slot layout: the visibility stamp rides in
-// the padding after the token kind, so a chunk holds as many bytes as it did
-// before tokens were stamped.
-func TestSlotIsATokenWide(t *testing.T) {
-	if s, tok := unsafe.Sizeof(slot{}), unsafe.Sizeof(token.Tok{}); s != tok || s != 24 {
-		t.Fatalf("slot is %d bytes, token.Tok %d; want both 24", s, tok)
+// TestSlotIs16Bytes pins the slot layout: the kind, the visibility stamp in
+// the padding after it, and one 64-bit payload, two thirds of a token.Tok.
+func TestSlotIs16Bytes(t *testing.T) {
+	if s := unsafe.Sizeof(slot{}); s != 16 {
+		t.Fatalf("slot is %d bytes, want 16", s)
+	}
+}
+
+// TestSlotRoundTripsTokens pushes a token of every constructor through a
+// queue, the value tokens whose bits a float compare would blur among them,
+// and the bitvector word sharing the value marker's pattern, and checks each
+// comes back bit for bit, through Pop and through Preload's encoding alike.
+func TestSlotRoundTripsTokens(t *testing.T) {
+	toks := token.Stream{
+		token.C(0), token.C(7), token.C(math.MaxInt64),
+		token.V(0), token.V(math.Copysign(0, -1)), token.V(2.5), token.V(math.Inf(-1)),
+		token.V(math.NaN()), token.V(math.Float64frombits(0x7ff0_0000_0000_0001)),
+		token.BV(0), token.BV(^uint64(0)), token.BV(3 << 62),
+		token.S(0), token.S(3), token.N(), token.D(),
+	}
+	same := func(a, b token.Tok) bool {
+		return a.Kind == b.Kind && a.N == b.N && math.Float64bits(a.V) == math.Float64bits(b.V)
+	}
+	pushed, preloaded := NewQueue("pushed"), NewQueue("preloaded")
+	for _, tk := range toks {
+		pushed.Push(tk)
+	}
+	preloaded.Preload(toks)
+	pushed.clk.now++
+	for _, q := range []*Queue{pushed, preloaded} {
+		for i, want := range toks {
+			if got, ok := q.Pop(); !ok || !same(got, want) {
+				t.Errorf("%s: token %d came back as %#v, %v; pushed %#v", q.Label, i, got, ok, want)
+			}
+		}
 	}
 }
 

@@ -35,34 +35,69 @@ func NewScanner(name string, lvl fiber.Level, in *Queue, outCrd, outRef *Out) *S
 	return &Scanner{basic: basic{name: name}, lvl: lvl, cmp: cmp, in: in, outCrd: outCrd, outRef: outRef}
 }
 
-// emit pushes the coordinate at pos with its child reference and advances;
-// a compressed level's reference is the position in Crd itself.
-func (b *Scanner) emit() {
-	if b.cmp != nil {
+// Tick implements Block: a span of one cycle.
+func (b *Scanner) Tick() bool { return b.span(b.in.clk.now+1) > 0 }
+
+// span implements spanner. A fiber's coordinates and child references go
+// out one pair per cycle until the fiber ends or the span does.
+func (b *Scanner) span(end uint32) int {
+	if !b.outCrd.CanPush() || !b.outRef.CanPush() {
+		return 0
+	}
+	clk := b.in.clk
+	start, now := clk.now, clk.now
+	for now < end {
+		clk.now = now
+		if !b.scanning {
+			if !b.step() {
+				break
+			}
+			if !b.scanning {
+				now++
+				continue
+			}
+		}
+		m := min(b.end-b.pos, int(end-now))
+		b.emit(now, m)
+		now += uint32(m)
+	}
+	return int(now - start)
+}
+
+// emit pushes the next m coordinates of the fiber with their child
+// references over cycles now … now+m-1. A run of a compressed level's
+// coordinates goes straight from Crd into the output chunks, and its
+// references are the positions in Crd themselves; a single pair, all a
+// one-cycle span emits, costs less through Push.
+func (b *Scanner) emit(now uint32, m int) {
+	switch {
+	case b.cmp == nil:
+		for j := range m {
+			b.in.clk.now = now + uint32(j)
+			b.outCrd.Push(token.C(b.lvl.Coord(b.fib, b.pos+j)))
+			b.outRef.Push(token.C(b.lvl.ChildRef(b.fib, b.pos+j)))
+		}
+	case m == 1:
 		b.outCrd.Push(token.C(int64(b.cmp.Crd[b.pos])))
 		b.outRef.Push(token.C(int64(b.pos)))
-	} else {
-		b.outCrd.Push(token.C(b.lvl.Coord(b.fib, b.pos)))
-		b.outRef.Push(token.C(b.lvl.ChildRef(b.fib, b.pos)))
+	default:
+		b.outCrd.pushData(now, m, b.cmp.Crd[b.pos:b.pos+m], 0)
+		b.outRef.pushData(now, m, nil, int64(b.pos))
 	}
-	b.pos++
+	b.pos += m
 	if b.pos == b.end {
 		b.scanning = false
 		b.sepPending = true
 	}
 }
 
-// Tick implements Block.
-func (b *Scanner) Tick() bool {
+// step runs one cycle on which no fiber is being scanned: it consumes the
+// next input token and reports whether the block made progress. A reference
+// to a non-empty fiber leaves the block scanning, its first coordinate still
+// to be emitted this cycle.
+func (b *Scanner) step() bool {
 	if b.done {
 		return false
-	}
-	if !b.outCrd.CanPush() || !b.outRef.CanPush() {
-		return false
-	}
-	if b.scanning {
-		b.emit()
-		return true
 	}
 	t, ok := b.in.Peek()
 	if !ok {
@@ -78,7 +113,7 @@ func (b *Scanner) Tick() bool {
 			b.sepPending = false
 			return true
 		}
-		b.in.Pop()
+		b.in.PopPeeked()
 		if t.IsEmpty() {
 			// An absent operand (union N token) scans as an empty fiber.
 			b.sepPending = true
@@ -92,15 +127,14 @@ func (b *Scanner) Tick() bool {
 		}
 		if b.pos == b.end {
 			b.sepPending = true
-			return true
+		} else {
+			b.scanning = true
 		}
-		b.scanning = true
-		b.emit()
 		return true
 	case token.Stop:
 		// An input stop increments by one level and subsumes any pending
 		// fiber separator.
-		b.in.Pop()
+		b.in.PopPeeked()
 		b.sepPending = false
 		b.outCrd.Push(token.S(t.StopLevel() + 1))
 		b.outRef.Push(token.S(t.StopLevel() + 1))
@@ -112,7 +146,7 @@ func (b *Scanner) Tick() bool {
 			b.sepPending = false
 			return true
 		}
-		b.in.Pop()
+		b.in.PopPeeked()
 		b.outCrd.Push(token.D())
 		b.outRef.Push(token.D())
 		b.done = true

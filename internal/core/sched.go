@@ -48,8 +48,9 @@ const never = math.MaxInt
 type runner struct {
 	n      *Net
 	blocks []Block
-	order  []int32 // visit order within a window
-	w      int     // W
+	spans  []spanner // blocks[i] as a spanner, or nil: it runs Tick by Tick
+	order  []int32   // visit order within a window
+	w      int       // W
 
 	ins    []*Queue // each block's input queues, block by block
 	inOff  []int32  // block i's inputs are ins[inOff[i]:inOff[i+1]]
@@ -75,12 +76,14 @@ func newRunner(n *Net) *runner {
 	nb := len(n.Blocks)
 	r := &runner{
 		n: n, blocks: n.Blocks, w: window,
+		spans: make([]spanner, nb),
 		inOff: make([]int32, nb+1), clk: make([]int, nb), fin: make([]bool, nb),
 		lastDone: -1, failT: never,
 	}
 	var outs []*Out
 	outOff := make([]int32, nb+1)
 	for i, b := range n.Blocks {
+		r.spans[i], _ = b.(spanner)
 		for _, q := range b.InQueues() {
 			if q != nil {
 				r.ins = append(r.ins, q)
@@ -210,6 +213,16 @@ func (r *runner) run(limit int) (int, error) {
 	return limit, errLimit(limit, r.n)
 }
 
+// spanner is a block that runs a span of cycles per call rather than one:
+// span ticks it at its queues' clock's cycle and each next one while it makes
+// progress, up to end, and returns how many cycles made progress. It may move
+// the clock to any cycle it ran. A span of more than one cycle is run only on
+// a net whose queues are all unbounded (W > 1), so its output ports are free
+// and it checks their room once; the block's Tick is its span of one cycle.
+type spanner interface {
+	span(end uint32) int
+}
+
 // window ticks every block from its clock up to we.
 func (r *runner) window(ws, we int) {
 	sleep := we
@@ -225,13 +238,18 @@ func (r *runner) window(ws, we int) {
 		if t >= we {
 			continue
 		}
-		b := r.blocks[i]
+		b, sp := r.blocks[i], r.spans[i]
 		r.cur = i
 		for t < we {
 			from := t
-			for clk.now = uint32(t - base); b.Tick(); clk.now++ {
-				if t++; t == we {
-					break
+			clk.now = uint32(t - base)
+			if sp != nil {
+				t += sp.span(uint32(we - base))
+			} else {
+				for ; b.Tick(); clk.now++ {
+					if t++; t == we {
+						break
+					}
 				}
 			}
 			r.progressed(from-ws, t-ws)

@@ -18,7 +18,7 @@ func (q *Queue) Preload(s token.Stream) {
 		if q.tail&chunkMask == 0 {
 			q.link()
 		}
-		q.last.toks[q.tail&chunkMask] = slot{kind: t.Kind, n: t.N, v: t.V}
+		q.last.toks[q.tail&chunkMask].put(t, 0)
 		q.tail++
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Trace is a lightweight per-request span recorder: named phases with
@@ -189,9 +190,9 @@ func (t *Trace) SpansSince(from int) []SpanData {
 
 // RenderSpans formats a span snapshot as an indented text tree, the shape
 // samsim -trace prints: one line per span with its duration, children
-// indented under their parents.
+// indented under their parents, every duration ending in one column past the
+// longest indented name.
 func RenderSpans(spans []SpanData) string {
-	var b strings.Builder
 	children := map[int][]int{}
 	for i, sp := range spans {
 		p := sp.Parent
@@ -200,16 +201,25 @@ func RenderSpans(spans []SpanData) string {
 		}
 		children[p] = append(children[p], i)
 	}
+	type line struct {
+		name string // the indented name
+		dur  int64
+	}
+	var lines []line
+	width := 0
 	var walk func(parent, depth int)
 	walk = func(parent, depth int) {
 		for _, i := range children[parent] {
-			sp := spans[i]
-			fmt.Fprintf(&b, "%s%-*s %10.3fms\n",
-				strings.Repeat("  ", depth+1), 24-2*depth, sp.Name,
-				float64(sp.DurNS)/1e6)
+			l := line{strings.Repeat("  ", depth+1) + spans[i].Name, spans[i].DurNS}
+			lines = append(lines, l)
+			width = max(width, utf8.RuneCountInString(l.name)) // fmt pads in runes
 			walk(i, depth+1)
 		}
 	}
 	walk(-1, 0)
+	var b strings.Builder
+	for _, l := range lines {
+		fmt.Fprintf(&b, "%-*s %10.3fms\n", width, l.name, float64(l.dur)/1e6)
+	}
 	return b.String()
 }

@@ -150,3 +150,31 @@ func TestRenderSpans(t *testing.T) {
 		t.Error("rendering no spans should be empty")
 	}
 }
+
+// TestRenderSpansAlignsLongNames checks every duration ends in one column
+// when a name, indented, runs past 24 characters, as a lane step's label
+// does under run.
+func TestRenderSpansAlignsLongNames(t *testing.T) {
+	spans := []SpanData{
+		{Name: "request", Parent: -1, DurNS: 40e6},
+		{Name: "run", Parent: 0, DurNS: 30e6},
+		{Name: "Repeater c over i [lane 0]", Parent: 1, DurNS: 1234567},
+		{Name: "assemble", Parent: 0, DurNS: 2e6},
+	}
+	out := RenderSpans(spans)
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != len(spans) {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(spans), out)
+	}
+	for _, l := range lines {
+		if len(l) != len(lines[0]) {
+			t.Fatalf("durations end in different columns:\n%s", out)
+		}
+		if !strings.HasSuffix(l, "ms") {
+			t.Fatalf("line %q carries no duration", l)
+		}
+	}
+	if !strings.Contains(out, "Repeater c over i [lane 0]      1.235ms") {
+		t.Errorf("long name not followed by its duration:\n%s", out)
+	}
+}

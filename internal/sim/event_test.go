@@ -368,30 +368,36 @@ func TestReduceEmptySubFibers(t *testing.T) {
 
 // BenchmarkEventRun is the event engine alone on the simulate-event shapes:
 // bind, wire, run and assemble of a prebuilt Program, no serving around it.
-// The sixth row, SpM*SpM-ikj-cap8, is the bounded-queue net, which runs one
-// cycle at a time; it is not part of the workload.
+// ns/token is the time per token pushed on the result's streams. The sixth
+// row, SpM*SpM-ikj-cap8, is the bounded-queue net, which runs one cycle at a
+// time; it is not part of the workload.
 func BenchmarkEventRun(b *testing.B) {
 	for _, s := range eventShapes(b) {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
-			cycles := 0
+			cycles, tokens := 0, int64(0)
 			for i := 0; i < b.N; i++ {
 				res, err := s.prog.Run(s.inputs, s.opt)
 				if err != nil {
 					b.Fatal(err)
 				}
-				cycles = res.Cycles
+				cycles, tokens = res.Cycles, 0
+				for _, st := range res.Streams {
+					tokens += st.Data + st.Stop + st.Empty + st.Done
+				}
 			}
+			perRun := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(float64(cycles), "cycles")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
+			b.ReportMetric(perRun/float64(cycles), "ns/cycle")
+			b.ReportMetric(perRun/float64(tokens), "ns/token")
 		})
 	}
 }
 
 // TestEventRunAllocBytes gates what a warm event-engine run allocates. The
-// ijk inner-product dataflow peaks at 683,108 tokens in flight (16.4 MB);
-// with stream chunks recycled through core's pool a warm run allocates the
-// net, the writers' output and little else. The doubling rings this replaced
+// ijk inner-product dataflow peaks at 683,108 tokens in flight (10.9 MB in
+// 16-byte slots); with stream chunks recycled through core's pool a warm run
+// allocates the net, the writers' output and little else. The doubling rings this replaced
 // allocated and zeroed 65 MB per run. ikj and kij run the n = 1 and n = 2
 // reducers, whose group accumulator keeps each group's points in flat arrays
 // reused group to group: a map or key allocated per point or per group costs

@@ -79,6 +79,12 @@ func V(v float64) Tok { return Tok{Kind: Val, N: valueN, V: v} }
 // BV constructs a bitvector-word token.
 func BV(bits uint64) Tok { return Tok{Kind: Val, N: int64(bits)} }
 
+// Marked reports whether t's N is the marker V sets: t is a value token, or
+// the one bitvector word sharing the marker's pattern (whose V is 0, so it
+// equals V(0)). Every token the constructors build has V == 0 unless it is
+// marked, so N for an unmarked token, or V for a marked one, is all it holds.
+func (t Tok) Marked() bool { return t.N == valueN }
+
 // S constructs a stop token of the given level.
 func S(level int) Tok { return Tok{Kind: Stop, N: int64(level)} }
 
