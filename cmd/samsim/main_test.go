@@ -265,6 +265,8 @@ func TestFlagCombinationValidation(t *testing.T) {
 		want string
 	}{
 		{[]string{"-expr", "x(i) = b(i) * c(i)", "-engine", "comp", "-queue", "4"}, "-queue"},
+		{[]string{"-expr", "x(i) = b(i) * c(i)", "-queue", "-3"}, "queue capacity -3"},
+		{[]string{"-expr", "x(i) = b(i) * c(i)", "-engine", "naive", "-queue", "-3"}, "queue capacity -3"},
 		{[]string{"-expr", "x(i) = b(i)", "-load", "a.sambc"}, "-load"},
 		{[]string{"-load", "a.sambc", "-emit", "b.sambc"}, "-emit"},
 		{[]string{"-load", "a.sambc", "-par", "4"}, "-par shapes compilation"},

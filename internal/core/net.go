@@ -50,18 +50,27 @@ func (n *Net) Add(bs ...Block) {
 // return errors naming the unfinished blocks); a block's failure aborts with
 // its error. Any non-negative limit is honored.
 //
-// Run ticks each block a window of cycles at a time on its own clock (see
-// sched.go). Cycle counts, outputs, stream statistics and errors are
-// identical to RunNaive's.
+// A net whose queues are all unbounded and whose blocks form no cycle runs
+// windowed: each block ticks a window of cycles at a time on its own clock
+// (see sched.go). Any other net runs RunNaive's loop: a bounded queue's pop
+// frees room its producer sees at once, and a cycle of blocks has no order to
+// run ahead in. Either way, cycle counts, outputs, stream statistics and
+// errors are identical to RunNaive's.
 func (n *Net) Run(limit int) (int, error) {
-	return newRunner(n).run(limit)
+	r, windowed := newRunner(n)
+	if !windowed {
+		return n.RunNaive(limit)
+	}
+	return r.run(limit)
 }
 
 // RunNaive is the reference tick-all loop: every block is ticked on every
 // cycle, in block-index order, regardless of whether it can make progress. It
-// runs the naive engine, the reference Run is tested against.
+// runs the naive engine and Run's bounded and cyclic nets, and it is the
+// reference Run is tested against.
 func (n *Net) RunNaive(limit int) (int, error) {
-	qs := newRunner(n).queues
+	r, _ := newRunner(n)
+	qs := r.queues
 	cycles := 0
 	finish := func() {
 		n.clk.now = uint32(cycles - n.base)

@@ -52,11 +52,9 @@ type Queue struct {
 	tail        int    // next push position
 	clk         *clock // the cycle reads and writes happen at
 
-	// Scheduler wiring, installed by Net.Run (see sched.go): the consuming
-	// and producing block's index plus one (zero: none), and, only when the
-	// net runs one cycle at a time, the run a push or a bounded pop re-arms.
-	run        *runner
-	cons, prod int32
+	// cons is the consuming block's index plus one (zero: none), which
+	// Net.Run orders blocks producer before consumer by.
+	cons int32
 
 	count [4]int64 // tokens pushed, by token.Kind
 
@@ -203,12 +201,6 @@ func (q *Queue) Push(t token.Tok) {
 	q.last.toks[q.tail&chunkMask].put(t, q.clk.now+1)
 	q.tail++
 	q.count[t.Kind&3]++ // the kinds are 0 to 3: &3 drops the bounds check
-	if q.run != nil {
-		// On a net run one cycle at a time the token re-arms its consumer.
-		// The hook stays in line: Push does not inline either way, and an
-		// out-of-line call per push slows the bounded path measurably.
-		q.run.pushed(q.cons)
-	}
 }
 
 // pushData appends the data tokens C(from[j]), or C(base+j) when from is
@@ -216,9 +208,6 @@ func (q *Queue) Push(t token.Tok) {
 // now … now+m-1, so the j-th turns visible at now+1+j. It writes straight
 // into the tail chunks, as m Pushes would.
 func (q *Queue) pushData(now uint32, m int, from []int32, base int64) {
-	if q.run != nil {
-		q.run.pushed(q.cons)
-	}
 	q.count[token.Val] += int64(m)
 	for m > 0 {
 		i := q.tail & chunkMask
@@ -269,10 +258,7 @@ func (q *Queue) front() *slot {
 	return s
 }
 
-// Pop consumes and returns the head token, once it is visible. Pop does not
-// inline, so unlike PopPeeked it runs the hook of a net run one cycle at a
-// time in line: a second call per pop costs the bounded path about a tenth
-// of its time.
+// Pop consumes and returns the head token, once it is visible.
 func (q *Queue) Pop() (token.Tok, bool) {
 	s := q.front()
 	if s == nil {
@@ -283,30 +269,15 @@ func (q *Queue) Pop() (token.Tok, bool) {
 	if q.head&chunkMask == 0 {
 		q.unlink()
 	}
-	if q.run != nil && q.Cap > 0 {
-		q.run.popped(q.prod)
-	}
 	return t, true
 }
 
-// PopPeeked consumes the head token, which a Peek on this cycle has returned.
+// PopPeeked consumes the head token, which a Peek on this cycle has returned:
+// Pop without the visibility check or the decode.
 func (q *Queue) PopPeeked() {
 	q.head++
-	if q.head&chunkMask == 0 || q.run != nil {
-		q.popSlow()
-	}
-}
-
-// popSlow is the part of a pop that runs only at a chunk boundary, where it
-// returns the consumed chunk, or on a net run one cycle at a time, where a
-// pop from a bounded queue re-arms the queue's producer: the freed room is
-// there at once, so a producer blocked on it may emit again.
-func (q *Queue) popSlow() {
 	if q.head&chunkMask == 0 {
 		q.unlink()
-	}
-	if q.run != nil && q.Cap > 0 {
-		q.run.popped(q.prod)
 	}
 }
 

@@ -5,9 +5,8 @@ import (
 	"math/bits"
 )
 
-// window is W, the cycles a block runs per visit on a net whose queues are
-// all unbounded and whose blocks form no cycle. 256 to 4096 measure alike on
-// the simulate-event shapes; 64 is slower.
+// window is W, the cycles a block runs per visit. 256 to 4096 measure alike
+// on the simulate-event shapes; 64 is slower.
 const window = 512
 
 // stampSpan is how many cycles past its stamp base a net runs before it
@@ -18,39 +17,31 @@ const stampSpan = 1 << 31
 // never is the clock of a block that will not tick again.
 const never = math.MaxInt
 
-// runner is Net.Run's scheduler. Each block keeps its own clock, the next
-// cycle it ticks at, and the run proceeds in windows of W cycles: a window
-// visits every block once and ticks it from its clock up to the window's end.
+// runner is Net.Run's scheduler for a net whose queues are all unbounded and
+// whose blocks form no cycle; any other net runs RunNaive's loop (see
+// Net.Run). Each block keeps its own clock, the next cycle it ticks at, and
+// the run proceeds in windows of W cycles: a window visits every block once,
+// in topological order, and ticks it from its clock up to the window's end.
 // A block that made progress ticks again the next cycle; after a tick with no
 // progress it jumps to the earliest cycle at which a token already queued on
 // one of its inputs turns visible, or else to the window's end. The skip is
 // exact: a tick with no progress and no new input is a no-op (see Block).
 //
-// On a net whose queues are all unbounded and whose blocks form no cycle, W
-// is 512 and blocks are visited in topological order. A pushed token turns
-// visible only the next cycle and an unbounded queue never pushes back, so
-// nothing a consumer does changes its producer's cycles: by the time a block
-// is visited, every token that reaches it before the window's end is already
-// queued, stamped with the cycle it turns visible.
+// A pushed token turns visible only the next cycle and an unbounded queue
+// never pushes back, so nothing a consumer does changes its producer's
+// cycles: by the time a block is visited, every token that reaches it before
+// the window's end is already queued, stamped with the cycle it turns
+// visible.
 //
-// A bounded queue's pop frees room its producer sees at once, and a cycle of
-// blocks has no order to run ahead in. Such a net runs the same loop with W =
-// 1 in block-index order, the naive loop's order. There a no-progress tick
-// puts the block to sleep, a push re-arms the queue's consumer for the next
-// cycle, and a pop on a bounded queue re-arms its producer for this cycle if
-// its turn is still to come, else for the next — which is when the naive loop
-// would first see the freed room.
-//
-// Either way a window ends by settling, in cycle order, the events the naive
-// loop would stop at: a failing tick (lowest cycle, then lowest block index),
-// every block done, or a cycle in which no block made progress (a deadlock).
-// Cycle counts, outputs, stream statistics and errors are those of RunNaive.
+// A window ends by settling, in cycle order, the events the naive loop would
+// stop at: a failing tick (lowest cycle, then lowest block index), every
+// block done, or a cycle in which no block made progress (a deadlock). Cycle
+// counts, outputs, stream statistics and errors are those of RunNaive.
 type runner struct {
 	n      *Net
 	blocks []Block
 	spans  []spanner // blocks[i] as a spanner, or nil: it runs Tick by Tick
 	order  []int32   // visit order within a window
-	w      int       // W
 
 	ins    []*Queue // each block's input queues, block by block
 	inOff  []int32  // block i's inputs are ins[inOff[i]:inOff[i+1]]
@@ -58,8 +49,6 @@ type runner struct {
 
 	clk []int  // the cycle each block next ticks at
 	fin []bool // the block is done or failed and ticks no more
-	ws  int    // the window's first cycle: at W = 1, where hooks re-arm blocks, the one ticked
-	cur int    // the block being ticked
 
 	active   [window / 64]uint64 // bit c-ws: some block progressed at cycle c of the window
 	nDone    int                 // blocks finished without error
@@ -69,13 +58,15 @@ type runner struct {
 }
 
 // newRunner resolves the net's wiring for a run: every block's input queues,
-// each queue's producing and consuming block, the visit order and W. Every
-// queue the blocks read or write is put on the net's clock, registered with
-// the net or not.
-func newRunner(n *Net) *runner {
+// each queue's consuming block and the visit order. Every queue the blocks
+// read or write is put on the net's clock, registered with the net or not,
+// and every output port learns whether it is free (see Out.CanPush). It
+// reports whether the windowed loop runs the net: its queues are all
+// unbounded and its blocks form no cycle.
+func newRunner(n *Net) (*runner, bool) {
 	nb := len(n.Blocks)
 	r := &runner{
-		n: n, blocks: n.Blocks, w: window,
+		n: n, blocks: n.Blocks,
 		spans: make([]spanner, nb),
 		inOff: make([]int32, nb+1), clk: make([]int, nb), fin: make([]bool, nb),
 		lastDone: -1, failT: never,
@@ -112,7 +103,7 @@ func newRunner(n *Net) *runner {
 	clk := n.clock()
 	add := func(q *Queue) {
 		if q.clk == nil {
-			q.clk, q.run, q.cons, q.prod = clk, nil, 0, 0
+			q.clk, q.cons = clk, 0
 			r.queues = append(r.queues, q)
 		}
 	}
@@ -125,6 +116,7 @@ func newRunner(n *Net) *runner {
 			q.cons = int32(i + 1)
 		}
 	}
+	unbounded := true
 	indeg := make([]int32, nb)
 	for i := range nb {
 		for _, o := range outs[outOff[i]:outOff[i+1]] {
@@ -133,10 +125,8 @@ func newRunner(n *Net) *runner {
 			o.free = true
 			for _, q := range o.qs {
 				add(q)
-				q.prod = int32(i + 1)
 				if q.Cap > 0 {
-					o.free = false
-					r.w = 1
+					o.free, unbounded = false, false
 				}
 				if q.cons > 0 {
 					indeg[q.cons-1]++
@@ -164,31 +154,17 @@ func newRunner(n *Net) *runner {
 			}
 		}
 	}
-	if len(r.order) < nb {
-		r.w = 1
-	}
-	if r.w == 1 {
-		r.order = r.order[:nb]
-		for i := range r.order {
-			r.order[i] = int32(i)
-		}
-	}
-	return r
+	return r, unbounded && len(r.order) == nb
 }
 
 // run executes the net to completion. See Net.Run for the contract.
 func (r *runner) run(limit int) (int, error) {
-	if r.w == 1 {
-		for _, q := range r.queues {
-			q.run = r
-		}
-	}
 	we := 0
 	for ws := 0; ws < limit; ws = we {
 		if ws-r.n.base >= r.n.stampSpan() {
 			r.n.rebase(ws, r.queues)
 		}
-		we = ws + min(r.w, limit-ws)
+		we = ws + min(window, limit-ws)
 		r.window(ws, we)
 		if cycles, err, ok := r.settle(ws, we); ok {
 			r.finish(we, cycles)
@@ -216,21 +192,17 @@ func (r *runner) run(limit int) (int, error) {
 // spanner is a block that runs a span of cycles per call rather than one:
 // span ticks it at its queues' clock's cycle and each next one while it makes
 // progress, up to end, and returns how many cycles made progress. It may move
-// the clock to any cycle it ran. A span of more than one cycle is run only on
-// a net whose queues are all unbounded (W > 1), so its output ports are free
-// and it checks their room once; the block's Tick is its span of one cycle.
+// the clock to any cycle it ran. The windowed loop, span's only caller, runs
+// only nets whose queues are all unbounded, so the block's output ports are
+// free and it checks their room once per call. The block's Tick, which
+// RunNaive calls on bounded nets too, is its span of one cycle.
 type spanner interface {
 	span(end uint32) int
 }
 
 // window ticks every block from its clock up to we.
 func (r *runner) window(ws, we int) {
-	sleep := we
-	if r.w == 1 {
-		sleep = never
-	}
 	clear(r.active[:(we-ws+63)>>6])
-	r.ws = ws
 	clk, base := r.n.clk, r.n.base
 	for _, i32 := range r.order {
 		i := int(i32)
@@ -239,7 +211,6 @@ func (r *runner) window(ws, we int) {
 			continue
 		}
 		b, sp := r.blocks[i], r.spans[i]
-		r.cur = i
 		for t < we {
 			from := t
 			clk.now = uint32(t - base)
@@ -273,7 +244,7 @@ func (r *runner) window(ws, we int) {
 				r.fin[i], t = true, never
 				break
 			}
-			t = r.wake(i, t, sleep)
+			t = r.wake(i, t, we)
 		}
 		r.clk[i] = t
 	}
@@ -296,10 +267,10 @@ func (r *runner) progressed(from, to int) {
 
 // wake returns the cycle block i next ticks at after a tick at t without
 // progress: the earliest at which the head token of one of its inputs turns
-// visible, or else sleep. A head already visible changes nothing until the
-// block pops it, and blocks read nothing behind it.
-func (r *runner) wake(i, t, sleep int) int {
-	next := sleep
+// visible, or else we, the window's end. A head already visible changes
+// nothing until the block pops it, and blocks read nothing behind it.
+func (r *runner) wake(i, t, we int) int {
+	next := we
 	for _, q := range r.ins[r.inOff[i]:r.inOff[i+1]] {
 		if q.head < q.tail {
 			if at := r.n.base + int(q.first.toks[q.head&chunkMask].at); at > t && at < next {
@@ -332,36 +303,12 @@ func (r *runner) settle(ws, we int) (int, error, bool) {
 	return 0, nil, false
 }
 
-// pushed re-arms a queue's consumer for the cycle its new token turns visible.
-func (r *runner) pushed(cons int32) {
-	if i, due := int(cons)-1, r.ws+1; i >= 0 && !r.fin[i] && r.clk[i] > due {
-		r.clk[i] = due
-	}
-}
-
-// popped re-arms a bounded queue's producer: a pop frees room at once, so a
-// producer blocked on it may emit this cycle if its turn is still to come.
-func (r *runner) popped(prod int32) {
-	i := int(prod) - 1
-	if i < 0 || r.fin[i] {
-		return
-	}
-	due := r.ws
-	if i <= r.cur {
-		due++
-	}
-	if r.clk[i] > due {
-		r.clk[i] = due
-	}
-}
-
 // finish ends the run: the net's clock stands at the last cycle run, so every
-// token pushed is visible; hooks come off; every queue records its idle
-// cycles and releases its storage (see Queue.endRun).
+// token pushed is visible, and every queue records its idle cycles and
+// releases its storage (see Queue.endRun).
 func (r *runner) finish(end, cycles int) {
 	r.n.clk.now = uint32(end - r.n.base)
 	for _, q := range r.queues {
-		q.run = nil
 		q.endRun(cycles)
 	}
 }

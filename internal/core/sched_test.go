@@ -206,3 +206,104 @@ func TestStampRebase(t *testing.T) {
 		}
 	}
 }
+
+// relay is one block of a ring: it forwards each coordinate C(k) it reads as
+// C(k+1), and once k+1 reaches limit it sends D instead and finishes, as it
+// does after forwarding a D. A seeding relay first emits C(0).
+type relay struct {
+	basic
+	in    *Queue
+	out   *Out
+	seed  bool
+	limit int64
+}
+
+// Tick implements Block.
+func (b *relay) Tick() bool {
+	if b.done || !b.out.CanPush() {
+		return false
+	}
+	if b.seed {
+		b.seed = false
+		b.out.Push(token.C(0))
+		return true
+	}
+	t, ok := b.in.Peek()
+	if !ok {
+		return false
+	}
+	b.in.PopPeeked()
+	if t.IsDone() || t.N+1 >= b.limit {
+		b.out.Push(token.D())
+		b.done = true
+	} else {
+		b.out.Push(token.C(t.N + 1))
+	}
+	return true
+}
+
+// InQueues implements Block.
+func (b *relay) InQueues() []*Queue { return []*Queue{b.in} }
+
+// OutPorts implements Block.
+func (b *relay) OutPorts() []*Out { return []*Out{b.out} }
+
+// TestCyclicNetMatchesNaive runs two relays wired in a ring, so the blocks
+// form a cycle and have no producer-before-consumer order: unbounded and at
+// capacities 1 and 3, to completion, into the cycle limit, and without a
+// seed, where neither relay can start. Run must give RunNaive's cycle count,
+// error text and every queue's statistics.
+func TestCyclicNetMatchesNaive(t *testing.T) {
+	ring := func(capacity int, seed bool) *Net {
+		n := &Net{}
+		ab, ba := n.NewBoundedQueue("a->b", capacity), n.NewBoundedQueue("b->a", capacity)
+		n.Add(
+			&relay{basic: basic{name: "a"}, in: ba, out: NewOut(ab), seed: seed, limit: 50},
+			&relay{basic: basic{name: "b"}, in: ab, out: NewOut(ba), limit: 50},
+		)
+		return n
+	}
+	for _, tc := range []struct {
+		name   string
+		seed   bool
+		limit  int
+		cycles int
+		err    string
+	}{
+		{name: "ring completes", seed: true, limit: 1000, cycles: 52},
+		{name: "ring hits the cycle limit", seed: true, limit: 20, cycles: 20,
+			err: "core: cycle limit 20 exceeded; unfinished: a, b"},
+		{name: "ring without a seed", limit: 1000, cycles: 1,
+			err: "core: deadlock after 1 cycles; unfinished: a, b"},
+	} {
+		for _, capacity := range []int{0, 1, 3} {
+			t.Run(fmt.Sprintf("%s/cap%d", tc.name, capacity), func(t *testing.T) {
+				var want []StreamStats
+				for _, naive := range []bool{true, false} {
+					n := ring(capacity, tc.seed)
+					run := n.Run
+					if naive {
+						run = n.RunNaive
+					}
+					cycles, err := run(tc.limit)
+					got := ""
+					if err != nil {
+						got = err.Error()
+					}
+					if cycles != tc.cycles || got != tc.err {
+						t.Errorf("naive=%v: %d cycles, error %q; want %d, %q", naive, cycles, got, tc.cycles, tc.err)
+					}
+					var stats []StreamStats
+					for _, q := range n.Queues {
+						stats = append(stats, q.Stats)
+					}
+					if naive {
+						want = stats
+					} else if fmt.Sprint(stats) != fmt.Sprint(want) {
+						t.Errorf("stats %v; RunNaive's %v", stats, want)
+					}
+				}
+			})
+		}
+	}
+}

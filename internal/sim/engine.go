@@ -18,7 +18,7 @@ const (
 	// each block keeps its own clock and ticks up to 512 cycles ahead per
 	// visit, in producer-before-consumer order, skipping straight to the
 	// cycle its next input token turns visible; a net with bounded queues
-	// runs one cycle at a time in block order.
+	// runs the naive engine's tick-all loop.
 	EngineEvent EngineKind = "event"
 	// EngineNaive is the reference cycle-accurate engine that ticks every
 	// block on every cycle. It produces bit-identical results to

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sam/internal/custard"
@@ -195,6 +196,23 @@ func TestEngineEquivalenceErrors(t *testing.T) {
 	}
 	if errNaive.Error() != errEvent.Error() {
 		t.Errorf("limit errors differ:\n naive: %v\n event: %v", errNaive, errEvent)
+	}
+}
+
+// TestNegativeQueueCapFails checks a negative QueueCap fails the run on both
+// cycle engines with an error naming the value, rather than running the net
+// unbounded.
+func TestNegativeQueueCapFails(t *testing.T) {
+	inputs, e := corpusInputs("x(i) = B(i,j) * c(j)", 3)
+	g, err := custard.Compile(e, nil, lang.Schedule{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []EngineKind{EngineEvent, EngineNaive} {
+		res, err := Run(g, inputs, Options{Engine: eng, QueueCap: -1})
+		if err == nil || !strings.Contains(err.Error(), "queue capacity -1") {
+			t.Errorf("%s: QueueCap -1 gave result %v, error %v; want an error naming -1", eng, res, err)
+		}
 	}
 }
 

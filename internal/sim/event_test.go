@@ -369,8 +369,8 @@ func TestReduceEmptySubFibers(t *testing.T) {
 // BenchmarkEventRun is the event engine alone on the simulate-event shapes:
 // bind, wire, run and assemble of a prebuilt Program, no serving around it.
 // ns/token is the time per token pushed on the result's streams. The sixth
-// row, SpM*SpM-ikj-cap8, is the bounded-queue net, which runs one cycle at a
-// time; it is not part of the workload.
+// row, SpM*SpM-ikj-cap8, is the bounded-queue net, which Net.Run hands to the
+// naive tick-all loop; it is not part of the workload.
 func BenchmarkEventRun(b *testing.B) {
 	for _, s := range eventShapes(b) {
 		b.Run(s.name, func(b *testing.B) {

@@ -147,8 +147,8 @@ func TestFuzzRandomExpressions(t *testing.T) {
 // byte-identical outputs and identical statistics for every stream (data,
 // stop, empty, done and idle tokens). Unbounded queues run the windowed
 // scheduler, which ticks each block up to 512 cycles ahead on its own clock;
-// bounded ones (caps 2 and 7) run it one cycle at a time in block order, where
-// pops re-arm producers blocked on backpressure.
+// with bounded ones (caps 2 and 7) Net.Run hands the net to the naive loop,
+// so those rows hold the routing and the blocks' backpressure paths.
 func TestFuzzEngineEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	executed := 0

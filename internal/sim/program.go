@@ -181,6 +181,9 @@ func (p *Program) CheckEngine(kind EngineKind) error {
 // opt.Engine selects. It is equivalent to sim.Run on the program's graph but
 // skips validation and plan construction, which Run pays on every call.
 func (p *Program) Run(inputs map[string]*tensor.COO, opt Options) (*Result, error) {
+	if opt.QueueCap < 0 {
+		return nil, fmt.Errorf("sim: queue capacity %d is negative (0 means unbounded)", opt.QueueCap)
+	}
 	switch opt.Engine {
 	case "", EngineEvent:
 		return p.runCycle(EngineEvent, inputs, opt)

@@ -38,7 +38,8 @@ type Options struct {
 	// stamp wraps.
 	MaxCycles int
 	// QueueCap bounds every inter-block queue, modeling finite buffering
-	// with backpressure; 0 means unbounded (the paper's default).
+	// with backpressure; 0 means unbounded (the paper's default). A negative
+	// capacity fails the run.
 	QueueCap int
 	// Engine selects the executor; the zero value is the event-driven
 	// cycle-accurate engine (EngineEvent).
