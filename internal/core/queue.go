@@ -52,8 +52,8 @@ type Queue struct {
 	tail        int    // next push position
 	clk         *clock // the cycle reads and writes happen at
 
-	// cons is the consuming block's index plus one (zero: none), which
-	// Net.Run orders blocks producer before consumer by.
+	// cons is the consuming block's index plus one (zero: none); Net.Run's
+	// producer-before-consumer order is built from it.
 	cons int32
 
 	count [4]int64 // tokens pushed, by token.Kind
