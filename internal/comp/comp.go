@@ -3,10 +3,12 @@
 // directly, skipping the token queues and per-cycle scheduling the
 // cycle-accurate engines pay on every edge.
 //
-// Lowering is split into two halves. Lower walks the graph in topological
-// order and flattens it into a serializable IR: one StepIR per block with
-// its stream-slot wiring and block parameters, plus the writer table and
-// the output metadata (ir.go). Materialize binds each StepIR to its merged-
+// Lowering is split into two halves. Lower wires the graph with graph.Wire,
+// whose streams are its stream slots (the cycle engines number their
+// streams the same way), walks it in topological order and flattens it into
+// a serializable IR: one StepIR per block with its ports' slots by position
+// and its block parameters, plus the writer table and the output metadata
+// (ir.go). Materialize binds each StepIR to its merged-
 // loop closure through an opcode dispatch and rebuilds the derived state
 // (the output permutation). Compile is Lower followed by
 // Materialize; internal/prog serializes the IR between the two halves, so

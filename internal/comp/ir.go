@@ -98,13 +98,19 @@ const (
 	maxIRRedN  = 64
 )
 
-// Lower flattens a graph into its IR: slot assignment (one stream buffer
-// per driven output port, discarded ports get slot -1), one StepIR per
-// block in deterministic topological order, and the writer table. The same
-// graph always lowers to the same IR, which is what makes the encoded
-// artifact form byte-stable.
+// Lower flattens a graph into its IR: the graph's streams (graph.Wire, so
+// a graph Validate rejects fails here with the same error) become its
+// stream slots, each step's Ins and Outs list its ports' slots by position,
+// discarded output ports get slot -1, and there is one StepIR per block in
+// deterministic topological order, plus the writer table. The same graph
+// always lowers to the same IR, which is what makes the encoded artifact
+// form byte-stable.
 func Lower(g *graph.Graph) (*IR, error) {
 	if err := Check(g); err != nil {
+		return nil, err
+	}
+	w, err := g.Wire()
+	if err != nil {
 		return nil, err
 	}
 	order, err := topoOrder(g)
@@ -114,6 +120,7 @@ func Lower(g *graph.Graph) (*IR, error) {
 	ir := &IR{
 		Name: g.Name, Expr: g.Expr, OptLevel: g.OptLevel,
 		Fingerprint:  g.Fingerprint(),
+		NSlot:        w.Streams,
 		Bindings:     g.Bindings,
 		OutputTensor: g.OutputTensor,
 		OutputDims:   g.OutputDims,
@@ -121,57 +128,21 @@ func Lower(g *graph.Graph) (*IR, error) {
 		LHSVars:      g.LHSVars,
 	}
 
-	// One stream buffer per driven output port; fan-out consumers read the
-	// same buffer. Undriven diagnostic ports write to slot -1 (discarded).
-	ports := graph.NewPortTable(g)
-	outSlot := make([]int, ports.NumOut())
-	inSlot := make([]int, ports.NumIn())
-	for _, slots := range [][]int{outSlot, inSlot} {
-		for i := range slots {
-			slots[i] = -1
-		}
-	}
-	for _, e := range g.Edges {
-		k, in := ports.Out(e.From, e.FromPort), ports.In(e.To, e.ToPort)
-		if k < 0 || in < 0 {
-			return nil, fmt.Errorf("comp: edge %q/%s -> %q/%s names a port its block lacks",
-				g.Nodes[e.From].Label, e.FromPort, g.Nodes[e.To].Label, e.ToPort)
-		}
-		if outSlot[k] < 0 {
-			outSlot[k] = ir.NSlot
-			ir.NSlot++
-		}
-		inSlot[in] = outSlot[k]
-	}
-	inSlotOf := func(n *graph.Node, port string) (int, error) {
-		if k := ports.In(n.ID, port); k >= 0 && inSlot[k] >= 0 {
-			return inSlot[k], nil
-		}
-		return 0, fmt.Errorf("comp: node %q input port %q unconnected", n.Label, port)
-	}
-
-	// Every step's Ins and Outs are carved from one slice: a node's lists
-	// take at most its port counts.
-	slots := make([]int, 0, ports.NumIn()+ports.NumOut())
+	// An input port reads the stream of the edge feeding it. Every step's
+	// Ins are carved from one slice; its Outs are its ports' streams.
+	slots := make([]int, 0, w.Ports.NumIn())
 	ir.Steps = make([]StepIR, 0, len(order))
 	crdWr := map[int]WriterIR{}
 	valsSeen := false
 	for _, n := range order {
-		if n.Kind == graph.CrdWriter || n.Kind == graph.ValsWriter {
-			port := "crd"
-			if n.Kind == graph.ValsWriter {
-				port = "val"
-			}
-			slot, err := inSlotOf(n, port)
-			if err != nil {
-				return nil, err
-			}
-			if n.Kind == graph.ValsWriter {
-				ir.ValsWr = WriterIR{Slot: slot, Label: n.Label}
-				valsSeen = true
-			} else {
-				crdWr[n.OutLevel] = WriterIR{Level: n.OutLevel, Slot: slot, Label: n.Label}
-			}
+		i0, i1, o0, o1 := w.Ports.Span(n.ID)
+		switch n.Kind {
+		case graph.ValsWriter:
+			ir.ValsWr = WriterIR{Slot: w.EdgeStream[w.Feed[i0]], Label: n.Label}
+			valsSeen = true
+			continue
+		case graph.CrdWriter:
+			crdWr[n.OutLevel] = WriterIR{Level: n.OutLevel, Slot: w.EdgeStream[w.Feed[i0]], Label: n.Label}
 			continue
 		}
 		si := StepIR{
@@ -180,18 +151,11 @@ func Lower(g *graph.Graph) (*IR, error) {
 			Level: n.Level, LevelB: n.LevelB,
 			Ways: n.Ways, Op: n.Op, RedN: n.RedN, Drop: n.Drop,
 		}
-		for _, port := range graph.InPorts(n) {
-			s, err := inSlotOf(n, port)
-			if err != nil {
-				return nil, err
-			}
-			slots = append(slots, s)
+		for _, e := range w.Feed[i0:i1] {
+			slots = append(slots, w.EdgeStream[e])
 		}
 		si.Ins, slots = carve(slots)
-		for _, port := range graph.OutPorts(n) {
-			slots = append(slots, outSlot[ports.Out(n.ID, port)])
-		}
-		si.Outs, slots = carve(slots)
+		si.Outs, _ = carve(w.Stream[o0:o1])
 		ir.Steps = append(ir.Steps, si)
 	}
 	if !valsSeen {

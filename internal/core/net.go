@@ -102,22 +102,27 @@ func (n *Net) RunNaive(limit int) (int, error) {
 				allDone = false
 			}
 		}
-		staged := false
-		for _, q := range qs {
-			if q.tail > q.head && q.last.toks[(q.tail-1)&chunkMask].at > n.clk.now {
-				staged = true
-			}
-		}
 		cycles++
 		if allDone {
 			finish()
 			return cycles, nil
 		}
-		if !progress && !staged {
+		if !progress && !n.staged(qs) {
 			finish()
 			return cycles, errDeadlock(cycles, n)
 		}
 	}
+}
+
+// staged reports whether a queue holds a token that turns visible after the
+// current cycle: a cycle without progress is a deadlock only if none does.
+func (n *Net) staged(qs []*Queue) bool {
+	for _, q := range qs {
+		if q.tail > q.head && q.last.toks[(q.tail-1)&chunkMask].at > n.clk.now {
+			return true
+		}
+	}
+	return false
 }
 
 // stampSpan returns the cycles the net runs past its stamp base before it

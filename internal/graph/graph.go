@@ -362,31 +362,71 @@ func OutPorts(n *Node) []string {
 // legitimately left undriven. Edges name nodes by slice index, which equals
 // the node ID (AddNode assigns it so).
 func (g *Graph) Validate() error {
+	_, err := g.Wire()
+	return err
+}
+
+// Wiring is a validated graph's streams, the one wiring every engine builds
+// from. A stream is what one driven output port carries: all the edges that
+// leave the port (a fan-out) carry the same tokens. Streams are numbered 0 …
+// Streams-1 by the first appearance of their port in edge order.
+type Wiring struct {
+	// Ports numbers the graph's ports.
+	Ports *PortTable
+	// Streams is the number of streams.
+	Streams int
+	// Stream maps each output port to its stream, or -1 if the port drives
+	// nothing.
+	Stream []int
+	// Feed maps each input port to the index of the one edge feeding it.
+	Feed []int
+	// EdgeStream maps each edge to the stream it carries.
+	EdgeStream []int
+}
+
+// Wire validates g, with Validate's checks in Validate's order and with its
+// error texts, and numbers its streams.
+func (g *Graph) Wire() (*Wiring, error) {
 	t := NewPortTable(g)
-	drivers := make([]int, t.NumIn())
-	for _, e := range g.Edges {
+	nIn, nOut := t.NumIn(), t.NumOut()
+	// One allocation holds the three tables and the driver counts.
+	ints := make([]int, nOut+2*nIn+len(g.Edges))
+	nE := nOut + nIn + len(g.Edges)
+	w := &Wiring{Ports: t, Stream: ints[:nOut:nOut], Feed: ints[nOut : nOut+nIn : nOut+nIn], EdgeStream: ints[nOut+nIn : nE : nE]}
+	drivers := ints[nE:]
+	for i := range w.Stream {
+		w.Stream[i] = -1
+	}
+	for i, e := range g.Edges {
 		if e.From < 0 || e.From >= len(g.Nodes) || e.To < 0 || e.To >= len(g.Nodes) {
-			return fmt.Errorf("graph: edge references missing node: %+v", e)
+			return nil, fmt.Errorf("graph: edge references missing node: %+v", e)
 		}
-		if t.Out(e.From, e.FromPort) < 0 {
+		out := t.Out(e.From, e.FromPort)
+		if out < 0 {
 			from := g.Nodes[e.From]
-			return fmt.Errorf("graph: node %d (%s) has no output port %q", from.ID, from.Label, e.FromPort)
+			return nil, fmt.Errorf("graph: node %d (%s) has no output port %q", from.ID, from.Label, e.FromPort)
 		}
 		in := t.In(e.To, e.ToPort)
 		if in < 0 {
 			to := g.Nodes[e.To]
-			return fmt.Errorf("graph: node %d (%s) has no input port %q", to.ID, to.Label, e.ToPort)
+			return nil, fmt.Errorf("graph: node %d (%s) has no input port %q", to.ID, to.Label, e.ToPort)
 		}
 		drivers[in]++
+		w.Feed[in] = i
+		if w.Stream[out] < 0 {
+			w.Stream[out] = w.Streams
+			w.Streams++
+		}
+		w.EdgeStream[i] = w.Stream[out]
 	}
 	for i, n := range g.Nodes {
 		for j, p := range t.ports[2*i] {
 			if c := drivers[t.first[2*i]+j]; c != 1 {
-				return fmt.Errorf("graph: node %d (%s) input port %q has %d drivers, want 1", n.ID, n.Label, p, c)
+				return nil, fmt.Errorf("graph: node %d (%s) input port %q has %d drivers, want 1", n.ID, n.Label, p, c)
 			}
 		}
 	}
-	return nil
+	return w, nil
 }
 
 // PortTable numbers a graph's ports densely, so per-port state lives in
@@ -426,6 +466,12 @@ func (t *PortTable) In(node int, port string) int { return t.lookup(2*node, port
 // Out returns the number of node's output port, or -1 if it has none by
 // that name.
 func (t *PortTable) Out(node int, port string) int { return t.lookup(2*node+1, port) }
+
+// Span returns node's port numbers: its input ports are in0 … in1-1 and
+// its output ports out0 … out1-1, each in InPorts or OutPorts order.
+func (t *PortTable) Span(node int) (in0, in1, out0, out1 int) {
+	return t.first[2*node], t.first[2*node+2], t.first[2*node+1], t.first[2*node+3]
+}
 
 func (t *PortTable) lookup(k int, port string) int {
 	for j, p := range t.ports[k] {

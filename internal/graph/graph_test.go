@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,5 +156,56 @@ func TestValidateErrorTexts(t *testing.T) {
 				t.Errorf("Validate() = %v\nwant %s", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestWire pins the stream numbering both engines build from: streams by
+// first appearance in edge order, one stream for a fan-out's edges, -1 for
+// an output port that drives nothing, and each input port's feeding edge.
+func TestWire(t *testing.T) {
+	g := &Graph{Name: "w"}
+	root := g.AddNode(&Node{Kind: Root, Label: "Root B"})
+	sc := g.AddNode(&Node{Kind: Scanner, Label: "Scanner B.i", Tensor: "B"})
+	wr := g.AddNode(&Node{Kind: CrdWriter, Label: "Writer X.i"})
+	rep := g.AddNode(&Node{Kind: Repeat, Label: "Repeat c"})
+	arr := g.AddNode(&Node{Kind: Array, Label: "Array c", Tensor: "c"})
+	vals := g.AddNode(&Node{Kind: ValsWriter, Label: "Writer X.vals"})
+	g.Connect(rep, "ref", arr, "ref")  // edge 0: stream 0
+	g.Connect(root, "ref", sc, "ref")  // edge 1: stream 1
+	g.Connect(sc, "crd", wr, "crd")    // edge 2: stream 2
+	g.Connect(root, "ref", rep, "ref") // edge 3: stream 1, a fan-out
+	g.Connect(sc, "crd", rep, "crd")   // edge 4: stream 2, a fan-out
+	g.Connect(arr, "val", vals, "val") // edge 5: stream 3
+	w, err := g.Wire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Streams != 4 {
+		t.Errorf("Streams = %d, want 4", w.Streams)
+	}
+	// Output ports: root.ref, sc.crd, sc.ref (drives nothing), rep.ref,
+	// arr.val.
+	if want := []int{1, 2, -1, 0, 3}; !slices.Equal(w.Stream, want) {
+		t.Errorf("Stream = %v, want %v", w.Stream, want)
+	}
+	// Input ports: sc.ref, wr.crd, rep.crd, rep.ref, arr.ref, vals.val.
+	if want := []int{1, 2, 4, 3, 0, 5}; !slices.Equal(w.Feed, want) {
+		t.Errorf("Feed = %v, want %v", w.Feed, want)
+	}
+	if want := []int{0, 1, 2, 1, 2, 3}; !slices.Equal(w.EdgeStream, want) {
+		t.Errorf("EdgeStream = %v, want %v", w.EdgeStream, want)
+	}
+	for _, tc := range []struct {
+		node                 *Node
+		in0, in1, out0, out1 int
+	}{
+		{root, 0, 0, 0, 1}, {sc, 0, 1, 1, 3}, {wr, 1, 2, 3, 3},
+		{rep, 2, 4, 3, 4}, {arr, 4, 5, 4, 5}, {vals, 5, 6, 5, 5},
+	} {
+		in0, in1, out0, out1 := w.Ports.Span(tc.node.ID)
+		if in0 != tc.in0 || in1 != tc.in1 || out0 != tc.out0 || out1 != tc.out1 {
+			t.Errorf("Span(%s) = %d, %d, %d, %d, want %d, %d, %d, %d", tc.node.Label,
+				in0, in1, out0, out1, tc.in0, tc.in1, tc.out0, tc.out1)
+		}
 	}
 }

@@ -316,3 +316,46 @@ func TestGoldenArtifacts(t *testing.T) {
 		})
 	}
 }
+
+// TestEncodeRejectsMiswiredGraph runs graph.Validate's five failure shapes
+// (root -> scanner -> coordinate writer, miswired) through Encode: each
+// fails with Validate's text, and none panics or encodes.
+func TestEncodeRejectsMiswiredGraph(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(g *graph.Graph, root, sc, wr *graph.Node)
+		want  string
+	}{
+		{"missing node", func(g *graph.Graph, root, sc, wr *graph.Node) {
+			g.Edges = append(g.Edges, &graph.Edge{From: root.ID, FromPort: "ref", To: 7, ToPort: "ref"})
+		}, `graph: edge references missing node: &{From:0 FromPort:ref To:7 ToPort:ref}`},
+		{"no output port", func(g *graph.Graph, root, sc, wr *graph.Node) {
+			g.Connect(root, "crd", sc, "ref")
+		}, `graph: node 0 (Root B) has no output port "crd"`},
+		{"no input port", func(g *graph.Graph, root, sc, wr *graph.Node) {
+			g.Connect(root, "ref", sc, "ref")
+			g.Connect(sc, "crd", wr, "val")
+		}, `graph: node 2 (Writer X.i) has no input port "val"`},
+		{"unconnected input", func(g *graph.Graph, root, sc, wr *graph.Node) {
+			g.Connect(root, "ref", sc, "ref")
+		}, `graph: node 2 (Writer X.i) input port "crd" has 0 drivers, want 1`},
+		{"double driver", func(g *graph.Graph, root, sc, wr *graph.Node) {
+			g.Connect(root, "ref", sc, "ref")
+			g.Connect(sc, "crd", wr, "crd")
+			g.Connect(sc, "ref", wr, "crd")
+		}, `graph: node 2 (Writer X.i) input port "crd" has 2 drivers, want 1`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &graph.Graph{Name: "t"}
+			root := g.AddNode(&graph.Node{Kind: graph.Root, Label: "Root B"})
+			sc := g.AddNode(&graph.Node{Kind: graph.Scanner, Label: "Scanner B.i", Tensor: "B"})
+			wr := g.AddNode(&graph.Node{Kind: graph.CrdWriter, Label: "Writer X.i", Tensor: "X"})
+			tc.build(g, root, sc, wr)
+			enc, err := prog.Encode(g)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("Encode() = %d bytes, %v\nwant %s", len(enc), err, tc.want)
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sam/internal/comp"
 	"sam/internal/custard"
 	"sam/internal/fiber"
+	"sam/internal/graph"
 	"sam/internal/lang"
 	"sam/internal/tensor"
 )
@@ -157,6 +158,53 @@ func TestEngineRegistry(t *testing.T) {
 	for _, gone := range []EngineKind{"flow", "byte"} {
 		if err := CheckEngineKind(gone, kinds); err == nil {
 			t.Errorf("CheckEngineKind(%q) = nil error, want unknown engine", gone)
+		}
+	}
+}
+
+// TestCompSlotsAreEventStreams checks both engines wire a graph by one
+// numbering (graph.Wire): for every Table 1 kernel, each of comp's stream
+// slots is written by one output port, and their producers' "block/port"
+// labels are the streams an event run reports. Result.Streams is keyed by
+// that label, which blocks of one kind and op share (SDDMM's two "ALU *"),
+// so a repeated label is one entry there.
+func TestCompSlotsAreEventStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	dims := map[string]int{"i": 7, "j": 6, "k": 5, "l": 4}
+	for _, tc := range table1Cases {
+		g, err := custard.Compile(lang.MustParse(tc.expr), nil, lang.Schedule{LoopOrder: tc.order})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ir, err := comp.Lower(g)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := Run(g, randomInputs(t, tc.expr, rng, dims, 0.3), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		written := 0
+		labels := map[string]bool{}
+		for _, si := range ir.Steps {
+			ports := graph.OutPorts(&graph.Node{Kind: si.Kind, Ways: si.Ways, RedN: si.RedN, Drop: si.Drop})
+			for k, s := range si.Outs {
+				if s >= 0 {
+					written++
+					labels[si.Label+"/"+ports[k]] = true
+				}
+			}
+		}
+		if written != ir.NSlot {
+			t.Errorf("%s: %d output ports write comp's %d stream slots", tc.name, written, ir.NSlot)
+		}
+		if len(labels) != len(res.Streams) {
+			t.Errorf("%s: comp's slots have %d producer labels, the event engine reports %d streams", tc.name, len(labels), len(res.Streams))
+		}
+		for l := range labels {
+			if res.Streams[l] == nil {
+				t.Errorf("%s: comp writes stream %q, which the event engine does not report", tc.name, l)
+			}
 		}
 	}
 }

@@ -452,15 +452,15 @@ func TestResultDoesNotPinNet(t *testing.T) {
 	res := &Result{Streams: map[string]*core.StreamStats{}}
 	b.streams(res)
 	freed := make(chan struct{})
-	// A monitored queue: the first of a fan-out group, whose Stats the
-	// Result used to point into.
-	runtime.SetFinalizer(b.queues[s.prog.groups[0][0]], func(*core.Queue) { close(freed) })
+	// A monitored queue: a stream's first, whose Stats the Result used to
+	// point into.
+	runtime.SetFinalizer(b.queues[s.prog.first[0]], func(*core.Queue) { close(freed) })
 	b = nil
 	for i := 0; i < 10; i++ {
 		runtime.GC()
 		select {
 		case <-freed:
-			if len(res.Streams) == 0 || streamCycles(res.Streams[s.prog.labels[s.prog.groups[0][0]]]) == 0 {
+			if len(res.Streams) == 0 || streamCycles(res.Streams[s.prog.labels[0]]) == 0 {
 				t.Fatalf("result lost its statistics: %v", res.Streams)
 			}
 			return

@@ -12,12 +12,13 @@ import (
 )
 
 // Program is a compiled SAM graph plus every piece of execution state that
-// does not depend on the input tensors: the validated wiring (each input
-// port's feeding edge, each output port's fan-out group), the per-edge
-// stream labels, the operand binding plan, and the graph's canonical
-// fingerprint. Building a Program once and calling Run per request drops
-// per-request work to input binding and net construction — the split the
-// compiled-program cache in internal/serve is built on.
+// does not depend on the input tensors: the graph's validated wiring
+// (graph.Wiring: its streams, each input port's feeding edge, each output
+// port's stream), each stream's label and first edge, the operand binding
+// plan, and the graph's canonical fingerprint. Building a Program once and
+// calling Run per request drops per-request work to input binding and net
+// construction — the split the compiled-program cache in internal/serve is
+// built on.
 //
 // A Program is immutable after NewProgram and safe for concurrent Run calls;
 // every run builds its own net and queues.
@@ -29,7 +30,7 @@ type Program struct {
 	// The compiled (internal/comp) lowering is built lazily, once, on the
 	// first comp-engine run or Artifact call and reused for the program's
 	// lifetime, so cached programs in the serving layer amortize lowering
-	// exactly like the wiring plan. compErr caches lowering rejection
+	// exactly like the wiring. compErr caches lowering rejection
 	// (unsupported blocks), which fails every comp run of the program.
 	// Artifact-backed programs (see NewProgramFromArtifact) have compProg
 	// pre-set and no graph.
@@ -37,17 +38,12 @@ type Program struct {
 	compProg *comp.Program
 	compErr  error
 
-	// labels holds each edge's producer-side "node/port" stream label.
+	// w is the graph's wiring. labels holds each stream's producer-side
+	// "node/port" label, and first each stream's first edge: the queue
+	// whose statistics Result.Streams reports for the stream.
+	w      *graph.Wiring
 	labels []string
-	// ports numbers the graph's ports. inEdge maps each input port to the
-	// index of the edge feeding it (Validate guarantees there is one);
-	// groupOf maps each output port to its fan-out group, -1 if it drives
-	// nothing; groups lists each group's member edge indices (the first is
-	// the monitored stream for statistics).
-	ports   *graph.PortTable
-	inEdge  []int
-	groupOf []int
-	groups  [][]int
+	first  []int
 }
 
 // NewProgram validates a compiled graph and precomputes its execution plan.
@@ -55,51 +51,22 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 	if g == nil {
 		return nil, fmt.Errorf("sim: nil graph")
 	}
-	if err := g.Validate(); err != nil {
+	w, err := g.Wire()
+	if err != nil {
 		return nil, err
 	}
-	ports := graph.NewPortTable(g)
 	p := &Program{
-		g: g, fp: g.Fingerprint(), plan: bind.NewPlan(g),
-		labels:  make([]string, len(g.Edges)),
-		ports:   ports,
-		inEdge:  make([]int, ports.NumIn()),
-		groupOf: make([]int, ports.NumOut()),
+		g: g, fp: g.Fingerprint(), plan: bind.NewPlan(g), w: w,
+		labels: make([]string, 0, w.Streams), first: make([]int, 0, w.Streams),
 	}
-	for i := range p.groupOf {
-		p.groupOf[i] = -1
-	}
-	// Group the edges by driving output port, in order of first appearance,
-	// then lay the groups out in one slice. A fan-out group's edges share
-	// one label.
-	edgeGroup := make([]int, len(g.Edges))
-	var groupLabel []string
-	nGroups := 0
-	for i, e := range g.Edges {
-		p.inEdge[ports.In(e.To, e.ToPort)] = i
-		k := ports.Out(e.From, e.FromPort)
-		if p.groupOf[k] < 0 {
-			p.groupOf[k] = nGroups
-			nGroups++
-			groupLabel = append(groupLabel, g.Nodes[e.From].Label+"/"+e.FromPort)
+	// Streams are numbered by first appearance in edge order, so a stream's
+	// first edge is the one that carries the next number.
+	for i, s := range w.EdgeStream {
+		if s == len(p.first) {
+			e := g.Edges[i]
+			p.first = append(p.first, i)
+			p.labels = append(p.labels, g.Nodes[e.From].Label+"/"+e.FromPort)
 		}
-		edgeGroup[i] = p.groupOf[k]
-		p.labels[i] = groupLabel[edgeGroup[i]]
-	}
-	first := make([]int, nGroups+1)
-	for _, gi := range edgeGroup {
-		first[gi+1]++
-	}
-	for gi := 1; gi <= nGroups; gi++ {
-		first[gi] += first[gi-1]
-	}
-	members := make([]int, len(g.Edges))
-	p.groups = make([][]int, nGroups)
-	for gi := range p.groups {
-		p.groups[gi] = members[first[gi]:first[gi]:first[gi+1]]
-	}
-	for i, gi := range edgeGroup {
-		p.groups[gi] = append(p.groups[gi], i)
 	}
 	return p, nil
 }

@@ -90,7 +90,10 @@ func Run(g *graph.Graph, inputs map[string]*tensor.COO, opt Options) (*Result, e
 // builder is the run-time half of a simulation: it materializes one net —
 // queues, fan-outs, block instances, writers — for one input binding of a
 // Program. All graph traversal and validation happened at Program build
-// time; the builder only allocates and wires.
+// time; the builder only allocates and wires, by the program's
+// graph.Wiring: one queue per edge, one Out per stream, and per port the
+// queue or Out behind it, so a block's ports are a slice of each by
+// PortTable.Span.
 type builder struct {
 	p      *Program
 	opt    Options
@@ -99,13 +102,15 @@ type builder struct {
 	bound  map[string]*fiber.Tensor // operand name -> storage
 	dims   []int                    // output level dims
 	queues []*core.Queue            // one per graph edge, program order
-	outs   []*core.Out              // one per fan-out group, program order
+	ins    []*core.Queue            // the queue feeding each input port
+	outs   []*core.Out              // the Out behind each output port
 	crdWr  map[int]*core.CrdWriter  // output level -> writer
 	valsWr *core.ValsWriter
 	bvWr   map[int]*core.BVWriter
 	vecWr  *core.VecValsWriter
 }
 
+// newBuilder binds inputs and builds one run's net over p's wiring.
 func newBuilder(p *Program, inputs map[string]*tensor.COO, opt Options) (*builder, error) {
 	b := &builder{
 		p: p, opt: opt, net: &core.Net{}, arena: &core.VecArena{},
@@ -120,22 +125,33 @@ func newBuilder(p *Program, inputs map[string]*tensor.COO, opt Options) (*builde
 	if b.dims, err = p.plan.OutputDims(inputs); err != nil {
 		return nil, err
 	}
-	// One queue per edge, one Out per fan-out group, as the program planned.
-	b.queues = make([]*core.Queue, len(p.g.Edges))
-	for i := range p.g.Edges {
-		if opt.QueueCap > 0 {
-			b.queues[i] = b.net.NewBoundedQueue(p.labels[i], opt.QueueCap)
-		} else {
-			b.queues[i] = b.net.NewQueue(p.labels[i])
-		}
+	// One queue per edge, attached to its stream's Out in edge order. An
+	// output port that drives nothing pushes into an Out with no queues.
+	w := p.w
+	streamOuts := make([]*core.Out, w.Streams)
+	for s := range streamOuts {
+		streamOuts[s] = core.NewOut()
 	}
-	b.outs = make([]*core.Out, len(p.groups))
-	for gi, members := range p.groups {
-		o := core.NewOut()
-		for _, ei := range members {
-			o.Attach(b.queues[ei])
+	b.queues = make([]*core.Queue, len(w.EdgeStream))
+	for i, s := range w.EdgeStream {
+		if opt.QueueCap > 0 {
+			b.queues[i] = b.net.NewBoundedQueue(p.labels[s], opt.QueueCap)
+		} else {
+			b.queues[i] = b.net.NewQueue(p.labels[s])
 		}
-		b.outs[gi] = o
+		streamOuts[s].Attach(b.queues[i])
+	}
+	b.ins = make([]*core.Queue, len(w.Feed))
+	for k, e := range w.Feed {
+		b.ins[k] = b.queues[e]
+	}
+	b.outs = make([]*core.Out, len(w.Stream))
+	discard := core.NewOut()
+	for k, s := range w.Stream {
+		b.outs[k] = discard
+		if s >= 0 {
+			b.outs[k] = streamOuts[s]
+		}
 	}
 	for _, n := range p.g.Nodes {
 		blk, err := b.instantiate(n)
@@ -149,46 +165,15 @@ func newBuilder(p *Program, inputs map[string]*tensor.COO, opt Options) (*builde
 	return b, nil
 }
 
-// in returns the queue feeding an input port.
-func (b *builder) in(n *graph.Node, port string) (*core.Queue, error) {
-	k := b.p.ports.In(n.ID, port)
-	if k < 0 {
-		return nil, fmt.Errorf("sim: node %q input port %q unconnected", n.Label, port)
-	}
-	return b.queues[b.p.inEdge[k]], nil
-}
-
-// out returns the output port (empty, token-discarding, if unconnected).
-func (b *builder) out(n *graph.Node, port string) *core.Out {
-	if k := b.p.ports.Out(n.ID, port); k >= 0 && b.p.groupOf[k] >= 0 {
-		return b.outs[b.p.groupOf[k]]
-	}
-	return core.NewOut()
-}
-
-// streams records each monitored stream's statistics into a Result: the
-// first queue of every fan-out group, keyed by its producer label. The
-// statistics are copied out, so a kept Result does not hold the net's queues.
+// streams records each stream's statistics into a Result: its first queue,
+// keyed by its producer label. The statistics are copied out, so a kept
+// Result does not hold the net's queues.
 func (b *builder) streams(res *Result) {
-	stats := make([]core.StreamStats, len(b.p.groups))
-	for gi, members := range b.p.groups {
-		ei := members[0]
-		stats[gi] = b.queues[ei].Stats
-		res.Streams[b.p.labels[ei]] = &stats[gi]
+	stats := make([]core.StreamStats, len(b.p.first))
+	for s, e := range b.p.first {
+		stats[s] = b.queues[e].Stats
+		res.Streams[b.p.labels[s]] = &stats[s]
 	}
-}
-
-// laneIns fetches one per-lane input family of a lane join: the queues
-// feeding ports family0 … family(Ways-1).
-func (b *builder) laneIns(n *graph.Node, family string) ([]*core.Queue, error) {
-	qs := make([]*core.Queue, n.Ways)
-	for i := range qs {
-		var err error
-		if qs[i], err = b.in(n, graph.PortName(family, i)); err != nil {
-			return nil, err
-		}
-	}
-	return qs, nil
 }
 
 // level fetches a bound operand's storage level.
@@ -214,20 +199,21 @@ func aluOp(op lang.Op) core.ALUOp {
 	}
 }
 
+// instantiate builds n's block over its ports: in[k] is the queue feeding
+// its k-th input port and out[k] the Out behind its k-th output port, in
+// graph.InPorts and graph.OutPorts order.
 func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
+	i0, i1, o0, o1 := b.p.w.Ports.Span(n.ID)
+	in, out := b.ins[i0:i1:i1], b.outs[o0:o1:o1]
 	switch n.Kind {
 	case graph.Root:
-		return core.NewRootSource(n.Label, b.out(n, "ref")), nil
+		return core.NewRootSource(n.Label, out[0]), nil
 	case graph.Scanner:
 		lvl, err := b.level(n, n.Tensor, n.Level)
 		if err != nil {
 			return nil, err
 		}
-		in, err := b.in(n, "ref")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewScanner(n.Label, lvl, in, b.out(n, "crd"), b.out(n, "ref")), nil
+		return core.NewScanner(n.Label, lvl, in[0], out[0], out[1]), nil
 	case graph.BVScanner:
 		lvl, err := b.level(n, n.Tensor, n.Level)
 		if err != nil {
@@ -237,38 +223,18 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: node %q scans %v level as bitvector", n.Label, lvl.Kind())
 		}
-		in, err := b.in(n, "ref")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewBVScanner(n.Label, bv, in, b.out(n, "bv"), b.out(n, "ref")), nil
+		return core.NewBVScanner(n.Label, bv, in[0], out[0], out[1]), nil
 	case graph.Repeat:
-		crd, err := b.in(n, "crd")
-		if err != nil {
-			return nil, err
-		}
-		ref, err := b.in(n, "ref")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewRepeater(n.Label, crd, ref, b.out(n, "ref")), nil
+		return core.NewRepeater(n.Label, in[0], in[1], out[0]), nil
 	case graph.Intersect, graph.Union:
 		// One merger block for both kinds: they differ only when the heads
-		// disagree (core.Merger).
+		// disagree (core.Merger). The inputs interleave crd0, ref0, crd1, ….
 		crds := make([]*core.Queue, n.Ways)
 		refs := make([]*core.Queue, n.Ways)
-		refOuts := make([]*core.Out, n.Ways)
-		for i := 0; i < n.Ways; i++ {
-			var err error
-			if crds[i], err = b.in(n, graph.PortName("crd", i)); err != nil {
-				return nil, err
-			}
-			if refs[i], err = b.in(n, graph.PortName("ref", i)); err != nil {
-				return nil, err
-			}
-			refOuts[i] = b.out(n, graph.PortName("ref", i))
+		for i := range crds {
+			crds[i], refs[i] = in[2*i], in[2*i+1]
 		}
-		return core.NewMerger(n.Label, n.Kind == graph.Union, crds, refs, b.out(n, "crd"), refOuts), nil
+		return core.NewMerger(n.Label, n.Kind == graph.Union, crds, refs, out[0], out[1:]), nil
 	case graph.GallopIntersect:
 		la, err := b.level(n, n.Tensor, n.Level)
 		if err != nil {
@@ -278,213 +244,75 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		ra, err := b.in(n, "ref0")
-		if err != nil {
-			return nil, err
-		}
-		rb, err := b.in(n, "ref1")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewGallopIntersect(n.Label, la, lb, ra, rb, b.out(n, "crd"), b.out(n, "ref0"), b.out(n, "ref1")), nil
+		return core.NewGallopIntersect(n.Label, la, lb, in[0], in[1], out[0], out[1], out[2]), nil
 	case graph.Locate:
 		lvl, err := b.level(n, n.Tensor, n.Level)
 		if err != nil {
 			return nil, err
 		}
-		crd, err := b.in(n, "crd")
-		if err != nil {
-			return nil, err
-		}
-		ref, err := b.in(n, "ref")
-		if err != nil {
-			return nil, err
-		}
-		fib, err := b.in(n, "fiber")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewLocator(n.Label, lvl, crd, ref, fib, b.out(n, "crd"), b.out(n, "ref"), b.out(n, "loc")), nil
+		return core.NewLocator(n.Label, lvl, in[0], in[1], in[2], out[0], out[1], out[2]), nil
 	case graph.Array:
 		t, ok := b.bound[n.Tensor]
 		if !ok {
 			return nil, fmt.Errorf("sim: node %q references unbound operand %q", n.Label, n.Tensor)
 		}
-		in, err := b.in(n, "ref")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewArrayLoad(n.Label, t.Vals, in, b.out(n, "val")), nil
+		return core.NewArrayLoad(n.Label, t.Vals, in[0], out[0]), nil
 	case graph.ALU:
-		a, err := b.in(n, "a")
-		if err != nil {
-			return nil, err
-		}
-		bb, err := b.in(n, "b")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewALU(n.Label, aluOp(n.Op), a, bb, b.out(n, "val")), nil
+		return core.NewALU(n.Label, aluOp(n.Op), in[0], in[1], out[0]), nil
 	case graph.Reduce:
 		if n.RedN == 0 {
-			in, err := b.in(n, "val")
-			if err != nil {
-				return nil, err
-			}
-			return core.NewScalarReducer(n.Label, in, b.out(n, "val")), nil
+			return core.NewScalarReducer(n.Label, in[0], out[0]), nil
 		}
 		// Ports: RedN coordinate streams, outermost first, then the values.
-		ins := make([]*core.Queue, 0, n.RedN+1)
-		for _, p := range graph.InPorts(n) {
-			q, err := b.in(n, p)
-			if err != nil {
-				return nil, err
-			}
-			ins = append(ins, q)
-		}
-		outs := make([]*core.Out, 0, n.RedN+1)
-		for _, p := range graph.OutPorts(n) {
-			outs = append(outs, b.out(n, p))
-		}
-		return core.NewReducer(n.Label, n.RedN, ins[:n.RedN], ins[n.RedN], outs[:n.RedN], outs[n.RedN]), nil
+		return core.NewReducer(n.Label, n.RedN, in[:n.RedN], in[n.RedN], out[:n.RedN], out[n.RedN]), nil
 	case graph.CrdDrop:
 		// Ports: the outer coordinate stream, then the inner stream — one
 		// level deeper, or values in value mode (core.Dropper).
-		ins, outs := graph.InPorts(n), graph.OutPorts(n)
-		outer, err := b.in(n, ins[0])
-		if err != nil {
-			return nil, err
-		}
-		inner, err := b.in(n, ins[1])
-		if err != nil {
-			return nil, err
-		}
-		return core.NewDropper(n.Label, n.Drop, outer, inner, b.out(n, outs[0]), b.out(n, outs[1])), nil
+		return core.NewDropper(n.Label, n.Drop, in[0], in[1], out[0], out[1]), nil
 	case graph.CrdWriter:
-		in, err := b.in(n, "crd")
-		if err != nil {
-			return nil, err
-		}
-		w := core.NewCrdWriter(n.Label, n.Format, b.dims[n.OutLevel], n.OutLevel, in)
+		w := core.NewCrdWriter(n.Label, n.Format, b.dims[n.OutLevel], n.OutLevel, in[0])
 		b.crdWr[n.OutLevel] = w
 		return w, nil
 	case graph.ValsWriter:
-		in, err := b.in(n, "val")
-		if err != nil {
-			return nil, err
-		}
-		w := core.NewValsWriter(n.Label, in)
+		w := core.NewValsWriter(n.Label, in[0])
 		b.valsWr = w
 		return w, nil
 	case graph.BVIntersect:
-		qs := map[string]*core.Queue{}
-		for _, p := range []string{"bv0", "ref0", "bv1", "ref1"} {
-			q, err := b.in(n, p)
-			if err != nil {
-				return nil, err
-			}
-			qs[p] = q
-		}
-		return core.NewBVIntersect(n.Label, qs["bv0"], qs["ref0"], qs["bv1"], qs["ref1"],
-			b.out(n, "bv"), b.out(n, "mask0"), b.out(n, "base0"), b.out(n, "mask1"), b.out(n, "base1")), nil
+		return core.NewBVIntersect(n.Label, in[0], in[1], in[2], in[3], out[0], out[1], out[2], out[3], out[4]), nil
 	case graph.VecLoad:
 		t, ok := b.bound[n.Tensor]
 		if !ok {
 			return nil, fmt.Errorf("sim: node %q references unbound operand %q", n.Label, n.Tensor)
 		}
-		bv, err := b.in(n, "bv")
-		if err != nil {
-			return nil, err
-		}
-		mask, err := b.in(n, "mask")
-		if err != nil {
-			return nil, err
-		}
-		base, err := b.in(n, "base")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewVecLoad(n.Label, t.Vals, b.arena, bv, mask, base, b.out(n, "val")), nil
+		return core.NewVecLoad(n.Label, t.Vals, b.arena, in[0], in[1], in[2], out[0]), nil
 	case graph.VecALU:
-		a, err := b.in(n, "a")
-		if err != nil {
-			return nil, err
-		}
-		bb, err := b.in(n, "b")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewVecALU(n.Label, aluOp(n.Op), b.arena, a, bb, b.out(n, "val")), nil
+		return core.NewVecALU(n.Label, aluOp(n.Op), b.arena, in[0], in[1], out[0]), nil
 	case graph.BVExpand:
-		bv, err := b.in(n, "bv")
-		if err != nil {
-			return nil, err
-		}
-		mask, err := b.in(n, "mask")
-		if err != nil {
-			return nil, err
-		}
-		base, err := b.in(n, "base")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewBVExpand(n.Label, bv, mask, base, b.out(n, "ref")), nil
+		return core.NewBVExpand(n.Label, in[0], in[1], in[2], out[0]), nil
 	case graph.BVWriter:
-		in, err := b.in(n, "bv")
-		if err != nil {
-			return nil, err
-		}
-		w := core.NewBVWriter(n.Label, b.dims[n.OutLevel], in)
+		w := core.NewBVWriter(n.Label, b.dims[n.OutLevel], in[0])
 		b.bvWr[n.OutLevel] = w
 		return w, nil
 	case graph.Parallelize:
-		in, err := b.in(n, "in")
-		if err != nil {
-			return nil, err
-		}
-		outs := make([]*core.Out, n.Ways)
-		for i := range outs {
-			outs[i] = b.out(n, graph.PortName("out", i))
-		}
-		return core.NewParallelizer(n.Label, n.Level, in, outs), nil
+		return core.NewParallelizer(n.Label, n.Level, in[0], out), nil
 	case graph.Serialize, graph.SerializePair:
-		// The pair join is the same block with the value lanes riding along;
-		// a join below the fork's depth (Level >= 0) takes its drivers.
-		crd, out := "in", "out"
-		var vals, drv []*core.Queue
+		// The inputs are one family per lane — coordinates, then a pair
+		// join's values — and then the drivers a join below the fork's
+		// depth (Level >= 0) takes. The pair join is the same block with
+		// the value lanes riding along.
+		lanes, rest := in[:n.Ways], in[n.Ways:]
+		var vals []*core.Queue
 		var outVal *core.Out
-		var err error
 		if n.Kind == graph.SerializePair {
-			crd, out = "crd", "crd"
-			if vals, err = b.laneIns(n, "val"); err != nil {
-				return nil, err
-			}
-			outVal = b.out(n, "val")
+			vals, rest, outVal = rest[:n.Ways], rest[n.Ways:], out[1]
 		}
-		ins, err := b.laneIns(n, crd)
-		if err != nil {
-			return nil, err
-		}
-		if n.Level >= 0 {
-			if drv, err = b.laneIns(n, "drv"); err != nil {
-				return nil, err
-			}
-		}
-		ser, err := core.NewSerializer(n.Label, n.Level, ins, vals, drv, b.out(n, out), outVal)
+		ser, err := core.NewSerializer(n.Label, n.Level, lanes, vals, rest, out[0], outVal)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		return ser, nil
 	case graph.VecValsWriter:
-		bv, err := b.in(n, "bv")
-		if err != nil {
-			return nil, err
-		}
-		val, err := b.in(n, "val")
-		if err != nil {
-			return nil, err
-		}
-		w := core.NewVecValsWriter(n.Label, b.arena, bv, val)
+		w := core.NewVecValsWriter(n.Label, b.arena, in[0], in[1])
 		b.vecWr = w
 		return w, nil
 	}

@@ -83,34 +83,37 @@ func randomInputs(t *testing.T, expr string, rng *rand.Rand, dims map[string]int
 	return inputs
 }
 
+// table1Cases are the Table 1 expressions, SpM*SpM in all six loop
+// orders.
+var table1Cases = []struct {
+	name  string
+	expr  string
+	order []string
+}{
+	{"SpMV", "x(i) = B(i,j) * c(j)", nil},
+	{"SpMSpM-ikj", "X(i,j) = B(i,k) * C(k,j)", []string{"i", "k", "j"}},
+	{"SpMSpM-ijk", "X(i,j) = B(i,k) * C(k,j)", []string{"i", "j", "k"}},
+	{"SpMSpM-kij", "X(i,j) = B(i,k) * C(k,j)", []string{"k", "i", "j"}},
+	{"SpMSpM-jik", "X(i,j) = B(i,k) * C(k,j)", []string{"j", "i", "k"}},
+	{"SpMSpM-jki", "X(i,j) = B(i,k) * C(k,j)", []string{"j", "k", "i"}},
+	{"SpMSpM-kji", "X(i,j) = B(i,k) * C(k,j)", []string{"k", "j", "i"}},
+	{"SDDMM", "X(i,j) = B(i,j) * C(i,k) * D(j,k)", nil},
+	{"InnerProd", "x = B(i,j,k) * C(i,j,k)", nil},
+	{"TTV", "X(i,j) = B(i,j,k) * c(k)", nil},
+	{"TTM", "X(i,j,k) = B(i,j,l) * C(k,l)", nil},
+	{"MTTKRP", "X(i,j) = B(i,k,l) * C(j,k) * D(j,l)", nil},
+	{"Residual", "x(i) = b(i) - C(i,j) * d(j)", nil},
+	{"MatTransMul", "x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)", nil},
+	{"MMAdd", "X(i,j) = B(i,j) + C(i,j)", nil},
+	{"Plus3", "X(i,j) = B(i,j) + C(i,j) + D(i,j)", nil},
+	{"Plus2", "X(i,j,k) = B(i,j,k) + C(i,j,k)", nil},
+}
+
 // TestEndToEndTable1 simulates every Table 1 expression on random sparse
 // inputs and compares against the gold evaluator.
 func TestEndToEndTable1(t *testing.T) {
 	dims := map[string]int{"i": 13, "j": 11, "k": 9, "l": 7}
-	cases := []struct {
-		name  string
-		expr  string
-		order []string
-	}{
-		{"SpMV", "x(i) = B(i,j) * c(j)", nil},
-		{"SpMSpM-ikj", "X(i,j) = B(i,k) * C(k,j)", []string{"i", "k", "j"}},
-		{"SpMSpM-ijk", "X(i,j) = B(i,k) * C(k,j)", []string{"i", "j", "k"}},
-		{"SpMSpM-kij", "X(i,j) = B(i,k) * C(k,j)", []string{"k", "i", "j"}},
-		{"SpMSpM-jik", "X(i,j) = B(i,k) * C(k,j)", []string{"j", "i", "k"}},
-		{"SpMSpM-jki", "X(i,j) = B(i,k) * C(k,j)", []string{"j", "k", "i"}},
-		{"SpMSpM-kji", "X(i,j) = B(i,k) * C(k,j)", []string{"k", "j", "i"}},
-		{"SDDMM", "X(i,j) = B(i,j) * C(i,k) * D(j,k)", nil},
-		{"InnerProd", "x = B(i,j,k) * C(i,j,k)", nil},
-		{"TTV", "X(i,j) = B(i,j,k) * c(k)", nil},
-		{"TTM", "X(i,j,k) = B(i,j,l) * C(k,l)", nil},
-		{"MTTKRP", "X(i,j) = B(i,k,l) * C(j,k) * D(j,l)", nil},
-		{"Residual", "x(i) = b(i) - C(i,j) * d(j)", nil},
-		{"MatTransMul", "x(i) = alpha * B^T(i,j) * c(j) + beta * d(i)", nil},
-		{"MMAdd", "X(i,j) = B(i,j) + C(i,j)", nil},
-		{"Plus3", "X(i,j) = B(i,j) + C(i,j) + D(i,j)", nil},
-		{"Plus2", "X(i,j,k) = B(i,j,k) + C(i,j,k)", nil},
-	}
-	for _, tc := range cases {
+	for _, tc := range table1Cases {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
