@@ -10,6 +10,11 @@ type Net struct {
 	Blocks []Block
 	Queues []*Queue
 
+	// PeakChunks is the most storage chunks (4 KB each, see Queue) the
+	// net's queues held at once during its last run, filled when the run
+	// ends.
+	PeakChunks int
+
 	clk  *clock // the cycle of the block being ticked, from base
 	base int    // the cycle stamps count from
 	span int    // cycles past base before a rebase; 0 means stampSpan
@@ -77,6 +82,7 @@ func (n *Net) RunNaive(limit int) (int, error) {
 		for _, q := range qs {
 			q.endRun(cycles)
 		}
+		n.PeakChunks = n.clk.peak
 	}
 	for {
 		if cycles >= limit {

@@ -66,8 +66,12 @@ type Queue struct {
 
 // clock is the cycle a net's queues read and write at, counted from the
 // net's stamp base (see Net.rebase), so stamps stay 32 bits however long the
-// run.
-type clock struct{ now uint32 }
+// run. It also counts the storage chunks the net's queues hold, and the most
+// they have held at once (see Net.PeakChunks).
+type clock struct {
+	now          uint32
+	chunks, peak int
+}
 
 // slot is one queued token and its visibility stamp in 16 bytes: the kind,
 // the stamp, and one 64-bit payload. Every token comes from token's
@@ -143,6 +147,9 @@ func (q *Queue) Full() bool {
 // link appends a chunk from the pool to the queue's storage.
 func (q *Queue) link() {
 	c := chunkPool.Get().(*chunk)
+	if q.clk.chunks++; q.clk.chunks > q.clk.peak {
+		q.clk.peak = q.clk.chunks
+	}
 	if q.last == nil {
 		q.first = c
 	} else {
@@ -161,6 +168,7 @@ func (q *Queue) unlink() {
 	}
 	c.next = nil
 	chunkPool.Put(c)
+	q.clk.chunks--
 }
 
 // rebase moves every queued stamp delta cycles earlier, flooring at 0 (a

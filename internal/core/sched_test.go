@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"sam/internal/token"
@@ -305,5 +306,212 @@ func TestCyclicNetMatchesNaive(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// pacer forwards its input one token every `every` cycles, resting in
+// between: a data token only if its coordinate is a multiple of keep, and
+// every stop and the done, after which it finishes. It fails on reading the
+// coordinate poison (-1: none). With every > 1 it is slower than the block
+// feeding it, so that block's queue fills and the block lags it.
+type pacer struct {
+	basic
+	in     *Queue
+	out    *Out
+	every  int
+	keep   int64
+	poison int64
+	rest   int
+}
+
+// Tick implements Block.
+func (b *pacer) Tick() bool {
+	if b.done {
+		return false
+	}
+	if b.rest > 0 {
+		b.rest--
+		return true
+	}
+	t, ok := b.in.Peek()
+	if !ok {
+		return false
+	}
+	if t.IsVal() && t.N == b.poison {
+		return b.fail("poison %d", t.N)
+	}
+	b.in.PopPeeked()
+	b.rest = b.every - 1
+	if !t.IsVal() || t.N%b.keep == 0 {
+		b.out.Push(t)
+	}
+	b.done = t.IsDone()
+	return true
+}
+
+// InQueues implements Block.
+func (b *pacer) InQueues() []*Queue { return []*Queue{b.in} }
+
+// OutPorts implements Block.
+func (b *pacer) OutPorts() []*Out { return []*Out{b.out} }
+
+func newPacer(name string, in *Queue, out *Out, every int, keep, poison int64) *pacer {
+	return &pacer{basic: basic{name: name}, in: in, out: out, every: every, keep: keep, poison: poison}
+}
+
+// counting is the stream C(0) … C(n-1), then the given control tokens.
+func counting(n int, tail ...token.Tok) token.Stream {
+	s := make(token.Stream, 0, n+len(tail))
+	for i := range n {
+		s = append(s, token.C(int64(i)))
+	}
+	return append(s, tail...)
+}
+
+// lagChain wires a source of n coordinates, a half-rate pacer and a
+// full-rate one into a chain, so the source fills its queue and lags the
+// pacer behind it.
+func lagChain(n *Net, count int) {
+	q1, q2 := n.NewQueue("src->half"), n.NewQueue("half->sink")
+	n.Add(
+		&RootSource{basic: basic{name: "src"}, out: NewOut(q1), stream: counting(count, token.S(0), token.D())},
+		newPacer("half", q1, NewOut(q2), 2, 1, -1),
+		newPacer("sink", q2, NewOut(), 1, 1, -1),
+	)
+}
+
+// TestLagMatchesNaive runs nets whose producers lag their consumers in
+// simulated time — a queue fills to the window bound, its producer pauses,
+// its consumer runs ahead on what is queued — and holds Run to RunNaive on
+// cycles, error text and every queue's statistics. A failed run's statistics
+// are not compared: RunNaive stops mid-cycle, while blocks that ran past the
+// failing cycle keep what they pushed there.
+func TestLagMatchesNaive(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		build  func(*Net)
+		span   int
+		limit  int
+		cycles int
+		err    string
+		// lifted: the run must hold more than a window of tokens on some
+		// queue, which only a pass with the bound off lets a producer push.
+		lifted bool
+	}{
+		{
+			// A source fans out to a filter that keeps every 1000th
+			// coordinate and to an intersecter that meets the filter's
+			// output. The intersecter waits on coordinate 1000 while the
+			// source's window on its own queue is full, and the filter
+			// reaches 1000 only once the source runs on: no block advances
+			// until a pass lifts the bound.
+			name: "reconvergent fan-out of unequal rates",
+			build: func(n *Net) {
+				q1, c2, r2 := n.NewQueue("src->filter"), n.NewQueue("src->merge crd"), n.NewQueue("src->merge ref")
+				c3, r3, out := n.NewQueue("filter->merge crd"), n.NewQueue("filter->merge ref"), n.NewQueue("merge->sink")
+				n.Add(
+					NewSink("sink", out),
+					NewMerger("merge", false, []*Queue{c2, c3}, []*Queue{r2, r3}, NewOut(out), []*Out{NewOut(), NewOut()}),
+					newPacer("filter", q1, NewOut(c3, r3), 1, 1000, -1),
+					&RootSource{basic: basic{name: "src"}, out: NewOut(q1, c2, r2), stream: counting(3000, token.S(0), token.D())},
+				)
+			},
+			limit: 100_000, cycles: 4004, lifted: true,
+		},
+		{
+			// The producer reaches its poison at cycle 1201 a pass after its
+			// half-rate consumer, running ahead on the queue, failed on
+			// coordinate 600 at cycle 1201 too: the lower index wins.
+			name: "producer fails after its consumer, same cycle, producer first",
+			build: func(n *Net) {
+				in, q := n.NewQueue("in"), n.NewQueue("prod->cons")
+				in.Preload(counting(1500, token.S(0), token.D()))
+				n.Add(newPacer("prod", in, NewOut(q), 1, 1, 1201), newPacer("cons", q, NewOut(), 2, 1, 600))
+			},
+			limit: 100_000, cycles: 1201, err: "prod: poison 1201",
+		},
+		{
+			name: "producer fails after its consumer, same cycle, consumer first",
+			build: func(n *Net) {
+				in, q := n.NewQueue("in"), n.NewQueue("prod->cons")
+				in.Preload(counting(1500, token.S(0), token.D()))
+				n.Add(newPacer("cons", q, NewOut(), 2, 1, 600), newPacer("prod", in, NewOut(q), 1, 1, 1201))
+			},
+			limit: 100_000, cycles: 1201, err: "cons: poison 600",
+		},
+		{
+			// The consumer fails at cycle 1301 before the producer, in
+			// the run's order, fails at cycle 1201.
+			name: "producer fails after its consumer, earlier cycle",
+			build: func(n *Net) {
+				in, q := n.NewQueue("in"), n.NewQueue("prod->cons")
+				in.Preload(counting(1500, token.S(0), token.D()))
+				n.Add(newPacer("cons", q, NewOut(), 2, 1, 650), newPacer("prod", in, NewOut(q), 1, 1, 1201))
+			},
+			limit: 100_000, cycles: 1201, err: "prod: poison 1201",
+		},
+		{
+			// The intersecter's second input ends after coordinate 999
+			// with no stop or done: it waits forever while the chain
+			// feeding its first input runs on, lagging, to its end.
+			name: "deadlock while producers lag",
+			build: func(n *Net) {
+				lagChain(n, 3000)
+				c2, r2 := n.NewQueue("half->merge crd"), n.NewQueue("half->merge ref")
+				n.Blocks[1].(*pacer).out.Attach(c2)
+				n.Blocks[1].(*pacer).out.Attach(r2)
+				c3, r3 := n.NewQueue("pre crd"), n.NewQueue("pre ref")
+				c3.Preload(counting(1000))
+				r3.Preload(counting(1000))
+				n.Add(NewMerger("merge", false, []*Queue{c2, c3}, []*Queue{r2, r3}, NewOut(), []*Out{NewOut(), NewOut()}))
+			},
+			limit: 100_000, cycles: 6006,
+			err: "core: deadlock after 6006 cycles; unfinished: merge",
+		},
+		{
+			name: "cycle limit while producers lag", build: func(n *Net) { lagChain(n, 3000) },
+			limit: 1500, cycles: 1500,
+			err: "core: cycle limit 1500 exceeded; unfinished: src, half, sink",
+		},
+		{name: "completes while producers lag", build: func(n *Net) { lagChain(n, 3000) }, limit: 100_000, cycles: 6005},
+		{name: "rebase every cycle under lag", build: func(n *Net) { lagChain(n, 3000) }, span: 1, limit: 100_000, cycles: 6005},
+		{name: "rebase every 7 cycles under lag", build: func(n *Net) { lagChain(n, 3000) }, span: 7, limit: 100_000, cycles: 6005},
+		{name: "rebase every 600 cycles under lag", build: func(n *Net) { lagChain(n, 3000) }, span: 600, limit: 100_000, cycles: 6005},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []StreamStats
+			for _, naive := range []bool{true, false} {
+				n := &Net{}
+				tc.build(n)
+				n.span = tc.span
+				run := n.Run
+				if naive {
+					run = n.RunNaive
+				}
+				cycles, err := run(tc.limit)
+				got := ""
+				if err != nil {
+					got = err.Error()
+				}
+				if cycles != tc.cycles || got != tc.err {
+					t.Errorf("naive=%v: %d cycles, error %q; want %d, %q", naive, cycles, got, tc.cycles, tc.err)
+				}
+				if tc.span > 0 && n.base == 0 {
+					t.Errorf("naive=%v: the stamp base never moved", naive)
+				}
+				if !naive && tc.lifted && n.PeakChunks <= 3*len(n.Queues) {
+					t.Errorf("peak %d chunks over %d queues: no pass lifted the window bound", n.PeakChunks, len(n.Queues))
+				}
+				var stats []StreamStats
+				for _, q := range n.Queues {
+					stats = append(stats, q.Stats)
+				}
+				if naive {
+					want = stats
+				} else if !strings.Contains(got, "poison") && fmt.Sprint(stats) != fmt.Sprint(want) {
+					t.Errorf("stats %v; RunNaive's %v", stats, want)
+				}
+			}
+		})
 	}
 }

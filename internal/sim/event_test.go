@@ -437,6 +437,34 @@ func TestEventRunAllocBytes(t *testing.T) {
 	}
 }
 
+// TestEventPeakChunks gates the storage the event engine's queues hold at
+// once on the five simulate-event shapes, in 4 KB chunks (core.Net.PeakChunks).
+// Producers lag their consumers in simulated time and pause a window of
+// tokens ahead of them, so a run holds a window per stream rather than the
+// backlog the simulated machine has in flight: ijk's inner product has
+// 683,108 tokens in flight at its peak, 2,693 chunks (11 MB) when every
+// block ran to the same cycle. The other limits are what the shapes held
+// then, which the lagging schedule must not exceed.
+func TestEventPeakChunks(t *testing.T) {
+	limits := map[string]int{
+		"SpM*SpM-ikj": 51, "SpM*SpM-ijk": 256, "SpM*SpM-kij": 40, "SpMV-par1": 66, "SpMV-par4": 123,
+	}
+	for _, s := range eventShapes(t)[:5] {
+		b, err := newBuilder(s.prog, s.inputs, s.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.net.Run(2_000_000_000); err != nil {
+			t.Fatal(err)
+		}
+		got, limit := b.net.PeakChunks, limits[s.name]
+		t.Logf("%s: peak %d chunks (limit %d)", s.name, got, limit)
+		if got > limit {
+			t.Errorf("%s: the queues held %d chunks at once, limit %d", s.name, got, limit)
+		}
+	}
+}
+
 // TestResultDoesNotPinNet checks a kept Result holds none of its run's net:
 // the stream statistics are copies, so the queues they were read from — and
 // whatever storage those still hold — are collectable while the Result lives.
