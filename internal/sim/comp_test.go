@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -165,9 +166,8 @@ func TestEngineRegistry(t *testing.T) {
 // TestCompSlotsAreEventStreams checks both engines wire a graph by one
 // numbering (graph.Wire): for every Table 1 kernel, each of comp's stream
 // slots is written by one output port, and their producers' "block/port"
-// labels are the streams an event run reports. Result.Streams is keyed by
-// that label, which blocks of one kind and op share (SDDMM's two "ALU *"),
-// so a repeated label is one entry there.
+// labels, a repeated one numbered in slot order ("ALU */val#2"), are the
+// streams an event run reports, one per slot.
 func TestCompSlotsAreEventStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dims := map[string]int{"i": 7, "j": 6, "k": 5, "l": 4}
@@ -185,23 +185,27 @@ func TestCompSlotsAreEventStreams(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		written := 0
-		labels := map[string]bool{}
+		slot := make([]string, ir.NSlot)
 		for _, si := range ir.Steps {
 			ports := graph.OutPorts(&graph.Node{Kind: si.Kind, Ways: si.Ways, RedN: si.RedN, Drop: si.Drop})
 			for k, s := range si.Outs {
 				if s >= 0 {
 					written++
-					labels[si.Label+"/"+ports[k]] = true
+					slot[s] = si.Label + "/" + ports[k]
 				}
 			}
 		}
 		if written != ir.NSlot {
 			t.Errorf("%s: %d output ports write comp's %d stream slots", tc.name, written, ir.NSlot)
 		}
-		if len(labels) != len(res.Streams) {
-			t.Errorf("%s: comp's slots have %d producer labels, the event engine reports %d streams", tc.name, len(labels), len(res.Streams))
+		if len(res.Streams) != ir.NSlot {
+			t.Errorf("%s: the event engine reports %d streams for comp's %d slots", tc.name, len(res.Streams), ir.NSlot)
 		}
-		for l := range labels {
+		seen := map[string]int{}
+		for _, l := range slot {
+			if seen[l]++; seen[l] > 1 {
+				l += fmt.Sprintf("#%d", seen[l])
+			}
 			if res.Streams[l] == nil {
 				t.Errorf("%s: comp writes stream %q, which the event engine does not report", tc.name, l)
 			}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"sam/internal/bind"
@@ -39,8 +40,9 @@ type Program struct {
 	compErr  error
 
 	// w is the graph's wiring. labels holds each stream's producer-side
-	// "node/port" label, and first each stream's first edge: the queue
-	// whose statistics Result.Streams reports for the stream.
+	// "node/port" label, numbered past its first use ("#2", …), and first
+	// each stream's first edge: the queue whose statistics Result.Streams
+	// reports for the stream.
 	w      *graph.Wiring
 	labels []string
 	first  []int
@@ -60,12 +62,20 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 		labels: make([]string, 0, w.Streams), first: make([]int, 0, w.Streams),
 	}
 	// Streams are numbered by first appearance in edge order, so a stream's
-	// first edge is the one that carries the next number.
+	// first edge is the one that carries the next number. Blocks of one kind
+	// and op share a node label (two "ALU *"), so a repeated label is
+	// numbered in that order: "ALU */val", then "ALU */val#2".
+	seen := make(map[string]int, w.Streams)
 	for i, s := range w.EdgeStream {
 		if s == len(p.first) {
 			e := g.Edges[i]
+			l := g.Nodes[e.From].Label + "/" + e.FromPort
+			seen[l]++
+			if k := seen[l]; k > 1 {
+				l += "#" + strconv.Itoa(k)
+			}
 			p.first = append(p.first, i)
-			p.labels = append(p.labels, g.Nodes[e.From].Label+"/"+e.FromPort)
+			p.labels = append(p.labels, l)
 		}
 	}
 	return p, nil

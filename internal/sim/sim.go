@@ -66,7 +66,9 @@ type Result struct {
 	// Output is the computed tensor in the left-hand-side mode order.
 	Output *tensor.COO
 	// Streams holds per-stream statistics keyed by "node/port" labels, for
-	// the Figure 14 token-breakdown study.
+	// the Figure 14 token-breakdown study. Blocks of one kind and op share a
+	// node label; their streams are numbered in edge order past the first:
+	// "ALU */val", "ALU */val#2".
 	Streams map[string]*core.StreamStats
 	// Phases holds the engine's phase spans for this run when
 	// Options.Trace was set: operand binding, net wiring or compiled-step
