@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // window is W: the tokens a producer runs ahead of its consumers (a block
@@ -197,7 +198,11 @@ func newRunner(n *Net) (*runner, bool) {
 
 // run executes the net to completion. See Net.Run for the contract.
 func (r *runner) run(limit int) (int, error) {
-	r.act = make([]uint64, window/64)
+	if a, ok := ringPool.Get().(*[]uint64); ok {
+		r.act = *a
+	} else {
+		r.act = make([]uint64, window/64)
+	}
 	bounded := true
 	for f, settled := 0, 0; f < limit; settled = f {
 		if f-r.n.base >= r.n.stampSpan() {
@@ -221,6 +226,10 @@ func (r *runner) run(limit int) (int, error) {
 	r.finish(limit)
 	return limit, errLimit(limit, r.n)
 }
+
+// ringPool recycles progress rings, cleared, from run to run: a run whose
+// consumers lead their producers by many cycles grows a large one.
+var ringPool sync.Pool
 
 // spanner is a block that runs a span of cycles per call rather than one:
 // span ticks it at its queues' clock's cycle and each next one while it makes
@@ -435,4 +444,7 @@ func (r *runner) finish(cycles int) {
 		q.endRun(cycles)
 	}
 	r.n.PeakChunks = r.n.clk.peak
+	act := r.act
+	clear(act)
+	ringPool.Put(&act)
 }

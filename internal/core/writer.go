@@ -1,9 +1,24 @@
 package core
 
 import (
+	"sync"
+
 	"sam/internal/fiber"
 	"sam/internal/token"
 )
+
+// The writers' arrays, recycled from run to run through Release: they hold
+// the whole output, which the caller copies out, and growing them afresh
+// each run is much of what a run allocates.
+var crdPool, valPool sync.Pool
+
+// pooled returns an empty slice from p's recycled ones, or nil.
+func pooled[T any](p *sync.Pool) []T {
+	if s, ok := p.Get().(*[]T); ok {
+		return (*s)[:0]
+	}
+	return nil
+}
 
 // CrdWriter is the level writer for coordinate streams (paper
 // Definition 3.8): it consumes one coordinate stream and materializes a
@@ -25,7 +40,8 @@ type CrdWriter struct {
 // or LinkedList storage; dim is the dimension size and level the output
 // level index of the written level.
 func NewCrdWriter(name string, format fiber.Format, dim, level int, in *Queue) *CrdWriter {
-	return &CrdWriter{basic: basic{name: name}, in: in, format: format, dim: dim, level: level, seg: []int32{0}}
+	return &CrdWriter{basic: basic{name: name}, in: in, format: format, dim: dim, level: level,
+		seg: append(pooled[int32](&crdPool), 0), crd: pooled[int32](&crdPool)}
 }
 
 // Tick implements Block.
@@ -77,6 +93,15 @@ func (b *CrdWriter) Level() fiber.Level {
 	return &fiber.CompressedLevel{N: b.dim, Seg: seg, Crd: b.crd}
 }
 
+// Release hands the writer's arrays back for a later writer to reuse. The
+// level Level returned must no longer be read.
+func (b *CrdWriter) Release() {
+	seg, crd := b.seg, b.crd
+	crdPool.Put(&seg)
+	crdPool.Put(&crd)
+	b.seg, b.crd = nil, nil
+}
+
 // NumFibers reports how many fibers (segments) were closed.
 func (b *CrdWriter) NumFibers() int { return len(b.seg) - 1 }
 
@@ -91,7 +116,7 @@ type ValsWriter struct {
 
 // NewValsWriter builds a value writer.
 func NewValsWriter(name string, in *Queue) *ValsWriter {
-	return &ValsWriter{basic: basic{name: name}, in: in}
+	return &ValsWriter{basic: basic{name: name}, in: in, vals: pooled[float64](&valPool)}
 }
 
 // Tick implements Block.
@@ -121,6 +146,14 @@ func (b *ValsWriter) Tick() bool {
 
 // Vals returns the written value array.
 func (b *ValsWriter) Vals() []float64 { return b.vals }
+
+// Release hands the writer's array back for a later writer to reuse. The
+// array Vals returned must no longer be read.
+func (b *ValsWriter) Release() {
+	vals := b.vals
+	valPool.Put(&vals)
+	b.vals = nil
+}
 
 // InQueues implements Block.
 func (b *CrdWriter) InQueues() []*Queue { return []*Queue{b.in} }

@@ -9,7 +9,7 @@
 // statistics, and assembles the output tensor from the level writers.
 //
 // There are three engines: the default event engine, which ticks each block
-// a window of cycles at a time on its own clock, the naive tick-all
+// on its own clock, producers lagging their consumers, the naive tick-all
 // reference loop (bit-identical results, kept for
 // differential testing), and the compiled co-iteration engine from
 // internal/comp (bit-identical outputs, no cycle model; it rejects graphs it
@@ -362,5 +362,13 @@ func (b *builder) assemble() (*tensor.COO, error) {
 			return nil, fmt.Errorf("sim: output variable %q missing from graph metadata", v)
 		}
 	}
-	return tensor.FromFiberPermuted(ft, g.OutputTensor, perm)
+	out, err := tensor.FromFiberPermuted(ft, g.OutputTensor, perm)
+	// The output holds copies: the writers' arrays go back for the next run.
+	for _, w := range b.crdWr {
+		w.Release()
+	}
+	if b.valsWr != nil {
+		b.valsWr.Release()
+	}
+	return out, err
 }
