@@ -6,10 +6,9 @@ import (
 	"sync"
 )
 
-// window is W: the tokens a producer runs ahead of its consumers (a block
-// pauses once one of its output queues holds W), and the least a pass lets a
-// stalled net's producers run on. 256 to 4096 cycles a visit measured alike
-// on the simulate-event shapes; 64 is slower.
+// window is W, the tokens a producer runs ahead of its consumers: a block
+// pauses once one of its output queues holds W, so a run holds about W
+// tokens per stream.
 const window = 512
 
 // stampSpan is how many cycles past its stamp base a net's frontier runs
@@ -68,7 +67,6 @@ type runner struct {
 
 	clk []int // the cycle each block next ticks at (never: done or failed); one more, never, for prod's none
 	end int   // no block ticks at or past this cycle
-	top int   // the highest clock a block has reached
 
 	act   []uint64 // ring of progress bits: cycle c's is bit c&63 of act[c>>6&(len-1)]
 	abase int      // act covers cycles [abase, abase+64*len(act)); a multiple of 64
@@ -250,6 +248,9 @@ func (r *runner) pass(bounded bool) bool {
 	for _, i32 := range r.order {
 		i := int(i32)
 		t := r.clk[i]
+		if t >= r.end { // done, failed, or at the run's end
+			continue
+		}
 		h := r.horizon(i, t, bounded)
 		if t >= h {
 			continue
@@ -277,15 +278,10 @@ func (r *runner) pass(bounded bool) bool {
 						r.failT, r.failI = t, i
 						r.end = min(r.end, t+1)
 					}
-					r.top = max(r.top, t)
 					t = never
 					break
 				}
 				if b.Done() {
-					// A block finishes on a tick that makes progress, and
-					// ticks again the next cycle.
-					r.done(t)
-					t = never
 					break
 				}
 				t = r.wake(i, t, h)
@@ -295,21 +291,16 @@ func (r *runner) pass(bounded bool) bool {
 			}
 		}
 		if t != never && b.Done() {
-			// It finished on the last tick it ran: one that made
-			// progress, or it would have stopped there.
-			r.done(t)
+			// A block finishes on a tick that makes progress, and the visit
+			// stops at the next tick, which makes none, or at the horizon:
+			// either way it finished on the tick at t-1.
+			r.nDone++
+			r.lastDone = max(r.lastDone, t-1)
 			t = never
 		}
 		r.clk[i] = t
 	}
 	return advanced
-}
-
-// done records a block that finished on the tick before cycle t.
-func (r *runner) done(t int) {
-	r.nDone++
-	r.lastDone = max(r.lastDone, t-1)
-	r.top = max(r.top, t)
 }
 
 // horizon returns the cycle block i, at clock t, may tick up to (not
@@ -429,17 +420,11 @@ func (r *runner) settle(from, f int) (int, error, bool) {
 	return 0, nil, false
 }
 
-// finish ends the run: the net's clock stands past every cycle a block ran,
-// so every token pushed is visible, and every queue records its idle cycles
-// (counted over the run's cycles) and releases its storage (see
-// Queue.endRun).
+// finish ends the run: the net's clock stands past every stamp, so every
+// token pushed is visible, and every queue records its idle cycles (counted
+// over the run's cycles) and releases its storage (see Queue.endRun).
 func (r *runner) finish(cycles int) {
-	for _, t := range r.clk[:len(r.blocks)] {
-		if t != never {
-			r.top = max(r.top, t)
-		}
-	}
-	r.n.clk.now = uint32(r.top - r.n.base)
+	r.n.clk.now = math.MaxUint32
 	for _, q := range r.queues {
 		q.endRun(cycles)
 	}
