@@ -15,13 +15,16 @@ import "fmt"
 // state change must behave identically on the next tick. A tick that pushes
 // a token reports progress, and a block finishes (Done turns true) only on a
 // tick that makes progress or fails. Blocks read an input's head token only
-// (Peek, Pop, PopPeeked). Net.Run relies on all of this to skip a starved
-// block's ticks up to the cycle a new head token turns visible, without
-// perturbing simulated cycle counts.
+// (Peek, Pop, PopPeeked), and pop at most one token per input per cycle.
+// Net.Run relies on all of this to skip a starved block's ticks up to the
+// cycle a new head token turns visible, and to tick a consumer ahead of its
+// lagging producer while tokens stay queued, without perturbing simulated
+// cycle counts.
 //
 // Every block declares its port wiring through InQueues and OutPorts. Net.Run
-// uses the declaration to order blocks producer before consumer and to find
-// the inputs whose head stamps bound a block's skip. Nil entries (optional
+// uses the declaration to order blocks producer before consumer, to find the
+// inputs whose head stamps bound a block's skip, and to find each input's
+// producer and each output's fill. Nil entries (optional
 // ports) are permitted.
 type Block interface {
 	Name() string

@@ -15,10 +15,12 @@ type EngineKind string
 // The available engines.
 const (
 	// EngineEvent is the default cycle-accurate engine (core's Net.Run):
-	// each block keeps its own clock and ticks up to 512 cycles ahead per
-	// visit, in producer-before-consumer order, skipping straight to the
-	// cycle its next input token turns visible; a net with bounded queues
-	// runs the naive engine's tick-all loop.
+	// each block keeps its own clock and ticks as far as its queued inputs
+	// and its producers' clocks allow, in producer-before-consumer order,
+	// skipping straight to the cycle its next input token turns visible; a
+	// producer pauses 512 tokens ahead of its consumers, so a run holds
+	// about that per stream. A net with bounded queues runs the naive
+	// engine's tick-all loop.
 	EngineEvent EngineKind = "event"
 	// EngineNaive is the reference cycle-accurate engine that ticks every
 	// block on every cycle. It produces bit-identical results to

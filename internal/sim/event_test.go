@@ -394,15 +394,16 @@ func BenchmarkEventRun(b *testing.B) {
 	}
 }
 
-// TestEventRunAllocBytes gates what a warm event-engine run allocates. The
-// ijk inner-product dataflow peaks at 683,108 tokens in flight (10.9 MB in
-// 16-byte slots); with stream chunks recycled through core's pool a warm run
-// allocates the net, the writers' output and little else. The doubling rings this replaced
-// allocated and zeroed 65 MB per run. ikj and kij run the n = 1 and n = 2
+// TestEventRunAllocBytes gates what a warm event-engine run allocates. A run
+// holds about a window of queued tokens per stream (TestEventPeakChunks), on
+// chunks recycled through core's pool, so a warm run allocates the net, the
+// writers' output, the scheduler's progress bits and little else, ijk's
+// inner product included. The doubling rings the chunks replaced allocated
+// and zeroed 65 MB per ijk run. ikj and kij run the n = 1 and n = 2
 // reducers, whose group accumulator keeps each group's points in flat arrays
 // reused group to group: a map or key allocated per point or per group costs
-// them 100k allocations a run. The two SpMV shapes hold under 16k tokens in
-// flight and allocate about 0.4 MB in a few hundred objects.
+// them 100k allocations a run. The two SpMV shapes allocate about 0.4 MB in
+// a few hundred objects.
 func TestEventRunAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race, so no run is warm")

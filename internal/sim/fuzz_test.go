@@ -145,8 +145,8 @@ func TestFuzzRandomExpressions(t *testing.T) {
 // TestFuzzEngineEquivalence cross-checks the event engine against the naive
 // tick-all loop on randomly generated statements: identical cycle counts,
 // byte-identical outputs and identical statistics for every stream (data,
-// stop, empty, done and idle tokens). Unbounded queues run the windowed
-// scheduler, which ticks each block up to 512 cycles ahead on its own clock;
+// stop, empty, done and idle tokens). Unbounded queues run the lagging
+// scheduler, which ticks each block on its own clock up to its horizon;
 // with bounded ones (caps 2 and 7) Net.Run hands the net to the naive loop,
 // so those rows hold the routing and the blocks' backpressure paths.
 func TestFuzzEngineEquivalence(t *testing.T) {
