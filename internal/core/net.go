@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Net is a wired set of blocks and queues — one executable SAM dataflow
 // graph fragment. It owns the clock its queues stamp and read tokens by and
@@ -176,4 +179,33 @@ func (n *Net) unfinished() string {
 		s = "(none)"
 	}
 	return s
+}
+
+// freeList parks buffers one run leaves for the next: up to n per CPU, since
+// no more runs than CPUs go at once without waiting. Unlike a sync.Pool the
+// collector never empties it, so a process whose runs hold little memory,
+// and so collect often, still finds its buffers warm; each is the size of
+// the largest run it served, a footprint the process already reached, held
+// rather than raised.
+type freeList[T any] chan T
+
+func newFreeList[T any](n int) freeList[T] { return make(freeList[T], n*runtime.GOMAXPROCS(0)) }
+
+// get returns a parked buffer, or T's zero value when none is parked.
+func (f freeList[T]) get() T {
+	select {
+	case v := <-f:
+		return v
+	default:
+		var zero T
+		return zero
+	}
+}
+
+// put parks v, unless the list is full.
+func (f freeList[T]) put(v T) {
+	select {
+	case f <- v:
+	default:
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"sam/internal/token"
 )
@@ -31,22 +30,25 @@ type Reducer struct {
 	outCrd []*Out
 	outVal *Out
 
-	g    *GroupAcc   // from accPool, and back to it once the block is done
+	g    *GroupAcc   // from freeAccs, and back to it once the block is done
 	toks []token.Tok // one emission step: n coordinate tokens, then the value
 }
 
-// accPool recycles reducers' group accumulators from run to run: a group
-// holds every point of an output fiber (of the whole output, for SpM*SpM
-// at kij), and growing its arrays afresh each run is most of what such a
-// run allocates.
-var accPool = sync.Pool{New: func() any { return new(GroupAcc) }}
+// freeAccs recycles reducers' group accumulators from run to run: a group holds
+// every point of an output fiber (of the whole output, for SpM*SpM at kij),
+// and growing its arrays afresh each run is most of what such a run
+// allocates.
+var freeAccs = newFreeList[*GroupAcc](1)
 
 // NewReducer builds an n-dimensional reducer (n >= 1).
 func NewReducer(name string, n int, inCrd []*Queue, inVal *Queue, outCrd []*Out, outVal *Out) *Reducer {
 	b := &Reducer{
 		basic: basic{name: name}, n: n, inCrd: inCrd, inVal: inVal,
 		outCrd: outCrd, outVal: outVal, toks: make([]token.Tok, n+1),
-		g: accPool.Get().(*GroupAcc),
+		g: freeAccs.get(),
+	}
+	if b.g == nil {
+		b.g = new(GroupAcc)
 	}
 	b.g.Reset(n)
 	return b
@@ -116,7 +118,7 @@ func (b *Reducer) Tick() bool {
 		}
 		b.outVal.Push(token.D())
 		b.done = true
-		accPool.Put(b.g)
+		freeAccs.put(b.g)
 		b.g = nil
 		return true
 	}

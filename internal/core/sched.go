@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // window is W, the tokens a producer runs ahead of its consumers: a block
@@ -196,9 +195,7 @@ func newRunner(n *Net) (*runner, bool) {
 
 // run executes the net to completion. See Net.Run for the contract.
 func (r *runner) run(limit int) (int, error) {
-	if a, ok := ringPool.Get().(*[]uint64); ok {
-		r.act = *a
-	} else {
+	if r.act = freeRings.get(); r.act == nil {
 		r.act = make([]uint64, window/64)
 	}
 	bounded := true
@@ -225,9 +222,9 @@ func (r *runner) run(limit int) (int, error) {
 	return limit, errLimit(limit, r.n)
 }
 
-// ringPool recycles progress rings, cleared, from run to run: a run whose
+// freeRings recycles progress rings, cleared, from run to run: a run whose
 // consumers lead their producers by many cycles grows a large one.
-var ringPool sync.Pool
+var freeRings = newFreeList[[]uint64](1)
 
 // spanner is a block that runs a span of cycles per call rather than one:
 // span ticks it at its queues' clock's cycle and each next one while it makes
@@ -429,7 +426,6 @@ func (r *runner) finish(cycles int) {
 		q.endRun(cycles)
 	}
 	r.n.PeakChunks = r.n.clk.peak
-	act := r.act
-	clear(act)
-	ringPool.Put(&act)
+	clear(r.act)
+	freeRings.put(r.act)
 }

@@ -1,24 +1,18 @@
 package core
 
 import (
-	"sync"
-
 	"sam/internal/fiber"
 	"sam/internal/token"
 )
 
 // The writers' arrays, recycled from run to run through Release: they hold
 // the whole output, which the caller copies out, and growing them afresh
-// each run is much of what a run allocates.
-var crdPool, valPool sync.Pool
-
-// pooled returns an empty slice from p's recycled ones, or nil.
-func pooled[T any](p *sync.Pool) []T {
-	if s, ok := p.Get().(*[]T); ok {
-		return (*s)[:0]
-	}
-	return nil
-}
+// each run is much of what a run allocates. A matrix has two coordinate
+// levels, each a segment and a coordinate array.
+var (
+	freeCrds = newFreeList[[]int32](4)
+	freeVals = newFreeList[[]float64](1)
+)
 
 // CrdWriter is the level writer for coordinate streams (paper
 // Definition 3.8): it consumes one coordinate stream and materializes a
@@ -41,7 +35,7 @@ type CrdWriter struct {
 // level index of the written level.
 func NewCrdWriter(name string, format fiber.Format, dim, level int, in *Queue) *CrdWriter {
 	return &CrdWriter{basic: basic{name: name}, in: in, format: format, dim: dim, level: level,
-		seg: append(pooled[int32](&crdPool), 0), crd: pooled[int32](&crdPool)}
+		seg: append(freeCrds.get()[:0], 0), crd: freeCrds.get()[:0]}
 }
 
 // Tick implements Block.
@@ -96,9 +90,8 @@ func (b *CrdWriter) Level() fiber.Level {
 // Release hands the writer's arrays back for a later writer to reuse. The
 // level Level returned must no longer be read.
 func (b *CrdWriter) Release() {
-	seg, crd := b.seg, b.crd
-	crdPool.Put(&seg)
-	crdPool.Put(&crd)
+	freeCrds.put(b.seg)
+	freeCrds.put(b.crd)
 	b.seg, b.crd = nil, nil
 }
 
@@ -116,7 +109,7 @@ type ValsWriter struct {
 
 // NewValsWriter builds a value writer.
 func NewValsWriter(name string, in *Queue) *ValsWriter {
-	return &ValsWriter{basic: basic{name: name}, in: in, vals: pooled[float64](&valPool)}
+	return &ValsWriter{basic: basic{name: name}, in: in, vals: freeVals.get()[:0]}
 }
 
 // Tick implements Block.
@@ -150,8 +143,7 @@ func (b *ValsWriter) Vals() []float64 { return b.vals }
 // Release hands the writer's array back for a later writer to reuse. The
 // array Vals returned must no longer be read.
 func (b *ValsWriter) Release() {
-	vals := b.vals
-	valPool.Put(&vals)
+	freeVals.put(b.vals)
 	b.vals = nil
 }
 
