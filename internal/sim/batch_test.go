@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -119,5 +120,58 @@ func TestBatchSharedProgramRace(t *testing.T) {
 		if err != nil {
 			t.Errorf("run %d diverged under shared-program reuse: %v", i, err)
 		}
+	}
+}
+
+// TestEventRunsShareFreeLists runs the reducer shapes on the cycle engines
+// from several goroutines at once. Their runs hand the n >= 1 reducer's
+// accumulator, the level writers' arrays and the scheduler's progress ring
+// to one another through core's free lists, so every run must still match
+// a lone run of its shape: cycles, output bits and every stream's
+// statistics. Under -race it is the data-race gate for those lists.
+func TestEventRunsShareFreeLists(t *testing.T) {
+	shapes := reduceShapes(t)
+	want := make([]string, len(shapes))
+	wantOut := make([]*tensor.COO, len(shapes))
+	for i, s := range shapes {
+		res, err := s.prog.Run(s.inputs, s.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		var b strings.Builder
+		renderStats(&b, s.name, res)
+		want[i], wantOut[i] = b.String(), res.Output
+	}
+	const goroutines, rounds = 4, 3
+	errs := make(chan error, goroutines*rounds*len(shapes))
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds * len(shapes) {
+				i := (g + r) % len(shapes)
+				s := shapes[i]
+				res, err := s.prog.Run(s.inputs, s.opt)
+				if err == nil {
+					err = tensor.IdenticalBits(wantOut[i], res.Output)
+				}
+				if err == nil {
+					var b strings.Builder
+					renderStats(&b, s.name, res)
+					if b.String() != want[i] {
+						err = fmt.Errorf("statistics differ from a lone run:\n%s\nwant\n%s", b.String(), want[i])
+					}
+				}
+				if err != nil {
+					errs <- fmt.Errorf("%s: %w", s.name, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
