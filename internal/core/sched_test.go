@@ -138,7 +138,7 @@ func TestRunMatchesNaiveErrors(t *testing.T) {
 
 // mergeNet wires an intersecter over two recorded coordinate streams — the
 // multiples of 2 and of 3 below 3000 — into a sink, so the run stalls the
-// intersecter often and lasts several windows. capacity bounds every queue
+// intersecter often and lasts many passes. capacity bounds every queue
 // (0: unbounded).
 func mergeNet(capacity int) (*Net, *Sink) {
 	n := &Net{}
