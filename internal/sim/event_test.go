@@ -396,14 +396,15 @@ func BenchmarkEventRun(b *testing.B) {
 
 // TestEventRunAllocBytes gates what a warm event-engine run allocates. A run
 // holds about a window of queued tokens per stream (TestEventPeakChunks), on
-// chunks recycled through core's pool, so a warm run allocates the net, the
-// writers' output, the scheduler's progress bits and little else, ijk's
-// inner product included. The doubling rings the chunks replaced allocated
-// and zeroed 65 MB per ijk run. ikj and kij run the n = 1 and n = 2
-// reducers, whose group accumulator keeps each group's points in flat arrays
-// reused group to group: a map or key allocated per point or per group costs
-// them 100k allocations a run. The two SpMV shapes allocate about 0.4 MB in
-// a few hundred objects.
+// chunks recycled through core's pool, and the reducer's accumulator, the
+// writers' arrays and the scheduler's progress ring come back from core's
+// free lists, so a warm run allocates the net, the output tensor, the bound
+// operands and little else, ijk's inner product included. The doubling rings
+// the chunks replaced allocated and zeroed 65 MB per ijk run. ikj and kij run
+// the n = 1 and n = 2 reducers, whose group accumulator keeps each group's
+// points in flat arrays reused group to group: a map or key allocated per
+// point or per group costs them 100k allocations a run. The two SpMV shapes
+// allocate about 0.4 MB in a few hundred objects.
 func TestEventRunAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race, so no run is warm")
