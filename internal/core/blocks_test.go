@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"slices"
 	"strings"
@@ -594,5 +595,74 @@ func TestGroupAccWideCoordinates(t *testing.T) {
 		checkStream(t, "crd0", crd[0], fmt.Sprintf("%d %d S0", base, base+1))
 		checkStream(t, "crd1", crd[1], "2 7 9 S0 5 S1")
 		checkStream(t, "vals", val, "4.0 2.0 0.0 S0 4.0 S1")
+	}
+}
+
+// TestRadixSortMatchesSort holds the large-group sort (radixSort) to
+// slices.Sort on random keys of every width from 1 to 64 bits, at sizes
+// around one digit's range, through buffers reused from sort to sort, as a
+// GroupAcc reuses them.
+func TestRadixSortMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var keys, tmp []uint64
+	for width := 1; width <= 64; width++ {
+		for _, n := range []int{radixMin, 1000, 5000} {
+			keys = keys[:0]
+			for range n {
+				k := r.Uint64()
+				if width < 64 {
+					k &= 1<<width - 1
+				}
+				keys = append(keys, k)
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			keys, tmp = radixSort(keys, tmp, width)
+			if !slices.Equal(keys, want) {
+				t.Fatalf("width %d, %d keys: radix order differs from slices.Sort", width, n)
+			}
+		}
+	}
+}
+
+// TestGroupAccRadixGroup emits a group large enough to radix-sort as a
+// small one is emitted: unique points sorted, each summed in arrival order.
+func TestGroupAccRadixGroup(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	var g GroupAcc
+	g.Reset(2)
+	sums := map[[2]int64]float64{}
+	for range 4 * radixMin {
+		p := [2]int64{r.Int63n(40), r.Int63n(40)}
+		v := float64(r.Intn(9) + 1)
+		sums[p] += v
+		g.Load(0, p[0])
+		g.Add(p[1], token.V(v))
+		g.Stop(0)
+	}
+	g.Stop(2)
+	toks := make([]token.Tok, 3)
+	var prev [2]int64
+	got := 0
+	for g.Emitting() {
+		from := g.Next(toks)
+		if !toks[2].IsVal() {
+			continue
+		}
+		cur := prev
+		for j := from; j < 2; j++ {
+			cur[j] = toks[j].N
+		}
+		if got > 0 && (cur[0] < prev[0] || cur[0] == prev[0] && cur[1] <= prev[1]) {
+			t.Fatalf("point %v emitted after %v", cur, prev)
+		}
+		if toks[2].V != sums[cur] {
+			t.Fatalf("point %v sums to %v, want %v", cur, toks[2].V, sums[cur])
+		}
+		prev = cur
+		got++
+	}
+	if got != len(sums) {
+		t.Fatalf("%d points emitted, want %d", got, len(sums))
 	}
 }

@@ -18,33 +18,51 @@ func NewArrayLoad(name string, vals []float64, in *Queue, out *Out) *ArrayLoad {
 	return &ArrayLoad{basic: basic{name: name}, vals: vals, in: in, out: out}
 }
 
-// Tick implements Block.
-func (b *ArrayLoad) Tick() bool {
+// Tick implements Block: a span of one cycle.
+func (b *ArrayLoad) Tick() bool { return tick(b, b.in.clk) }
+
+// span implements spanner: one token a cycle, from the cycle each turns
+// visible.
+func (b *ArrayLoad) span(end uint32) (stop, prog uint32) {
+	clk := b.in.clk
+	now := clk.now
 	if b.done {
-		return false
+		return now, 0
 	}
 	if !b.out.CanPush() {
-		return false
+		return end, 0
 	}
-	t, ok := b.in.Pop()
-	if !ok {
-		return false
-	}
-	switch t.Kind {
-	case token.Val:
-		if t.N < 0 || t.N >= int64(len(b.vals)) {
-			return b.fail("reference %d out of range [0,%d)", t.N, len(b.vals))
+	for now < end {
+		s := b.in.headSlot()
+		if s == nil || s.at >= end {
+			return end, prog
 		}
-		b.out.Push(token.V(b.vals[t.N]))
-	case token.Empty:
-		b.out.Push(token.N())
-	case token.Stop:
-		b.out.Push(t)
-	case token.Done:
-		b.out.Push(t)
-		b.done = true
+		now = max(now, s.at)
+		clk.now = now
+		t := s.tok()
+		b.in.PopPeeked()
+		switch t.Kind {
+		case token.Val:
+			if t.N < 0 || t.N >= int64(len(b.vals)) {
+				b.fail("reference %d out of range [0,%d)", t.N, len(b.vals))
+				return now, prog
+			}
+			b.out.Push(token.V(b.vals[t.N]))
+		case token.Empty:
+			b.out.Push(token.N())
+		case token.Stop:
+			b.out.Push(t)
+		case token.Done:
+			b.out.Push(t)
+			b.done = true
+		}
+		now++
+		prog = now
+		if b.done {
+			break
+		}
 	}
-	return true
+	return now, prog
 }
 
 // ALUOp selects the arithmetic operation of an ALU block.
@@ -114,28 +132,48 @@ func NewALU(name string, op ALUOp, inA, inB *Queue, out *Out) *ALU {
 	return &ALU{basic: basic{name: name}, op: op, inA: inA, inB: inB, out: out}
 }
 
-// Tick implements Block.
-func (b *ALU) Tick() bool {
+// Tick implements Block: a span of one cycle.
+func (b *ALU) Tick() bool { return tick(b, b.inA.clk) }
+
+// span implements spanner: a cycle needs both heads, so the block runs from
+// the cycle both turn visible.
+func (b *ALU) span(end uint32) (stop, prog uint32) {
+	clk := b.inA.clk
+	now := clk.now
 	if b.done {
-		return false
+		return now, 0
 	}
 	if !b.out.CanPush() {
-		return false
+		return end, 0
 	}
-	ta, ok := b.inA.Peek()
-	if !ok {
-		return false
+	for now < end {
+		sa, sb := b.inA.headSlot(), b.inB.headSlot()
+		if sa == nil || sb == nil || sa.at >= end || sb.at >= end {
+			return end, prog
+		}
+		now = max(now, sa.at, sb.at)
+		clk.now = now
+		if !b.apply(sa.tok(), sb.tok()) {
+			return now, prog
+		}
+		now++
+		prog = now
+		if b.done {
+			break
+		}
 	}
-	tb, ok := b.inB.Peek()
-	if !ok {
-		return false
-	}
+	return now, prog
+}
+
+// apply runs one cycle over the visible heads ta and tb and reports whether
+// it made progress; it fails otherwise.
+func (b *ALU) apply(ta, tb token.Tok) bool {
 	dataA := ta.IsVal() || ta.IsEmpty()
 	dataB := tb.IsVal() || tb.IsEmpty()
 	switch {
 	case dataA && dataB:
-		b.inA.Pop()
-		b.inB.Pop()
+		b.inA.PopPeeked()
+		b.inB.PopPeeked()
 		if ta.IsEmpty() && tb.IsEmpty() {
 			b.out.Push(token.N())
 			return true
@@ -153,8 +191,8 @@ func (b *ALU) Tick() bool {
 		if ta.StopLevel() != tb.StopLevel() {
 			return b.fail("misaligned stops S%d vs S%d", ta.StopLevel(), tb.StopLevel())
 		}
-		b.inA.Pop()
-		b.inB.Pop()
+		b.inA.PopPeeked()
+		b.inB.PopPeeked()
 		b.out.Push(ta)
 		return true
 	case dataA && !ta.IsEmpty() && ta.V == 0 && (tb.IsStop() || tb.IsDone()):
@@ -162,14 +200,14 @@ func (b *ALU) Tick() bool {
 		// (a parallel lane that received no fibers) emitted an explicit zero
 		// the other operand has no counterpart for. Discard it, like the
 		// droppers and reducers do.
-		b.inA.Pop()
+		b.inA.PopPeeked()
 		return true
 	case dataB && !tb.IsEmpty() && tb.V == 0 && (ta.IsStop() || ta.IsDone()):
-		b.inB.Pop()
+		b.inB.PopPeeked()
 		return true
 	case ta.IsDone() && tb.IsDone():
-		b.inA.Pop()
-		b.inB.Pop()
+		b.inA.PopPeeked()
+		b.inB.PopPeeked()
 		b.out.Push(token.D())
 		b.done = true
 		return true
@@ -196,42 +234,57 @@ func NewScalarReducer(name string, in *Queue, out *Out) *ScalarReducer {
 	return &ScalarReducer{basic: basic{name: name}, in: in, out: out, pendingStop: -1}
 }
 
-// Tick implements Block.
-func (b *ScalarReducer) Tick() bool {
+// Tick implements Block: a span of one cycle.
+func (b *ScalarReducer) Tick() bool { return tick(b, b.in.clk) }
+
+// span implements spanner: one input token a cycle, from the cycle each
+// turns visible, and a lowered stop the cycle after the group's sum.
+func (b *ScalarReducer) span(end uint32) (stop, prog uint32) {
+	clk := b.in.clk
+	now := clk.now
 	if b.done {
-		return false
+		return now, 0
 	}
 	if !b.out.CanPush() {
-		return false
+		return end, 0
 	}
-	if b.pendingStop >= 0 {
-		b.out.Push(token.S(b.pendingStop))
-		b.pendingStop = -1
-		return true
-	}
-	t, ok := b.in.Pop()
-	if !ok {
-		return false
-	}
-	switch t.Kind {
-	case token.Val:
-		b.acc += t.V
-		return true
-	case token.Empty:
-		return true
-	case token.Stop:
-		b.out.Push(token.V(b.acc))
-		b.acc = 0
-		if t.StopLevel() >= 1 {
-			b.pendingStop = t.StopLevel() - 1
+	for now < end {
+		if b.pendingStop >= 0 {
+			clk.now = now
+			b.out.Push(token.S(b.pendingStop))
+			b.pendingStop = -1
+			now++
+			prog = now
+			continue
 		}
-		return true
-	case token.Done:
-		b.out.Push(token.D())
-		b.done = true
-		return true
+		s := b.in.headSlot()
+		if s == nil || s.at >= end {
+			return end, prog
+		}
+		now = max(now, s.at)
+		clk.now = now
+		t := s.tok()
+		b.in.PopPeeked()
+		switch t.Kind {
+		case token.Val:
+			b.acc += t.V
+		case token.Stop:
+			b.out.Push(token.V(b.acc))
+			b.acc = 0
+			if t.StopLevel() >= 1 {
+				b.pendingStop = t.StopLevel() - 1
+			}
+		case token.Done:
+			b.out.Push(token.D())
+			b.done = true
+		}
+		now++
+		prog = now
+		if b.done {
+			break
+		}
 	}
-	return b.fail("unexpected token %v", t)
+	return now, prog
 }
 
 // InQueues implements Block.

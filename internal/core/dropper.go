@@ -68,8 +68,16 @@ func NewDropper(name string, mode graph.DropMode, inOuter, inInner *Queue, outOu
 	}
 }
 
-// Tick implements Block.
-func (b *Dropper) Tick() bool {
+// Tick implements Block: a span of one cycle, which is one step.
+func (b *Dropper) Tick() bool { return b.step() }
+
+// span implements spanner.
+func (b *Dropper) span(end uint32) (uint32, uint32) {
+	return steps(b, b.inInner.clk, end, b.inInner, []*Queue{b.inOuter, b.inInner})
+}
+
+// step runs one cycle and reports whether the block made progress.
+func (b *Dropper) step() bool {
 	if b.done {
 		return false
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "sam/internal/token"
+import (
+	"math"
+
+	"sam/internal/token"
+)
 
 // Merger is the m-ary intersecter (paper Definition 3.2) or unioner
 // (Definition 3.3): one two-finger merge generalized to m fiber-aligned
@@ -27,6 +31,7 @@ type Merger struct {
 	inRef  []*Queue
 	outCrd *Out
 	outRef []*Out
+	inputs []*Queue // inCrd, then inRef
 
 	heads []token.Tok // per-tick peek scratch
 }
@@ -34,54 +39,73 @@ type Merger struct {
 // NewMerger builds an m-ary intersecter, or unioner when union is set; the
 // slices must have equal length m >= 2.
 func NewMerger(name string, union bool, inCrd, inRef []*Queue, outCrd *Out, outRef []*Out) *Merger {
-	return &Merger{basic: basic{name: name}, union: union, inCrd: inCrd, inRef: inRef, outCrd: outCrd, outRef: outRef}
+	return &Merger{
+		basic: basic{name: name}, union: union, inCrd: inCrd, inRef: inRef, outCrd: outCrd, outRef: outRef,
+		inputs: append(append([]*Queue{}, inCrd...), inRef...), heads: make([]token.Tok, len(inCrd)),
+	}
 }
 
 // Tick implements Block: a span of one cycle.
-func (b *Merger) Tick() bool { return b.span(b.inCrd[0].clk.now+1) > 0 }
+func (b *Merger) Tick() bool { return tick(b, b.inCrd[0].clk) }
 
-// span implements spanner.
-func (b *Merger) span(end uint32) int {
-	if b.done || !b.outCrd.CanPush() {
-		return 0
+// span implements spanner. The two-way intersecter runs its common rules in
+// intersect2; every other cycle is one step.
+func (b *Merger) span(end uint32) (stop, prog uint32) {
+	clk := b.inCrd[0].clk
+	now := clk.now
+	if b.done {
+		return now, 0
+	}
+	if !b.outCrd.CanPush() {
+		return end, 0
 	}
 	for _, o := range b.outRef {
 		if !o.CanPush() {
-			return 0
+			return end, 0
 		}
 	}
-	clk := b.inCrd[0].clk
-	start, now := clk.now, clk.now
+	two := !b.union && len(b.inCrd) == 2
 	for now < end {
-		if !b.union && len(b.inCrd) == 2 {
-			if now = b.intersect2(now, end); now == end {
+		if two {
+			if now, prog = b.intersect2(now, end, prog); now == end {
 				break
 			}
 		}
 		clk.now = now
-		if !b.step() {
+		if b.step() {
+			now++
+			prog = now
+			if b.done {
+				break
+			}
+		} else if b.err != nil {
 			break
+		} else {
+			now = wake(now, end, b.inputs)
 		}
-		now++
 	}
-	return int(now - start)
+	return now, prog
 }
 
 // intersect2 runs the two-way intersecter from cycle now up to end while its
-// heads are coordinates, or a coordinate and a stop: the rule list's last two
-// rules over two inputs. It returns the first cycle it did not run.
-func (b *Merger) intersect2(now, end uint32) uint32 {
+// heads are coordinates, a coordinate and a stop, or two stops of one level
+// with stops on both reference inputs: the rule list's last three rules over
+// two inputs. While a head is not visible it jumps to the cycle both are. It
+// returns the first cycle it did not run, and prog advanced past the last
+// one it made progress in.
+func (b *Merger) intersect2(now, end, prog uint32) (uint32, uint32) {
 	c0, c1, r0, r1 := b.inCrd[0], b.inCrd[1], b.inRef[0], b.inRef[1]
 	clk := c0.clk
-	for ; now < end; now++ {
-		clk.now = now
-		a, c := c0.front(), c1.front()
-		if a == nil || c == nil {
-			break
+	for now < end {
+		a, c := c0.headSlot(), c1.headSlot()
+		if a == nil || c == nil || a.at >= end || c.at >= end {
+			return end, prog
 		}
+		now = max(now, a.at, c.at)
 		valA, valC := a.kind == uint8(token.Val), c.kind == uint8(token.Val)
 		switch x, y := int64(a.x), int64(c.x); {
 		case valA && valC && x == y:
+			clk.now = now
 			c0.PopPeeked()
 			c1.PopPeeked()
 			ra, _ := r0.Pop()
@@ -89,21 +113,59 @@ func (b *Merger) intersect2(now, end uint32) uint32 {
 			b.outCrd.Push(token.C(x))
 			b.outRef[0].Push(ra)
 			b.outRef[1].Push(rc)
-		case valA && (valC && x < y || c.kind == uint8(token.Stop)):
+			now++
+		case valA && valC && x < y:
+			now = skip(c0, r0, now, end, y)
+		case valA && c.kind == uint8(token.Stop):
+			now = skip(c0, r0, now, end, math.MaxInt64)
+		case valC && valA:
+			now = skip(c1, r1, now, end, x)
+		case valC && a.kind == uint8(token.Stop):
+			now = skip(c1, r1, now, end, math.MaxInt64)
+		case a.kind == uint8(token.Stop) && c.kind == uint8(token.Stop) && x == y:
+			// All stopped at one level: forward the stop, unless a reference
+			// head is not the stop step fails on.
+			clk.now = now
+			ra, rc := r0.front(), r1.front()
+			if ra == nil || rc == nil || ra.kind != uint8(token.Stop) || rc.kind != uint8(token.Stop) {
+				return now, prog
+			}
 			c0.PopPeeked()
-			if r0.front() != nil { // Pop, in line and undecoded
-				r0.PopPeeked()
-			}
-		case valC && (valA || a.kind == uint8(token.Stop)):
 			c1.PopPeeked()
-			if r1.front() != nil {
-				r1.PopPeeked()
-			}
+			r0.PopPeeked()
+			r1.PopPeeked()
+			s := token.S(int(x))
+			b.outCrd.Push(s)
+			b.outRef[0].Push(s)
+			b.outRef[1].Push(s)
+			now++
 		default:
+			return now, prog
+		}
+		prog = now
+	}
+	return now, prog
+}
+
+// skip is the intersecter passing one side's coordinates the other side has
+// no match for: from cycle now, at which the head of q is a visible
+// coordinate below y, it pops that coordinate, and its reference on r if
+// one is visible, one a cycle while the next is too, up to end. It returns
+// the cycle after the last pop.
+func skip(q, r *Queue, now, end uint32, y int64) uint32 {
+	for {
+		q.PopPeeked()
+		if s := r.headSlot(); s != nil && s.at <= now {
+			r.PopPeeked()
+		}
+		if now++; now == end {
+			return now
+		}
+		s := q.headSlot()
+		if s == nil || s.at > now || s.kind != uint8(token.Val) || int64(s.x) >= y {
 			return now
 		}
 	}
-	return now
 }
 
 // step applies the rule list for one cycle and reports whether the block
@@ -113,9 +175,6 @@ func (b *Merger) step() bool {
 		return false
 	}
 	m := len(b.inCrd)
-	if b.heads == nil {
-		b.heads = make([]token.Tok, m)
-	}
 	heads := b.heads
 	for i, q := range b.inCrd {
 		t, ok := q.Peek()
@@ -199,7 +258,7 @@ func (b *Merger) step() bool {
 }
 
 // InQueues implements Block.
-func (b *Merger) InQueues() []*Queue { return append(append([]*Queue{}, b.inCrd...), b.inRef...) }
+func (b *Merger) InQueues() []*Queue { return b.inputs }
 
 // OutPorts implements Block.
 func (b *Merger) OutPorts() []*Out { return append([]*Out{b.outCrd}, b.outRef...) }

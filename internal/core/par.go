@@ -33,8 +33,16 @@ func NewParallelizer(name string, level int, in *Queue, outs []*Out) *Paralleliz
 	return &Parallelizer{basic: basic{name: name}, level: level, in: in, outs: outs}
 }
 
-// Tick implements Block.
-func (b *Parallelizer) Tick() bool {
+// Tick implements Block: a span of one cycle, which is one step.
+func (b *Parallelizer) Tick() bool { return b.step() }
+
+// span implements spanner.
+func (b *Parallelizer) span(end uint32) (uint32, uint32) {
+	return steps(b, b.in.clk, end, b.in, []*Queue{b.in})
+}
+
+// step runs one cycle and reports whether the block made progress.
+func (b *Parallelizer) step() bool {
 	if b.done {
 		return false
 	}
@@ -112,6 +120,7 @@ type Serializer struct {
 	outVal *Out // nil with vals
 	lane   int
 
+	inputs    []*Queue // ins, vals and drv, in that order
 	draining  bool
 	closeStep int // 0 rotating, 1 drivers closed, 2 closing stop emitted
 }
@@ -133,6 +142,7 @@ func NewSerializer(name string, level int, ins, vals, drv []*Queue, out, outVal 
 	return &Serializer{
 		basic: basic{name: name}, level: level,
 		ins: ins, vals: vals, drv: drv, out: out, outVal: outVal,
+		inputs: append(append(append([]*Queue{}, ins...), vals...), drv...),
 	}, nil
 }
 
@@ -208,8 +218,16 @@ func popAll(qs []*Queue) {
 	}
 }
 
-// Tick implements Block.
-func (b *Serializer) Tick() bool {
+// Tick implements Block: a span of one cycle, which is one step.
+func (b *Serializer) Tick() bool { return b.step() }
+
+// span implements spanner.
+func (b *Serializer) span(end uint32) (uint32, uint32) {
+	return steps(b, b.ins[0].clk, end, nil, b.inputs)
+}
+
+// step runs one cycle and reports whether the block made progress.
+func (b *Serializer) step() bool {
 	if b.done {
 		return false
 	}
@@ -416,9 +434,7 @@ func (b *Parallelizer) InQueues() []*Queue { return []*Queue{b.in} }
 func (b *Parallelizer) OutPorts() []*Out { return b.outs }
 
 // InQueues implements Block.
-func (b *Serializer) InQueues() []*Queue {
-	return append(append(append([]*Queue{}, b.ins...), b.vals...), b.drv...)
-}
+func (b *Serializer) InQueues() []*Queue { return b.inputs }
 
 // OutPorts implements Block.
 func (b *Serializer) OutPorts() []*Out {

@@ -266,6 +266,15 @@ func (q *Queue) front() *slot {
 	return s
 }
 
+// headSlot returns the head slot, visible or not, else nil: a span reads its
+// stamp to jump to the cycle it turns visible.
+func (q *Queue) headSlot() *slot {
+	if q.head == q.tail {
+		return nil
+	}
+	return &q.first.toks[q.head&chunkMask]
+}
+
 // Pop consumes and returns the head token, once it is visible.
 func (q *Queue) Pop() (token.Tok, bool) {
 	s := q.front()
@@ -294,9 +303,12 @@ func (q *Queue) PopPeeked() {
 // only when no destination is full.
 type Out struct {
 	qs []*Queue
-	// free is resolved when a run starts (see newRunner): set when no
-	// destination is bounded, so CanPush need not walk them every tick.
+	// free and clk are resolved when a run starts (see newRunner): free is
+	// set when no destination is bounded, so CanPush need not walk them
+	// every tick, and clk is the net's clock, which a block without inputs
+	// reads its cycle from.
 	free bool
+	clk  *clock
 }
 
 // NewOut builds an output port over destination queues.

@@ -27,6 +27,7 @@ type Reducer struct {
 	n      int
 	inCrd  []*Queue // outermost first; inCrd[n-1] moves with inVal
 	inVal  *Queue
+	inputs []*Queue // inCrd, then inVal
 	outCrd []*Out
 	outVal *Out
 
@@ -44,6 +45,7 @@ var freeAccs = newFreeList[*GroupAcc](1)
 func NewReducer(name string, n int, inCrd []*Queue, inVal *Queue, outCrd []*Out, outVal *Out) *Reducer {
 	b := &Reducer{
 		basic: basic{name: name}, n: n, inCrd: inCrd, inVal: inVal,
+		inputs: append(append([]*Queue{}, inCrd...), inVal),
 		outCrd: outCrd, outVal: outVal, toks: make([]token.Tok, n+1),
 		g: freeAccs.get(),
 	}
@@ -54,8 +56,16 @@ func NewReducer(name string, n int, inCrd []*Queue, inVal *Queue, outCrd []*Out,
 	return b
 }
 
-// Tick implements Block.
-func (b *Reducer) Tick() bool {
+// Tick implements Block: a span of one cycle, which is one step.
+func (b *Reducer) Tick() bool { return b.step() }
+
+// span implements spanner.
+func (b *Reducer) span(end uint32) (uint32, uint32) {
+	return steps(b, b.inVal.clk, end, nil, b.inputs)
+}
+
+// step runs one cycle and reports whether the block made progress.
+func (b *Reducer) step() bool {
 	if b.done {
 		return false
 	}
@@ -199,7 +209,7 @@ func (b *Reducer) stop(tc token.Tok) bool {
 }
 
 // InQueues implements Block.
-func (b *Reducer) InQueues() []*Queue { return append(append([]*Queue{}, b.inCrd...), b.inVal) }
+func (b *Reducer) InQueues() []*Queue { return b.inputs }
 
 // OutPorts implements Block.
 func (b *Reducer) OutPorts() []*Out { return append(append([]*Out{}, b.outCrd...), b.outVal) }
@@ -224,6 +234,7 @@ type GroupAcc struct {
 	val  []float64 // their values; an empty token adds +0, a no-op on such a sum
 	ord  []int32   // arrival indices sorted by coordinates, then by arrival
 	keys []uint64  // sort scratch: coordinates and arrival index packed
+	tmp  []uint64  // radix sort's second buffer
 
 	// Emission of a closed group: runs[u] is where unique point u starts in
 	// ord and sums[u] its sum; next is the next unique point, sepOut whether
@@ -317,10 +328,14 @@ func (g *GroupAcc) point(i int32) []int64 {
 	return g.crd[p : p+g.n]
 }
 
+// radixMin is the fewest keys sortPoints radix-sorts: below it slices.Sort
+// is as fast, and needs no pass over the counts.
+const radixMin = 256
+
 // sortPoints fills ord with the arrival indices ordered by coordinates, then
 // by arrival. When a point's coordinates and its index fit side by side in
-// one uint64 — the usual case — it sorts those keys; otherwise it compares
-// the points themselves.
+// one uint64 — the usual case — it sorts those keys, which are unique, by
+// radix in a large group; otherwise it compares the points themselves.
 func (g *GroupAcc) sortPoints() {
 	var or uint64
 	for _, c := range g.crd {
@@ -343,10 +358,43 @@ func (g *GroupAcc) sortPoints() {
 		}
 		g.keys = append(g.keys, k<<iw|uint64(i))
 	}
-	slices.Sort(g.keys)
+	if len(g.keys) >= radixMin {
+		g.keys, g.tmp = radixSort(g.keys, g.tmp, g.n*w+iw)
+	} else {
+		slices.Sort(g.keys)
+	}
 	for _, k := range g.keys {
 		g.ord = append(g.ord, int32(k&(1<<iw-1)))
 	}
+}
+
+// radixBits is the digit radixSort sorts by in one pass: 11 bits, so three
+// passes cover a key of up to 33 bits.
+const radixBits = 11
+
+// radixSort sorts keys whose set bits lie below bit width, least significant
+// digit first, through the buffer tmp; it returns the sorted keys and the
+// other buffer, for the next sort.
+func radixSort(keys, tmp []uint64, width int) (sorted, spare []uint64) {
+	tmp = slices.Grow(tmp[:0], len(keys))[:len(keys)]
+	for shift := 0; shift < width; shift += radixBits {
+		var at [1 << radixBits]int
+		for _, k := range keys {
+			at[k>>shift&(1<<radixBits-1)]++
+		}
+		sum := 0
+		for d, c := range at {
+			at[d] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			d := k >> shift & (1<<radixBits - 1)
+			tmp[at[d]] = k
+			at[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys, tmp
 }
 
 func (g *GroupAcc) compare(a, b int32) int {

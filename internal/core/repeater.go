@@ -24,8 +24,16 @@ func NewRepeater(name string, inCrd, inRef *Queue, out *Out) *Repeater {
 	return &Repeater{basic: basic{name: name}, inCrd: inCrd, inRef: inRef, out: out}
 }
 
-// Tick implements Block.
-func (b *Repeater) Tick() bool {
+// Tick implements Block: a span of one cycle, which is one step.
+func (b *Repeater) Tick() bool { return b.step() }
+
+// span implements spanner.
+func (b *Repeater) span(end uint32) (uint32, uint32) {
+	return steps(b, b.inCrd.clk, end, b.inCrd, []*Queue{b.inCrd, b.inRef})
+}
+
+// step runs one cycle and reports whether the block made progress.
+func (b *Repeater) step() bool {
 	if b.done {
 		return false
 	}

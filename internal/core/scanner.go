@@ -36,32 +36,73 @@ func NewScanner(name string, lvl fiber.Level, in *Queue, outCrd, outRef *Out) *S
 }
 
 // Tick implements Block: a span of one cycle.
-func (b *Scanner) Tick() bool { return b.span(b.in.clk.now+1) > 0 }
+func (b *Scanner) Tick() bool { return tick(b, b.in.clk) }
 
 // span implements spanner. A fiber's coordinates and child references go
-// out one pair per cycle until the fiber ends or the span does.
-func (b *Scanner) span(end uint32) int {
-	if !b.outCrd.CanPush() || !b.outRef.CanPush() {
-		return 0
-	}
+// out one pair per cycle until the fiber ends or the span does; a reference
+// starts its fiber, and a separator goes out, in the span itself, and the
+// rarer tokens take step.
+func (b *Scanner) span(end uint32) (stop, prog uint32) {
 	clk := b.in.clk
-	start, now := clk.now, clk.now
+	now := clk.now
+	if b.done {
+		return now, 0
+	}
+	if !b.outCrd.CanPush() || !b.outRef.CanPush() {
+		return end, 0
+	}
 	for now < end {
+		if b.scanning {
+			m := min(b.end-b.pos, int(end-now))
+			b.emit(now, m)
+			now += uint32(m)
+			prog = now
+			continue
+		}
+		s := b.in.headSlot()
+		if s == nil || s.at >= end {
+			return end, prog
+		}
+		now = max(now, s.at)
 		clk.now = now
-		if !b.scanning {
+		switch {
+		case s.kind != uint8(token.Val):
 			if !b.step() {
-				break
+				return now, prog
 			}
-			if !b.scanning {
-				now++
-				continue
+		case b.sepPending:
+			// The previous fiber's boundary: the separator goes out before
+			// the next fiber starts.
+			b.outCrd.Push(token.S(0))
+			b.outRef.Push(token.S(0))
+			b.sepPending = false
+		default:
+			b.in.PopPeeked()
+			if !b.start(int(s.x)) {
+				continue // its first coordinate goes out this cycle
 			}
 		}
-		m := min(b.end-b.pos, int(end-now))
-		b.emit(now, m)
-		now += uint32(m)
+		now++
+		prog = now
+		if b.done {
+			break
+		}
 	}
-	return int(now - start)
+	return now, prog
+}
+
+// start begins the scan of fiber f, and reports whether the fiber is empty:
+// then its separator is pending.
+func (b *Scanner) start(f int) bool {
+	b.fib = f
+	if b.cmp != nil {
+		b.pos, b.end = int(b.cmp.Seg[f]), int(b.cmp.Seg[f+1])
+	} else {
+		b.pos, b.end = 0, b.lvl.FiberLen(f)
+	}
+	b.scanning = b.pos < b.end
+	b.sepPending = !b.scanning
+	return b.sepPending
 }
 
 // emit pushes the next m coordinates of the fiber with their child
@@ -94,7 +135,8 @@ func (b *Scanner) emit(now uint32, m int) {
 // step runs one cycle on which no fiber is being scanned: it consumes the
 // next input token and reports whether the block made progress. A reference
 // to a non-empty fiber leaves the block scanning, its first coordinate still
-// to be emitted this cycle.
+// to be emitted this cycle. The span takes a reference itself; step serves
+// the other tokens.
 func (b *Scanner) step() bool {
 	if b.done {
 		return false
@@ -119,17 +161,7 @@ func (b *Scanner) step() bool {
 			b.sepPending = true
 			return true
 		}
-		b.fib = int(t.N)
-		if b.cmp != nil {
-			b.pos, b.end = int(b.cmp.Seg[b.fib]), int(b.cmp.Seg[b.fib+1])
-		} else {
-			b.pos, b.end = 0, b.lvl.FiberLen(b.fib)
-		}
-		if b.pos == b.end {
-			b.sepPending = true
-		} else {
-			b.scanning = true
-		}
+		b.start(int(t.N))
 		return true
 	case token.Stop:
 		// An input stop increments by one level and subsumes any pending

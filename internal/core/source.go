@@ -17,24 +17,33 @@ func NewRootSource(name string, out *Out) *RootSource {
 	return &RootSource{basic: basic{name: name}, out: out, stream: token.Root()}
 }
 
-// Tick implements Block.
-func (b *RootSource) Tick() bool {
-	if b.done || b.pos >= len(b.stream) {
-		b.done = true
-		return false
+// Tick implements Block: a span of one cycle.
+func (b *RootSource) Tick() bool { return tick(b, b.out.clk) }
+
+// Done implements Block: the source is done once its stream is out, from the
+// start for an empty one.
+func (b *RootSource) Done() bool { return b.done || b.pos == len(b.stream) }
+
+// span implements spanner: one token a cycle, without a pause.
+func (b *RootSource) span(end uint32) (uint32, uint32) {
+	clk := b.out.clk
+	now := clk.now
+	if b.Done() {
+		return now, 0
 	}
 	if !b.out.CanPush() {
-		return false
+		return end, 0
 	}
-	t := b.stream[b.pos]
-	b.out.Push(t)
-	b.pos++
-	if t.IsDone() || b.pos == len(b.stream) {
-		// A recorded stream without a done token ends with its last token:
-		// a block finishes on a tick that makes progress (see Block).
-		b.done = true
+	for now < end && !b.done {
+		clk.now = now
+		t := b.stream[b.pos]
+		b.out.Push(t)
+		// A recorded stream without a done token ends with its last token.
+		b.pos++
+		b.done = t.IsDone() || b.pos == len(b.stream)
+		now++
 	}
-	return true
+	return now, now
 }
 
 // InQueues implements Block.

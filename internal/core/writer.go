@@ -38,27 +38,36 @@ func NewCrdWriter(name string, format fiber.Format, dim, level int, in *Queue) *
 		seg: append(freeCrds.get()[:0], 0), crd: freeCrds.get()[:0]}
 }
 
-// Tick implements Block.
-func (b *CrdWriter) Tick() bool {
-	if b.done {
-		return false
+// Tick implements Block: a span of one cycle.
+func (b *CrdWriter) Tick() bool { return tick(b, b.in.clk) }
+
+// span implements spanner: one token a cycle, from the cycle each turns
+// visible.
+func (b *CrdWriter) span(end uint32) (stop, prog uint32) {
+	now := b.in.clk.now
+	for now < end && !b.done {
+		s := b.in.headSlot()
+		if s == nil || s.at >= end {
+			return end, prog
+		}
+		now = max(now, s.at)
+		t := s.tok()
+		b.in.PopPeeked()
+		switch t.Kind {
+		case token.Val:
+			b.crd = append(b.crd, int32(t.N))
+		case token.Stop:
+			b.seg = append(b.seg, int32(len(b.crd)))
+		case token.Done:
+			b.done = true
+		default:
+			b.fail("unexpected token %v", t)
+			return now, prog
+		}
+		now++
+		prog = now
 	}
-	t, ok := b.in.Pop()
-	if !ok {
-		return false
-	}
-	switch t.Kind {
-	case token.Val:
-		b.crd = append(b.crd, int32(t.N))
-		return true
-	case token.Stop:
-		b.seg = append(b.seg, int32(len(b.crd)))
-		return true
-	case token.Done:
-		b.done = true
-		return true
-	}
-	return b.fail("unexpected token %v", t)
+	return now, prog
 }
 
 // Level returns the written level. Call after the stream completed.
@@ -112,29 +121,33 @@ func NewValsWriter(name string, in *Queue) *ValsWriter {
 	return &ValsWriter{basic: basic{name: name}, in: in, vals: freeVals.get()[:0]}
 }
 
-// Tick implements Block.
-func (b *ValsWriter) Tick() bool {
-	if b.done {
-		return false
+// Tick implements Block: a span of one cycle.
+func (b *ValsWriter) Tick() bool { return tick(b, b.in.clk) }
+
+// span implements spanner: one token a cycle, from the cycle each turns
+// visible.
+func (b *ValsWriter) span(end uint32) (stop, prog uint32) {
+	now := b.in.clk.now
+	for now < end && !b.done {
+		s := b.in.headSlot()
+		if s == nil || s.at >= end {
+			return end, prog
+		}
+		now = max(now, s.at)
+		t := s.tok()
+		b.in.PopPeeked()
+		switch t.Kind {
+		case token.Val:
+			b.vals = append(b.vals, t.V)
+		case token.Empty:
+			b.vals = append(b.vals, 0)
+		case token.Done:
+			b.done = true
+		}
+		now++
+		prog = now
 	}
-	t, ok := b.in.Pop()
-	if !ok {
-		return false
-	}
-	switch t.Kind {
-	case token.Val:
-		b.vals = append(b.vals, t.V)
-		return true
-	case token.Empty:
-		b.vals = append(b.vals, 0)
-		return true
-	case token.Stop:
-		return true
-	case token.Done:
-		b.done = true
-		return true
-	}
-	return b.fail("unexpected token %v", t)
+	return now, prog
 }
 
 // Vals returns the written value array.
