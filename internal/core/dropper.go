@@ -113,7 +113,7 @@ func (b *Dropper) step() bool {
 		b.done = true
 		return true
 	case data && b.paired:
-		b.inInner.Pop()
+		b.inInner.PopPeeked()
 		b.outInner.Push(t)
 		return true
 	case data:
@@ -123,8 +123,8 @@ func (b *Dropper) step() bool {
 		}
 		switch {
 		case o.IsVal():
-			b.inOuter.Pop()
-			b.inInner.Pop()
+			b.inOuter.PopPeeked()
+			b.inInner.PopPeeked()
 			if b.mode != graph.DropVal || t.IsVal() && t.V != 0 {
 				b.outOuter.Push(o)
 				b.outInner.Push(t)
@@ -136,7 +136,7 @@ func (b *Dropper) step() bool {
 			if t.IsVal() && t.V != 0 {
 				return b.fail("nonzero value %v with no outer coordinate", t)
 			}
-			b.inInner.Pop()
+			b.inInner.PopPeeked()
 			return true
 		}
 		return b.fail("expected outer coordinate, got %v", o)

@@ -103,7 +103,10 @@ func (b *Merger) intersect2(now, end, prog uint32) (uint32, uint32) {
 		}
 		now = max(now, a.at, c.at)
 		valA, valC := a.kind == uint8(token.Val), c.kind == uint8(token.Val)
-		switch x, y := int64(a.x), int64(c.x); {
+		x, y := int64(a.x), int64(c.x)
+		// q, r: the side whose coordinates below lim have no match.
+		q, r, lim := c0, r0, int64(math.MaxInt64)
+		switch {
 		case valA && valC && x == y:
 			clk.now = now
 			c0.PopPeeked()
@@ -114,14 +117,15 @@ func (b *Merger) intersect2(now, end, prog uint32) (uint32, uint32) {
 			b.outRef[0].Push(ra)
 			b.outRef[1].Push(rc)
 			now++
+			prog = now
+			continue
 		case valA && valC && x < y:
-			now = skip(c0, r0, now, end, y)
+			lim = y
+		case valA && valC:
+			q, r, lim = c1, r1, x
 		case valA && c.kind == uint8(token.Stop):
-			now = skip(c0, r0, now, end, math.MaxInt64)
-		case valC && valA:
-			now = skip(c1, r1, now, end, x)
 		case valC && a.kind == uint8(token.Stop):
-			now = skip(c1, r1, now, end, math.MaxInt64)
+			q, r = c1, r1
 		case a.kind == uint8(token.Stop) && c.kind == uint8(token.Stop) && x == y:
 			// All stopped at one level: forward the stop, unless a reference
 			// head is not the stop step fails on.
@@ -139,33 +143,29 @@ func (b *Merger) intersect2(now, end, prog uint32) (uint32, uint32) {
 			b.outRef[0].Push(s)
 			b.outRef[1].Push(s)
 			now++
+			prog = now
+			continue
 		default:
 			return now, prog
+		}
+		// Pop q's coordinate, and its reference if visible, one a cycle
+		// while the next is a visible coordinate below lim too.
+		for {
+			q.PopPeeked()
+			if s := r.headSlot(); s != nil && s.at <= now {
+				r.PopPeeked()
+			}
+			if now++; now == end {
+				break
+			}
+			s := q.headSlot()
+			if s == nil || s.at > now || s.kind != uint8(token.Val) || int64(s.x) >= lim {
+				break
+			}
 		}
 		prog = now
 	}
 	return now, prog
-}
-
-// skip is the intersecter passing one side's coordinates the other side has
-// no match for: from cycle now, at which the head of q is a visible
-// coordinate below y, it pops that coordinate, and its reference on r if
-// one is visible, one a cycle while the next is too, up to end. It returns
-// the cycle after the last pop.
-func skip(q, r *Queue, now, end uint32, y int64) uint32 {
-	for {
-		q.PopPeeked()
-		if s := r.headSlot(); s != nil && s.at <= now {
-			r.PopPeeked()
-		}
-		if now++; now == end {
-			return now
-		}
-		s := q.headSlot()
-		if s == nil || s.at > now || s.kind != uint8(token.Val) || int64(s.x) >= y {
-			return now
-		}
-	}
 }
 
 // step applies the rule list for one cycle and reports whether the block

@@ -102,16 +102,14 @@ func (n *Net) RunNaive(limit int) (int, error) {
 		progress := false
 		allDone := true
 		for _, b := range n.Blocks {
-			if b.Tick() {
-				progress = true
-			} else if err := b.Err(); err != nil {
-				// fail always reports no progress, so the error check is
-				// needed only on failed ticks.
-				finish()
-				return cycles, err
-			}
+			progress = b.Tick() || progress
 			if !b.Done() {
 				allDone = false
+			} else if err := b.Err(); err != nil {
+				// fail finishes the block, so only a finished block can
+				// have failed.
+				finish()
+				return cycles, err
 			}
 		}
 		cycles++

@@ -212,10 +212,11 @@ func (q *Queue) Push(t token.Tok) {
 }
 
 // pushData appends the data tokens C(from[j]), or C(base+j) when from is
-// nil, for j in [0, m): the tokens a block emits one per cycle over cycles
-// now … now+m-1, so the j-th turns visible at now+1+j. It writes straight
+// nil, for j in [0, m), and then, when sep is set, the separator S0: the
+// tokens a block emits one per cycle over cycles now … now+m-1 (now+m for
+// the separator), so the j-th turns visible at now+1+j. It writes straight
 // into the tail chunks, as m Pushes would.
-func (q *Queue) pushData(now uint32, m int, from []int32, base int64) {
+func (q *Queue) pushData(now uint32, m int, from []int32, base int64, sep bool) {
 	q.count[token.Val] += int64(m)
 	for m > 0 {
 		i := q.tail & chunkMask
@@ -237,6 +238,14 @@ func (q *Queue) pushData(now uint32, m int, from []int32, base int64) {
 		now += uint32(len(s))
 		q.tail += len(s)
 		m -= len(s)
+	}
+	if sep {
+		if q.tail&chunkMask == 0 {
+			q.link()
+		}
+		q.last.toks[q.tail&chunkMask] = slot{kind: uint8(token.Stop), at: now + 1}
+		q.tail++
+		q.count[token.Stop]++
 	}
 }
 
@@ -337,10 +346,10 @@ func (o *Out) Push(t token.Tok) {
 	}
 }
 
-// pushData delivers a run of data tokens to every destination queue (see
-// Queue.pushData).
-func (o *Out) pushData(now uint32, m int, from []int32, base int64) {
+// pushData delivers a run of data tokens, and a separator after it when sep
+// is set, to every destination queue (see Queue.pushData).
+func (o *Out) pushData(now uint32, m int, from []int32, base int64, sep bool) {
 	for _, q := range o.qs {
-		q.pushData(now, m, from, base)
+		q.pushData(now, m, from, base, sep)
 	}
 }

@@ -81,9 +81,9 @@ func (m *modelQueue) pushData(n int, seq bool) {
 	}
 	now := m.q.clk.now
 	if seq {
-		m.q.pushData(now, n, nil, int64(crd[0]))
+		m.q.pushData(now, n, nil, int64(crd[0]), false)
 	} else {
-		m.q.pushData(now, n, crd, 0)
+		m.q.pushData(now, n, crd, 0, false)
 	}
 	for j, c := range crd {
 		m.toks = append(m.toks, token.C(int64(c)))

@@ -59,9 +59,32 @@ func NewReducer(name string, n int, inCrd []*Queue, inVal *Queue, outCrd []*Out,
 // Tick implements Block: a span of one cycle, which is one step.
 func (b *Reducer) Tick() bool { return b.step() }
 
-// span implements spanner.
-func (b *Reducer) span(end uint32) (uint32, uint32) {
-	return steps(b, b.inVal.clk, end, nil, b.inputs)
+// span implements spanner: steps, which, while no group is emitting, wait
+// for the cycle both the innermost coordinate and the value heads are
+// visible, as every such cycle with progress reads both.
+func (b *Reducer) span(end uint32) (stop, prog uint32) {
+	clk := b.inVal.clk
+	now := clk.now
+	inner := b.inCrd[b.n-1]
+	for now < end {
+		if !b.done && !b.g.Emitting() {
+			c, v := inner.headSlot(), b.inVal.headSlot()
+			if c == nil || v == nil || c.at >= end || v.at >= end {
+				return end, prog
+			}
+			now = max(now, c.at, v.at)
+		}
+		clk.now = now
+		if b.step() {
+			now++
+			prog = now
+		} else if b.done {
+			break
+		} else {
+			now = wake(now, end, b.inputs)
+		}
+	}
+	return now, prog
 }
 
 // step runs one cycle and reports whether the block made progress.
@@ -157,8 +180,8 @@ func (b *Reducer) point(tc, tv token.Tok) bool {
 			b.g.Load(j, to.N)
 		}
 	}
-	b.inCrd[b.n-1].Pop()
-	b.inVal.Pop()
+	b.inCrd[b.n-1].PopPeeked()
+	b.inVal.PopPeeked()
 	b.g.Add(tc.N, tv)
 	return true
 }

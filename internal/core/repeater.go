@@ -57,7 +57,7 @@ func (b *Repeater) step() bool {
 			b.cur = r
 			b.haveCur = true
 		}
-		b.inCrd.Pop()
+		b.inCrd.PopPeeked()
 		b.out.Push(b.cur)
 		return true
 	case token.Stop:

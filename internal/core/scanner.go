@@ -54,8 +54,19 @@ func (b *Scanner) span(end uint32) (stop, prog uint32) {
 	for now < end {
 		if b.scanning {
 			m := min(b.end-b.pos, int(end-now))
-			b.emit(now, m)
-			now += uint32(m)
+			last := now + uint32(m) // the cycle after the run
+			// A fiber ending before end takes its separator along when the
+			// next input token is visible by then and is not a stop, which
+			// would subsume it.
+			sep := b.cmp != nil && b.pos+m == b.end && last < end
+			if sep {
+				h := b.in.headSlot()
+				sep = h != nil && h.at <= last && h.kind != uint8(token.Stop)
+			}
+			b.emit(now, m, sep)
+			if now = last; sep {
+				now++
+			}
 			prog = now
 			continue
 		}
@@ -106,11 +117,12 @@ func (b *Scanner) start(f int) bool {
 }
 
 // emit pushes the next m coordinates of the fiber with their child
-// references over cycles now … now+m-1. A run of a compressed level's
-// coordinates goes straight from Crd into the output chunks, and its
-// references are the positions in Crd themselves; a single pair, all a
-// one-cycle span emits, costs less through Push.
-func (b *Scanner) emit(now uint32, m int) {
+// references over cycles now … now+m-1, and with sep, which a compressed
+// level's fiber ending there may set, the separator at cycle now+m. A run
+// of a compressed level's coordinates goes straight from Crd into the
+// output chunks, and its references are the positions in Crd themselves;
+// a single pair, all a one-cycle span emits, costs less through Push.
+func (b *Scanner) emit(now uint32, m int, sep bool) {
 	switch {
 	case b.cmp == nil:
 		for j := range m {
@@ -118,17 +130,17 @@ func (b *Scanner) emit(now uint32, m int) {
 			b.outCrd.Push(token.C(b.lvl.Coord(b.fib, b.pos+j)))
 			b.outRef.Push(token.C(b.lvl.ChildRef(b.fib, b.pos+j)))
 		}
-	case m == 1:
+	case m == 1 && !sep:
 		b.outCrd.Push(token.C(int64(b.cmp.Crd[b.pos])))
 		b.outRef.Push(token.C(int64(b.pos)))
 	default:
-		b.outCrd.pushData(now, m, b.cmp.Crd[b.pos:b.pos+m], 0)
-		b.outRef.pushData(now, m, nil, int64(b.pos))
+		b.outCrd.pushData(now, m, b.cmp.Crd[b.pos:b.pos+m], 0, sep)
+		b.outRef.pushData(now, m, nil, int64(b.pos), sep)
 	}
 	b.pos += m
 	if b.pos == b.end {
 		b.scanning = false
-		b.sepPending = true
+		b.sepPending = !sep
 	}
 }
 
