@@ -59,14 +59,14 @@ func (n *Net) Add(bs ...Block) {
 // its error. Any non-negative limit is honored.
 //
 // A net whose queues are all unbounded and whose blocks form no cycle runs
-// lagging: each block ticks on its own clock up to the cycle its inputs'
-// queued tokens and producers' clocks let it see, and a producer pauses a
-// window of tokens ahead of its consumers, so the run holds that window per
-// stream rather than the simulated machine's backlog (see sched.go). Any other
-// net runs RunNaive's loop: a bounded queue's pop frees room its producer sees
-// at once, and a cycle of blocks has no order to run ahead in. Either way,
-// cycle counts, outputs, stream statistics and errors are identical to
-// RunNaive's (a failed run's statistics aside: see runner).
+// lagging: each block runs its span (see spanner) on its own clock up to the
+// cycle its inputs' queued tokens and producers' clocks let it see, and a
+// producer pauses a window of tokens ahead of its consumers, so the run holds
+// that window per stream rather than the simulated machine's backlog (see
+// sched.go). Any other net runs RunNaive's loop: a bounded queue's pop frees
+// room its producer sees at once, and a cycle of blocks has no order to run
+// ahead in. Either way, cycle counts, outputs, stream statistics and errors
+// are identical to RunNaive's (a failed run's statistics aside: see runner).
 func (n *Net) Run(limit int) (int, error) {
 	r, lagging := newRunner(n)
 	if !lagging {

@@ -59,9 +59,10 @@ func NewReducer(name string, n int, inCrd []*Queue, inVal *Queue, outCrd []*Out,
 // Tick implements Block: a span of one cycle, which is one step.
 func (b *Reducer) Tick() bool { return b.step() }
 
-// span implements spanner: steps, which, while no group is emitting, wait
-// for the cycle both the innermost coordinate and the value heads are
-// visible, as every such cycle with progress reads both.
+// span implements spanner: one step a cycle, as steps runs a stepper, but
+// while no group is emitting it waits for the cycle both the innermost
+// coordinate and the value heads are visible, as every such cycle with
+// progress reads both.
 func (b *Reducer) span(end uint32) (stop, prog uint32) {
 	clk := b.inVal.clk
 	now := clk.now

@@ -34,13 +34,13 @@ func (b *RootSource) span(end uint32) (uint32, uint32) {
 	if !b.out.CanPush() {
 		return end, 0
 	}
-	for now < end && !b.done {
+	// A recorded stream without a done token ends with its last token.
+	for now < end && !b.Done() {
 		clk.now = now
 		t := b.stream[b.pos]
 		b.out.Push(t)
-		// A recorded stream without a done token ends with its last token.
 		b.pos++
-		b.done = t.IsDone() || b.pos == len(b.stream)
+		b.done = t.IsDone()
 		now++
 	}
 	return now, now

@@ -125,10 +125,9 @@ func TestBatchSharedProgramRace(t *testing.T) {
 
 // TestEventRunsShareFreeLists runs the reducer shapes on the cycle engines
 // from several goroutines at once. Their runs hand the n >= 1 reducer's
-// accumulator, the level writers' arrays and the scheduler's progress ring
-// to one another through core's free lists, so every run must still match
-// a lone run of its shape: cycles, output bits and every stream's
-// statistics. Under -race it is the data-race gate for those lists.
+// accumulator and the level writers' arrays to one another through core's
+// free lists, so every run must still match a lone run of its shape:
+// cycles, output bits and every stream's statistics. Under -race it is the data-race gate for those lists.
 func TestEventRunsShareFreeLists(t *testing.T) {
 	shapes := reduceShapes(t)
 	want := make([]string, len(shapes))
