@@ -78,7 +78,7 @@ func (b *Merger) span(end uint32) (stop, prog uint32) {
 			if b.done {
 				break
 			}
-		} else if b.err != nil {
+		} else if b.done {
 			break
 		} else {
 			now = wake(now, end, b.inputs)
