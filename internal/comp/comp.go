@@ -73,13 +73,6 @@ type stepInfo struct {
 	step step
 }
 
-// writerRec is the materialized form of a WriterIR: assembly reads the
-// writer's input stream directly instead of running a closure.
-type writerRec struct {
-	label string
-	slot  int // input stream slot
-}
-
 // Program is a lowered IR bound to closures: its structure is immutable
 // after Compile/Materialize and it is safe for concurrent Run calls — each
 // run checks a reusable RunCtx out of the process-wide free list. A program
@@ -89,17 +82,14 @@ type Program struct {
 	steps []stepInfo
 	nSlot int
 
-	crdWr  map[int]writerRec // output level -> coordinate writer
-	valsWr *writerRec
+	// The writers assembly reads the output fibertree from: a coordinate
+	// writer per output level, in level order, and the value writer.
+	crdWr  []WriterIR
+	valsWr WriterIR
 
-	// perm maps output dimension -> graph iteration-order dimension, the
-	// permute from the scheduled loop order to the declared left-hand-side
-	// order; idPerm marks the identity (no output sort needed). permErr is
-	// surfaced at assembly time to keep failure parity with the other
-	// engines.
-	perm    []int
-	idPerm  bool
-	permErr error
+	// perm is the output's permutation from loop order to left-hand-side
+	// order (tensor.PermOf).
+	perm []int
 
 	// hints holds per-slot stream-length high-water marks from earlier runs,
 	// so repeated runs (the serving pattern) carve their buffers from the
@@ -182,8 +172,12 @@ func (x *exec) level(label, operand string, lvl int) fiber.Level {
 // fiberOf returns the fiber of an n-fiber level that reference token t
 // selects. References are stream data: one outside the level (a corrupt
 // artifact aiming a step at the wrong level) fails the run here, once per
-// fiber, instead of indexing past the level's segment array.
+// fiber, instead of indexing past the level's segment array; so does a
+// value token. core.Scanner fails with the same texts.
 func fiberOf(label string, t token.Tok, n int) int {
+	if t.Marked() {
+		fail("%s: expected reference or empty token, got %v", label, t)
+	}
 	if t.N < 0 || t.N >= int64(n) {
 		fail("%s: fiber reference %d outside level of %d fibers", label, t.N, n)
 	}

@@ -115,12 +115,12 @@ func (a *arena) leafProg(tmpl []leafInst) []leafInst {
 
 // RunCtx is the reusable state of one execution: the per-slot stream
 // buffers carved from one token slab, the exec view with its arena, and the
-// output-assembly scratch. A context belongs to no program: every run
-// retargets it to the program it runs, growing it only where that program
-// needs more, so a context costs the largest run it has served. The zero
-// value is ready to use; a context must not be used by two runs
-// concurrently. Program.Run checks contexts out of the process-wide free
-// list.
+// output fibertree assembly builds from the writer streams. A context
+// belongs to no program: every run retargets it to the program it runs,
+// growing it only where that program needs more, so a context costs the
+// largest run it has served. The zero value is ready to use; a context must
+// not be used by two runs concurrently. Program.Run checks contexts out of
+// the process-wide free list.
 type RunCtx struct {
 	p       *Program
 	streams []token.Stream
@@ -129,16 +129,9 @@ type RunCtx struct {
 	main      exec
 	mainArena arena
 
-	// Assembly scratch: the reused output fibertree, its levels, the
-	// coordinate scratch of the emit walk, and the flat point/coordinate
-	// slabs backing the borrowed output tensor.
+	// The output fibertree and its levels, rewritten by every run.
 	ft   fiber.Tensor
 	lvls []*fiber.CompressedLevel
-	cur  []int64
-	slab []int64
-	pts  []tensor.Point
-	out  tensor.COO
-	dims []int
 }
 
 // retarget prepares the context for one run of p. The slot table and
@@ -168,7 +161,6 @@ func (rc *RunCtx) retarget(p *Program, bound map[string]*fiber.Tensor, dims []in
 	for len(rc.lvls) < order {
 		rc.lvls = append(rc.lvls, &fiber.CompressedLevel{})
 	}
-	rc.cur = slices.Grow(rc.cur[:0], order)[:order]
 }
 
 // ctxs is the process-wide free list of run contexts, shared by every
@@ -201,9 +193,9 @@ func putCtx(rc *RunCtx) {
 
 // Run executes the program against one operand binding and assembles the
 // output tensor. The context comes from the process-wide free list, so warm
-// runs reuse every buffer of an earlier run; the returned tensor is cloned
-// out of the context (the only allocations on the warm path). bound and dims
-// come from the graph's bind.Plan (sim owns that split).
+// runs reuse every buffer of an earlier run and allocate only the tensor
+// they return. bound and dims come from the graph's bind.Plan (sim owns that
+// split).
 func (p *Program) Run(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
 	return p.RunTraced(bound, dims, nil)
 }
@@ -217,9 +209,6 @@ func (p *Program) Run(bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, 
 func (p *Program) RunTraced(bound map[string]*fiber.Tensor, dims []int, tr *obs.Trace) (*tensor.COO, error) {
 	rc := getCtx()
 	out, err := p.runCtx(rc, bound, dims, tr)
-	if err == nil {
-		out = cloneCOO(out)
-	}
 	putCtx(rc)
 	return out, err
 }
@@ -273,23 +262,19 @@ func runSteps(x *exec, steps []stepInfo, parent obs.Span) {
 	}
 }
 
-// assemble materializes the output tensor from the writer streams into the
-// context's reusable buffers, exactly as the other engines do: compressed
-// levels from the coordinate streams' stop structure, values in stream
-// order, validation, and
-// the permute to the declared left-hand-side order (skipping the sort when
-// the permutation is the identity, where the fibertree walk is already
-// lexicographic).
+// assemble builds the output fibertree from the writer streams into the
+// context's reused levels — compressed levels from the coordinate streams'
+// stop structure, values in stream order — and reads the result out of it
+// through tensor.FromFiberPermuted, as the other engines do.
 func (p *Program) assemble(rc *RunCtx) (*tensor.COO, error) {
-	ir := p.ir
 	x := &rc.main
-	order := len(ir.OutputVars)
-	valRec := x.streams[p.valsWr.slot]
+	order := len(p.crdWr)
+	valRec := x.streams[p.valsWr.Slot]
 	if err := valRec.Validate(order); err != nil {
-		return nil, fmt.Errorf("comp: writer %q stream malformed: %w", p.valsWr.label, err)
+		return nil, fmt.Errorf("comp: writer %q stream malformed: %w", p.valsWr.Label, err)
 	}
 	ft := &rc.ft
-	ft.Name = ir.OutputTensor
+	ft.Name = p.ir.OutputTensor
 	ft.Dims = x.dims
 	ft.Vals = ft.Vals[:0]
 	for _, t := range valRec {
@@ -300,14 +285,10 @@ func (p *Program) assemble(rc *RunCtx) (*tensor.COO, error) {
 		}
 	}
 	ft.Levels = ft.Levels[:0]
-	for lvl := 0; lvl < order; lvl++ {
-		w, ok := p.crdWr[lvl]
-		if !ok {
-			return nil, fmt.Errorf("comp: no writer produced output level %d", lvl)
-		}
-		rec := x.streams[w.slot]
+	for lvl, w := range p.crdWr {
+		rec := x.streams[w.Slot]
 		if err := rec.Validate(lvl + 1); err != nil {
-			return nil, fmt.Errorf("comp: writer %q stream malformed: %w", w.label, err)
+			return nil, fmt.Errorf("comp: writer %q stream malformed: %w", w.Label, err)
 		}
 		L := rc.lvls[lvl]
 		L.N = x.dims[lvl]
@@ -327,103 +308,5 @@ func (p *Program) assemble(rc *RunCtx) (*tensor.COO, error) {
 		}
 		ft.Levels = append(ft.Levels, L)
 	}
-	if err := ft.Validate(); err != nil {
-		return nil, fmt.Errorf("comp: assembled output invalid: %w", err)
-	}
-	if p.permErr != nil {
-		return nil, p.permErr
-	}
-	rc.pts = rc.pts[:0]
-	rc.slab = rc.slab[:0]
-	if order == 0 {
-		if len(ft.Vals) > 0 {
-			rc.pts = append(rc.pts, tensor.Point{Crd: []int64{}, Val: ft.Vals[0]})
-		}
-	} else {
-		rc.emit(0, 0)
-	}
-	if !p.idPerm {
-		slices.SortFunc(rc.pts, func(a, b tensor.Point) int {
-			for i := range a.Crd {
-				if a.Crd[i] != b.Crd[i] {
-					if a.Crd[i] < b.Crd[i] {
-						return -1
-					}
-					return 1
-				}
-			}
-			return 0
-		})
-	}
-	rc.dims = rc.dims[:0]
-	for _, pd := range p.perm {
-		rc.dims = append(rc.dims, x.dims[pd])
-	}
-	rc.out.Name = ir.OutputTensor
-	rc.out.Dims = rc.dims
-	if order == 0 {
-		rc.out.Dims = nil
-	}
-	rc.out.Pts = rc.pts
-	if len(rc.pts) == 0 {
-		rc.out.Pts = nil
-	}
-	return &rc.out, nil
-}
-
-// emit recursively walks the assembled fibertree, appending one output
-// point per stored leaf. Coordinates are emitted already permuted to the
-// left-hand-side order into a shared flat slab; every tuple of a valid
-// fibertree is distinct, so no duplicate merging is needed and explicit
-// zeros are kept, exactly like tensor.FromFiber followed by Permute.
-func (rc *RunCtx) emit(lvl, ref int) {
-	L := rc.lvls[lvl]
-	leaf := lvl == len(rc.cur)-1
-	m := L.FiberLen(ref)
-	for i := 0; i < m; i++ {
-		rc.cur[lvl] = L.Coord(ref, i)
-		child := L.ChildRef(ref, i)
-		if !leaf {
-			rc.emit(lvl+1, int(child))
-			continue
-		}
-		base := len(rc.slab)
-		for _, pd := range rc.p.perm {
-			rc.slab = append(rc.slab, rc.cur[pd])
-		}
-		rc.pts = append(rc.pts, tensor.Point{
-			Crd: rc.slab[base:len(rc.slab):len(rc.slab)],
-			Val: rc.ft.Vals[child],
-		})
-	}
-}
-
-// cloneCOO copies a context-borrowed output into caller-owned memory: one
-// point slice plus one flat coordinate slab, preserving nil-ness of Dims,
-// Pts and per-point Crd so the JSON encoding matches the other engines'.
-func cloneCOO(src *tensor.COO) *tensor.COO {
-	out := &tensor.COO{Name: src.Name}
-	if src.Dims != nil {
-		out.Dims = make([]int, len(src.Dims))
-		copy(out.Dims, src.Dims)
-	}
-	if src.Pts == nil {
-		return out
-	}
-	total := 0
-	for _, p := range src.Pts {
-		total += len(p.Crd)
-	}
-	slab := make([]int64, 0, total)
-	out.Pts = make([]tensor.Point, len(src.Pts))
-	for i, p := range src.Pts {
-		out.Pts[i].Val = p.Val
-		if p.Crd == nil {
-			continue
-		}
-		base := len(slab)
-		slab = append(slab, p.Crd...)
-		out.Pts[i].Crd = slab[base:len(slab):len(slab)]
-	}
-	return out
+	return tensor.FromFiberPermuted(ft, p.ir.OutputTensor, p.perm)
 }

@@ -74,12 +74,9 @@ func RunStep(si StepIR, ins ...token.Stream) (outs []token.Stream, err error) {
 	return streams[len(ins):], nil
 }
 
-// RunPooled executes the program on a caller-held context and returns the
-// assembled output borrowed from the context: the tensor and its points are
-// valid only until the next run on rc. Any context serves any program. It is
-// the alloc gate's hook: Run and RunTraced share its core, runCtx, and add
-// only the context checkout and the clone of the output, so a warm RunPooled
-// call performs zero heap allocations.
+// RunPooled executes the program on a caller-held context instead of one
+// from the free list, so a test can read the streams the run left behind
+// (Streams, Probed). Any context serves any program.
 func (p *Program) RunPooled(rc *RunCtx, bound map[string]*fiber.Tensor, dims []int) (*tensor.COO, error) {
 	return p.runCtx(rc, bound, dims, nil)
 }

@@ -2,11 +2,11 @@ package comp
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"sam/internal/graph"
 	"sam/internal/lang"
+	"sam/internal/tensor"
 )
 
 // This file splits the compiled engine into the two halves a portable
@@ -78,7 +78,7 @@ type IR struct {
 
 	NSlot  int
 	Steps  []StepIR
-	CrdWr  []WriterIR // sorted by Level, one writer per output level
+	CrdWr  []WriterIR // one writer per output level, in level order
 	ValsWr WriterIR
 
 	Bindings     []graph.Binding
@@ -128,23 +128,29 @@ func Lower(g *graph.Graph) (*IR, error) {
 		LHSVars:      g.LHSVars,
 	}
 
+	// A writer is no step: assembly reads the stream feeding it.
+	writer := func(n *graph.Node, lvl int) WriterIR {
+		i0, _, _, _ := w.Ports.Span(n.ID)
+		return WriterIR{Level: lvl, Slot: w.EdgeStream[w.Feed[i0]], Label: n.Label}
+	}
+	levels, vals, err := g.Writers()
+	if err != nil {
+		return nil, err
+	}
+	for lvl, n := range levels {
+		ir.CrdWr = append(ir.CrdWr, writer(n, lvl))
+	}
+	ir.ValsWr = writer(vals, 0)
+
 	// An input port reads the stream of the edge feeding it. Every step's
 	// Ins are carved from one slice; its Outs are its ports' streams.
 	slots := make([]int, 0, w.Ports.NumIn())
 	ir.Steps = make([]StepIR, 0, len(order))
-	crdWr := map[int]WriterIR{}
-	valsSeen := false
 	for _, n := range order {
-		i0, i1, o0, o1 := w.Ports.Span(n.ID)
-		switch n.Kind {
-		case graph.ValsWriter:
-			ir.ValsWr = WriterIR{Slot: w.EdgeStream[w.Feed[i0]], Label: n.Label}
-			valsSeen = true
-			continue
-		case graph.CrdWriter:
-			crdWr[n.OutLevel] = WriterIR{Level: n.OutLevel, Slot: w.EdgeStream[w.Feed[i0]], Label: n.Label}
+		if n.Kind == graph.ValsWriter || n.Kind == graph.CrdWriter {
 			continue
 		}
+		i0, i1, o0, o1 := w.Ports.Span(n.ID)
 		si := StepIR{
 			Kind: n.Kind, Label: n.Label,
 			Tensor: n.Tensor, TensorB: n.TensorB,
@@ -157,17 +163,6 @@ func Lower(g *graph.Graph) (*IR, error) {
 		si.Ins, slots = carve(slots)
 		si.Outs, _ = carve(w.Stream[o0:o1])
 		ir.Steps = append(ir.Steps, si)
-	}
-	if !valsSeen {
-		return nil, fmt.Errorf("comp: graph %q has no value writer", g.Name)
-	}
-	levels := make([]int, 0, len(crdWr))
-	for lvl := range crdWr {
-		levels = append(levels, lvl)
-	}
-	sort.Ints(levels)
-	for _, lvl := range levels {
-		ir.CrdWr = append(ir.CrdWr, crdWr[lvl])
 	}
 	return ir, nil
 }
@@ -200,12 +195,10 @@ func (ir *IR) Validate() error {
 	if ir.ValsWr.Slot < 0 || ir.ValsWr.Slot >= ir.NSlot {
 		return fmt.Errorf("comp: ir: value writer slot %d outside stream table of %d", ir.ValsWr.Slot, ir.NSlot)
 	}
-	prev := -1
-	for _, w := range ir.CrdWr {
-		if w.Level < 0 || w.Level <= prev {
-			return fmt.Errorf("comp: ir: coordinate writer levels must be distinct and ascending, got %d after %d", w.Level, prev)
+	for lvl, w := range ir.CrdWr {
+		if w.Level != lvl {
+			return fmt.Errorf("comp: ir: coordinate writer %d writes level %d", lvl, w.Level)
 		}
-		prev = w.Level
 		if w.Slot < 0 || w.Slot >= ir.NSlot {
 			return fmt.Errorf("comp: ir: coordinate writer %q slot %d outside stream table of %d", w.Label, w.Slot, ir.NSlot)
 		}
@@ -219,9 +212,9 @@ func (ir *IR) Validate() error {
 // index by them without bounds checks of their own.
 func (ir *IR) validateMetadata() error {
 	// LHSVars is the output variable set in declaration order and OutputVars
-	// the same set in loop order; Materialize sizes the permutation by one
-	// and indexes it by the other, so the lengths must agree and the
-	// variables must be distinct.
+	// the same set in loop order, one coordinate writer per variable;
+	// Materialize permutes one into the other, so the lengths must agree and
+	// the variables must be distinct.
 	if len(ir.LHSVars) != len(ir.OutputVars) {
 		return fmt.Errorf("comp: ir: %d left-hand-side variables for %d output variables", len(ir.LHSVars), len(ir.OutputVars))
 	}
@@ -233,6 +226,9 @@ func (ir *IR) validateMetadata() error {
 			}
 			seen[v] = true
 		}
+	}
+	if len(ir.CrdWr) != len(ir.OutputVars) {
+		return fmt.Errorf("comp: ir: %d coordinate writers for %d output levels", len(ir.CrdWr), len(ir.OutputVars))
 	}
 	for _, d := range ir.OutputDims {
 		if d.Mode < 0 {
@@ -328,11 +324,11 @@ func materialize(ir *IR, plan func(*IR) ([]StepIR, []*leafExpr)) (*Program, erro
 		return nil, err
 	}
 	steps, leaf := plan(run)
-	p := &Program{ir: ir, nSlot: run.NSlot, crdWr: map[int]writerRec{}}
-	for _, w := range run.CrdWr {
-		p.crdWr[w.Level] = writerRec{label: w.Label, slot: w.Slot}
+	perm, err := tensor.PermOf(run.LHSVars, run.OutputVars)
+	if err != nil {
+		return nil, err
 	}
-	p.valsWr = &writerRec{label: run.ValsWr.Label, slot: run.ValsWr.Slot}
+	p := &Program{ir: ir, nSlot: run.NSlot, crdWr: run.CrdWr, valsWr: run.ValsWr, perm: perm}
 	p.steps = make([]stepInfo, len(steps))
 	for i := range steps {
 		si := &steps[i]
@@ -347,28 +343,6 @@ func materialize(ir *IR, plan func(*IR) ([]StepIR, []*leafExpr)) (*Program, erro
 		p.steps[i] = stepInfo{si: si, step: st}
 	}
 	p.hints = make([]atomic.Int64, p.nSlot)
-
-	// Precompute the output permutation once; a missing variable surfaces
-	// at assembly time, after stream validation, like the other engines.
-	nOut := len(run.OutputVars)
-	p.perm = make([]int, nOut)
-	p.idPerm = true
-	for i, v := range run.LHSVars {
-		found := false
-		for j, u := range run.OutputVars {
-			if u == v {
-				p.perm[i] = j
-				found = true
-			}
-		}
-		if !found {
-			p.permErr = fmt.Errorf("comp: output variable %q missing from graph metadata", v)
-			break
-		}
-		if p.perm[i] != i {
-			p.idPerm = false
-		}
-	}
 	return p, nil
 }
 

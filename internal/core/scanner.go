@@ -19,6 +19,7 @@ type Scanner struct {
 	basic
 	lvl    fiber.Level
 	cmp    *fiber.CompressedLevel // lvl when compressed, read directly
+	fibers int                    // lvl's fiber count: a reference names one below it
 	in     *Queue
 	outCrd *Out
 	outRef *Out
@@ -32,7 +33,7 @@ type Scanner struct {
 // NewScanner builds a level scanner over one fibertree level.
 func NewScanner(name string, lvl fiber.Level, in *Queue, outCrd, outRef *Out) *Scanner {
 	cmp, _ := lvl.(*fiber.CompressedLevel)
-	return &Scanner{basic: basic{name: name}, lvl: lvl, cmp: cmp, in: in, outCrd: outCrd, outRef: outRef}
+	return &Scanner{basic: basic{name: name}, lvl: lvl, cmp: cmp, fibers: lvl.NumFibers(), in: in, outCrd: outCrd, outRef: outRef}
 }
 
 // Tick implements Block: a span of one cycle.
@@ -88,8 +89,14 @@ func (b *Scanner) span(end uint32) (stop, prog uint32) {
 			b.outRef.Push(token.S(0))
 			b.sepPending = false
 		default:
+			// Read the reference before the pop, which may hand its chunk
+			// back to the pool for another net to fill.
+			f := int64(s.x)
+			if !b.ref(token.C(f)) {
+				return now, prog
+			}
 			b.in.PopPeeked()
-			if !b.start(int(s.x)) {
+			if !b.start(int(f)) {
 				continue // its first coordinate goes out this cycle
 			}
 		}
@@ -100,6 +107,19 @@ func (b *Scanner) span(end uint32) (stop, prog uint32) {
 		}
 	}
 	return now, prog
+}
+
+// ref reports whether data token t on the reference input names a fiber
+// of the level, and fails the block when it does not, with the texts
+// comp's scanner fails with (comp.fiberOf).
+func (b *Scanner) ref(t token.Tok) bool {
+	switch {
+	case t.Marked():
+		return b.fail("expected reference or empty token, got %v", t)
+	case t.N < 0 || t.N >= int64(b.fibers):
+		return b.fail("fiber reference %d outside level of %d fibers", t.N, b.fibers)
+	}
+	return true
 }
 
 // start begins the scan of fiber f, and reports whether the fiber is empty:
@@ -166,6 +186,9 @@ func (b *Scanner) step() bool {
 			b.outRef.Push(token.S(0))
 			b.sepPending = false
 			return true
+		}
+		if t.IsVal() && !b.ref(t) {
+			return false
 		}
 		b.in.PopPeeked()
 		if t.IsEmpty() {

@@ -260,6 +260,14 @@ var spanned = map[string]func(g *gen) Block{
 		if g.r.Intn(4) == 0 {
 			s = slices.Insert(s, g.r.Intn(len(s)), token.N())
 		}
+		// A reference past the level's 6 fibers, or a value token, on the
+		// reference input fails the block.
+		if g.r.Intn(5) == 0 {
+			s = slices.Insert(s, g.r.Intn(len(s)), token.C(6+g.r.Int63n(2)))
+		}
+		if g.r.Intn(5) == 0 {
+			s = slices.Insert(s, g.r.Intn(len(s)), token.V(1.5))
+		}
 		return NewScanner("b", lvl, g.in(s), g.out(), g.out())
 	},
 	"Repeater": func(g *gen) Block {

@@ -3,6 +3,7 @@ package fiber
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Build assembles a fibertree tensor from sorted, duplicate-free coordinate
@@ -29,7 +30,7 @@ func Build(name string, dims []int, formats []Format, coords [][]int64, vals []f
 		return Scalar(name, v), nil
 	}
 	for i := 1; i < len(coords); i++ {
-		if !lexLess(coords[i-1], coords[i]) {
+		if slices.Compare(coords[i-1], coords[i]) >= 0 {
 			return nil, fmt.Errorf("fiber: coordinates for %q not sorted/unique at point %d", name, i)
 		}
 	}
@@ -124,13 +125,4 @@ func compressedToLinkedList(n int, seg, crd []int32) *LinkedListLevel {
 		l.AppendFiber(f, crds, children)
 	}
 	return l
-}
-
-func lexLess(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

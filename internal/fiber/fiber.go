@@ -329,34 +329,6 @@ func Scalar(name string, v float64) *Tensor {
 	return &Tensor{Name: name, Vals: []float64{v}}
 }
 
-// Iterate walks the fibertree depth-first and calls fn for every stored
-// value with its full coordinate tuple (in level order). Iteration order is
-// lexicographic in level order.
-func (t *Tensor) Iterate(fn func(crd []int64, val float64)) {
-	if t.Order() == 0 {
-		if len(t.Vals) > 0 {
-			fn(nil, t.Vals[0])
-		}
-		return
-	}
-	crd := make([]int64, t.Order())
-	t.walk(0, 0, crd, fn)
-}
-
-func (t *Tensor) walk(level int, ref int, crd []int64, fn func([]int64, float64)) {
-	l := t.Levels[level]
-	n := l.FiberLen(ref)
-	for i := 0; i < n; i++ {
-		crd[level] = l.Coord(ref, i)
-		child := l.ChildRef(ref, i)
-		if level == t.Order()-1 {
-			fn(crd, t.Vals[child])
-		} else {
-			t.walk(level+1, int(child), crd, fn)
-		}
-	}
-}
-
 // Validate checks structural consistency of the fibertree: level fiber
 // counts chain correctly and the value array matches the last level.
 func (t *Tensor) Validate() error {

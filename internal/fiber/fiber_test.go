@@ -2,6 +2,7 @@ package fiber
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -31,7 +32,7 @@ func randPoints(r *rand.Rand, dims []int, n int) ([][]int64, []float64) {
 
 func sortPoints(coords [][]int64, vals []float64) {
 	for i := 1; i < len(coords); i++ {
-		for j := i; j > 0 && lexLess(coords[j], coords[j-1]); j-- {
+		for j := i; j > 0 && slices.Compare(coords[j], coords[j-1]) < 0; j-- {
 			coords[j], coords[j-1] = coords[j-1], coords[j]
 			vals[j], vals[j-1] = vals[j-1], vals[j]
 		}
@@ -250,4 +251,33 @@ func (t *Tensor) Entries() []Entry {
 		out = append(out, Entry{Crd: c, Val: v})
 	})
 	return out
+}
+
+// Iterate walks the fibertree depth-first and calls fn for every stored
+// value with its full coordinate tuple (in level order). Iteration order is
+// lexicographic in level order. It is the tests' reading of a tree; the
+// engines read theirs through tensor.FromFiberPermuted.
+func (t *Tensor) Iterate(fn func(crd []int64, val float64)) {
+	if t.Order() == 0 {
+		if len(t.Vals) > 0 {
+			fn(nil, t.Vals[0])
+		}
+		return
+	}
+	crd := make([]int64, t.Order())
+	t.walk(0, 0, crd, fn)
+}
+
+func (t *Tensor) walk(level int, ref int, crd []int64, fn func([]int64, float64)) {
+	l := t.Levels[level]
+	n := l.FiberLen(ref)
+	for i := 0; i < n; i++ {
+		crd[level] = l.Coord(ref, i)
+		child := l.ChildRef(ref, i)
+		if level == t.Order()-1 {
+			fn(crd, t.Vals[child])
+		} else {
+			t.walk(level+1, int(child), crd, fn)
+		}
+	}
 }

@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"sam/internal/fiber"
@@ -264,6 +265,32 @@ func (g *Graph) Count(k Kind) int {
 		}
 	}
 	return n
+}
+
+// Writers returns the level writers (paper Definition 3.8) that write the
+// output fibertree: for each output level in order the node writing its
+// coordinates (a coordinate or bitvector writer), and the node writing its
+// values. A graph that leaves a level or the values unwritten fails, so
+// every engine rejects it when it builds the program.
+func (g *Graph) Writers() (levels []*Node, vals *Node, err error) {
+	levels = make([]*Node, len(g.OutputVars))
+	for _, n := range g.Nodes {
+		switch n.Kind {
+		case CrdWriter, BVWriter:
+			if n.OutLevel >= 0 && n.OutLevel < len(levels) {
+				levels[n.OutLevel] = n
+			}
+		case ValsWriter, VecValsWriter:
+			vals = n
+		}
+	}
+	if vals == nil {
+		return nil, nil, fmt.Errorf("graph: %q has no value writer", g.Name)
+	}
+	if lvl := slices.Index(levels, nil); lvl >= 0 {
+		return nil, nil, fmt.Errorf("graph: %q: no writer produced output level %d", g.Name, lvl)
+	}
+	return levels, vals, nil
 }
 
 // InPorts lists the input port names required by a node. The list may be

@@ -46,6 +46,10 @@ type Program struct {
 	w      *graph.Wiring
 	labels []string
 	first  []int
+
+	// perm is the output's permutation from loop order to left-hand-side
+	// order (tensor.PermOf).
+	perm []int
 }
 
 // NewProgram validates a compiled graph and precomputes its execution plan.
@@ -57,8 +61,15 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	if _, _, err := g.Writers(); err != nil {
+		return nil, err
+	}
+	perm, err := tensor.PermOf(g.LHSVars, g.OutputVars)
+	if err != nil {
+		return nil, err
+	}
 	p := &Program{
-		g: g, fp: g.Fingerprint(), plan: bind.NewPlan(g), w: w,
+		g: g, fp: g.Fingerprint(), plan: bind.NewPlan(g), w: w, perm: perm,
 		labels: make([]string, 0, w.Streams), first: make([]int, 0, w.Streams),
 	}
 	// Streams are numbered by first appearance in edge order, so a stream's

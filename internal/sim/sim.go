@@ -321,48 +321,26 @@ func (b *builder) instantiate(n *graph.Node) (core.Block, error) {
 	return nil, fmt.Errorf("sim: block kind %v not instantiable", n.Kind)
 }
 
-// assemble builds the output tensor from the writers, in the loop order the
-// graph produced it, then permutes to the user's left-hand-side order.
+// assemble builds the output fibertree from the writers, in the loop order
+// the graph produced it (NewProgram checked that every level and the values
+// have one), and reads the result out of it in the user's left-hand-side
+// order.
 func (b *builder) assemble() (*tensor.COO, error) {
 	g := b.p.g
-	order := len(g.OutputVars)
 	ft := &fiber.Tensor{Name: g.OutputTensor, Dims: b.dims}
 	if b.valsWr != nil {
 		ft.Vals = b.valsWr.Vals()
-	} else if b.vecWr != nil {
-		ft.Vals = b.vecWr.Vals()
 	} else {
-		return nil, fmt.Errorf("sim: graph %q has no value writer", g.Name)
+		ft.Vals = b.vecWr.Vals()
 	}
-	for lvl := 0; lvl < order; lvl++ {
+	for lvl := range g.OutputVars {
 		if w, ok := b.crdWr[lvl]; ok {
 			ft.Levels = append(ft.Levels, w.Level())
-			continue
-		}
-		if w, ok := b.bvWr[lvl]; ok {
-			ft.Levels = append(ft.Levels, fiber.NewBitvectorLevel(b.dims[lvl], w.Words()))
-			continue
-		}
-		return nil, fmt.Errorf("sim: no writer produced output level %d", lvl)
-	}
-	if err := ft.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: assembled output invalid: %w", err)
-	}
-	// Permute from loop order to the declared left-hand-side order.
-	perm := make([]int, order)
-	for i, v := range g.LHSVars {
-		found := false
-		for j, u := range g.OutputVars {
-			if u == v {
-				perm[i] = j
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sim: output variable %q missing from graph metadata", v)
+		} else {
+			ft.Levels = append(ft.Levels, fiber.NewBitvectorLevel(b.dims[lvl], b.bvWr[lvl].Words()))
 		}
 	}
-	out, err := tensor.FromFiberPermuted(ft, g.OutputTensor, perm)
+	out, err := tensor.FromFiberPermuted(ft, g.OutputTensor, b.p.perm)
 	// The output holds copies: the writers' arrays go back for the next run.
 	for _, w := range b.crdWr {
 		w.Release()

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"sam/internal/fiber"
 )
@@ -46,10 +46,10 @@ func (c *COO) Append(val float64, crd ...int64) {
 
 // Sort orders points lexicographically and sums duplicates.
 func (c *COO) Sort() {
-	sort.Slice(c.Pts, func(i, j int) bool { return lexLess(c.Pts[i].Crd, c.Pts[j].Crd) })
+	slices.SortFunc(c.Pts, byCrd)
 	out := c.Pts[:0]
 	for _, p := range c.Pts {
-		if len(out) > 0 && lexEq(out[len(out)-1].Crd, p.Crd) {
+		if len(out) > 0 && byCrd(out[len(out)-1], p) == 0 {
 			out[len(out)-1].Val += p.Val
 			continue
 		}
@@ -62,14 +62,11 @@ func (c *COO) Sort() {
 // dimension d is input dimension perm[d]. It implements transposition and
 // the mode orderings derived from a schedule.
 func (c *COO) Permute(name string, perm []int) (*COO, error) {
-	if len(perm) != c.Order() {
-		return nil, fmt.Errorf("tensor: permutation of length %d for order-%d tensor", len(perm), c.Order())
+	if err := checkPerm(perm, c.Order()); err != nil {
+		return nil, err
 	}
 	dims := make([]int, len(perm))
 	for d, p := range perm {
-		if p < 0 || p >= c.Order() {
-			return nil, fmt.Errorf("tensor: permutation index %d out of range", p)
-		}
 		dims[d] = c.Dims[p]
 	}
 	out := NewCOO(name, dims...)
@@ -82,6 +79,22 @@ func (c *COO) Permute(name string, perm []int) (*COO, error) {
 	}
 	out.Sort()
 	return out, nil
+}
+
+// checkPerm reports why perm does not permute order modes, if it does not.
+func checkPerm(perm []int, order int) error {
+	if len(perm) != order {
+		return fmt.Errorf("tensor: permutation of length %d for order-%d tensor", len(perm), order)
+	}
+	for d, p := range perm {
+		if p < 0 || p >= order {
+			return fmt.Errorf("tensor: permutation index %d out of range", p)
+		}
+		if slices.Index(perm[:d], p) >= 0 {
+			return fmt.Errorf("tensor: permutation index %d repeated", p)
+		}
+	}
+	return nil
 }
 
 // Split reshapes dimension d of size N into two dimensions (chunks,
@@ -125,7 +138,7 @@ func (c *COO) Build(formats ...fiber.Format) (*fiber.Tensor, error) {
 // concurrent runs sharing one input tensor.
 func (c *COO) SortedStrict() bool {
 	for i := 1; i < len(c.Pts); i++ {
-		if !lexLess(c.Pts[i-1].Crd, c.Pts[i].Crd) {
+		if byCrd(c.Pts[i-1], c.Pts[i]) >= 0 {
 			return false
 		}
 	}
@@ -148,34 +161,104 @@ func (c *COO) BuildNamed(name string, formats ...fiber.Format) (*fiber.Tensor, e
 	return fiber.Build(name, c.Dims, formats, coords, vals)
 }
 
-// FromFiberPermuted converts fibertree storage back to COO with its modes
-// permuted, as converting and then calling Permute(name, perm) would: same
-// points, order, values, errors and nil-ness, in one walk of a valid
-// fibertree (t.Validate). Every coordinate tuple is written already permuted
-// into one shared slab, and the points are sorted only when perm is not the
-// identity, where the walk is lexicographic as it stands.
-func FromFiberPermuted(t *fiber.Tensor, name string, perm []int) (*COO, error) {
-	out, err := NewCOO(name, t.Dims...).Permute(name, perm) // checks perm, permutes Dims
-	if err != nil || len(t.Vals) == 0 {
-		return out, err
-	}
-	identity := true
-	for d, p := range perm {
-		identity = identity && p == d
-	}
-	out.Pts = make([]Point, 0, len(t.Vals))
-	slab := make([]int64, 0, len(perm)*len(t.Vals))
-	t.Iterate(func(crd []int64, v float64) {
-		base := len(slab)
-		for _, p := range perm {
-			slab = append(slab, crd[p])
+// PermOf returns the permutation Permute takes from a tensor whose modes
+// are named from to the mode order named to: output mode d is input mode
+// perm[d]. It is how an engine reads its result in left-hand-side order out
+// of the loop order its writers wrote. A name of to missing from from fails.
+func PermOf(to, from []string) ([]int, error) {
+	perm := make([]int, len(to))
+	for d, v := range to {
+		if perm[d] = slices.Index(from, v); perm[d] < 0 {
+			return nil, fmt.Errorf("tensor: output variable %q missing from graph metadata", v)
 		}
-		out.Pts = append(out.Pts, Point{Crd: slab[base:len(slab):len(slab)], Val: v})
-	})
-	if !identity {
-		out.Sort()
+	}
+	return perm, nil
+}
+
+// FromFiberPermuted reads a result out of the fibertree that a run's level
+// writers wrote: it validates t and converts it to COO with its modes
+// permuted, as converting and then calling Permute(name, perm) would — same
+// points, order, values, errors and nil-ness. One walk writes every
+// coordinate tuple already permuted into one shared slab, reading
+// compressed levels directly and any other format through fiber.Level, and
+// the points are sorted only when perm is not the identity, where the walk
+// is lexicographic as it stands. It allocates the result and nothing else.
+func FromFiberPermuted(t *fiber.Tensor, name string, perm []int) (*COO, error) {
+	order := t.Order()
+	if err := checkPerm(perm, order); err != nil {
+		return nil, err
+	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("tensor: assembled output invalid: %w", err)
+	}
+	out := &COO{Name: name}
+	if order > 0 {
+		out.Dims = make([]int, order)
+		for d, p := range perm {
+			out.Dims[d] = t.Dims[p]
+		}
+	}
+	if len(t.Vals) == 0 {
+		return out, nil
+	}
+	w := walk{t: t, perm: perm, pts: make([]Point, len(t.Vals)), slab: make([]int64, order*(len(t.Vals)+1))}
+	if order == 0 {
+		w.point(0)
+	} else {
+		w.level(0, 0)
+	}
+	out.Pts = w.pts
+	if !slices.IsSorted(perm) { // a permutation sorted is the identity
+		slices.SortFunc(out.Pts, byCrd)
 	}
 	return out, nil
+}
+
+// walk is FromFiberPermuted's depth-first walk of a valid fibertree. The
+// point being built occupies slab[n*order:][:order]: each level writes its
+// coordinate there at its output mode, so when a leaf closes the point its
+// tuple is complete and already permuted. The slab holds one point more
+// than the tree, where the levels above a last, empty fiber write.
+type walk struct {
+	t    *fiber.Tensor
+	perm []int
+	pts  []Point
+	slab []int64
+	n    int // points closed
+}
+
+// level walks fiber ref of level d, reading a compressed level directly.
+func (w *walk) level(d, ref int) {
+	k := len(w.perm)
+	m := slices.Index(w.perm, d) // the output mode level d writes
+	l := w.t.Levels[d]
+	cl, _ := l.(*fiber.CompressedLevel)
+	for i := range l.FiberLen(ref) {
+		var crd, child int64
+		if cl != nil {
+			child = int64(cl.Seg[ref]) + int64(i)
+			crd = int64(cl.Crd[child])
+		} else {
+			crd, child = l.Coord(ref, i), l.ChildRef(ref, i)
+		}
+		w.slab[w.n*k+m] = crd
+		if d == k-1 {
+			w.point(int(child))
+		} else {
+			w.level(d+1, int(child))
+		}
+	}
+}
+
+// point closes the point being built with value Vals[v] and starts the
+// next one on its coordinates, which the levels above the leaf keep.
+func (w *walk) point(v int) {
+	k := len(w.perm)
+	base := w.n * k
+	crd := w.slab[base : base+k : base+k]
+	w.pts[w.n] = Point{Crd: crd, Val: w.t.Vals[v]}
+	w.n++
+	copy(w.slab[base+k:], crd)
 }
 
 // Dense is a dense row-major tensor used as the gold-model representation.
@@ -266,7 +349,7 @@ func Equal(a, b *COO, eps float64) error {
 		return fmt.Errorf("tensor: nnz mismatch %d vs %d", len(ap), len(bp))
 	}
 	for i := range ap {
-		if !lexEq(ap[i].Crd, bp[i].Crd) {
+		if byCrd(ap[i], bp[i]) != 0 {
 			return fmt.Errorf("tensor: point %d coordinate mismatch %v vs %v", i, ap[i].Crd, bp[i].Crd)
 		}
 		diff := ap[i].Val - bp[i].Val
@@ -287,26 +370,9 @@ func withoutZeros(pts []Point, eps float64) []Point {
 	return out
 }
 
-func lexLess(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-func lexEq(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// byCrd orders points lexicographically by coordinates: the one order Sort
+// and FromFiberPermuted put points in.
+func byCrd(a, b Point) int { return slices.Compare(a.Crd, b.Crd) }
 
 // UniformRandom generates a tensor with exactly nnz components placed
 // uniformly at random (the paper's urandom pattern), values in (0, 1].

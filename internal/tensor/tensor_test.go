@@ -386,8 +386,17 @@ func TestFromFiberPermutedMatchesPermute(t *testing.T) {
 // oracle FromFiberPermuted is held to.
 func FromFiber(t *fiber.Tensor) *COO {
 	c := NewCOO(t.Name, t.Dims...)
-	t.Iterate(func(crd []int64, v float64) {
-		c.Append(v, crd...)
-	})
+	var walk func(level, ref int, crd []int64)
+	walk = func(level, ref int, crd []int64) {
+		if level == t.Order() {
+			c.Append(t.Vals[ref], crd...)
+			return
+		}
+		l := t.Levels[level]
+		for i := range l.FiberLen(ref) {
+			walk(level+1, int(l.ChildRef(ref, i)), append(crd, l.Coord(ref, i)))
+		}
+	}
+	walk(0, 0, nil)
 	return c
 }
