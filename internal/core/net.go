@@ -128,7 +128,7 @@ func (n *Net) RunNaive(limit int) (int, error) {
 // current cycle: a cycle without progress is a deadlock only if none does.
 func (n *Net) staged(qs []*Queue) bool {
 	for _, q := range qs {
-		if q.tail > q.head && q.last.toks[(q.tail-1)&chunkMask].at > n.clk.now {
+		if q.tail > q.head && q.last.toks[(q.tail-1)&chunkMask].lastAt() > n.clk.now {
 			return true
 		}
 	}

@@ -58,6 +58,10 @@ type Queue struct {
 
 	count [4]int64 // tokens pushed, by token.Kind
 
+	// more is the tokens the queued run slots stand for beyond one each
+	// (see pushRun): the queue holds tail-head+more tokens.
+	more int
+
 	// Statistics for the Figure 14 stream-breakdown study, filled in by the
 	// engine when the run ends: the tokens pushed by kind, and Idle, the
 	// cycles minus the pushed tokens.
@@ -86,6 +90,34 @@ type slot struct {
 // marked is the slot.kind bit of a value token: x holds V's bits, and N is
 // the value marker.
 const marked = 4
+
+// run is the slot.kind bit of a run slot, which stands for a run of a
+// compressed level's coordinates on a paired scanner's coordinate queue (see
+// Merger.Pair): x is pos | end<<32, the run's positions in the level's Crd,
+// and at is the stamp of its first coordinate, the j-th turning visible j
+// cycles later. With runSep set, the fiber's separator S0 follows the run,
+// one cycle after its last coordinate. Only the paired merger reads a run
+// slot; Peek, front and tok never see one.
+const (
+	run    = 8
+	runSep = 16
+)
+
+// runLen is the coordinates left in run slot s.
+func (s *slot) runLen() int { return int(s.x>>32) - int(uint32(s.x)) }
+
+// lastAt is the stamp of the last token s stands for: a run slot's last
+// coordinate, or its folded separator.
+func (s *slot) lastAt() uint32 {
+	if s.kind&run == 0 {
+		return s.at
+	}
+	n := uint32(s.runLen() - 1)
+	if s.kind&runSep != 0 {
+		n++
+	}
+	return s.at + n
+}
 
 // put fills s with t, visible at cycle at.
 func (s *slot) put(t token.Tok, at uint32) {
@@ -248,6 +280,55 @@ func (q *Queue) pushData(now uint32, m int, from []int32, base int64, sep bool) 
 		q.count[token.Stop]++
 	}
 }
+
+// pushRun appends one run slot for the coordinates at positions pos … end-1
+// of a compressed level, which a paired scanner emits one per cycle over
+// cycles now … now+(end-pos)-1, and, when sep is set, the separator S0 after
+// them: the tokens pushData would write, counted the same, in one slot.
+func (q *Queue) pushRun(now uint32, pos, end int, sep bool) {
+	if q.tail&chunkMask == 0 {
+		q.link()
+	}
+	k, m := uint8(token.Val|run), end-pos
+	if sep {
+		k |= runSep
+		q.count[token.Stop]++
+		q.more++
+	}
+	q.last.toks[q.tail&chunkMask] = slot{kind: k, at: now + 1, x: uint64(pos) | uint64(end)<<32}
+	q.tail++
+	q.count[token.Val] += int64(m)
+	q.more += m - 1
+}
+
+// advance consumes the first k coordinates of run slot s, the queue's
+// visible head. A run with coordinates left keeps them in place, its
+// position and stamp moved on; an exhausted run becomes its folded
+// separator, stamped one cycle after its last coordinate, or else leaves the
+// queue. Every field is read before the pop, which may hand the chunk to
+// another net. k = 0 changes nothing.
+func (q *Queue) advance(s *slot, k int) {
+	if k == 0 {
+		return
+	}
+	pos, end := uint64(uint32(s.x))+uint64(k), s.x>>32
+	switch {
+	case pos < end:
+		s.x = pos | end<<32
+		s.at += uint32(k)
+		q.more -= k
+	case s.kind&runSep != 0:
+		*s = slot{kind: uint8(token.Stop), at: s.at + uint32(k)}
+		q.more -= k
+	default:
+		q.more -= k - 1
+		q.PopPeeked()
+	}
+}
+
+// queued is the tokens the queue holds, each run slot counted as the tokens
+// it stands for.
+func (q *Queue) queued() int { return q.tail - q.head + q.more }
 
 // Peek returns the head token without consuming it, once it is visible. It
 // spells out front's body: through a call to front it would not inline.

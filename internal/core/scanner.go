@@ -23,6 +23,11 @@ type Scanner struct {
 	in     *Queue
 	outCrd *Out
 	outRef *Out
+	// runs and refs, when the scanner is paired (see Merger.Pair), are the
+	// queues behind outCrd and outRef: a run of a fiber goes onto runs as
+	// one run slot, and refs, which only the merger would read, is counted
+	// but holds no token.
+	runs, refs *Queue
 
 	scanning   bool
 	fib        int
@@ -85,8 +90,7 @@ func (b *Scanner) span(end uint32) (stop, prog uint32) {
 		case b.sepPending:
 			// The previous fiber's boundary: the separator goes out before
 			// the next fiber starts.
-			b.outCrd.Push(token.S(0))
-			b.outRef.Push(token.S(0))
+			b.push(token.S(0))
 			b.sepPending = false
 		default:
 			// Read the reference before the pop, which may hand its chunk
@@ -141,9 +145,17 @@ func (b *Scanner) start(f int) bool {
 // level's fiber ending there may set, the separator at cycle now+m. A run
 // of a compressed level's coordinates goes straight from Crd into the
 // output chunks, and its references are the positions in Crd themselves;
-// a single pair, all a one-cycle span emits, costs less through Push.
+// a single pair, all a one-cycle span emits, costs less through Push. A
+// paired scanner pushes the run as one run slot and only counts its
+// references.
 func (b *Scanner) emit(now uint32, m int, sep bool) {
 	switch {
+	case b.runs != nil:
+		b.runs.pushRun(now, b.pos, b.pos+m, sep)
+		b.refs.count[token.Val] += int64(m)
+		if sep {
+			b.refs.count[token.Stop]++
+		}
 	case b.cmp == nil:
 		for j := range m {
 			b.in.clk.now = now + uint32(j)
@@ -182,8 +194,7 @@ func (b *Scanner) step() bool {
 		if b.sepPending {
 			// The previous fiber's boundary: emit the separator before
 			// starting the next fiber.
-			b.outCrd.Push(token.S(0))
-			b.outRef.Push(token.S(0))
+			b.push(token.S(0))
 			b.sepPending = false
 			return true
 		}
@@ -203,23 +214,31 @@ func (b *Scanner) step() bool {
 		// fiber separator.
 		b.in.PopPeeked()
 		b.sepPending = false
-		b.outCrd.Push(token.S(t.StopLevel() + 1))
-		b.outRef.Push(token.S(t.StopLevel() + 1))
+		b.push(token.S(t.StopLevel() + 1))
 		return true
 	case token.Done:
 		if b.sepPending {
-			b.outCrd.Push(token.S(0))
-			b.outRef.Push(token.S(0))
+			b.push(token.S(0))
 			b.sepPending = false
 			return true
 		}
 		b.in.PopPeeked()
-		b.outCrd.Push(token.D())
-		b.outRef.Push(token.D())
+		b.push(token.D())
 		b.done = true
 		return true
 	}
 	return b.fail("unexpected token %v on reference input", t)
+}
+
+// push emits stop or done token t on both outputs; a paired scanner's
+// reference queue only counts it.
+func (b *Scanner) push(t token.Tok) {
+	b.outCrd.Push(t)
+	if b.refs != nil {
+		b.refs.count[t.Kind]++
+	} else {
+		b.outRef.Push(t)
+	}
 }
 
 // InQueues implements Block.

@@ -278,13 +278,15 @@ func (r *runner) pass(bound int) bool {
 // horizon returns the cycle block i, at clock t, may tick up to (not
 // including): over its inputs, the least of max(producer clock + 1, t +
 // queued tokens), and t plus the room left under bound in its fullest output
-// queue; never past r.end.
+// queue; never past r.end. A run slot counts as the tokens it stands for on
+// the input side, whose pops it bounds, and as one slot on the output side,
+// whose storage it bounds.
 func (r *runner) horizon(i, t, bound int) int {
 	h := r.end
 	for k := r.inOff[i]; k < r.inOff[i+1]; k++ {
 		if p := r.clk[r.prod[k]]; p != never {
 			q := r.ins[k]
-			h = min(h, max(p+1, t+q.tail-q.head))
+			h = min(h, max(p+1, t+q.queued()))
 		}
 	}
 	full := 0

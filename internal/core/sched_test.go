@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sam/internal/fiber"
 	"sam/internal/token"
 )
 
@@ -50,16 +51,129 @@ func failingPair(aFail, bFail int) func(*Net) {
 	}
 }
 
+// compressed builds a compressed level over dim from its fibers'
+// coordinates.
+func compressed(dim int, fibers ...[]int32) *fiber.CompressedLevel {
+	l := &fiber.CompressedLevel{N: dim, Seg: []int32{0}}
+	for _, f := range fibers {
+		l.Crd = append(l.Crd, f...)
+		l.Seg = append(l.Seg, int32(len(l.Crd)))
+	}
+	return l
+}
+
+// scanPair wires into n two scanners, over levels la and lc and fed the
+// recorded reference streams refA and refC, and a two-way intersecter over
+// them whose coordinates the sink it returns records; with pair set, the
+// intersecter reads the scanners' runs (Merger.Pair). Every queue is bounded
+// by capacity (0: unbounded), which a paired net must not be.
+func scanPair(n *Net, refA, refC string, la, lc *fiber.CompressedLevel, capacity int, pair bool) *Sink {
+	var crd, ref, in [2]*Queue
+	for i, side := range []string{"a", "c"} {
+		crd[i] = n.NewBoundedQueue(side+" crd", capacity)
+		ref[i] = n.NewBoundedQueue(side+" ref", capacity)
+		in[i] = n.NewBoundedQueue(side+" in", capacity)
+	}
+	sa := NewScanner("scan a", la, in[0], NewOut(crd[0]), NewOut(ref[0]))
+	sc := NewScanner("scan c", lc, in[1], NewOut(crd[1]), NewOut(ref[1]))
+	out := n.NewBoundedQueue("out", capacity)
+	m := NewMerger("merge", false, crd[:], ref[:], NewOut(out), []*Out{NewOut(), NewOut()})
+	if pair && !m.Pair(sa, sc) {
+		panic("scanPair: the intersecter did not pair")
+	}
+	sink := NewSink("sink", out)
+	n.Add(sink, m, sa, sc, recorded("a refs", refA, NewOut(in[0])), recorded("c refs", refC, NewOut(in[1])))
+	return sink
+}
+
+// TestPairRefuses holds Merger.Pair to its rule: a two-way intersecter
+// pairs with two compressed-level scanners whose ports drive its sides
+// alone, over unbounded empty queues, and with nothing else.
+func TestPairRefuses(t *testing.T) {
+	type net struct {
+		m      *Merger
+		sa, sc *Scanner
+	}
+	build := func(union bool, lvl fiber.Level, capacity int) net {
+		n := &Net{}
+		var crd, ref [2]*Queue
+		for i := range crd {
+			crd[i], ref[i] = n.NewBoundedQueue("crd", capacity), n.NewBoundedQueue("ref", capacity)
+		}
+		return net{
+			m:  NewMerger("m", union, crd[:], ref[:], NewOut(), []*Out{NewOut(), NewOut()}),
+			sa: NewScanner("a", lvl, NewQueue("in"), NewOut(crd[0]), NewOut(ref[0])),
+			sc: NewScanner("c", compressed(4, []int32{1}), NewQueue("in"), NewOut(crd[1]), NewOut(ref[1])),
+		}
+	}
+	lvl := compressed(4, []int32{0, 2})
+	for _, tc := range []struct {
+		name  string
+		net   net
+		alter func(*net)
+		want  bool
+	}{
+		{"compressed, unbounded", build(false, lvl, 0), nil, true},
+		{"a unioner", build(true, lvl, 0), nil, false},
+		{"a dense level", build(false, &fiber.DenseLevel{N: 4, Fibers: 1}, 0), nil, false},
+		{"bounded queues", build(false, lvl, 2), nil, false},
+		{"a forked coordinate stream", build(false, lvl, 0), func(x *net) { x.sa.outCrd.Attach(NewQueue("fork")) }, false},
+		{"a queued token", build(false, lvl, 0), func(x *net) { x.m.inRef[1].Preload(token.MustParse("D")) }, false},
+		{"sides swapped", build(false, lvl, 0), func(x *net) { x.sa, x.sc = x.sc, x.sa }, false},
+	} {
+		x := tc.net
+		if tc.alter != nil {
+			tc.alter(&x)
+		}
+		if got := x.m.Pair(x.sa, x.sc); got != tc.want {
+			t.Errorf("%s: Pair = %v, want %v", tc.name, got, tc.want)
+		}
+		if !tc.want && (x.m.crd != nil || x.sa.runs != nil || x.sc.runs != nil) {
+			t.Errorf("%s: a refused pairing changed the blocks", tc.name)
+		}
+	}
+}
+
+// scanErr is scanPair over two two-fiber levels, for a net that ends in an
+// error.
+func scanErr(refA, refC string, pair bool) func(*Net) {
+	return func(n *Net) {
+		la := compressed(10, []int32{1, 4, 7}, []int32{2, 3})
+		lc := compressed(10, []int32{0, 4, 7, 9}, []int32{3})
+		scanPair(n, refA, refC, la, lc, 0, pair)
+	}
+}
+
 // TestRunMatchesNaiveErrors holds Run to RunNaive on unbounded nets that end
-// in an error: the same cycle count and the same error text, pinned.
+// in an error: the same cycle count and the same error text, pinned. A case
+// with paired set also runs that net, its intersecter paired with its
+// scanners, on both loops, to the same result.
 func TestRunMatchesNaiveErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		build  func(*Net)
+		paired func(*Net)
 		limit  int
 		cycles int
 		err    string
 	}{
+		{
+			name:  "paired scanner handed a reference outside its level",
+			build: scanErr("0 1 2 S0 D", "0 1 1 S0 D", false), paired: scanErr("0 1 2 S0 D", "0 1 1 S0 D", true),
+			limit: 1000, cycles: 8, err: "scan a: fiber reference 2 outside level of 2 fibers",
+		},
+		{
+			// The a side closes its second fiber with S1 (its input's S0
+			// raised a level), the c side with S0.
+			name:  "paired intersecter on misaligned stop levels",
+			build: scanErr("0 1 S0 D", "0 1 D", false), paired: scanErr("0 1 S0 D", "0 1 D", true),
+			limit: 1000, cycles: 10, err: "merge: misaligned stop levels S1 vs S0",
+		},
+		{
+			name:  "paired intersecter with one side done early",
+			build: scanErr("0 D", "0 1 D", false), paired: scanErr("0 D", "0 1 D", true),
+			limit: 1000, cycles: 8, err: "merge: done token while other inputs still streaming",
+		},
 		{
 			// The second input's stream never ends: the intersecter waits on
 			// it forever once the first has delivered its done token.
@@ -116,20 +230,26 @@ func TestRunMatchesNaiveErrors(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, naive := range []bool{true, false} {
-				n := &Net{}
-				tc.build(n)
-				run := n.Run
-				if naive {
-					run = n.RunNaive
-				}
-				cycles, err := run(tc.limit)
-				got := ""
-				if err != nil {
-					got = err.Error()
-				}
-				if cycles != tc.cycles || got != tc.err {
-					t.Errorf("naive=%v: %d cycles, error %q; want %d, %q", naive, cycles, got, tc.cycles, tc.err)
+			builds := []func(*Net){tc.build}
+			if tc.paired != nil {
+				builds = append(builds, tc.paired)
+			}
+			for k, build := range builds {
+				for _, naive := range []bool{true, false} {
+					n := &Net{}
+					build(n)
+					run := n.Run
+					if naive {
+						run = n.RunNaive
+					}
+					cycles, err := run(tc.limit)
+					got := ""
+					if err != nil {
+						got = err.Error()
+					}
+					if cycles != tc.cycles || got != tc.err {
+						t.Errorf("paired=%v naive=%v: %d cycles, error %q; want %d, %q", k == 1, naive, cycles, got, tc.cycles, tc.err)
+					}
 				}
 			}
 		})
@@ -165,43 +285,72 @@ func mergeNet(capacity int) (*Net, *Sink) {
 	return n, sink
 }
 
+// scanNet is scanPair over the multiples of 2 and of 3 below 3000, three
+// fibers a side, so that a paired net's runs, hundreds of coordinates long,
+// straddle the rebases.
+func scanNet(capacity int, pair bool) (*Net, *Sink) {
+	mult := func(step int32) *fiber.CompressedLevel {
+		var f [3][]int32
+		for c := int32(0); c < 3000; c += step {
+			f[c/1000] = append(f[c/1000], c)
+		}
+		return compressed(3000, f[0], f[1], f[2])
+	}
+	n := &Net{}
+	sink := scanPair(n, "0 1 2 S0 D", "0 1 2 S0 D", mult(2), mult(3), capacity, pair)
+	return n, sink
+}
+
 // TestStampRebase runs nets whose stamp base moves every few cycles — as
 // every net's does past 2^31 cycles, so that a 32-bit stamp never wraps —
 // and holds them to the run that never rebases: the same cycle count, output
-// and statistics on both loops, unbounded and bounded.
+// and statistics on both loops, unbounded and bounded. The nets are an
+// intersecter over recorded streams and one over two scanners, paired with
+// them when unbounded: a run slot's stamp floors at the new base like any
+// other, and the stamps of the coordinates behind it, which derive from it,
+// must still come out as the token path's.
 func TestStampRebase(t *testing.T) {
 	type outcome struct {
 		cycles int
 		out    string
 		stats  []StreamStats
 	}
-	run := func(capacity, span int, naive bool) outcome {
-		n, sink := mergeNet(capacity)
-		n.span = span
-		r := n.Run
-		if naive {
-			r = n.RunNaive
-		}
-		cycles, err := r(1_000_000)
-		if err != nil {
-			t.Fatalf("cap %d span %d naive=%v: %v", capacity, span, naive, err)
-		}
-		if span > 0 && n.base == 0 {
-			t.Fatalf("cap %d span %d naive=%v: the stamp base never moved", capacity, span, naive)
-		}
-		o := outcome{cycles: cycles, out: sink.Rec.String()}
-		for _, q := range n.Queues {
-			o.stats = append(o.stats, q.Stats)
-		}
-		return o
+	nets := []struct {
+		name  string
+		build func(capacity int, pair bool) (*Net, *Sink)
+	}{
+		{"recorded", func(capacity int, _ bool) (*Net, *Sink) { return mergeNet(capacity) }},
+		{"scanned", scanNet},
 	}
-	for _, capacity := range []int{0, 2} {
-		want := run(capacity, 0, true)
-		for _, span := range []int{0, 1, 7, 100, 600} {
-			for _, naive := range []bool{true, false} {
-				got := run(capacity, span, naive)
-				if got.cycles != want.cycles || got.out != want.out || fmt.Sprint(got.stats) != fmt.Sprint(want.stats) {
-					t.Errorf("cap %d span %d naive=%v: %d cycles, stats %v; want %d, %v", capacity, span, naive, got.cycles, got.stats, want.cycles, want.stats)
+	for _, nt := range nets {
+		run := func(capacity, span int, naive, pair bool) outcome {
+			n, sink := nt.build(capacity, pair)
+			n.span = span
+			r := n.Run
+			if naive {
+				r = n.RunNaive
+			}
+			cycles, err := r(1_000_000)
+			if err != nil {
+				t.Fatalf("%s cap %d span %d naive=%v: %v", nt.name, capacity, span, naive, err)
+			}
+			if span > 0 && n.base == 0 {
+				t.Fatalf("%s cap %d span %d naive=%v: the stamp base never moved", nt.name, capacity, span, naive)
+			}
+			o := outcome{cycles: cycles, out: sink.Rec.String()}
+			for _, q := range n.Queues {
+				o.stats = append(o.stats, q.Stats)
+			}
+			return o
+		}
+		for _, capacity := range []int{0, 2} {
+			want := run(capacity, 0, true, false)
+			for _, span := range []int{0, 1, 7, 100, 600} {
+				for _, naive := range []bool{true, false} {
+					got := run(capacity, span, naive, capacity == 0)
+					if got.cycles != want.cycles || got.out != want.out || fmt.Sprint(got.stats) != fmt.Sprint(want.stats) {
+						t.Errorf("%s cap %d span %d naive=%v: %d cycles, stats %v; want %d, %v", nt.name, capacity, span, naive, got.cycles, got.stats, want.cycles, want.stats)
+					}
 				}
 			}
 		}

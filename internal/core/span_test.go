@@ -205,6 +205,96 @@ func (g *gen) refs(depth, n int) token.Stream {
 	}))
 }
 
+// scanRefs draws a scanner's reference stream, malformed or not: besides
+// what refs draws, an N, a reference past a 6-fiber level or a value token.
+func (g *gen) scanRefs() token.Stream {
+	s := g.refs(g.r.Intn(2)+1, 4)
+	if g.r.Intn(4) == 0 {
+		s = slices.Insert(s, g.r.Intn(len(s)), token.N())
+	}
+	// A reference past the level's 6 fibers, or a value token, on the
+	// reference input fails the block.
+	if g.r.Intn(5) == 0 {
+		s = slices.Insert(s, g.r.Intn(len(s)), token.C(6+g.r.Int63n(2)))
+	}
+	if g.r.Intn(5) == 0 {
+		s = slices.Insert(s, g.r.Intn(len(s)), token.V(1.5))
+	}
+	return s
+}
+
+// runs fills q as a paired scanner over l fills its coordinate queue, over
+// the stop levels stops: fiber i is one of l's fibers, drawn at random, as
+// one or more run slots, its S0, if it has one, folded into the last of them
+// or not, and a done last. A third of the time the stream is malformed: one
+// stop's level changed, an N inserted or the done dropped. Each slot turns
+// visible 0 to 2 cycles after the last token of the one before it.
+func (g *gen) runs(q *Queue, l *fiber.CompressedLevel, stops []int) {
+	stops = slices.Clone(stops)
+	bad := -1
+	if g.r.Intn(3) == 0 {
+		bad = g.r.Intn(3)
+	}
+	if bad == 0 {
+		stops[g.r.Intn(len(stops))] = g.r.Intn(3)
+	}
+	at := uint32(g.r.Intn(3))
+	put := func(s slot) {
+		if q.tail&chunkMask == 0 {
+			q.link()
+		}
+		s.at = at
+		q.last.toks[q.tail&chunkMask] = s
+		q.tail++
+		q.more += len(tokens([]slot{s})) - 1
+		at = s.lastAt() + uint32(g.r.Intn(3))
+	}
+	for i, lvl := range stops {
+		if bad == 1 && i == len(stops)/2 {
+			put(slot{kind: uint8(token.Empty)})
+		}
+		f := g.r.Intn(len(l.Seg) - 1)
+		pos, end := int(l.Seg[f]), int(l.Seg[f+1])
+		folded := false
+		for pos < end {
+			k := 1 + g.r.Intn(end-pos)
+			kind := uint8(token.Val | run)
+			if folded = pos+k == end && lvl == 0 && g.r.Intn(2) == 0; folded {
+				kind |= runSep
+			}
+			put(slot{kind: kind, x: uint64(pos) | uint64(pos+k)<<32})
+			pos += k
+		}
+		if !folded {
+			put(slot{kind: uint8(token.Stop), x: uint64(lvl)})
+		}
+	}
+	if bad != 2 {
+		put(slot{kind: uint8(token.Done)})
+	}
+}
+
+// tokens spells out slots as one slot per token: a run slot's coordinates
+// as run-kind slots holding their positions and stamps, and its folded
+// separator as an S0, so a run pushed whole and one pushed a coordinate at a
+// time read the same.
+func tokens(slots []slot) []slot {
+	var out []slot
+	for _, t := range slots {
+		if t.kind&run == 0 {
+			out = append(out, t)
+			continue
+		}
+		for j := range t.runLen() {
+			out = append(out, slot{kind: run, at: t.at + uint32(j), x: uint64(uint32(t.x)) + uint64(j)})
+		}
+		if t.kind&runSep != 0 {
+			out = append(out, slot{kind: uint8(token.Stop), at: t.lastAt()})
+		}
+	}
+	return out
+}
+
 // crdPair draws aligned coordinate and reference streams of one depth over
 // the stop levels stops, each malformed or not.
 func (g *gen) crdPair(stops []int, dim int) (crd, ref token.Stream) {
@@ -256,19 +346,14 @@ var spanned = map[string]func(g *gen) Block{
 		if g.r.Intn(3) == 0 {
 			lvl = &fiber.DenseLevel{N: 3, Fibers: 6}
 		}
-		s := g.refs(g.r.Intn(2)+1, 4)
-		if g.r.Intn(4) == 0 {
-			s = slices.Insert(s, g.r.Intn(len(s)), token.N())
-		}
-		// A reference past the level's 6 fibers, or a value token, on the
-		// reference input fails the block.
-		if g.r.Intn(5) == 0 {
-			s = slices.Insert(s, g.r.Intn(len(s)), token.C(6+g.r.Int63n(2)))
-		}
-		if g.r.Intn(5) == 0 {
-			s = slices.Insert(s, g.r.Intn(len(s)), token.V(1.5))
-		}
-		return NewScanner("b", lvl, g.in(s), g.out(), g.out())
+		return NewScanner("b", lvl, g.in(g.scanRefs()), g.out(), g.out())
+	},
+	// A paired scanner: its runs go out as run slots, its references only
+	// counted.
+	"Scanner/paired": func(g *gen) Block {
+		b := NewScanner("b", g.level(6, 10), g.in(g.scanRefs()), g.out(), g.out())
+		b.runs, b.refs = b.outCrd.qs[0], b.outRef.qs[0]
+		return b
 	},
 	"Repeater": func(g *gen) Block {
 		depth := g.r.Intn(2) + 1
@@ -293,6 +378,27 @@ var spanned = map[string]func(g *gen) Block{
 			crds[i], refs[i] = g.in(c), g.in(r)
 		}
 		return NewMerger("b", g.r.Intn(2) == 0, crds, refs, g.out(), g.outs(m))
+	},
+	// A merger paired with two scanners, reading their run slots.
+	"Merger/paired": func(g *gen) Block {
+		stops := g.stops(g.r.Intn(2) + 1)
+		var crds, refs []*Queue
+		var scans []*Scanner
+		var lvls []*fiber.CompressedLevel
+		for range 2 {
+			crd, ref := g.in(nil), g.in(nil)
+			l := g.level(4, 8)
+			crds, refs, lvls = append(crds, crd), append(refs, ref), append(lvls, l)
+			scans = append(scans, NewScanner("s", l, NewQueue("refs"), NewOut(crd), NewOut(ref)))
+		}
+		b := NewMerger("b", false, crds, refs, g.out(), g.outs(2))
+		if !b.Pair(scans[0], scans[1]) {
+			panic("the rig's merger did not pair")
+		}
+		for i, q := range crds {
+			g.runs(q, lvls[i], stops)
+		}
+		return b
 	},
 	"ArrayLoad": func(g *gen) Block {
 		s := g.refs(g.r.Intn(2)+1, 6)
@@ -446,31 +552,53 @@ func newRig(build func(g *gen) Block, seed int64) *rig {
 }
 
 // outcome is what a run of a rig leaves: where it stopped, one past its
-// last cycle of progress, every token pushed with its stamp, every input's
-// head, the block's kept state, Done and the error text.
+// last cycle of progress, every token pushed with its stamp and every
+// output's token counts, every input's head and the tokens left behind it
+// (run slots spelled out, see tokens), the block's kept state, Done and the
+// error text. Any queue whose queued() disagrees with the tokens it holds is
+// named in bad.
 type outcome struct {
 	stop, prog uint32
 	pushed     [][]slot
+	counts     [][4]int64
 	heads      []int
+	left       [][]slot
 	state      string
 	done       bool
 	err        string
+	bad        string
+}
+
+// queuedTokens returns q's slots from its head on, spelled out as tokens.
+func queuedTokens(q *Queue) []slot {
+	var s []slot
+	for c, i := q.first, q.head; i < q.tail; i++ {
+		s = append(s, c.toks[i&chunkMask])
+		if i&chunkMask == chunkMask {
+			c = c.next
+		}
+	}
+	return tokens(s)
 }
 
 func (rg *rig) outcome(stop, prog uint32) outcome {
 	o := outcome{stop: stop, prog: prog, done: rg.b.Done()}
-	for _, q := range rg.outs {
-		var s []slot
-		for c, i := q.first, q.head; i < q.tail; i++ {
-			s = append(s, c.toks[i&chunkMask])
-			if i&chunkMask == chunkMask {
-				c = c.next
-			}
+	check := func(q *Queue, s []slot) {
+		if len(s) != q.queued() {
+			o.bad += fmt.Sprintf("%s holds %d tokens, queued() says %d; ", q.Label, len(s), q.queued())
 		}
+	}
+	for _, q := range rg.outs {
+		s := queuedTokens(q)
+		check(q, s)
 		o.pushed = append(o.pushed, s)
+		o.counts = append(o.counts, q.count)
 	}
 	for _, q := range rg.ins {
+		s := queuedTokens(q)
+		check(q, s)
 		o.heads = append(o.heads, q.head)
+		o.left = append(o.left, s)
 	}
 	if rg.state != nil {
 		o.state = rg.state()
@@ -515,6 +643,9 @@ func TestSpanMatchesTicks(t *testing.T) {
 				rg = newRig(build, seed)
 				rg.clk.now = start
 				got := rg.outcome(rg.b.(spanner).span(end))
+				if got.bad != "" || want.bad != "" {
+					t.Fatalf("seed %d, cycles [%d, %d): span: %s ticks: %s", seed, start, end, got.bad, want.bad)
+				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d, cycles [%d, %d):\nspan  %+v\nticks %+v", seed, start, end, got, want)
 				}
@@ -589,7 +720,11 @@ func TestTickWithoutProgressChangesNothing(t *testing.T) {
 					if rg.b.Tick() || rg.b.Err() != nil {
 						continue
 					}
-					if now := rg.outcome(0, 0); !reflect.DeepEqual(now, was) {
+					now := rg.outcome(0, 0)
+					if now.bad != "" {
+						t.Fatalf("seed %d, cycle %d: %s", seed, c, now.bad)
+					}
+					if !reflect.DeepEqual(now, was) {
 						t.Fatalf("seed %d, cycle %d: a tick without progress moved the queues or the state:\n%+v\nwas %+v", seed, c, now, was)
 					}
 					if !reflect.DeepEqual(v.Interface(), before.Interface()) {

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -446,7 +448,10 @@ func TestEventRunAllocBytes(t *testing.T) {
 // backlog the simulated machine has in flight: ijk's inner product has
 // 683,108 tokens in flight at its peak, 2,693 chunks (11 MB) when every
 // block ran to the same cycle. The other limits are what the shapes held
-// then, which the lagging schedule must not exceed.
+// then, which the lagging schedule must not exceed. With paired scans (see
+// core.Merger.Pair) the five shapes hold 26 / 29 / 23 / 20 / 60 chunks,
+// token by token 31 / 40 / 25 / 29 / 93: a run of a fiber is one slot, and
+// a paired reference queue holds none.
 func TestEventPeakChunks(t *testing.T) {
 	limits := map[string]int{
 		"SpM*SpM-ikj": 51, "SpM*SpM-ijk": 256, "SpM*SpM-kij": 40, "SpMV-par1": 66, "SpMV-par4": 123,
@@ -464,6 +469,90 @@ func TestEventPeakChunks(t *testing.T) {
 		if got > limit {
 			t.Errorf("%s: the queues held %d chunks at once, limit %d", s.name, got, limit)
 		}
+	}
+}
+
+// TestEventPairing pins which intersecters the event engine pairs with
+// their scanners (core.Merger.Pair) on the simulate-event shapes: the k-level
+// intersecter of each SpM*SpM dataflow and of SpMV, once per lane at Par 4,
+// and none under bounded queues or on the naive engine. A pairing that
+// silently stopped would keep every output and count right and lose the
+// run slots' speed.
+func TestEventPairing(t *testing.T) {
+	want := map[string]int{
+		"SpM*SpM-ikj": 1, "SpM*SpM-ijk": 1, "SpM*SpM-kij": 1, "SpMV-par1": 1, "SpMV-par4": 4, "SpM*SpM-ikj-cap8": 0,
+	}
+	for _, s := range eventShapes(t) {
+		for _, eng := range []EngineKind{"", EngineEvent, EngineNaive} {
+			opt := s.opt
+			opt.Engine = eng
+			b, err := newBuilder(s.prog, s.inputs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := want[s.name]
+			if eng == EngineNaive {
+				w = 0
+			}
+			if b.paired != w {
+				t.Errorf("%s on engine %q: %d intersecters paired, want %d", s.name, eng, b.paired, w)
+			}
+		}
+	}
+}
+
+// TestConcurrentEventRuns runs the five simulate-event shapes from four
+// goroutines at once, each over the shapes' shared Programs in a rotated
+// order, and holds every run to a serial run of its shape: a bit-identical
+// output, the same cycles and the same stream statistics. A queue hands a
+// chunk back to the shared pool the moment its last slot is popped, so a
+// block that reads a slot after its pop reads whatever another net wrote
+// there; under -race that read is a data race. Runs this size recycle
+// chunks mid-run, which the small SpMV of TestProgramConcurrentRuns does
+// not.
+func TestConcurrentEventRuns(t *testing.T) {
+	shapes := eventShapes(t)[:5]
+	want := make([]*Result, len(shapes))
+	for i, s := range shapes {
+		res, err := s.prog.Run(s.inputs, s.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		want[i] = res
+	}
+	rounds := 4
+	if raceEnabled {
+		rounds = 3
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*rounds*len(shapes))
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				for k := range shapes {
+					i := (g + r + k) % len(shapes)
+					s := shapes[i]
+					res, err := s.prog.Run(s.inputs, s.opt)
+					switch {
+					case err != nil:
+						errs <- fmt.Errorf("%s: %v", s.name, err)
+					case tensor.IdenticalBits(res.Output, want[i].Output) != nil:
+						errs <- fmt.Errorf("%s: output differs from a serial run: %v", s.name, tensor.IdenticalBits(res.Output, want[i].Output))
+					case res.Cycles != want[i].Cycles:
+						errs <- fmt.Errorf("%s: %d cycles, a serial run took %d", s.name, res.Cycles, want[i].Cycles)
+					case !reflect.DeepEqual(res.Streams, want[i].Streams):
+						errs <- fmt.Errorf("%s: stream statistics differ from a serial run", s.name)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

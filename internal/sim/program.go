@@ -50,6 +50,11 @@ type Program struct {
 	// perm is the output's permutation from loop order to left-hand-side
 	// order (tensor.PermOf).
 	perm []int
+
+	// pairs lists the two-way intersecters the event engine may pair with
+	// their scanners (see pairable), each as the node IDs of the
+	// intersecter and of the scanners feeding its inputs 0 and 1.
+	pairs [][3]int
 }
 
 // NewProgram validates a compiled graph and precomputes its execution plan.
@@ -71,6 +76,7 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 	p := &Program{
 		g: g, fp: g.Fingerprint(), plan: bind.NewPlan(g), w: w, perm: perm,
 		labels: make([]string, 0, w.Streams), first: make([]int, 0, w.Streams),
+		pairs: pairable(g, w),
 	}
 	// Streams are numbered by first appearance in edge order, so a stream's
 	// first edge is the one that carries the next number. Blocks of one kind
@@ -90,6 +96,26 @@ func NewProgram(g *graph.Graph) (*Program, error) {
 		}
 	}
 	return p, nil
+}
+
+// pairable finds the graph half of the event engine's pairing rule: the
+// two-way intersecters whose two coordinate inputs come from scanners.
+// core.Merger.Pair checks the rest once the net is built: that each
+// scanner's two ports drive that side of the intersecter alone, through
+// unbounded queues, and that its level is compressed.
+func pairable(g *graph.Graph, w *graph.Wiring) [][3]int {
+	var out [][3]int
+	for _, n := range g.Nodes {
+		if n.Kind != graph.Intersect || n.Ways != 2 {
+			continue
+		}
+		in0, _, _, _ := w.Ports.Span(n.ID)
+		a, c := g.Edges[w.Feed[in0]].From, g.Edges[w.Feed[in0+2]].From
+		if g.Nodes[a].Kind == graph.Scanner && g.Nodes[c].Kind == graph.Scanner {
+			out = append(out, [3]int{n.ID, a, c})
+		}
+	}
+	return out
 }
 
 // NewProgramFromArtifact wraps a loaded byte artifact as a Program with no

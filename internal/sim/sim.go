@@ -110,6 +110,7 @@ type builder struct {
 	valsWr *core.ValsWriter
 	bvWr   map[int]*core.BVWriter
 	vecWr  *core.VecValsWriter
+	paired int // intersecters paired with their scanners (core.Merger.Pair)
 }
 
 // newBuilder binds inputs and builds one run's net over p's wiring.
@@ -155,6 +156,7 @@ func newBuilder(p *Program, inputs map[string]*tensor.COO, opt Options) (*builde
 			b.outs[k] = streamOuts[s]
 		}
 	}
+	blocks := make([]core.Block, len(p.g.Nodes))
 	for _, n := range p.g.Nodes {
 		blk, err := b.instantiate(n)
 		if err != nil {
@@ -162,6 +164,18 @@ func newBuilder(p *Program, inputs map[string]*tensor.COO, opt Options) (*builde
 		}
 		if blk != nil {
 			b.net.Add(blk)
+		}
+		blocks[n.ID] = blk
+	}
+	// The event engine pairs each pairable intersecter with its scanners
+	// when the queues are unbounded; the naive engine, the oracle, runs
+	// every stream token by token.
+	if (opt.Engine == "" || opt.Engine == EngineEvent) && opt.QueueCap == 0 {
+		for _, pr := range p.pairs {
+			m := blocks[pr[0]].(*core.Merger)
+			if m.Pair(blocks[pr[1]].(*core.Scanner), blocks[pr[2]].(*core.Scanner)) {
+				b.paired++
+			}
 		}
 	}
 	return b, nil
