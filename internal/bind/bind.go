@@ -9,6 +9,7 @@
 package bind
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -144,13 +145,17 @@ func (p *Plan) OperandsCached(inputs map[string]*tensor.COO, cache Cache) (map[s
 
 // build constructs one operand's fibertree storage from its source tensor.
 func (p *Plan) build(bd graph.Binding, src *tensor.COO) (*fiber.Tensor, error) {
-	// Identity mode orders on already-sorted inputs skip the permute
-	// clone entirely and build storage straight off the source points
-	// (read-only, so concurrent jobs can share one input tensor). This
-	// is the hot half of per-request binding: the permute copy used to
+	// Identity mode orders build storage straight off the source points
+	// (read-only, so concurrent jobs can share one input tensor), and the
+	// builder's one pass over them is the sortedness check: only an input
+	// it finds out of order pays the permute clone and its sort. This is
+	// the hot half of per-request binding: the permute copy used to
 	// dominate compiled-engine runs end to end.
-	if identityOrder(bd.ModeOrder) && src.SortedStrict() {
-		return src.BuildNamed(bd.Operand, bd.Formats...)
+	if identityOrder(bd.ModeOrder) {
+		ft, err := src.BuildNamed(bd.Operand, bd.Formats...)
+		if unsorted := (*fiber.UnsortedError)(nil); !errors.As(err, &unsorted) {
+			return ft, err
+		}
 	}
 	perm, err := src.Permute(bd.Operand, bd.ModeOrder)
 	if err != nil {

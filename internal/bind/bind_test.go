@@ -2,6 +2,8 @@ package bind
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,6 +73,32 @@ func TestOperandsRepeatedTensor(t *testing.T) {
 	}
 	if _, ok := bound["B#2"]; !ok {
 		t.Errorf("second occurrence not bound under a unique name; bound: %v", keys(bound))
+	}
+}
+
+// TestOperandsUnsortedInput checks that an input fiber.Build finds out of
+// order binds as its sorted, duplicate-summed copy would, and is left as
+// it was.
+func TestOperandsUnsortedInput(t *testing.T) {
+	g := compile(t, "x(i) = B(i,j) * c(j)", nil)
+	pts := []tensor.Point{{Crd: []int64{2, 1}, Val: 1}, {Crd: []int64{0, 0}, Val: 2}, {Crd: []int64{2, 1}, Val: 3}, {Crd: []int64{1, 0}, Val: 4}}
+	unsorted := &tensor.COO{Name: "B", Dims: []int{3, 2}, Pts: slices.Clone(pts)}
+	sorted := &tensor.COO{Name: "B", Dims: []int{3, 2}, Pts: []tensor.Point{{Crd: []int64{0, 0}, Val: 2}, {Crd: []int64{1, 0}, Val: 4}, {Crd: []int64{2, 1}, Val: 4}}}
+	c := tensor.NewCOO("c", 2)
+	c.Append(5, 1)
+	got, err := NewPlan(g).Operands(map[string]*tensor.COO{"B": unsorted, "c": c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewPlan(g).Operands(map[string]*tensor.COO{"B": sorted, "c": c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got["B"], want["B"]) {
+		t.Errorf("unsorted B bound to %+v, want %+v", got["B"], want["B"])
+	}
+	if !reflect.DeepEqual(unsorted.Pts, pts) {
+		t.Errorf("binding changed the input: %v", unsorted.Pts)
 	}
 }
 

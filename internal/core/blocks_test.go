@@ -22,8 +22,8 @@ func fig1Matrix(t testing.TB) *fiber.Tensor {
 	t.Helper()
 	ten, err := fiber.Build("B", []int{4, 4},
 		[]fiber.Format{fiber.Compressed, fiber.Compressed},
-		[][]int64{{0, 1}, {1, 0}, {1, 2}, {3, 1}, {3, 3}},
-		[]float64{1, 2, 3, 4, 5})
+		[]fiber.Point{{Crd: []int64{0, 1}, Val: 1}, {Crd: []int64{1, 0}, Val: 2}, {Crd: []int64{1, 2}, Val: 3},
+			{Crd: []int64{3, 1}, Val: 4}, {Crd: []int64{3, 3}, Val: 5}})
 	if err != nil {
 		t.Fatalf("building figure-1 matrix: %v", err)
 	}

@@ -1,18 +1,19 @@
 package fiber
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// randPoints draws sorted unique coordinate tuples.
-func randPoints(r *rand.Rand, dims []int, n int) ([][]int64, []float64) {
+// randPoints draws sorted unique points.
+func randPoints(r *rand.Rand, dims []int, n int) []Point {
 	seen := map[int64]bool{}
-	var coords [][]int64
-	var vals []float64
-	for len(coords) < n {
+	var pts []Point
+	for len(pts) < n {
 		crd := make([]int64, len(dims))
 		key := int64(0)
 		for i, d := range dims {
@@ -23,20 +24,10 @@ func randPoints(r *rand.Rand, dims []int, n int) ([][]int64, []float64) {
 			continue
 		}
 		seen[key] = true
-		coords = append(coords, crd)
-		vals = append(vals, r.Float64()+0.1)
+		pts = append(pts, Point{Crd: crd, Val: r.Float64() + 0.1})
 	}
-	sortPoints(coords, vals)
-	return coords, vals
-}
-
-func sortPoints(coords [][]int64, vals []float64) {
-	for i := 1; i < len(coords); i++ {
-		for j := i; j > 0 && slices.Compare(coords[j], coords[j-1]) < 0; j-- {
-			coords[j], coords[j-1] = coords[j-1], coords[j]
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
+	slices.SortFunc(pts, func(a, b Point) int { return slices.Compare(a.Crd, b.Crd) })
+	return pts
 }
 
 // TestBuildIterateRoundTrip checks that building a fibertree under every
@@ -45,12 +36,12 @@ func TestBuildIterateRoundTrip(t *testing.T) {
 	formats := []Format{Dense, Compressed, Bitvector, LinkedList}
 	r := rand.New(rand.NewSource(1))
 	dims := []int{9, 7, 5}
-	coords, vals := randPoints(r, dims, 40)
+	pts := randPoints(r, dims, 40)
 	for _, f0 := range formats {
 		for _, f1 := range formats {
 			for _, f2 := range formats {
 				fs := []Format{f0, f1, f2}
-				ten, err := Build("T", dims, fs, coords, vals)
+				ten, err := Build("T", dims, fs, pts)
 				if err != nil {
 					t.Fatalf("%v: %v", fs, err)
 				}
@@ -63,12 +54,12 @@ func TestBuildIterateRoundTrip(t *testing.T) {
 						got[[3]int64{crd[0], crd[1], crd[2]}] = v
 					}
 				})
-				if len(got) != len(coords) {
-					t.Fatalf("%v: %d nonzeros, want %d", fs, len(got), len(coords))
+				if len(got) != len(pts) {
+					t.Fatalf("%v: %d nonzeros, want %d", fs, len(got), len(pts))
 				}
-				for i, crd := range coords {
-					if got[[3]int64{crd[0], crd[1], crd[2]}] != vals[i] {
-						t.Fatalf("%v: value mismatch at %v", fs, crd)
+				for _, p := range pts {
+					if got[[3]int64{p.Crd[0], p.Crd[1], p.Crd[2]}] != p.Val {
+						t.Fatalf("%v: value mismatch at %v", fs, p.Crd)
 					}
 				}
 			}
@@ -83,8 +74,7 @@ func TestQuickCompressedLevelInvariants(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		dims := []int{r.Intn(20) + 2, r.Intn(20) + 2}
 		n := r.Intn(dims[0]*dims[1]) + 1
-		coords, vals := randPoints(r, dims, n)
-		ten, err := Build("T", dims, []Format{Compressed, Compressed}, coords, vals)
+		ten, err := Build("T", dims, []Format{Compressed, Compressed}, randPoints(r, dims, n))
 		if err != nil {
 			return false
 		}
@@ -123,12 +113,12 @@ func TestQuickBitvectorMatchesCompressed(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		dims := []int{r.Intn(100) + 2, r.Intn(200) + 2}
 		n := r.Intn(min(dims[0]*dims[1], 300)) + 1
-		coords, vals := randPoints(r, dims, n)
-		bt, err := Build("T", dims, []Format{Bitvector, Bitvector}, coords, vals)
+		pts := randPoints(r, dims, n)
+		bt, err := Build("T", dims, []Format{Bitvector, Bitvector}, pts)
 		if err != nil {
 			return false
 		}
-		ct, err := Build("T", dims, []Format{Compressed, Compressed}, coords, vals)
+		ct, err := Build("T", dims, []Format{Compressed, Compressed}, pts)
 		if err != nil {
 			return false
 		}
@@ -150,9 +140,7 @@ func TestQuickBitvectorMatchesCompressed(t *testing.T) {
 
 // TestBitvectorWordAccess checks word/base bookkeeping used by BV scanners.
 func TestBitvectorWordAccess(t *testing.T) {
-	coords := [][]int64{{1}, {63}, {64}, {130}}
-	vals := []float64{1, 2, 3, 4}
-	ten, err := Build("v", []int{200}, []Format{Bitvector}, coords, vals)
+	ten, err := Build("v", []int{200}, []Format{Bitvector}, []Point{{[]int64{1}, 1}, {[]int64{63}, 2}, {[]int64{64}, 3}, {[]int64{130}, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,19 +188,50 @@ func TestLinkedListDiscordantAppend(t *testing.T) {
 	}
 }
 
-// TestBuildErrors checks builder validation.
+// TestBuildErrors pins each of Build's error texts and which one wins when
+// points have several faults: the format count first, then the first point
+// out of order wherever it lies, then the first tuple of the wrong length
+// or out of range.
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build("T", []int{4}, []Format{Compressed, Compressed}, nil, nil); err == nil {
-		t.Error("format arity mismatch accepted")
+	pts := func(crds ...[]int64) []Point {
+		out := make([]Point, len(crds))
+		for i, c := range crds {
+			out[i] = Point{Crd: c, Val: float64(i + 1)}
+		}
+		return out
 	}
-	if _, err := Build("T", []int{4}, []Format{Compressed}, [][]int64{{2}, {1}}, []float64{1, 2}); err == nil {
-		t.Error("unsorted coordinates accepted")
-	}
-	if _, err := Build("T", []int{4}, []Format{Compressed}, [][]int64{{5}}, []float64{1}); err == nil {
-		t.Error("out-of-range coordinate accepted")
-	}
-	if _, err := Build("T", []int{4}, []Format{Compressed}, [][]int64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("value count mismatch accepted")
+	cc := []Format{Compressed, Compressed}
+	for _, tc := range []struct {
+		name    string
+		dims    []int
+		formats []Format
+		pts     []Point
+		want    string
+	}{
+		{"formats", []int{4}, cc, pts([]int64{9, 9, 9}, []int64{0}), `fiber: 2 formats for order-1 tensor "T"`},
+		{"unsorted", []int{4}, cc[:1], pts([]int64{2}, []int64{1}), `fiber: coordinates for "T" not sorted/unique at point 1`},
+		{"duplicate", []int{4, 4}, cc, pts([]int64{1, 2}, []int64{1, 2}), `fiber: coordinates for "T" not sorted/unique at point 1`},
+		{"prefix", []int{4, 4}, cc, pts([]int64{1, 2}, []int64{1}), `fiber: coordinates for "T" not sorted/unique at point 1`},
+		{"range", []int{4}, cc[:1], pts([]int64{5}), `fiber: coordinate 5 out of range [0,4) in dim 0 of "T"`},
+		{"negative", []int{4, 3}, cc, pts([]int64{0, -1}), `fiber: coordinate -1 out of range [0,3) in dim 1 of "T"`},
+		{"arity", []int{4, 4}, cc, pts([]int64{1}, []int64{2, 0}), `fiber: coordinate tuple of length 1 for order-2 tensor "T"`},
+		{"long", []int{4}, cc[:1], pts([]int64{1, 0}), `fiber: coordinate tuple of length 2 for order-1 tensor "T"`},
+		// Order beats arity and range, even when it fails later.
+		{"order after range", []int{4}, cc[:1], pts([]int64{5}, []int64{6}, []int64{1}), `fiber: coordinates for "T" not sorted/unique at point 2`},
+		{"order after arity", []int{4, 4}, cc, pts([]int64{0}, []int64{1, 1}, []int64{1, 0}), `fiber: coordinates for "T" not sorted/unique at point 2`},
+		// Of arity and range, the first tuple at fault wins.
+		{"range then arity", []int{4, 4}, cc, pts([]int64{0, 9}, []int64{1}), `fiber: coordinate 9 out of range [0,4) in dim 1 of "T"`},
+		{"arity then range", []int{4, 4}, cc, pts([]int64{0}, []int64{0, 9}), `fiber: coordinate tuple of length 1 for order-2 tensor "T"`},
+		{"first range", []int{4, 4}, cc, pts([]int64{0, 5}, []int64{6, 0}), `fiber: coordinate 5 out of range [0,4) in dim 1 of "T"`},
+		{"format", []int{4}, []Format{Format(99)}, pts([]int64{1}), `fiber: unsupported level format`},
+	} {
+		_, err := Build("T", tc.dims, tc.formats, tc.pts)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		if ue := (*UnsortedError)(nil); errors.As(err, &ue) != strings.Contains(tc.want, "not sorted") {
+			t.Errorf("%s: %v is an UnsortedError: %v", tc.name, err, ue != nil)
+		}
 	}
 }
 
@@ -278,6 +297,25 @@ func (t *Tensor) walk(level int, ref int, crd []int64, fn func([]int64, float64)
 			fn(crd, t.Vals[child])
 		} else {
 			t.walk(level+1, int(child), crd, fn)
+		}
+	}
+}
+
+// TestLessMatchesCompare holds the inlined tuple order to slices.Compare,
+// tuples of different lengths and equal prefixes included.
+func TestLessMatchesCompare(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	tuple := func() []int64 {
+		c := make([]int64, r.Intn(4))
+		for k := range c {
+			c[k] = int64(r.Intn(3) - 1)
+		}
+		return c
+	}
+	for range 5000 {
+		a, b := tuple(), tuple()
+		if got, want := Less(a, b), slices.Compare(a, b) < 0; got != want {
+			t.Fatalf("Less(%v, %v) = %v, want %v", a, b, got, want)
 		}
 	}
 }

@@ -18,10 +18,14 @@ import (
 	"sam/internal/tensor"
 )
 
-// checkWireParity holds the shard's decoders to the strict reference decode
-// on one body, read as an evaluation and as a bare tensor: same verdict,
-// same error text, the same value down to nil-versus-empty slices and the
-// sign of a zero — and nothing decoded may point into the body.
+// checkWireParity holds the decoders to the strict reference decode on one
+// body, read as an evaluation and as a bare tensor, and nothing decoded may
+// point into the body. DecodeEvaluate, the router's wire form, must give
+// the same verdict, error text and value, down to nil-versus-empty slices
+// and the sign of a zero. The shard's decodes, decodeEvaluation and
+// decodeUpload, are held to decodeStrict followed by toCOO: the same
+// verdict and 400 text, the same envelope, and per inline input the same
+// conversion error or the same dims and points, bit for bit.
 func checkWireParity(t *testing.T, data []byte) {
 	t.Helper()
 	check := func(kind string, want any, wantErr error, got any, gotErr error) {
@@ -39,6 +43,21 @@ func checkWireParity(t *testing.T, data []byte) {
 			t.Fatalf("%s %q: re-encodes to %s, strict decode to %s", kind, data, g, w)
 		}
 	}
+	checkOperand := func(kind, name string, want, got operand) {
+		t.Helper()
+		if (got.err == nil) != (want.err == nil) || got.err != nil && got.err.Error() != want.err.Error() {
+			t.Fatalf("%s %q input %q: conversion error %v, toCOO %v", kind, data, name, got.err, want.err)
+		}
+		if want.err != nil {
+			return
+		}
+		if got.coo.Name != want.coo.Name || !reflect.DeepEqual(got.coo.Dims, want.coo.Dims) {
+			t.Fatalf("%s %q input %q: %s%v, toCOO %s%v", kind, data, name, got.coo.Name, got.coo.Dims, want.coo.Name, want.coo.Dims)
+		}
+		if err := tensor.IdenticalBits(got.coo, want.coo); err != nil {
+			t.Fatalf("%s %q input %q: %v", kind, data, name, err)
+		}
+	}
 	scratch := bytes.Clone(data)
 	clobber := func() {
 		for i := range scratch {
@@ -53,11 +72,54 @@ func checkWireParity(t *testing.T, data []byte) {
 	check("request", wantReq, wantErr, gotReq, gotErr)
 
 	copy(scratch, data)
+	shard, gotErr := decodeEvaluation(scratch)
+	clobber()
+	var gotEnv *EvaluateRequest
+	if gotErr == nil {
+		gotEnv = envelopeOf(&shard.wire)
+	}
+	check("shard request", envelopeOf(wantReq), wantErr, gotEnv, gotErr)
+	if wantErr == nil {
+		want := decoded(wantReq)
+		if len(shard.operands) != len(want.operands) {
+			t.Fatalf("shard request %q: %d operands, toCOO %d", data, len(shard.operands), len(want.operands))
+		}
+		for name, op := range want.operands {
+			checkOperand("shard request", name, op, shard.operands[name])
+		}
+	}
+
+	copy(scratch, data)
 	wantT := new(WireTensor)
 	wantErr = decodeStrict(bytes.NewReader(data), wantT)
-	gotT, gotErr := decodeTensor(scratch)
+	gotOp, gotErr := decodeUpload(scratch, "T")
 	clobber()
-	check("tensor", wantT, wantErr, gotT, gotErr)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("upload %q: error %v, strict decode %v", data, gotErr, wantErr)
+	}
+	if wantErr == nil {
+		want := operand{err: errUploadRef}
+		if wantT.Ref == "" {
+			want.coo, want.err = wantT.toCOO("T")
+		}
+		checkOperand("upload", "T", want, *gotOp)
+	}
+}
+
+// envelopeOf is what a decoded request keeps besides its operands: req
+// without the coords and values of its inline inputs.
+func envelopeOf(req *EvaluateRequest) *EvaluateRequest {
+	env := *req
+	if req.Inputs != nil {
+		env.Inputs = make(map[string]WireTensor, len(req.Inputs))
+		for name, wt := range req.Inputs {
+			if wt.Ref == "" {
+				wt.Coords, wt.Values = nil, nil
+			}
+			env.Inputs[name] = wt
+		}
+	}
+	return &env
 }
 
 // wireRequestSeeds are the bodies FuzzWireRequest starts from: every row of
@@ -82,6 +144,33 @@ func wireRequestSeeds(t testing.TB) [][]byte {
 		} {
 			seeds = append(seeds, []byte(tensor), []byte(`{"expr":"x(i) = B(i,j) * c(j)","inputs":{"B":`+tensor+`,"c":{"ref":"v"}}}`))
 		}
+	}
+	// Operands the direct parse must hand to toCOO, each as an input and
+	// as an upload: unsorted but unique, a repeat, out of range, the wrong
+	// arity, counts that differ, a scalar with coords, null elements, a ref
+	// beside inline data — and the clean shapes around them.
+	for _, tensor := range []string{
+		`{"dims":[3,2],"coords":[[2,1],[0,0],[1,1]],"values":[1,2,3]}`,
+		`{"dims":[3,2],"coords":[[0,0],[1,1],[0,1]],"values":[1,-0,3]}`,
+		`{"dims":[3,2],"coords":[[0,0],[2,1],[2,1]],"values":[1,2,3]}`,
+		`{"dims":[3,2],"coords":[[1,1],[0,0],[1,1]],"values":[1,2,3]}`,
+		`{"dims":[3,2],"coords":[[0,0],[3,0]],"values":[1,2]}`, `{"dims":[3,2],"coords":[[0,-1]],"values":[1]}`,
+		`{"dims":[3,2],"coords":[[2,1],[0,0],[9,9]],"values":[1,2,3]}`,
+		`{"dims":[3,2],"coords":[[0,0],[1]],"values":[1,2]}`, `{"dims":[3,2],"coords":[[0,0,0]],"values":[1]}`,
+		`{"dims":[3],"coords":[[0],[1,0]],"values":[1,2]}`, `{"dims":[3,2],"coords":[[0,0],[]],"values":[1,2]}`,
+		`{"dims":[3,2],"coords":[[0,0],[1,1]],"values":[1]}`, `{"dims":[3,2],"coords":[[0,0]],"values":[1,2]}`,
+		`{"dims":[3,2],"coords":[[0,0]]}`, `{"dims":[3,2],"values":[1]}`, `{"dims":[3,2],"coords":[],"values":[]}`,
+		`{"dims":[3,2],"coords":[],"values":[1]}`, `{"dims":[3,2]}`, `{"dims":[3,0],"coords":[[0,0]],"values":[1]}`,
+		`{"dims":[],"coords":[[0]],"values":[1]}`, `{"coords":[[]],"values":[1]}`, `{"values":[4]}`, `{"values":[4,5]}`,
+		`{"dims":[3,2],"coords":[null],"values":[1]}`, `{"dims":[3,2],"coords":[[0,null]],"values":[1]}`,
+		`{"dims":[3,2],"coords":[[0,0],[1,1]],"values":[null,-0]}`, `{"dims":[3,2],"coords":null,"values":null}`,
+		`{"dims":[null,2],"coords":[[0,0]],"values":[1]}`, `{"dims":[3,2],"coords":[[0,0],[1,1]],"values":[1,2],"ref":"v"}`,
+		`{"ref":"v","dims":[3]}`, `{"ref":"v","values":[1]}`, `{"ref":"v","coords":[[0]]}`,
+		`{"dims":[2,2],"coords":[[0,0],[0,1],[1,0],[1,1]],"values":[1.5,-2e-7,1e300,0.0]}`,
+		`{"dims":[4],"coords":[[3]],"values":[1]}`, `{"dims":[2,3,4],"coords":[[0,2,3],[1,0,0]],"values":[7,8]}`,
+		`{"dims":[3,2],"coords":[[0,0],[1,1],[2,1]],"values":[1,2,3]}`,
+	} {
+		seeds = append(seeds, []byte(tensor), []byte(`{"expr":"x(i) = B(i,j) * c(j)","inputs":{"B":`+tensor+`,"c":{"dims":[2],"coords":[[1]],"values":[5]}}}`))
 	}
 	const b = `{"dims":[3,2],"coords":[[0,0],[2,1]],"values":[1,2]}`
 	for _, s := range []string{
@@ -147,19 +236,28 @@ func FuzzWireRequest(f *testing.F) {
 }
 
 // TestWireDecodeInPlace checks that the bodies clients actually send take
-// the in-place path, not the fallback that would hide a broken skim behind a
-// correct answer: the reference decode of a 6 000-point operand costs
-// thousands of allocations, the in-place one a handful.
+// the direct path, not the exact one that would hide a broken skim or a
+// broken operand parse behind a correct answer: a clean inline operand goes
+// straight into its COO and leaves no coords or values on the wire tensor,
+// and the reference decode of a 6 000-point operand costs thousands of
+// allocations, the direct one a handful.
 func TestWireDecodeInPlace(t *testing.T) {
 	body := inlineSpMVBody(t, 6000)
 	allocs := testing.AllocsPerRun(5, func() {
-		req, err := DecodeEvaluate(body)
-		if err != nil || len(req.Inputs["B"].Values) != 6000 || len(req.Inputs["B"].Coords) != 6000 || len(req.Inputs["c"].Dims) != 1 {
+		req, err := decodeEvaluation(body)
+		if err != nil {
 			t.Fatalf("decode: %v", err)
+		}
+		for name, nnz := range map[string]int{"B": 6000, "c": 6} {
+			wt, op := req.wire.Inputs[name], req.operands[name]
+			if op.err != nil || len(op.coo.Pts) != nnz || wt.Coords != nil || wt.Values != nil || len(wt.Dims) != op.coo.Order() {
+				t.Fatalf("operand %s: %d points (err %v); wire keeps %d coords, %d values: not the direct path",
+					name, len(op.coo.Pts), op.err, len(wt.Coords), len(wt.Values))
+			}
 		}
 	})
 	if allocs > 40 {
-		t.Errorf("DecodeEvaluate of a 6000-nnz body: %.0f allocs; it fell back to the reflected decode", allocs)
+		t.Errorf("decodeEvaluation of a 6000-nnz body: %.0f allocs; it fell back to the reflected decode", allocs)
 	}
 }
 
@@ -291,18 +389,17 @@ func TestDecodeDoesNotAliasBody(t *testing.T) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	buf.Write(body)
-	wire, err := DecodeEvaluate(buf.Bytes())
+	req, err := decodeEvaluation(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &request{wire: *wire, begin: time.Now()}
-	req.convertOperands()
+	req.begin = time.Now()
 	for i, b := range buf.Bytes() {
 		buf.Bytes()[i] = b ^ 0x15 // digits become other digits and punctuation
 	}
 	bufPool.Put(buf)
 
-	if !reflect.DeepEqual(&req.wire, want) {
+	if !reflect.DeepEqual(&req.wire, envelopeOf(want)) {
 		t.Errorf("request changed when its body was overwritten")
 	}
 	for name, op := range wantReq.operands {

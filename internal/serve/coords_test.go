@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sam/internal/tensor"
 )
@@ -169,27 +171,39 @@ func inlineSpMVBody(t testing.TB, nnz int) []byte {
 }
 
 // TestInlineOperandDecodeAllocs is the shard's alloc gate: decoding a
-// 6 000-point order-2 operand the way the handler does and converting it to
-// COO costs a fixed handful of allocations, not several per point (≈ 42 k
-// before the coords decoder and the neighbour-compare duplicate check, ≈ 50
-// while encoding/json still reflected the values out).
+// 6 000-point order-2 upload straight into its COO costs a fixed handful of
+// allocations, not several per point (≈ 42 k before the coords decoder and
+// the neighbour-compare duplicate check, ≈ 50 while encoding/json still
+// reflected the values out), and its bytes are the points and one slab of
+// coordinates: a per-point header slice or a second copy of the points
+// (another 144 KB or 192 KB here) fails the bound.
 func TestInlineOperandDecodeAllocs(t *testing.T) {
-	body, err := json.Marshal(ToWire(tensor.UniformRandom("B", rand.New(rand.NewSource(1)), 6000, 400, 300)))
+	const nnz, order = 6000, 2
+	body, err := json.Marshal(ToWire(tensor.UniformRandom("B", rand.New(rand.NewSource(1)), nnz, 400, 300)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		wt, err := decodeTensor(body)
-		if err != nil {
-			t.Fatal(err)
+	decode := func() {
+		op, err := decodeUpload(body, "B")
+		if err != nil || op.err != nil || len(op.coo.Pts) != nnz {
+			t.Fatalf("decode: err %v, %v", err, op)
 		}
-		coo, err := wt.toCOO("B")
-		if err != nil || len(coo.Pts) != 6000 {
-			t.Fatalf("toCOO: %d points, err %v", len(coo.Pts), err)
-		}
-	})
-	if allocs > 16 {
-		t.Errorf("decode + toCOO of a 6000-nnz operand: %.0f allocs, want <= 16", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, decode); allocs > 16 {
+		t.Errorf("decode of a 6000-nnz operand into its COO: %.0f allocs, want <= 16", allocs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	perPoint := int(unsafe.Sizeof(tensor.Point{})) + order*8
+	got, bound := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(nnz*perPoint+16<<10)
+	t.Logf("decode of a 6000-nnz operand into its COO: %d B (bound %d)", got, bound)
+	if got > bound {
+		t.Errorf("decode of a 6000-nnz operand into its COO: %d B, want <= %d (%d B a point and 16 KB)", got, bound, perPoint)
 	}
 }
 

@@ -1,6 +1,12 @@
 package serve
 
-import "bytes"
+import (
+	"bytes"
+	"errors"
+	"slices"
+
+	"sam/internal/tensor"
+)
 
 // readEnvelope decodes what the router reads of an evaluation body: the
 // statement, formats, schedule, options, fixpoint spec and each input's ref
@@ -28,13 +34,14 @@ func skimEnvelope(body []byte) []byte {
 	return s.envelope()
 }
 
-// DecodeEvaluate decodes the body of POST /v1/evaluate and /v1/jobs. What it
-// accepts, and the error for what it does not, is decodeStrict's by
-// construction: the skim cuts the operand arrays out, encoding/json decodes
-// what is left, each array is parsed where it lies — and unless every step
-// succeeds, decodeStrict decodes the body whole. Nothing returned aliases body.
+// DecodeEvaluate decodes the body of POST /v1/evaluate and /v1/jobs into its
+// wire form, which the router's tiled path re-emits. What it accepts, and
+// the error for what it does not, is decodeStrict's by construction: the
+// skim cuts the operand arrays out, encoding/json decodes what is left,
+// each array is parsed where it lies — and unless every step succeeds,
+// decodeStrict decodes the body whole. Nothing returned aliases body.
 func DecodeEvaluate(body []byte) (*EvaluateRequest, error) {
-	return decodeWire(body, (*skimmer).request, func(s *skimmer, req *EvaluateRequest) bool {
+	req, _, err := decodeWire(body, (*skimmer).request, func(s *skimmer, req *EvaluateRequest) bool {
 		for name, wt := range req.Inputs {
 			if !s.fill(name, &wt) {
 				return false
@@ -43,23 +50,79 @@ func DecodeEvaluate(body []byte) (*EvaluateRequest, error) {
 		}
 		return true
 	})
+	return req, err
 }
 
-// decodeTensor is DecodeEvaluate for a body that is one bare tensor: a PUT
-// /v1/tensors/{name} upload.
-func decodeTensor(body []byte) (*WireTensor, error) {
-	return decodeWire(body, func(s *skimmer) bool { return s.tensor(nil) }, func(s *skimmer, wt *WireTensor) bool { return s.fill("", wt) })
+// decodeEvaluation is the shard's decode of an evaluation body: the request
+// and each inline input's operand, exactly what decodeStrict and then
+// convertOperands make of the body. The skim, the envelope decode and the
+// verdict are DecodeEvaluate's; each clean inline operand then goes from
+// its arrays straight into its COO (skimmer.operand), so only the wire
+// tensor's dims are kept. A body the skim cannot vouch for goes the exact
+// way whole.
+func decodeEvaluation(body []byte) (*request, error) {
+	req := new(request)
+	wire, direct, err := decodeWire(body, (*skimmer).request, func(s *skimmer, w *EvaluateRequest) bool {
+		req.operands = make(map[string]operand, len(w.Inputs))
+		for name, wt := range w.Inputs {
+			op, ok := s.operand(name, name, &wt)
+			if !ok {
+				return false
+			}
+			w.Inputs[name] = wt
+			if wt.Ref == "" {
+				req.operands[name] = op
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	req.wire = *wire
+	if !direct {
+		req.convertOperands()
+	}
+	return req, nil
 }
 
-func decodeWire[T any](body []byte, walk func(*skimmer) bool, fill func(*skimmer, *T) bool) (*T, error) {
-	v := new(T)
+// decodeUpload is decodeEvaluation for a body that is one bare tensor, the
+// upload of PUT /v1/tensors/{name}: the error is the body's, and the
+// operand is the tensor as a COO, or why it is not one — a ref, or what
+// toCOO rejects.
+func decodeUpload(body []byte, name string) (*operand, error) {
+	var op operand
+	wt, direct, err := decodeWire(body, func(s *skimmer) bool { return s.tensor(nil) }, func(s *skimmer, wt *WireTensor) bool {
+		var ok bool
+		op, ok = s.operand("", name, wt)
+		return ok
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case wt.Ref != "":
+		return &operand{err: errUploadRef}, nil
+	case !direct:
+		coo, err := wt.toCOO(name)
+		return &operand{coo, err}, nil
+	}
+	return &op, nil
+}
+
+var errUploadRef = errors.New("tensor upload must carry inline data, not a ref")
+
+// decodeWire decodes body into a new T: the skim cuts the operand arrays
+// out and fill parses them where they lie. direct reports that it did; if
+// any step fails, decodeStrict decodes the body whole instead.
+func decodeWire[T any](body []byte, walk func(*skimmer) bool, fill func(*skimmer, *T) bool) (v *T, direct bool, err error) {
+	v = new(T)
 	s := skimmer{cursor: cursor{b: body}}
 	// With no span there is nothing to gain; a loose one cannot be trusted.
 	if s.ws(); walk(&s) && len(s.spans) > 0 && !s.loose && decodeStrict(bytes.NewReader(s.envelope()), v) == nil && fill(&s, v) {
-		return v, nil
+		return v, true, nil
 	}
 	v = new(T)
-	return v, decodeStrict(bytes.NewReader(body), v)
+	return v, false, decodeStrict(bytes.NewReader(body), v)
 }
 
 // cursor is a position in a JSON text.
@@ -69,7 +132,7 @@ type cursor struct {
 }
 
 func (c *cursor) ws() {
-	for c.i < len(c.b) && (c.b[c.i] == ' ' || c.b[c.i] == '\n' || c.b[c.i] == '\t' || c.b[c.i] == '\r') {
+	for c.i < len(c.b) && c.b[c.i] <= ' ' && (c.b[c.i] == ' ' || c.b[c.i] == '\n' || c.b[c.i] == '\t' || c.b[c.i] == '\r') {
 		c.i++
 	}
 }
@@ -165,27 +228,141 @@ func (s *skimmer) envelope() []byte {
 // is not what its field holds.
 func (s *skimmer) fill(name string, wt *WireTensor) bool {
 	for _, sp := range s.spans {
-		if string(sp.name) != name {
-			continue
-		}
-		p := coordsParser{cursor{b: s.b[sp.start:sp.end]}}
-		ok := false
-		switch sp.field {
-		case 'c':
-			ok = wt.Coords.UnmarshalJSON(p.b) == nil
-		case 'd':
-			wt.Dims, ok = numbers(&p, func() (int, bool) {
-				v, err := p.int64()
-				return int(v), err == nil && int64(int(v)) == v
-			})
-		default:
-			wt.Values, ok = numbers(&p, p.float64)
-		}
-		if !ok {
+		if string(sp.name) == name && !s.parse(sp, wt) {
 			return false
 		}
 	}
 	return true
+}
+
+// parse parses one span into its field of wt; false if it is not what that
+// field holds.
+func (s *skimmer) parse(sp span, wt *WireTensor) bool {
+	p := coordsParser{cursor{b: s.b[sp.start:sp.end]}}
+	ok := false
+	switch sp.field {
+	case 'c':
+		ok = wt.Coords.UnmarshalJSON(p.b) == nil
+	case 'd':
+		wt.Dims, ok = numbers(&p, func() (int, bool) {
+			v, err := p.int64()
+			return int(v), err == nil && int64(int(v)) == v
+		})
+	default:
+		wt.Values, ok = numbers(&p, p.float64)
+	}
+	return ok
+}
+
+// operand fills the spans cut from the tensor under key into wt, as fill
+// does, and makes the operand called name of its inline data: the COO and
+// error that toCOO gives after fill. A clean operand (see points) skips
+// both: its dims are parsed into wt, its coords and values straight into
+// the COO's points, and wt keeps no coords or values. Any other operand,
+// and a ref, takes the exact path, fill then toCOO. false if a span is not
+// what its field holds, so that decodeStrict has the verdict on the body.
+func (s *skimmer) operand(key, name string, wt *WireTensor) (operand, bool) {
+	if wt.Ref == "" {
+		var coords, values []byte
+		for _, sp := range s.spans {
+			if string(sp.name) != key {
+				continue
+			}
+			switch sp.field {
+			case 'd':
+				if !s.parse(sp, wt) {
+					return operand{}, false
+				}
+			case 'c':
+				coords = s.b[sp.start:sp.end]
+			default:
+				values = s.b[sp.start:sp.end]
+			}
+		}
+		if pts := points(name, wt.Dims, coords, values); pts != nil {
+			return operand{coo: &tensor.COO{Name: name, Dims: wt.Dims, Pts: pts}}, true
+		}
+	}
+	if !s.fill(key, wt) {
+		return operand{}, false
+	}
+	if wt.Ref != "" {
+		return operand{}, true
+	}
+	coo, err := wt.toCOO(name)
+	return operand{coo, err}, true
+}
+
+// points parses a clean operand's coords and values straight into its
+// points: tuples sliced from one flat slab, each checked by checkTuple as
+// it is read, values written into the points. An operand is clean when it
+// has order ≥ 1 and positive dimensions, its coords and values are plain
+// arrays — no null where a tuple or a list belongs, exactly one bracket per
+// tuple and the commas of full tuples — every tuple has the operand's
+// arity, lies in range and sorts after the one before, and there are as
+// many values as tuples. nil for any other operand; toCOO says what it is.
+func points(name string, dims []int, coords, values []byte) []tensor.Point {
+	order := len(dims)
+	if order == 0 || slices.ContainsFunc(dims, func(d int) bool { return d <= 0 }) {
+		return nil
+	}
+	// n tuples of order coordinates hold n*order-1 commas: the slab is the
+	// coordinates, never more than the array's commas allow.
+	n := bytes.Count(coords, []byte{'['}) - 1
+	if n < 0 || n > 0 && n*order != bytes.Count(coords, []byte{','})+1 {
+		return nil
+	}
+	pts := make([]tensor.Point, n)
+	slab := make([]int64, n*order)
+	p := coordsParser{cursor{b: coords}}
+	if !p.eat('[') {
+		return nil
+	}
+	for i := 0; ; i++ {
+		more, err := p.more(i == 0)
+		if err != nil || more != (i < n) {
+			return nil
+		}
+		if !more {
+			break
+		}
+		if !p.eat('[') {
+			return nil
+		}
+		// A tuple of the wrong arity ends short of its place in the slab
+		// or runs past it, and the operand is not clean.
+		flat, err := p.tuple(slab[:i*order])
+		if err != nil || len(flat) != (i+1)*order {
+			return nil
+		}
+		crd := slab[i*order : (i+1)*order : (i+1)*order]
+		var prev []int64
+		if i > 0 {
+			prev = pts[i-1].Crd
+		}
+		if ascending, err := checkTuple(name, dims, i, prev, crd); err != nil || !ascending {
+			return nil
+		}
+		pts[i].Crd = crd
+	}
+	q := coordsParser{cursor{b: values}}
+	if !q.eat('[') {
+		return nil
+	}
+	for i := 0; ; i++ {
+		more, err := q.more(i == 0)
+		if err != nil || more != (i < n) {
+			return nil
+		}
+		if !more {
+			return pts
+		}
+		v, ok := q.float64()
+		if !ok {
+			return nil
+		}
+		pts[i].Val = v
+	}
 }
 
 // str steps over a string and returns what is between its quotes, escapes
@@ -243,6 +420,9 @@ func (s *skimmer) object(member func(key []byte) bool) bool {
 	}
 }
 
+// bracketDepth is what each byte outside a string adds to the nesting depth.
+var bracketDepth = [256]int8{'[': 1, '{': 1, ']': -1, '}': -1}
+
 // skip steps over one value of any kind without looking inside it further
 // than finding its end.
 func (s *skimmer) skip() bool {
@@ -254,20 +434,22 @@ func (s *skimmer) skip() bool {
 		_, ok := s.str()
 		return ok
 	case '{', '[':
-		for depth := 0; s.i < len(s.b); {
-			switch s.b[s.i] {
-			case '"':
+		// The operand arrays are most of a body, and a router steps over
+		// them too: the scan keeps its position in a local and reads each
+		// byte's depth change from a table, so only a quote or the end
+		// branches.
+		depth := 0
+		for b, i := s.b, s.i; i < len(b); i++ {
+			if b[i] == '"' {
+				s.i = i
 				if _, ok := s.str(); !ok {
 					return false
 				}
+				i = s.i - 1
 				continue
-			case '{', '[':
-				depth++
-			case '}', ']':
-				depth--
 			}
-			s.i++
-			if depth == 0 {
+			if depth += int(bracketDepth[b[i]]); depth == 0 {
+				s.i = i + 1
 				return true
 			}
 		}

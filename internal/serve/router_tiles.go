@@ -173,16 +173,12 @@ func (rt *Router) tileCandidate(body []byte, name string) (*tensor.COO, int64) {
 	if rt.cfg.TileThresholdBytes <= 0 {
 		return nil, 0
 	}
-	wt, err := decodeTensor(body)
-	if err != nil || !wt.inline() || wt.Ref != "" || len(wt.Dims) != 2 {
+	op, err := decodeUpload(body, name)
+	if err != nil || op.err != nil || op.coo.Order() != 2 {
 		return nil, 0
 	}
-	coo, err := wt.toCOO(name)
-	if err != nil {
-		return nil, 0
-	}
-	if est := cooBytes(coo); est > rt.cfg.TileThresholdBytes {
-		return coo, est
+	if est := cooBytes(op.coo); est > rt.cfg.TileThresholdBytes {
+		return op.coo, est
 	}
 	return nil, 0
 }

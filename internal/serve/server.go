@@ -188,6 +188,8 @@ type prepared struct {
 // and every inline operand already converted, so that all per-nonzero work
 // on a request's bytes sits in one place (and under one trace span).
 type request struct {
+	// wire is the request as decoded; an inline input whose operand was
+	// parsed straight into its COO keeps only its dims here.
 	wire EvaluateRequest
 	// operands holds, per inline input, its COO form or the validation
 	// error decodeInputs reports if the statement references that input.
@@ -872,20 +874,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // wire format — inline data only; a ref makes no sense on upload.
 func (s *Server) handleTensorPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	wt, ok := readWire(w, r, s.cfg.MaxBodyBytes, decodeTensor)
+	op, ok := readWire(w, r, s.cfg.MaxBodyBytes, func(body []byte) (*operand, error) { return decodeUpload(body, name) })
 	if !ok {
 		return
 	}
-	if wt.Ref != "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("tensor upload must carry inline data, not a ref"))
+	if op.err != nil {
+		writeError(w, http.StatusBadRequest, op.err)
 		return
 	}
-	coo, err := wt.toCOO(name)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ent, err := s.tensors.put(name, coo)
+	ent, err := s.tensors.put(name, op.coo)
 	if err != nil {
 		// Over-budget uploads can never be admitted; same class as an
 		// oversized request body.
@@ -928,16 +925,14 @@ func (s *Server) handleTensorDelete(w http.ResponseWriter, r *http.Request) {
 // decodes it — strictly: unknown fields are rejected so client typos fail
 // loudly — and converts the inline operands, under one "decode" span.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (*request, bool) {
-	req := &request{begin: time.Now()}
+	begin := time.Now()
 	sp := tr.Start("decode")
 	defer sp.End()
-	wire, ok := readWire(w, r, s.cfg.MaxBodyBytes, DecodeEvaluate)
-	if !ok {
-		return nil, false
+	req, ok := readWire(w, r, s.cfg.MaxBodyBytes, decodeEvaluation)
+	if ok {
+		req.begin = begin
 	}
-	req.wire = *wire
-	req.convertOperands()
-	return req, true
+	return req, ok
 }
 
 // readWire reads a request body into a pooled buffer — nothing decode
@@ -958,7 +953,8 @@ func readWire[T any](w http.ResponseWriter, r *http.Request, limit int64, decode
 
 // decodeStrict decodes one JSON value and rejects fields the target does not
 // declare. Every request body, on the shard and at the router, is held to it
-// (DecodeEvaluate, decodeTensor), so the two cannot disagree about what one is.
+// (decodeEvaluation, decodeUpload, DecodeEvaluate), so the two cannot
+// disagree about what one is.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"slices"
 	"strconv"
 
 	"sam/internal/core"
@@ -34,11 +33,14 @@ type WireTensor struct {
 
 // Coords is the coordinate list of a COO wire tensor, one tuple per stored
 // point: a plain [][]int64 to build, index and range. Only its JSON decoder
-// is special — the per-nonzero part of every inline operand goes through it,
-// so it parses the list in one pass into tuples sliced from one flat backing
-// array (two allocations however many points) where encoding/json would
-// reflect out one slice per point. It accepts and rejects exactly what
-// encoding/json does for a [][]int64, with the same error text.
+// is special: it parses the list in one pass into tuples sliced from one
+// flat backing array (two allocations however many points) where
+// encoding/json would reflect out one slice per point, and it accepts and
+// rejects exactly what encoding/json does for a [][]int64, with the same
+// error text. A shard decodes a clean inline operand straight into its COO
+// and never builds one (skimmer.operand); Coords carries the exact path —
+// an operand the direct parse cannot vouch for, a body decodeStrict
+// decodes whole — and the router's tiled path, which re-emits operands.
 type Coords [][]int64
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -67,20 +69,10 @@ func (c *Coords) UnmarshalJSON(data []byte) error {
 		case p.literal("null"):
 			out = append(out, nil)
 		case p.eat('['):
-			// The per-coordinate loop: more, spelled out.
 			start := len(flat)
-			for p.ws(); !p.eat(']'); p.ws() {
-				if len(flat) > start {
-					if !p.eat(',') {
-						return p.syntax()
-					}
-					p.ws()
-				}
-				v, err := p.int64()
-				if err != nil {
-					return err
-				}
-				flat = append(flat, v)
+			var err error
+			if flat, err = p.tuple(flat); err != nil {
+				return err
 			}
 			out = append(out, flat[start:len(flat):len(flat)])
 		default:
@@ -93,6 +85,27 @@ func (c *Coords) UnmarshalJSON(data []byte) error {
 
 // coordsParser is the cursor of Coords.UnmarshalJSON.
 type coordsParser struct{ cursor }
+
+// tuple parses the coordinates of the tuple whose opening bracket the
+// cursor is past, through its closing one, appending them to flat: the
+// per-coordinate loop, more spelled out.
+func (p *coordsParser) tuple(flat []int64) ([]int64, error) {
+	start := len(flat)
+	for p.ws(); !p.eat(']'); p.ws() {
+		if len(flat) > start {
+			if !p.eat(',') {
+				return flat, p.syntax()
+			}
+			p.ws()
+		}
+		v, err := p.int64()
+		if err != nil {
+			return flat, err
+		}
+		flat = append(flat, v)
+	}
+	return flat, nil
+}
 
 // more steps to the next element of the array the cursor is inside: past
 // the comma if there is one, false once past the closing bracket.
@@ -166,9 +179,11 @@ func (p *coordsParser) int64() (int64, error) {
 	neg := p.eat('-')
 	digits := p.i
 	var n int64
-	for ; p.i < len(p.b) && p.b[p.i]-'0' < 10; p.i++ {
-		n = n*10 + int64(p.b[p.i]-'0')
+	b, i := p.b, p.i // the per-digit loop keeps its position in a local
+	for ; i < len(b) && b[i]-'0' < 10; i++ {
+		n = n*10 + int64(b[i]-'0')
 	}
+	p.i = i
 	switch ndigits := p.i - digits; {
 	case ndigits == 0:
 		if p.i = start; p.literal("null") {
@@ -205,9 +220,11 @@ func (p *coordsParser) float64() (float64, bool) {
 	neg := p.eat('-')
 	digits := p.i
 	var n int64
-	for ; p.i < len(p.b) && p.b[p.i]-'0' < 10; p.i++ {
-		n = n*10 + int64(p.b[p.i]-'0')
+	b, i := p.b, p.i
+	for ; i < len(b) && b[i]-'0' < 10; i++ {
+		n = n*10 + int64(b[i]-'0')
 	}
+	p.i = i
 	ndigits := p.i - digits
 	if ndigits == 0 || ndigits > 1 && p.b[digits] == '0' {
 		return 0, ndigits == 0 && !neg && p.literal("null")
@@ -526,15 +543,15 @@ func (w WireTensor) toCOO(name string) (*tensor.COO, error) {
 	// neighbours. seen is built only from the first out-of-order tuple on.
 	var seen map[string]int
 	for i, crd := range w.Coords {
-		if len(crd) != len(w.Dims) {
-			return nil, fmt.Errorf("input %q: coord %d has arity %d, want %d", name, i, len(crd), len(w.Dims))
+		var prev []int64
+		if i > 0 {
+			prev = w.Coords[i-1]
 		}
-		for m, c := range crd {
-			if c < 0 || c >= int64(w.Dims[m]) {
-				return nil, fmt.Errorf("input %q: coord %d mode %d = %d outside [0,%d)", name, i, m, c, w.Dims[m])
-			}
+		ascending, err := checkTuple(name, w.Dims, i, prev, crd)
+		if err != nil {
+			return nil, err
 		}
-		if seen == nil && i > 0 && slices.Compare(w.Coords[i-1], crd) >= 0 {
+		if seen == nil && !ascending {
 			seen = make(map[string]int, len(w.Coords))
 			for j, prev := range w.Coords[:i] {
 				seen[core.PackKey(prev)] = j
@@ -550,6 +567,22 @@ func (w WireTensor) toCOO(name string) (*tensor.COO, error) {
 		t.Pts[i] = tensor.Point{Crd: crd, Val: w.Values[i]}
 	}
 	return t, nil
+}
+
+// checkTuple is the one per-tuple check of an inline operand, shared by
+// toCOO and the direct parse (points): tuple i's arity and range, and
+// whether it sorts strictly after prev, the tuple before it (nil for the
+// first).
+func checkTuple(name string, dims []int, i int, prev, crd []int64) (ascending bool, err error) {
+	if len(crd) != len(dims) {
+		return false, fmt.Errorf("input %q: coord %d has arity %d, want %d", name, i, len(crd), len(dims))
+	}
+	for m, c := range crd {
+		if c < 0 || c >= int64(dims[m]) {
+			return false, fmt.Errorf("input %q: coord %d mode %d = %d outside [0,%d)", name, i, m, c, dims[m])
+		}
+	}
+	return prev == nil || fiber.Less(prev, crd), nil
 }
 
 // ToWire puts a COO tensor on the wire, sharing its coordinate tuples.

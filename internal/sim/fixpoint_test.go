@@ -79,7 +79,7 @@ func TestFixpointApply(t *testing.T) {
 	if next.NNZ() != 2 || next.Pts[0].Val != 3 || next.Pts[1].Val != 5 {
 		t.Fatalf("power next = %+v", next.Pts)
 	}
-	if !next.SortedStrict() {
+	if slices.Compare(next.Pts[0].Crd, next.Pts[1].Crd) >= 0 {
 		t.Fatal("Apply output not strictly sorted")
 	}
 

@@ -8,6 +8,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -22,11 +23,9 @@ type COO struct {
 	Pts  []Point
 }
 
-// Point is one stored tensor component.
-type Point struct {
-	Crd []int64
-	Val float64
-}
+// Point is one stored tensor component: fiber.Build reads a COO's points
+// as they stand.
+type Point = fiber.Point
 
 // NewCOO creates an empty COO tensor of the given shape.
 func NewCOO(name string, dims ...int) *COO {
@@ -132,33 +131,14 @@ func (c *COO) Build(formats ...fiber.Format) (*fiber.Tensor, error) {
 	return c.BuildNamed(c.Name, formats...)
 }
 
-// SortedStrict reports whether the stored points are strictly ascending
-// lexicographically (sorted, no duplicates), without mutating the tensor.
-// Callers use it to take read-only fast paths that are safe under
-// concurrent runs sharing one input tensor.
-func (c *COO) SortedStrict() bool {
-	for i := 1; i < len(c.Pts); i++ {
-		if byCrd(c.Pts[i-1], c.Pts[i]) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // BuildNamed converts the COO tensor to fibertree storage under the given
 // tensor name without mutating the receiver: points must already be strictly
-// sorted (fiber.Build validates and errors otherwise). Coordinate slices are
-// shared with the fibertree builder, which only reads them, so concurrent
-// BuildNamed calls on one tensor are safe — the property the operand-binding
-// fast path relies on.
+// sorted (fiber.Build checks, and fails with a *fiber.UnsortedError
+// otherwise). The points go to the fibertree builder as they stand, which
+// only reads them, so concurrent BuildNamed calls on one tensor are safe —
+// the property the operand-binding fast path relies on.
 func (c *COO) BuildNamed(name string, formats ...fiber.Format) (*fiber.Tensor, error) {
-	coords := make([][]int64, len(c.Pts))
-	vals := make([]float64, len(c.Pts))
-	for i, p := range c.Pts {
-		coords[i] = p.Crd
-		vals[i] = p.Val
-	}
-	return fiber.Build(name, c.Dims, formats, coords, vals)
+	return fiber.Build(name, c.Dims, formats, c.Pts)
 }
 
 // PermOf returns the permutation Permute takes from a tensor whose modes
@@ -180,9 +160,10 @@ func PermOf(to, from []string) ([]int, error) {
 // permuted, as converting and then calling Permute(name, perm) would — same
 // points, order, values, errors and nil-ness. One walk writes every
 // coordinate tuple already permuted into one shared slab, reading
-// compressed levels directly and any other format through fiber.Level, and
-// the points are sorted only when perm is not the identity, where the walk
-// is lexicographic as it stands. It allocates the result and nothing else.
+// compressed levels directly and any other format through fiber.Level; the
+// walk is lexicographic in the tree's level order, so an identity perm
+// needs nothing more and any other one needs sortPermuted's counting
+// passes. Beside the result it allocates only those passes' buffer and counts.
 func FromFiberPermuted(t *fiber.Tensor, name string, perm []int) (*COO, error) {
 	order := t.Order()
 	if err := checkPerm(perm, order); err != nil {
@@ -207,11 +188,58 @@ func FromFiberPermuted(t *fiber.Tensor, name string, perm []int) (*COO, error) {
 	} else {
 		w.level(0, 0)
 	}
-	out.Pts = w.pts
-	if !slices.IsSorted(perm) { // a permutation sorted is the identity
-		slices.SortFunc(out.Pts, byCrd)
-	}
+	out.Pts = sortPermuted(w.pts, out.Dims, perm)
 	return out, nil
+}
+
+// sortPermuted puts the walk's points, lexicographic in the tree's level
+// order, in lexicographic output order, as a comparison sort by byCrd
+// would; points are unique, so a stable sort is the sort. Output modes from
+// s on, where perm[s:] is perm's longest ascending suffix, are in order
+// already among points that agree before s: the walk ordered them by those
+// same levels. So stable counting passes, least significant first, over
+// modes s-1 down to 0 finish the job. Each pass counts one digit of a
+// mode's coordinate, at most max(8, bits in len(pts)) bits wide, which keeps
+// the counts O(len(pts)) whatever a dimension's size.
+func sortPermuted(pts []Point, dims, perm []int) []Point {
+	s := len(perm)
+	for s > 0 && (s == len(perm) || perm[s-1] < perm[s]) {
+		s--
+	}
+	if s == 0 || len(pts) < 2 {
+		return pts
+	}
+	width := max(8, bits.Len(uint(len(pts))))
+	var tmp []Point
+	var count []int
+	for d := s - 1; d >= 0; d-- {
+		size := bits.Len(uint(dims[d] - 1))
+		for shift := 0; shift < size; shift += width {
+			w := min(width, size-shift)
+			if tmp == nil {
+				tmp = make([]Point, len(pts))
+			}
+			if len(count) < 1<<w+1 {
+				count = make([]int, 1<<w+1)
+			}
+			at := count[:1<<w+1]
+			clear(at)
+			mask := int64(1)<<w - 1
+			for _, p := range pts {
+				at[(p.Crd[d]>>shift)&mask+1]++
+			}
+			for k := 1; k < len(at); k++ {
+				at[k] += at[k-1]
+			}
+			for _, p := range pts {
+				k := (p.Crd[d] >> shift) & mask
+				tmp[at[k]] = p
+				at[k]++
+			}
+			pts, tmp = tmp, pts
+		}
+	}
+	return pts
 }
 
 // walk is FromFiberPermuted's depth-first walk of a valid fibertree. The

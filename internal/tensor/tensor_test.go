@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -399,4 +401,136 @@ func FromFiber(t *fiber.Tensor) *COO {
 	}
 	walk(0, 0, nil)
 	return c
+}
+
+// randomTree is a compressed fibertree shaped as level writers leave one:
+// every fiber below the root holds a random sorted subset of its dimension,
+// empty ones included.
+func randomTree(r *rand.Rand, dims []int, fill float64) *fiber.Tensor {
+	t := &fiber.Tensor{Name: "T", Dims: dims}
+	fibers := 1
+	for _, n := range dims {
+		lvl := &fiber.CompressedLevel{N: n, Seg: []int32{0}}
+		for range fibers {
+			for c := range n {
+				if r.Float64() < fill {
+					lvl.Crd = append(lvl.Crd, int32(c))
+				}
+			}
+			lvl.Seg = append(lvl.Seg, int32(len(lvl.Crd)))
+		}
+		t.Levels = append(t.Levels, lvl)
+		fibers = len(lvl.Crd)
+	}
+	for range fibers {
+		t.Vals = append(t.Vals, float64(r.Intn(9)+1))
+	}
+	return t
+}
+
+// TestSortPermutedMatchesSort holds FromFiberPermuted's counting passes to
+// a comparison sort by byCrd of the identity walk's points, permuted, over
+// random trees of order 2 and 3 with empty fibers, under every permutation
+// — dimensions past 256 included, whose coordinates take more than one
+// counting digit.
+func TestSortPermutedMatchesSort(t *testing.T) {
+	perms := map[int][][]int{
+		2: {{0, 1}, {1, 0}},
+		3: {{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}},
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 120; trial++ {
+		order := 2 + r.Intn(2)
+		dims := make([]int, order)
+		for d := range dims {
+			dims[d] = []int{1, 3, 17, 300, 1000}[r.Intn(5)]
+		}
+		ft := randomTree(r, dims, min(0.9, 40/float64(dims[0]*dims[1])))
+		if err := ft.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		walked, err := FromFiberPermuted(ft, "X", perms[order][0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, perm := range perms[order] {
+			want := &COO{Name: "X", Dims: make([]int, order)}
+			for d, p := range perm {
+				want.Dims[d] = dims[p]
+			}
+			for _, pt := range walked.Pts {
+				crd := make([]int64, order)
+				for d, p := range perm {
+					crd[d] = pt.Crd[p]
+				}
+				want.Pts = append(want.Pts, Point{Crd: crd, Val: pt.Val})
+			}
+			slices.SortFunc(want.Pts, byCrd)
+			got, err := FromFiberPermuted(ft, "X", perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := IdenticalBits(got, want); err != nil {
+				t.Fatalf("trial %d dims %v perm %v (%d points): %v", trial, dims, perm, len(want.Pts), err)
+			}
+		}
+	}
+}
+
+// BenchmarkFromFiberPermuted reads a 16 000-point order-2 result out of its
+// fibertree in the order it was written (the identity walk) and swapped,
+// which adds sortPermuted's counting passes: the cost of an output whose
+// loop order is not its left-hand-side order.
+func BenchmarkFromFiberPermuted(b *testing.B) {
+	c := UniformRandom("X", rand.New(rand.NewSource(16)), 16000, 400, 400)
+	ft, err := c.Build(fiber.Compressed, fiber.Compressed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		perm []int
+	}{{"identity", []int{0, 1}}, {"swap", []int{1, 0}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := FromFiberPermuted(ft, "X", bc.perm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestBuildNamedAllocs gates what binding an operand allocates: building a
+// 6 000-point order-2 COO reads its points in place, so it allocates the
+// levels, Vals and one int64 per point of scratch (the point's fiber at the
+// level under construction), and no copy of the points' coordinates or
+// values, which would add 192 KB here. Each compressed level's crd is
+// sized once, not grown.
+func TestBuildNamedAllocs(t *testing.T) {
+	c := UniformRandom("B", rand.New(rand.NewSource(6)), 6000, 400, 300)
+	ft, err := c.BuildNamed("B", fiber.Compressed, fiber.Compressed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := 8 * len(ft.Vals)
+	for _, l := range ft.Levels {
+		cl := l.(*fiber.CompressedLevel)
+		stored += 4 * (len(cl.Seg) + len(cl.Crd))
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := c.BuildNamed("B", fiber.Compressed, fiber.Compressed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got, bound := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(stored+8*c.NNZ()+4<<10)
+	t.Logf("BuildNamed of a 6000-point order-2 COO: %d B; levels and Vals %d B, scratch %d B", got, stored, 8*c.NNZ())
+	if got > bound {
+		t.Errorf("BuildNamed of a 6000-point order-2 COO: %d B, want <= %d (levels, Vals, scratch and 4 KB)", got, bound)
+	}
 }
