@@ -129,9 +129,11 @@ func stepRepeat(si *StepIR) step {
 }
 
 // stepMerge is the m-ary intersecter or unioner (Definitions 3.2–3.3) as one
-// merge loop over the input coordinate streams. It applies core.Merger's
-// rules in the same order, a whole stream per call instead of one set of
-// heads per cycle, and fails with the same texts.
+// merge loop over the input coordinate streams, for every m. It applies
+// core.Merger's rules in the same order, a whole stream per call instead of
+// one set of heads per cycle, and fails with the same texts: the merger's
+// conformance table, internal/core/testdata/merge_rules.txt, holds the two
+// row by row.
 func stepMerge(si *StepIR) step {
 	union := si.Kind == graph.Union
 	inCrd, inRef := splitPairs(si.Ins, si.Ways)
@@ -146,30 +148,6 @@ func stepMerge(si *StepIR) step {
 			heads[i] = cc[i].next()
 		}
 		for {
-			// Two-way intersect fast path: while both heads are coordinates,
-			// run the plain two-pointer merge without the generic head scan.
-			// The emitted tokens are exactly the generic rules' all-values
-			// cases specialized to m == 2.
-			if !union && m == 2 {
-				a, b := heads[0], heads[1]
-				for a.Kind == token.Val && b.Kind == token.Val {
-					switch {
-					case a.N == b.N:
-						x.push(outCrd, token.C(a.N))
-						x.push(outRef[0], cr[0].next())
-						x.push(outRef[1], cr[1].next())
-						a = cc[0].next()
-						b = cc[1].next()
-					case a.N < b.N:
-						cr[0].next()
-						a = cc[0].next()
-					default:
-						cr[1].next()
-						b = cc[1].next()
-					}
-				}
-				heads[0], heads[1] = a, b
-			}
 			nVal, nMin, nStop, nDone := 0, 0, 0, 0
 			var minC int64
 			stopLvl := -1

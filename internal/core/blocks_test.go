@@ -263,24 +263,75 @@ func TestIntersectThreeWay(t *testing.T) {
 	checkStream(t, "refc", outQs[2].Drain(), "1 2 S0 D")
 }
 
-// TestMergerRejectsEmptyOnCoordinateInput feeds N, a reference-stream token,
-// to a coordinate input of the intersecter and the unioner: both fail naming
-// it, with the text comp's stepMerge gives for the same fault.
-func TestMergerRejectsEmptyOnCoordinateInput(t *testing.T) {
-	for _, union := range []bool{false, true} {
-		n := &Net{}
-		crdA, refA := n.NewQueue("a.crd"), n.NewQueue("a.ref")
-		crdB, refB := n.NewQueue("b.crd"), n.NewQueue("b.ref")
-		crdA.Preload(token.MustParse("1 N S0 D"))
-		refA.Preload(token.MustParse("0 1 S0 D"))
-		crdB.Preload(token.MustParse("1 2 S0 D"))
-		refB.Preload(token.MustParse("0 1 S0 D"))
-		n.Add(NewMerger("merge", union, []*Queue{crdA, crdB}, []*Queue{refA, refB},
-			NewOut(n.NewQueue("out.crd")), []*Out{NewOut(n.NewQueue("out.refa")), NewOut(n.NewQueue("out.refb"))}))
-		_, err := n.Run(1_000_000)
-		if err == nil || !strings.Contains(err.Error(), "merge: unexpected token N on coordinate input") {
-			t.Errorf("union=%v: err = %v, want the N named on a coordinate input", union, err)
+// TestMergeRules runs every row of the merger's conformance table,
+// testdata/merge_rules.txt, through core.Merger under Run and under RunNaive:
+// intersect and union at two and three inputs, one row per rule of the
+// Merger's list and per failure. Both loops must produce the row's streams in
+// the same cycles, or fail with its text. comp's TestMergeRules runs the same
+// rows through stepMerge.
+func TestMergeRules(t *testing.T) {
+	raw, err := os.ReadFile("testdata/merge_rules.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
+		f := strings.Split(line, "|")
+		for i := range f {
+			f[i] = strings.TrimSpace(f[i])
+		}
+		m := len(f) - 3
+		fails, isFail := strings.CutPrefix(f[len(f)-1], "fails: ")
+		want := strings.Split(f[len(f)-1], "/")
+		if m < 2 || f[1] != "intersect" && f[1] != "union" || !isFail && len(want) != m+1 {
+			t.Fatalf("merge_rules.txt: malformed row %q", line)
+		}
+		t.Run(f[0], func(t *testing.T) {
+			cycles := -1
+			for _, naive := range []bool{false, true} {
+				n := &Net{}
+				crds, refs := make([]*Queue, m), make([]*Queue, m)
+				for i := range m {
+					in := strings.Split(f[2+i], "/")
+					if len(in) != 2 {
+						t.Fatalf("merge_rules.txt: input %d is not crd / ref: %q", i, f[2+i])
+					}
+					crds[i], refs[i] = n.NewQueue("crd"), n.NewQueue("ref")
+					crds[i].Preload(token.MustParse(in[0]))
+					refs[i].Preload(token.MustParse(in[1]))
+				}
+				outs := make([]*Queue, m+1)
+				ports := make([]*Out, m+1)
+				for i := range outs {
+					outs[i] = n.NewQueue("out")
+					ports[i] = NewOut(outs[i])
+				}
+				n.Add(NewMerger("merge", f[1] == "union", crds, refs, ports[0], ports[1:]))
+				run := n.Run
+				if naive {
+					run = n.RunNaive
+				}
+				c, err := run(1_000)
+				if isFail {
+					if err == nil || err.Error() != "merge: "+fails {
+						t.Fatalf("naive=%v: err = %v, want merge: %s", naive, err, fails)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("naive=%v: net run failed: %v", naive, err)
+				}
+				if cycles >= 0 && c != cycles {
+					t.Errorf("RunNaive took %d cycles, Run %d", c, cycles)
+				}
+				cycles = c
+				for i, q := range outs {
+					checkStream(t, fmt.Sprintf("naive=%v output %d", naive, i), q.Drain(), strings.TrimSpace(want[i]))
+				}
+			}
+		})
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"sam/internal/token"
-)
+import "sam/internal/token"
 
 // Merger is the m-ary intersecter (paper Definition 3.2) or unioner
 // (Definition 3.3): one two-finger merge generalized to m fiber-aligned
@@ -23,7 +19,8 @@ import (
 //     are exhausted and nothing left can match;
 //
 // and any other token on a coordinate input fails. comp's stepMerge follows
-// the same rules.
+// the same rules; testdata/merge_rules.txt, their conformance table, holds
+// both engines to them row by row, with the same failure texts.
 type Merger struct {
 	basic
 	union  bool
@@ -87,8 +84,9 @@ func feeds(o *Out, q *Queue) bool {
 // Tick implements Block: a span of one cycle.
 func (b *Merger) Tick() bool { return tick(b, b.inCrd[0].clk) }
 
-// span implements spanner. The two-way intersecter runs its common rules in
-// intersect2; every other cycle is one step.
+// span implements spanner. A paired merger runs its common rules in runs2;
+// every other cycle is one step, and an unpaired merger of any arity runs
+// step alone, jumping past the cycles without progress (see wake).
 func (b *Merger) span(end uint32) (stop, prog uint32) {
 	clk := b.inCrd[0].clk
 	now := clk.now
@@ -103,16 +101,11 @@ func (b *Merger) span(end uint32) (stop, prog uint32) {
 			return end, 0
 		}
 	}
-	two := !b.union && len(b.inCrd) == 2
 	for now < end {
-		switch {
-		case b.crd != nil:
-			now, prog = b.runs2(now, end, prog)
-		case two:
-			now, prog = b.intersect2(now, end, prog)
-		}
-		if now == end {
-			break
+		if b.crd != nil {
+			if now, prog = b.runs2(now, end, prog); now == end {
+				break
+			}
 		}
 		clk.now = now
 		if b.step() {
@@ -130,93 +123,15 @@ func (b *Merger) span(end uint32) (stop, prog uint32) {
 	return now, prog
 }
 
-// intersect2 runs the two-way intersecter from cycle now up to end while its
-// heads are coordinates, a coordinate and a stop, or two stops of one level
-// with stops on both reference inputs: the rule list's last three rules over
-// two inputs. While a head is not visible it jumps to the cycle both are. It
-// returns the first cycle it did not run, and prog advanced past the last
-// one it made progress in.
-func (b *Merger) intersect2(now, end, prog uint32) (uint32, uint32) {
-	c0, c1, r0, r1 := b.inCrd[0], b.inCrd[1], b.inRef[0], b.inRef[1]
-	clk := c0.clk
-	for now < end {
-		a, c := c0.headSlot(), c1.headSlot()
-		if a == nil || c == nil || a.at >= end || c.at >= end {
-			return end, prog
-		}
-		now = max(now, a.at, c.at)
-		valA, valC := a.kind == uint8(token.Val), c.kind == uint8(token.Val)
-		x, y := int64(a.x), int64(c.x)
-		// q, r: the side whose coordinates below lim have no match.
-		q, r, lim := c0, r0, int64(math.MaxInt64)
-		switch {
-		case valA && valC && x == y:
-			clk.now = now
-			c0.PopPeeked()
-			c1.PopPeeked()
-			ra, _ := r0.Pop()
-			rc, _ := r1.Pop()
-			b.outCrd.Push(token.C(x))
-			b.outRef[0].Push(ra)
-			b.outRef[1].Push(rc)
-			now++
-			prog = now
-			continue
-		case valA && valC && x < y:
-			lim = y
-		case valA && valC:
-			q, r, lim = c1, r1, x
-		case valA && c.kind == uint8(token.Stop):
-		case valC && a.kind == uint8(token.Stop):
-			q, r = c1, r1
-		case a.kind == uint8(token.Stop) && c.kind == uint8(token.Stop) && x == y:
-			// All stopped at one level: forward the stop, unless a reference
-			// head is not the stop step fails on.
-			clk.now = now
-			ra, rc := r0.front(), r1.front()
-			if ra == nil || rc == nil || ra.kind != uint8(token.Stop) || rc.kind != uint8(token.Stop) {
-				return now, prog
-			}
-			c0.PopPeeked()
-			c1.PopPeeked()
-			r0.PopPeeked()
-			r1.PopPeeked()
-			s := token.S(int(x))
-			b.outCrd.Push(s)
-			b.outRef[0].Push(s)
-			b.outRef[1].Push(s)
-			now++
-			prog = now
-			continue
-		default:
-			return now, prog
-		}
-		// Pop q's coordinate, and its reference if visible, one a cycle
-		// while the next is a visible coordinate below lim too.
-		for {
-			q.PopPeeked()
-			if s := r.headSlot(); s != nil && s.at <= now {
-				r.PopPeeked()
-			}
-			if now++; now == end {
-				break
-			}
-			s := q.headSlot()
-			if s == nil || s.at > now || s.kind != uint8(token.Val) || int64(s.x) >= lim {
-				break
-			}
-		}
-		prog = now
-	}
-	return now, prog
-}
-
-// runs2 is intersect2 over paired inputs (see Pair), whose coordinate
-// heads are run slots, stops and the done. While both heads are runs it
-// merges them over the levels' Crd arrays; a run beside a stop is consumed
-// whole, one coordinate a cycle, and two stops of one level go on. A run
-// whose head is visible has every later coordinate visible by the cycle it
-// is reached in, one a cycle, so only the heads' stamps are waited for.
+// runs2 runs the paired intersecter (see Pair) from cycle now up to end
+// while its coordinate heads, run slots, stops and the done, fall under the
+// rule list's last three rules: while both heads are runs it merges them over
+// the levels' Crd arrays; a run beside a stop is consumed whole, one
+// coordinate a cycle, and two stops of one level go on. A run whose head is
+// visible has every later coordinate visible by the cycle it is reached in,
+// one a cycle, so only the heads' stamps are waited for. It returns the first
+// cycle it did not run, and prog advanced past the last one it made progress
+// in; step takes every other head.
 func (b *Merger) runs2(now, end, prog uint32) (uint32, uint32) {
 	c0, c1 := b.inCrd[0], b.inCrd[1]
 	for now < end {

@@ -66,7 +66,10 @@ func (n *Net) Add(bs ...Block) {
 // sched.go). Any other net runs RunNaive's loop: a bounded queue's pop frees
 // room its producer sees at once, and a cycle of blocks has no order to run
 // ahead in. Either way, cycle counts, outputs, stream statistics and errors
-// are identical to RunNaive's (a failed run's statistics aside: see runner).
+// are identical to RunNaive's, except that a failed run's queue statistics
+// are partial: blocks that ran past the failing cycle keep what they pushed
+// there (see runner), and RunNaive stops mid-cycle. Only this package exposes
+// them; sim.Program.Run returns no Result when a run fails.
 func (n *Net) Run(limit int) (int, error) {
 	r, lagging := newRunner(n)
 	if !lagging {

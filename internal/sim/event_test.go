@@ -17,6 +17,7 @@ import (
 	"sam/internal/core"
 	"sam/internal/custard"
 	"sam/internal/fiber"
+	"sam/internal/graph"
 	"sam/internal/lang"
 	"sam/internal/tensor"
 )
@@ -477,12 +478,25 @@ func TestEventPeakChunks(t *testing.T) {
 // intersecter of each SpM*SpM dataflow and of SpMV, once per lane at Par 4,
 // and none under bounded queues or on the naive engine. A pairing that
 // silently stopped would keep every output and count right and lose the
-// run slots' speed.
+// run slots' speed. On unbounded queues every two-way intersecter of a shape
+// is paired: core.Merger has no two-way loop besides the paired one, so a
+// compiler change that leaves one unpaired fails here.
 func TestEventPairing(t *testing.T) {
 	want := map[string]int{
 		"SpM*SpM-ikj": 1, "SpM*SpM-ijk": 1, "SpM*SpM-kij": 1, "SpMV-par1": 1, "SpMV-par4": 4, "SpM*SpM-ikj-cap8": 0,
 	}
 	for _, s := range eventShapes(t) {
+		if s.opt.QueueCap == 0 {
+			twoWay := 0
+			for _, n := range s.prog.g.Nodes {
+				if n.Kind == graph.Intersect && n.Ways == 2 {
+					twoWay++
+				}
+			}
+			if twoWay != want[s.name] {
+				t.Errorf("%s: %d two-way intersecters, %d paired", s.name, twoWay, want[s.name])
+			}
+		}
 		for _, eng := range []EngineKind{"", EngineEvent, EngineNaive} {
 			opt := s.opt
 			opt.Engine = eng
